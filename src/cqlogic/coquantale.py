@@ -307,10 +307,6 @@ def dualizing_elements(vq: CoQuantale):
     return [int(d) for d in range(n) if (vq.tsub[d][vq.tsub[d]] == idx).all()]
 
 
-def is_co_girard(vq: CoQuantale) -> bool:
-    return bool(dualizing_elements(vq))
-
-
 def has_safa(vq: CoQuantale):
     """Decide the sequential-approximation-from-above property.
 

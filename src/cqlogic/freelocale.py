@@ -10,6 +10,11 @@ The carrier itself grows like the Dedekind numbers (2, 3, 6, 20, 168, ...),
 so it is only enumerated - and only then turned into ordinary co-quantale
 tables - for ground sets of at most MATERIALIZE_MAX elements. All element
 operations work symbolically for any ground size the powerset fits.
+
+The enumerated carrier and the materialized co-quantale depend only on the
+ground tuple (and the co-quantale's name), so both are shared by every
+FreeLocale over the same ground set: each is enumerated, and each validated,
+once per process.
 """
 
 from __future__ import annotations
@@ -24,6 +29,9 @@ from .errors import SizeLimit, UnknownElement
 
 MATERIALIZE_MAX = 4   # Dedekind(4) = 168; Dedekind(5) = 7581 is already too big
 SYMBOLIC_MAX = 8      # powerset of the ground set must stay enumerable
+
+_CARRIERS = {}        # ground tuple -> sorted tuple of families
+_MATERIALIZED = {}    # (ground tuple, name) -> validated CoQuantale
 
 
 def _powerset(ground):
@@ -59,7 +67,6 @@ class FreeLocale:
         self.bottom = frozenset(self._psets)
         self.top = frozenset()
         self._subsets = {s: downclose([s]) for s in self._psets}
-        self._carrier = None
 
     # -- value universe surface ------------------------------------------
 
@@ -117,11 +124,12 @@ class FreeLocale:
         return [p for p in self.carrier() if self.is_positive(p)]
 
     def carrier(self):
-        if self._carrier is None:
+        families = _CARRIERS.get(self.ground)
+        if families is None:
             if len(self.ground) > MATERIALIZE_MAX:
                 raise SizeLimit("carrier of %s is not enumerable" % self.name)
-            self._carrier = self._enumerate()
-        return self._carrier
+            families = _CARRIERS[self.ground] = tuple(self._enumerate())
+        return families
 
     def _enumerate(self):
         psets = self._psets
@@ -181,18 +189,25 @@ class FreeLocale:
     # -- table form ---------------------------------------------------------
 
     def materialize(self, name=None):
-        """Enumerate the carrier and run it through full table validation."""
+        """Enumerate the carrier and run it through full table validation.
+
+        The result is shared: one validated co-quantale per (ground, name).
+        """
+        key = (self.ground, name or self.name)
+        cached = _MATERIALIZED.get(key)
+        if cached is not None:
+            return cached
         families = self.carrier()
-        n = len(families)
-        index = {p: i for i, p in enumerate(families)}
-        order = np.zeros((n, n), dtype=bool)
-        add = np.zeros((n, n), dtype=np.int32)
-        for i, p in enumerate(families):
-            for j, q in enumerate(families):
-                order[i, j] = self.le(p, q)
-                add[i, j] = index[p & q]
+        pos = {s: i for i, s in enumerate(self._psets)}
+        masks = np.array([sum(1 << pos[s] for s in p) for p in families], dtype=np.int64)
+        index = np.full(1 << len(self._psets), -1, dtype=np.int32)
+        index[masks] = np.arange(len(families), dtype=np.int32)
+        # p <= q iff q ⊆ p; p + q is the family intersection p & q
+        order = (masks[None, :] & ~masks[:, None]) == 0
+        add = index[masks[:, None] & masks[None, :]]
         lattice = lat.validate_lattice(order, [self.element_name(p) for p in families])
-        return validate_coquantale(lattice, add, name=name or self.name)
+        _MATERIALIZED[key] = validate_coquantale(lattice, add, name=key[1])
+        return _MATERIALIZED[key]
 
     def __repr__(self):
         return "FreeLocale(ground=%r)" % (self.ground,)

@@ -93,7 +93,7 @@ def validate_lattice(order, names=None) -> FiniteLattice:
     if sym.any():
         x, y = map(int, np.argwhere(sym)[0])
         raise NotAPartialOrder("not antisymmetric at (%s, %s)" % (names[x], names[y]))
-    closure = (leq.astype(np.uint8) @ leq.astype(np.uint8)) > 0
+    closure = (leq.astype(np.int32) @ leq.astype(np.int32)) > 0   # uint8 would wrap at 256
     broken = closure & ~leq
     if broken.any():
         x, z = map(int, np.argwhere(broken)[0])
@@ -116,20 +116,25 @@ def validate_lattice(order, names=None) -> FiniteLattice:
 
 
 def _bound_table(leq, names, kind):
-    """Greatest lower bounds for every pair (meets for leq, joins for leq.T)."""
+    """Greatest lower bounds for every pair (meets for leq, joins for leq.T).
+
+    Among the common lower bounds L of (x, y), take the z with the largest
+    down-set. Since ↓z ⊆ L for every z in L, it is the greatest element of L
+    exactly when |↓z| = |L|. O(n³) work in a small integer dtype.
+    """
     n = leq.shape[0]
-    # lb[z, x, y]: z is a lower bound of {x, y}
-    lb = leq[:, :, None] & leq[:, None, :]
-    flat = lb.reshape(n, n * n)
-    # dominated[z, xy]: some lower bound w is not <= z
-    dominated = ((~leq.T).astype(np.uint8) @ flat.astype(np.uint8)) > 0
-    ok = flat & ~dominated
-    counts = ok.sum(axis=0)
-    if (counts == 0).any():
-        pos = int(np.flatnonzero(counts == 0)[0])
-        x, y = divmod(pos, n)
+    common = leq.T.astype(np.int32) @ leq.astype(np.int32)   # |L| per (x, y)
+    down = leq.sum(axis=0)                                      # |↓z| per z
+    dtype = np.min_scalar_type(n)
+    weighted = np.where(leq, down[:, None], 0).astype(dtype)    # [z, y]: |↓z| if z <= y
+    # score[z, x, y]: |↓z| when z is a lower bound of {x, y}, else 0
+    score = np.multiply(leq[:, :, None], weighted[:, None, :], dtype=dtype)
+    best = score.argmax(axis=0)
+    found = (np.take_along_axis(score, best[None], axis=0)[0] == common) & (common > 0)
+    if not found.all():
+        x, y = map(int, np.argwhere(~found)[0])
         raise NotALattice("no %s for pair (%s, %s)" % (kind, names[x], names[y]))
-    return ok.argmax(axis=0).reshape(n, n).astype(np.int32)
+    return best.astype(np.int32)
 
 
 def _cwb_table(leq, meet, top):

@@ -22,7 +22,7 @@ import numpy as np
 from . import coquantale as cq
 from . import semantics as sem
 from . import spaces as sp
-from .errors import ParseError
+from .errors import ParseError, UnknownElement
 from .formulas import Modulus, Signature, identity_modulus
 from .lattice import validate_lattice
 
@@ -98,8 +98,12 @@ class Workspace:
             if a not in index or b not in index:
                 raise ParseError("unknown element in @leq %s %s" % (a, b), lineno)
             order[index[a], index[b]] = True
-        for _ in range(n):
-            order |= (order.astype(np.uint8) @ order.astype(np.uint8)) > 0
+        # square the reflexive relation until stable: ⌈log₂ n⌉ + 1 products at most
+        while True:
+            closed = (order.astype(np.int32) @ order.astype(np.int32)) > 0
+            if (closed == order).all():
+                break
+            order = closed
         self.register("lattices", name, validate_lattice(order, elements))
 
     def _load_coquantale(self, header, lines):
@@ -167,7 +171,7 @@ class Workspace:
                 raise ParseError("unknown point in @dist %s %s" % (a, b), lno)
             try:
                 dist[index[a]][index[b]] = vq.parse_element(val)
-            except Exception:
+            except UnknownElement:
                 raise ParseError("unknown element %r" % val, lno)
         return vq, points, dist, rest
 

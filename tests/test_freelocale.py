@@ -1,5 +1,9 @@
 import pytest
 
+from cqlogic import coquantale as cq
+from cqlogic import freelocale
+from cqlogic import lattice as lat
+from cqlogic import spaces as sp
 from cqlogic.errors import SizeLimit, UnknownElement
 from cqlogic.freelocale import FreeLocale, downclose
 
@@ -81,3 +85,75 @@ def test_contains_rejects_non_families():
     assert not fl.contains(frozenset([frozenset("a"), frozenset("ab")]))  # not down-closed
     assert not fl.contains("junk")
     assert fl.contains(downclose([frozenset("ab")]))
+
+
+def test_dedekind4_tables_match_family_operations():
+    """At n = 168 the materialized order is reverse inclusion, the meet is
+    family union and the join (and addition) is family intersection."""
+    fl = FreeLocale("abcd")
+    table = fl.materialize()
+    families = fl.carrier()
+    assert table.size == DEDEKIND[4]
+    index = {p: i for i, p in enumerate(families)}
+    assert table.lattice.leq.tolist() == [[q <= p for q in families] for p in families]
+    meet = [[index[p | q] for q in families] for p in families]
+    join = [[index[p & q] for q in families] for p in families]
+    assert table.lattice.meet.tolist() == meet
+    assert table.lattice.join.tolist() == join
+    assert table.add.tolist() == join
+
+
+# -- sharing per ground set ------------------------------------------------------
+
+
+def test_materialize_shared_per_ground():
+    table = FreeLocale("abc").materialize()
+    assert FreeLocale("abc").materialize() is table
+    assert FreeLocale("abc").carrier() is FreeLocale("abc").carrier()
+    assert FreeLocale("ab").materialize() is not table
+
+
+def test_shared_materializations_keep_their_names():
+    named = cq.builtin("freelocale:3")
+    unnamed = FreeLocale("abc").materialize()
+    assert named.name == "freelocale:3"
+    assert unnamed.name == "freelocale(a,b,c)"
+    assert cq.builtin("freelocale:3") is named
+    assert FreeLocale("abc").materialize() is unnamed
+
+
+def test_shared_tables_are_read_only():
+    table = FreeLocale("ab").materialize()
+    lattice = table.lattice
+    for array in (table.add, table.tsub, table.dsym,
+                  lattice.leq, lattice.meet, lattice.join, lattice.cwb):
+        with pytest.raises(ValueError):
+            array[0, 0] = array[0, 1]
+
+
+def test_flagg_round_trip_validates_once_per_ground_size(monkeypatch):
+    """Every topology on at most three points, in all three modes, costs one
+    lattice and one co-quantale validation per ground size (2, 3, 4 opens)."""
+    monkeypatch.setattr(freelocale, "_CARRIERS", {})
+    monkeypatch.setattr(freelocale, "_MATERIALIZED", {})
+    validated = {"lattice": [], "coquantale": []}
+
+    def counting(kind, validate):
+        def wrapped(*args, **kwargs):
+            result = validate(*args, **kwargs)
+            validated[kind].append(len(result.carrier()))
+            return result
+        return wrapped
+
+    monkeypatch.setattr(lat, "validate_lattice", counting("lattice", lat.validate_lattice))
+    monkeypatch.setattr(freelocale, "validate_coquantale",
+                        counting("coquantale", freelocale.validate_coquantale))
+    for points in (["a"], ["a", "b"], ["a", "b", "c"]):
+        for topo in sp.enumerate_topologies(points):
+            modes = ["auto", False] + ([True] if len(topo.opens) <= 4 else [])
+            for mode in modes:
+                space = sp.space_from_topology(topo, materialize=mode)
+                assert sp.induced_topology(space).opens == topo.opens
+    # Dedekind(2), Dedekind(3), Dedekind(4) elements
+    assert {k: sorted(v) for k, v in validated.items()} == \
+        {"lattice": [6, 20, 168], "coquantale": [6, 20, 168]}

@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -79,6 +81,71 @@ def test_partial_order_violations_report_witnesses():
         lat.validate_lattice(order, ["a", "b", "c"])
     with pytest.raises(NotAPartialOrder, match="reflexive"):
         lat.validate_lattice(np.zeros((1, 1), dtype=bool), ["a"])
+
+
+def test_transitivity_check_counts_past_256_paths():
+    # x < y1..y256 < z without x <= z: 256 two-step paths from x to z, a
+    # count that an 8-bit product would wrap to zero
+    n = 258
+    order = np.eye(n, dtype=bool)
+    order[0, 1:n - 1] = True
+    order[1:n - 1, n - 1] = True
+    with pytest.raises(NotAPartialOrder, match="transitive"):
+        lat.validate_lattice(order)
+
+
+def random_poset(rng, n, bounded):
+    """A seeded random partial order on n elements in shuffled index order,
+    optionally with a bottom and a top added."""
+    p = rng.random()
+    order = np.eye(n, dtype=bool)
+    for i in range(n):
+        for j in range(i + 1, n):
+            order[i, j] = rng.random() < p
+    if bounded and n > 1:
+        order[0, :] = True
+        order[:, n - 1] = True
+    for _ in range(n):
+        order |= (order.astype(np.uint8) @ order.astype(np.uint8)) > 0
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return order[np.ix_(perm, perm)]
+
+
+def brute_bound_table(leq, names, kind):
+    """The definition: the greatest common lower bound of every pair, with
+    the first pair in (x, y) order that has none as the witness."""
+    n = leq.shape[0]
+    table = np.zeros((n, n), dtype=np.int32)
+    for x in range(n):
+        for y in range(n):
+            lbs = [z for z in range(n) if leq[z, x] and leq[z, y]]
+            best = [z for z in lbs if all(leq[w, z] for w in lbs)]
+            if not best:
+                raise NotALattice("no %s for pair (%s, %s)" % (kind, names[x], names[y]))
+            table[x, y] = best[0]
+    return table
+
+
+def test_bound_tables_match_definition_on_random_posets():
+    rng = random.Random(2468)
+    outcomes = {"lattice": 0, "not a lattice": 0}
+    for trial in range(600):
+        order = random_poset(rng, rng.randrange(1, 8), bounded=trial % 2 == 0)
+        names = ["e%d" % i for i in range(order.shape[0])]
+        for leq, kind in ((order, "meet"), (order.T, "join")):
+            try:
+                expected = brute_bound_table(leq, names, kind)
+            except NotALattice as exc:
+                outcomes["not a lattice"] += 1
+                with pytest.raises(NotALattice) as err:
+                    lat._bound_table(leq, names, kind)
+                assert str(err.value) == str(exc)
+            else:
+                outcomes["lattice"] += 1
+                assert (lat._bound_table(leq, names, kind) == expected).all()
+    # both branches are exercised in earnest
+    assert min(outcomes.values()) > 200, outcomes
 
 
 def test_diamond_meet_join_match_brute_force():

@@ -266,6 +266,23 @@ def test_flagg_materialized_and_symbolic_agree_on_distances():
             assert mat.V.element_name(mat.dist[i][j]) == fl.element_name(sym.dist[i][j])
 
 
+def test_flagg_spaces_over_one_ground_share_their_universe():
+    # both topologies have four opens, so both live over freelocale(U0..U3)
+    left = sp.space_from_topology(sp.validate_topology(
+        ["a", "b"], [frozenset(), frozenset("a"), frozenset("b"), frozenset("ab")]))
+    right = sp.space_from_topology(sp.validate_topology(
+        ["p", "q", "r"], [frozenset(), frozenset("p"), frozenset("pq"), frozenset("pqr")]))
+    assert left.V is right.V
+    sierpinski = sp.validate_topology(["a", "b"], [frozenset(), frozenset("b"),
+                                                   frozenset("ab")])
+    assert left.V is not sp.space_from_topology(sierpinski).V
+    prod = sp.product_space(left, right)
+    assert prod.m == 6
+    assert sp.induced_topology(prod).opens >= {
+        frozenset("%s|%s" % (x, y) for x in u for y in w)
+        for u in ({"a"}, {"b"}) for w in ({"p"}, {"p", "q"})}
+
+
 def test_flagg_rejects_large_point_sets():
     topo = sp.validate_topology(["a", "b", "c", "d"],
                                 [frozenset(), frozenset("abcd")])

@@ -106,6 +106,25 @@ def test_parse_errors_carry_line_numbers():
         ws.load_text("@elements a b\n")
 
 
+def test_covering_pairs_close_to_full_order():
+    n = 9
+    text = "@lattice C\n@elements %s\n" % " ".join("c%d" % i for i in range(n))
+    text += "".join("@leq c%d c%d\n" % (i, i + 1) for i in range(n - 1))
+    ws = Workspace()
+    ws.load_text(text)
+    chain = ws.lattices["C"]
+    assert chain.leq.tolist() == [[i <= j for j in range(n)] for i in range(n)]
+    assert (chain.bottom, chain.top) == (0, n - 1)
+
+
+def test_unknown_dist_element_reports_its_line():
+    ws = Workspace()
+    ws.load_text("@coquantale C4\n@builtin chain:4\n")
+    with pytest.raises(ParseError, match="unknown element 'seven'") as err:
+        ws.load_text("@space S over C4\n@points p q\n@dist p q 1\n@dist q p seven\n")
+    assert err.value.line == 4
+
+
 def test_duplicate_names_rejected():
     ws = Workspace()
     with pytest.raises(ParseError, match="duplicate"):
