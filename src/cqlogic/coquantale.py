@@ -110,13 +110,17 @@ class CoQuantale:
 
 
 def validate_coquantale(lattice, add, name="") -> CoQuantale:
-    """Exhaustively verify the co-quantale axioms and fill all tables."""
+    """Verify the co-quantale axioms and fill all tables.
+
+    Meet distribution is decided with ∸ (see _tsub_table) and associativity
+    on the meet-irreducibles (see _associative); when either fails,
+    _check_axioms runs the exhaustive checks to report the first witness.
+    """
     n = lattice.n
     add = np.asarray(add, dtype=np.int32)
     if add.shape != (n, n) or add.min() < 0 or add.max() >= n:
         raise BadIdentity("add table must be total on the carrier")
     names = lattice.elements
-    leq, meet = lattice.leq, lattice.meet
 
     bad = add != add.T
     if bad.any():
@@ -126,6 +130,27 @@ def validate_coquantale(lattice, add, name="") -> CoQuantale:
     if ident.any():
         a = int(np.flatnonzero(ident)[0])
         raise BadIdentity("%s + 0 != %s" % (names[a], names[a]))
+    tsub = _tsub_table(lattice, add)
+    if tsub is None or not _associative(lattice, add):
+        _check_axioms(lattice, add)
+        raise AssertionError("reduced co-quantale checks disagree with the exhaustive ones")
+
+    dsym = lattice.join[tsub, tsub.T].astype(np.int32)
+    # (V, d^s) is T0 by antisymmetry; D-ultralimit uniqueness relies on it
+    assert ((dsym == lattice.bottom) == np.eye(n, dtype=bool)).all()
+    value_flag = lat.is_value_lattice(lattice)
+    cq = CoQuantale(lattice, add, tsub, dsym, value_flag, False, [], False, name)
+    cq.co_divisible_flag = is_co_divisible(cq)
+    cq.dualizers = dualizing_elements(cq)
+    cq.safa_flag = has_safa(cq)[0]
+    return cq
+
+
+def _check_axioms(lattice, add):
+    """The exhaustive O(n³) checks of associativity and meet distribution,
+    raising with the first failing triple in (a, b, c) order."""
+    n = lattice.n
+    names, meet = lattice.elements, lattice.meet
     left = add[add, :]                                    # (a+b)+c
     right = add[np.arange(n)[:, None, None], add[None]]   # a+(b+c)
     bad = left != right
@@ -145,35 +170,43 @@ def validate_coquantale(lattice, add, name="") -> CoQuantale:
         a = int(np.flatnonzero(bad)[0])
         raise NotMeetDistributive("%s + 1 != 1 (empty-meet distribution)" % names[a])
 
-    tsub = _tsub_table(lattice, add)
-    dsym = lattice.join[tsub, tsub.T].astype(np.int32)
-    # (V, d^s) is T0 by antisymmetry; D-ultralimit uniqueness relies on it
-    assert ((dsym == lattice.bottom) == np.eye(n, dtype=bool)).all()
-    value_flag = lat.is_value_lattice(lattice)
-    cq = CoQuantale(lattice, add, tsub, dsym, value_flag, False, [], False, name)
-    cq.co_divisible_flag = is_co_divisible(cq)
-    cq.dualizers = dualizing_elements(cq)
-    cq.safa_flag = has_safa(cq)[0]
-    return cq
-
 
 def _tsub_table(lattice, add):
-    """tsub[a, b] = ⋀{r : r + b ≥ a}, folded meet per (a, b) pair.
+    """tsub[a, b] = ⋀{r : r + b ≥ a}, or None when + does not distribute
+    over all meets.
 
-    Distribution over meets puts the fold result inside the set, so the
-    infimum is attained; this is asserted before returning.
+    r ↦ b + r preserves all meets (binary ones, and the empty one: b + 1 = 1)
+    exactly when every set {r : a ≤ b + r} has a least element, which is
+    then a ∸ b. Each a is the join of the join-irreducibles j below it, and
+    its set is the intersection of theirs, so the least elements are found
+    for join-irreducible j only and joined up: O(n² · #irreducibles).
     """
     n = lattice.n
-    leq, meet = lattice.leq, lattice.meet
-    # member[r, b, a]: r + b >= a
-    member = leq.T[add]
-    acc = np.full((n, n), lattice.top, dtype=np.int32)  # indexed [b, a]
-    for r in range(n):
-        acc = np.where(member[r], meet[acc, r], acc)
-    tsub = acc.T.astype(np.int32)
+    leq = lattice.leq
+    irreducibles = lat.join_irreducibles(lattice)
+    member = leq[irreducibles][:, add]                    # [j, b, r]: j <= b + r
+    up = leq.sum(axis=1).astype(np.min_scalar_type(n))            # |↑r| >= 1
+    least = (member * up).argmax(axis=2)                            # the largest ↑r
+    if not (member == leq[least]).all():
+        return None
+    tsub = np.full((n, n), lattice.bottom, dtype=np.intp)           # [a, b]
+    joins = lattice.join.ravel()
+    for j, row in zip(irreducibles, least):
+        above = leq[j]                                              # the a with j <= a
+        tsub[above] = joins.take(tsub[above] * n + row)
+    tsub = tsub.astype(np.int32)
     attained = leq[np.arange(n)[:, None], add[tsub, np.arange(n)[None, :]]]
     assert attained.all(), "tsub infimum not attained: co-quantale axioms broken"
     return tsub
+
+
+def _associative(lattice, add):
+    """(a+b)+c = a+(b+c) for all triples, once + distributes over all
+    meets: both sides then preserve meets in c, and every c is the meet of
+    the meet-irreducibles above it, so only those c are compared."""
+    cols = add[:, lat.meet_irreducibles(lattice)]
+    # [a, b, i]: (a+b)+m_i and a+(b+m_i) = (b+m_i)+a
+    return bool((cols[add] == add[cols].transpose(2, 0, 1)).all())
 
 
 def trunc_sub(vq: CoQuantale, a, b) -> int:
@@ -304,7 +337,8 @@ def dualizing_elements(vq: CoQuantale):
     """All d with a = d ∸ (d ∸ a) for every a."""
     n = vq.size
     idx = np.arange(n)
-    return [int(d) for d in range(n) if (vq.tsub[d][vq.tsub[d]] == idx).all()]
+    twice = vq.tsub[idx[:, None], vq.tsub]          # d ∸ (d ∸ a) at [d, a]
+    return [int(d) for d in np.flatnonzero((twice == idx[None, :]).all(axis=1))]
 
 
 def has_safa(vq: CoQuantale):

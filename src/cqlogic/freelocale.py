@@ -53,6 +53,20 @@ def downclose(sets):
     return frozenset(closed)
 
 
+def _down_families(ground):
+    """Every down-closed family of subsets of ``ground``.
+
+    For the last element g, such a family is F0 ∪ {s ∪ {g} : s ∈ F1} for
+    down-closed families F1 ⊆ F0 over the other elements.
+    """
+    if not ground:
+        return [frozenset(), frozenset([frozenset()])]
+    last = frozenset(ground[-1:])
+    smaller = _down_families(ground[:-1])
+    return [low | frozenset(s | last for s in high)
+            for low in smaller for high in smaller if high <= low]
+
+
 class FreeLocale:
     """Value universe over ground set R: down-closed families under ⊇."""
 
@@ -64,9 +78,12 @@ class FreeLocale:
             raise SizeLimit("free locale ground set capped at %d" % SYMBOLIC_MAX)
         self.name = "freelocale(%s)" % ",".join(self.ground)
         self._psets = _powerset(self.ground)
+        self._keys = {s: (len(s), tuple(sorted(s))) for s in self._psets}   # naming order
         self.bottom = frozenset(self._psets)
         self.top = frozenset()
-        self._subsets = {s: downclose([s]) for s in self._psets}
+        self._subsets = {}      # s -> every subset of s, built up by size
+        for s in self._psets:
+            self._subsets[s] = frozenset([s]).union(*(self._subsets[s - {g}] for g in s))
 
     # -- value universe surface ------------------------------------------
 
@@ -114,8 +131,9 @@ class FreeLocale:
         return self.sub(p, q) & self.sub(q, p)
 
     def cwb(self, p, q):
-        """p ≺ q iff some member of p contains every member of q."""
-        return any(all(t <= s for t in q) for s in p)
+        """p ≺ q iff some member of p contains every member of q; p is
+        down-closed, so iff the union of the members of q is in p."""
+        return frozenset().union(*q) in p
 
     def is_positive(self, p):
         return self.cwb(self.bottom, p)
@@ -128,42 +146,25 @@ class FreeLocale:
         if families is None:
             if len(self.ground) > MATERIALIZE_MAX:
                 raise SizeLimit("carrier of %s is not enumerable" % self.name)
-            families = _CARRIERS[self.ground] = tuple(self._enumerate())
-        return families
-
-    def _enumerate(self):
-        psets = self._psets
-        m = len(psets)
-        pos = {s: i for i, s in enumerate(psets)}
-        need = [0] * m
-        for i, s in enumerate(psets):
-            for t in self._subsets[s]:
-                need[i] |= 1 << pos[t]
-        families = []
-        for mask in range(1 << m):
-            ok = True
-            probe = mask
-            while probe:
-                low = probe & -probe
-                if need[low.bit_length() - 1] & ~mask:
-                    ok = False
-                    break
-                probe ^= low
-            if ok:
-                families.append(frozenset(psets[i] for i in range(m) if mask >> i & 1))
-        families.sort(key=self._sort_key)
+            families = _CARRIERS[self.ground] = tuple(
+                sorted(_down_families(self.ground), key=self._sort_key))
         return families
 
     def _sort_key(self, p):
-        return (len(p), sorted((len(s), tuple(sorted(s))) for s in p))
+        return (len(p), sorted(self._keys[s] for s in p))
 
     # -- naming ------------------------------------------------------------
 
     def maximal_members(self, p):
-        return [s for s in p if not any(s < t for t in p)]
+        """The members of p inside no other member, largest first."""
+        maximal = []
+        for s in sorted(p, key=len, reverse=True):
+            if not any(s < t for t in maximal):
+                maximal.append(s)
+        return maximal
 
     def element_name(self, p):
-        parts = sorted((len(s), tuple(sorted(s))) for s in self.maximal_members(p))
+        parts = sorted(self._keys[s] for s in self.maximal_members(p))
         return "{%s}" % ",".join("+".join(names) if names else "0"
                                  for _, names in parts)
 

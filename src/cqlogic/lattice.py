@@ -93,7 +93,7 @@ def validate_lattice(order, names=None) -> FiniteLattice:
     if sym.any():
         x, y = map(int, np.argwhere(sym)[0])
         raise NotAPartialOrder("not antisymmetric at (%s, %s)" % (names[x], names[y]))
-    closure = (leq.astype(np.int32) @ leq.astype(np.int32)) > 0   # uint8 would wrap at 256
+    closure = _path_counts(leq, leq) > 0
     broken = closure & ~leq
     if broken.any():
         x, z = map(int, np.argwhere(broken)[0])
@@ -111,42 +111,83 @@ def validate_lattice(order, names=None) -> FiniteLattice:
 
     meet = _bound_table(leq, names, kind="meet")
     join = _bound_table(leq.T, names, kind="join")
-    cwb = _cwb_table(leq, meet, top)
+    cwb = _cwb_table(leq)
     return FiniteLattice(names, leq, bottom, top, meet, join, cwb)
+
+
+def _path_counts(left, right):
+    """left @ right for bool tables, as exact counts.
+
+    float32 products run on BLAS and count exactly up to 2^24 paths; a
+    uint8 product would wrap at 256.
+    """
+    return left.astype(np.float32) @ right.astype(np.float32)
+
+
+def _bit_keys(packed):
+    """Rows of packed bits (the last axis) as one sortable bytes key each."""
+    packed = np.ascontiguousarray(packed)
+    return packed.view(np.dtype((np.void, packed.shape[-1])))[..., 0]
 
 
 def _bound_table(leq, names, kind):
     """Greatest lower bounds for every pair (meets for leq, joins for leq.T).
 
-    Among the common lower bounds L of (x, y), take the z with the largest
-    down-set. Since ↓z ⊆ L for every z in L, it is the greatest element of L
-    exactly when |↓z| = |L|. O(n³) work in a small integer dtype.
+    A comparable pair's meet is its smaller element. For the others, the
+    common lower bounds of (x, y) are ↓x ∩ ↓y, and z is their greatest
+    element exactly when ↓z = ↓x ∩ ↓y. So the down-sets are packed into bit
+    rows and each intersection is looked up among the n down-sets, which
+    are distinct by antisymmetry. Meets are symmetric, so only x < y is
+    searched, and the first failing pair there is also the first in (x, y)
+    order.
     """
     n = leq.shape[0]
-    common = leq.T.astype(np.int32) @ leq.astype(np.int32)   # |L| per (x, y)
-    down = leq.sum(axis=0)                                      # |↓z| per z
-    dtype = np.min_scalar_type(n)
-    weighted = np.where(leq, down[:, None], 0).astype(dtype)    # [z, y]: |↓z| if z <= y
-    # score[z, x, y]: |↓z| when z is a lower bound of {x, y}, else 0
-    score = np.multiply(leq[:, :, None], weighted[:, None, :], dtype=dtype)
-    best = score.argmax(axis=0)
-    found = (np.take_along_axis(score, best[None], axis=0)[0] == common) & (common > 0)
+    idx = np.arange(n)
+    table = np.where(leq, idx[:, None], idx[None, :])
+    bits = np.packbits(leq.T, axis=1)                     # bits[z]: ↓z
+    down = _bit_keys(bits)
+    order = np.argsort(down)
+    x, y = np.nonzero(np.triu(~(leq | leq.T)))
+    common = _bit_keys(bits[x] & bits[y])
+    best = order[np.minimum(np.searchsorted(down[order], common), n - 1)]
+    found = down[best] == common
     if not found.all():
-        x, y = map(int, np.argwhere(~found)[0])
-        raise NotALattice("no %s for pair (%s, %s)" % (kind, names[x], names[y]))
-    return best.astype(np.int32)
+        i = int(np.flatnonzero(~found)[0])
+        raise NotALattice("no %s for pair (%s, %s)" % (kind, names[x[i]], names[y[i]]))
+    table[x, y] = table[y, x] = best
+    return table.astype(np.int32)
 
 
-def _cwb_table(leq, meet, top):
-    """x ≺ y computed by the closed form ⋀{a : a ≰ y} ≰ x, one fold per y."""
-    n = leq.shape[0]
-    cwb = np.zeros((n, n), dtype=bool)
-    for y in range(n):
-        m = top
-        for a in np.flatnonzero(~leq[:, y]):
-            m = meet[m, a]
-        cwb[:, y] = ~leq[m]
-    return cwb
+def _set_meets(leq, members):
+    """The greatest lower bound of each row's set, in a validated lattice.
+
+    ``members[k, b]`` says whether b is in the k-th set. z is a lower bound
+    of a set when no member lies outside ↑z, and the greatest lower bound
+    is the lower bound with the largest down-set; the empty set gives top.
+    Joins are the meets of the dual order ``leq.T``.
+    """
+    lower = _path_counts(members, ~leq.T) == 0            # [k, z]
+    return np.where(lower, leq.sum(axis=0), -1).argmax(axis=1)
+
+
+def _cwb_table(leq):
+    """x ≺ y by the closed form ⋀{a : a ≰ y} ≰ x, for every y at once."""
+    return ~leq[_set_meets(leq, ~leq.T)].T
+
+
+def join_irreducibles(lat: FiniteLattice):
+    """The elements that are not the join of the elements strictly below
+    them (bottom, the empty join, is not one); every element is the join
+    of those below it."""
+    strictly_below = lat.leq.T & ~np.eye(lat.n, dtype=bool)
+    return np.flatnonzero(_set_meets(lat.leq.T, strictly_below) != np.arange(lat.n))
+
+
+def meet_irreducibles(lat: FiniteLattice):
+    """The elements that are not the meet of the elements strictly above
+    them (top is not one); every element is the meet of those above it."""
+    strictly_above = lat.leq & ~np.eye(lat.n, dtype=bool)
+    return np.flatnonzero(_set_meets(lat.leq, strictly_above) != np.arange(lat.n))
 
 
 # -- operations ---------------------------------------------------------------
@@ -200,7 +241,7 @@ def _bits(mask):
 
 def is_completely_distributive(lat: FiniteLattice) -> bool:
     """a = ⋀{b : a ≺ b} for every a."""
-    return all(lat.meet_of(np.flatnonzero(lat.cwb[a])) == a for a in lat.carrier())
+    return bool((_set_meets(lat.leq, lat.cwb) == np.arange(lat.n)).all())
 
 
 def positives(lat: FiniteLattice):
@@ -214,5 +255,5 @@ def is_value_lattice(lat: FiniteLattice) -> bool:
         return False
     if not lat.cwb[lat.bottom, lat.top]:
         return False
-    pos = positives(lat)
-    return all(lat.cwb[lat.bottom, lat.meet2(d, e)] for d in pos for e in pos)
+    pos = lat.cwb[lat.bottom]
+    return bool(pos[lat.meet[np.ix_(pos, pos)]].all())

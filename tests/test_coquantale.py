@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,68 @@ def test_bad_identity_rejected():
     lattice = lat.validate_lattice(order, ["0", "1"])
     with pytest.raises(BadIdentity):
         cq.validate_coquantale(lattice, np.array([[1, 1], [1, 1]]))
+
+
+def _outcome(check, *args):
+    try:
+        check(*args)
+    except Exception as exc:           # compared by type and message
+        return type(exc).__name__, str(exc)
+    return None
+
+
+def _random_monotone_table(rng, n):
+    """A commutative table on the chain 0..n-1, monotone, with identity 0
+    and top absorbing: + then distributes over meets but need not be
+    associative."""
+    while True:
+        add = np.zeros((n, n), dtype=np.int32)
+        for a in range(n):
+            for b in range(a, n):
+                if a == 0:
+                    add[a, b] = b
+                elif b == n - 1:
+                    add[a, b] = n - 1
+                else:
+                    add[a, b] = rng.randrange(max(a, b), n)
+                add[b, a] = add[a, b]
+        if (np.diff(add, axis=0) >= 0).all() and (np.diff(add, axis=1) >= 0).all():
+            return add
+
+
+def test_reduced_axiom_checks_match_exhaustive_checks():
+    """validate_coquantale decides meet distribution through ∸ and
+    associativity on meet-irreducibles; its verdict, error and witness
+    must be those of the exhaustive O(n³) checks, and its ∸ the fold."""
+    from test_lattice import m3_lattice, random_lattices
+    rng = random.Random(97531)
+    cases = []
+    for n in (3, 4, 5):
+        order = np.fromfunction(lambda i, j: i <= j, (n, n), dtype=int)
+        chain = lat.validate_lattice(order)
+        cases.append((chain, np.minimum(np.add.outer(np.arange(n), np.arange(n)), n - 1)))
+        cases += [(chain, _random_monotone_table(rng, n)) for _ in range(40)]
+    for lattice in [m3_lattice()] + random_lattices(rng, 120):
+        cases.append((lattice, lattice.join))
+        broken = lattice.join.copy()
+        a, b = rng.randrange(lattice.n), rng.randrange(lattice.n)
+        if lattice.bottom not in (a, b):
+            broken[a, b] = broken[b, a] = rng.randrange(lattice.n)
+            cases.append((lattice, broken))
+    outcomes = {}
+    for lattice, add in cases:
+        expected = _outcome(cq._check_axioms, lattice, np.asarray(add, dtype=np.int32))
+        assert _outcome(cq.validate_coquantale, lattice, add) == expected
+        key = expected[0] if expected else "valid"
+        outcomes[key] = outcomes.get(key, 0) + 1
+        if expected is None:
+            vq = cq.validate_coquantale(lattice, add)
+            for a in vq.carrier():
+                for b in vq.carrier():
+                    assert vq.sub(a, b) == brute_tsub(vq, a, b)
+    # every verdict is reached in earnest
+    assert min(outcomes.get(k, 0) for k in
+               ("valid", "NotAssociative", "NotMeetDistributive")) >= 20, outcomes
 
 
 def test_roster_validates(roster):

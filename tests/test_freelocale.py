@@ -50,6 +50,25 @@ def test_symbolic_operations_match_materialized_tables():
                 assert fl.cwb(p, q) == table.cwb(ip, iq)
 
 
+def test_closed_forms_match_definitions():
+    """The carrier is every down-closed family, ≺ is "some member of p
+    contains every member of q" and the names list the maximal members."""
+    for k in range(4):
+        fl = FreeLocale("abc"[:k])
+        psets = [frozenset(s) for s in fl._psets]
+        families = []
+        for mask in range(1 << len(psets)):
+            family = frozenset(psets[i] for i in range(len(psets)) if mask >> i & 1)
+            if all(t in family for s in family for t in downclose([s])):
+                families.append(family)
+        assert set(fl.carrier()) == set(families)
+        for p in families:
+            assert sorted(map(sorted, fl.maximal_members(p))) == sorted(
+                sorted(s) for s in p if not any(s < t for t in p))
+            for q in families:
+                assert fl.cwb(p, q) == any(all(t <= s for t in q) for s in p)
+
+
 def test_bottom_and_top():
     fl = FreeLocale("ab")
     assert fl.le(fl.bottom, fl.top)

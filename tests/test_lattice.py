@@ -275,3 +275,43 @@ def test_diamond_is_distributive_but_not_value():
     assert set(pos) == {d.index("a"), d.index("b"), d.index("1")}
     # the two atoms meet to 0, which is not positive: the filter fails
     assert not lat.is_value_lattice(d)
+
+
+# -- irreducibles ---------------------------------------------------------------
+
+
+def random_lattices(rng, count):
+    """Seeded random lattices of at most 7 elements (bounded posets that
+    happen to have all meets and joins)."""
+    found = []
+    while len(found) < count:
+        order = random_poset(rng, rng.randrange(1, 8), bounded=True)
+        try:
+            found.append(lat.validate_lattice(order))
+        except NotALattice:
+            pass
+    return found
+
+
+def test_irreducibles_match_definition():
+    rng = random.Random(1357)
+    for lattice in small_corpus() + random_lattices(rng, 150):
+        pairs = [(a, b) for a in lattice.carrier() for b in lattice.carrier()]
+        join_irr = [j for j in lattice.carrier() if j != lattice.bottom and all(
+            j in (a, b) for a, b in pairs if lattice.join2(a, b) == j)]
+        meet_irr = [m for m in lattice.carrier() if m != lattice.top and all(
+            m in (a, b) for a, b in pairs if lattice.meet2(a, b) == m)]
+        assert list(lat.join_irreducibles(lattice)) == join_irr
+        assert list(lat.meet_irreducibles(lattice)) == meet_irr
+
+
+def test_distributivity_predicates_match_folds():
+    rng = random.Random(8642)
+    for lattice in small_corpus() + random_lattices(rng, 150):
+        cd = all(lattice.meet_of(np.flatnonzero(lattice.cwb[a])) == a
+                 for a in lattice.carrier())
+        assert lat.is_completely_distributive(lattice) == cd
+        pos = lat.positives(lattice)
+        value = cd and bool(lattice.cwb[lattice.bottom, lattice.top]) and all(
+            lattice.cwb[lattice.bottom, lattice.meet2(d, e)] for d in pos for e in pos)
+        assert lat.is_value_lattice(lattice) == value
