@@ -142,7 +142,7 @@ def validate_coquantale(lattice, add, name="") -> CoQuantale:
     cq = CoQuantale(lattice, add, tsub, dsym, value_flag, False, [], False, name)
     cq.co_divisible_flag = is_co_divisible(cq)
     cq.dualizers = dualizing_elements(cq)
-    cq.safa_flag = has_safa(cq)[0]
+    cq.safa_flag = has_safa(cq)
     return cq
 
 
@@ -207,11 +207,6 @@ def _associative(lattice, add):
     cols = add[:, lat.meet_irreducibles(lattice)]
     # [a, b, i]: (a+b)+m_i and a+(b+m_i) = (b+m_i)+a
     return bool((cols[add] == add[cols].transpose(2, 0, 1)).all())
-
-
-def trunc_sub(vq: CoQuantale, a, b) -> int:
-    """The cached truncated subtraction a ∸ b."""
-    return vq.sub(a, b)
 
 
 # -- residuation law suite ------------------------------------------------
@@ -341,16 +336,14 @@ def dualizing_elements(vq: CoQuantale):
     return [int(d) for d in np.flatnonzero((twice == idx[None, :]).all(axis=1))]
 
 
-def has_safa(vq: CoQuantale):
+def has_safa(vq: CoQuantale) -> bool:
     """Decide the sequential-approximation-from-above property.
 
     On a finite carrier a decreasing positive sequence with meet 0 is
     eventually constant, so one exists iff 0 ≺ 0; the witness is then the
     constant sequence at 0.
     """
-    if vq.cwb(vq.bottom, vq.bottom):
-        return True, [vq.bottom]
-    return False, None
+    return vq.cwb(vq.bottom, vq.bottom)
 
 
 # -- epsilon arguments -----------------------------------------------------------

@@ -263,6 +263,20 @@ def free_vars(phi):
     raise TypeError("not a formula: %r" % (phi,))
 
 
+def var_span(phi):
+    """One more than the largest variable index in φ, free or bound."""
+    match phi:
+        case Var(index=i):
+            return i + 1
+        case DistAtom(left=l, right=r):
+            return max(var_span(l), var_span(r))
+        case App(args=args) | PredAtom(args=args) | Conn(args=args):
+            return max(map(var_span, args), default=0)
+        case Sup(var=x, body=b) | Inf(var=x, body=b):
+            return max(x + 1, var_span(b))
+    return 0
+
+
 def is_quantifier_free(phi):
     match phi:
         case Sup() | Inf():

@@ -193,21 +193,6 @@ def meet_irreducibles(lat: FiniteLattice):
 # -- operations ---------------------------------------------------------------
 
 
-def subset_meet(lat: FiniteLattice, elems) -> int:
-    """Greatest lower bound of a subset; the empty meet is top."""
-    return lat.meet_of(elems)
-
-
-def subset_join(lat: FiniteLattice, elems) -> int:
-    """Least upper bound of a subset; the empty join is bottom."""
-    return lat.join_of(elems)
-
-
-def co_well_below(lat: FiniteLattice, x, y) -> bool:
-    """x ≺ y via the cached closed-form table."""
-    return bool(lat.cwb[x, y])
-
-
 def co_well_below_oracle(lat: FiniteLattice, x, y) -> bool:
     """The quantified definition over all 2^n subsets, kept as a permanent
     cross-check of the closed form.  Exponential; refuses large carriers."""

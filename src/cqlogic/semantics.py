@@ -1,10 +1,10 @@
 """L-structures, formula evaluation, theories, substructures, depth-bounded
 formula enumeration and the Tarski-Vaught machinery.
 
-Two evaluators are provided: the definitional single-assignment recursion
-(`eval_formula`) and a table-at-a-time batch evaluator (`eval_table`) used
-by the exhaustive sweeps; the unit suite cross-checks them against each
-other.
+`eval_formula` is the definitional single-assignment evaluator. Every sweep
+uses `TableEvaluator`, which evaluates each formula node once over all
+assignments of x0..x(k-1) and a stack of structures; `eval_table` is its
+single-structure view. The unit suite cross-checks the two.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .errors import (ArityMismatch, FreeVariableMismatch,
                      SignatureMismatch, UnboundVariable)
 from .formulas import (App, Conn, Const, DistAtom, Inf, PredAtom, Signature,
                        Sup, Val, Var, default_kit, free_vars, print_formula,
-                       validate_modulus)
+                       validate_modulus, var_span)
 from .spaces import ContinuitySpace
 
 MODULUS_SCAN_MAX = 4_000_000
@@ -176,22 +176,114 @@ def eval_formula(struct: LStructure, phi, assignment=None) -> int:
     raise TypeError("not a formula: %r" % (phi,))
 
 
-def term_table(struct: LStructure, t, window):
-    shape = (struct.m,) * len(window)
-    match t:
-        case Var(index=i):
-            if i not in window:
-                raise UnboundVariable("x%d is not in the evaluation window" % i)
-            axis = window.index(i)
-            grid = np.arange(struct.m, dtype=np.int32)
-            grid = grid.reshape([-1 if k == axis else 1 for k in range(len(window))])
-            return np.broadcast_to(grid, shape)
-        case Const(name=name):
-            return np.broadcast_to(np.int32(struct.const_points[name]), shape)
-        case App(func=f, args=args):
-            parts = tuple(term_table(struct, a, window) for a in args)
-            return struct.fun_tables[f][parts]
-    raise TypeError("not a term: %r" % (t,))
+class TableEvaluator:
+    """Memoized tables of formulas over a batch of structures that share a
+    value co-quantale, a signature and a universe size m.
+
+    Every table has a leading batch axis and one axis per variable
+    x0..x(k-1). An axis has size m where its variable is free and size 1
+    where it is not; a quantifier folds its own axis down to size 1. So a
+    node's table does not depend on the formula around it, and each node is
+    evaluated once per evaluator. A single structure is a batch of one
+    (``TableEvaluator.of``).
+    """
+
+    def __init__(self, V, k, dist, preds, funs=None, consts=None):
+        self.V = V
+        self.k = k
+        self.dist = np.asarray(dist)
+        self.batch, self.m = self.dist.shape[:2]
+        self.preds = preds
+        self.funs = funs or {}
+        self.consts = consts or {}
+        self.memo = {}
+        self.bidx = np.arange(self.batch).reshape((-1,) + (1,) * k)
+        self.grids = [np.arange(self.m, dtype=np.int32).reshape(
+            (1,) * (1 + i) + (-1,) + (1,) * (k - 1 - i)) for i in range(k)]
+
+    @classmethod
+    def of(cls, structs, k):
+        """Stack structures on one carrier, signature and universe size."""
+        structs = list(structs)
+        first = structs[0]
+
+        def stack(arrays):
+            # a batch of one is a view, not a copy
+            return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+
+        return cls(first.V, k, stack([s.dist for s in structs]),
+                   {p: stack([s.pred_tables[p] for s in structs])
+                    for p in first.pred_tables},
+                   {f: stack([s.fun_tables[f] for s in structs])
+                    for f in first.fun_tables},
+                   {c: np.array([s.const_points[c] for s in structs]).reshape(
+                       (-1,) + (1,) * k) for c in first.const_points})
+
+    def __call__(self, phi):
+        # keyed by identity: pools share subformula objects, and the entry
+        # keeps its node alive so the id is not reused
+        hit = self.memo.get(id(phi))
+        if hit is None:
+            table = self._node(phi)
+            table.setflags(write=False)
+            hit = self.memo[id(phi)] = (phi, table)
+        return hit[1]
+
+    def table(self, phi, window, b=0):
+        """φ on batch member b with one axis of size m per window variable,
+        in window order; every free variable must be in the window."""
+        if len(set(window)) < self.k:
+            missing = free_vars(phi) - set(window)
+            if missing:
+                raise UnboundVariable("x%d is not in the evaluation window" % min(missing))
+        out = self(phi)
+        out = out[b if len(out) > 1 else 0]  # a node may not depend on the batch
+        out = out[tuple(slice(None) if v in window else 0 for v in range(self.k))]
+        kept = [v for v in range(self.k) if v in window]
+        out = out.transpose([kept.index(v) for v in window])
+        return np.broadcast_to(out, (self.m,) * len(window))
+
+    def _axis(self, i):
+        if not 0 <= i < self.k:
+            raise UnboundVariable("x%d is not in the evaluation window" % i)
+        return 1 + i
+
+    def _term(self, t):
+        match t:
+            case Var(index=i):
+                return self.grids[self._axis(i) - 1]
+            case Const(name=name):
+                return self.consts[name]
+            case App(func=f, args=args):
+                return self.funs[f][(self.bidx,) + tuple(self._term(a) for a in args)]
+        raise TypeError("not a term: %r" % (t,))
+
+    def _node(self, phi):
+        match phi:
+            case DistAtom(left=l, right=r):
+                return self.dist[self.bidx, self._term(l), self._term(r)]
+            case PredAtom(pred=p, args=args):
+                return self.preds[p][(self.bidx,) + tuple(self._term(a) for a in args)]
+            case Conn(connective=c, args=args):
+                return c.table[tuple(self(a) for a in args)]
+            case Val(element=e):
+                return np.full((1,) * (1 + self.k), e, dtype=np.int32)
+            case Sup(var=x, body=b):
+                return fold_table(self.V.lattice.join, self(b), self._axis(x))
+            case Inf(var=x, body=b):
+                return fold_table(self.V.lattice.meet, self(b), self._axis(x))
+        raise TypeError("not a formula: %r" % (phi,))
+
+
+def fold_table(op, table, axis):
+    """Fold a lattice join or meet table along one axis, keeping the axis
+    with size 1. Halves overlap by one cell on odd sizes, which
+    idempotence allows."""
+    lead = (slice(None),) * (axis % table.ndim)
+    while table.shape[axis] > 1:
+        half = (table.shape[axis] + 1) // 2
+        table = op[table[lead + (slice(None, half),)], table[lead + (slice(-half, None),)]]
+    return table
 
 
 def eval_table(struct: LStructure, phi, window=None):
@@ -203,29 +295,8 @@ def eval_table(struct: LStructure, phi, window=None):
     if window is None:
         window = tuple(sorted(free_vars(phi)))
     window = tuple(window)
-    shape = (struct.m,) * len(window)
-    match phi:
-        case DistAtom(left=l, right=r):
-            return struct.dist[term_table(struct, l, window), term_table(struct, r, window)]
-        case PredAtom(pred=p, args=args):
-            return struct.pred_tables[p][tuple(term_table(struct, a, window) for a in args)]
-        case Conn(connective=c, args=args):
-            return c.table[tuple(eval_table(struct, a, window) for a in args)]
-        case Val(element=e):
-            return np.broadcast_to(np.int32(e), shape)
-        case Sup(var=x, body=b) | Inf(var=x, body=b):
-            inner_window = tuple(v for v in window if v != x) + (x,)
-            inner = eval_table(struct, b, inner_window)
-            fold = struct.V.lattice.join if isinstance(phi, Sup) else struct.V.lattice.meet
-            start = struct.V.bottom if isinstance(phi, Sup) else struct.V.top
-            acc = np.full(inner.shape[:-1], start, dtype=np.int32)
-            for k in range(struct.m):
-                acc = fold[acc, inner[..., k]]
-            axis = window.index(x) if x in window else None
-            if axis is None:
-                return np.broadcast_to(acc, shape)
-            return np.broadcast_to(np.expand_dims(acc, axis), shape)
-    raise TypeError("not a formula: %r" % (phi,))
+    k = max([var_span(phi)] + [v + 1 for v in window])
+    return TableEvaluator.of([struct], k).table(phi, window)
 
 
 # -- conditions and theories ---------------------------------------------------
@@ -376,36 +447,39 @@ class Verdict:
         return "FAIL at depth <= %d: %s" % (self.depth, parts)
 
 
-def _require_pair(sub, sup):
+def _compare_tables(sub, sup, depth, max_free_vars, labels, cases):
+    """Compare, for every pool formula φ and every (node, window, witness
+    entries) in ``cases(φ, free variables)``, the node's table on the
+    substructure against the superstructure's restricted to it."""
     if not is_substructure(sub, sup):
         raise NotSubstructure("%s is not a substructure of %s" % (sub.name, sup.name))
     if not sub.V.dualizers:
         raise NotCoGirard("%s has no dualizing element" % sub.V.name)
+    lift = np.array([sup.space.index(p) for p in sub.points], dtype=np.int32)
+    inner_eval = TableEvaluator.of([sub], max_free_vars)
+    outer_eval = TableEvaluator.of([sup], max_free_vars)
+    checked = 0
+    for phi in enumerate_formulas(sub.sig, sub.V, depth, max_free_vars):
+        for node, window, entries in cases(phi, tuple(sorted(free_vars(phi)))):
+            inner = inner_eval.table(node, window)
+            outer = outer_eval.table(node, window)[np.ix_(*([lift] * len(window)))]
+            checked += int(inner.size)
+            if (inner != outer).any():
+                idx = tuple(np.argwhere(inner != outer)[0])
+                assign = {("x%d" % v): sub.points[int(i)] for v, i in zip(window, idx)}
+                return Verdict(False, depth, checked, {
+                    "formula": print_formula(phi, sub.V), **entries, **assign,
+                    labels[0]: sub.V.element_name(int(inner[idx])),
+                    labels[1]: sub.V.element_name(int(outer[idx]))})
+    return Verdict(True, depth, checked, None)
 
 
 def elementary_upto(sub: LStructure, sup: LStructure, depth,
                     max_free_vars=2) -> Verdict:
     """Check φ^M(ā) = φ^N(ā) for every enumerated formula up to the given
     depth and every tuple from the substructure."""
-    _require_pair(sub, sup)
-    lift = np.array([sup.space.index(p) for p in sub.points], dtype=np.int32)
-    checked = 0
-    for phi in enumerate_formulas(sub.sig, sub.V, depth, max_free_vars):
-        window = tuple(sorted(free_vars(phi)))
-        inner = eval_table(sub, phi, window)
-        outer = eval_table(sup, phi, window)
-        restricted = outer[np.ix_(*([lift] * len(window)))] if window else outer
-        checked += int(np.asarray(inner).size)
-        if (np.asarray(inner) != np.asarray(restricted)).any():
-            idx = np.argwhere(np.asarray(inner) != np.asarray(restricted))[0]
-            assign = {("x%d" % v): sub.points[int(i)] for v, i in zip(window, idx)}
-            val_pair = (int(np.asarray(inner)[tuple(idx)]), int(np.asarray(restricted)[tuple(idx)]))
-            return Verdict(False, depth, checked, {
-                "formula": print_formula(phi, sub.V),
-                **assign,
-                "sub_value": sub.V.element_name(val_pair[0]),
-                "sup_value": sub.V.element_name(val_pair[1])})
-    return Verdict(True, depth, checked, None)
+    return _compare_tables(sub, sup, depth, max_free_vars, ("sub_value", "sup_value"),
+                           lambda phi, fv: [(phi, fv, {})])
 
 
 def tarski_vaught_upto(sub: LStructure, sup: LStructure, depth,
@@ -413,40 +487,7 @@ def tarski_vaught_upto(sub: LStructure, sup: LStructure, depth,
     """Check the inf-equality ⋀{φ^M(c, ā)} = ⋀{φ^N(c, ā)} over the same
     enumerated pool, for every choice of quantified variable and every
     parameter tuple drawn from the substructure."""
-    _require_pair(sub, sup)
-    V = sub.V
-    lift = np.array([sup.space.index(p) for p in sub.points], dtype=np.int32)
-    meet = V.lattice.meet
-    checked = 0
-    for phi in enumerate_formulas(sub.sig, V, depth, max_free_vars):
-        fv = tuple(sorted(free_vars(phi)))
-        if not fv:
-            continue
-        inner_full = eval_table(sub, phi, fv)
-        outer_full = eval_table(sup, phi, fv)
-        for pos, x in enumerate(fv):
-            rest = [i for i in range(len(fv)) if i != pos]
-            inner_moved = np.moveaxis(np.asarray(inner_full), pos, -1)
-            outer_moved = np.moveaxis(np.asarray(outer_full), pos, -1)
-            if rest:
-                outer_params = outer_moved[np.ix_(*([lift] * len(rest)), np.arange(sup.m))]
-            else:
-                outer_params = outer_moved
-            inf_m = np.full(inner_moved.shape[:-1], V.top, dtype=np.int32)
-            for k in range(sub.m):
-                inf_m = meet[inf_m, inner_moved[..., k]]
-            inf_n = np.full(outer_params.shape[:-1], V.top, dtype=np.int32)
-            for k in range(sup.m):
-                inf_n = meet[inf_n, outer_params[..., k]]
-            checked += int(inf_m.size)
-            if (inf_m != inf_n).any():
-                idx = np.argwhere(inf_m != inf_n)[0]
-                others = [v for v in fv if v != x]
-                assign = {("x%d" % v): sub.points[int(i)] for v, i in zip(others, idx)}
-                return Verdict(False, depth, checked, {
-                    "formula": print_formula(phi, V),
-                    "inf_var": "x%d" % x,
-                    **assign,
-                    "sub_inf": V.element_name(int(inf_m[tuple(idx)])),
-                    "sup_inf": V.element_name(int(inf_n[tuple(idx)]))})
-    return Verdict(True, depth, checked, None)
+    return _compare_tables(
+        sub, sup, depth, max_free_vars, ("sub_inf", "sup_inf"),
+        lambda phi, fv: [(Inf(x, phi), tuple(v for v in fv if v != x), {"inf_var": "x%d" % x})
+                         for x in fv])

@@ -22,6 +22,7 @@ from .freelocale import FreeLocale, downclose
 TOPOLOGY_SCAN_MAX = 16
 THEOREM_SCAN_MAX = 8
 FLAGG_POINTS_MAX = 3
+TOPOLOGY_FAMILY_BUDGET = 1 << 16  # every family on 4 points; 5 points have 2^32
 
 
 class ContinuitySpace:
@@ -416,8 +417,14 @@ def space_from_topology(topology: Topology, materialize="auto") -> ContinuitySpa
 
 
 def enumerate_topologies(points):
-    """Every topology on the given finite point list, by exhaustive filter."""
+    """Every topology on the given finite point list, by exhaustive filter
+    over all 2^(2^m) families of subsets; the test below is 2^(2^m) > budget
+    without building that number."""
     points = [str(p) for p in points]
+    subset_count = 1 << len(points)
+    if subset_count >= TOPOLOGY_FAMILY_BUDGET.bit_length():
+        raise SizeLimit("enumerating topologies on %d points scans 2^%d families (budget %d)"
+                        % (len(points), subset_count, TOPOLOGY_FAMILY_BUDGET))
     subsets = [frozenset(c) for k in range(len(points) + 1)
                for c in combinations(points, k)]
     full = frozenset(points)

@@ -205,7 +205,7 @@ class Workspace:
                     try:
                         table = {vq.parse_element(toks[i]): vq.parse_element(toks[i + 1])
                                  for i in range(4, len(toks), 2)}
-                    except Exception:
+                    except UnknownElement:
                         raise ParseError("unknown element in @modulus", lno)
                     modulus = Modulus(table)
                 (preds if kind == "@pred" else funs).append((toks[1], arity, modulus))
@@ -231,7 +231,10 @@ class Workspace:
                     where = tuple(index[a] for a in args[:-1])
                 except KeyError:
                     raise ParseError("unknown point in @predval", lno)
-                table[where] = vq.parse_element(args[-1])
+                try:
+                    table[where] = vq.parse_element(args[-1])
+                except UnknownElement:
+                    raise ParseError("unknown element %r" % args[-1], lno)
                 filled[where] = True
             if not filled.all():
                 raise ParseError("@predval table for %s is not total" % pname, header[1])

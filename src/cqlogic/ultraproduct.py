@@ -18,9 +18,9 @@ from .coquantale import CoQuantale
 from .errors import (NoLimit, NotCoDivisible, NotFinitelySatisfiable, NotT0,
                      NotSymmetricFactors, NotValueCoquantale, SizeLimit,
                      SignatureMismatch, VerificationFailed)
-from .formulas import Inf, Sup, Conn, free_vars, print_formula
-from .semantics import (LStructure, eval_formula, eval_table, satisfies,
-                        theory, validate_structure)
+from .formulas import Inf, Sup, Conn, free_vars, print_formula, var_span
+from .semantics import (LStructure, TableEvaluator, eval_table, fold_table,
+                        satisfies, theory, validate_structure)
 from .spaces import ContinuitySpace, is_symmetric, validate_space
 
 PRODUCT_POINT_CAP = 4096
@@ -95,17 +95,12 @@ def dlim_batch(vq: CoQuantale, seqs, D: PrincipalUltrafilter):
     """d_ultralimit over the rows of an (N, I) array, vectorized but still
     running the definitional per-ε membership test."""
     seqs = np.asarray(seqs, dtype=np.int32)
-    count, width = seqs.shape
-    positives = vq.positives()
-    weights = (1 << np.arange(width)).astype(np.int64)
-    ok = np.zeros((vq.size, count), dtype=bool)
-    for a in range(vq.size):
-        dmat = vq.dsym[a][seqs]
-        good = np.ones(count, dtype=bool)
-        for eps in positives:
-            masks = (vq.lattice.leq[dmat, eps] @ weights)
-            good &= D.contains_mask(masks)
-        ok[a] = good
+    positives = np.flatnonzero(vq.lattice.cwb[vq.bottom])
+    weights = 1 << np.arange(seqs.shape[1], dtype=np.int64)
+    # [a, row, ε, j]: d^s(a, s_j) ≤ ε; each (a, row, ε) packs its index set
+    # into one bitmask for the membership test
+    within = vq.lattice.leq[vq.dsym[:, seqs][:, :, None, :], positives[:, None]]
+    ok = D.contains_mask(within @ weights).all(axis=2)
     counts = ok.sum(axis=0)
     if (counts == 0).any():
         raise NoLimit("a row has no ultralimit")
@@ -334,47 +329,51 @@ def los_hypothesis_check(struct: LStructure, phi):
             pass
         case _:
             raise ValueError("hypothesis check needs an outer sup/inf")
-    vq = struct.V
-    rest = sorted(free_vars(phi))
-    sup_ok = True
-    inf_ok = True
-    for combo in iproduct(range(struct.m), repeat=len(rest)):
-        sigma = dict(zip(rest, combo))
-        family = [eval_formula(struct, body, {**sigma, x: c}) for c in range(struct.m)]
-        sup_side = vq.meet_of(
-            vq.join_of(vq.sub(fl, fk) for fl in family) for fk in family)
-        inf_side = vq.meet_of(
-            vq.join_of(vq.sub(fk, fl) for fl in family) for fk in family)
-        sup_ok = sup_ok and sup_side == vq.bottom
-        inf_ok = inf_ok and inf_side == vq.bottom
-    return sup_ok, inf_ok
+    return _cauchy_sums_vanish(
+        struct.V, eval_table(struct, body, tuple(sorted(free_vars(phi))) + (x,)))
+
+
+def _cauchy_sums_vanish(vq, family):
+    """Both hypothesis verdicts from the body's table, whose last axis runs
+    over the quantified variable."""
+    # [..., l, k] = f_l ∸ f_k
+    diffs = vq.tsub[family[..., :, None], family[..., None, :]]
+    join, meet = vq.lattice.join, vq.lattice.meet
+    sup_side = fold_table(meet, fold_table(join, diffs, -2), -1)
+    inf_side = fold_table(meet, fold_table(join, diffs, -1), -2)
+    return bool((sup_side == vq.bottom).all()), bool((inf_side == vq.bottom).all())
 
 
 def los_check(dp: DProductStructure, phi, assignments=None) -> LosReport:
     """Compare φ on the D-product against the D-ultralimit of the factor
     evaluations, tuple by tuple."""
     vq = dp.structure.V
-    fv = sorted(free_vars(phi))
+    window = tuple(sorted(free_vars(phi)))
+    # one evaluator per factor serves both the hypothesis bodies and φ
+    k = var_span(phi)
+    factor_evals = [TableEvaluator.of([f], k) for f in dp.factors]
     hypothesis = []
     for sub in quantified_subformulas(phi):
-        for factor in dp.factors:
-            sup_ok, inf_ok = los_hypothesis_check(factor, sub)
+        sub_window = tuple(sorted(free_vars(sub))) + (sub.var,)
+        for factor, evaluator in zip(dp.factors, factor_evals):
+            sup_ok, inf_ok = _cauchy_sums_vanish(vq, evaluator.table(sub.body, sub_window))
             hypothesis.append((factor.name, print_formula(sub, vq), sup_ok, inf_ok))
     if assignments is None:
-        assignments = list(iproduct(range(dp.structure.m), repeat=len(fv)))
-    window = tuple(fv)
-    left_table = np.asarray(eval_table(dp.structure, phi, window))
-    factor_tables = [np.asarray(eval_table(f, phi, window)) for f in dp.factors]
-    entries = []
-    for combo in assignments:
-        combo = tuple(dp.structure.space.index(p) if isinstance(p, str) else p
-                      for p in combo)
-        left = int(left_table[combo])
-        seq = [int(factor_tables[i][tuple(dp.tuples[p][i] for p in combo)])
-               for i in range(len(dp.factors))]
-        right = d_ultralimit(vq, seq, dp.D)
-        entries.append(LosEntry(tuple(dp.structure.points[p] for p in combo),
-                                left, right))
+        assignments = list(iproduct(range(dp.structure.m), repeat=len(window)))
+    combos = np.array([[dp.structure.space.index(p) if isinstance(p, str) else p
+                        for p in combo] for combo in assignments],
+                      dtype=np.intp).reshape(len(assignments), len(window))
+    coords = np.array(dp.tuples, dtype=np.intp)
+
+    def gather(table, points):
+        return np.broadcast_to(table[tuple(points.T)], (len(combos),))
+
+    left = gather(eval_table(dp.structure, phi, window), combos)
+    seqs = np.stack([gather(evaluator.table(phi, window), coords[combos, i])
+                     for i, evaluator in enumerate(factor_evals)], axis=1)
+    right = dlim_batch(vq, seqs, dp.D)
+    entries = [LosEntry(tuple(dp.structure.points[p] for p in combo), int(l), int(r))
+               for combo, l, r in zip(combos, left, right)]
     return LosReport(print_formula(phi, vq), entries, hypothesis)
 
 

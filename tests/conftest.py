@@ -2,12 +2,18 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from cqlogic import coquantale as cq
 from cqlogic import lattice as lat
 from cqlogic import semantics as sem
 from cqlogic import spaces as sp
 from cqlogic.formulas import Signature, identity_modulus
+
+# One deterministic hypothesis profile: the same examples on every run, no
+# example database written into the checkout, no per-example deadline.
+settings.register_profile("cqlogic", derandomize=True, database=None, deadline=None)
+settings.load_profile("cqlogic")
 
 # Builtin roster used by the law suites: every carrier small enough for
 # exhaustive scans, plus the diamond as the canonical non-value example.

@@ -1,9 +1,10 @@
 """Acceptance suite: one test per criterion, exact equalities only.
 
 Each test prints a `ACCEPTANCE <n> <name>: PASS (<elapsed>)` line and
-asserts its stated time budget. The heavy sweeps use batch helpers (the
-stacked chain evaluator, the vectorized D-limit) whose agreement with the
-definitional operations is itself asserted here or in the unit suites.
+asserts its stated time budget. The heavy sweeps use batch operations (the
+table evaluator over a stack of structures, the vectorized D-limit) whose
+agreement with the definitional operations is itself asserted here or in
+the unit suites.
 """
 
 import itertools
@@ -61,7 +62,7 @@ def test_criterion_02_cwb_oracle():
             assert lattice.n <= 5
             for x in lattice.carrier():
                 for y in lattice.carrier():
-                    assert lat.co_well_below(lattice, x, y) == \
+                    assert lattice.cwb[x, y] == \
                         lat.co_well_below_oracle(lattice, x, y)
 
 
@@ -244,11 +245,6 @@ def _modulus_corpus(vq, sig, count, max_points, seed):
 # ---------------------------------------------------------------- criterion 9
 
 
-def _chain_indexed(vq):
-    n = vq.size
-    return all(vq.lattice.leq[i, j] == (i <= j) for i in range(n) for j in range(n))
-
-
 def _enumerate_group(vq, m):
     """Every valid (dist, unary pred) structure body on m points."""
     n = vq.size
@@ -304,53 +300,6 @@ def _canonical_indices(structures, m):
     return canonical
 
 
-def _stacked_eval(pool, vq, dists, preds):
-    """Evaluate every pool formula over all stacked structures at once.
-
-    Requires a chain carrier (quantifier folds become min/max); agreement
-    with the definitional evaluator is asserted on a sample by the caller.
-    """
-    assert _chain_indexed(vq)
-    count, m = preds.shape
-    a0 = np.broadcast_to(np.arange(m)[:, None], (m, m))
-    a1 = np.broadcast_to(np.arange(m)[None, :], (m, m))
-    grid = {0: a0, 1: a1}
-    memo = {}
-    dual_rows = {("dual:%s" % vq.element_name(b)): np.asarray(vq.tsub[b])
-                 for b in vq.dualizers}
-
-    def ev(phi):
-        if phi in memo:
-            return memo[phi]
-        match phi:
-            case F.DistAtom(left=F.Var(index=i), right=F.Var(index=j)):
-                out = dists[:, grid[i], grid[j]]
-            case F.PredAtom(args=(F.Var(index=i),)):
-                out = preds[:, grid[i]]
-            case F.Conn(connective=c, args=args):
-                parts = [ev(a) for a in args]
-                if c.name == "vee":
-                    out = np.maximum(parts[0], parts[1])
-                elif c.name == "wedge":
-                    out = np.minimum(parts[0], parts[1])
-                elif c.name in dual_rows:
-                    out = dual_rows[c.name][parts[0]]
-                else:
-                    raise AssertionError("unexpected connective %s" % c.name)
-            case F.Sup(var=x, body=b):
-                out = np.broadcast_to(ev(b).max(axis=1 + x, keepdims=True),
-                                      (count, m, m))
-            case F.Inf(var=x, body=b):
-                out = np.broadcast_to(ev(b).min(axis=1 + x, keepdims=True),
-                                      (count, m, m))
-            case _:
-                raise AssertionError("unexpected node %r" % (phi,))
-        memo[phi] = out
-        return out
-
-    return np.stack([ev(phi) for phi in pool])
-
-
 def _build_structure(vq, sig, d, pv, name, labels=None):
     points = labels or ["q%d" % i for i in range(len(pv))]
     space = sp.validate_space(vq, points, [[int(v) for v in row] for row in d])
@@ -371,17 +320,20 @@ def test_criterion_09_tarski_vaught():
             groups = {}
             for m in (1, 2, 3):
                 bodies = _enumerate_group(vq, m)
-                dists = np.stack([d for d, _ in bodies])
-                preds = np.stack([p for _, p in bodies])
-                tables = _stacked_eval(pool, vq, dists, preds)
+                evaluator = sem.TableEvaluator(
+                    vq, 2, np.stack([d for d, _ in bodies]),
+                    {"P": np.stack([p for _, p in bodies])})
+                full = (len(bodies), m, m)
                 position = {(d.tobytes(), p.tobytes()): i
                             for i, (d, p) in enumerate(bodies)}
                 groups[m] = {
-                    "bodies": bodies, "tables": tables, "position": position,
-                    "inf": {0: tables.min(axis=2), 1: tables.min(axis=3)},
+                    "bodies": bodies, "eval": evaluator, "position": position,
+                    "inf": {var: np.stack([
+                        np.broadcast_to(evaluator(F.Inf(var, phi)), full).take(0, axis=1 + var)
+                        for phi in pool]) for var in (0, 1)},
                     "canonical": _canonical_indices(bodies, m)}
 
-            # sample agreement between the stacked evaluator and eval_table
+            # sample agreement between the batched evaluator and eval_table
             for _ in range(12):
                 m = rng.randint(1, 3)
                 g = groups[m]
@@ -390,7 +342,7 @@ def test_criterion_09_tarski_vaught():
                 struct = _build_structure(vq, sig, d, pv, "sample")
                 phi = pool[rng.randrange(len(pool))]
                 reference = np.asarray(sem.eval_table(struct, phi, (0, 1)))
-                assert (g["tables"][pool.index(phi), s] == reference).all()
+                assert (g["eval"].table(phi, (0, 1), s) == reference).all()
 
             confirmations = 0
             checked_pairs = 0

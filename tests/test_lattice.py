@@ -173,11 +173,11 @@ def test_one_element_lattice_accepted():
 
 def test_subset_meet_conventions():
     d = diamond_lattice()
-    assert lat.subset_meet(d, []) == d.top
-    assert lat.subset_join(d, []) == d.bottom
+    assert d.meet_of([]) == d.top
+    assert d.join_of([]) == d.bottom
     for x in d.carrier():
-        assert lat.subset_meet(d, [x]) == x
-    assert lat.subset_meet(d, [d.index("a"), d.index("b")]) == d.index("0")
+        assert d.meet_of([x]) == x
+    assert d.meet_of([d.index("a"), d.index("b")]) == d.index("0")
 
 
 def test_fold_meets_equal_brute_force_on_all_subsets():
@@ -194,22 +194,22 @@ def test_fold_meets_equal_brute_force_on_all_subsets():
 
 def test_cwb_examples():
     two = chain_lattice(1)
-    assert lat.co_well_below(two, 0, 0)          # only subsets containing 0 meet to 0
-    assert lat.co_well_below(two, 0, 1)
+    assert two.cwb[0, 0]  # only subsets containing 0 meet to 0
+    assert two.cwb[0, 1]
     d = diamond_lattice()
-    assert not lat.co_well_below(d, d.index("0"), d.index("0"))  # A = {a, b}
+    assert not d.cwb[d.index("0"), d.index("0")]  # A = {a, b}
     # x ≺ top for every x except the top itself (the empty subset witnesses
     # the failure at the corner; see the closed form)
     for lattice in small_corpus():
         for x in lattice.carrier():
-            assert lat.co_well_below(lattice, x, lattice.top) == (x != lattice.top)
+            assert lattice.cwb[x, lattice.top] == (x != lattice.top)
 
 
 def test_cwb_matches_subset_oracle_exhaustively():
     for lattice in small_corpus():
         for x in lattice.carrier():
             for y in lattice.carrier():
-                assert lat.co_well_below(lattice, x, y) == \
+                assert lattice.cwb[x, y] == \
                     lat.co_well_below_oracle(lattice, x, y), (lattice.elements, x, y)
 
 
@@ -269,7 +269,7 @@ def test_bool2_positives():
 def test_diamond_is_distributive_but_not_value():
     d = diamond_lattice()
     assert lat.is_completely_distributive(d)
-    assert lat.co_well_below(d, d.bottom, d.top)
+    assert d.cwb[d.bottom, d.top]
     pos = lat.positives(d)
     assert d.index("0") not in pos
     assert set(pos) == {d.index("a"), d.index("b"), d.index("1")}

@@ -1,0 +1,123 @@
+"""Property tests: the three evaluators agree on random structures, and
+printing then parsing a formula gives it back.
+
+Structures are built valid by construction. A symmetric space takes the
+predicate P(x) = d(a, x) + e, which the identity modulus admits because
+d(a, x) ∸ d(a, y) ≤ d(y, x); an asymmetric space takes a constant P. The
+function f is the identity or a constant map, and c is any point.
+"""
+
+from functools import lru_cache
+from itertools import product
+
+import numpy as np
+import pytest
+from hypothesis import given, strategies as st
+
+from cqlogic import coquantale as cq
+from cqlogic import formulas as F
+from cqlogic import semantics as sem
+from cqlogic import spaces as sp
+
+CARRIERS = ["chain:4", "lukasiewicz:4", "freelocale:2"]
+VARS = 3
+MAX_POINTS = 3
+
+
+@lru_cache(maxsize=None)
+def signature(vq):
+    ident = F.identity_modulus(vq)
+    return F.Signature(predicates=[("P", 1, ident)], functions=[("f", 1, ident)],
+                       constants=["c"])
+
+
+def metric_closure(vq, dist):
+    """Lower every entry to the meet of its path sums (the triangle law)."""
+    m = len(dist)
+    changed = True
+    while changed:
+        changed = False
+        for x, y, z in product(range(m), repeat=3):
+            bound = vq.plus(dist[x][z], dist[z][y])
+            if not vq.le(dist[x][y], bound):
+                dist[x][y] = vq.meet(dist[x][y], bound)
+                changed = True
+    return dist
+
+
+@st.composite
+def structures(draw, vq, sig, m, name):
+    element = st.integers(0, vq.size - 1)
+    point = st.integers(0, m - 1)
+    symmetric = draw(st.booleans())
+    dist = [[vq.bottom] * m for _ in range(m)]
+    for x, y in product(range(m), repeat=2):
+        if x < y or (x > y and not symmetric):
+            dist[x][y] = draw(element)
+        if x > y and symmetric:
+            dist[x][y] = dist[y][x]
+    dist = metric_closure(vq, dist)
+    shift = draw(element)
+    if symmetric:
+        a = draw(point)
+        pvals = [vq.plus(dist[a][x], shift) for x in range(m)]
+    else:
+        pvals = [shift] * m
+    image = draw(st.one_of(st.just(list(range(m))), point.map(lambda b: [b] * m)))
+    space = sp.validate_space(vq, ["p%d" % i for i in range(m)], dist)
+    return sem.validate_structure(space, sig, {"P": pvals}, {"f": image},
+                                  {"c": draw(point)}, name=name)
+
+
+@st.composite
+def stacks(draw, vq, sig):
+    """One to three structures on the same number of points."""
+    m = draw(st.integers(1, MAX_POINTS))
+    count = draw(st.integers(1, 3))
+    return [draw(structures(vq, sig, m, "S%d" % i)) for i in range(count)]
+
+
+@lru_cache(maxsize=None)
+def formulas(vq):
+    """Random formulas over the signature, the default kit and x0..x2; one
+    strategy object per carrier, so hypothesis validates it once."""
+    kit = list(F.default_kit(vq).values())
+    var = st.integers(0, VARS - 1)
+    terms = st.recursive(st.one_of(var.map(F.Var), st.just(F.Const("c"))),
+                         lambda inner: inner.map(lambda t: F.App("f", (t,))),
+                         max_leaves=3)
+    atoms = st.one_of(st.builds(F.DistAtom, terms, terms),
+                      terms.map(lambda t: F.PredAtom("P", (t,))),
+                      st.integers(0, vq.size - 1).map(F.Val))
+
+    def extend(inner):
+        conns = st.sampled_from(kit).flatmap(
+            lambda c: st.tuples(*[inner] * c.arity).map(lambda args: F.Conn(c, args)))
+        return st.one_of(conns, st.builds(F.Sup, var, inner), st.builds(F.Inf, var, inner))
+
+    return st.recursive(atoms, extend, max_leaves=6)
+
+
+@pytest.mark.parametrize("spec", CARRIERS)
+@given(data=st.data())
+def test_eval_formula_eval_table_and_batched_evaluator_agree(spec, data):
+    vq = cq.builtin(spec)
+    sig = signature(vq)
+    structs = data.draw(stacks(vq, sig))
+    phi = data.draw(formulas(vq))
+    window = tuple(sorted(F.free_vars(phi)))
+    batch = sem.TableEvaluator.of(structs, F.var_span(phi))
+    for b, struct in enumerate(structs):
+        table = np.asarray(sem.eval_table(struct, phi, window))
+        assert (batch.table(phi, window, b) == table).all()
+        for combo in product(range(struct.m), repeat=len(window)):
+            assert int(table[combo]) == \
+                sem.eval_formula(struct, phi, dict(zip(window, combo)))
+
+
+@pytest.mark.parametrize("spec", CARRIERS)
+@given(data=st.data())
+def test_print_then_parse_gives_the_formula_back(spec, data):
+    vq = cq.builtin(spec)
+    phi = data.draw(formulas(vq))
+    assert F.parse_formula(F.print_formula(phi, vq), signature(vq), vq) == phi

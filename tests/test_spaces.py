@@ -296,6 +296,11 @@ def test_enumerate_topologies_count():
     assert len(sp.enumerate_topologies(["a", "b", "c"])) == 29
 
 
+def test_enumerate_topologies_refuses_five_points_before_scanning():
+    with pytest.raises(SizeLimit, match=r"2\^32 families"):
+        sp.enumerate_topologies(["a", "b", "c", "d", "e"])
+
+
 # -- preorder dictionary ----------------------------------------------------------
 
 

@@ -117,11 +117,19 @@ def test_covering_pairs_close_to_full_order():
     assert (chain.bottom, chain.top) == (0, n - 1)
 
 
-def test_unknown_dist_element_reports_its_line():
+@pytest.mark.parametrize("block, message", [
+    ("@space S over C4\n@points p q\n@dist p q 1\n@dist q p seven\n",
+     "unknown element 'seven'"),
+    ("@structure M over C4\n@universe p q\n@pred P 1\n@predval P p seven\n@predval P q 1\n",
+     "unknown element 'seven'"),
+    ("@structure M over C4\n@universe p q\n@predval P p 1\n@pred P 1 @modulus 1 1 2 2 3 seven\n",
+     "unknown element in @modulus"),
+], ids=["dist", "predval", "modulus"])
+def test_unknown_dist_element_reports_its_line(block, message):
     ws = Workspace()
     ws.load_text("@coquantale C4\n@builtin chain:4\n")
-    with pytest.raises(ParseError, match="unknown element 'seven'") as err:
-        ws.load_text("@space S over C4\n@points p q\n@dist p q 1\n@dist q p seven\n")
+    with pytest.raises(ParseError, match=message) as err:
+        ws.load_text(block)
     assert err.value.line == 4
 
 
