@@ -108,9 +108,7 @@ def cmd_check(args) -> int:
     for name, vq in targets:
         report = cq.check_residuation_laws(vq)
         failed = failed or not report.all_pass
-        dsym_space = validate_space(
-            vq, [vq.element_name(e) for e in vq.carrier()],
-            [[vq.sym_dist(a, b) for b in vq.carrier()] for a in vq.carrier()])
+        dsym_space = validate_space(vq, [vq.element_name(e) for e in vq.carrier()], vq.dsym)
         rows = [
             ("coquantale", name),
             ("carrier-size", str(vq.size)),

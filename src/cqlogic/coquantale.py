@@ -40,6 +40,7 @@ class CoQuantale:
         self.dualizers = list(dualizers)
         self.safa_flag = bool(safa_flag)
         self.name = name or "coquantale"
+        self._positives = tuple(lat.positives(lattice))   # {ε : 0 ≺ ε}, fixed per carrier
         for table in (self.add, self.tsub, self.dsym):
             table.setflags(write=False)
 
@@ -94,7 +95,7 @@ class CoQuantale:
         return bool(self.lattice.cwb[self.lattice.bottom, e])
 
     def positives(self):
-        return lat.positives(self.lattice)
+        return self._positives
 
     def element_name(self, e):
         return self.lattice.name(e)

@@ -39,8 +39,7 @@ class LStructure:
         self.const_points = const_points
         self.name = name or "structure"
         self.m = space.m
-        self.dist = np.asarray(space.dist, dtype=np.int32)
-        self.dist.setflags(write=False)
+        self.dist = space.dist
 
     @property
     def points(self):
@@ -98,7 +97,7 @@ def validate_structure(space: ContinuitySpace, sig: Signature, pred_tables,
             raise MissingInterpretation("constant %s maps outside the universe" % cname)
         consts[cname] = int(point)
 
-    dist = np.asarray(space.dist, dtype=np.int32)
+    dist = space.dist
     for pname, (arity, modulus) in sig.predicates.items():
         out_vals = norm_preds[pname].reshape(-1)
         _check_symbol_modulus(vq, dist, arity, modulus,
@@ -191,8 +190,8 @@ class TableEvaluator:
     def __init__(self, V, k, dist, preds, funs=None, consts=None):
         self.V = V
         self.k = k
-        self.dist = np.asarray(dist)
-        self.batch, self.m = self.dist.shape[:2]
+        self.dist = dist
+        self.batch, self.m = dist.shape[:2]
         self.preds = preds
         self.funs = funs or {}
         self.consts = consts or {}

@@ -3,18 +3,21 @@
 locales).
 
 A space stores its value universe V (a table co-quantale or a symbolic free
-locale), an ordered point list and a dist table of V elements. Point sets
-returned by operations are frozensets of point names.
+locale), an ordered point list and one read-only (m, m) distance table:
+int32 element indices over a table co-quantale, frozensets over the symbolic
+free locale. `validate_space` is the only place a table is converted; every
+other function reads or gathers that array. Point sets returned by
+operations are frozensets of point names.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 
-from .coquantale import builtin
+from .coquantale import CoQuantale, builtin
 from .errors import (NotAPreorder, NotATopology, NotPositive,
                      ReflexivityViolation, SizeLimit, TransitivityViolation)
 from .freelocale import FreeLocale, downclose
@@ -23,13 +26,16 @@ TOPOLOGY_SCAN_MAX = 16
 THEOREM_SCAN_MAX = 8
 FLAGG_POINTS_MAX = 3
 TOPOLOGY_FAMILY_BUDGET = 1 << 16  # every family on 4 points; 5 points have 2^32
+CELL_BUDGET = 1 << 21             # cells per block of a row-blocked kernel, 9-12 bytes each
 
 
 class ContinuitySpace:
+    """Points and a validated distance table; see `validate_space`."""
+
     def __init__(self, values, points, dist):
         self.V = values
         self.points = list(points)
-        self.dist = [list(row) for row in dist]
+        self.dist = dist
         self._index = {p: i for i, p in enumerate(self.points)}
 
     @property
@@ -40,84 +46,94 @@ class ContinuitySpace:
         return self._index[point]
 
     def d(self, x, y):
-        return self.dist[x][y]
+        return self.dist[x, y]
 
     def point_set(self, indices):
         return frozenset(self.points[i] for i in indices)
-
-    def indices(self, names):
-        return [self._index[p] for p in names]
 
     def __repr__(self):
         return "ContinuitySpace(points=%r over %s)" % (self.points, getattr(self.V, "name", "V"))
 
 
 def validate_space(values, points, dist) -> ContinuitySpace:
-    """Check reflexivity and the triangle law exhaustively."""
+    """Check the table's shape and entries, reflexivity and the triangle law
+    exhaustively. The space keeps its own read-only copy of the table: int32
+    over a table co-quantale, object over the symbolic free locale."""
     points = [str(p) for p in points]
     if not points or len(set(points)) != len(points):
         raise ReflexivityViolation("points must be a nonempty list of unique names")
     m = len(points)
-    if len(dist) != m or any(len(row) != m for row in dist):
+    table_carrier = isinstance(values, CoQuantale)
+    try:
+        table = np.asarray(dist)
+    except ValueError:                                  # ragged rows
+        table = np.empty(0)
+    if table.shape != (m, m):
         raise ReflexivityViolation("dist table must be %d x %d" % (m, m))
-    contains = getattr(values, "contains", None)
-    for row in dist:
-        for e in row:
-            if contains is not None and not contains(e):
-                raise ReflexivityViolation("dist entry %r is not a V element" % (e,))
+    if table_carrier and table.dtype.kind in "iu":
+        bad = table[(table < 0) | (table >= values.size)].tolist()
+    else:
+        table = np.asarray(dist, dtype=object)          # the entries as given
+        bad = [e for e in table.flat if not values.contains(e)]
+    if bad:
+        raise ReflexivityViolation("dist entry %r is not a V element" % (bad[0],))
+    table = table.astype(np.int32 if table_carrier else object)
     for x in range(m):
-        if dist[x][x] != values.bottom:
+        if table[x, x] != values.bottom:
             raise ReflexivityViolation("d(%s,%s) != 0" % (points[x], points[x]))
-    if hasattr(values, "add") and hasattr(values, "lattice"):
-        table = np.asarray(dist, dtype=np.int32)
-        path = values.add[table[:, :, None], table[None, :, :]]   # [x,z,y] = d(x,z) + d(z,y)
-        ok = values.lattice.leq[table[:, :, None], path.transpose(0, 2, 1)]
+    witness = _triangle_witness(values, table)
+    if witness is not None:
+        x, y, z = witness
+        raise TransitivityViolation("d(%s,%s) > d(%s,%s) + d(%s,%s)"
+                                    % tuple(points[i] for i in (x, y, x, z, z, y)))
+    table.setflags(write=False)
+    return ContinuitySpace(values, points, table)
+
+
+def _triangle_witness(values, table):
+    """The first (x, y, z) in row-major order with d(x,y) > d(x,z) + d(z,y),
+    or None. A table carrier is checked over blocks of consecutive rows x,
+    each block's path tensor holding at most CELL_BUDGET cells."""
+    m = len(table)
+    if table.dtype == object:
+        return next(((x, y, z) for x, y, z in product(range(m), repeat=3)
+                     if not values.le(table[x, y], values.plus(table[x, z], table[z, y]))),
+                    None)
+    rows = max(1, CELL_BUDGET // (m * m))
+    for start in range(0, m, rows):
+        block = table[start:start + rows]
+        path = values.add[block[:, :, None], table[None, :, :]]   # [x,z,y] = d(x,z) + d(z,y)
+        ok = values.lattice.leq[block[:, :, None], path.transpose(0, 2, 1)]
         if not ok.all():
             x, y, z = map(int, np.argwhere(~ok)[0])
-            raise TransitivityViolation(
-                "d(%s,%s) > d(%s,%s) + d(%s,%s)"
-                % (points[x], points[y], points[x], points[z], points[z], points[y]))
-    else:
-        for x in range(m):
-            for y in range(m):
-                for z in range(m):
-                    if not values.le(dist[x][y], values.plus(dist[x][z], dist[z][y])):
-                        raise TransitivityViolation(
-                            "d(%s,%s) > d(%s,%s) + d(%s,%s)"
-                            % (points[x], points[y], points[x], points[z], points[z], points[y]))
-    return ContinuitySpace(values, points, dist)
+            return start + x, y, z
+    return None
 
 
 def dual_space(space: ContinuitySpace) -> ContinuitySpace:
-    """Transpose the distance table."""
-    m = space.m
-    dist = [[space.dist[y][x] for y in range(m)] for x in range(m)]
-    return validate_space(space.V, space.points, dist)
+    """Transpose the distance table (valid as it stands, since + commutes)."""
+    return ContinuitySpace(space.V, space.points, space.dist.T)
 
 
 def symmetric_space(space: ContinuitySpace) -> ContinuitySpace:
     """d^s(x,y) = d(x,y) ∨ d(y,x)."""
-    V, m = space.V, space.m
-    dist = [[V.join(space.dist[x][y], space.dist[y][x]) for y in range(m)]
-            for x in range(m)]
-    return validate_space(V, space.points, dist)
+    join = np.frompyfunc(space.V.join, 2, 1)
+    return validate_space(space.V, space.points, join(space.dist, space.dist.T))
 
 
 def product_space(left: ContinuitySpace, right: ContinuitySpace) -> ContinuitySpace:
     """Pointwise-max product distance on the cartesian product."""
     if left.V is not right.V:
         raise ValueError("product factors must share a value universe")
-    V = left.V
     points = ["%s|%s" % (p, q) for p in left.points for q in right.points]
-    pairs = [(i, j) for i in range(left.m) for j in range(right.m)]
-    dist = [[V.join(left.dist[i1][i2], right.dist[j1][j2])
-             for (i2, j2) in pairs] for (i1, j1) in pairs]
-    return validate_space(V, points, dist)
+    i, j = np.divmod(np.arange(left.m * right.m), right.m)    # pair (i, j), row-major
+    join = np.frompyfunc(left.V.join, 2, 1)
+    return validate_space(left.V, points,
+                          join(left.dist[np.ix_(i, i)], right.dist[np.ix_(j, j)]))
 
 
 def is_symmetric(space: ContinuitySpace) -> bool:
-    return all(space.dist[x][y] == space.dist[y][x]
-               for x in range(space.m) for y in range(space.m))
+    return bool(np.array_equal(space.dist, space.dist.T))
 
 
 # -- discs, topology, closure ---------------------------------------------------
@@ -129,14 +145,14 @@ def disc(space: ContinuitySpace, x, eps):
     if not V.is_positive(eps):
         raise NotPositive("%s is not positive" % V.element_name(eps))
     i = space.index(x)
-    return space.point_set(y for y in range(space.m) if V.cwb(space.dist[i][y], eps))
+    return space.point_set(y for y in range(space.m) if V.cwb(space.dist[i, y], eps))
 
 
 def closed_disc(space: ContinuitySpace, x, eps):
     """Closed disc {y : d(x,y) ≤ ε}; any ε is allowed."""
     V = space.V
     i = space.index(x)
-    return space.point_set(y for y in range(space.m) if V.le(space.dist[i][y], eps))
+    return space.point_set(y for y in range(space.m) if V.le(space.dist[i, y], eps))
 
 
 @dataclass(frozen=True)
@@ -174,42 +190,39 @@ def induced_topology(space: ContinuitySpace) -> Topology:
     the carrier is too large to enumerate but the bottom itself is positive
     (every finite free locale), membership of a minimal disc suffices: ≺ is
     monotone in its right argument, so B_0(x) is contained in every disc.
+    Discs and candidate open sets are bitmasks over the point indices.
     """
     if space.m > TOPOLOGY_SCAN_MAX:
         raise SizeLimit("induced topology scan capped at %d points" % TOPOLOGY_SCAN_MAX)
-    V = space.V
-    m = space.m
-    try:
-        positives = V.positives()
-        all_discs = [{frozenset(y for y in range(m) if V.cwb(space.dist[x][y], e))
-                      for e in positives} for x in range(m)]
-    except SizeLimit:
-        if not V.is_positive(V.bottom):
-            raise
-        all_discs = [{frozenset(y for y in range(m) if V.cwb(space.dist[x][y], V.bottom))}
-                     for x in range(m)]
-    disc_sets = [_minimal_sets(discs) for discs in all_discs]
-    opens = []
-    for mask in range(1 << m):
-        members = [x for x in range(m) if mask >> x & 1]
-        inside = frozenset(members)
-        if all(any(d <= inside for d in disc_sets[x]) for x in members):
-            opens.append(space.point_set(members))
-    topo = validate_topology(space.points, opens)
-    for x in range(m):
-        for d in all_discs[x]:
-            assert space.point_set(d) in topo.opens, "disc is not open: theorem violated"
+    V, m, dist = space.V, space.m, space.dist
+    if isinstance(V, CoQuantale):
+        within = V.lattice.cwb[dist[:, :, None], np.array(V.positives(), dtype=np.intp)]
+    else:
+        try:
+            radii = V.positives()
+        except SizeLimit:
+            if not V.is_positive(V.bottom):
+                raise
+            radii = [V.bottom]
+        within = np.array([[[V.cwb(d, e) for e in radii] for d in row] for row in dist],
+                          dtype=bool)
+    # within[x, y, ε]: d(x,y) ≺ ε; [x, ε] is the disc B_ε(x) as a bitmask over y
+    masks = (within.astype(np.int64) << np.arange(m)[:, None]).sum(axis=1)
+    all_discs = [set(row) for row in masks.tolist()]
+    disc_sets = [[s for s in discs if not any(t != s and t & ~s == 0 for t in discs)]
+                 for discs in all_discs]                  # the minimal discs
+    opens = [mask for mask in range(1 << m)
+             if all(any(d & ~mask == 0 for d in disc_sets[x]) for x in range(m) if mask >> x & 1)]
+    topo = validate_topology(space.points, [
+        space.point_set(x for x in range(m) if mask >> x & 1) for mask in opens])
+    assert set().union(*all_discs) <= set(opens), "disc is not open: theorem violated"
     return topo
-
-
-def _minimal_sets(sets):
-    return [s for s in sets if not any(t < s for t in sets)]
 
 
 def dist_to_set(space: ContinuitySpace, x, subset):
     """d(x, A) = ⋀{d(x,a) : a ∈ A}; the empty meet is top."""
     i = space.index(x)
-    return space.V.meet_of(space.dist[i][space.index(a)] for a in subset)
+    return space.V.meet_of(space.dist[i, space.index(a)] for a in subset)
 
 
 def closure(space: ContinuitySpace, subset):
@@ -223,7 +236,7 @@ def closure(space: ContinuitySpace, subset):
 def diameter(space: ContinuitySpace, subset=None):
     names = space.points if subset is None else list(subset)
     idx = [space.index(p) for p in names]
-    return space.V.join_of(space.dist[x][y] for x in idx for y in idx)
+    return space.V.join_of(space.dist[x, y] for x in idx for y in idx)
 
 
 # -- theorem checks ---------------------------------------------------------------
@@ -359,12 +372,8 @@ def check_topology_theorems(space: ContinuitySpace) -> TheoremReport:
 
 
 def is_T0(space: ContinuitySpace) -> bool:
-    V = space.V
-    for x in range(space.m):
-        for y in range(space.m):
-            if x != y and space.dist[x][y] == V.bottom and space.dist[y][x] == V.bottom:
-                return False
-    return True
+    zero = space.dist == space.V.bottom
+    return not (zero & zero.T & ~np.eye(space.m, dtype=bool)).any()
 
 
 def is_v_domain(space: ContinuitySpace) -> bool:
@@ -395,25 +404,18 @@ def space_from_topology(topology: Topology, materialize="auto") -> ContinuitySpa
         raise SizeLimit("space_from_topology capped at %d points" % FLAGG_POINTS_MAX)
     opens = sorted_opens(topology)
     ground = ["U%d" % i for i in range(len(opens))]
-    open_of = dict(zip(ground, opens))
     locale = FreeLocale(ground)
-    points = list(topology.points)
-    dist = []
-    for a in points:
-        row = []
-        for b in points:
-            good = frozenset(g for g in ground if a not in open_of[g] or b in open_of[g])
-            row.append(downclose([good]))
-        dist.append(row)
     if materialize == "auto":
         materialize = len(ground) <= 4
+    values, element = locale, (lambda family: family)   # a family as an element of values
     if materialize:
-        table = locale.materialize()
-        families = locale.carrier()
-        index = {fam: i for i, fam in enumerate(families)}
-        dist = [[index[e] for e in row] for row in dist]
-        return validate_space(table, points, dist)
-    return validate_space(locale, points, dist)
+        values = locale.materialize()
+        element = {fam: i for i, fam in enumerate(locale.carrier())}.__getitem__
+    points = list(topology.points)
+    dist = [[element(downclose([frozenset(g for g, u in zip(ground, opens)
+                                          if a not in u or b in u)]))
+             for b in points] for a in points]
+    return validate_space(values, points, dist)
 
 
 def enumerate_topologies(points):
@@ -467,5 +469,4 @@ def space_to_preorder(space: ContinuitySpace):
     if getattr(space.V, "size", None) != 2:
         raise NotAPreorder("preorder dictionary requires a two-element carrier")
     return {(space.points[x], space.points[y])
-            for x in range(space.m) for y in range(space.m)
-            if space.dist[x][y] == space.V.bottom}
+            for x, y in np.argwhere(space.dist == space.V.bottom)}

@@ -21,7 +21,7 @@ from .errors import (NoLimit, NotCoDivisible, NotFinitelySatisfiable, NotT0,
 from .formulas import Inf, Sup, Conn, free_vars, print_formula, var_span
 from .semantics import (LStructure, TableEvaluator, eval_table, fold_table,
                         satisfies, theory, validate_structure)
-from .spaces import ContinuitySpace, is_symmetric, validate_space
+from .spaces import CELL_BUDGET, ContinuitySpace, is_symmetric, validate_space
 
 PRODUCT_POINT_CAP = 4096
 PRODUCT_TABLE_CAP = 1_000_000
@@ -93,20 +93,25 @@ def d_ultralimit(vq: CoQuantale, seq, D: PrincipalUltrafilter) -> int:
 
 def dlim_batch(vq: CoQuantale, seqs, D: PrincipalUltrafilter):
     """d_ultralimit over the rows of an (N, I) array, vectorized but still
-    running the definitional per-ε membership test."""
+    running the definitional per-ε membership test. Rows are taken in
+    blocks of at most CELL_BUDGET (candidate, row, ε, j) cells."""
     seqs = np.asarray(seqs, dtype=np.int32)
-    positives = np.flatnonzero(vq.lattice.cwb[vq.bottom])
+    positives = np.array(vq.positives(), dtype=np.intp)
     weights = 1 << np.arange(seqs.shape[1], dtype=np.int64)
-    # [a, row, ε, j]: d^s(a, s_j) ≤ ε; each (a, row, ε) packs its index set
-    # into one bitmask for the membership test
-    within = vq.lattice.leq[vq.dsym[:, seqs][:, :, None, :], positives[:, None]]
-    ok = D.contains_mask(within @ weights).all(axis=2)
-    counts = ok.sum(axis=0)
-    if (counts == 0).any():
-        raise NoLimit("a row has no ultralimit")
-    if (counts > 1).any():
-        raise NotT0("a row has multiple ultralimits")
-    return ok.argmax(axis=0).astype(np.int32)
+    rows = max(1, CELL_BUDGET // max(1, vq.size * len(positives) * seqs.shape[1]))
+    out = np.empty(len(seqs), dtype=np.int32)
+    for start in range(0, len(seqs), rows):
+        # [a, row, ε, j]: d^s(a, s_j) ≤ ε; each (a, row, ε) packs its index
+        # set into one bitmask for the membership test
+        block = vq.dsym[:, seqs[start:start + rows]][:, :, None, :]
+        ok = D.contains_mask(vq.lattice.leq[block, positives[:, None]] @ weights).all(axis=2)
+        counts = ok.sum(axis=0)
+        if (counts == 0).any():
+            raise NoLimit("a row has no ultralimit")
+        if (counts > 1).any():
+            raise NotT0("a row has multiple ultralimits")
+        out[start:start + rows] = ok.argmax(axis=0)
+    return out
 
 
 # -- D-products of spaces -----------------------------------------------------------
@@ -128,11 +133,10 @@ def d_product_space(spaces, D: PrincipalUltrafilter):
         raise SizeLimit("product would have %d points (cap %d)" % (total, PRODUCT_POINT_CAP))
     tuples = list(iproduct(*[range(s.m) for s in spaces]))
     names = ["|".join(s.points[i] for s, i in zip(spaces, combo)) for combo in tuples]
-    seqs = np.array([[spaces[i].dist[x[i]][y[i]] for i in range(len(spaces))]
-                     for x in tuples for y in tuples], dtype=np.int32)
-    limits = dlim_batch(vq, seqs, D).reshape(total, total)
-    dist = [[int(limits[i, j]) for j in range(total)] for i in range(total)]
-    space = validate_space(vq, names, dist)
+    coords = np.array(tuples, dtype=np.intp).T
+    seqs = np.stack([s.dist[np.ix_(c, c)] for s, c in zip(spaces, coords)], axis=-1)  # [x, y, i]
+    limits = dlim_batch(vq, seqs.reshape(total * total, len(spaces)), D)
+    space = validate_space(vq, names, limits.reshape(total, total))
     space.tuples = tuples
     return space
 
@@ -151,7 +155,7 @@ def quotient_ultraproduct(spaces, D: PrincipalUltrafilter):
     product = d_product_space(spaces, D)
     vq = product.V
     count = product.m
-    dist = np.asarray(product.dist, dtype=np.int32)
+    dist = product.dist
     related = dist == vq.bottom
     if not related.diagonal().all():
         raise VerificationFailed("~ is not reflexive")
@@ -169,14 +173,12 @@ def quotient_ultraproduct(spaces, D: PrincipalUltrafilter):
         for j in cls:
             theta[j] = len(classes)
         classes.append(cls)
-    for cls_a in classes:
-        for cls_b in classes:
-            block = dist[np.ix_(cls_a, cls_b)]
-            if (block != block[0, 0]).any():
-                raise VerificationFailed("class distance depends on representatives")
-    names = ["[%s]" % product.points[cls[0]] for cls in classes]
-    dist = [[product.dist[a[0]][b[0]] for b in classes] for a in classes]
-    quotient = validate_space(vq, names, dist)
+    reps = [cls[0] for cls in classes]
+    rep_of = np.array(reps)[theta]
+    if (dist != dist[np.ix_(rep_of, rep_of)]).any():
+        raise VerificationFailed("class distance depends on representatives")
+    names = ["[%s]" % product.points[r] for r in reps]
+    quotient = validate_space(vq, names, dist[np.ix_(reps, reps)])
     quotient.classes = classes
     return quotient, theta
 
@@ -198,8 +200,7 @@ class UltrapowerResult:
 def ultrapower_V(vq: CoQuantale, D: PrincipalUltrafilter) -> UltrapowerResult:
     """Build the D-ultrapower of (V, d^s) and verify that the diagonal map
     T and the limit map T' witness a distance-preserving bijection."""
-    base = validate_space(vq, [vq.element_name(e) for e in vq.carrier()],
-                          [[vq.sym_dist(a, b) for b in vq.carrier()] for a in vq.carrier()])
+    base = validate_space(vq, [vq.element_name(e) for e in vq.carrier()], vq.dsym)
     quotient, theta = quotient_ultraproduct([base] * D.index_count, D)
     tuples = list(iproduct(*[range(vq.size)] * D.index_count))
     diagonal = {e: theta[tuples.index(tuple([e] * D.index_count))] for e in vq.carrier()}
@@ -208,8 +209,8 @@ def ultrapower_V(vq: CoQuantale, D: PrincipalUltrafilter) -> UltrapowerResult:
         limits[cls_index] = d_ultralimit(vq, list(tuples[cls[0]]), D)
     bijective = sorted(diagonal.values()) == list(range(len(quotient.classes)))
     inverse_ok = all(limits[diagonal[e]] == e for e in vq.carrier())
-    preserves = all(quotient.dist[diagonal[a]][diagonal[b]] == vq.sym_dist(a, b)
-                    for a in vq.carrier() for b in vq.carrier())
+    image = [diagonal[e] for e in vq.carrier()]
+    preserves = np.array_equal(quotient.dist[np.ix_(image, image)], vq.dsym)
     return UltrapowerResult(quotient, diagonal, limits, bijective, inverse_ok, preserves)
 
 
@@ -240,28 +241,23 @@ def d_product_structure(factors, D: PrincipalUltrafilter) -> DProductStructure:
             raise SignatureMismatch("factors must share their signature")
     space = d_product_space([f.space for f in factors], D)
     tuples = space.tuples
-    width = len(factors)
-    position = {t: i for i, t in enumerate(tuples)}
+    coords = np.array(tuples, dtype=np.intp).T     # [i, t]: the factor-i point of tuple t
+    sizes = [f.m for f in factors]                 # tuples run in row-major order
     pred_tables = {}
     for pname, (arity, _) in sig.predicates.items():
         if len(tuples) ** arity > PRODUCT_TABLE_CAP:
             raise SizeLimit("product predicate table too large for %s" % pname)
-        combos = list(iproduct(range(len(tuples)), repeat=arity))
-        seqs = np.array([[int(factors[i].pred_tables[pname][tuple(tuples[c][i] for c in combo)])
-                          for i in range(width)] for combo in combos], dtype=np.int32)
-        table = dlim_batch(vq, seqs, D).reshape((len(tuples),) * arity)
-        pred_tables[pname] = table.astype(np.int32)
+        seqs = np.stack([f.pred_tables[pname][np.ix_(*[c] * arity)]
+                         for f, c in zip(factors, coords)], axis=-1)   # [t1..tk, i]
+        pred_tables[pname] = dlim_batch(vq, seqs.reshape(-1, len(factors)), D).reshape(
+            seqs.shape[:-1])
     fun_tables = {}
     for fname, (arity, _) in sig.functions.items():
         if len(tuples) ** arity > PRODUCT_TABLE_CAP:
             raise SizeLimit("product function table too large for %s" % fname)
-        table = np.zeros((len(tuples),) * arity, dtype=np.int32)
-        for combo in iproduct(range(len(tuples)), repeat=arity):
-            image = tuple(int(factors[i].fun_tables[fname][tuple(tuples[c][i] for c in combo)])
-                          for i in range(width))
-            table[combo] = position[image]
-        fun_tables[fname] = table
-    consts = {c: position[tuple(f.const_points[c] for f in factors)]
+        images = [f.fun_tables[fname][np.ix_(*[c] * arity)] for f, c in zip(factors, coords)]
+        fun_tables[fname] = np.ravel_multi_index(images, sizes).astype(np.int32)
+    consts = {c: int(np.ravel_multi_index([f.const_points[c] for f in factors], sizes))
               for c in sig.constants}
     structure = validate_structure(space, sig, pred_tables, fun_tables, consts,
                                    name="D-product")

@@ -96,13 +96,10 @@ def sierpinski(bool2):
 # -- seeded corpora -----------------------------------------------------------
 
 
-def repaired_space(vq, points, rng):
-    """A random distance table repaired to a valid space: start from random
-    entries, zero the diagonal, then lower entries by meets with path sums
+def metric_closure(vq, dist):
+    """Lower every entry of a nested-list table by meets with path sums
     until the triangle law holds (terminates: entries only descend)."""
-    m = len(points)
-    dist = [[vq.bottom if i == j else rng.randrange(vq.size) for j in range(m)]
-            for i in range(m)]
+    m = len(dist)
     changed = True
     while changed:
         changed = False
@@ -113,7 +110,16 @@ def repaired_space(vq, points, rng):
                     if not vq.le(dist[x][y], bound):
                         dist[x][y] = vq.meet(dist[x][y], bound)
                         changed = True
-    return sp.validate_space(vq, points, dist)
+    return dist
+
+
+def repaired_space(vq, points, rng):
+    """A random distance table repaired to a valid space: start from random
+    entries, zero the diagonal, then take the metric closure."""
+    m = len(points)
+    dist = [[vq.bottom if i == j else rng.randrange(vq.size) for j in range(m)]
+            for i in range(m)]
+    return sp.validate_space(vq, points, metric_closure(vq, dist))
 
 
 def space_corpus(vq, count, max_points, seed):

@@ -186,7 +186,7 @@ def test_criterion_07_preorder_dictionary():
                 count += 1
                 rel = sp.space_to_preorder(space)
                 rebuilt = sp.preorder_dictionary(points, rel, bool2)
-                assert rebuilt.dist == space.dist
+                assert np.array_equal(rebuilt.dist, space.dist)
                 assert frozenset(rel) in relations
             assert count == len(relations)
 
@@ -206,7 +206,7 @@ def test_criterion_08_modulus_propagation():
             positives = vq.positives()
             for struct in corpus:
                 m = struct.m
-                dist = np.asarray(struct.dist)
+                dist = struct.dist
                 dsym_pts = vq.lattice.join[dist, dist.T]
                 tuple_dist = {0: np.zeros((1, 1), dtype=np.int32),
                               1: dsym_pts.astype(np.int32)}
@@ -302,7 +302,7 @@ def _canonical_indices(structures, m):
 
 def _build_structure(vq, sig, d, pv, name, labels=None):
     points = labels or ["q%d" % i for i in range(len(pv))]
-    space = sp.validate_space(vq, points, [[int(v) for v in row] for row in d])
+    space = sp.validate_space(vq, points, d)
     return sem.validate_structure(space, sig, {"P": [int(v) for v in pv]},
                                   name=name)
 

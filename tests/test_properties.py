@@ -1,5 +1,7 @@
-"""Property tests: the three evaluators agree on random structures, and
-printing then parsing a formula gives it back.
+"""Property tests: the three evaluators agree on random structures,
+printing then parsing a formula gives it back, a one-factor D-product is
+its factor, D-product distances are the pointwise D-ultralimits, and
+written structures load back.
 
 Structures are built valid by construction. A symmetric space takes the
 predicate P(x) = d(a, x) + e, which the identity modulus admits because
@@ -12,12 +14,16 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from cqlogic import coquantale as cq
 from cqlogic import formulas as F
 from cqlogic import semantics as sem
 from cqlogic import spaces as sp
+from cqlogic import ultraproduct as up
+from cqlogic.textio import Workspace, write_structure
+
+from conftest import metric_closure
 
 CARRIERS = ["chain:4", "lukasiewicz:4", "freelocale:2"]
 VARS = 3
@@ -29,20 +35,6 @@ def signature(vq):
     ident = F.identity_modulus(vq)
     return F.Signature(predicates=[("P", 1, ident)], functions=[("f", 1, ident)],
                        constants=["c"])
-
-
-def metric_closure(vq, dist):
-    """Lower every entry to the meet of its path sums (the triangle law)."""
-    m = len(dist)
-    changed = True
-    while changed:
-        changed = False
-        for x, y, z in product(range(m), repeat=3):
-            bound = vq.plus(dist[x][z], dist[z][y])
-            if not vq.le(dist[x][y], bound):
-                dist[x][y] = vq.meet(dist[x][y], bound)
-                changed = True
-    return dist
 
 
 @st.composite
@@ -121,3 +113,57 @@ def test_print_then_parse_gives_the_formula_back(spec, data):
     vq = cq.builtin(spec)
     phi = data.draw(formulas(vq))
     assert F.parse_formula(F.print_formula(phi, vq), signature(vq), vq) == phi
+
+
+def one_structure(data, vq, name="S"):
+    m = data.draw(st.integers(1, MAX_POINTS))
+    return data.draw(structures(vq, signature(vq), m, name))
+
+
+def assert_same_tables(left, right):
+    assert left.points == right.points
+    assert np.array_equal(left.dist, right.dist)
+    for kind in ("pred_tables", "fun_tables"):
+        mine, theirs = getattr(left, kind), getattr(right, kind)
+        assert mine.keys() == theirs.keys()
+        assert all(np.array_equal(mine[k], theirs[k]) for k in mine)
+    assert left.const_points == right.const_points
+
+
+@pytest.mark.parametrize("spec", CARRIERS)
+@given(data=st.data())
+def test_one_factor_d_product_is_isomorphic_to_its_factor(spec, data):
+    """The map i ↦ (i,) carries every table of the factor onto the product's."""
+    vq = cq.builtin(spec)
+    factor = one_structure(data, vq)
+    dp = up.d_product_structure([factor], up.PrincipalUltrafilter(1, 0))
+    assert dp.tuples == [(i,) for i in range(factor.m)]
+    assert_same_tables(dp.structure, factor)
+
+
+@pytest.mark.parametrize("spec", CARRIERS)
+@settings(max_examples=40)
+@given(data=st.data())
+def test_d_product_distances_are_pointwise_ultralimits(spec, data):
+    vq = cq.builtin(spec)
+    width = data.draw(st.integers(2, 3))
+    factors = [one_structure(data, vq, "F%d" % i).space for i in range(width)]
+    D = up.PrincipalUltrafilter(width, data.draw(st.integers(0, width - 1)))
+    product_space = up.d_product_space(factors, D)
+    for x, xs in enumerate(product_space.tuples):
+        for y, ys in enumerate(product_space.tuples):
+            seq = [f.d(a, b) for f, a, b in zip(factors, xs, ys)]
+            assert product_space.d(x, y) == up.d_ultralimit(vq, seq, D)
+
+
+@pytest.mark.parametrize("spec", CARRIERS)
+@given(data=st.data())
+def test_written_structure_loads_back_to_the_same_tables(spec, data):
+    vq = cq.builtin(spec)
+    struct = one_structure(data, vq)
+    ws = Workspace()
+    ws.register("coquantales", vq.name, vq)   # the header names the carrier
+    ws.load_text(write_structure(struct))
+    loaded = ws.structure(struct.name)
+    assert loaded.sig == struct.sig
+    assert_same_tables(loaded, struct)

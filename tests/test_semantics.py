@@ -290,8 +290,7 @@ def test_alpha_invariance(struct_n, sig1, chain4):
 
 def restrict(sup_struct, names):
     idx = [sup_struct.space.index(p) for p in names]
-    space = sp.validate_space(sup_struct.V, names,
-                              [[int(sup_struct.dist[i, j]) for j in idx] for i in idx])
+    space = sp.validate_space(sup_struct.V, names, sup_struct.dist[np.ix_(idx, idx)])
     preds = {p: [int(sup_struct.pred_tables[p][i]) for i in idx]
              for p in sup_struct.sig.predicates}
     consts = {c: names.index(sup_struct.points[sup_struct.const_points[c]])

@@ -1,13 +1,18 @@
+import random
 from itertools import combinations, product
 
+import numpy as np
 import pytest
 
+from cqlogic import semantics as sem
 from cqlogic import spaces as sp
 from cqlogic.errors import (NotAPreorder, NotATopology, NotPositive,
                             ReflexivityViolation, SizeLimit,
                             TransitivityViolation)
+from cqlogic.formulas import Signature, identity_modulus
+from cqlogic.freelocale import FreeLocale
 
-from conftest import space_corpus
+from conftest import metric_closure, space_corpus
 
 
 # -- validation -----------------------------------------------------------------
@@ -33,6 +38,85 @@ def test_validation_errors(bool2):
         sp.validate_space(bool2, ["p", "q"], [[0, 7], [0, 0]])
 
 
+def _first_triangle_failure(V, points, dist):
+    """The TransitivityViolation text of a brute-force triple loop, or None."""
+    m = len(points)
+    for x, y, z in product(range(m), repeat=3):
+        if not V.le(dist[x][y], V.plus(dist[x][z], dist[z][y])):
+            return ("d(%s,%s) > d(%s,%s) + d(%s,%s)"
+                    % (points[x], points[y], points[x], points[z], points[z], points[y]))
+    return None
+
+
+@pytest.mark.parametrize("budget", [sp.CELL_BUDGET, 20, 7])
+@pytest.mark.parametrize("spec", ["chain:4", "freelocale:2", "symbolic:2"])
+def test_triangle_check_matches_brute_force(roster, monkeypatch, spec, budget):
+    """Seeded tables, half of them repaired to the triangle law and then
+    perhaps raised at one entry; a small budget splits the rows into blocks."""
+    V = FreeLocale(("a", "b")) if spec == "symbolic:2" else roster[spec]
+    elements = list(V.carrier())
+    monkeypatch.setattr(sp, "CELL_BUDGET", budget)
+    rng = random.Random("%s/%d" % (spec, budget))
+    outcomes = set()
+    for _ in range(60 if spec == "symbolic:2" else 160):
+        m = rng.randint(1, 6 if spec == "symbolic:2" else 8)
+        points = ["p%d" % i for i in range(m)]
+        dist = [[V.bottom if x == y else rng.choice(elements) for y in range(m)]
+                for x in range(m)]
+        if rng.random() < 0.5:
+            dist = metric_closure(V, dist)
+            if m > 1 and rng.random() < 0.5:
+                x, y = rng.sample(range(m), 2)
+                dist[x][y] = rng.choice(elements)
+        expected = _first_triangle_failure(V, points, dist)
+        try:
+            sp.validate_space(V, points, dist)
+            got = None
+        except TransitivityViolation as exc:
+            got = str(exc)
+        assert got == expected, (m, dist)
+        outcomes.add(got is None)
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("symbolic", [False, True], ids=["table", "symbolic"])
+def test_malformed_tables_raise_reflexivity_violation(roster, symbolic):
+    V = FreeLocale(("a", "b")) if symbolic else roster["freelocale:2"]
+    o, t = V.bottom, V.top
+    foreign = frozenset([frozenset("a")]) if symbolic else V.size   # not down-closed
+    for dist in ([[o, 1.0], [t, o]],                   # not an integer
+                 [[o, "1"], [t, o]],                   # a string
+                 [[o, foreign], [t, o]],               # outside the carrier
+                 [[o, -1], [t, o]],
+                 [[o, t], [t]],                        # ragged rows
+                 [[o, t], [t, o], [t, t]],             # three rows
+                 [[o, t, t], [t, o, t]],
+                 [[t, t], [t, o]]):                    # d(p,p) is not the bottom
+        with pytest.raises(ReflexivityViolation):
+            sp.validate_space(V, ["p", "q"], dist)
+    if not symbolic:
+        for dist in (np.array([[0, 1.0], [1, 0]]), np.array([[0, V.size], [1, 0]])):
+            with pytest.raises(ReflexivityViolation):
+                sp.validate_space(V, ["p", "q"], dist)
+
+
+def test_dist_is_one_read_only_array(chain4):
+    given = np.array([[0, 1], [1, 0]])
+    X = sp.validate_space(chain4, ["p", "q"], given)
+    assert X.dist.dtype == np.int32 and not X.dist.flags.writeable
+    with pytest.raises(ValueError):
+        X.dist[0, 1] = 2
+    given[0, 1] = 3                                   # the space holds its own copy
+    assert X.d(0, 1) == 1
+    sig = Signature(predicates=[("P", 1, identity_modulus(chain4))])
+    assert sem.validate_structure(X, sig, {"P": [0, 1]}).dist is X.dist
+    topo = sp.validate_topology(["a", "b"], [frozenset(), frozenset("b"), frozenset("ab")])
+    S = sp.space_from_topology(topo, materialize=False)
+    assert S.dist.dtype == object and S.dist.shape == (2, 2)
+    assert not S.dist.flags.writeable
+    assert not sp.dual_space(S).dist.flags.writeable
+
+
 # -- constructions ------------------------------------------------------------------
 
 
@@ -44,7 +128,7 @@ def test_dual_transposes(sierpinski):
 def test_symmetric_idempotent(chain4):
     X = sp.validate_space(chain4, ["p", "q"], [[0, 2], [2, 0]])
     Y = sp.symmetric_space(X)
-    assert Y.dist == X.dist
+    assert np.array_equal(Y.dist, X.dist)
     Z = sp.symmetric_space(sp.validate_space(chain4, ["p", "q"], [[0, 1], [3, 0]]))
     assert Z.d(0, 1) == Z.d(1, 0) == 3
 

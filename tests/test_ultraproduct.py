@@ -74,6 +74,17 @@ def test_dlim_batch_matches_pointwise(chain4):
             assert int(got) == up.d_ultralimit(chain4, list(row), D)
 
 
+@pytest.mark.parametrize("budget", [7, 200])
+def test_dlim_batch_blocks_agree_with_one_block(chain4, monkeypatch, budget):
+    seqs = np.array(list(product(chain4.carrier(), repeat=3)), dtype=np.int32)
+    for gen in range(3):
+        D = up.PrincipalUltrafilter(3, gen)
+        whole = up.dlim_batch(chain4, seqs, D)
+        with monkeypatch.context() as patch:
+            patch.setattr(up, "CELL_BUDGET", budget)   # 1 and 2 rows per block
+            assert np.array_equal(up.dlim_batch(chain4, seqs, D), whole)
+
+
 def test_limit_of_constant_distances(chain4):
     D = up.PrincipalUltrafilter(2, 0)
     for x in chain4.carrier():
