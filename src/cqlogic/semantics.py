@@ -5,6 +5,14 @@ formula enumeration and the Tarski-Vaught machinery.
 uses `TableEvaluator`, which evaluates each formula node once over all
 assignments of x0..x(k-1) and a stack of structures; `eval_table` is its
 single-structure view. The unit suite cross-checks the two.
+
+An evaluator keeps its memo for as long as it lives, so a caller that holds
+one across a pool (the elementarity and Tarski-Vaught sweeps, a D-product
+across its `los_check` calls) evaluates each shared node once. The memo
+holds at most `spaces.CELL_BUDGET` table cells: when storing a table would
+pass that, the memo is emptied first, and a table larger than the budget is
+not stored. A node that was dropped is evaluated again when next asked for,
+so the budget changes the cost, never a table.
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ from .errors import (ArityMismatch, FreeVariableMismatch,
 from .formulas import (App, Conn, Const, DistAtom, Inf, PredAtom, Signature,
                        Sup, Val, Var, default_kit, free_vars, print_formula,
                        validate_modulus, var_span)
-from .spaces import ContinuitySpace
+from .spaces import CELL_BUDGET, ContinuitySpace
 
 MODULUS_SCAN_MAX = 4_000_000
 
@@ -196,6 +204,7 @@ class TableEvaluator:
         self.funs = funs or {}
         self.consts = consts or {}
         self.memo = {}
+        self.cells = 0          # cells held by the memo's tables
         self.bidx = np.arange(self.batch).reshape((-1,) + (1,) * k)
         self.grids = [np.arange(self.m, dtype=np.int32).reshape(
             (1,) * (1 + i) + (-1,) + (1,) * (k - 1 - i)) for i in range(k)]
@@ -222,11 +231,17 @@ class TableEvaluator:
         # keyed by identity: pools share subformula objects, and the entry
         # keeps its node alive so the id is not reused
         hit = self.memo.get(id(phi))
-        if hit is None:
-            table = self._node(phi)
-            table.setflags(write=False)
-            hit = self.memo[id(phi)] = (phi, table)
-        return hit[1]
+        if hit is not None:
+            return hit[1]
+        table = self._node(phi)
+        table.setflags(write=False)
+        if self.cells + table.size > CELL_BUDGET:
+            self.memo.clear()
+            self.cells = 0
+        if table.size <= CELL_BUDGET:
+            self.memo[id(phi)] = (phi, table)
+            self.cells += table.size
+        return table
 
     def table(self, phi, window, b=0):
         """φ on batch member b with one axis of size m per window variable,
@@ -240,7 +255,8 @@ class TableEvaluator:
         out = out[tuple(slice(None) if v in window else 0 for v in range(self.k))]
         kept = [v for v in range(self.k) if v in window]
         out = out.transpose([kept.index(v) for v in window])
-        return np.broadcast_to(out, (self.m,) * len(window))
+        shape = (self.m,) * len(window)
+        return out if out.shape == shape else np.broadcast_to(out, shape)
 
     def _axis(self, i):
         if not 0 <= i < self.k:

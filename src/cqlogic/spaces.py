@@ -26,7 +26,9 @@ TOPOLOGY_SCAN_MAX = 16
 THEOREM_SCAN_MAX = 8
 FLAGG_POINTS_MAX = 3
 TOPOLOGY_FAMILY_BUDGET = 1 << 16  # every family on 4 points; 5 points have 2^32
-CELL_BUDGET = 1 << 21             # cells per block of a row-blocked kernel, 9-12 bytes each
+# cells per block of a row-blocked kernel (up to 12 bytes each) and per
+# TableEvaluator memo (4 bytes each)
+CELL_BUDGET = 1 << 21
 
 
 class ContinuitySpace:

@@ -9,7 +9,7 @@ never assumed, so the Łoś checks stay genuine two-sided computations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations, product as iproduct
 
 import numpy as np
@@ -39,9 +39,10 @@ class PrincipalUltrafilter:
     def contains(self, subset) -> bool:
         return self.generator in set(subset)
 
-    def contains_mask(self, masks):
-        """Vectorized membership for bitmask-encoded subsets."""
-        return (np.asarray(masks) >> self.generator) & 1 == 1
+    def contains_sets(self, sets):
+        """Vectorized membership: ``sets`` is a bool array whose last axis
+        runs over the index set; one verdict per leading position."""
+        return np.asarray(sets, dtype=bool)[..., self.generator]
 
     def __repr__(self):
         return "PrincipalUltrafilter(|I|=%d, j0=%d)" % (self.index_count, self.generator)
@@ -97,14 +98,13 @@ def dlim_batch(vq: CoQuantale, seqs, D: PrincipalUltrafilter):
     blocks of at most CELL_BUDGET (candidate, row, ε, j) cells."""
     seqs = np.asarray(seqs, dtype=np.int32)
     positives = np.array(vq.positives(), dtype=np.intp)
-    weights = 1 << np.arange(seqs.shape[1], dtype=np.int64)
     rows = max(1, CELL_BUDGET // max(1, vq.size * len(positives) * seqs.shape[1]))
     out = np.empty(len(seqs), dtype=np.int32)
     for start in range(0, len(seqs), rows):
-        # [a, row, ε, j]: d^s(a, s_j) ≤ ε; each (a, row, ε) packs its index
-        # set into one bitmask for the membership test
+        # [a, row, ε, j]: d^s(a, s_j) ≤ ε; the last axis is the index set of
+        # (a, row, ε), one bool per index, for the membership test
         block = vq.dsym[:, seqs[start:start + rows]][:, :, None, :]
-        ok = D.contains_mask(vq.lattice.leq[block, positives[:, None]] @ weights).all(axis=2)
+        ok = D.contains_sets(vq.lattice.leq[block, positives[:, None]]).all(axis=2)
         counts = ok.sum(axis=0)
         if (counts == 0).any():
             raise NoLimit("a row has no ultralimit")
@@ -219,10 +219,39 @@ def ultrapower_V(vq: CoQuantale, D: PrincipalUltrafilter) -> UltrapowerResult:
 
 @dataclass
 class DProductStructure:
+    """A D-product with the evaluators that every `los_check` on it shares:
+    per window size k, one `TableEvaluator` for the product and one per
+    distinct factor, and the hypothesis rows of each quantified subformula
+    seen so far, keyed by node identity with the node kept alive."""
     structure: LStructure
     factors: list
     D: PrincipalUltrafilter
     tuples: list
+    _evaluators: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _hypotheses: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def evaluators(self, k):
+        """The product's evaluator over x0..x(k-1) and one per factor; a
+        factor that occurs twice shares its evaluator."""
+        hit = self._evaluators.get(k)
+        if hit is None:
+            own = {id(f): TableEvaluator.of([f], k) for f in self.factors}
+            hit = self._evaluators[k] = (TableEvaluator.of([self.structure], k),
+                                         [own[id(f)] for f in self.factors])
+        return hit
+
+    def hypothesis_rows(self, sub, factor_evals):
+        """(factor name, subformula, sup_ok, inf_ok) for each factor, from the
+        body's table on that factor; ``factor_evals`` as from `evaluators`."""
+        hit = self._hypotheses.get(id(sub))
+        if hit is None:
+            vq = self.structure.V
+            text = print_formula(sub, vq)
+            window = tuple(sorted(free_vars(sub))) + (sub.var,)
+            rows = [(f.name, text) + _cauchy_sums_vanish(vq, e.table(sub.body, window))
+                    for f, e in zip(self.factors, factor_evals)]
+            hit = self._hypotheses[id(sub)] = (sub, rows)
+        return hit[1]
 
 
 def d_product_structure(factors, D: PrincipalUltrafilter) -> DProductStructure:
@@ -342,34 +371,38 @@ def _cauchy_sums_vanish(vq, family):
 
 def los_check(dp: DProductStructure, phi, assignments=None) -> LosReport:
     """Compare φ on the D-product against the D-ultralimit of the factor
-    evaluations, tuple by tuple."""
+    evaluations, tuple by tuple. The tables come from the evaluators that
+    ``dp`` holds, so calls on one product share their subformulas."""
     vq = dp.structure.V
     window = tuple(sorted(free_vars(phi)))
-    # one evaluator per factor serves both the hypothesis bodies and φ
-    k = var_span(phi)
-    factor_evals = [TableEvaluator.of([f], k) for f in dp.factors]
+    product_eval, factor_evals = dp.evaluators(var_span(phi))
     hypothesis = []
     for sub in quantified_subformulas(phi):
-        sub_window = tuple(sorted(free_vars(sub))) + (sub.var,)
-        for factor, evaluator in zip(dp.factors, factor_evals):
-            sup_ok, inf_ok = _cauchy_sums_vanish(vq, evaluator.table(sub.body, sub_window))
-            hypothesis.append((factor.name, print_formula(sub, vq), sup_ok, inf_ok))
+        hypothesis.extend(dp.hypothesis_rows(sub, factor_evals))
+    w = len(window)
     if assignments is None:
-        assignments = list(iproduct(range(dp.structure.m), repeat=len(window)))
-    combos = np.array([[dp.structure.space.index(p) if isinstance(p, str) else p
-                        for p in combo] for combo in assignments],
-                      dtype=np.intp).reshape(len(assignments), len(window))
+        combos = np.indices((dp.structure.m,) * w).reshape(w, dp.structure.m ** w).T
+    else:
+        combos = np.array([[dp.structure.space.index(p) if isinstance(p, str) else p
+                            for p in combo] for combo in assignments],
+                          dtype=np.intp).reshape(len(assignments), w)
+        if ((combos < 0) | (combos >= dp.structure.m)).any():
+            raise IndexError("an assignment names a point outside the product")
     coords = np.array(dp.tuples, dtype=np.intp)
 
-    def gather(table, points):
-        return np.broadcast_to(table[tuple(points.T)], (len(combos),))
+    def gather(evaluator, points):
+        # φ's memo table has size-m axes exactly at its free variables, so
+        # flattened it runs over the window in row-major order
+        strides = evaluator.m ** np.arange(w - 1, -1, -1)
+        return evaluator(phi).reshape(-1)[points @ strides]
 
-    left = gather(eval_table(dp.structure, phi, window), combos)
-    seqs = np.stack([gather(evaluator.table(phi, window), coords[combos, i])
+    left = gather(product_eval, combos)
+    seqs = np.stack([gather(evaluator, coords[combos, i])
                      for i, evaluator in enumerate(factor_evals)], axis=1)
     right = dlim_batch(vq, seqs, dp.D)
-    entries = [LosEntry(tuple(dp.structure.points[p] for p in combo), int(l), int(r))
-               for combo, l, r in zip(combos, left, right)]
+    points = dp.structure.points
+    entries = [LosEntry(tuple(points[p] for p in combo), l, r)
+               for combo, l, r in zip(combos.tolist(), left.tolist(), right.tolist())]
     return LosReport(print_formula(phi, vq), entries, hypothesis)
 
 

@@ -215,9 +215,10 @@ def test_criterion_08_modulus_propagation():
                 d2 = vq.lattice.join[dsym_pts[flat2[0][:, None], flat2[0][None, :]],
                                      dsym_pts[flat2[1][:, None], flat2[1][None, :]]]
                 tuple_dist[2] = d2.astype(np.int32)
+                evaluator = sem.TableEvaluator.of([struct], 2)   # one memo across the pool
                 for phi, modulus in zip(pool, moduli):
                     window = tuple(sorted(F.free_vars(phi)))
-                    vals = np.asarray(sem.eval_table(struct, phi, window),
+                    vals = np.asarray(evaluator.table(phi, window),
                                       dtype=np.int32).reshape(-1)
                     out = vq.dsym[vals[:, None], vals[None, :]]
                     dom = tuple_dist[len(window)]
@@ -441,6 +442,8 @@ def test_criterion_10_los():
     rng = random.Random(1010)
     with criterion(10, "Łoś equality", 300):
         corpus = _los_corpus(vq, sig)
+        # one evaluator per structure, each held across the whole pool
+        corpus_evals = [sem.TableEvaluator.of([s], 1) for s in corpus]
         hypothesis_memo = {}
         hypothesis_records = 0
         checked = 0
@@ -453,14 +456,15 @@ def test_criterion_10_los():
                     dp = up.d_product_structure(factors, D)
                     total = dp.structure.m
                     coords = np.array(dp.tuples, dtype=np.int32)
+                    product_eval = sem.TableEvaluator.of([dp.structure], 1)
                     for phi in pool:
                         window = tuple(sorted(F.free_vars(phi)))
-                        left = np.asarray(sem.eval_table(dp.structure, phi, window),
+                        left = np.asarray(product_eval.table(phi, window),
                                           dtype=np.int32).reshape(-1)
                         factor_tables = [
-                            np.asarray(sem.eval_table(f, phi, window),
+                            np.asarray(corpus_evals[i].table(phi, window),
                                        dtype=np.int32).reshape(-1)
-                            for f in factors]
+                            for i in combo]
                         if window:
                             seqs = np.stack(
                                 [factor_tables[i][coords[:, i]]

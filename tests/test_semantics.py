@@ -148,9 +148,10 @@ def test_two_valued_semantics_agrees_with_classical_logic(bool2):
                 truth |= components[i]
         values = [bool2.bottom if p in truth else bool2.top for p in points]
         struct = sem.validate_structure(space, sig, {"P": values})
+        evaluator = sem.TableEvaluator.of([struct], 2)   # one memo across the pool
         for phi in pool:
             window = tuple(sorted(F.free_vars(phi)))
-            table = np.asarray(sem.eval_table(struct, phi, window))
+            table = np.asarray(evaluator.table(phi, window))
             for combo in product(range(4), repeat=len(window)):
                 got = int(table[combo])
                 expected = classical_eval(
@@ -389,3 +390,43 @@ def test_tv_failure_matched_by_elementarity_failure(struct_m, struct_n):
     elem2 = sem.elementary_upto(sub, struct_n, 2)
     assert not elem2.passed
     assert "inf" in elem2.witness["formula"] or "sup" in elem2.witness["formula"]
+
+
+# -- the memo budget ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("budget", [1, 5, 40])
+def test_memo_budget_changes_no_table_or_verdict(monkeypatch, struct_n, sig1, chain4,
+                                                 budget):
+    """A memo capped at a few cells gives the same tables and the same
+    elementarity and Tarski-Vaught verdicts, and never holds more cells
+    than its budget."""
+    sub = restrict(struct_n, ["a", "b"])
+    pool = sem.enumerate_formulas(sig1, chain4, 1, 2)
+
+    def tables():
+        evaluator = sem.TableEvaluator.of([struct_n], 2)
+        return [evaluator.table(phi, tuple(sorted(F.free_vars(phi)))) for phi in pool]
+
+    def verdicts():
+        return [(v.passed, v.checked, v.witness) for v in (
+            sem.elementary_upto(sub, struct_n, 1), sem.elementary_upto(sub, struct_n, 2, 1),
+            sem.tarski_vaught_upto(sub, struct_n, 1),
+            sem.tarski_vaught_upto(struct_n, struct_n, 1))]
+
+    want_tables, want_verdicts = tables(), verdicts()
+    assert {passed for passed, _, _ in want_verdicts} == {True, False}
+    held = []
+    original = sem.TableEvaluator.__call__
+
+    def call(self, phi):
+        out = original(self, phi)
+        held.append(sum(table.size for _, table in self.memo.values()))
+        return out
+
+    monkeypatch.setattr(sem, "CELL_BUDGET", budget)
+    monkeypatch.setattr(sem.TableEvaluator, "__call__", call)
+    got_tables = tables()
+    assert all(np.array_equal(a, b) for a, b in zip(got_tables, want_tables))
+    assert verdicts() == want_verdicts
+    assert held and max(held) <= budget

@@ -85,6 +85,29 @@ def test_dlim_batch_blocks_agree_with_one_block(chain4, monkeypatch, budget):
             assert np.array_equal(up.dlim_batch(chain4, seqs, D), whole)
 
 
+@pytest.mark.parametrize("gen", [0, 63, 65])
+def test_dlim_batch_matches_pointwise_past_64_factors(chain4, gen):
+    rng = np.random.default_rng(70)
+    seqs = rng.integers(0, chain4.size, size=(30, 70)).astype(np.int32)
+    spike = np.zeros((1, 70), dtype=np.int32)
+    spike[0, 65] = 3
+    seqs = np.vstack([seqs, spike])
+    D = up.PrincipalUltrafilter(70, gen)
+    batch = up.dlim_batch(chain4, seqs, D)
+    for row, got in zip(seqs, batch):
+        assert int(got) == up.d_ultralimit(chain4, list(row), D)
+    assert np.array_equal(batch, seqs[:, gen])
+
+
+def test_product_of_70_factors_projects_to_generator(chain4):
+    one = sp.validate_space(chain4, ["p"], [[0]])
+    two = sp.validate_space(chain4, ["u", "v"], [[0, 3], [3, 0]])
+    spaces = [one] * 65 + [two] + [one] * 4
+    assert np.array_equal(up.d_product_space(spaces, up.PrincipalUltrafilter(70, 65)).dist,
+                          two.dist)
+    assert not up.d_product_space(spaces, up.PrincipalUltrafilter(70, 0)).dist.any()
+
+
 def test_limit_of_constant_distances(chain4):
     D = up.PrincipalUltrafilter(2, 0)
     for x in chain4.carrier():
@@ -313,6 +336,38 @@ def test_los_with_quantifiers_and_hypothesis_records(chain4, sig, factors):
         assert len(report.hypothesis) == len(dp.factors)
         for _, _, sup_ok, inf_ok in report.hypothesis:
             assert sup_ok and inf_ok
+
+
+@pytest.mark.parametrize("width", [1, 2, 3])
+def test_los_reports_on_one_product_match_fresh_products(chain4, sig, factors, width):
+    """Every los_check on one product shares its evaluators and hypothesis
+    rows; each report equals the one from a product built for it alone."""
+    sig_p = F.Signature(predicates=[("P", 1, F.identity_modulus(chain4))])
+    pool = sem.enumerate_formulas(sig_p, chain4, 2, 1)
+    assert any(not F.free_vars(phi) for phi in pool)
+    chosen = [factors[i % 2] for i in range(width)]
+    D = up.PrincipalUltrafilter(width, width - 1)
+    shared = up.d_product_structure(chosen, D)
+    names = shared.structure.points
+    last = len(names) - 1
+    # sentences with a constant, then var_span-2 formulas after the pool
+    extra = [F.parse_formula(text, sig, chain4)
+             for text in ("(P c)", "(sup x0 (d x0 c))", "(sup x1 (d x0 x1))",
+                          "(inf x1 (conn vee (d x0 x1) (P x1)))", "(d x0 x1)")]
+    cases = [(phi, None) for phi in pool + extra]
+    cases += [(extra[-1], [(names[last], names[0]), (names[1], names[1])]),
+              (extra[-1], [(0, last), (last, 1), (1, 0)]),
+              (extra[-2], [(names[last],), (0,)]),
+              (extra[0], [()])]
+    for phi, assignments in cases:
+        got = up.los_check(shared, phi, assignments)
+        want = up.los_check(up.d_product_structure(chosen, D), phi, assignments)
+        assert got.lines(chain4) == want.lines(chain4)
+        assert got.hypothesis == want.hypothesis
+        assert got.entries == want.entries
+    for bad in ([(last + 1, 0)], [(0, -1)]):
+        with pytest.raises(IndexError):
+            up.los_check(shared, extra[-1], bad)
 
 
 # -- the discrete Cauchy hypothesis ----------------------------------------------------
