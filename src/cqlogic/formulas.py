@@ -26,11 +26,11 @@ import numpy as np
 
 from .coquantale import CoQuantale, epsilon_halver
 from .errors import (ArityMismatch, FormulaSyntaxError, ModulusViolated,
-                     NotValueCoquantale, SizeLimit, UnknownSymbol)
+                     NotValueCoquantale, UnknownSymbol)
+from .spaces import CELL_BUDGET, check_cost
 
 RESERVED = {"d", "conn", "val", "sup", "inf"}
 VAR_RE = re.compile(r"^x(\d+)$")
-CONNECTIVE_CHECK_MAX = 4_000_000
 
 
 class Modulus:
@@ -60,6 +60,43 @@ def validate_modulus(vq: CoQuantale, modulus: Modulus) -> Modulus:
         if not vq.is_positive(delta):
             raise ModulusViolated("delta %s is not positive" % vq.element_name(delta))
     return modulus
+
+
+def modulus_cost(count, modulus):
+    """Cell operations of `modulus_witness` over ``count`` argument tuples."""
+    return count * count * max(1, len(modulus.table))
+
+
+def modulus_witness(vq, what, coord_dist, arity, out_dist, outputs, modulus):
+    """The first (ε, s, t), ε in the modulus's order and then tuples s, t in
+    row-major order, with d(s,t) ≤ Δ(ε) but out_dist[outputs[s], outputs[t]]
+    not ≤ ε, or None; d is the join of ``coord_dist`` over the ``arity``
+    coordinates. Rows s run in blocks of at most CELL_BUDGET (ε, s, t) cells,
+    and a block tries only the ε before the first failure found so far."""
+    n = len(coord_dist)
+    count = n ** arity
+    check_cost("modulus check of %s" % what, modulus_cost(count, modulus))
+    order = list(modulus.table)
+    join, leq = vq.lattice.join, vq.lattice.leq
+    within = leq[:, [modulus.table[e] for e in order]]   # [d, ε]: d ≤ Δ(ε)
+    beyond = ~leq[:, order]                                 # [d, ε]: not d ≤ ε
+    grids = np.indices((n,) * arity).reshape(arity, -1)
+    rows = max(1, CELL_BUDGET // (count * max(1, len(order))))
+    found = None                                            # (ε position, s, t)
+    for start in range(0, count, rows):
+        s = np.arange(start, min(start + rows, count))
+        near = coord_dist[grids[0][s, None], grids[0]]
+        for g in grids[1:]:
+            near = join[near, coord_dist[g[s, None], g]]
+        tried = len(order) if found is None else found[0]
+        bad = within[:, :tried][near] & beyond[:, :tried][out_dist[outputs[s, None], outputs]]
+        hit = bad.any(axis=(0, 1))                          # bad is [s, t, ε]
+        if hit.any():
+            e = int(hit.argmax())
+            found = (e,) + divmod(start * count + int(bad[:, :, e].argmax()), count)
+            if e == 0:
+                break
+    return None if found is None else (order[found[0]],) + found[1:]
 
 
 def identity_modulus(vq: CoQuantale) -> Modulus:
@@ -125,28 +162,16 @@ def register_connective(vq: CoQuantale, name, table, claimed: Modulus) -> Connec
     if table.shape != (n,) * arity or table.min() < 0 or table.max() >= n:
         raise ModulusViolated("connective table must be total on V^%d" % arity)
     validate_modulus(vq, claimed)
-    count = n ** arity
-    if count * count > CONNECTIVE_CHECK_MAX:
-        raise SizeLimit("connective verification too large (%d pairs)" % (count * count))
-    grids = np.indices((n,) * arity).reshape(arity, -1)
-    vals = table.reshape(-1)
-    tuple_dist = np.zeros((count, count), dtype=np.int32)
-    join = vq.lattice.join
-    for i in range(arity):
-        coord = vq.dsym[grids[i][:, None], grids[i][None, :]]
-        tuple_dist = join[tuple_dist, coord]
-    out_dist = vq.dsym[vals[:, None], vals[None, :]]
-    leq = vq.lattice.leq
-    for eps, delta in claimed.table.items():
-        bad = leq[tuple_dist, delta] & ~leq[out_dist, eps]
-        if bad.any():
-            s, t = map(int, np.argwhere(bad)[0])
-            x = tuple(vq.element_name(int(grids[i][s])) for i in range(arity))
-            y = tuple(vq.element_name(int(grids[i][t])) for i in range(arity))
-            raise ModulusViolated(
-                "%s: inputs %s, %s within Δ(%s)=%s but outputs %s apart"
-                % (name, x, y, vq.element_name(eps), vq.element_name(delta),
-                   vq.element_name(int(out_dist[s, t]))))
+    witness = modulus_witness(vq, "connective %s" % name, vq.dsym, arity, vq.dsym,
+                              table.reshape(-1), claimed)
+    if witness is not None:
+        eps, s, t = witness
+        x, y = (tuple(vq.element_name(int(i)) for i in np.unravel_index(u, table.shape))
+                for u in (s, t))
+        raise ModulusViolated(
+            "%s: inputs %s, %s within Δ(%s)=%s but outputs %s apart"
+            % (name, x, y, vq.element_name(eps), vq.element_name(claimed.delta(eps)),
+               vq.element_name(int(vq.dsym[table.flat[s], table.flat[t]]))))
     return Connective(name, arity, table, claimed)
 
 
@@ -235,10 +260,7 @@ def term_free_vars(t):
         case Const():
             return frozenset()
         case App(args=args):
-            out = frozenset()
-            for a in args:
-                out |= term_free_vars(a)
-            return out
+            return frozenset().union(*map(term_free_vars, args))
     raise TypeError("not a term: %r" % (t,))
 
 
@@ -247,15 +269,9 @@ def free_vars(phi):
         case DistAtom(left=l, right=r):
             return term_free_vars(l) | term_free_vars(r)
         case PredAtom(args=args):
-            out = frozenset()
-            for a in args:
-                out |= term_free_vars(a)
-            return out
+            return frozenset().union(*map(term_free_vars, args))
         case Conn(args=args):
-            out = frozenset()
-            for a in args:
-                out |= free_vars(a)
-            return out
+            return frozenset().union(*map(free_vars, args))
         case Val():
             return frozenset()
         case Sup(var=x, body=b) | Inf(var=x, body=b):
@@ -344,10 +360,7 @@ _TOKEN_RE = re.compile(r"[()]|[^()\s]+")
 
 
 def _tokenize(text):
-    tokens = []
-    for match in _TOKEN_RE.finditer(text):
-        tokens.append((match.group(0), match.start()))
-    return tokens
+    return [(match.group(0), match.start()) for match in _TOKEN_RE.finditer(text)]
 
 
 class _Parser:
@@ -391,12 +404,8 @@ class _Parser:
             head, hat = self.next()
             if head not in self.sig.functions:
                 raise UnknownSymbol("unknown function symbol %r" % head)
-            arity = self.sig.functions[head][0]
-            args = self.args_until_close(self.term)
-            if len(args) != arity:
-                raise ArityMismatch("%s expects %d arguments, got %d"
-                                    % (head, arity, len(args)))
-            return App(head, tuple(args))
+            return App(head, self.args_until_close(self.term, head,
+                                                   self.sig.functions[head][0]))
         m = VAR_RE.match(tok)
         if m:
             return Var(int(m.group(1)))
@@ -404,13 +413,16 @@ class _Parser:
             return Const(tok)
         raise UnknownSymbol("unknown term symbol %r" % tok)
 
-    def args_until_close(self, parse_one):
+    def args_until_close(self, parse_one, head, arity):
         args = []
         while True:
             tok, _ = self.peek()
             if tok == ")":
                 self.next()
-                return args
+                if len(args) != arity:
+                    raise ArityMismatch("%s expects %d arguments, got %d"
+                                        % (head, arity, len(args)))
+                return tuple(args)
             if tok is None:
                 raise FormulaSyntaxError("missing ')'", self.length)
             args.append(parse_one())
@@ -446,18 +458,10 @@ class _Parser:
             if name not in self.kit:
                 raise UnknownSymbol("unknown connective %r" % name)
             conn = self.kit[name]
-            args = self.args_until_close(self.formula)
-            if len(args) != conn.arity:
-                raise ArityMismatch("%s expects %d arguments, got %d"
-                                    % (name, conn.arity, len(args)))
-            return Conn(conn, tuple(args))
+            return Conn(conn, self.args_until_close(self.formula, name, conn.arity))
         if head in self.sig.predicates:
-            arity = self.sig.predicates[head][0]
-            args = self.args_until_close(self.term)
-            if len(args) != arity:
-                raise ArityMismatch("%s expects %d arguments, got %d"
-                                    % (head, arity, len(args)))
-            return PredAtom(head, tuple(args))
+            return PredAtom(head, self.args_until_close(self.term, head,
+                                                        self.sig.predicates[head][0]))
         raise UnknownSymbol("unknown formula head %r" % head)
 
 
@@ -515,13 +519,14 @@ def term_modulus(t, sig: Signature, vq: CoQuantale):
         case Const():
             return None
         case App(func=f, args=args):
-            theta = sig.functions[f][1]
-            parts = [term_modulus(a, sig, vq) for a in args]
-            live = [compose_moduli(p, theta) for p in parts if p is not None]
-            if not live:
-                return None
-            return meet_moduli(vq, live)
+            return _composed(vq, [term_modulus(a, sig, vq) for a in args], sig.functions[f][1])
     raise TypeError("not a term: %r" % (t,))
+
+
+def _composed(vq, parts, outer):
+    """The meet of ``outer`` after each part that can move, or None."""
+    live = [compose_moduli(p, outer) for p in parts if p is not None]
+    return meet_moduli(vq, live) if live else None
 
 
 def infer_modulus(phi, sig: Signature, vq: CoQuantale) -> Modulus:
@@ -541,25 +546,11 @@ def infer_modulus(phi, sig: Signature, vq: CoQuantale) -> Modulus:
 def _infer(phi, sig, vq):
     match phi:
         case DistAtom(left=l, right=r):
-            halver = halver_modulus(vq)
-            parts = [term_modulus(t, sig, vq) for t in (l, r)]
-            live = [compose_moduli(p, halver) for p in parts if p is not None]
-            if not live:
-                return None
-            return meet_moduli(vq, live)
+            return _composed(vq, [term_modulus(t, sig, vq) for t in (l, r)], halver_modulus(vq))
         case PredAtom(pred=p, args=args):
-            delta = sig.predicates[p][1]
-            parts = [term_modulus(a, sig, vq) for a in args]
-            live = [compose_moduli(part, delta) for part in parts if part is not None]
-            if not live:
-                return None
-            return meet_moduli(vq, live)
+            return _composed(vq, [term_modulus(a, sig, vq) for a in args], sig.predicates[p][1])
         case Conn(connective=c, args=args):
-            parts = [_infer(a, sig, vq) for a in args]
-            live = [compose_moduli(p, c.modulus) for p in parts if p is not None]
-            if not live:
-                return None
-            return meet_moduli(vq, live)
+            return _composed(vq, [_infer(a, sig, vq) for a in args], c.modulus)
         case Val():
             return None
         case Sup(body=b) | Inf(body=b):

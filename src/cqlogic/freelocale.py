@@ -11,10 +11,10 @@ so it is only enumerated - and only then turned into ordinary co-quantale
 tables - for ground sets of at most MATERIALIZE_MAX elements. All element
 operations work symbolically for any ground size the powerset fits.
 
-The enumerated carrier and the materialized co-quantale depend only on the
-ground tuple (and the co-quantale's name), so both are shared by every
-FreeLocale over the same ground set: each is enumerated, and each validated,
-once per process.
+The powerset with its naming keys and subset closures, the enumerated
+carrier and the materialized co-quantale depend only on the ground tuple
+(and the co-quantale's name), so all are shared by every FreeLocale over the
+same ground set: each is built, and each validated, once per process.
 """
 
 from __future__ import annotations
@@ -30,16 +30,23 @@ from .errors import SizeLimit, UnknownElement
 MATERIALIZE_MAX = 4   # Dedekind(4) = 168; Dedekind(5) = 7581 is already too big
 SYMBOLIC_MAX = 8      # powerset of the ground set must stay enumerable
 
+_GROUNDS = {}         # ground tuple -> (powerset, naming keys, subset closures)
 _CARRIERS = {}        # ground tuple -> sorted tuple of families
 _MATERIALIZED = {}    # (ground tuple, name) -> validated CoQuantale
 
 
-def _powerset(ground):
-    out = []
-    for k in range(len(ground) + 1):
-        for combo in combinations(ground, k):
-            out.append(frozenset(combo))
-    return out
+def _ground_data(ground):
+    """The powerset, its naming keys and every subset closure, once per
+    ground tuple."""
+    hit = _GROUNDS.get(ground)
+    if hit is None:
+        psets = [frozenset(c) for k in range(len(ground) + 1) for c in combinations(ground, k)]
+        keys = {s: (len(s), tuple(sorted(s))) for s in psets}   # naming order
+        subsets = {}      # s -> every subset of s, built up by size
+        for s in psets:
+            subsets[s] = frozenset([s]).union(*(subsets[s - {g}] for g in s))
+        hit = _GROUNDS[ground] = (psets, keys, subsets)
+    return hit
 
 
 def downclose(sets):
@@ -77,13 +84,9 @@ class FreeLocale:
         if len(self.ground) > SYMBOLIC_MAX:
             raise SizeLimit("free locale ground set capped at %d" % SYMBOLIC_MAX)
         self.name = "freelocale(%s)" % ",".join(self.ground)
-        self._psets = _powerset(self.ground)
-        self._keys = {s: (len(s), tuple(sorted(s))) for s in self._psets}   # naming order
+        self._psets, self._keys, self._subsets = _ground_data(self.ground)
         self.bottom = frozenset(self._psets)
         self.top = frozenset()
-        self._subsets = {}      # s -> every subset of s, built up by size
-        for s in self._psets:
-            self._subsets[s] = frozenset([s]).union(*(self._subsets[s - {g}] for g in s))
 
     # -- value universe surface ------------------------------------------
 

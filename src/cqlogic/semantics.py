@@ -23,16 +23,13 @@ from itertools import combinations_with_replacement, product as iproduct
 import numpy as np
 
 from .coquantale import CoQuantale
-from .errors import (ArityMismatch, FreeVariableMismatch,
-                     MissingInterpretation, ModulusViolated, NotCoGirard,
-                     NotSubstructure, NotValueCoquantale, SizeLimit,
-                     SignatureMismatch, UnboundVariable)
+from .errors import (ArityMismatch, FreeVariableMismatch, MissingInterpretation,
+                     ModulusViolated, NotCoGirard, NotSubstructure,
+                     NotValueCoquantale, SignatureMismatch, UnboundVariable)
 from .formulas import (App, Conn, Const, DistAtom, Inf, PredAtom, Signature,
-                       Sup, Val, Var, default_kit, free_vars, print_formula,
-                       validate_modulus, var_span)
-from .spaces import CELL_BUDGET, ContinuitySpace
-
-MODULUS_SCAN_MAX = 4_000_000
+                       Sup, Val, Var, default_kit, free_vars, modulus_cost,
+                       modulus_witness, print_formula, validate_modulus, var_span)
+from .spaces import CELL_BUDGET, ContinuitySpace, check_cost
 
 
 class LStructure:
@@ -82,20 +79,16 @@ def validate_structure(space: ContinuitySpace, sig: Signature, pred_tables,
     if set(const_points) != set(sig.constants):
         raise MissingInterpretation("constant interpretations must match the signature")
 
-    norm_preds = {}
-    for pname, (arity, modulus) in sig.predicates.items():
-        table = np.asarray(pred_tables[pname], dtype=np.int32)
-        if table.shape != (m,) * arity or table.min() < 0 or table.max() >= vq.size:
-            raise MissingInterpretation("%s table must be total on M^%d" % (pname, arity))
-        validate_modulus(vq, modulus)
-        norm_preds[pname] = table
-    norm_funs = {}
-    for fname, (arity, modulus) in sig.functions.items():
-        table = np.asarray(fun_tables[fname], dtype=np.int32)
-        if table.shape != (m,) * arity or table.min() < 0 or table.max() >= m:
-            raise MissingInterpretation("%s table must map M^%d into M" % (fname, arity))
-        validate_modulus(vq, modulus)
-        norm_funs[fname] = table
+    norm_preds, norm_funs = {}, {}
+    for symbols, given, norm, bound, claim in (
+            (sig.predicates, pred_tables, norm_preds, vq.size, "be total on M^%d"),
+            (sig.functions, fun_tables, norm_funs, m, "map M^%d into M")):
+        for sname, (arity, modulus) in symbols.items():
+            table = np.asarray(given[sname], dtype=np.int32)
+            if table.shape != (m,) * arity or table.min() < 0 or table.max() >= bound:
+                raise MissingInterpretation("%s table must %s" % (sname, claim % arity))
+            validate_modulus(vq, modulus)
+            norm[sname] = table
     consts = {}
     for cname in sig.constants:
         point = const_points[cname]
@@ -105,41 +98,28 @@ def validate_structure(space: ContinuitySpace, sig: Signature, pred_tables,
             raise MissingInterpretation("constant %s maps outside the universe" % cname)
         consts[cname] = int(point)
 
+    check_cost("checking the moduli of %s" % (name or "a structure"), structure_cost(sig, m))
     dist = space.dist
-    for pname, (arity, modulus) in sig.predicates.items():
-        out_vals = norm_preds[pname].reshape(-1)
-        _check_symbol_modulus(vq, dist, arity, modulus,
-                              vq.dsym[out_vals[:, None], out_vals[None, :]],
-                              "predicate %s" % pname)
-    for fname, (arity, modulus) in sig.functions.items():
-        out_pts = norm_funs[fname].reshape(-1)
-        _check_symbol_modulus(vq, dist, arity, modulus,
-                              dist[out_pts[:, None], out_pts[None, :]],
-                              "function %s" % fname)
+    for kind, symbols, tables, out_dist in (("predicate", sig.predicates, norm_preds, vq.dsym),
+                                            ("function", sig.functions, norm_funs, dist)):
+        for sname, (arity, modulus) in symbols.items():
+            label = "%s %s" % (kind, sname)
+            witness = modulus_witness(vq, label, dist, arity, out_dist,
+                                      tables[sname].reshape(-1), modulus)
+            if witness is not None:
+                eps, s, t = witness
+                raise ModulusViolated(
+                    "%s jumps more than its modulus allows (tuples %d, %d at ε=%s)"
+                    % (label, s, t, vq.element_name(eps)))
     for table in list(norm_preds.values()) + list(norm_funs.values()):
         table.setflags(write=False)
     return LStructure(space, sig, norm_preds, norm_funs, consts, name)
 
 
-def _check_symbol_modulus(vq, dist, arity, modulus, out_dist, label):
-    m = dist.shape[0]
-    count = m ** arity
-    if count * count * max(len(modulus.table), 1) > MODULUS_SCAN_MAX:
-        raise SizeLimit("modulus verification too large for %s" % label)
-    grids = np.indices((m,) * arity).reshape(arity, -1)
-    tuple_dist = np.zeros((count, count), dtype=np.int32)
-    join = vq.lattice.join
-    for i in range(arity):
-        coord = dist[grids[i][:, None], grids[i][None, :]]
-        tuple_dist = join[tuple_dist, coord]
-    leq = vq.lattice.leq
-    for eps, delta in modulus.table.items():
-        bad = leq[tuple_dist, delta] & ~leq[out_dist, eps]
-        if bad.any():
-            s, t = map(int, np.argwhere(bad)[0])
-            raise ModulusViolated(
-                "%s jumps more than its modulus allows (tuples %d, %d at ε=%s)"
-                % (label, s, t, vq.element_name(eps)))
+def structure_cost(sig: Signature, m):
+    """Cell operations of the modulus checks of every symbol on m points."""
+    return sum(modulus_cost(m ** arity, modulus)
+               for arity, modulus in [*sig.predicates.values(), *sig.functions.values()])
 
 
 # -- evaluation -------------------------------------------------------------
@@ -200,6 +180,9 @@ class TableEvaluator:
         self.k = k
         self.dist = dist
         self.batch, self.m = dist.shape[:2]
+        # no node's table is larger than the window's
+        check_cost("a window of %d variables over %d x %d points" % (k, self.batch, self.m),
+                   self.batch * self.m ** k)
         self.preds = preds
         self.funs = funs or {}
         self.consts = consts or {}

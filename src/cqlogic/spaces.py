@@ -8,6 +8,12 @@ int32 element indices over a table co-quantale, frozensets over the symbolic
 free locale. `validate_space` is the only place a table is converted; every
 other function reads or gathers that array. Point sets returned by
 operations are frozensets of point names.
+
+Size limits come from two budgets: `CELL_BUDGET` bounds the cells of one
+block of a row-blocked kernel and of one evaluator memo, `WORK_BUDGET` the
+cell operations of one call. Every numpy kernel computes its cost from its
+input sizes, and `check_cost` refuses it before it allocates. Python-loop
+scans keep their bounds in points: their unit is an iteration, not a cell.
 """
 
 from __future__ import annotations
@@ -29,6 +35,14 @@ TOPOLOGY_FAMILY_BUDGET = 1 << 16  # every family on 4 points; 5 points have 2^32
 # cells per block of a row-blocked kernel (up to 12 bytes each) and per
 # TableEvaluator memo (4 bytes each)
 CELL_BUDGET = 1 << 21
+# cell operations one call may spend (a 512-point triangle check)
+WORK_BUDGET = 1 << 27
+
+
+def check_cost(what, cost):
+    """Refuse an operation of more than WORK_BUDGET cell operations."""
+    if cost > WORK_BUDGET:
+        raise SizeLimit("%s costs %d cell operations (budget %d)" % (what, cost, WORK_BUDGET))
 
 
 class ContinuitySpace:
@@ -65,6 +79,7 @@ def validate_space(values, points, dist) -> ContinuitySpace:
     if not points or len(set(points)) != len(points):
         raise ReflexivityViolation("points must be a nonempty list of unique names")
     m = len(points)
+    check_cost("triangle check on %d points" % m, triangle_cost(m))
     table_carrier = isinstance(values, CoQuantale)
     try:
         table = np.asarray(dist)
@@ -90,6 +105,10 @@ def validate_space(values, points, dist) -> ContinuitySpace:
                                     % tuple(points[i] for i in (x, y, x, z, z, y)))
     table.setflags(write=False)
     return ContinuitySpace(values, points, table)
+
+
+def triangle_cost(m):
+    return m ** 3
 
 
 def _triangle_witness(values, table):

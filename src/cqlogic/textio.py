@@ -219,43 +219,10 @@ class Workspace:
                 raise ParseError("unexpected %r in @structure" % kind, lno)
         sig = Signature(predicates=preds, functions=funs,
                         constants=[c[0] for c in consts])
-        pred_tables = {}
-        for pname, arity, _ in preds:
-            table = np.zeros((len(points),) * arity, dtype=np.int32)
-            filled = np.zeros(table.shape, dtype=bool)
-            for args, lno in predvals.get(pname, []):
-                if len(args) != arity + 1:
-                    raise ParseError("@predval %s needs %d points and a value"
-                                     % (pname, arity), lno)
-                try:
-                    where = tuple(index[a] for a in args[:-1])
-                except KeyError:
-                    raise ParseError("unknown point in @predval", lno)
-                try:
-                    table[where] = vq.parse_element(args[-1])
-                except UnknownElement:
-                    raise ParseError("unknown element %r" % args[-1], lno)
-                filled[where] = True
-            if not filled.all():
-                raise ParseError("@predval table for %s is not total" % pname, header[1])
-            pred_tables[pname] = table
-        fun_tables = {}
-        for fname, arity, _ in funs:
-            table = np.zeros((len(points),) * arity, dtype=np.int32)
-            filled = np.zeros(table.shape, dtype=bool)
-            for args, lno in funvals.get(fname, []):
-                if len(args) != arity + 1:
-                    raise ParseError("@funval %s needs %d points and an image"
-                                     % (fname, arity), lno)
-                try:
-                    where = tuple(index[a] for a in args[:-1])
-                    table[where] = index[args[-1]]
-                except KeyError:
-                    raise ParseError("unknown point in @funval", lno)
-                filled[where] = True
-            if not filled.all():
-                raise ParseError("@funval table for %s is not total" % fname, header[1])
-            fun_tables[fname] = table
+        pred_tables = _load_tables("@predval", preds, predvals, index, "a value", header[1],
+                                   vq.parse_element, lambda text: "unknown element %r" % text)
+        fun_tables = _load_tables("@funval", funs, funvals, index, "an image", header[1],
+                                  index.__getitem__, lambda text: "unknown point in @funval")
         const_points = {}
         for cname, point, lno in consts:
             if point not in index:
@@ -264,6 +231,31 @@ class Workspace:
         self.register("structures", name,
                       sem.validate_structure(space, sig, pred_tables, fun_tables,
                                              const_points, name=name))
+
+
+def _load_tables(kind, symbols, rows, index, noun, header_line, parse, bad):
+    """The total table of each symbol from its ``kind`` lines: points, then a
+    last token that ``parse`` reads and ``bad`` words the failure of."""
+    tables = {}
+    for sname, arity, _ in symbols:
+        table = np.zeros((len(index),) * arity, dtype=np.int32)
+        filled = np.zeros(table.shape, dtype=bool)
+        for args, lno in rows.get(sname, []):
+            if len(args) != arity + 1:
+                raise ParseError("%s %s needs %d points and %s" % (kind, sname, arity, noun), lno)
+            try:
+                where = tuple(index[a] for a in args[:-1])
+            except KeyError:
+                raise ParseError("unknown point in %s" % kind, lno)
+            try:
+                table[where] = parse(args[-1])
+            except (KeyError, UnknownElement):
+                raise ParseError(bad(args[-1]), lno)
+            filled[where] = True
+        if not filled.all():
+            raise ParseError("%s table for %s is not total" % (kind, sname), header_line)
+        tables[sname] = table
+    return tables
 
 
 def write_structure(struct, name=None) -> str:

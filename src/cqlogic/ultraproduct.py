@@ -9,6 +9,7 @@ never assumed, so the Łoś checks stay genuine two-sided computations.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import combinations, product as iproduct
 
@@ -20,11 +21,9 @@ from .errors import (NoLimit, NotCoDivisible, NotFinitelySatisfiable, NotT0,
                      SignatureMismatch, VerificationFailed)
 from .formulas import Inf, Sup, Conn, free_vars, print_formula, var_span
 from .semantics import (LStructure, TableEvaluator, eval_table, fold_table,
-                        satisfies, theory, validate_structure)
-from .spaces import CELL_BUDGET, ContinuitySpace, is_symmetric, validate_space
-
-PRODUCT_POINT_CAP = 4096
-PRODUCT_TABLE_CAP = 1_000_000
+                        satisfies, structure_cost, theory, validate_structure)
+from .spaces import (CELL_BUDGET, ContinuitySpace, check_cost, is_symmetric,
+                     triangle_cost, validate_space)
 
 
 class PrincipalUltrafilter:
@@ -114,6 +113,11 @@ def dlim_batch(vq: CoQuantale, seqs, D: PrincipalUltrafilter):
     return out
 
 
+def dlim_cost(vq: CoQuantale, rows, width):
+    """Cell operations of `dlim_batch` on ``rows`` sequences of ``width``."""
+    return rows * vq.size * len(vq.positives()) * width
+
+
 # -- D-products of spaces -----------------------------------------------------------
 
 
@@ -126,11 +130,9 @@ def d_product_space(spaces, D: PrincipalUltrafilter):
     vq = spaces[0].V
     if any(s.V is not vq for s in spaces):
         raise SignatureMismatch("factors must share their value co-quantale")
-    total = 1
-    for s in spaces:
-        total *= s.m
-    if total > PRODUCT_POINT_CAP:
-        raise SizeLimit("product would have %d points (cap %d)" % (total, PRODUCT_POINT_CAP))
+    sizes = [s.m for s in spaces]
+    total = math.prod(sizes)
+    check_cost("a D-product of %d points" % total, _product_space_cost(vq, sizes))
     tuples = list(iproduct(*[range(s.m) for s in spaces]))
     names = ["|".join(s.points[i] for s, i in zip(spaces, combo)) for combo in tuples]
     coords = np.array(tuples, dtype=np.intp).T
@@ -139,6 +141,12 @@ def d_product_space(spaces, D: PrincipalUltrafilter):
     space = validate_space(vq, names, limits.reshape(total, total))
     space.tuples = tuples
     return space
+
+
+def _product_space_cost(vq, sizes):
+    """The D-limit of every distance, then the triangle check."""
+    total = math.prod(sizes)
+    return dlim_cost(vq, total * total, len(sizes)) + triangle_cost(total)
 
 
 def quotient_ultraproduct(spaces, D: PrincipalUltrafilter):
@@ -257,7 +265,8 @@ class DProductStructure:
 def d_product_structure(factors, D: PrincipalUltrafilter) -> DProductStructure:
     """Predicates take the D-ultralimit of the factor values, functions act
     componentwise, constants become constant tuples; the declared moduli
-    are re-verified on the product."""
+    are re-verified on the product. The cost of every one of these checks is
+    added up and refused over the work budget before the product is built."""
     factors = list(factors)
     vq = factors[0].V
     if not vq.co_divisible_flag:
@@ -268,22 +277,23 @@ def d_product_structure(factors, D: PrincipalUltrafilter) -> DProductStructure:
             raise SignatureMismatch("factors must share their value co-quantale")
         if f.sig != sig:
             raise SignatureMismatch("factors must share their signature")
+    sizes = [f.m for f in factors]                 # tuples run in row-major order
+    total = math.prod(sizes)
+    check_cost("a D-product structure on %d points" % total,
+               _product_space_cost(vq, sizes) + structure_cost(sig, total)
+               + sum(dlim_cost(vq, total ** arity, len(sizes))
+                     for arity, _ in sig.predicates.values()))
     space = d_product_space([f.space for f in factors], D)
     tuples = space.tuples
     coords = np.array(tuples, dtype=np.intp).T     # [i, t]: the factor-i point of tuple t
-    sizes = [f.m for f in factors]                 # tuples run in row-major order
     pred_tables = {}
     for pname, (arity, _) in sig.predicates.items():
-        if len(tuples) ** arity > PRODUCT_TABLE_CAP:
-            raise SizeLimit("product predicate table too large for %s" % pname)
         seqs = np.stack([f.pred_tables[pname][np.ix_(*[c] * arity)]
                          for f, c in zip(factors, coords)], axis=-1)   # [t1..tk, i]
         pred_tables[pname] = dlim_batch(vq, seqs.reshape(-1, len(factors)), D).reshape(
             seqs.shape[:-1])
     fun_tables = {}
     for fname, (arity, _) in sig.functions.items():
-        if len(tuples) ** arity > PRODUCT_TABLE_CAP:
-            raise SizeLimit("product function table too large for %s" % fname)
         images = [f.fun_tables[fname][np.ix_(*[c] * arity)] for f, c in zip(factors, coords)]
         fun_tables[fname] = np.ravel_multi_index(images, sizes).astype(np.int32)
     consts = {c: int(np.ravel_multi_index([f.const_points[c] for f in factors], sizes))
@@ -337,10 +347,7 @@ def quantified_subformulas(phi):
         case Sup(body=b) | Inf(body=b):
             return [phi] + quantified_subformulas(b)
         case Conn(args=args):
-            out = []
-            for a in args:
-                out.extend(quantified_subformulas(a))
-            return out
+            return [q for a in args for q in quantified_subformulas(a)]
         case _:
             return []
 

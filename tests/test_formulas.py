@@ -1,3 +1,4 @@
+import random
 from itertools import product
 
 import numpy as np
@@ -8,6 +9,8 @@ from cqlogic import semantics as sem
 from cqlogic import spaces as sp
 from cqlogic.errors import (ArityMismatch, FormulaSyntaxError, ModulusViolated,
                             UnknownElement, UnknownSymbol)
+
+from conftest import metric_closure
 
 
 @pytest.fixture(scope="module")
@@ -120,6 +123,111 @@ def test_dualizer_connective_has_identity_modulus(bool2, chain4):
         for b in vq.dualizers:
             F.register_connective(vq, "test-dual", vq.tsub[b],
                                   F.identity_modulus(vq))
+
+
+def _first_modulus_failure(vq, coord_dist, arity, out_dist, outputs, modulus):
+    """(ε, x, y, s, t) from a triple loop: ε outermost in the modulus's order,
+    then the tuples x = s-th and y = t-th in row-major order; or None."""
+    tuples = list(product(range(len(coord_dist)), repeat=arity))
+    for eps, delta in modulus.table.items():
+        for s, x in enumerate(tuples):
+            for t, y in enumerate(tuples):
+                near = vq.join_of(int(coord_dist[a, b]) for a, b in zip(x, y))
+                if (vq.le(near, delta)
+                        and not vq.le(int(out_dist[outputs[s], outputs[t]]), eps)):
+                    return eps, x, y, s, t
+    return None
+
+
+def _random_modulus(vq, rng):
+    return F.Modulus({e: rng.choice(vq.positives()) for e in vq.positives()})
+
+
+@pytest.mark.parametrize("budget", [sp.CELL_BUDGET, 20, 7])
+@pytest.mark.parametrize("spec", ["chain:4", "lukasiewicz:4", "freelocale:2"])
+def test_connective_modulus_check_matches_brute_force(roster, monkeypatch, spec, budget):
+    """Kit tables, some with one entry changed, and seeded random tables
+    under the identity, halver and random moduli; a small budget splits the
+    argument tuples into blocks of one row."""
+    vq = roster[spec]
+    kit = list(F.default_kit(vq).values())
+    monkeypatch.setattr(F, "CELL_BUDGET", budget)
+    rng = random.Random("%s/%d" % (spec, budget))
+    outcomes = set()
+    for case in range(24):
+        table = rng.choice(kit).table.copy()
+        if rng.random() < 0.2:
+            table = np.array([rng.randrange(vq.size) for _ in range(table.size)],
+                             dtype=np.int32).reshape(table.shape)
+        elif rng.random() < 0.7:
+            table.flat[rng.randrange(table.size)] = rng.randrange(vq.size)
+        modulus = rng.choice([F.identity_modulus(vq), F.halver_modulus(vq),
+                              _random_modulus(vq, rng)])
+        name = "c%d" % case
+        expected = _first_modulus_failure(vq, vq.dsym, table.ndim, vq.dsym,
+                                          table.reshape(-1), modulus)
+        if expected is not None:
+            eps, x, y, s, t = expected
+            expected = ("%s: inputs %s, %s within Δ(%s)=%s but outputs %s apart"
+                        % (name, tuple(map(vq.element_name, x)),
+                           tuple(map(vq.element_name, y)), vq.element_name(eps),
+                           vq.element_name(modulus.delta(eps)),
+                           vq.element_name(int(vq.dsym[table[x], table[y]]))))
+        try:
+            F.register_connective(vq, name, table, modulus)
+            got = None
+        except ModulusViolated as exc:
+            got = str(exc)
+        assert got == expected, (table.tolist(), modulus.table)
+        outcomes.add(got is None)
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("budget", [sp.CELL_BUDGET, 20, 7])
+@pytest.mark.parametrize("spec", ["chain:4", "freelocale:2"])
+def test_symbol_modulus_check_matches_brute_force(roster, monkeypatch, spec, budget):
+    """Predicate and function tables of arity 1 and 2 on seeded spaces, some
+    of them constant or the identity, under identity and random moduli."""
+    vq = roster[spec]
+    elements = list(vq.carrier())
+    monkeypatch.setattr(F, "CELL_BUDGET", budget)
+    rng = random.Random("symbols/%s/%d" % (spec, budget))
+    outcomes = set()
+    for _ in range(30):
+        m = rng.randint(1, 4)
+        space = sp.validate_space(vq, ["p%d" % i for i in range(m)], metric_closure(
+            vq, [[vq.bottom if x == y else rng.choice(elements) for y in range(m)]
+                 for x in range(m)]))
+        kind, arity = rng.choice(["predicate", "function"]), rng.randint(1, 2)
+        outputs = elements if kind == "predicate" else list(range(m))
+        shape = (m,) * arity
+        if rng.random() < 0.3:
+            table = np.full(shape, rng.choice(outputs), dtype=np.int32)
+        elif kind == "function" and arity == 1 and rng.random() < 0.5:
+            table = np.arange(m, dtype=np.int32)
+        else:
+            table = np.array([rng.choice(outputs) for _ in range(m ** arity)],
+                             dtype=np.int32).reshape(shape)
+        modulus = rng.choice([F.identity_modulus(vq), _random_modulus(vq, rng)])
+        symbol = [("S", arity, modulus)]
+        if kind == "predicate":
+            sig, preds, funs, out_dist = F.Signature(predicates=symbol), {"S": table}, {}, vq.dsym
+        else:
+            sig, preds, funs, out_dist = F.Signature(functions=symbol), {}, {"S": table}, space.dist
+        expected = _first_modulus_failure(vq, space.dist, arity, out_dist,
+                                          table.reshape(-1), modulus)
+        if expected is not None:
+            eps, _, _, s, t = expected
+            expected = ("%s S jumps more than its modulus allows (tuples %d, %d at ε=%s)"
+                        % (kind, s, t, vq.element_name(eps)))
+        try:
+            sem.validate_structure(space, sig, preds, funs)
+            got = None
+        except ModulusViolated as exc:
+            got = str(exc)
+        assert got == expected, (space.dist.tolist(), table.tolist(), modulus.table)
+        outcomes.add(got is None)
+    assert outcomes == {True, False}
 
 
 def test_modulus_totality_enforced(chain4):

@@ -133,6 +133,24 @@ def test_unknown_dist_element_reports_its_line(block, message):
     assert err.value.line == 4
 
 
+@pytest.mark.parametrize("lines, message", [
+    ("@pred P 1\n@predval P p q 1\n", "line 4: @predval P needs 1 points and a value"),
+    ("@pred P 1\n@predval P z 1\n", "line 4: unknown point in @predval"),
+    ("@pred P 1\n@predval P q 1\n@predval P p 5\n", "line 5: unknown element '5'"),
+    ("@pred P 1\n@predval P p 1\n", "line 1: @predval table for P is not total"),
+    ("@fun f 1\n@funval f p\n", "line 4: @funval f needs 1 points and an image"),
+    ("@fun f 1\n@funval f z p\n", "line 4: unknown point in @funval"),
+    ("@fun f 1\n@funval f q p\n@funval f p z\n", "line 5: unknown point in @funval"),
+    ("@fun f 1\n@funval f p q\n", "line 1: @funval table for f is not total"),
+])
+def test_table_lines_report_each_fault_on_its_line(lines, message):
+    ws = Workspace()
+    ws.load_text("@coquantale C4\n@builtin chain:4\n")
+    with pytest.raises(ParseError) as err:
+        ws.load_text("@structure M over C4\n@universe p q\n" + lines)
+    assert str(err.value) == message
+
+
 def test_duplicate_names_rejected():
     ws = Workspace()
     with pytest.raises(ParseError, match="duplicate"):
