@@ -67,36 +67,40 @@ def modulus_cost(count, modulus):
     return count * count * max(1, len(modulus.table))
 
 
+def first_failure(vq, modulus):
+    """[d, od]: the position of the first ε in the modulus's order with
+    d ≤ Δ(ε) but od not ≤ ε, or ``len(modulus.table)`` when there is none."""
+    leq, order = vq.lattice.leq, list(modulus.table)
+    bad = leq[:, None, [modulus.table[e] for e in order]] & ~leq[None, :, order]
+    first = np.where(bad.any(axis=2), bad.argmax(axis=2), len(order))
+    return first.astype(np.min_scalar_type(len(order)))
+
+
 def modulus_witness(vq, what, coord_dist, arity, out_dist, outputs, modulus):
     """The first (ε, s, t), ε in the modulus's order and then tuples s, t in
     row-major order, with d(s,t) ≤ Δ(ε) but out_dist[outputs[s], outputs[t]]
     not ≤ ε, or None; d is the join of ``coord_dist`` over the ``arity``
-    coordinates. Rows s run in blocks of at most CELL_BUDGET (ε, s, t) cells,
-    and a block tries only the ε before the first failure found so far."""
+    coordinates. Rows s run in blocks of at most CELL_BUDGET (s, t) cells;
+    each cell gathers its first failing ε from `first_failure`."""
     n = len(coord_dist)
     count = n ** arity
     check_cost("modulus check of %s" % what, modulus_cost(count, modulus))
-    order = list(modulus.table)
-    join, leq = vq.lattice.join, vq.lattice.leq
-    within = leq[:, [modulus.table[e] for e in order]]   # [d, ε]: d ≤ Δ(ε)
-    beyond = ~leq[:, order]                                 # [d, ε]: not d ≤ ε
+    first = first_failure(vq, modulus)
     grids = np.indices((n,) * arity).reshape(arity, -1)
-    rows = max(1, CELL_BUDGET // (count * max(1, len(order))))
-    found = None                                            # (ε position, s, t)
+    rows = max(1, CELL_BUDGET // count)
+    best, where = len(modulus.table), None                  # ε position, s·count + t
     for start in range(0, count, rows):
         s = np.arange(start, min(start + rows, count))
         near = coord_dist[grids[0][s, None], grids[0]]
         for g in grids[1:]:
-            near = join[near, coord_dist[g[s, None], g]]
-        tried = len(order) if found is None else found[0]
-        bad = within[:, :tried][near] & beyond[:, :tried][out_dist[outputs[s, None], outputs]]
-        hit = bad.any(axis=(0, 1))                          # bad is [s, t, ε]
-        if hit.any():
-            e = int(hit.argmax())
-            found = (e,) + divmod(start * count + int(bad[:, :, e].argmax()), count)
-            if e == 0:
+            near = vq.lattice.join[near, coord_dist[g[s, None], g]]
+        fail = first[near, out_dist[outputs[s, None], outputs]].reshape(-1)
+        at = int(fail.argmin())
+        if fail[at] < best:
+            best, where = int(fail[at]), start * count + at
+            if best == 0:
                 break
-    return None if found is None else (order[found[0]],) + found[1:]
+    return None if where is None else (list(modulus.table)[best],) + divmod(where, count)
 
 
 def identity_modulus(vq: CoQuantale) -> Modulus:

@@ -17,8 +17,9 @@ so the budget changes the cost, never a table.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, product as iproduct
+from itertools import combinations_with_replacement, permutations, product as iproduct
 
 import numpy as np
 
@@ -26,10 +27,10 @@ from .coquantale import CoQuantale
 from .errors import (ArityMismatch, FreeVariableMismatch, MissingInterpretation,
                      ModulusViolated, NotCoGirard, NotSubstructure,
                      NotValueCoquantale, SignatureMismatch, UnboundVariable)
-from .formulas import (App, Conn, Const, DistAtom, Inf, PredAtom, Signature,
-                       Sup, Val, Var, default_kit, free_vars, modulus_cost,
-                       modulus_witness, print_formula, validate_modulus, var_span)
-from .spaces import CELL_BUDGET, ContinuitySpace, check_cost
+from .formulas import (App, Conn, Const, DistAtom, Inf, PredAtom, Signature, Sup, Val, Var,
+                       default_kit, first_failure, free_vars, modulus_cost, modulus_witness,
+                       print_formula, validate_modulus, var_span)
+from .spaces import CELL_BUDGET, ContinuitySpace, _triangle_witness, check_cost
 
 
 class LStructure:
@@ -120,6 +121,30 @@ def structure_cost(sig: Signature, m):
     """Cell operations of the modulus checks of every symbol on m points."""
     return sum(modulus_cost(m ** arity, modulus)
                for arity, modulus in [*sig.predicates.values(), *sig.functions.values()])
+
+
+def enumerate_bodies(vq: CoQuantale, m, modulus):
+    """Every body on m points (a table with the bottom on its diagonal, a
+    unary P with the given modulus) in lexicographic order of the off-diagonal
+    cells, then P: the stacked dist (N, m, m) and P (N, m) of `TableEvaluator`,
+    and the first body of each class, the least packed key over permutations."""
+    n, cells, orders = vq.size, np.flatnonzero(~np.eye(m, dtype=bool)), math.factorial(m)
+    check_cost("enumerating bodies on %d points over %s" % (m, vq.name),
+               n ** len(cells) * (m ** 3 + orders * m * m + n ** m * (m * m + orders * m)))
+    perms = np.array(list(permutations(range(m))))
+    dist = np.full((n ** len(cells), m, m), vq.bottom, dtype=np.int32)
+    dist.reshape(len(dist), -1)[:, cells] = np.indices(   # the last cell fastest
+        (n,) * len(cells), dtype=np.int32).reshape(len(cells), len(dist)).T
+    dist = dist[_triangle_witness(vq, dist)[:, 0] < 0]
+    preds = np.indices((n,) * m, dtype=np.int32).reshape(m, -1).T
+    jumps = first_failure(vq, modulus)[dist[:, None], vq.dsym[preds[:, :, None], preds[:, None]]]
+    space, pred = np.nonzero((jumps == len(modulus.table)).all(axis=(2, 3)))
+    # packed key of each permuted body: its off-diagonal distances, then P
+    digits = n ** np.arange(len(cells) + m - 1, -1, -1, dtype=np.int64)
+    moved = dist[:, perms[:, :, None], perms[:, None, :]].reshape(len(dist), len(perms), -1)
+    keys = moved[:, :, cells] @ digits[:len(cells)] * n ** m
+    keys = (keys[space] + preds[pred][:, perms] @ digits[len(cells):]).min(axis=1)
+    return dist[space], preds[pred], np.sort(np.unique(keys, return_index=True)[1])
 
 
 # -- evaluation -------------------------------------------------------------
@@ -357,17 +382,12 @@ def is_substructure(sub: LStructure, sup: LStructure) -> bool:
     lift = np.array([sup.space.index(p) for p in sub.points], dtype=np.int32)
     if (sub.dist != sup.dist[lift[:, None], lift[None, :]]).any():
         return False
-    for pname, (arity, _) in sub.sig.predicates.items():
-        got = sup.pred_tables[pname]
-        for idx in iproduct(range(sub.m), repeat=arity):
-            if sub.pred_tables[pname][idx] != got[tuple(int(lift[i]) for i in idx)]:
-                return False
-    for fname, (arity, _) in sub.sig.functions.items():
-        got = sup.fun_tables[fname]
-        for idx in iproduct(range(sub.m), repeat=arity):
-            image = sub.points[int(sub.fun_tables[fname][idx])]
-            if image != sup.points[int(got[tuple(int(lift[i]) for i in idx)])]:
-                return False
+    for p, table in sub.pred_tables.items():
+        if (table != sup.pred_tables[p][np.ix_(*[lift] * table.ndim)]).any():
+            return False
+    for f, table in sub.fun_tables.items():     # images compared as points of sup
+        if (lift[table] != sup.fun_tables[f][np.ix_(*[lift] * table.ndim)]).any():
+            return False
     for cname in sub.sig.constants:
         if sub.points[sub.const_points[cname]] != sup.points[sup.const_points[cname]]:
             return False

@@ -79,8 +79,10 @@ def validate_space(values, points, dist) -> ContinuitySpace:
     if not points or len(set(points)) != len(points):
         raise ReflexivityViolation("points must be a nonempty list of unique names")
     m = len(points)
-    check_cost("triangle check on %d points" % m, triangle_cost(m))
+    check_triangle_cost(m)
     table_carrier = isinstance(values, CoQuantale)
+    if not table_carrier and m > TOPOLOGY_SCAN_MAX:     # a Python loop, see below
+        raise SizeLimit("symbolic triangle check capped at %d points" % TOPOLOGY_SCAN_MAX)
     try:
         table = np.asarray(dist)
     except ValueError:                                  # ragged rows
@@ -98,9 +100,8 @@ def validate_space(values, points, dist) -> ContinuitySpace:
     for x in range(m):
         if table[x, x] != values.bottom:
             raise ReflexivityViolation("d(%s,%s) != 0" % (points[x], points[x]))
-    witness = _triangle_witness(values, table)
-    if witness is not None:
-        x, y, z = witness
+    x, y, z = _triangle_witness(values, table[None])[0]
+    if x >= 0:
         raise TransitivityViolation("d(%s,%s) > d(%s,%s) + d(%s,%s)"
                                     % tuple(points[i] for i in (x, y, x, z, z, y)))
     table.setflags(write=False)
@@ -111,24 +112,37 @@ def triangle_cost(m):
     return m ** 3
 
 
-def _triangle_witness(values, table):
-    """The first (x, y, z) in row-major order with d(x,y) > d(x,z) + d(z,y),
-    or None. A table carrier is checked over blocks of consecutive rows x,
-    each block's path tensor holding at most CELL_BUDGET cells."""
-    m = len(table)
-    if table.dtype == object:
-        return next(((x, y, z) for x, y, z in product(range(m), repeat=3)
-                     if not values.le(table[x, y], values.plus(table[x, z], table[z, y]))),
-                    None)
+def check_triangle_cost(m):
+    check_cost("triangle check on %d points" % m, triangle_cost(m))
+
+
+def _triangle_witness(values, tables):
+    """Per table of an (N, m, m) stack, the first (x, y, z) in row-major order
+    with d(x,y) > d(x,z) + d(z,y), or (-1, -1, -1). Consecutive (table, row x)
+    pairs run in blocks of at most CELL_BUDGET path cells; the symbolic free
+    locale (one object table) is a Python loop."""
+    count, m = tables.shape[:2]
+    if tables.dtype == object:
+        d = tables[0]
+        return np.array([next(((x, y, z) for x, y, z in product(range(m), repeat=3)
+                               if not values.le(d[x, y], values.plus(d[x, z], d[z, y]))),
+                              (-1, -1, -1))])
+    flat = tables.reshape(-1, m)               # row r is d(x, ·) of table r // m, x = r % m
+    out = np.full((count, 3), -1)
     rows = max(1, CELL_BUDGET // (m * m))
-    for start in range(0, m, rows):
-        block = table[start:start + rows]
-        path = values.add[block[:, :, None], table[None, :, :]]   # [x,z,y] = d(x,z) + d(z,y)
+    for start in range(0, len(flat), rows):
+        block = flat[start:start + rows]
+        other = tables if count == 1 else tables[np.arange(start, start + len(block)) // m]
+        path = values.add[block[:, :, None], other]    # [r,z,y] = d(x,z) + d(z,y)
         ok = values.lattice.leq[block[:, :, None], path.transpose(0, 2, 1)]
-        if not ok.all():
-            x, y, z = map(int, np.argwhere(~ok)[0])
-            return start + x, y, z
-    return None
+        if ok.all():
+            continue
+        bad = ~ok.reshape(len(block), -1)      # [r - start, y·m + z]
+        r = start + np.flatnonzero(bad.any(axis=1))
+        r = r[out[r // m, 0] < 0]              # tables not settled by an earlier block
+        r = r[np.unique(r // m, return_index=True)[1]]     # the first failing row of each
+        out[r // m] = np.column_stack((r % m, *np.divmod(bad[r - start].argmax(axis=1), m)))
+    return out
 
 
 def dual_space(space: ContinuitySpace) -> ContinuitySpace:
@@ -146,6 +160,7 @@ def product_space(left: ContinuitySpace, right: ContinuitySpace) -> ContinuitySp
     """Pointwise-max product distance on the cartesian product."""
     if left.V is not right.V:
         raise ValueError("product factors must share a value universe")
+    check_triangle_cost(left.m * right.m)
     points = ["%s|%s" % (p, q) for p in left.points for q in right.points]
     i, j = np.divmod(np.arange(left.m * right.m), right.m)    # pair (i, j), row-major
     join = np.frompyfunc(left.V.join, 2, 1)

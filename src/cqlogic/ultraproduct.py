@@ -96,6 +96,7 @@ def dlim_batch(vq: CoQuantale, seqs, D: PrincipalUltrafilter):
     running the definitional per-ε membership test. Rows are taken in
     blocks of at most CELL_BUDGET (candidate, row, ε, j) cells."""
     seqs = np.asarray(seqs, dtype=np.int32)
+    check_cost("%d D-limits over %d indices" % seqs.shape, dlim_cost(vq, *seqs.shape))
     positives = np.array(vq.positives(), dtype=np.intp)
     rows = max(1, CELL_BUDGET // max(1, vq.size * len(positives) * seqs.shape[1]))
     out = np.empty(len(seqs), dtype=np.int32)

@@ -132,8 +132,10 @@ def space_corpus(vq, count, max_points, seed):
     return out
 
 
-def unary_structure(vq, dist_rows, pred_values, name):
-    points = ["p%d" % i for i in range(len(dist_rows))]
+def unary_structure(vq, dist_rows, pred_values, name, points=None):
+    """A structure with one unary predicate P under the identity modulus;
+    the points are p0, p1, ... unless named."""
+    points = points or ["p%d" % i for i in range(len(dist_rows))]
     space = sp.validate_space(vq, points, dist_rows)
     sig = Signature(predicates=[("P", 1, identity_modulus(vq))])
     return sem.validate_structure(space, sig, {"P": list(pred_values)}, name=name)

@@ -13,6 +13,7 @@ from cqlogic import semantics as sem
 from cqlogic import spaces as sp
 from cqlogic import ultraproduct as up
 from cqlogic.errors import SizeLimit
+from cqlogic.freelocale import FreeLocale
 
 
 def _discrete(vq, m, name="p"):
@@ -118,3 +119,52 @@ def test_validate_structure_refuses_before_any_modulus_check(chain4, monkeypatch
     monkeypatch.setattr(sem, "modulus_witness", _never)
     _refuses(monkeypatch, 89, "checking the moduli of M costs 90 cell operations (budget 89)",
              lambda: sem.validate_structure(space, sig, *tables, name="M"))
+
+
+def test_dlim_batch_charges_its_own_cost(chain4, monkeypatch):
+    # 4 rows x 5 candidates x 5 radii x 2 indices
+    seqs = np.array([[0, 0], [1, 2], [4, 4], [3, 0]])
+    D = up.PrincipalUltrafilter(2, 0)
+    monkeypatch.setattr(sp, "WORK_BUDGET", 200)
+    assert up.dlim_batch(chain4, seqs, D).tolist() == [0, 1, 4, 3]
+    _refuses(monkeypatch, 199, "4 D-limits over 2 indices costs 200 cell operations "
+             "(budget 199)", lambda: up.dlim_batch(chain4, seqs, D))
+
+
+def test_product_space_refuses_before_building_its_table(chain4, monkeypatch):
+    # 2 x 2 points: the triangle check of 4 points, as validate_space charges it
+    one = _discrete(chain4, 2)
+    monkeypatch.setattr(sp, "WORK_BUDGET", 64)
+    assert sp.product_space(one, one).m == 4
+    monkeypatch.setattr(sp, "validate_space", _never)
+    monkeypatch.setattr(chain4, "join", _never)
+    _refuses(monkeypatch, 63, "triangle check on 4 points costs 64 cell operations "
+             "(budget 63)", lambda: sp.product_space(one, one))
+
+
+def test_symbolic_space_is_refused_before_its_triangle_loop(monkeypatch):
+    """The symbolic free locale checks the triangle law in a Python loop,
+    so it stops where every scan over its spaces stops."""
+    V = FreeLocale(("a", "b"))
+
+    def validate(m):
+        return sp.validate_space(V, ["p%d" % i for i in range(m)],
+                                 [[V.bottom if x == y else V.top for y in range(m)]
+                                  for x in range(m)])
+
+    monkeypatch.setattr(sp, "_triangle_witness", _never)
+    with pytest.raises(AssertionError, match="reached after the cost check"):
+        validate(sp.TOPOLOGY_SCAN_MAX)
+    with pytest.raises(SizeLimit) as info:
+        validate(sp.TOPOLOGY_SCAN_MAX + 1)
+    assert str(info.value) == "symbolic triangle check capped at 16 points"
+
+
+def test_enumerate_bodies_refuses_by_cost(bool2, monkeypatch):
+    # 2^6 tables x (3^3 + 3!·3^2) + 2^6·2^3 bodies x (3^2 + 3!·3)
+    ident = F.identity_modulus(bool2)
+    monkeypatch.setattr(sp, "WORK_BUDGET", 19008)
+    assert len(sem.enumerate_bodies(bool2, 3, ident)[0]) == 82
+    monkeypatch.setattr(sem, "_triangle_witness", _never)
+    _refuses(monkeypatch, 19007, "enumerating bodies on 3 points over bool2 costs 19008 "
+             "cell operations (budget 19007)", lambda: sem.enumerate_bodies(bool2, 3, ident))

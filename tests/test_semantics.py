@@ -1,4 +1,5 @@
-from itertools import product
+import random
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from cqlogic import semantics as sem
 from cqlogic import spaces as sp
 from cqlogic.errors import (ArityMismatch, FreeVariableMismatch,
                             ModulusViolated, NotCoGirard, NotSubstructure,
-                            SignatureMismatch, UnboundVariable)
+                            SignatureMismatch, TransitivityViolation,
+                            UnboundVariable)
 
 
 @pytest.fixture(scope="module")
@@ -350,6 +352,94 @@ def test_enumeration_monotone_and_deterministic(sig1, chain4):
     assert d1 == sem.enumerate_formulas(sig1, chain4, 1, 2)
     assert len(d1) == len(set(d1))
     assert all(F.formula_depth(phi) <= 1 for phi in d1)
+
+
+# -- body enumeration -------------------------------------------------------------------
+
+
+def _definitional_spaces(vq, m):
+    """Every filling of the off-diagonal cells that validate_space accepts."""
+    off = [(x, y) for x in range(m) for y in range(m) if x != y]
+    out = []
+    for entries in product(range(vq.size), repeat=len(off)):
+        dist = np.full((m, m), vq.bottom, dtype=np.int32)
+        for (x, y), v in zip(off, entries):
+            dist[x, y] = v
+        try:
+            out.append(sp.validate_space(vq, ["p%d" % i for i in range(m)], dist))
+        except TransitivityViolation:
+            continue
+    return out
+
+
+def _definitional_bodies(vq, spaces):
+    """Every (dist, P) on the given spaces that validate_structure accepts."""
+    sig = F.Signature(predicates=[("P", 1, F.identity_modulus(vq))])
+    out = []
+    for space in spaces:
+        for values in product(range(vq.size), repeat=space.m):
+            try:
+                sem.validate_structure(space, sig, {"P": list(values)})
+            except ModulusViolated:
+                continue
+            out.append((space.dist, np.array(values, dtype=np.int32)))
+    return out
+
+
+def _first_of_each_class(dist, P):
+    """The first body of each class: the smallest key over every point
+    permutation, taken directly."""
+    seen, first = set(), []
+    for i, (d, p) in enumerate(zip(dist.tolist(), P.tolist())):
+        key = min((tuple(d[a][b] for a in perm for b in perm), tuple(p[a] for a in perm))
+                  for perm in permutations(range(len(p))))
+        if key not in seen:
+            seen.add(key)
+            first.append(i)
+    return first
+
+
+def _same_bodies(got_dist, got_P, bodies):
+    return (len(got_dist) == len(bodies)
+            and all((a == d).all() and (b == p).all()
+                    for a, b, (d, p) in zip(got_dist, got_P, bodies)))
+
+
+@pytest.mark.parametrize("spec, m", [("bool2", 1), ("bool2", 2), ("bool2", 3), ("chain:3", 1),
+                                     ("chain:3", 2), ("freelocale:1", 1), ("freelocale:1", 2)])
+def test_enumerate_bodies_matches_the_definitional_filter(roster, spec, m):
+    """The same bodies in the same order as filtering every candidate
+    through validate_space and validate_structure, and the same first body
+    of each class as a direct minimum over the permutations."""
+    vq = roster[spec]
+    dist, P, classes = sem.enumerate_bodies(vq, m, F.identity_modulus(vq))
+    assert _same_bodies(dist, P, _definitional_bodies(vq, _definitional_spaces(vq, m)))
+    assert list(classes) == _first_of_each_class(dist, P)
+
+
+def test_enumerate_bodies_on_three_points_of_chain3(roster):
+    """Every space through validate_space; the predicates of a seeded
+    sample of them through validate_structure; every class directly."""
+    vq = roster["chain:3"]
+    dist, P, classes = sem.enumerate_bodies(vq, 3, F.identity_modulus(vq))
+    spaces = _definitional_spaces(vq, 3)
+    first = np.sort(np.unique(dist, axis=0, return_index=True)[1])
+    assert len(spaces) == len(first) == 1490
+    assert all((a == s.dist).all() for a, s in zip(dist[first], spaces))
+    sample = sorted(random.Random(33).sample(range(len(spaces)), 40))
+    for i in sample:
+        mine = (dist == spaces[i].dist).all(axis=(1, 2))
+        assert _same_bodies(dist[mine], P[mine], _definitional_bodies(vq, [spaces[i]]))
+    assert list(classes) == _first_of_each_class(dist, P)
+
+
+@pytest.mark.parametrize("spec, m, bodies, classes", [
+    ("bool2", 3, 82, 24), ("chain:3", 3, 26546, 4684), ("bool2", 4, 1038, 93)])
+def test_enumerate_bodies_counts(roster, spec, m, bodies, classes):
+    vq = roster[spec]
+    dist, P, first = sem.enumerate_bodies(vq, m, F.identity_modulus(vq))
+    assert (len(dist), len(P), len(first)) == (bodies, bodies, classes)
+    assert dist.shape[1:] == (m, m) and P.shape[1:] == (m,)
 
 
 # -- elementarity and Tarski-Vaught ------------------------------------------------------
