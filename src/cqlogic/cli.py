@@ -220,8 +220,7 @@ def cmd_los_check(args) -> int:
         raise CqlError("give --formula or --depth")
     print("formulas: %d" % len(pool))
     bad = 0
-    for phi in pool:
-        report = up.los_check(dp, phi)
+    for report in up.los_sweep(dp, pool):
         if not report.all_equal:
             bad += 1
             for line in report.lines(vq):

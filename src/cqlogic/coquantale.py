@@ -10,6 +10,7 @@ from __future__ import annotations
 import os
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -96,6 +97,15 @@ class CoQuantale:
 
     def positives(self):
         return self._positives
+
+    @cached_property
+    def within(self):
+        """[a, b, i]: d^s(a, b) ≤ ε_i for the i-th element ε_i of
+        `positives`; the radius test of every D-limit, made once per
+        carrier."""
+        table = self.lattice.leq[self.dsym][:, :, list(self._positives)]
+        table.setflags(write=False)
+        return table
 
     def element_name(self, e):
         return self.lattice.name(e)

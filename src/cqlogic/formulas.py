@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
+
 import numpy as np
 
 from .coquantale import CoQuantale, epsilon_halver
@@ -62,9 +64,11 @@ def validate_modulus(vq: CoQuantale, modulus: Modulus) -> Modulus:
     return modulus
 
 
-def modulus_cost(count, modulus):
-    """Cell operations of `modulus_witness` over ``count`` argument tuples."""
-    return count * count * max(1, len(modulus.table))
+def modulus_cost(vq, count, arity, modulus):
+    """Cell operations of `modulus_witness` over ``count`` argument tuples of
+    ``arity`` coordinates: ``arity`` gathers per (s, t) cell, plus the
+    n²·|modulus| table of `first_failure`."""
+    return count * count * arity + vq.size ** 2 * len(modulus.table)
 
 
 def first_failure(vq, modulus):
@@ -84,7 +88,7 @@ def modulus_witness(vq, what, coord_dist, arity, out_dist, outputs, modulus):
     each cell gathers its first failing ε from `first_failure`."""
     n = len(coord_dist)
     count = n ** arity
-    check_cost("modulus check of %s" % what, modulus_cost(count, modulus))
+    check_cost("modulus check of %s" % what, modulus_cost(vq, count, arity, modulus))
     first = first_failure(vq, modulus)
     grids = np.indices((n,) * arity).reshape(arity, -1)
     rows = max(1, CELL_BUDGET // count)
@@ -222,37 +226,67 @@ class App:
     args: tuple
 
 
+class Formula:
+    """Base of the formula nodes. A node holds records of itself, each
+    computed on first use: a pool's nodes are the same objects for every
+    structure and product it is checked on, so each record is computed once
+    per node, not once per check."""
+
+    @cached_property
+    def window(self):
+        """The free variables in increasing order."""
+        return tuple(sorted(free_vars(self)))
+
+    @cached_property
+    def span(self):
+        """`var_span`: one more than the largest variable index."""
+        return var_span(self)
+
+    @cached_property
+    def quantified(self):
+        """`quantified_subformulas`: the sup and inf nodes, outermost first."""
+        return tuple(quantified_subformulas(self))
+
+    def text(self, vq):
+        """`print_formula` over the carrier vq, kept per carrier."""
+        texts = self.__dict__.setdefault("_texts", {})
+        hit = texts.get(vq)
+        if hit is None:
+            hit = texts[vq] = print_formula(self, vq)
+        return hit
+
+
 @dataclass(frozen=True)
-class DistAtom:
+class DistAtom(Formula):
     left: object
     right: object
 
 
 @dataclass(frozen=True)
-class PredAtom:
+class PredAtom(Formula):
     pred: str
     args: tuple
 
 
 @dataclass(frozen=True)
-class Conn:
+class Conn(Formula):
     connective: Connective
     args: tuple
 
 
 @dataclass(frozen=True)
-class Val:
+class Val(Formula):
     element: int
 
 
 @dataclass(frozen=True)
-class Sup:
+class Sup(Formula):
     var: int
     body: object
 
 
 @dataclass(frozen=True)
-class Inf:
+class Inf(Formula):
     var: int
     body: object
 
@@ -295,6 +329,17 @@ def var_span(phi):
         case Sup(var=x, body=b) | Inf(var=x, body=b):
             return max(x + 1, var_span(b))
     return 0
+
+
+def quantified_subformulas(phi):
+    """The sup and inf nodes of φ, outermost first."""
+    match phi:
+        case Sup(body=b) | Inf(body=b):
+            return [phi] + quantified_subformulas(b)
+        case Conn(args=args):
+            return [q for a in args for q in quantified_subformulas(a)]
+        case _:
+            return []
 
 
 def is_quantifier_free(phi):

@@ -7,12 +7,15 @@ assignments of x0..x(k-1) and a stack of structures; `eval_table` is its
 single-structure view. The unit suite cross-checks the two.
 
 An evaluator keeps its memo for as long as it lives, so a caller that holds
-one across a pool (the elementarity and Tarski-Vaught sweeps, a D-product
-across its `los_check` calls) evaluates each shared node once. The memo
-holds at most `spaces.CELL_BUDGET` table cells: when storing a table would
-pass that, the memo is emptied first, and a table larger than the budget is
-not stored. A node that was dropped is evaluated again when next asked for,
-so the budget changes the cost, never a table.
+one across a pool (the elementarity and Tarski-Vaught sweeps) evaluates
+each shared node once. A validated structure's tables are read-only, so the
+structure holds its own evaluator per window size (`LStructure.evaluator`)
+and its Łoś hypothesis verdicts (`LStructure.hypothesis`): every D-product
+that has it as a factor, and every Łoś sweep on that product, shares them.
+The memo holds at most `spaces.CELL_BUDGET` table cells: when storing a
+table would pass that, the memo is emptied first, and a table larger than
+the budget is not stored. A node that was dropped is evaluated again when
+next asked for, so the budget changes the cost, never a table.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from .errors import (ArityMismatch, FreeVariableMismatch, MissingInterpretation,
                      NotValueCoquantale, SignatureMismatch, UnboundVariable)
 from .formulas import (App, Conn, Const, DistAtom, Inf, PredAtom, Signature, Sup, Val, Var,
                        default_kit, first_failure, free_vars, modulus_cost, modulus_witness,
-                       print_formula, validate_modulus, var_span)
+                       print_formula, validate_modulus)
 from .spaces import CELL_BUDGET, ContinuitySpace, _triangle_witness, check_cost
 
 
@@ -46,10 +49,31 @@ class LStructure:
         self.name = name or "structure"
         self.m = space.m
         self.dist = space.dist
+        self._evaluators = {}
+        self._hypotheses = {}
 
     @property
     def points(self):
         return self.space.points
+
+    def evaluator(self, k):
+        """This structure's `TableEvaluator` over x0..x(k-1), held for as
+        long as the structure lives."""
+        hit = self._evaluators.get(k)
+        if hit is None:
+            hit = self._evaluators[k] = TableEvaluator.of([self], k)
+        return hit
+
+    def hypothesis(self, sub):
+        """(sup_ok, inf_ok): whether both discrete-Cauchy sums of the body of
+        the quantified formula ``sub`` vanish here (`cauchy_sums_vanish`),
+        held per node; the entry keeps its node alive, so the id is not
+        reused."""
+        hit = self._hypotheses.get(id(sub))
+        if hit is None:
+            family = self.evaluator(sub.span).table(sub.body, sub.window + (sub.var,))
+            hit = self._hypotheses[id(sub)] = (sub, cauchy_sums_vanish(self.V, family))
+        return hit[1]
 
     def __repr__(self):
         return "LStructure(%s: %d points over %s)" % (self.name, self.m, self.V.name)
@@ -99,7 +123,8 @@ def validate_structure(space: ContinuitySpace, sig: Signature, pred_tables,
             raise MissingInterpretation("constant %s maps outside the universe" % cname)
         consts[cname] = int(point)
 
-    check_cost("checking the moduli of %s" % (name or "a structure"), structure_cost(sig, m))
+    check_cost("checking the moduli of %s" % (name or "a structure"),
+               structure_cost(vq, sig, m))
     dist = space.dist
     for kind, symbols, tables, out_dist in (("predicate", sig.predicates, norm_preds, vq.dsym),
                                             ("function", sig.functions, norm_funs, dist)):
@@ -117,9 +142,9 @@ def validate_structure(space: ContinuitySpace, sig: Signature, pred_tables,
     return LStructure(space, sig, norm_preds, norm_funs, consts, name)
 
 
-def structure_cost(sig: Signature, m):
+def structure_cost(vq: CoQuantale, sig: Signature, m):
     """Cell operations of the modulus checks of every symbol on m points."""
-    return sum(modulus_cost(m ** arity, modulus)
+    return sum(modulus_cost(vq, m ** arity, arity, modulus)
                for arity, modulus in [*sig.predicates.values(), *sig.functions.values()])
 
 
@@ -309,16 +334,26 @@ def fold_table(op, table, axis):
     return table
 
 
+def cauchy_sums_vanish(vq, family):
+    """Whether each discrete-Cauchy sum of a value family vanishes, as
+    (sup-side, inf-side), over every position of the leading axes; the last
+    axis of ``family`` runs over the quantified variable."""
+    # [..., l, k] = f_l ∸ f_k
+    diffs = vq.tsub[family[..., :, None], family[..., None, :]]
+    join, meet = vq.lattice.join, vq.lattice.meet
+    sup_side = fold_table(meet, fold_table(join, diffs, -2), -1)
+    inf_side = fold_table(meet, fold_table(join, diffs, -1), -2)
+    return bool((sup_side == vq.bottom).all()), bool((inf_side == vq.bottom).all())
+
+
 def eval_table(struct: LStructure, phi, window=None):
     """Evaluate over every assignment of the window variables at once.
 
     Returns an array of V elements with one axis per window variable, in
     window order; cross-checked against eval_formula in the test suite.
     """
-    if window is None:
-        window = tuple(sorted(free_vars(phi)))
-    window = tuple(window)
-    k = max([var_span(phi)] + [v + 1 for v in window])
+    window = phi.window if window is None else tuple(window)
+    k = max([phi.span] + [v + 1 for v in window])
     return TableEvaluator.of([struct], k).table(phi, window)
 
 
@@ -361,7 +396,7 @@ def logical_distance(phi1, phi2, struct: LStructure) -> int:
     evaluations (the single-structure clause only)."""
     if free_vars(phi1) != free_vars(phi2):
         raise FreeVariableMismatch("formulas must share their free variables")
-    window = tuple(sorted(free_vars(phi1)))
+    window = phi1.window
     t1 = eval_table(struct, phi1, window)
     t2 = eval_table(struct, phi2, window)
     sym = struct.V.dsym[t1, t2]
@@ -442,7 +477,7 @@ def enumerate_formulas(sig: Signature, vq: CoQuantale, depth, max_free_vars,
                 for combo in iproduct(snapshot, repeat=conn.arity):
                     push(Conn(conn, combo))
         for phi in snapshot:
-            for x in sorted(free_vars(phi)):
+            for x in phi.window:
                 push(Sup(x, phi))
                 push(Inf(x, phi))
     return pool
@@ -478,7 +513,7 @@ def _compare_tables(sub, sup, depth, max_free_vars, labels, cases):
     outer_eval = TableEvaluator.of([sup], max_free_vars)
     checked = 0
     for phi in enumerate_formulas(sub.sig, sub.V, depth, max_free_vars):
-        for node, window, entries in cases(phi, tuple(sorted(free_vars(phi)))):
+        for node, window, entries in cases(phi, phi.window):
             inner = inner_eval.table(node, window)
             outer = outer_eval.table(node, window)[np.ix_(*([lift] * len(window)))]
             checked += int(inner.size)

@@ -15,13 +15,14 @@ from itertools import combinations, product as iproduct
 
 import numpy as np
 
+from . import spaces
 from .coquantale import CoQuantale
 from .errors import (NoLimit, NotCoDivisible, NotFinitelySatisfiable, NotT0,
                      NotSymmetricFactors, NotValueCoquantale, SizeLimit,
                      SignatureMismatch, VerificationFailed)
-from .formulas import Inf, Sup, Conn, free_vars, print_formula, var_span
-from .semantics import (LStructure, TableEvaluator, eval_table, fold_table,
-                        satisfies, structure_cost, theory, validate_structure)
+from .formulas import Inf, Sup, free_vars, print_formula
+from .semantics import (LStructure, cauchy_sums_vanish, eval_table, satisfies,
+                        structure_cost, theory, validate_structure)
 from .spaces import (CELL_BUDGET, ContinuitySpace, check_cost, is_symmetric,
                      triangle_cost, validate_space)
 
@@ -93,22 +94,21 @@ def d_ultralimit(vq: CoQuantale, seq, D: PrincipalUltrafilter) -> int:
 
 def dlim_batch(vq: CoQuantale, seqs, D: PrincipalUltrafilter):
     """d_ultralimit over the rows of an (N, I) array, vectorized but still
-    running the definitional per-ε membership test. Rows are taken in
-    blocks of at most CELL_BUDGET (candidate, row, ε, j) cells."""
+    running the definitional per-ε membership test on every candidate. Rows
+    are taken in blocks of at most CELL_BUDGET (candidate, row, j, ε) cells."""
     seqs = np.asarray(seqs, dtype=np.int32)
     check_cost("%d D-limits over %d indices" % seqs.shape, dlim_cost(vq, *seqs.shape))
-    positives = np.array(vq.positives(), dtype=np.intp)
-    rows = max(1, CELL_BUDGET // max(1, vq.size * len(positives) * seqs.shape[1]))
+    rows = max(1, CELL_BUDGET // max(1, dlim_cost(vq, 1, seqs.shape[1])))
     out = np.empty(len(seqs), dtype=np.int32)
     for start in range(0, len(seqs), rows):
         # [a, row, ε, j]: d^s(a, s_j) ≤ ε; the last axis is the index set of
         # (a, row, ε), one bool per index, for the membership test
-        block = vq.dsym[:, seqs[start:start + rows]][:, :, None, :]
-        ok = D.contains_sets(vq.lattice.leq[block, positives[:, None]]).all(axis=2)
+        block = vq.within[:, seqs[start:start + rows]].swapaxes(2, 3)
+        ok = D.contains_sets(block).all(axis=2)
         counts = ok.sum(axis=0)
-        if (counts == 0).any():
-            raise NoLimit("a row has no ultralimit")
-        if (counts > 1).any():
+        if (counts != 1).any():
+            if (counts == 0).any():
+                raise NoLimit("a row has no ultralimit")
             raise NotT0("a row has multiple ultralimits")
         out[start:start + rows] = ok.argmax(axis=0)
     return out
@@ -228,39 +228,40 @@ def ultrapower_V(vq: CoQuantale, D: PrincipalUltrafilter) -> UltrapowerResult:
 
 @dataclass
 class DProductStructure:
-    """A D-product with the evaluators that every `los_check` on it shares:
-    per window size k, one `TableEvaluator` for the product and one per
-    distinct factor, and the hypothesis rows of each quantified subformula
-    seen so far, keyed by node identity with the node kept alive."""
+    """A D-product and the index work that every Łoś sweep on it shares:
+    per window width w, the assignment grid (every w-tuple of product points
+    in row-major order), the flat index of each grid row into each
+    structure's window table (the product's, then each factor's projection)
+    and the point names of each row. The evaluators and hypothesis verdicts
+    are held by the product's structure and by each factor."""
     structure: LStructure
     factors: list
     D: PrincipalUltrafilter
     tuples: list
-    _evaluators: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _hypotheses: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _grids: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def evaluators(self, k):
-        """The product's evaluator over x0..x(k-1) and one per factor; a
-        factor that occurs twice shares its evaluator."""
-        hit = self._evaluators.get(k)
+    def grid(self, w):
+        """(gathers, names) over every w-tuple of points; see `index`."""
+        hit = self._grids.get(w)
         if hit is None:
-            own = {id(f): TableEvaluator.of([f], k) for f in self.factors}
-            hit = self._evaluators[k] = (TableEvaluator.of([self.structure], k),
-                                         [own[id(f)] for f in self.factors])
+            m = self.structure.m
+            hit = self._grids[w] = self.index(np.indices((m,) * w).reshape(w, m ** w).T)
         return hit
 
-    def hypothesis_rows(self, sub, factor_evals):
-        """(factor name, subformula, sup_ok, inf_ok) for each factor, from the
-        body's table on that factor; ``factor_evals`` as from `evaluators`."""
-        hit = self._hypotheses.get(id(sub))
-        if hit is None:
-            vq = self.structure.V
-            text = print_formula(sub, vq)
-            window = tuple(sorted(free_vars(sub))) + (sub.var,)
-            rows = [(f.name, text) + _cauchy_sums_vanish(vq, e.table(sub.body, window))
-                    for f, e in zip(self.factors, factor_evals)]
-            hit = self._hypotheses[id(sub)] = (sub, rows)
-        return hit[1]
+    def index(self, combos):
+        """For a (rows, w) array of product points: [j, row], the flat index
+        into structure j's table of a node with w free variables (j = 0 the
+        product, then the factors), and each row's point names."""
+        w = combos.shape[1]
+        coords = np.array(self.tuples, dtype=np.intp)[combos]   # [row, var, factor]
+        gathers = np.empty((1 + len(self.factors), len(combos)), dtype=np.intp)
+        # a node's table has size-m axes exactly at its free variables, so
+        # flattened it runs over the window in row-major order
+        gathers[0] = combos @ self.structure.m ** np.arange(w - 1, -1, -1)
+        for i, f in enumerate(self.factors):
+            gathers[1 + i] = coords[:, :, i] @ f.m ** np.arange(w - 1, -1, -1)
+        points = self.structure.points
+        return gathers, [tuple(points[p] for p in combo) for combo in combos.tolist()]
 
 
 def d_product_structure(factors, D: PrincipalUltrafilter) -> DProductStructure:
@@ -281,7 +282,7 @@ def d_product_structure(factors, D: PrincipalUltrafilter) -> DProductStructure:
     sizes = [f.m for f in factors]                 # tuples run in row-major order
     total = math.prod(sizes)
     check_cost("a D-product structure on %d points" % total,
-               _product_space_cost(vq, sizes) + structure_cost(sig, total)
+               _product_space_cost(vq, sizes) + structure_cost(vq, sig, total)
                + sum(dlim_cost(vq, total ** arity, len(sizes))
                      for arity, _ in sig.predicates.values()))
     space = d_product_space([f.space for f in factors], D)
@@ -321,12 +322,14 @@ class LosEntry:
 @dataclass
 class LosReport:
     formula: str
-    entries: list
+    left: np.ndarray = field(compare=False)    # the product's value, per entry
+    right: np.ndarray = field(compare=False)   # the D-limit of the factors', per entry
     hypothesis: list   # (factor name, subformula, sup_ok, inf_ok)
+    entries: list
 
     @property
     def all_equal(self):
-        return all(e.equal for e in self.entries)
+        return bool((self.left == self.right).all())
 
     def lines(self, vq=None):
         render = (lambda e: vq.element_name(e)) if vq else str
@@ -343,16 +346,6 @@ class LosReport:
         return out
 
 
-def quantified_subformulas(phi):
-    match phi:
-        case Sup(body=b) | Inf(body=b):
-            return [phi] + quantified_subformulas(b)
-        case Conn(args=args):
-            return [q for a in args for q in quantified_subformulas(a)]
-        case _:
-            return []
-
-
 def los_hypothesis_check(struct: LStructure, phi):
     """For φ with an outer quantifier, compute both discrete-Cauchy sums of
     the body's value family and report whether each vanishes (over every
@@ -362,56 +355,79 @@ def los_hypothesis_check(struct: LStructure, phi):
             pass
         case _:
             raise ValueError("hypothesis check needs an outer sup/inf")
-    return _cauchy_sums_vanish(
+    return cauchy_sums_vanish(
         struct.V, eval_table(struct, body, tuple(sorted(free_vars(phi))) + (x,)))
 
 
-def _cauchy_sums_vanish(vq, family):
-    """Both hypothesis verdicts from the body's table, whose last axis runs
-    over the quantified variable."""
-    # [..., l, k] = f_l ∸ f_k
-    diffs = vq.tsub[family[..., :, None], family[..., None, :]]
-    join, meet = vq.lattice.join, vq.lattice.meet
-    sup_side = fold_table(meet, fold_table(join, diffs, -2), -1)
-    inf_side = fold_table(meet, fold_table(join, diffs, -1), -2)
-    return bool((sup_side == vq.bottom).all()), bool((inf_side == vq.bottom).all())
-
-
 def los_check(dp: DProductStructure, phi, assignments=None) -> LosReport:
-    """Compare φ on the D-product against the D-ultralimit of the factor
-    evaluations, tuple by tuple. The tables come from the evaluators that
-    ``dp`` holds, so calls on one product share their subformulas."""
+    """The Łoś report of one formula; see `los_sweep`."""
+    return los_sweep(dp, [phi], assignments)[0]
+
+
+def los_sweep(dp: DProductStructure, pool, assignments=None):
+    """Compare each formula of the pool on the D-product against the
+    D-ultralimit of its factor values, tuple by tuple, over every
+    assignment of its free variables or over ``assignments``: one
+    `LosReport` per formula, in pool order.
+
+    Each piece of work is done once by what it depends on: the formula
+    records by the nodes, the tables and hypothesis verdicts by the product's
+    structure and each factor, the assignment grids by ``dp``. The right
+    sides of consecutive formulas go to `dlim_batch` together, in calls of
+    at most `WORK_BUDGET`; a formula that alone is over it gets its own call,
+    which refuses it."""
     vq = dp.structure.V
-    window = tuple(sorted(free_vars(phi)))
-    product_eval, factor_evals = dp.evaluators(var_span(phi))
-    hypothesis = []
-    for sub in quantified_subformulas(phi):
-        hypothesis.extend(dp.hypothesis_rows(sub, factor_evals))
-    w = len(window)
-    if assignments is None:
-        combos = np.indices((dp.structure.m,) * w).reshape(w, dp.structure.m ** w).T
-    else:
-        combos = np.array([[dp.structure.space.index(p) if isinstance(p, str) else p
-                            for p in combo] for combo in assignments],
-                          dtype=np.intp).reshape(len(assignments), w)
-        if ((combos < 0) | (combos >= dp.structure.m)).any():
-            raise IndexError("an assignment names a point outside the product")
-    coords = np.array(dp.tuples, dtype=np.intp)
+    cap = spaces.WORK_BUDGET // dlim_cost(vq, 1, len(dp.factors))
+    indexes = {}
+    reports, group, rows = [], [], 0
+    for phi in pool:
+        w = len(phi.window)
+        index = indexes.get(w)
+        if index is None:
+            index = indexes[w] = dp.grid(w) if assignments is None else dp.index(
+                _assigned(dp.structure, assignments, w))
+        if group and rows + len(index[1]) > cap:
+            reports += _los_reports(dp, group, rows)
+            group, rows = [], 0
+        group.append((phi, index))
+        rows += len(index[1])
+    if group:
+        reports += _los_reports(dp, group, rows)
+    return reports
 
-    def gather(evaluator, points):
-        # φ's memo table has size-m axes exactly at its free variables, so
-        # flattened it runs over the window in row-major order
-        strides = evaluator.m ** np.arange(w - 1, -1, -1)
-        return evaluator(phi).reshape(-1)[points @ strides]
 
-    left = gather(product_eval, combos)
-    seqs = np.stack([gather(evaluator, coords[combos, i])
-                     for i, evaluator in enumerate(factor_evals)], axis=1)
-    right = dlim_batch(vq, seqs, dp.D)
-    points = dp.structure.points
-    entries = [LosEntry(tuple(points[p] for p in combo), l, r)
-               for combo, l, r in zip(combos.tolist(), left.tolist(), right.tolist())]
-    return LosReport(print_formula(phi, vq), entries, hypothesis)
+def _assigned(struct, assignments, w):
+    """The (rows, w) point array of explicit assignments, by name or index."""
+    combos = np.array([[struct.space.index(p) if isinstance(p, str) else p for p in combo]
+                       for combo in assignments], dtype=np.intp).reshape(len(assignments), w)
+    if ((combos < 0) | (combos >= struct.m)).any():
+        raise IndexError("an assignment names a point outside the product")
+    return combos
+
+
+def _los_reports(dp, group, rows):
+    """The reports of (formula, index) pairs whose rows add up to ``rows``,
+    with one `dlim_batch` call."""
+    vq = dp.structure.V
+    structs = [dp.structure] + dp.factors
+    values = np.empty((len(structs), rows), dtype=np.int32)    # [product, factors..][row]
+    start = 0
+    for phi, (gathers, _) in group:
+        end = start + gathers.shape[1]
+        for j, s in enumerate(structs):
+            values[j, start:end] = s.evaluator(phi.span)(phi).reshape(-1)[gathers[j]]
+        start = end
+    left, right = values[0], dlim_batch(vq, values[1:].T, dp.D)
+    reports, start = [], 0
+    for phi, (gathers, names) in group:
+        end = start + len(names)
+        l, r = left[start:end], right[start:end]
+        hypothesis = [(f.name, sub.text(vq)) + f.hypothesis(sub)
+                      for sub in phi.quantified for f in dp.factors]
+        entries = [LosEntry(a, x, y) for a, x, y in zip(names, l.tolist(), r.tolist())]
+        reports.append(LosReport(phi.text(vq), l, r, hypothesis, entries))
+        start = end
+    return reports
 
 
 # -- compactness --------------------------------------------------------------------

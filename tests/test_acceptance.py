@@ -411,7 +411,7 @@ def test_criterion_10_los():
                         assert (left == right).all(), (
                             combo, gen, F.print_formula(phi, vq))
                         checked += left.size
-                        for node in up.quantified_subformulas(phi):
+                        for node in F.quantified_subformulas(phi):
                             for f in factors:
                                 key = (f.name, node)
                                 if key not in hypothesis_memo:
@@ -429,8 +429,37 @@ def test_criterion_10_los():
             dp = up.d_product_structure(factors, D)
             report = up.los_check(dp, phi)
             assert report.all_equal
-            if up.quantified_subformulas(phi):
+            if F.quantified_subformulas(phi):
                 assert report.hypothesis
+
+
+def test_los_over_every_class_on_at_most_two_points():
+    """Łoś on every class of chain:4 bodies on 1 and 2 points, as a
+    one-factor product and beside one fixed 2-point body under both
+    generators, over the depth-2 pool; it takes about 5 s on a 2-core host."""
+    vq = cq.builtin("chain:4")
+    modulus = F.identity_modulus(vq)
+    pool = sem.enumerate_formulas(F.Signature(predicates=[("P", 1, modulus)]), vq, 2, 1)
+    classes = []
+    for m in (1, 2):
+        dist, P, first = sem.enumerate_bodies(vq, m, modulus)
+        classes += [unary_structure(vq, dist[s], P[s], "K%d.%d" % (m, s)) for s in first]
+    assert len(classes) == 5 + 175
+    fixed = unary_structure(vq, [[0, 2], [2, 0]], [1, 3], "fixed")
+    start = time.time()
+    products = entries = 0
+    for body in classes:
+        for factors, gens in (([body], (0,)), ([body, fixed], (0, 1))):
+            for gen in gens:
+                dp = up.d_product_structure(factors, up.PrincipalUltrafilter(len(factors), gen))
+                reports = up.los_sweep(dp, pool)
+                assert all(r.all_equal for r in reports), (body.name, len(factors), gen)
+                assert all(h[2:] == (True, True) for r in reports for h in r.hypothesis)
+                products += 1
+                entries += sum(len(r.entries) for r in reports)
+    assert products == 3 * 180
+    assert entries > products * len(pool)
+    assert time.time() - start < 15
 
 
 # ---------------------------------------------------------------- criterion 11

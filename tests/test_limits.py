@@ -61,15 +61,16 @@ def test_d_product_space_refuses_by_cost(chain4, monkeypatch):
 
 
 def test_d_product_structure_refuses_before_building_the_product(chain4, monkeypatch):
-    # the space's 864, P's modulus check 4^2 x 5 and its D-limits 4 x 5 x 5 x 2
+    # the space's 864, P's modulus check 4^2 x 1 + 5^2 x 5 and its D-limits
+    # 4 x 5 x 5 x 2
     factors = [_structure(chain4, 2, "a"), _structure(chain4, 2, "b")]
     D = up.PrincipalUltrafilter(2, 1)
-    monkeypatch.setattr(sp, "WORK_BUDGET", 1144)
+    monkeypatch.setattr(sp, "WORK_BUDGET", 1205)
     assert up.d_product_structure(factors, D).structure.m == 4
     for name in ("d_product_space", "validate_space", "validate_structure", "dlim_batch"):
         monkeypatch.setattr(up, name, _never)
-    _refuses(monkeypatch, 1143, "a D-product structure on 4 points costs 1144 cell "
-             "operations (budget 1143)", lambda: up.d_product_structure(factors, D))
+    _refuses(monkeypatch, 1204, "a D-product structure on 4 points costs 1205 cell "
+             "operations (budget 1204)", lambda: up.d_product_structure(factors, D))
 
 
 def test_eleven_by_ten_by_ten_product_is_refused_at_once(chain4, monkeypatch):
@@ -82,7 +83,7 @@ def test_eleven_by_ten_by_ten_product_is_refused_at_once(chain4, monkeypatch):
     with pytest.raises(SizeLimit) as info:
         up.d_product_structure(factors, up.PrincipalUltrafilter(3, 0))
     assert time.perf_counter() - start < 1.0
-    assert str(info.value) == ("a D-product structure on 1100 points costs 1427882500 "
+    assert str(info.value) == ("a D-product structure on 1100 points costs 1423042625 "
                                "cell operations (budget %d)" % sp.WORK_BUDGET)
 
 
@@ -99,25 +100,26 @@ def test_table_evaluator_refuses_its_window_by_cost(chain4, monkeypatch):
 
 
 def test_register_connective_refuses_by_cost(chain4, monkeypatch):
-    # 25 argument pairs squared, times 5 radii
+    # 25 argument pairs squared, times 2 coordinates, and the 5 x 5 x 5 radius
+    # table of first_failure
     vee = chain4.lattice.join
-    monkeypatch.setattr(sp, "WORK_BUDGET", 3125)
+    monkeypatch.setattr(sp, "WORK_BUDGET", 1375)
     F.register_connective(chain4, "vee", vee, F.identity_modulus(chain4))
-    _refuses(monkeypatch, 3124, "modulus check of connective vee costs 3125 cell "
-             "operations (budget 3124)",
+    _refuses(monkeypatch, 1374, "modulus check of connective vee costs 1375 cell "
+             "operations (budget 1374)",
              lambda: F.register_connective(chain4, "vee", vee, F.identity_modulus(chain4)))
 
 
 def test_validate_structure_refuses_before_any_modulus_check(chain4, monkeypatch):
-    # P: 3^2 x 5 and f: 3^2 x 5, added up before either is checked
+    # P: 3^2 x 1 + 5^2 x 5 and f the same, added up before either is checked
     ident = F.identity_modulus(chain4)
     sig = F.Signature(predicates=[("P", 1, ident)], functions=[("f", 1, ident)])
     space = _discrete(chain4, 3)
     tables = ({"P": [0, 0, 0]}, {"f": [0, 1, 2]})
-    monkeypatch.setattr(sp, "WORK_BUDGET", 90)
+    monkeypatch.setattr(sp, "WORK_BUDGET", 268)
     sem.validate_structure(space, sig, *tables)
     monkeypatch.setattr(sem, "modulus_witness", _never)
-    _refuses(monkeypatch, 89, "checking the moduli of M costs 90 cell operations (budget 89)",
+    _refuses(monkeypatch, 267, "checking the moduli of M costs 268 cell operations (budget 267)",
              lambda: sem.validate_structure(space, sig, *tables, name="M"))
 
 

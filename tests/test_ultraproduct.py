@@ -338,10 +338,20 @@ def test_los_with_quantifiers_and_hypothesis_records(chain4, sig, factors):
             assert sup_ok and inf_ok
 
 
+def _same_report(got, want, vq):
+    assert got.lines(vq) == want.lines(vq)
+    assert got.hypothesis == want.hypothesis
+    assert got.entries == want.entries
+    assert np.array_equal(got.left, want.left) and np.array_equal(got.right, want.right)
+    assert got.all_equal == want.all_equal
+
+
 @pytest.mark.parametrize("width", [1, 2, 3])
 def test_los_reports_on_one_product_match_fresh_products(chain4, sig, factors, width):
-    """Every los_check on one product shares its evaluators and hypothesis
-    rows; each report equals the one from a product built for it alone."""
+    """Every los_check on one product shares its index grids and the
+    factors' evaluators and hypothesis verdicts; each report equals the one
+    from a product built for it alone, and los_sweep over a pool gives the
+    same reports as los_check formula by formula."""
     sig_p = F.Signature(predicates=[("P", 1, F.identity_modulus(chain4))])
     pool = sem.enumerate_formulas(sig_p, chain4, 2, 1)
     assert any(not F.free_vars(phi) for phi in pool)
@@ -354,20 +364,81 @@ def test_los_reports_on_one_product_match_fresh_products(chain4, sig, factors, w
     extra = [F.parse_formula(text, sig, chain4)
              for text in ("(P c)", "(sup x0 (d x0 c))", "(sup x1 (d x0 x1))",
                           "(inf x1 (conn vee (d x0 x1) (P x1)))", "(d x0 x1)")]
-    cases = [(phi, None) for phi in pool + extra]
-    cases += [(extra[-1], [(names[last], names[0]), (names[1], names[1])]),
-              (extra[-1], [(0, last), (last, 1), (1, 0)]),
-              (extra[-2], [(names[last],), (0,)]),
-              (extra[0], [()])]
-    for phi, assignments in cases:
-        got = up.los_check(shared, phi, assignments)
-        want = up.los_check(up.d_product_structure(chosen, D), phi, assignments)
-        assert got.lines(chain4) == want.lines(chain4)
-        assert got.hypothesis == want.hypothesis
-        assert got.entries == want.entries
+    by_width = {w: [phi for phi in pool + extra if len(F.free_vars(phi)) == w]
+                for w in (0, 1, 2)}
+    cases = [(pool + extra, None),
+             (by_width[2], [(names[last], names[0]), (names[1], names[1])]),
+             (by_width[2], [(0, last), (last, 1), (1, 0)]),
+             (by_width[1], [(names[last],), (0,)]),
+             (by_width[0], [()])]
+    for formulas, assignments in cases:
+        swept = up.los_sweep(shared, formulas, assignments)
+        assert len(swept) == len(formulas)
+        for phi, report in zip(formulas, swept):
+            _same_report(report, up.los_check(shared, phi, assignments), chain4)
+            fresh = up.los_check(up.d_product_structure(chosen, D), phi, assignments)
+            _same_report(report, fresh, chain4)
+            assert report.formula == F.print_formula(phi, chain4)
     for bad in ([(last + 1, 0)], [(0, -1)]):
         with pytest.raises(IndexError):
             up.los_check(shared, extra[-1], bad)
+        with pytest.raises(IndexError):
+            up.los_sweep(shared, by_width[2], bad)
+
+
+def test_los_sweep_splits_its_d_limits_by_the_work_budget(chain4, sig, factors, monkeypatch):
+    """With the work budget patched down to the D-limits of the largest
+    single formula, the pool's right sides go to dlim_batch in many calls,
+    none refused, and the reports are the same; one row less refuses that
+    formula, as its own los_check call is refused."""
+    pool = sem.enumerate_formulas(sig, chain4, 1, 2)
+    dp = up.d_product_structure([factors[0], factors[1], factors[0]],
+                                up.PrincipalUltrafilter(3, 2))
+    calls = []
+
+    def counted(vq, seqs, D):
+        calls.append(len(seqs))
+        return dlim_batch(vq, seqs, D)
+
+    dlim_batch = up.dlim_batch
+    monkeypatch.setattr(up, "dlim_batch", counted)
+    whole = up.los_sweep(dp, pool)
+    rows = [len(r.entries) for r in whole]
+    assert calls == [sum(rows)]
+    largest = max(rows)
+    monkeypatch.setattr(sp, "WORK_BUDGET", up.dlim_cost(chain4, largest, 3))
+    del calls[:]
+    chunked = up.los_sweep(dp, pool)
+    assert len(calls) > 1 and max(calls) == largest and sum(calls) == sum(rows)
+    for got, want in zip(chunked, whole):
+        _same_report(got, want, chain4)
+    monkeypatch.setattr(sp, "WORK_BUDGET", up.dlim_cost(chain4, largest, 3) - 1)
+    refused = "%d D-limits over 3 indices costs" % largest
+    with pytest.raises(SizeLimit, match=refused):
+        up.los_sweep(dp, pool)
+    with pytest.raises(SizeLimit, match=refused):
+        up.los_check(dp, next(phi for phi in pool if len(F.free_vars(phi)) == 2))
+
+
+def test_factors_hold_hypothesis_verdicts_and_evaluators(chain4, sig, factors, monkeypatch):
+    """A factor's held verdicts equal los_hypothesis_check, and every
+    product that has the factor reads the factor's own evaluator."""
+    pool = sem.enumerate_formulas(sig, chain4, 2, 1)
+    one = up.d_product_structure(factors, up.PrincipalUltrafilter(2, 0))
+    two = up.d_product_structure([factors[1], factors[0], factors[1]],
+                                 up.PrincipalUltrafilter(3, 2))
+    for dp in (one, two):
+        assert all(r.all_equal for r in up.los_sweep(dp, pool))
+    subs = [sub for phi in pool for sub in F.quantified_subformulas(phi)]
+    assert subs
+    monkeypatch.setattr(sem, "cauchy_sums_vanish", None)    # held: not computed again
+    for f in factors:
+        for sub in subs:
+            assert f.hypothesis(sub) == up.los_hypothesis_check(f, sub)
+    assert one.factors[0] is two.factors[1]
+    assert one.factors[0].evaluator(1) is two.factors[1].evaluator(1)
+    assert one.factors[1].evaluator(1) is two.factors[0].evaluator(1) is two.factors[2].evaluator(1)
+    assert one.structure.evaluator(1) is not two.structure.evaluator(1)
 
 
 # -- the discrete Cauchy hypothesis ----------------------------------------------------
