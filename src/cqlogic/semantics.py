@@ -152,7 +152,9 @@ def enumerate_bodies(vq: CoQuantale, m, modulus):
     """Every body on m points (a table with the bottom on its diagonal, a
     unary P with the given modulus) in lexicographic order of the off-diagonal
     cells, then P: the stacked dist (N, m, m) and P (N, m) of `TableEvaluator`,
-    and the first body of each class, the least packed key over permutations."""
+    and the first body of each class, the least packed key over permutations.
+    The modulus test and the permuted keys run over blocks of candidate
+    tables of at most CELL_BUDGET cells."""
     n, cells, orders = vq.size, np.flatnonzero(~np.eye(m, dtype=bool)), math.factorial(m)
     check_cost("enumerating bodies on %d points over %s" % (m, vq.name),
                n ** len(cells) * (m ** 3 + orders * m * m + n ** m * (m * m + orders * m)))
@@ -162,13 +164,21 @@ def enumerate_bodies(vq: CoQuantale, m, modulus):
         (n,) * len(cells), dtype=np.int32).reshape(len(cells), len(dist)).T
     dist = dist[_triangle_witness(vq, dist)[:, 0] < 0]
     preds = np.indices((n,) * m, dtype=np.int32).reshape(m, -1).T
-    jumps = first_failure(vq, modulus)[dist[:, None], vq.dsym[preds[:, :, None], preds[:, None]]]
-    space, pred = np.nonzero((jumps == len(modulus.table)).all(axis=(2, 3)))
+    gaps = vq.dsym[preds[:, :, None], preds[:, None]]      # [p, x, y] = d_sym(P(x), P(y))
+    fails = first_failure(vq, modulus)
     # packed key of each permuted body: its off-diagonal distances, then P
     digits = n ** np.arange(len(cells) + m - 1, -1, -1, dtype=np.int64)
-    moved = dist[:, perms[:, :, None], perms[:, None, :]].reshape(len(dist), len(perms), -1)
-    keys = moved[:, :, cells] @ digits[:len(cells)] * n ** m
-    keys = (keys[space] + preds[pred][:, perms] @ digits[len(cells):]).min(axis=1)
+    admitted = np.empty((len(dist), len(preds)), dtype=bool)
+    keys = np.empty((len(dist), orders), dtype=np.int64)
+    rows = max(1, CELL_BUDGET // (max(len(preds), orders) * m * m))
+    for start in range(0, len(dist), rows):     # blocks of at most CELL_BUDGET cells
+        block = dist[start:start + rows]
+        jumps = fails[block[:, None], gaps]     # [s, p, x, y]: the first ε failed
+        admitted[start:start + rows] = (jumps == len(modulus.table)).all(axis=(2, 3))
+        moved = block[:, perms[:, :, None], perms[:, None, :]].reshape(len(block), orders, -1)
+        keys[start:start + rows] = moved[:, :, cells] @ digits[:len(cells)] * n ** m
+    space, pred = np.nonzero(admitted)
+    keys = (keys[space] + (preds[:, perms] @ digits[len(cells):])[pred]).min(axis=1)
     return dist[space], preds[pred], np.sort(np.unique(keys, return_index=True)[1])
 
 

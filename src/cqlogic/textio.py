@@ -17,6 +17,8 @@ All formats are UTF-8 with '#' comments. Directives:
 
 from __future__ import annotations
 
+from itertools import product
+
 import numpy as np
 
 from . import coquantale as cq
@@ -259,34 +261,40 @@ def _load_tables(kind, symbols, rows, index, noun, header_line, parse, bad):
 
 
 def write_structure(struct, name=None) -> str:
-    """Emit a structure in the same text format the loader accepts."""
+    """Emit a structure in the same text format the loader accepts: a @dist
+    line for each cell off the default table, a @predval and @funval line for
+    each cell of each table, in row-major order."""
     vq = struct.V
+    names = [vq.element_name(e) for e in range(vq.size)]
+    points = struct.points
     out = ["@structure %s over %s" % (name or struct.name, vq.name)]
-    out.append("@universe %s" % " ".join(struct.points))
-    for i, p in enumerate(struct.points):
-        for j, q in enumerate(struct.points):
-            default = vq.bottom if i == j else vq.top
-            if struct.dist[i, j] != default:
-                out.append("@dist %s %s %s" % (p, q, vq.element_name(int(struct.dist[i, j]))))
+    out.append("@universe %s" % " ".join(points))
+    # the cells off the default table: top, with the bottom on the diagonal
+    moved = struct.dist != vq.top
+    np.fill_diagonal(moved, struct.dist.diagonal() != vq.bottom)
+    for p, row, mask in zip(points, struct.dist, moved):
+        cols = np.flatnonzero(mask)
+        out.extend("@dist %s %s %s" % (p, points[j], names[e])
+                   for j, e in zip(cols.tolist(), row[cols].tolist()))
     for pname in sorted(struct.sig.predicates):
         arity, modulus = struct.sig.predicates[pname]
         out.append("@pred %s %d %s" % (pname, arity, _modulus_text(vq, modulus)))
-        table = struct.pred_tables[pname]
-        for combo in np.ndindex(*table.shape):
-            out.append("@predval %s %s %s"
-                       % (pname, " ".join(struct.points[i] for i in combo),
-                          vq.element_name(int(table[combo]))))
+        out.extend("@predval %s %s %s" % (pname, args, names[e])
+                   for args, e in _cells(points, struct.pred_tables[pname]))
     for fname in sorted(struct.sig.functions):
         arity, modulus = struct.sig.functions[fname]
         out.append("@fun %s %d %s" % (fname, arity, _modulus_text(vq, modulus)))
-        table = struct.fun_tables[fname]
-        for combo in np.ndindex(*table.shape):
-            out.append("@funval %s %s %s"
-                       % (fname, " ".join(struct.points[i] for i in combo),
-                          struct.points[int(table[combo])]))
+        out.extend("@funval %s %s %s" % (fname, args, points[e])
+                   for args, e in _cells(points, struct.fun_tables[fname]))
     for cname in struct.sig.constants:
-        out.append("@const %s %s" % (cname, struct.points[struct.const_points[cname]]))
+        out.append("@const %s %s" % (cname, points[struct.const_points[cname]]))
     return "\n".join(out) + "\n"
+
+
+def _cells(points, table):
+    """(the point names of a cell's arguments, its entry) for every cell of a
+    table, in row-major order."""
+    return zip(map(" ".join, product(points, repeat=table.ndim)), table.ravel().tolist())
 
 
 def _modulus_text(vq, modulus):

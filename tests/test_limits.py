@@ -170,3 +170,16 @@ def test_enumerate_bodies_refuses_by_cost(bool2, monkeypatch):
     monkeypatch.setattr(sem, "_triangle_witness", _never)
     _refuses(monkeypatch, 19007, "enumerating bodies on 3 points over bool2 costs 19008 "
              "cell operations (budget 19007)", lambda: sem.enumerate_bodies(bool2, 3, ident))
+
+
+@pytest.mark.parametrize("spec, m", [("bool2", 3), ("chain:4", 2), ("chain:4", 3)])
+def test_enumerate_bodies_in_small_blocks_gives_the_same_bodies(roster, monkeypatch, spec, m):
+    """The modulus test and the permuted keys run over blocks of candidate
+    tables: one table per block, a few per block, and all at once agree."""
+    vq = roster[spec]
+    ident = F.identity_modulus(vq)
+    whole = sem.enumerate_bodies(vq, m, ident)
+    for budget in (1, 7 * m ** 2 * vq.size ** m):
+        monkeypatch.setattr(sem, "CELL_BUDGET", budget)
+        blocked = sem.enumerate_bodies(vq, m, ident)
+        assert all(np.array_equal(a, b) and a.dtype == b.dtype for a, b in zip(blocked, whole))

@@ -1,7 +1,8 @@
 """Property tests: the three evaluators agree on random structures,
 printing then parsing a formula gives it back, a one-factor D-product is
-its factor, D-product distances are the pointwise D-ultralimits, and
-written structures load back.
+its factor, D-product distances are the pointwise D-ultralimits, written
+structures load back, and the triangle check on twin representatives gives
+the verdict of the full check.
 
 Structures are built valid by construction. A symmetric space takes the
 predicate P(x) = d(a, x) + e, which the identity modulus admits because
@@ -21,6 +22,8 @@ from cqlogic import formulas as F
 from cqlogic import semantics as sem
 from cqlogic import spaces as sp
 from cqlogic import ultraproduct as up
+from cqlogic.errors import TransitivityViolation
+from cqlogic.freelocale import FreeLocale
 from cqlogic.textio import Workspace, write_structure
 
 from conftest import metric_closure
@@ -167,3 +170,44 @@ def test_written_structure_loads_back_to_the_same_tables(spec, data):
     loaded = ws.structure(struct.name)
     assert loaded.sig == struct.sig
     assert_same_tables(loaded, struct)
+
+
+@st.composite
+def twinned_tables(draw, V):
+    """A random table on up to four base points, each base point copied into
+    twins and the copies shuffled. Half the base tables are repaired to the
+    triangle law; one cell of the result may then be changed, which splits a
+    twin class."""
+    elements = st.sampled_from(list(V.carrier()))
+    k = draw(st.integers(1, 4))
+    base = [[V.bottom if x == y else draw(elements) for y in range(k)] for x in range(k)]
+    if draw(st.booleans()):
+        base = metric_closure(V, base)
+    copies = draw(st.permutations(list(range(k)) + draw(st.lists(st.integers(0, k - 1),
+                                                                 max_size=4))))
+    dist = [[base[a][b] for b in copies] for a in copies]
+    if len(copies) > 1 and draw(st.booleans()):
+        x, y = draw(st.permutations(range(len(copies))))[:2]
+        dist[x][y] = draw(elements)
+    return dist
+
+
+@pytest.mark.parametrize("spec", ["chain:4", "freelocale:2", "symbolic:2"])
+@given(data=st.data())
+def test_twin_reduced_triangle_check_matches_the_full_kernel(spec, data):
+    V = FreeLocale(("a", "b")) if spec == "symbolic:2" else cq.builtin(spec)
+    dist = data.draw(twinned_tables(V))
+    m = len(dist)
+    points = ["p%d" % i for i in range(m)]
+    table = np.empty((m, m), dtype=object if spec == "symbolic:2" else np.int32)
+    for x, y in product(range(m), repeat=2):
+        table[x, y] = dist[x][y]
+    x, y, z = sp._triangle_witness(V, table[None])[0]
+    expected = None if x < 0 else ("d(%s,%s) > d(%s,%s) + d(%s,%s)"
+                                   % tuple(points[i] for i in (x, y, x, z, z, y)))
+    try:
+        sp.validate_space(V, points, dist)
+        got = None
+    except TransitivityViolation as exc:
+        got = str(exc)
+    assert got == expected

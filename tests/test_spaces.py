@@ -79,6 +79,29 @@ def test_triangle_check_matches_brute_force(roster, monkeypatch, spec, budget):
     assert outcomes == {True, False}
 
 
+def test_triangle_witness_through_twin_copies(chain4, monkeypatch):
+    """u1, u2 are twins and so are v1, v2; only d(u,v) = 4 > d(u,w) + d(w,v)
+    = 2 fails, so every failing triple passes through a twin class. The
+    kernel runs once, on the representatives u1, w, v1, and its witness
+    (0, 2, 1) there is (0, 3, 2) here."""
+    base = [[0, 1, 4], [1, 0, 1], [4, 1, 0]]                # u, w, v
+    of = [0, 0, 1, 2, 2]
+    dist = [[base[a][b] for b in of] for a in of]
+    seen = []
+    kernel = sp._triangle_witness
+
+    def spy(values, tables):
+        seen.append(tables.shape)
+        return kernel(values, tables)
+
+    monkeypatch.setattr(sp, "_triangle_witness", spy)
+    with pytest.raises(TransitivityViolation) as info:
+        sp.validate_space(chain4, ["u1", "u2", "w", "v1", "v2"], dist)
+    assert str(info.value) == "d(u1,v1) > d(u1,w) + d(w,v1)"
+    assert str(info.value) == _first_triangle_failure(chain4, ["u1", "u2", "w", "v1", "v2"], dist)
+    assert seen == [(1, 3, 3)]
+
+
 @pytest.mark.parametrize("symbolic", [False, True], ids=["table", "symbolic"])
 def test_malformed_tables_raise_reflexivity_violation(roster, symbolic):
     V = FreeLocale(("a", "b")) if symbolic else roster["freelocale:2"]

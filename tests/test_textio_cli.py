@@ -1,6 +1,11 @@
+import numpy as np
 import pytest
 
 from cqlogic import cli
+from cqlogic import coquantale as cq
+from cqlogic import formulas as F
+from cqlogic import semantics as sem
+from cqlogic import spaces as sp
 from cqlogic.errors import ParseError
 from cqlogic.textio import Workspace, write_structure
 
@@ -93,6 +98,53 @@ def test_structure_round_trip(workspace):
     assert {k: v.tolist() for k, v in reloaded.pred_tables.items()} == \
         {k: v.tolist() for k, v in original.pred_tables.items()}
     assert reloaded.const_points == original.const_points
+
+
+def _write_per_cell(struct, name=None):
+    """The writer cell by cell: the reference for `write_structure`."""
+    vq = struct.V
+    out = ["@structure %s over %s" % (name or struct.name, vq.name)]
+    out.append("@universe %s" % " ".join(struct.points))
+    for i, p in enumerate(struct.points):
+        for j, q in enumerate(struct.points):
+            default = vq.bottom if i == j else vq.top
+            if struct.dist[i, j] != default:
+                out.append("@dist %s %s %s" % (p, q, vq.element_name(int(struct.dist[i, j]))))
+    for kind, symbols, tables, image in (
+            ("pred", struct.sig.predicates, struct.pred_tables, vq.element_name),
+            ("fun", struct.sig.functions, struct.fun_tables, struct.points.__getitem__)):
+        for sname in sorted(symbols):
+            arity, modulus = symbols[sname]
+            out.append("@%s %s %d @modulus %s" % (kind, sname, arity, " ".join(
+                "%s %s" % (vq.element_name(e), vq.element_name(d))
+                for e, d in sorted(modulus.table.items()))))
+            for combo in np.ndindex(*tables[sname].shape):
+                args = " ".join(struct.points[i] for i in combo)
+                out.append("@%sval %s %s %s"
+                           % (kind, sname, args, image(int(tables[sname][combo]))))
+    for cname in struct.sig.constants:
+        out.append("@const %s %s" % (cname, struct.points[struct.const_points[cname]]))
+    return "\n".join(out) + "\n"
+
+
+@pytest.mark.parametrize("spec", ["chain:4", "lukasiewicz:4"])
+def test_write_structure_matches_the_per_cell_writer(spec):
+    """Functions of arity 1 and 2, two constants and predicates of arity 1
+    and 2; lukasiewicz:4 names its element i "(4-i)/4", so a name read by
+    index shows."""
+    vq = cq.builtin(spec)
+    ident = F.identity_modulus(vq)
+    dist = [[0, 2, 1, 4], [2, 0, 1, 4], [1, 1, 0, 4], [4, 4, 4, 0]]
+    space = sp.validate_space(vq, ["a", "b", "z", "w"], dist)
+    sig = F.Signature(predicates=[("R", 2, ident), ("P", 1, ident)],
+                      functions=[("g", 2, ident), ("f", 1, ident)], constants=["e", "c"])
+    struct = sem.validate_structure(
+        space, sig, {"R": np.maximum.outer(dist[0], dist[2]), "P": [3, 3, 3, 3]},
+        {"f": [1, 0, 2, 3], "g": np.tile(np.arange(4), (4, 1))}, {"c": 2, "e": 3}, name="K")
+    text = write_structure(struct)
+    assert text == _write_per_cell(struct)
+    assert write_structure(struct, "L") == _write_per_cell(struct, "L")
+    assert "@predval R b z %s\n" % vq.element_name(2) in text
 
 
 def test_parse_errors_carry_line_numbers():
