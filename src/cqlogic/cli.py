@@ -153,6 +153,8 @@ def cmd_eval(args) -> int:
         var, _, point = item.partition("=")
         if not var.startswith("x") or not var[1:].isdigit():
             raise CqlError("bad assignment %r (use xN=POINT)" % item)
+        if point not in struct.space.points:
+            raise CqlError("unknown point %r in structure %s" % (point, args.structure))
         sigma[int(var[1:])] = struct.space.index(point)
     value = sem.eval_formula(struct, phi, sigma)
     print(struct.V.element_name(value))
@@ -199,23 +201,29 @@ def _pair_command(args, op, label) -> int:
 # -- ultra / los-check ----------------------------------------------------------------
 
 
-def cmd_ultra(args) -> int:
+def _d_product(args):
+    """The D-product of --factors under the ultrafilter principal at --principal."""
     ws = _workspace(args)
     factors = [ws.structure(n) for n in args.factors]
-    dp = up.d_product_structure(factors, up.PrincipalUltrafilter(len(factors), args.principal))
+    if not 0 <= args.principal < len(factors):
+        raise CqlError("--principal %d is not a factor index (0..%d)"
+                       % (args.principal, len(factors) - 1))
+    return up.d_product_structure(factors, up.PrincipalUltrafilter(len(factors), args.principal))
+
+
+def cmd_ultra(args) -> int:
+    dp = _d_product(args)
     sys.stdout.write(write_structure(dp.structure, name="product"))
     return 0
 
 
 def cmd_los_check(args) -> int:
-    ws = _workspace(args)
-    factors = [ws.structure(n) for n in args.factors]
-    dp = up.d_product_structure(factors, up.PrincipalUltrafilter(len(factors), args.principal))
-    vq = factors[0].V
+    dp = _d_product(args)
+    sig, vq = dp.factors[0].sig, dp.factors[0].V
     if args.formula:
-        pool = [parse_formula(args.formula, factors[0].sig, vq)]
+        pool = [parse_formula(args.formula, sig, vq)]
     elif args.depth is not None:
-        pool = sem.enumerate_formulas(factors[0].sig, vq, args.depth, args.max_free_vars)
+        pool = sem.enumerate_formulas(sig, vq, args.depth, args.max_free_vars)
     else:
         raise CqlError("give --formula or --depth")
     print("formulas: %d" % len(pool))

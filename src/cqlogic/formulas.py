@@ -29,7 +29,7 @@ import numpy as np
 from .coquantale import CoQuantale, epsilon_halver
 from .errors import (ArityMismatch, FormulaSyntaxError, ModulusViolated,
                      NotValueCoquantale, UnknownSymbol)
-from .spaces import CELL_BUDGET, check_cost
+from . import spaces
 
 RESERVED = {"d", "conn", "val", "sup", "inf"}
 VAR_RE = re.compile(r"^x(\d+)$")
@@ -88,10 +88,10 @@ def modulus_witness(vq, what, coord_dist, arity, out_dist, outputs, modulus):
     each cell gathers its first failing ε from `first_failure`."""
     n = len(coord_dist)
     count = n ** arity
-    check_cost("modulus check of %s" % what, modulus_cost(vq, count, arity, modulus))
+    spaces.check_cost("modulus check of %s" % what, modulus_cost(vq, count, arity, modulus))
     first = first_failure(vq, modulus)
     grids = np.indices((n,) * arity).reshape(arity, -1)
-    rows = max(1, CELL_BUDGET // count)
+    rows = max(1, spaces.CELL_BUDGET // count)
     best, where = len(modulus.table), None                  # ε position, s·count + t
     for start in range(0, count, rows):
         s = np.arange(start, min(start + rows, count))

@@ -9,9 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NoBoundedness, NotALattice, NotAPartialOrder, SizeLimit
-
-ORACLE_LIMIT = 16  # 2^n subsets; keep the brute-force oracle honest but bounded
+from .errors import NoBoundedness, NotALattice, NotAPartialOrder
 
 
 class FiniteLattice:
@@ -195,15 +193,16 @@ def meet_irreducibles(lat: FiniteLattice):
 
 def co_well_below_oracle(lat: FiniteLattice, x, y) -> bool:
     """The quantified definition over all 2^n subsets, kept as a permanent
-    cross-check of the closed form.  Exponential; refuses large carriers."""
+    cross-check of the closed form.  Exponential: charged the 2^n subset
+    meets and, per subset, one ≤ test and its n candidate members."""
+    from .spaces import check_cost, loop_cost     # spaces imports this module
     n = lat.n
-    if n > ORACLE_LIMIT:
-        raise SizeLimit("oracle limited to %d elements" % ORACLE_LIMIT)
+    check_cost("the ≺ oracle on %d elements" % n, loop_cost((n + 2) << n))
     meets = _subset_meets(lat)
     below_y = [lat.le(a, y) for a in range(n)]
     for mask in range(1 << n):
         if lat.le(meets[mask], x):
-            if not any(below_y[a] for a in _bits(mask)):
+            if not any(below_y[a] for a in range(n) if mask >> a & 1):
                 return False
     return True
 
@@ -215,13 +214,6 @@ def _subset_meets(lat):
         low = (mask & -mask).bit_length() - 1
         meets[mask] = lat.meet2(meets[mask & (mask - 1)], low)
     return meets
-
-
-def _bits(mask):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def is_completely_distributive(lat: FiniteLattice) -> bool:

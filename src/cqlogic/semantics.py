@@ -33,7 +33,8 @@ from .errors import (ArityMismatch, FreeVariableMismatch, MissingInterpretation,
 from .formulas import (App, Conn, Const, DistAtom, Inf, PredAtom, Signature, Sup, Val, Var,
                        default_kit, first_failure, free_vars, modulus_cost, modulus_witness,
                        print_formula, validate_modulus)
-from .spaces import CELL_BUDGET, ContinuitySpace, _triangle_witness, check_cost
+from . import spaces
+from .spaces import ContinuitySpace, _triangle_witness, check_cost
 
 
 class LStructure:
@@ -170,7 +171,7 @@ def enumerate_bodies(vq: CoQuantale, m, modulus):
     digits = n ** np.arange(len(cells) + m - 1, -1, -1, dtype=np.int64)
     admitted = np.empty((len(dist), len(preds)), dtype=bool)
     keys = np.empty((len(dist), orders), dtype=np.int64)
-    rows = max(1, CELL_BUDGET // (max(len(preds), orders) * m * m))
+    rows = max(1, spaces.CELL_BUDGET // (max(len(preds), orders) * m * m))
     for start in range(0, len(dist), rows):     # blocks of at most CELL_BUDGET cells
         block = dist[start:start + rows]
         jumps = fails[block[:, None], gaps]     # [s, p, x, y]: the first ε failed
@@ -278,10 +279,10 @@ class TableEvaluator:
             return hit[1]
         table = self._node(phi)
         table.setflags(write=False)
-        if self.cells + table.size > CELL_BUDGET:
+        if self.cells + table.size > spaces.CELL_BUDGET:
             self.memo.clear()
             self.cells = 0
-        if table.size <= CELL_BUDGET:
+        if table.size <= spaces.CELL_BUDGET:
             self.memo[id(phi)] = (phi, table)
             self.cells += table.size
         return table

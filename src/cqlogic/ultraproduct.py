@@ -23,8 +23,7 @@ from .errors import (NoLimit, NotCoDivisible, NotFinitelySatisfiable, NotT0,
 from .formulas import Inf, Sup, free_vars, print_formula
 from .semantics import (LStructure, cauchy_sums_vanish, eval_table, satisfies,
                         structure_cost, theory, validate_structure)
-from .spaces import (CELL_BUDGET, ContinuitySpace, check_cost, is_symmetric,
-                     triangle_cost, validate_space)
+from .spaces import ContinuitySpace, check_cost, is_symmetric, triangle_cost, validate_space
 
 
 class PrincipalUltrafilter:
@@ -98,7 +97,7 @@ def dlim_batch(vq: CoQuantale, seqs, D: PrincipalUltrafilter):
     are taken in blocks of at most CELL_BUDGET (candidate, row, j, ε) cells."""
     seqs = np.asarray(seqs, dtype=np.int32)
     check_cost("%d D-limits over %d indices" % seqs.shape, dlim_cost(vq, *seqs.shape))
-    rows = max(1, CELL_BUDGET // max(1, dlim_cost(vq, 1, seqs.shape[1])))
+    rows = max(1, spaces.CELL_BUDGET // max(1, dlim_cost(vq, 1, seqs.shape[1])))
     out = np.empty(len(seqs), dtype=np.int32)
     for start in range(0, len(seqs), rows):
         # [a, row, ε, j]: d^s(a, s_j) ≤ ε; the last axis is the index set of

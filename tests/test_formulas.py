@@ -151,7 +151,7 @@ def test_connective_modulus_check_matches_brute_force(roster, monkeypatch, spec,
     argument tuples into blocks of one row."""
     vq = roster[spec]
     kit = list(F.default_kit(vq).values())
-    monkeypatch.setattr(F, "CELL_BUDGET", budget)
+    monkeypatch.setattr(sp, "CELL_BUDGET", budget)
     rng = random.Random("%s/%d" % (spec, budget))
     outcomes = set()
     for case in range(24):
@@ -190,7 +190,7 @@ def test_symbol_modulus_check_matches_brute_force(roster, monkeypatch, spec, bud
     of them constant or the identity, under identity and random moduli."""
     vq = roster[spec]
     elements = list(vq.carrier())
-    monkeypatch.setattr(F, "CELL_BUDGET", budget)
+    monkeypatch.setattr(sp, "CELL_BUDGET", budget)
     rng = random.Random("symbols/%s/%d" % (spec, budget))
     outcomes = set()
     for _ in range(30):

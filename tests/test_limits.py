@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from cqlogic import formulas as F
+from cqlogic import lattice as lat
 from cqlogic import semantics as sem
 from cqlogic import spaces as sp
 from cqlogic import ultraproduct as up
@@ -146,20 +147,86 @@ def test_product_space_refuses_before_building_its_table(chain4, monkeypatch):
 
 def test_symbolic_space_is_refused_before_its_triangle_loop(monkeypatch):
     """The symbolic free locale checks the triangle law in a Python loop,
-    so it stops where every scan over its spaces stops."""
+    so its 3^3 triples are charged as loop iterations."""
     V = FreeLocale(("a", "b"))
-
-    def validate(m):
-        return sp.validate_space(V, ["p%d" % i for i in range(m)],
-                                 [[V.bottom if x == y else V.top for y in range(m)]
-                                  for x in range(m)])
-
+    dist = [[V.bottom if x == y else V.top for y in range(3)] for x in range(3)]
+    monkeypatch.setattr(sp, "WORK_BUDGET", sp.loop_cost(27))
+    assert sp.validate_space(V, "abc", dist).m == 3
     monkeypatch.setattr(sp, "_triangle_witness", _never)
-    with pytest.raises(AssertionError, match="reached after the cost check"):
-        validate(sp.TOPOLOGY_SCAN_MAX)
+    _refuses(monkeypatch, 1727, "triangle check on 3 points costs 1728 cell operations "
+             "(budget 1727)", lambda: sp.validate_space(V, "abc", dist))
+
+
+def test_induced_topology_refuses_before_its_scan(monkeypatch):
+    # 3 points, the 6 radii of the free locale on {a, b}: 9 x 6 ≺ tests,
+    # 3 x 6^2 disc comparisons, 2^3 masks x 3 x 7 and 4^3 open pairs
+    V = FreeLocale(("a", "b"))
+    space = sp.validate_space(V, "abc", [[V.bottom if x == y else V.top for y in range(3)]
+                                          for x in range(3)])
+    monkeypatch.setattr(sp, "WORK_BUDGET", sp.loop_cost(394))
+    assert len(sp.induced_topology(space).opens) == 8
+    radii = V.positives()
+    monkeypatch.setattr(V, "positives", lambda: radii)
+    monkeypatch.setattr(V, "cwb", _never)
+    _refuses(monkeypatch, 25215, "induced topology on 3 points costs 25216 cell operations "
+             "(budget 25215)", lambda: sp.induced_topology(space))
+
+
+def test_topology_theorems_refuse_before_any_topology(bool2, monkeypatch):
+    # 2 points, the 2 radii of bool2: three induced topologies of 8 + 8 + 24
+    # + 16, then the six statements' 16 + 8 + 40 + 80 + 72 + 128 iterations
+    space = _discrete(bool2, 2)
+    monkeypatch.setattr(sp, "WORK_BUDGET", sp.loop_cost(3 * 56 + 344))
+    assert sp.check_topology_theorems(space).all_pass
+    monkeypatch.setattr(sp, "symmetric_space", _never)
+    _refuses(monkeypatch, 32767, "topology theorems on 2 points costs 32768 cell operations "
+             "(budget 32767)", lambda: sp.check_topology_theorems(space))
+
+
+def test_space_from_topology_refuses_before_its_distances(monkeypatch):
+    # 2^2 distances, each the down-closure of at most 3 opens (3 + 2^3), then
+    # the 2^3 triangle cells over the materialized locale
+    sierpinski = sp.validate_topology("ab", [frozenset(), frozenset("b"), frozenset("ab")])
+    monkeypatch.setattr(sp, "WORK_BUDGET", 2824)
+    assert sp.space_from_topology(sierpinski).m == 2
+    monkeypatch.setattr(sp, "downclose", _never)
+    _refuses(monkeypatch, 2823, "the space of a topology on 2 points with 3 opens costs 2824 "
+             "cell operations (budget 2823)", lambda: sp.space_from_topology(sierpinski))
+
+
+def test_enumerate_topologies_refuses_before_its_scan(monkeypatch):
+    # 2^4 families on 2 points, each built from the 4 subsets
+    monkeypatch.setattr(sp, "WORK_BUDGET", sp.loop_cost(64))
+    assert len(sp.enumerate_topologies("ab")) == 4
+    monkeypatch.setattr(sp, "combinations", _never)
+    _refuses(monkeypatch, 4095, "enumerating topologies on 2 points costs 4096 cell "
+             "operations (budget 4095)", lambda: sp.enumerate_topologies("ab"))
+
+
+def test_cwb_oracle_refuses_before_its_subset_meets(bool2, monkeypatch):
+    # n = 2: the 2^2 subset meets, then per subset one ≤ test and up to 2 members
+    lattice = bool2.lattice
+    monkeypatch.setattr(sp, "WORK_BUDGET", sp.loop_cost(16))
+    assert lat.co_well_below_oracle(lattice, 0, 1)
+    monkeypatch.setattr(lat, "_subset_meets", _never)
+    _refuses(monkeypatch, 1023, "the ≺ oracle on 2 elements costs 1024 cell operations "
+             "(budget 1023)", lambda: lat.co_well_below_oracle(lattice, 0, 1))
+
+
+def test_sixteen_point_induced_topology_is_refused_at_once(bool2):
+    """Up to 4^16 pairs of opens, hours of scanning: refused before any of
+    it at the real budget."""
+    space = _discrete(bool2, 16)
+    start = time.perf_counter()
     with pytest.raises(SizeLimit) as info:
-        validate(sp.TOPOLOGY_SCAN_MAX + 1)
-    assert str(info.value) == "symbolic triangle check capped at 16 points"
+        sp.induced_topology(space)
+    assert time.perf_counter() - start < 1.0
+    assert str(info.value) == ("induced topology on 16 points costs 275079270400 cell "
+                               "operations (budget %d)" % sp.WORK_BUDGET)
+
+
+def test_topologies_on_four_points_fit_the_real_budget():
+    assert len(sp.enumerate_topologies("abcd")) == 355
 
 
 def test_enumerate_bodies_refuses_by_cost(bool2, monkeypatch):
@@ -180,6 +247,6 @@ def test_enumerate_bodies_in_small_blocks_gives_the_same_bodies(roster, monkeypa
     ident = F.identity_modulus(vq)
     whole = sem.enumerate_bodies(vq, m, ident)
     for budget in (1, 7 * m ** 2 * vq.size ** m):
-        monkeypatch.setattr(sem, "CELL_BUDGET", budget)
+        monkeypatch.setattr(sp, "CELL_BUDGET", budget)
         blocked = sem.enumerate_bodies(vq, m, ident)
         assert all(np.array_equal(a, b) and a.dtype == b.dtype for a, b in zip(blocked, whole))

@@ -514,7 +514,7 @@ def test_memo_budget_changes_no_table_or_verdict(monkeypatch, struct_n, sig1, ch
         held.append(sum(table.size for _, table in self.memo.values()))
         return out
 
-    monkeypatch.setattr(sem, "CELL_BUDGET", budget)
+    monkeypatch.setattr(sp, "CELL_BUDGET", budget)
     monkeypatch.setattr(sem.TableEvaluator, "__call__", call)
     got_tables = tables()
     assert all(np.array_equal(a, b) for a, b in zip(got_tables, want_tables))

@@ -118,9 +118,19 @@ def test_malformed_tables_raise_reflexivity_violation(roster, symbolic):
         with pytest.raises(ReflexivityViolation):
             sp.validate_space(V, ["p", "q"], dist)
     if not symbolic:
-        for dist in (np.array([[0, 1.0], [1, 0]]), np.array([[0, V.size], [1, 0]])):
+        for dist in (np.array([[0, 1.0], [1, 0]]), np.array([[0, V.size], [1, 0]]),
+                     np.array([[o, t], [float(t), o]], dtype=object)):   # equal to t, not one
             with pytest.raises(ReflexivityViolation):
                 sp.validate_space(V, ["p", "q"], dist)
+
+
+def test_unhashable_symbolic_entry_is_not_an_element():
+    """Entries are checked once each, in row-major order; an unhashable one
+    is reported like any other foreign entry."""
+    V = FreeLocale(("a", "b"))
+    o, t = V.bottom, V.top
+    with pytest.raises(ReflexivityViolation, match=r"dist entry \{'a'\} is not a V element"):
+        sp.validate_space(V, ["p", "q", "r"], [[o, t, {"a"}], [t, o, "1"], [{"b"}, t, o]])
 
 
 def test_dist_is_one_read_only_array(chain4):
@@ -390,11 +400,22 @@ def test_flagg_spaces_over_one_ground_share_their_universe():
         for u in ({"a"}, {"b"}) for w in ({"p"}, {"p", "q"})}
 
 
-def test_flagg_rejects_large_point_sets():
+def _never(*args, **kwargs):
+    raise AssertionError("reached after the cost check")
+
+
+def test_flagg_rejects_large_point_sets(monkeypatch):
+    """Four points and two opens fit the budget; 500 points cost 250,000
+    distances and a 500^3 triangle check, refused before any distance."""
     topo = sp.validate_topology(["a", "b", "c", "d"],
                                 [frozenset(), frozenset("abcd")])
-    with pytest.raises(SizeLimit):
-        sp.space_from_topology(topo)
+    assert sp.induced_topology(sp.space_from_topology(topo)).opens == topo.opens
+    points = ["p%d" % i for i in range(500)]
+    big = sp.validate_topology(points, [frozenset(), frozenset(points)])
+    monkeypatch.setattr(sp, "downclose", _never)
+    with pytest.raises(SizeLimit, match="the space of a topology on 500 points with 2 opens "
+                                        "costs 221000000 cell operations"):
+        sp.space_from_topology(big)
 
 
 def test_enumerate_topologies_count():
@@ -403,9 +424,15 @@ def test_enumerate_topologies_count():
     assert len(sp.enumerate_topologies(["a", "b", "c"])) == 29
 
 
-def test_enumerate_topologies_refuses_five_points_before_scanning():
-    with pytest.raises(SizeLimit, match=r"2\^32 families"):
+def test_enumerate_topologies_refuses_five_points_before_scanning(monkeypatch):
+    """2^32 families of 32 subsets; the count is charged capped at 2^28, the
+    bits of the budget, and is still over it."""
+    monkeypatch.setattr(sp, "combinations", _never)
+    with pytest.raises(SizeLimit, match="enumerating topologies on 5 points costs "
+                                        "549755813888 cell operations"):
         sp.enumerate_topologies(["a", "b", "c", "d", "e"])
+    with pytest.raises(SizeLimit, match="on 40 points"):
+        sp.enumerate_topologies(["p%d" % i for i in range(40)])
 
 
 # -- preorder dictionary ----------------------------------------------------------

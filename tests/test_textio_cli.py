@@ -290,6 +290,23 @@ def test_eval_error_exit(capsys, defs_file):
     assert code == 2 and "error:" in err
 
 
+def test_eval_unknown_point_exits_2(capsys, defs_file):
+    code, out, err = run_cli(capsys, "eval", "--load", defs_file, "--structure", "M",
+                             "--formula", "(P x0)", "--assign", "x0=zz")
+    assert code == 2 and out == ""
+    assert err == "error: unknown point 'zz' in structure M\n"
+
+
+@pytest.mark.parametrize("command", [["ultra"], ["los-check", "--formula", "(P c)"]],
+                         ids=["ultra", "los-check"])
+@pytest.mark.parametrize("principal", ["2", "-1"])
+def test_principal_outside_the_factors_exits_2(capsys, defs_file, command, principal):
+    code, out, err = run_cli(capsys, *command, "--load", defs_file, "--factors", "M", "N",
+                             "--principal", principal)
+    assert code == 2 and out == ""
+    assert err == "error: --principal %s is not a factor index (0..1)\n" % principal
+
+
 def test_topology_command(capsys, defs_file):
     code, out, _ = run_cli(capsys, "topology", "--load", defs_file, "--space", "S")
     assert code == 0

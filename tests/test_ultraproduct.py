@@ -81,7 +81,7 @@ def test_dlim_batch_blocks_agree_with_one_block(chain4, monkeypatch, budget):
         D = up.PrincipalUltrafilter(3, gen)
         whole = up.dlim_batch(chain4, seqs, D)
         with monkeypatch.context() as patch:
-            patch.setattr(up, "CELL_BUDGET", budget)   # 1 and 2 rows per block
+            patch.setattr(sp, "CELL_BUDGET", budget)   # 1 and 2 rows per block
             assert np.array_equal(up.dlim_batch(chain4, seqs, D), whole)
 
 
