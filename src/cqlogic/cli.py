@@ -1,12 +1,14 @@
 """Command-line front end.
 
 Exit codes: 0 all requested checks pass, 1 a theorem check failed (a
-witness is printed), 2 input or validation error.
+witness is printed), 2 input or validation error, 141 (128 + SIGPIPE) the
+reader closed standard output early.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import coquantale as cq
@@ -67,10 +69,16 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        return _dispatch(args)
+        status = _dispatch(args)
+        sys.stdout.flush()
+        return status
     except CqlError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the rest of the output goes nowhere, so the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 def _add_load(parser):

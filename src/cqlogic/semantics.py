@@ -32,9 +32,9 @@ from .errors import (ArityMismatch, FreeVariableMismatch, MissingInterpretation,
                      NotValueCoquantale, SignatureMismatch, UnboundVariable)
 from .formulas import (App, Conn, Const, DistAtom, Inf, PredAtom, Signature, Sup, Val, Var,
                        default_kit, first_failure, free_vars, modulus_cost, modulus_witness,
-                       print_formula, validate_modulus)
+                       validate_modulus)
 from . import spaces
-from .spaces import ContinuitySpace, _triangle_witness, check_cost
+from .spaces import ContinuitySpace, _triangle_witness, check_cost, loop_cost
 
 
 class LStructure:
@@ -294,12 +294,15 @@ class TableEvaluator:
             missing = free_vars(phi) - set(window)
             if missing:
                 raise UnboundVariable("x%d is not in the evaluation window" % min(missing))
-        out = self(phi)
-        out = out[b if len(out) > 1 else 0]  # a node may not depend on the batch
-        out = out[tuple(slice(None) if v in window else 0 for v in range(self.k))]
-        kept = [v for v in range(self.k) if v in window]
-        out = out.transpose([kept.index(v) for v in window])
-        shape = (self.m,) * len(window)
+        kept = sorted(window)
+        return self.members(phi, kept)[b].transpose([kept.index(v) for v in window])
+
+    def members(self, phi, window):
+        """φ on every batch member, with one axis of size m per variable of
+        the increasing ``window``, which holds every free variable."""
+        out = self(phi)[(slice(None),) + tuple(slice(None) if v in window else 0
+                                               for v in range(self.k))]
+        shape = (self.batch,) + (self.m,) * len(window)
         return out if out.shape == shape else np.broadcast_to(out, shape)
 
     def _axis(self, i):
@@ -454,9 +457,12 @@ def enumerate_formulas(sig: Signature, vq: CoQuantale, depth, max_free_vars,
                        kit=None):
     """Deterministic duplicate-free list of all formulas of tree depth up
     to ``depth`` over the kit connectives and both quantifiers, with
-    variables x0..x(k-1) and signature constants as the terms."""
+    variables x0..x(k-1) and signature constants as the terms. Each
+    candidate built is charged as a loop iteration, up to `pool_bound`."""
     if kit is None:
         kit = enumeration_kit(vq)
+    check_cost("enumerating formulas to depth %d with max_free_vars=%d" % (depth, max_free_vars),
+               loop_cost(pool_bound(sig, depth, max_free_vars, kit)))
     terms = [Var(i) for i in range(max_free_vars)]
     terms += [Const(c) for c in sig.constants]
     seen = set()
@@ -494,6 +500,23 @@ def enumerate_formulas(sig: Signature, vq: CoQuantale, depth, max_free_vars,
     return pool
 
 
+def pool_bound(sig: Signature, depth, max_free_vars, kit):
+    """An upper bound on the candidates `enumerate_formulas` builds, from its
+    recurrence: t² + Σ t^arity atoms over t terms, then per round P ↦ P +
+    Σ P^arity over the kit (P(P+1)/2 for a binary connective) + 2k·P
+    quantifications. Rounds stop once P is past WORK_BUDGET, which no loop
+    cost admits, so no huge integer is built; such a bound is a lower bound
+    of the recurrence."""
+    t = max_free_vars + len(sig.constants)
+    size = t * t + sum(t ** arity for arity, _ in sig.predicates.values())
+    for _ in range(depth):
+        if size > spaces.WORK_BUDGET:
+            break
+        size += (sum(size * (size + 1) // 2 if c.arity == 2 else size ** c.arity for c in kit)
+                 + 2 * max_free_vars * size)
+    return size
+
+
 # -- elementarity and the Tarski-Vaught test ------------------------------------
 
 
@@ -511,39 +534,74 @@ class Verdict:
         return "FAIL at depth <= %d: %s" % (self.depth, parts)
 
 
-def _compare_tables(sub, sup, depth, max_free_vars, labels, cases):
+def _compare_tables(outer, blocks, pool, depth, labels, cases):
     """Compare, for every pool formula φ and every (node, window, witness
-    entries) in ``cases(φ, free variables)``, the node's table on the
-    substructure against the superstructure's restricted to it."""
+    entries) in ``cases(φ)``, each substructure's table of the node against
+    its superstructure's restricted to its points, streaming the pool one
+    formula at a time. ``outer`` holds the superstructures; each block holds
+    an evaluator of substructures, the index array of their points and
+    their names: member c of a block is superstructure c restricted to those
+    points. A member is dropped at its first failing node, and its
+    `Verdict` counts the cells compared up to and including that node and
+    names its first failing cell in row-major order."""
+    lives = [np.ones(inner.batch, dtype=bool) for inner, _, _ in blocks]
+    verdicts = [[None] * inner.batch for inner, _, _ in blocks]
+    cells = [0] * len(blocks)       # per block, the cells compared on each open member
+    name = outer.V.element_name
+    for phi, node, window, entries in ((phi, *case) for phi in pool for case in cases(phi)):
+        open_blocks = [j for j, live in enumerate(lives) if live.any()]
+        if not open_blocks:
+            break
+        full = outer.members(node, window)
+        for j in open_blocks:
+            inner, lift, points = blocks[j]
+            mine = inner.members(node, window).reshape(inner.batch, -1)
+            theirs = full[(slice(None),) + np.ix_(*[lift] * len(window))].reshape(
+                inner.batch, -1)
+            differ = mine != theirs
+            cells[j] += differ.shape[1]
+            fresh = np.flatnonzero(lives[j] & differ.any(axis=1))
+            if not fresh.size:
+                continue
+            first = differ[fresh].argmax(axis=1)
+            m, w = inner.m, len(window)
+            for b, cell, x, y in zip(fresh.tolist(), first.tolist(),
+                                     mine[fresh, first].tolist(), theirs[fresh, first].tolist()):
+                verdicts[j][b] = Verdict(False, depth, cells[j], {
+                    "formula": phi.text(outer.V), **entries,
+                    **{"x%d" % v: points[cell // m ** (w - 1 - i) % m]
+                       for i, v in enumerate(window)},
+                    labels[0]: name(x), labels[1]: name(y)})
+            lives[j][fresh] = False
+    return [[v or Verdict(True, depth, n, None) for v in block]
+            for block, n in zip(verdicts, cells)]
+
+
+def _compare_pair(sub, sup, depth, max_free_vars, labels, cases):
+    """`_compare_tables` on one substructure and its superstructure."""
     if not is_substructure(sub, sup):
         raise NotSubstructure("%s is not a substructure of %s" % (sub.name, sup.name))
     if not sub.V.dualizers:
         raise NotCoGirard("%s has no dualizing element" % sub.V.name)
     lift = np.array([sup.space.index(p) for p in sub.points], dtype=np.int32)
-    inner_eval = TableEvaluator.of([sub], max_free_vars)
-    outer_eval = TableEvaluator.of([sup], max_free_vars)
-    checked = 0
-    for phi in enumerate_formulas(sub.sig, sub.V, depth, max_free_vars):
-        for node, window, entries in cases(phi, phi.window):
-            inner = inner_eval.table(node, window)
-            outer = outer_eval.table(node, window)[np.ix_(*([lift] * len(window)))]
-            checked += int(inner.size)
-            if (inner != outer).any():
-                idx = tuple(np.argwhere(inner != outer)[0])
-                assign = {("x%d" % v): sub.points[int(i)] for v, i in zip(window, idx)}
-                return Verdict(False, depth, checked, {
-                    "formula": print_formula(phi, sub.V), **entries, **assign,
-                    labels[0]: sub.V.element_name(int(inner[idx])),
-                    labels[1]: sub.V.element_name(int(outer[idx]))})
-    return Verdict(True, depth, checked, None)
+    [[verdict]] = _compare_tables(
+        TableEvaluator.of([sup], max_free_vars),
+        [(TableEvaluator.of([sub], max_free_vars), lift, sub.points)],
+        enumerate_formulas(sub.sig, sub.V, depth, max_free_vars), depth, labels, cases)
+    return verdict
+
+
+def _inf_cases(phi):
+    return [(Inf(x, phi), tuple(v for v in phi.window if v != x), {"inf_var": "x%d" % x})
+            for x in phi.window]
 
 
 def elementary_upto(sub: LStructure, sup: LStructure, depth,
                     max_free_vars=2) -> Verdict:
     """Check φ^M(ā) = φ^N(ā) for every enumerated formula up to the given
     depth and every tuple from the substructure."""
-    return _compare_tables(sub, sup, depth, max_free_vars, ("sub_value", "sup_value"),
-                           lambda phi, fv: [(phi, fv, {})])
+    return _compare_pair(sub, sup, depth, max_free_vars, ("sub_value", "sup_value"),
+                         lambda phi: [(phi, phi.window, {})])
 
 
 def tarski_vaught_upto(sub: LStructure, sup: LStructure, depth,
@@ -551,7 +609,25 @@ def tarski_vaught_upto(sub: LStructure, sup: LStructure, depth,
     """Check the inf-equality ⋀{φ^M(c, ā)} = ⋀{φ^N(c, ā)} over the same
     enumerated pool, for every choice of quantified variable and every
     parameter tuple drawn from the substructure."""
-    return _compare_tables(
-        sub, sup, depth, max_free_vars, ("sub_inf", "sup_inf"),
-        lambda phi, fv: [(Inf(x, phi), tuple(v for v in fv if v != x), {"inf_var": "x%d" % x})
-                         for x in fv])
+    return _compare_pair(sub, sup, depth, max_free_vars, ("sub_inf", "sup_inf"), _inf_cases)
+
+
+def tarski_vaught_bodies(vq: CoQuantale, m, modulus, depth, max_free_vars=2):
+    """`tarski_vaught_upto` of every substructure on a nonempty subset of
+    the points against its superstructure, over the first body of each
+    class of `enumerate_bodies` on m points, named p0..p(m-1): the verdicts
+    in the order class, then subset by increasing bit mask. A substructure
+    is its class's stacked tables restricted to the subset, so no
+    `LStructure` is built per body: one batch of every class per subset."""
+    if not vq.dualizers:
+        raise NotCoGirard("%s has no dualizing element" % vq.name)
+    dist, P, first = enumerate_bodies(vq, m, modulus)
+    dist, P = dist[first], P[first]
+    subsets = [[i for i in range(m) if mask >> i & 1] for mask in range(1, 1 << m)]
+    columns = _compare_tables(
+        TableEvaluator(vq, max_free_vars, dist, {"P": P}),
+        [(TableEvaluator(vq, max_free_vars, dist[:, idx][:, :, idx], {"P": P[:, idx]}),
+          np.array(idx), ["p%d" % i for i in idx]) for idx in subsets],
+        enumerate_formulas(Signature(predicates=[("P", 1, modulus)]), vq, depth, max_free_vars),
+        depth, ("sub_inf", "sup_inf"), _inf_cases)
+    return [v for row in zip(*columns) for v in row]

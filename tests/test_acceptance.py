@@ -1,10 +1,12 @@
 """Acceptance suite: one test per criterion, exact equalities only.
 
 Each test prints a `ACCEPTANCE <n> <name>: PASS (<elapsed>)` line and
-asserts its stated time budget. The heavy sweeps use batch operations (the
-table evaluator over a stack of structures, the vectorized D-limit) whose
-agreement with the definitional operations is itself asserted here or in
-the unit suites.
+asserts its stated time budget. The heavy sweeps run the library's batch
+operations: `tarski_vaught_bodies` for Tarski-Vaught, `los_sweep` for Łoś
+and `modulus_witness` for modulus propagation. Their agreement with the
+definitional operations (`eval_formula`, `d_ultralimit`, the single-pair
+`tarski_vaught_upto`) is asserted here on seeded samples or in the unit
+suites.
 """
 
 import itertools
@@ -195,6 +197,9 @@ def test_criterion_07_preorder_dictionary():
 
 
 def test_criterion_08_modulus_propagation():
+    """Each formula's table satisfies its inferred modulus, checked by the
+    shared kernel `modulus_witness` over the symmetric tuple distance; a
+    sentence has one tuple, so its check is vacuous and skipped."""
     with criterion(8, "modulus propagation", 120):
         for spec, seed in (("bool2", 81), ("chain:4", 82)):
             vq = cq.builtin(spec)
@@ -202,29 +207,16 @@ def test_criterion_08_modulus_propagation():
             pool = sem.enumerate_formulas(sig, vq, 2, 2)
             moduli = [F.infer_modulus(phi, sig, vq) for phi in pool]
             corpus = _modulus_corpus(vq, sig, count=3, max_points=4, seed=seed)
-            leq = vq.lattice.leq
-            positives = vq.positives()
             for struct in corpus:
-                m = struct.m
-                dist = struct.dist
-                dsym_pts = vq.lattice.join[dist, dist.T]
-                tuple_dist = {0: np.zeros((1, 1), dtype=np.int32),
-                              1: dsym_pts.astype(np.int32)}
-                flat2 = np.stack(np.meshgrid(np.arange(m), np.arange(m),
-                                             indexing="ij"), axis=0).reshape(2, -1)
-                d2 = vq.lattice.join[dsym_pts[flat2[0][:, None], flat2[0][None, :]],
-                                     dsym_pts[flat2[1][:, None], flat2[1][None, :]]]
-                tuple_dist[2] = d2.astype(np.int32)
-                evaluator = sem.TableEvaluator.of([struct], 2)   # one memo across the pool
+                dsym_pts = vq.lattice.join[struct.dist, struct.dist.T]
+                evaluator = struct.evaluator(2)     # one memo across the pool
                 for phi, modulus in zip(pool, moduli):
-                    window = tuple(sorted(F.free_vars(phi)))
-                    vals = np.asarray(evaluator.table(phi, window),
-                                      dtype=np.int32).reshape(-1)
-                    out = vq.dsym[vals[:, None], vals[None, :]]
-                    dom = tuple_dist[len(window)]
-                    for eps in positives:
-                        bad = leq[dom, modulus.delta(eps)] & ~leq[out, eps]
-                        assert not bad.any(), (spec, F.print_formula(phi, vq), eps)
+                    window = phi.window
+                    if not window:
+                        continue
+                    vals = np.asarray(evaluator.table(phi, window), dtype=np.int32).reshape(-1)
+                    assert F.modulus_witness(vq, "a formula", dsym_pts, len(window), vq.dsym,
+                                             vals, modulus) is None, (spec, phi.text(vq))
 
 
 def _modulus_corpus(vq, sig, count, max_points, seed):
@@ -246,115 +238,86 @@ def _modulus_corpus(vq, sig, count, max_points, seed):
 # ---------------------------------------------------------------- criterion 9
 
 
-def _tarski_vaught_sweep(spec, sizes, rng):
-    """Tarski-Vaught at depth ≤ 1 over two variables: every class of bodies
-    on each of ``sizes`` points against each of its substructures, read
-    from one batched evaluator per size. Seeded draws cross-check the batch
-    against `eval_table` and `tarski_vaught_upto`, and the first 40 failures
-    are confirmed as elementarity failures by `eval_formula`. Returns the
-    number of (class, substructure) pairs checked."""
+def _tarski_vaught_by_infima(sub, sup, pool, depth):
+    """`tarski_vaught_upto` from `eval_formula`: per formula φ and free
+    variable x, the infima over both structures of φ's values at each
+    parameter tuple from ``sub``, the tuples in row-major order."""
+    vq, checked = sub.V, 0
+    lift = [sup.space.index(p) for p in sub.points]
+    for phi in pool:
+        for x in phi.window:
+            rest = [v for v in phi.window if v != x]
+            combos = list(itertools.product(range(sub.m), repeat=len(rest)))
+            checked += len(combos)
+            for combo in combos:
+                a, b = (vq.meet_of(sem.eval_formula(s, phi, {**dict(zip(rest, pts)), x: y})
+                                   for y in range(s.m))
+                        for s, pts in ((sub, combo), (sup, [lift[i] for i in combo])))
+                if a != b:
+                    return sem.Verdict(False, depth, checked, {
+                        "formula": F.print_formula(phi, vq), "inf_var": "x%d" % x,
+                        **{"x%d" % v: sub.points[i] for v, i in zip(rest, combo)},
+                        "sub_inf": vq.element_name(a), "sup_inf": vq.element_name(b)})
+    return sem.Verdict(True, depth, checked, None)
+
+
+def _check_tarski_vaught_bodies(spec, m, rng, samples):
+    """`tarski_vaught_bodies` at depth 1 over two variables on m points.
+    For ``samples`` seeded (class, subset) pairs, rebuilt through
+    `validate_structure`, the verdict equals `tarski_vaught_upto` and the
+    `eval_formula` infima; the first 40 failures are confirmed as
+    elementarity failures at depth 2 by `eval_formula`. Returns the verdicts."""
     vq = cq.builtin(spec)
     modulus = F.identity_modulus(vq)
     sig = F.Signature(predicates=[("P", 1, modulus)])
+    dist, P, first = sem.enumerate_bodies(vq, m, modulus)
+    verdicts = sem.tarski_vaught_bodies(vq, m, modulus, 1)
+    subsets = (1 << m) - 1
+    assert len(verdicts) == len(first) * subsets
+
+    def pair(n):        # the (sub, sup) of verdict n
+        s, idx = first[n // subsets], [i for i in range(m) if (n % subsets + 1) >> i & 1]
+        return (unary_structure(vq, dist[s][np.ix_(idx, idx)], P[s][idx], "sub",
+                                ["p%d" % i for i in idx]),
+                unary_structure(vq, dist[s], P[s], "sup"))
+
     pool = sem.enumerate_formulas(sig, vq, 1, 2)
-    depths = np.array([F.formula_depth(phi) for phi in pool])
-    var_free = {v: np.array([v in F.free_vars(phi) for phi in pool]) for v in (0, 1)}
-
-    def pack(dist, P):
-        # bodies come in lexicographic order, so their packed keys ascend
-        cells = np.concatenate([dist.reshape(len(dist), -1), P], axis=1).astype(np.int64)
-        return cells @ vq.size ** np.arange(cells.shape[1] - 1, -1, -1, dtype=np.int64)
-
-    groups = {}
-    for m in range(1, max(sizes) + 1):
-        dist, P, canonical = sem.enumerate_bodies(vq, m, modulus)
-        evaluator = sem.TableEvaluator(vq, 2, dist, {"P": P})
-        groups[m] = {
-            "dist": dist, "P": P, "eval": evaluator, "canonical": canonical,
-            "keys": pack(dist, P),
-            "inf": {var: np.stack([
-                np.broadcast_to(evaluator(F.Inf(var, phi)), (len(dist), m, m)).take(0, axis=1 + var)
-                for phi in pool]) for var in (0, 1)}}
-
-    def body(m, s, name, points=None):
-        return unary_structure(vq, groups[m]["dist"][s], groups[m]["P"][s], name, points)
-
-    def same_infs(m, bodies, idx):
-        """The substructure of each body on the points idx, and per variable
-        [φ, body] whether both infs agree; a variable that is not free never
-        designates the quantifier."""
-        g, sub = groups[m], groups[len(idx)]
-        keys = pack(g["dist"][bodies][:, idx][:, :, idx], g["P"][bodies][:, idx])
-        subs = np.searchsorted(sub["keys"], keys)
-        assert (sub["keys"][subs] == keys).all()
-        return subs, [(sub["inf"][var][:, subs] == g["inf"][var][:, bodies][:, :, idx]).all(axis=2)
-                      | ~var_free[var][:, None] for var in (0, 1)]
-
-    # sample agreement between the batched evaluator and eval_table
-    for _ in range(12):
-        m = rng.randint(min(sizes), max(sizes))
-        s = rng.randrange(len(groups[m]["dist"]))
-        phi = pool[rng.randrange(len(pool))]
-        reference = np.asarray(sem.eval_table(body(m, s, "sample"), phi, (0, 1)))
-        assert (groups[m]["eval"].table(phi, (0, 1), s) == reference).all()
-
-    confirmations = 0
-    checked_pairs = 0
-    for m in sizes:
-        classes = groups[m]["canonical"]
-        subsets = [[i for i in range(m) if mask >> i & 1] for mask in range(1, 1 << m)]
-        sweeps = [same_infs(m, classes, idx) for idx in subsets]
-        checked_pairs += len(classes) * len(subsets)
-        fails = np.stack([~(same[0] & same[1]) for _, same in sweeps], axis=2)  # [φ, class, subset]
-        # in the order of a scalar sweep: class, then subset, then depth
-        for c, u in zip(*np.nonzero(fails.any(axis=0))):
-            idx, (subs, same) = subsets[u], sweeps[u]
-            for k in (0, 1):
-                failing = np.flatnonzero((depths <= k) & fails[:, c, u])
-                if failing.size and confirmations < 40:
-                    # the inf-formula witnesses an elementarity failure at
-                    # depth k+1
-                    fidx = int(failing[0])
-                    witness = F.Inf(0 if not same[0][fidx, c] else 1, pool[fidx])
-                    sub_struct = body(len(idx), subs[c], "sub")
-                    sup_struct = body(m, classes[c], "sup")
-                    rest = sorted(F.free_vars(witness))
-                    assigns = ([({rest[0]: a}, {rest[0]: idx[a]}) for a in range(len(idx))]
-                               if rest else [({}, {})])
-                    assert any(sem.eval_formula(sub_struct, witness, a)
-                               != sem.eval_formula(sup_struct, witness, b)
-                               for a, b in assigns), "TV failure without elementarity witness"
-                    assert F.formula_depth(witness) <= k + 1
-                    confirmations += 1
-    assert checked_pairs > 0
-
-    # cross-check the batch verdicts against the library operation
-    for _ in range(8):
-        m = rng.randint(max(2, min(sizes)), max(sizes))
-        classes = groups[m]["canonical"]
-        s = classes[rng.randrange(len(classes))]
-        mask = rng.randrange(1, 1 << m)
-        idx = [i for i in range(m) if mask >> i & 1]
-        (t,), same = same_infs(m, [s], idx)
-        verdict = sem.tarski_vaught_upto(body(len(idx), t, "sub", ["p%d" % i for i in idx]),
-                                         body(m, s, "sup"), 1)
-        assert verdict.passed == bool((same[0] & same[1])[depths <= 1].all())
-    return checked_pairs
+    for n in [rng.randrange(len(verdicts)) for _ in range(samples)]:
+        sub, sup = pair(n)
+        assert verdicts[n] == sem.tarski_vaught_upto(sub, sup, 1)
+        assert verdicts[n] == _tarski_vaught_by_infima(sub, sup, pool, 1)
+    for n in [n for n, v in enumerate(verdicts) if not v.passed][:40]:
+        w = verdicts[n].witness
+        node = F.Inf(int(w["inf_var"][1:]), F.parse_formula(w["formula"], sig, vq))
+        values = [vq.element_name(sem.eval_formula(
+            s, node, {v: s.space.index(w["x%d" % v]) for v in node.window})) for s in pair(n)]
+        assert values == [w["sub_inf"], w["sup_inf"]] and values[0] != values[1]
+        assert F.formula_depth(node) <= 2
+    return verdicts
 
 
 def test_criterion_09_tarski_vaught():
     rng = random.Random(99)
     with criterion(9, "Tarski-Vaught", 120):
         for spec in ("bool2", "chain:3"):
-            _tarski_vaught_sweep(spec, (1, 2, 3), rng)
+            for m in (1, 2, 3):
+                _check_tarski_vaught_bodies(spec, m, rng, 4)
 
 
 def test_tarski_vaught_over_every_class_on_four_points():
     """Criterion 9's sweep over the 93 classes of bool2 bodies on 4 points;
-    it takes about 0.2 s on a 2-core host."""
+    it takes about 0.3 s on a 2-core host."""
     start = time.time()
-    assert _tarski_vaught_sweep("bool2", (4,), random.Random(94)) == 93 * 15
+    assert len(_check_tarski_vaught_bodies("bool2", 4, random.Random(94), 8)) == 93 * 15
     assert time.time() - start < 5
+
+
+def test_tarski_vaught_over_every_class_of_chain4_on_three_points():
+    """The sweep over the 32,028 classes of chain:4 bodies on 3 points,
+    each against its 7 substructures; it takes about 4 s on a 2-core host."""
+    start = time.time()
+    assert len(_check_tarski_vaught_bodies("chain:4", 3, random.Random(43), 12)) == 32028 * 7
+    assert time.time() - start < 12
 
 
 # ---------------------------------------------------------------- criterion 10
@@ -372,65 +335,48 @@ def _los_corpus(vq, sig):
 
 
 def test_criterion_10_los():
+    """Łoś over every factor list of widths 1-3 from the corpus and every
+    generator, through `los_sweep`: every entry equal and every hypothesis
+    verdict (True, True). A seeded sample of entries is recomputed from the
+    definitions: `eval_formula` on the product, and the scalar
+    `d_ultralimit` of the factors' `eval_formula` values, with the
+    hypothesis from `los_hypothesis_check`. With finitely many factors every
+    ultrafilter is principal, so the sweep tests the construction code and
+    not the theorem's hypotheses."""
     vq = cq.builtin("chain:4")
     sig = F.Signature(predicates=[("P", 1, F.identity_modulus(vq))])
     pool = sem.enumerate_formulas(sig, vq, 2, 1)
     rng = random.Random(1010)
     with criterion(10, "Łoś equality", 300):
         corpus = _los_corpus(vq, sig)
-        # one evaluator per structure, each held across the whole pool
-        corpus_evals = [sem.TableEvaluator.of([s], 1) for s in corpus]
-        hypothesis_memo = {}
         hypothesis_records = 0
         checked = 0
-        sample_triples = []
+        sample = []
         for width in (1, 2, 3):
             for combo in itertools.product(range(len(corpus)), repeat=width):
                 factors = [corpus[i] for i in combo]
                 for gen in range(width):
-                    D = up.PrincipalUltrafilter(width, gen)
-                    dp = up.d_product_structure(factors, D)
-                    total = dp.structure.m
-                    coords = np.array(dp.tuples, dtype=np.int32)
-                    product_eval = sem.TableEvaluator.of([dp.structure], 1)
-                    for phi in pool:
-                        window = tuple(sorted(F.free_vars(phi)))
-                        left = np.asarray(product_eval.table(phi, window),
-                                          dtype=np.int32).reshape(-1)
-                        factor_tables = [
-                            np.asarray(corpus_evals[i].table(phi, window),
-                                       dtype=np.int32).reshape(-1)
-                            for i in combo]
-                        if window:
-                            seqs = np.stack(
-                                [factor_tables[i][coords[:, i]]
-                                 for i in range(width)], axis=1)
-                        else:
-                            seqs = np.array([[int(t[0]) for t in factor_tables]])
-                        right = up.dlim_batch(vq, seqs, D)
-                        assert (left == right).all(), (
-                            combo, gen, F.print_formula(phi, vq))
-                        checked += left.size
-                        for node in F.quantified_subformulas(phi):
-                            for f in factors:
-                                key = (f.name, node)
-                                if key not in hypothesis_memo:
-                                    hypothesis_memo[key] = \
-                                        up.los_hypothesis_check(f, node)
-                                assert hypothesis_memo[key] == (True, True)
-                                hypothesis_records += 1
+                    dp = up.d_product_structure(factors, up.PrincipalUltrafilter(width, gen))
+                    for phi, report in zip(pool, up.los_sweep(dp, pool)):
+                        assert report.all_equal, (combo, gen, report.formula)
+                        assert all(h[2:] == (True, True) for h in report.hypothesis)
+                        checked += len(report.entries)
+                        hypothesis_records += len(report.hypothesis)
                         if rng.random() < 0.0015:
-                            sample_triples.append((factors, D, phi))
+                            sample.append((dp, phi, report))
         assert hypothesis_records > 0
         assert checked > 0
-        assert sample_triples
-        # dual route: the library's los_check recomputes both sides itself
-        for factors, D, phi in sample_triples[:30]:
-            dp = up.d_product_structure(factors, D)
-            report = up.los_check(dp, phi)
-            assert report.all_equal
-            if F.quantified_subformulas(phi):
-                assert report.hypothesis
+        assert sample
+        for dp, phi, report in sample[:30]:
+            product = dp.structure
+            for entry in report.entries:
+                point = [product.space.index(p) for p in entry.assignment]
+                assert entry.left == sem.eval_formula(product, phi, dict(zip(phi.window, point)))
+                assert entry.right == up.d_ultralimit(vq, [sem.eval_formula(
+                    f, phi, {v: dp.tuples[p][i] for v, p in zip(phi.window, point)})
+                    for i, f in enumerate(dp.factors)], dp.D)
+            assert [h[2:] for h in report.hypothesis] == [
+                up.los_hypothesis_check(f, node) for node in phi.quantified for f in dp.factors]
 
 
 def test_los_over_every_class_on_at_most_two_points():

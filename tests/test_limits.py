@@ -250,3 +250,43 @@ def test_enumerate_bodies_in_small_blocks_gives_the_same_bodies(roster, monkeypa
         monkeypatch.setattr(sp, "CELL_BUDGET", budget)
         blocked = sem.enumerate_bodies(vq, m, ident)
         assert all(np.array_equal(a, b) and a.dtype == b.dtype for a, b in zip(blocked, whole))
+
+
+def test_enumerate_formulas_refuses_before_building_a_formula(bool2, monkeypatch):
+    # one variable and P: 1 + 1 atoms, then 2 (the dual) + 2·3 (vee, wedge)
+    # + 2·2 quantifications, each candidate a loop iteration
+    sig = F.Signature(predicates=[("P", 1, F.identity_modulus(bool2))])
+    monkeypatch.setattr(sp, "WORK_BUDGET", sp.loop_cost(14))
+    assert len(sem.enumerate_formulas(sig, bool2, 1, 1)) == 14
+    monkeypatch.setattr(sem, "Var", _never)
+    _refuses(monkeypatch, 895, "enumerating formulas to depth 1 with max_free_vars=1 costs "
+             "896 cell operations (budget 895)", lambda: sem.enumerate_formulas(sig, bool2, 1, 1))
+
+
+def test_depth_four_pool_is_refused_at_once(chain4, monkeypatch):
+    """One unary predicate over one variable, as `cql los-check --depth`
+    enumerates it: depth 3 (61,414 formulas) is admitted, and depth 4 is
+    refused before any formula is built at the real budget."""
+    sig = F.Signature(predicates=[("P", 1, F.identity_modulus(chain4))])
+    kit = sem.enumeration_kit(chain4)
+    assert sp.loop_cost(sem.pool_bound(sig, 3, 1, kit)) <= sp.WORK_BUDGET
+    monkeypatch.setattr(sem, "Var", _never)
+    start = time.perf_counter()
+    with pytest.raises(SizeLimit) as info:
+        sem.enumerate_formulas(sig, chain4, 4, 1)
+    assert time.perf_counter() - start < 1.0
+    assert str(info.value) == ("enumerating formulas to depth 4 with max_free_vars=1 costs "
+                               "332592116864 cell operations (budget %d)" % sp.WORK_BUDGET)
+
+
+def test_pool_bound_holds_the_pools_it_admits(roster):
+    """The recurrence bounds every pool that the suite and the command line
+    build: at most 2 variables and depth 2, with and without a constant."""
+    for spec in ("bool2", "chain:4", "freelocale:1"):
+        vq = roster[spec]
+        kit = sem.enumeration_kit(vq)
+        for constants in ([], ["c"]):
+            sig = F.Signature(predicates=[("P", 1, F.identity_modulus(vq))], constants=constants)
+            for depth, k in ((0, 2), (1, 1), (1, 2), (2, 1)):
+                assert len(sem.enumerate_formulas(sig, vq, depth, k, kit)) <= \
+                    sem.pool_bound(sig, depth, k, kit)

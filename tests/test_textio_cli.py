@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -342,6 +346,28 @@ def test_los_check_command(capsys, defs_file):
                            "--depth", "1")
     assert code == 0
     assert "all hold" in out
+
+
+def test_reader_closing_the_pipe_early_gets_no_traceback(defs_file):
+    """A reader that stops after the first line, as `| head -n 1` does. The
+    81-point product's text is larger than a pipe buffer, so with the
+    default block-buffered stdout a later write fails: the command exits 141
+    and writes nothing to stderr. (Unbuffered, a partial write would end
+    the output without an error.)"""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cqlogic.cli", "ultra", "--load", defs_file,
+         "--factors", "N", "N", "N", "N", "--principal", "0"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**env, "PYTHONPATH": src})
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert first.startswith(b"@structure product ")
+    assert err == b""
 
 
 def test_compactness_demo(capsys):
