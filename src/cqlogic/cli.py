@@ -163,6 +163,8 @@ def cmd_eval(args) -> int:
             raise CqlError("bad assignment %r (use xN=POINT)" % item)
         if point not in struct.space.points:
             raise CqlError("unknown point %r in structure %s" % (point, args.structure))
+        if int(var[1:]) in sigma:
+            raise CqlError("%s is assigned twice" % var)
         sigma[int(var[1:])] = struct.space.index(point)
     value = sem.eval_formula(struct, phi, sigma)
     print(struct.V.element_name(value))

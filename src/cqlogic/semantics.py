@@ -27,7 +27,7 @@ from itertools import combinations_with_replacement, permutations, product as ip
 import numpy as np
 
 from .coquantale import CoQuantale
-from .errors import (ArityMismatch, FreeVariableMismatch, MissingInterpretation,
+from .errors import (ArityMismatch, CqlError, FreeVariableMismatch, MissingInterpretation,
                      ModulusViolated, NotCoGirard, NotSubstructure,
                      NotValueCoquantale, SignatureMismatch, UnboundVariable)
 from .formulas import (App, Conn, Const, DistAtom, Inf, PredAtom, Signature, Sup, Val, Var,
@@ -459,6 +459,9 @@ def enumerate_formulas(sig: Signature, vq: CoQuantale, depth, max_free_vars,
     to ``depth`` over the kit connectives and both quantifiers, with
     variables x0..x(k-1) and signature constants as the terms. Each
     candidate built is charged as a loop iteration, up to `pool_bound`."""
+    if depth < 0 or max_free_vars < 0:
+        raise CqlError("a formula pool needs depth >= 0 and max_free_vars >= 0, not %d and %d"
+                       % (depth, max_free_vars))
     if kit is None:
         kit = enumeration_kit(vq)
     check_cost("enumerating formulas to depth %d with max_free_vars=%d" % (depth, max_free_vars),

@@ -20,8 +20,9 @@ from .coquantale import CoQuantale
 from .errors import (NoLimit, NotCoDivisible, NotFinitelySatisfiable, NotT0,
                      NotSymmetricFactors, NotValueCoquantale, SizeLimit,
                      SignatureMismatch, VerificationFailed)
-from .formulas import Inf, Sup, free_vars, print_formula
-from .semantics import (LStructure, cauchy_sums_vanish, eval_table, satisfies,
+from .formulas import Inf, Sup, print_formula
+# eval_table is imported for perfbench/spans.py, which rebinds it here by name
+from .semantics import (LStructure, eval_table, satisfies,  # noqa: F401
                         structure_cost, theory, validate_structure)
 from .spaces import ContinuitySpace, check_cost, is_symmetric, triangle_cost, validate_space
 
@@ -135,12 +136,38 @@ def d_product_space(spaces, D: PrincipalUltrafilter):
     check_cost("a D-product of %d points" % total, _product_space_cost(vq, sizes))
     tuples = list(iproduct(*[range(s.m) for s in spaces]))
     names = ["|".join(s.points[i] for s, i in zip(spaces, combo)) for combo in tuples]
-    coords = np.array(tuples, dtype=np.intp).T
-    seqs = np.stack([s.dist[np.ix_(c, c)] for s, c in zip(spaces, coords)], axis=-1)  # [x, y, i]
-    limits = dlim_batch(vq, seqs.reshape(total * total, len(spaces)), D)
+    # [i, (x, y)], held until the space is validated: freed before that, it
+    # left about 2 MB more resident in `cql ultra` on 432 points
+    seqs = _factor_values([s.dist for s in spaces], sizes, 2)
+    limits = dlim_batch(vq, seqs.T, D)
     space = validate_space(vq, names, limits.reshape(total, total))
     space.tuples = tuples
     return space
+
+
+def factor_gather(sizes, w):
+    """[i, r]: the flat index into factor i's table with w axes of the r-th
+    w-tuple of product points, both in row-major order. Point p's factor-i
+    coordinate is p // (sizes[i+1] ⋯ sizes[-1]) mod sizes[i], so no grid of
+    coordinates is built and any number of factors works."""
+    total = math.prod(sizes)
+    out = np.empty((len(sizes), total ** w), dtype=np.int32)
+    for i, (row, m) in enumerate(zip(out, sizes)):
+        coord = np.arange(total, dtype=np.int32) // math.prod(sizes[i + 1:]) % m
+        flat = np.zeros(1, dtype=np.int32)
+        for _ in range(w):
+            flat = np.add.outer(flat * m, coord).reshape(-1)
+        row[:] = flat
+    return out
+
+
+def _factor_values(tables, sizes, w):
+    """[i, r]: factor i's w-axis table at the r-th w-tuple of product
+    points, gathered in place over `factor_gather`."""
+    values = factor_gather(sizes, w)
+    for row, table in zip(values, tables):
+        row[:] = table.reshape(-1)[row]
+    return values
 
 
 def _product_space_cost(vq, sizes):
@@ -227,40 +254,21 @@ def ultrapower_V(vq: CoQuantale, D: PrincipalUltrafilter) -> UltrapowerResult:
 
 @dataclass
 class DProductStructure:
-    """A D-product and the index work that every Łoś sweep on it shares:
-    per window width w, the assignment grid (every w-tuple of product points
-    in row-major order), the flat index of each grid row into each
-    structure's window table (the product's, then each factor's projection)
-    and the point names of each row. The evaluators and hypothesis verdicts
-    are held by the product's structure and by each factor."""
+    """A D-product and the gathers that every Łoś sweep on it shares:
+    `factor_gather` of the factor sizes, one per window width. The
+    evaluators and hypothesis verdicts are held by the product's structure
+    and by each factor."""
     structure: LStructure
     factors: list
     D: PrincipalUltrafilter
     tuples: list
-    _grids: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _gathers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def grid(self, w):
-        """(gathers, names) over every w-tuple of points; see `index`."""
-        hit = self._grids.get(w)
+    def gather(self, w):
+        hit = self._gathers.get(w)
         if hit is None:
-            m = self.structure.m
-            hit = self._grids[w] = self.index(np.indices((m,) * w).reshape(w, m ** w).T)
+            hit = self._gathers[w] = factor_gather([f.m for f in self.factors], w)
         return hit
-
-    def index(self, combos):
-        """For a (rows, w) array of product points: [j, row], the flat index
-        into structure j's table of a node with w free variables (j = 0 the
-        product, then the factors), and each row's point names."""
-        w = combos.shape[1]
-        coords = np.array(self.tuples, dtype=np.intp)[combos]   # [row, var, factor]
-        gathers = np.empty((1 + len(self.factors), len(combos)), dtype=np.intp)
-        # a node's table has size-m axes exactly at its free variables, so
-        # flattened it runs over the window in row-major order
-        gathers[0] = combos @ self.structure.m ** np.arange(w - 1, -1, -1)
-        for i, f in enumerate(self.factors):
-            gathers[1 + i] = coords[:, :, i] @ f.m ** np.arange(w - 1, -1, -1)
-        points = self.structure.points
-        return gathers, [tuple(points[p] for p in combo) for combo in combos.tolist()]
 
 
 def d_product_structure(factors, D: PrincipalUltrafilter) -> DProductStructure:
@@ -278,30 +286,27 @@ def d_product_structure(factors, D: PrincipalUltrafilter) -> DProductStructure:
             raise SignatureMismatch("factors must share their value co-quantale")
         if f.sig != sig:
             raise SignatureMismatch("factors must share their signature")
-    sizes = [f.m for f in factors]                 # tuples run in row-major order
+    sizes = [f.m for f in factors]
     total = math.prod(sizes)
     check_cost("a D-product structure on %d points" % total,
                _product_space_cost(vq, sizes) + structure_cost(vq, sig, total)
                + sum(dlim_cost(vq, total ** arity, len(sizes))
                      for arity, _ in sig.predicates.values()))
     space = d_product_space([f.space for f in factors], D)
-    tuples = space.tuples
-    coords = np.array(tuples, dtype=np.intp).T     # [i, t]: the factor-i point of tuple t
     pred_tables = {}
     for pname, (arity, _) in sig.predicates.items():
-        seqs = np.stack([f.pred_tables[pname][np.ix_(*[c] * arity)]
-                         for f, c in zip(factors, coords)], axis=-1)   # [t1..tk, i]
-        pred_tables[pname] = dlim_batch(vq, seqs.reshape(-1, len(factors)), D).reshape(
-            seqs.shape[:-1])
+        values = _factor_values([f.pred_tables[pname] for f in factors], sizes, arity)
+        pred_tables[pname] = dlim_batch(vq, values.T, D).reshape((total,) * arity)
+    # the product point of a tuple of factor points, as in row-major order
+    strides = np.array([math.prod(sizes[i + 1:]) for i in range(len(sizes))])
     fun_tables = {}
     for fname, (arity, _) in sig.functions.items():
-        images = [f.fun_tables[fname][np.ix_(*[c] * arity)] for f, c in zip(factors, coords)]
-        fun_tables[fname] = np.ravel_multi_index(images, sizes).astype(np.int32)
-    consts = {c: int(np.ravel_multi_index([f.const_points[c] for f in factors], sizes))
-              for c in sig.constants}
+        images = _factor_values([f.fun_tables[fname] for f in factors], sizes, arity)
+        fun_tables[fname] = (strides @ images).astype(np.int32).reshape((total,) * arity)
+    consts = {c: int(strides @ [f.const_points[c] for f in factors]) for c in sig.constants}
     structure = validate_structure(space, sig, pred_tables, fun_tables, consts,
                                    name="D-product")
-    return DProductStructure(structure, factors, D, tuples)
+    return DProductStructure(structure, factors, D, space.tuples)
 
 
 # -- the Łoś verifier ----------------------------------------------------------------
@@ -318,13 +323,27 @@ class LosEntry:
         return self.left == self.right
 
 
-@dataclass
+@dataclass(eq=False)
 class LosReport:
+    """One formula's Łoś values per assignment of its w free variables, the
+    w-tuples of the product's points in row-major order; ``entries`` pairs
+    them with the points' names when asked, and equality compares them."""
     formula: str
-    left: np.ndarray = field(compare=False)    # the product's value, per entry
-    right: np.ndarray = field(compare=False)   # the D-limit of the factors', per entry
-    hypothesis: list   # (factor name, subformula, sup_ok, inf_ok)
-    entries: list
+    left: np.ndarray    # the product's value, per assignment
+    right: np.ndarray   # the D-limit of the factors', per assignment
+    hypothesis: list    # (factor name, subformula, sup_ok, inf_ok)
+    points: list = field(repr=False)    # the product's point names
+    width: int
+
+    @property
+    def entries(self):
+        return [LosEntry(a, x, y) for a, x, y in zip(iproduct(self.points, repeat=self.width),
+                                                     self.left.tolist(), self.right.tolist())]
+
+    def __eq__(self, other):
+        return isinstance(other, LosReport) and (
+            (self.formula, self.hypothesis, self.entries)
+            == (other.formula, other.hypothesis, other.entries))
 
     @property
     def all_equal(self):
@@ -346,87 +365,66 @@ class LosReport:
 
 
 def los_hypothesis_check(struct: LStructure, phi):
-    """For φ with an outer quantifier, compute both discrete-Cauchy sums of
-    the body's value family and report whether each vanishes (over every
-    assignment of the remaining free variables)."""
-    match phi:
-        case Sup(var=x, body=body) | Inf(var=x, body=body):
-            pass
-        case _:
-            raise ValueError("hypothesis check needs an outer sup/inf")
-    return cauchy_sums_vanish(
-        struct.V, eval_table(struct, body, tuple(sorted(free_vars(phi))) + (x,)))
+    """(sup_ok, inf_ok) for φ with an outer quantifier: whether both
+    discrete-Cauchy sums of the body's value family vanish, over every
+    assignment of the remaining free variables (`LStructure.hypothesis`)."""
+    if not isinstance(phi, (Sup, Inf)):
+        raise ValueError("hypothesis check needs an outer sup/inf")
+    return struct.hypothesis(phi)
 
 
-def los_check(dp: DProductStructure, phi, assignments=None) -> LosReport:
+def los_check(dp: DProductStructure, phi) -> LosReport:
     """The Łoś report of one formula; see `los_sweep`."""
-    return los_sweep(dp, [phi], assignments)[0]
+    return los_sweep(dp, [phi])[0]
 
 
-def los_sweep(dp: DProductStructure, pool, assignments=None):
+def los_sweep(dp: DProductStructure, pool):
     """Compare each formula of the pool on the D-product against the
     D-ultralimit of its factor values, tuple by tuple, over every
-    assignment of its free variables or over ``assignments``: one
-    `LosReport` per formula, in pool order.
+    assignment of its free variables: one `LosReport` per formula, in pool
+    order.
 
     Each piece of work is done once by what it depends on: the formula
     records by the nodes, the tables and hypothesis verdicts by the product's
-    structure and each factor, the assignment grids by ``dp``. The right
+    structure and each factor, the factor gathers by ``dp``. The right
     sides of consecutive formulas go to `dlim_batch` together, in calls of
     at most `WORK_BUDGET`; a formula that alone is over it gets its own call,
     which refuses it."""
-    vq = dp.structure.V
-    cap = spaces.WORK_BUDGET // dlim_cost(vq, 1, len(dp.factors))
-    indexes = {}
+    cap = spaces.WORK_BUDGET // dlim_cost(dp.structure.V, 1, len(dp.factors))
     reports, group, rows = [], [], 0
     for phi in pool:
-        w = len(phi.window)
-        index = indexes.get(w)
-        if index is None:
-            index = indexes[w] = dp.grid(w) if assignments is None else dp.index(
-                _assigned(dp.structure, assignments, w))
-        if group and rows + len(index[1]) > cap:
+        size = dp.structure.m ** len(phi.window)
+        if group and rows + size > cap:
             reports += _los_reports(dp, group, rows)
             group, rows = [], 0
-        group.append((phi, index))
-        rows += len(index[1])
+        group.append(phi)
+        rows += size
     if group:
         reports += _los_reports(dp, group, rows)
     return reports
 
 
-def _assigned(struct, assignments, w):
-    """The (rows, w) point array of explicit assignments, by name or index."""
-    combos = np.array([[struct.space.index(p) if isinstance(p, str) else p for p in combo]
-                       for combo in assignments], dtype=np.intp).reshape(len(assignments), w)
-    if ((combos < 0) | (combos >= struct.m)).any():
-        raise IndexError("an assignment names a point outside the product")
-    return combos
-
-
 def _los_reports(dp, group, rows):
-    """The reports of (formula, index) pairs whose rows add up to ``rows``,
-    with one `dlim_batch` call."""
-    vq = dp.structure.V
-    structs = [dp.structure] + dp.factors
-    values = np.empty((len(structs), rows), dtype=np.int32)    # [product, factors..][row]
-    start = 0
-    for phi, (gathers, _) in group:
-        end = start + gathers.shape[1]
-        for j, s in enumerate(structs):
-            values[j, start:end] = s.evaluator(phi.span)(phi).reshape(-1)[gathers[j]]
-        start = end
-    left, right = values[0], dlim_batch(vq, values[1:].T, dp.D)
-    reports, start = [], 0
-    for phi, (gathers, names) in group:
-        end = start + len(names)
-        l, r = left[start:end], right[start:end]
-        hypothesis = [(f.name, sub.text(vq)) + f.hypothesis(sub)
-                      for sub in phi.quantified for f in dp.factors]
-        entries = [LosEntry(a, x, y) for a, x, y in zip(names, l.tolist(), r.tolist())]
-        reports.append(LosReport(phi.text(vq), l, r, hypothesis, entries))
-        start = end
-    return reports
+    """The reports of consecutive formulas whose assignments add up to
+    ``rows``, with one `dlim_batch` call."""
+    vq, product = dp.structure.V, dp.structure
+    left = np.empty(rows, dtype=np.int32)
+    values = np.empty((len(dp.factors), rows), dtype=np.int32)    # [factor, row]
+    bounds = [0]
+    for phi in group:
+        start, end = bounds[-1], bounds[-1] + product.m ** len(phi.window)
+        # a node's table has size-m axes exactly at its free variables, so
+        # flattened it runs over the w-tuples of points in row-major order
+        left[start:end] = product.evaluator(phi.span)(phi).reshape(-1)
+        for row, f, gather in zip(values, dp.factors, dp.gather(len(phi.window))):
+            row[start:end] = f.evaluator(phi.span)(phi).reshape(-1)[gather]
+        bounds.append(end)
+    right = dlim_batch(vq, values.T, dp.D)
+    return [LosReport(phi.text(vq), left[start:end], right[start:end],
+                      [(f.name, sub.text(vq)) + f.hypothesis(sub)
+                       for sub in phi.quantified for f in dp.factors],
+                      product.points, len(phi.window))
+            for phi, start, end in zip(group, bounds, bounds[1:])]
 
 
 # -- compactness --------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import numpy as np
 import pytest
@@ -158,3 +159,19 @@ def structure_corpus(vq, count, max_points, seed):
             continue
     assert len(out) == count, "corpus generation starved"
     return out
+
+
+def cauchy_verdicts(struct, sub):
+    """The definitional twin of `LStructure.hypothesis` for the quantified
+    formula ``sub``: at every assignment of its free variables, both
+    discrete-Cauchy sums of its body's `eval_formula` values, folded with the
+    scalar `join_of`, `meet_of` and `sub`, must be the bottom element."""
+    V = struct.V
+    sup_ok = inf_ok = True
+    for point in product(range(struct.m), repeat=len(sub.window)):
+        sigma = dict(zip(sub.window, point))
+        fam = [sem.eval_formula(struct, sub.body, {**sigma, sub.var: x})
+               for x in range(struct.m)]
+        sup_ok &= V.meet_of(V.join_of(V.sub(fl, fk) for fl in fam) for fk in fam) == V.bottom
+        inf_ok &= V.meet_of(V.join_of(V.sub(fk, fl) for fl in fam) for fk in fam) == V.bottom
+    return sup_ok, inf_ok

@@ -22,7 +22,7 @@ from cqlogic import lattice as lat
 from cqlogic import semantics as sem
 from cqlogic import spaces as sp
 from cqlogic import ultraproduct as up
-from conftest import diamond_lattice, space_corpus, unary_structure
+from conftest import cauchy_verdicts, diamond_lattice, space_corpus, unary_structure
 
 
 @contextmanager
@@ -340,7 +340,7 @@ def test_criterion_10_los():
     verdict (True, True). A seeded sample of entries is recomputed from the
     definitions: `eval_formula` on the product, and the scalar
     `d_ultralimit` of the factors' `eval_formula` values, with the
-    hypothesis from `los_hypothesis_check`. With finitely many factors every
+    hypothesis from the scalar folds of `cauchy_verdicts`. With finitely many factors every
     ultrafilter is principal, so the sweep tests the construction code and
     not the theorem's hypotheses."""
     vq = cq.builtin("chain:4")
@@ -360,7 +360,7 @@ def test_criterion_10_los():
                     for phi, report in zip(pool, up.los_sweep(dp, pool)):
                         assert report.all_equal, (combo, gen, report.formula)
                         assert all(h[2:] == (True, True) for h in report.hypothesis)
-                        checked += len(report.entries)
+                        checked += report.left.size
                         hypothesis_records += len(report.hypothesis)
                         if rng.random() < 0.0015:
                             sample.append((dp, phi, report))
@@ -376,7 +376,7 @@ def test_criterion_10_los():
                     f, phi, {v: dp.tuples[p][i] for v, p in zip(phi.window, point)})
                     for i, f in enumerate(dp.factors)], dp.D)
             assert [h[2:] for h in report.hypothesis] == [
-                up.los_hypothesis_check(f, node) for node in phi.quantified for f in dp.factors]
+                cauchy_verdicts(f, node) for node in phi.quantified for f in dp.factors]
 
 
 def test_los_over_every_class_on_at_most_two_points():
@@ -402,7 +402,7 @@ def test_los_over_every_class_on_at_most_two_points():
                 assert all(r.all_equal for r in reports), (body.name, len(factors), gen)
                 assert all(h[2:] == (True, True) for r in reports for h in r.hypothesis)
                 products += 1
-                entries += sum(len(r.entries) for r in reports)
+                entries += sum(r.left.size for r in reports)
     assert products == 3 * 180
     assert entries > products * len(pool)
     assert time.time() - start < 15

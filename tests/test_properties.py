@@ -1,6 +1,7 @@
 """Property tests: the three evaluators agree on random structures,
 printing then parsing a formula gives it back, a one-factor D-product is
-its factor, D-product distances are the pointwise D-ultralimits, written
+its factor, D-product distances and predicates are the pointwise
+D-ultralimits and its functions act componentwise, written
 structures load back, and the triangle check on twin representatives gives
 the verdict of the full check.
 
@@ -148,15 +149,27 @@ def test_one_factor_d_product_is_isomorphic_to_its_factor(spec, data):
 @settings(max_examples=40)
 @given(data=st.data())
 def test_d_product_distances_are_pointwise_ultralimits(spec, data):
+    """Distances and predicates of a D-product are the scalar D-ultralimits
+    of the factor values at the coordinates, functions act componentwise and
+    constants are constant tuples, in the space and in the structure."""
     vq = cq.builtin(spec)
     width = data.draw(st.integers(2, 3))
-    factors = [one_structure(data, vq, "F%d" % i).space for i in range(width)]
+    factors = [one_structure(data, vq, "F%d" % i) for i in range(width)]
     D = up.PrincipalUltrafilter(width, data.draw(st.integers(0, width - 1)))
-    product_space = up.d_product_space(factors, D)
+    product_space = up.d_product_space([f.space for f in factors], D)
+    dp = up.d_product_structure(factors, D)
+    assert dp.tuples == product_space.tuples
+    assert np.array_equal(dp.structure.dist, product_space.dist)
     for x, xs in enumerate(product_space.tuples):
         for y, ys in enumerate(product_space.tuples):
-            seq = [f.d(a, b) for f, a, b in zip(factors, xs, ys)]
+            seq = [f.space.d(a, b) for f, a, b in zip(factors, xs, ys)]
             assert product_space.d(x, y) == up.d_ultralimit(vq, seq, D)
+        seq = [f.pred_tables["P"][a] for f, a in zip(factors, xs)]
+        assert dp.structure.pred_tables["P"][x] == up.d_ultralimit(vq, seq, D)
+        image = dp.tuples[dp.structure.fun_tables["f"][x]]
+        assert image == tuple(int(f.fun_tables["f"][a]) for f, a in zip(factors, xs))
+    assert dp.tuples[dp.structure.const_points["c"]] == tuple(
+        f.const_points["c"] for f in factors)
 
 
 @pytest.mark.parametrize("spec", CARRIERS)

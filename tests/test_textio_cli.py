@@ -301,6 +301,29 @@ def test_eval_unknown_point_exits_2(capsys, defs_file):
     assert err == "error: unknown point 'zz' in structure M\n"
 
 
+def test_variable_assigned_twice_exits_2(capsys, defs_file):
+    code, out, err = run_cli(capsys, "eval", "--load", defs_file, "--structure", "M",
+                             "--formula", "(P x0)", "--assign", "x0=a", "--assign", "x0=b")
+    assert code == 2 and out == ""
+    assert err == "error: x0 is assigned twice\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["tv", "--sub", "M", "--sup", "M", "--depth", "-1"],
+    ["tv", "--sub", "M", "--sup", "M", "--max-free-vars", "-1"],
+    ["elem", "--sub", "M", "--sup", "M", "--depth", "-1"],
+    ["elem", "--sub", "M", "--sup", "M", "--max-free-vars", "-1"],
+    ["los-check", "--factors", "M", "N", "--principal", "0", "--depth", "-1"],
+    ["los-check", "--factors", "M", "N", "--principal", "0", "--depth", "1",
+     "--max-free-vars", "-2"],
+], ids=["tv-depth", "tv-vars", "elem-depth", "elem-vars", "los-depth", "los-vars"])
+def test_negative_depth_or_free_variables_exit_2(capsys, defs_file, argv):
+    """A negative bound gives an empty pool, which would pass vacuously."""
+    code, out, err = run_cli(capsys, *argv[:1], "--load", defs_file, *argv[1:])
+    assert code == 2 and out == ""
+    assert err.startswith("error: a formula pool needs depth >= 0 and max_free_vars >= 0")
+
+
 @pytest.mark.parametrize("command", [["ultra"], ["los-check", "--formula", "(P c)"]],
                          ids=["ultra", "los-check"])
 @pytest.mark.parametrize("principal", ["2", "-1"])

@@ -1,3 +1,4 @@
+import dataclasses
 from itertools import product
 
 import numpy as np
@@ -9,6 +10,7 @@ from cqlogic import spaces as sp
 from cqlogic import ultraproduct as up
 from cqlogic.errors import (NotCoDivisible, NotFinitelySatisfiable,
                             NotSymmetricFactors, SizeLimit)
+from conftest import cauchy_verdicts
 
 
 @pytest.fixture(scope="module")
@@ -106,6 +108,19 @@ def test_product_of_70_factors_projects_to_generator(chain4):
     assert np.array_equal(up.d_product_space(spaces, up.PrincipalUltrafilter(70, 65)).dist,
                           two.dist)
     assert not up.d_product_space(spaces, up.PrincipalUltrafilter(70, 0)).dist.any()
+
+
+def test_structure_of_70_factors_maps_functions_and_constants_componentwise(chain4):
+    ident = F.identity_modulus(chain4)
+    sig = F.Signature(functions=[("f", 1, ident)], constants=["c"])
+    one = sem.validate_structure(sp.validate_space(chain4, ["p"], [[0]]), sig, {},
+                                 {"f": [0]}, {"c": 0}, name="one")
+    two = sem.validate_structure(sp.validate_space(chain4, ["u", "v"], [[0, 3], [3, 0]]), sig,
+                                 {}, {"f": [1, 0]}, {"c": 1}, name="two")
+    dp = up.d_product_structure([one] * 65 + [two] + [one] * 4, up.PrincipalUltrafilter(70, 0))
+    assert [t[65] for t in dp.tuples] == [0, 1]
+    assert dp.structure.fun_tables["f"].tolist() == [1, 0]
+    assert dp.structure.const_points["c"] == 1
 
 
 def test_limit_of_constant_distances(chain4):
@@ -339,6 +354,7 @@ def test_los_with_quantifiers_and_hypothesis_records(chain4, sig, factors):
 
 
 def _same_report(got, want, vq):
+    assert got == want
     assert got.lines(vq) == want.lines(vq)
     assert got.hypothesis == want.hypothesis
     assert got.entries == want.entries
@@ -348,42 +364,50 @@ def _same_report(got, want, vq):
 
 @pytest.mark.parametrize("width", [1, 2, 3])
 def test_los_reports_on_one_product_match_fresh_products(chain4, sig, factors, width):
-    """Every los_check on one product shares its index grids and the
+    """Every los_check on one product shares its factor gathers and the
     factors' evaluators and hypothesis verdicts; each report equals the one
     from a product built for it alone, and los_sweep over a pool gives the
-    same reports as los_check formula by formula."""
+    same reports as los_check formula by formula. A report's entries run
+    over the product's points in row-major order, one per left/right value."""
     sig_p = F.Signature(predicates=[("P", 1, F.identity_modulus(chain4))])
     pool = sem.enumerate_formulas(sig_p, chain4, 2, 1)
     assert any(not F.free_vars(phi) for phi in pool)
     chosen = [factors[i % 2] for i in range(width)]
     D = up.PrincipalUltrafilter(width, width - 1)
     shared = up.d_product_structure(chosen, D)
-    names = shared.structure.points
-    last = len(names) - 1
     # sentences with a constant, then var_span-2 formulas after the pool
-    extra = [F.parse_formula(text, sig, chain4)
-             for text in ("(P c)", "(sup x0 (d x0 c))", "(sup x1 (d x0 x1))",
-                          "(inf x1 (conn vee (d x0 x1) (P x1)))", "(d x0 x1)")]
-    by_width = {w: [phi for phi in pool + extra if len(F.free_vars(phi)) == w]
-                for w in (0, 1, 2)}
-    cases = [(pool + extra, None),
-             (by_width[2], [(names[last], names[0]), (names[1], names[1])]),
-             (by_width[2], [(0, last), (last, 1), (1, 0)]),
-             (by_width[1], [(names[last],), (0,)]),
-             (by_width[0], [()])]
-    for formulas, assignments in cases:
-        swept = up.los_sweep(shared, formulas, assignments)
-        assert len(swept) == len(formulas)
-        for phi, report in zip(formulas, swept):
-            _same_report(report, up.los_check(shared, phi, assignments), chain4)
-            fresh = up.los_check(up.d_product_structure(chosen, D), phi, assignments)
-            _same_report(report, fresh, chain4)
-            assert report.formula == F.print_formula(phi, chain4)
-    for bad in ([(last + 1, 0)], [(0, -1)]):
-        with pytest.raises(IndexError):
-            up.los_check(shared, extra[-1], bad)
-        with pytest.raises(IndexError):
-            up.los_sweep(shared, by_width[2], bad)
+    formulas = pool + [F.parse_formula(text, sig, chain4)
+                       for text in ("(P c)", "(sup x0 (d x0 c))", "(sup x1 (d x0 x1))",
+                                    "(inf x1 (conn vee (d x0 x1) (P x1)))", "(d x0 x1)")]
+    swept = up.los_sweep(shared, formulas)
+    assert len(swept) == len(formulas)
+    for phi, report in zip(formulas, swept):
+        _same_report(report, up.los_check(shared, phi), chain4)
+        _same_report(report, up.los_check(up.d_product_structure(chosen, D), phi), chain4)
+        assert report.formula == F.print_formula(phi, chain4)
+        entries = report.entries
+        assert [e.assignment for e in entries] == list(
+            product(shared.structure.points, repeat=len(phi.window)))
+        assert [(e.left, e.right) for e in entries] == list(
+            zip(report.left.tolist(), report.right.tolist()))
+    twin = dataclasses.replace(swept[-1], right=swept[-1].right.copy())
+    assert twin == swept[-1]
+    twin.right[-1] = (twin.right[-1] + 1) % chain4.size
+    assert twin != swept[-1]
+
+
+@pytest.mark.parametrize("sizes", [[2, 1, 3], [1], [3, 2]])
+@pytest.mark.parametrize("w", [0, 1, 2, 3])
+def test_factor_gather_matches_the_per_tuple_definition(sizes, w):
+    """Row r of the gather is the r-th w-tuple of product points, the points
+    being the factor tuples in row-major order; entry i is the factor-i
+    coordinates of those points read as a base-sizes[i] numeral."""
+    gather = up.factor_gather(sizes, w)
+    combos = list(product(product(*map(range, sizes)), repeat=w))
+    assert gather.shape == (len(sizes), len(combos))
+    for r, combo in enumerate(combos):
+        for i, m in enumerate(sizes):
+            assert gather[i, r] == sum(p[i] * m ** (w - 1 - k) for k, p in enumerate(combo))
 
 
 def test_los_sweep_splits_its_d_limits_by_the_work_budget(chain4, sig, factors, monkeypatch):
@@ -421,8 +445,8 @@ def test_los_sweep_splits_its_d_limits_by_the_work_budget(chain4, sig, factors, 
 
 
 def test_factors_hold_hypothesis_verdicts_and_evaluators(chain4, sig, factors, monkeypatch):
-    """A factor's held verdicts equal los_hypothesis_check, and every
-    product that has the factor reads the factor's own evaluator."""
+    """A factor's held verdicts equal the definitional `cauchy_verdicts`,
+    and every product that has the factor reads the factor's own evaluator."""
     pool = sem.enumerate_formulas(sig, chain4, 2, 1)
     one = up.d_product_structure(factors, up.PrincipalUltrafilter(2, 0))
     two = up.d_product_structure([factors[1], factors[0], factors[1]],
@@ -434,7 +458,7 @@ def test_factors_hold_hypothesis_verdicts_and_evaluators(chain4, sig, factors, m
     monkeypatch.setattr(sem, "cauchy_sums_vanish", None)    # held: not computed again
     for f in factors:
         for sub in subs:
-            assert f.hypothesis(sub) == up.los_hypothesis_check(f, sub)
+            assert f.hypothesis(sub) == cauchy_verdicts(f, sub)
     assert one.factors[0] is two.factors[1]
     assert one.factors[0].evaluator(1) is two.factors[1].evaluator(1)
     assert one.factors[1].evaluator(1) is two.factors[0].evaluator(1) is two.factors[2].evaluator(1)
