@@ -14,7 +14,6 @@ import sys
 from . import coquantale as cq
 from . import semantics as sem
 from . import spaces as sp
-from . import ultraproduct as up
 from .errors import CqlError
 from .formulas import Signature, identity_modulus, parse_formula
 from .semantics import Condition
@@ -213,6 +212,7 @@ def _pair_command(args, op, label) -> int:
 
 def _d_product(args):
     """The D-product of --factors under the ultrafilter principal at --principal."""
+    from . import ultraproduct as up     # only ultra, los-check and the demo need it
     ws = _workspace(args)
     factors = [ws.structure(n) for n in args.factors]
     if not 0 <= args.principal < len(factors):
@@ -228,6 +228,7 @@ def cmd_ultra(args) -> int:
 
 
 def cmd_los_check(args) -> int:
+    from . import ultraproduct as up
     dp = _d_product(args)
     sig, vq = dp.factors[0].sig, dp.factors[0].V
     if args.formula:
@@ -251,6 +252,7 @@ def cmd_los_check(args) -> int:
 
 
 def cmd_compactness_demo(args) -> int:
+    from . import ultraproduct as up
     vq = cq.builtin("chain:4")
     ident = identity_modulus(vq)
     sig = Signature(predicates=[("P", 1, ident), ("Q", 1, ident)])

@@ -30,6 +30,9 @@ class CoQuantale:
     distance (a ∸ b) ∨ (b ∸ a). Instances are immutable after validation.
     """
 
+    dtype = np.int32      # distance tables hold element indices
+    cell_cost = 1         # one table lookup per cell
+
     def __init__(self, lattice, add, tsub, dsym, value_flag,
                  co_divisible_flag, dualizers, safa_flag, name=""):
         self.lattice = lattice

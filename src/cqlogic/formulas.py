@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -73,11 +73,19 @@ def modulus_cost(vq, count, arity, modulus):
 
 def first_failure(vq, modulus):
     """[d, od]: the position of the first ε in the modulus's order with
-    d ≤ Δ(ε) but od not ≤ ε, or ``len(modulus.table)`` when there is none."""
-    leq, order = vq.lattice.leq, list(modulus.table)
-    bad = leq[:, None, [modulus.table[e] for e in order]] & ~leq[None, :, order]
+    d ≤ Δ(ε) but od not ≤ ε, or ``len(modulus.table)`` when there is none.
+    Built once per carrier and modulus, in that order, and shared read-only."""
+    return _first_failure(vq, tuple(modulus.table.items()))
+
+
+@lru_cache(maxsize=16)
+def _first_failure(vq, pairs):
+    leq, order = vq.lattice.leq, [e for e, _ in pairs]
+    bad = leq[:, None, [delta for _, delta in pairs]] & ~leq[None, :, order]
     first = np.where(bad.any(axis=2), bad.argmax(axis=2), len(order))
-    return first.astype(np.min_scalar_type(len(order)))
+    first = first.astype(np.min_scalar_type(len(order)))
+    first.setflags(write=False)
+    return first
 
 
 def modulus_witness(vq, what, coord_dist, arity, out_dist, outputs, modulus):

@@ -15,11 +15,18 @@ The powerset with its naming keys and subset closures, the enumerated
 carrier and the materialized co-quantale depend only on the ground tuple
 (and the co-quantale's name), so all are shared by every FreeLocale over the
 same ground set: each is built, and each validated, once per process.
+
+A FreeLocale also answers the table lookups of a co-quantale (``add`` and
+``lattice.leq``/``join``/``cwb``) elementwise over object arrays, charged as
+one Python call per cell, so the space kernels read both universes one way.
 """
 
 from __future__ import annotations
 
+import operator
+from functools import lru_cache, reduce
 from itertools import combinations
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -51,13 +58,8 @@ def _ground_data(ground):
 
 def downclose(sets):
     """The down-closure of a family of sets, as a frozenset of frozensets."""
-    closed = set()
-    for s in sets:
-        s = frozenset(s)
-        for k in range(len(s) + 1):
-            for combo in combinations(sorted(s), k):
-                closed.add(frozenset(combo))
-    return frozenset(closed)
+    return frozenset(frozenset(c) for s in map(frozenset, sets)
+                     for k in range(len(s) + 1) for c in combinations(s, k))
 
 
 def _down_families(ground):
@@ -74,8 +76,24 @@ def _down_families(ground):
             for low in smaller for high in smaller if high <= low]
 
 
+class _Elementwise:
+    """A binary operation read like a numpy table: ``op[a, b]`` applies it to
+    the broadcast object arrays a and b, once per distinct pair of operands;
+    a relation gives a bool array (``~`` on Python bools negates integers)."""
+
+    def __init__(self, op, dtype=object):
+        self.op, self.dtype = op, dtype
+
+    def __getitem__(self, pair):
+        once = np.frompyfunc(lru_cache(maxsize=None)(self.op), 2, 1)
+        return np.asarray(once(*pair), dtype=self.dtype)
+
+
 class FreeLocale:
     """Value universe over ground set R: down-closed families under ⊇."""
+
+    dtype = object                   # distance tables hold the families
+    add = _Elementwise(operator.and_)   # p + q = p ∨ q, the family intersection
 
     def __init__(self, ground):
         self.ground = tuple(str(g) for g in ground)
@@ -87,43 +105,33 @@ class FreeLocale:
         self._psets, self._keys, self._subsets = _ground_data(self.ground)
         self.bottom = frozenset(self._psets)
         self.top = frozenset()
+        self.lattice = SimpleNamespace(leq=_Elementwise(self.le, bool), join=self.add,
+                                       cwb=_Elementwise(self.cwb, bool))
+
+    @property
+    def cell_cost(self):
+        from .spaces import loop_cost     # a Python call per cell; spaces imports this module
+        return loop_cost(1)
 
     # -- value universe surface ------------------------------------------
 
     @property
     def size(self):
-        if len(self.ground) <= MATERIALIZE_MAX:
-            return len(self.carrier())
-        return None
+        return len(self.carrier()) if len(self.ground) <= MATERIALIZE_MAX else None
 
     def contains(self, p):
-        if not isinstance(p, frozenset):
-            return False
-        return all(s in self._subsets and self._subsets[s] <= p for s in p)
+        return isinstance(p, frozenset) and all(
+            s in self._subsets and self._subsets[s] <= p for s in p)
 
-    def le(self, p, q):
-        return q <= p
-
-    def meet(self, p, q):
-        return p | q
-
-    def join(self, p, q):
-        return p & q
-
-    def plus(self, p, q):
-        return p & q
+    le = staticmethod(operator.ge)              # p <= q iff p ⊇ q
+    meet = staticmethod(operator.or_)
+    join = plus = staticmethod(operator.and_)
 
     def meet_of(self, elems):
-        acc = self.top
-        for e in elems:
-            acc = acc | e
-        return acc
+        return reduce(operator.or_, elems, self.top)
 
     def join_of(self, elems):
-        acc = self.bottom
-        for e in elems:
-            acc = acc & e
-        return acc
+        return reduce(operator.and_, elems, self.bottom)
 
     def sub(self, p, q):
         """p ∸ q = the largest down-closed r with r ∧_family q inside p."""

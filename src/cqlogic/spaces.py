@@ -3,11 +3,13 @@
 locales).
 
 A space stores its value universe V (a table co-quantale or a symbolic free
-locale), an ordered point list and one read-only (m, m) distance table:
-int32 element indices over a table co-quantale, frozensets over the symbolic
-free locale. `validate_space` is the only place a table is converted; every
-other function reads or gathers that array. Point sets returned by
-operations are frozensets of point names.
+locale), an ordered point list and one read-only (m, m) distance table in
+V's array format ``V.dtype``: int32 element indices over a table
+co-quantale, frozensets over the symbolic free locale. Both answer the same
+table lookups (``V.add``, ``V.lattice.leq``/``join``/``cwb``), so every law
+has one kernel, charged at V's ``cell_cost`` per cell. `validate_space` is
+the only place a table is converted; every other function reads or gathers
+that array. Point sets returned by operations are frozensets of point names.
 
 Points x and x' are twins when d(x,·) = d(x',·) and d(·,x) = d(·,x'); a
 D-product of finitely many factors has many. Every distance depends only on
@@ -29,14 +31,14 @@ Other modules read both budgets here at call time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations, product
+from itertools import chain, combinations
 
 import numpy as np
 
-from .coquantale import CoQuantale, builtin
+from .coquantale import builtin
 from .errors import (NotAPreorder, NotATopology, NotPositive,
                      ReflexivityViolation, SizeLimit, TransitivityViolation)
-from .freelocale import FreeLocale, downclose
+from .freelocale import MATERIALIZE_MAX, FreeLocale, downclose
 
 # cells per block of a row-blocked kernel (up to 12 bytes each) and per
 # TableEvaluator memo (4 bytes each)
@@ -54,10 +56,10 @@ def check_cost(what, cost):
 def loop_cost(iterations):
     """Cell operations charged for ``iterations`` of a Python loop: 64 each.
     Measured on a 2-core host (Python 3.11.7): a cell of the 512-point
-    triangle check takes 14 ns, and an iteration of the symbolic triangle
-    loop, the `induced_topology` mask scan, the `validate_topology` pairs,
-    the `enumerate_topologies` families and the ≺ oracle 0.34-2.0 µs
-    (25-145 cells, geometric mean 75)."""
+    triangle check takes 14 ns, and a cell of the symbolic triangle check
+    or an iteration of the `induced_topology` mask scan, the
+    `validate_topology` pairs, the `enumerate_topologies` families and the ≺
+    oracle 0.34-2.0 µs (25-145 cells, geometric mean 75)."""
     return 64 * iterations
 
 
@@ -92,32 +94,31 @@ def validate_space(values, points, dist) -> ContinuitySpace:
     exhaustively. The triangle law is decided on the first point of each
     twin class, and its witness is the first failing (x, y, z) of the whole
     table in row-major order. The space keeps its own read-only copy of the
-    table: int32 over a table co-quantale, object over the symbolic free
-    locale."""
+    table in the carrier's array format (``values.dtype``)."""
     points = [str(p) for p in points]
     if not points or len(set(points)) != len(points):
         raise ReflexivityViolation("points must be a nonempty list of unique names")
     m = len(points)
-    table_carrier = isinstance(values, CoQuantale)
-    check_cost("triangle check on %d points" % m, triangle_cost(m, table_carrier))
+    check_cost("triangle check on %d points" % m, triangle_cost(m, values.cell_cost))
     try:
         table = np.asarray(dist)
     except ValueError:                                  # ragged rows
         table = np.empty(0)
     if table.shape != (m, m):
         raise ReflexivityViolation("dist table must be %d x %d" % (m, m))
-    if table_carrier and table.dtype.kind in "iu":
-        bad = table[(table < 0) | (table >= values.size)].tolist()
-    else:
-        table = np.asarray(dist, dtype=object)          # the entries as given
-        try:                                            # each distinct entry once, in order
-            entries = [e for _, e in dict.fromkeys((type(e), e) for e in table.flat)]
+    # V's integer elements form an index range (none in the free locale)
+    if table.dtype.kind not in "iu" or not all(map(values.contains, (table.min(), table.max()))):
+        table = np.array(dist, dtype=object)            # a copy of the entries as given
+        try:                                            # each distinct entry once, in order,
+            shared = {}                                 # and equal entries made one object
+            table.flat = [shared.setdefault((type(e), e), e) for e in table.flat]
+            entries = list(shared.values())
         except TypeError:                               # an unhashable entry: check them all
             entries = table.flat
         bad = [e for e in entries if not values.contains(e)]
-    if bad:
-        raise ReflexivityViolation("dist entry %r is not a V element" % (bad[0],))
-    table = table.astype(np.int32 if table_carrier else object)
+        if bad:
+            raise ReflexivityViolation("dist entry %r is not a V element" % (bad[0],))
+    table = table.astype(values.dtype)
     for x in range(m):
         if table[x, x] != values.bottom:
             raise ReflexivityViolation("d(%s,%s) != 0" % (points[x], points[x]))
@@ -140,26 +141,20 @@ def _twin_representatives(table):
     return list(first.values())
 
 
-def triangle_cost(m, table=True):
-    """The m³ triples of the triangle check, a Python loop over the symbolic
-    free locale."""
-    return m ** 3 if table else loop_cost(m ** 3)
+def triangle_cost(m, charge=1):
+    """The m³ triples of the triangle check, at ``charge`` per cell."""
+    return charge * m ** 3
 
 
 def _triangle_witness(values, tables):
     """Per table of an (N, m, m) stack, the first (x, y, z) in row-major order
     with d(x,y) > d(x,z) + d(z,y), or (-1, -1, -1). Consecutive (table, row x)
-    pairs run in blocks of at most CELL_BUDGET path cells; the symbolic free
-    locale (one object table) is a Python loop."""
+    pairs run in blocks of at most CELL_BUDGET path cells at the carrier's
+    charge per cell, until every table has its witness."""
     count, m = tables.shape[:2]
-    if tables.dtype == object:
-        d = tables[0]
-        return np.array([next(((x, y, z) for x, y, z in product(range(m), repeat=3)
-                               if not values.le(d[x, y], values.plus(d[x, z], d[z, y]))),
-                              (-1, -1, -1))])
     flat = tables.reshape(-1, m)               # row r is d(x, ·) of table r // m, x = r % m
     out = np.full((count, 3), -1)
-    rows = max(1, CELL_BUDGET // (m * m))
+    rows = max(1, CELL_BUDGET // (m * m * values.cell_cost))
     for start in range(0, len(flat), rows):
         block = flat[start:start + rows]
         other = tables if count == 1 else tables[np.arange(start, start + len(block)) // m]
@@ -172,6 +167,8 @@ def _triangle_witness(values, tables):
         r = r[out[r // m, 0] < 0]              # tables not settled by an earlier block
         r = r[np.unique(r // m, return_index=True)[1]]     # the first failing row of each
         out[r // m] = np.column_stack((r % m, *np.divmod(bad[r - start].argmax(axis=1), m)))
+        if (out[:, 0] >= 0).all():
+            break
     return out
 
 
@@ -182,21 +179,18 @@ def dual_space(space: ContinuitySpace) -> ContinuitySpace:
 
 def symmetric_space(space: ContinuitySpace) -> ContinuitySpace:
     """d^s(x,y) = d(x,y) ∨ d(y,x)."""
-    join = np.frompyfunc(space.V.join, 2, 1)
-    return validate_space(space.V, space.points, join(space.dist, space.dist.T))
+    return validate_space(space.V, space.points, space.V.lattice.join[space.dist, space.dist.T])
 
 
 def product_space(left: ContinuitySpace, right: ContinuitySpace) -> ContinuitySpace:
     """Pointwise-max product distance on the cartesian product."""
     if left.V is not right.V:
         raise ValueError("product factors must share a value universe")
-    m = left.m * right.m
-    check_cost("triangle check on %d points" % m, triangle_cost(m, isinstance(left.V, CoQuantale)))
+    m, join = left.m * right.m, left.V.lattice.join
+    check_cost("triangle check on %d points" % m, triangle_cost(m, left.V.cell_cost))
     points = ["%s|%s" % (p, q) for p in left.points for q in right.points]
     i, j = np.divmod(np.arange(m), right.m)    # pair (i, j), row-major
-    join = np.frompyfunc(left.V.join, 2, 1)
-    return validate_space(left.V, points,
-                          join(left.dist[np.ix_(i, i)], right.dist[np.ix_(j, j)]))
+    return validate_space(left.V, points, join[left.dist[np.ix_(i, i)], right.dist[np.ix_(j, j)]])
 
 
 def is_symmetric(space: ContinuitySpace) -> bool:
@@ -211,15 +205,12 @@ def disc(space: ContinuitySpace, x, eps):
     V = space.V
     if not V.is_positive(eps):
         raise NotPositive("%s is not positive" % V.element_name(eps))
-    i = space.index(x)
-    return space.point_set(y for y in range(space.m) if V.cwb(space.dist[i, y], eps))
+    return space.point_set(np.flatnonzero(V.lattice.cwb[space.dist[space.index(x)], eps]))
 
 
 def closed_disc(space: ContinuitySpace, x, eps):
     """Closed disc {y : d(x,y) ≤ ε}; any ε is allowed."""
-    V = space.V
-    i = space.index(x)
-    return space.point_set(y for y in range(space.m) if V.le(space.dist[i, y], eps))
+    return space.point_set(np.flatnonzero(space.V.lattice.leq[space.dist[space.index(x)], eps]))
 
 
 @dataclass(frozen=True)
@@ -253,25 +244,16 @@ def validate_topology(points, opens) -> Topology:
 def induced_topology(space: ContinuitySpace) -> Topology:
     """All subsets U such that every x in U has a positive disc inside U.
 
-    With an enumerable positives filter this is the definitional scan. When
-    the carrier is too large to enumerate but the bottom itself is positive
-    (every finite free locale), membership of a minimal disc suffices: ≺ is
-    monotone in its right argument, so B_0(x) is contained in every disc.
-    Discs and candidate open sets are bitmasks over the point indices.
+    When the bottom is positive (every builtin carrier and every free
+    locale), membership of the disc B_0(x) suffices: ≺ is monotone in its
+    right argument, so B_0(x) lies in every disc. Otherwise this is the
+    definitional scan over the positives filter. Discs and candidate open
+    sets are bitmasks over the point indices.
     """
     V, m, dist = space.V, space.m, space.dist
-    try:
-        radii = V.positives()
-    except SizeLimit:
-        if not V.is_positive(V.bottom):
-            raise
-        radii = [V.bottom]
+    radii = [V.bottom] if V.is_positive(V.bottom) else V.positives()
     check_cost("induced topology on %d points" % m, topology_cost(m, len(radii)))
-    if isinstance(V, CoQuantale):
-        within = V.lattice.cwb[dist[:, :, None], np.array(radii, dtype=np.intp)]
-    else:
-        within = np.array([[[V.cwb(d, e) for e in radii] for d in row] for row in dist],
-                          dtype=bool)
+    within = V.lattice.cwb[dist[:, :, None], np.array(radii, dtype=dist.dtype)]
     # within[x, y, ε]: d(x,y) ≺ ε; [x, ε] is the disc B_ε(x) as a bitmask over y
     masks = (within.astype(np.int64) << np.arange(m)[:, None]).sum(axis=1)
     all_discs = [set(row) for row in masks.tolist()]
@@ -297,16 +279,13 @@ def topology_cost(m, radii):
 
 def dist_to_set(space: ContinuitySpace, x, subset):
     """d(x, A) = ⋀{d(x,a) : a ∈ A}; the empty meet is top."""
-    i = space.index(x)
-    return space.V.meet_of(space.dist[i, space.index(a)] for a in subset)
+    return space.V.meet_of(space.dist[space.index(x), space.index(a)] for a in subset)
 
 
 def closure(space: ContinuitySpace, subset):
     """{y : d(y, A) = 0}, the τ_d-closure of A."""
-    V = space.V
     subset = frozenset(subset)
-    return frozenset(p for p in space.points
-                     if dist_to_set(space, p, subset) == V.bottom)
+    return frozenset(p for p in space.points if dist_to_set(space, p, subset) == space.V.bottom)
 
 
 def diameter(space: ContinuitySpace, subset=None):
@@ -446,15 +425,15 @@ def space_from_topology(topology: Topology, materialize="auto") -> ContinuitySpa
     ground = ["U%d" % i for i in range(len(opens))]
     locale = FreeLocale(ground)
     if materialize == "auto":
-        materialize = len(ground) <= 4
-    m, k = len(topology.points), len(ground)
-    # each distance is the down-closure of one set of at most k opens
-    check_cost("the space of a topology on %d points with %d opens" % (m, k),
-               loop_cost(m * m * (k + (1 << k))) + triangle_cost(m, materialize))
+        materialize = len(ground) <= MATERIALIZE_MAX
     values, element = locale, (lambda family: family)   # a family as an element of values
     if materialize:
         values = locale.materialize()
         element = {fam: i for i, fam in enumerate(locale.carrier())}.__getitem__
+    m, k = len(topology.points), len(ground)
+    # each distance is the down-closure of one set of at most k opens
+    check_cost("the space of a topology on %d points with %d opens" % (m, k),
+               loop_cost(m * m * (k + (1 << k))) + triangle_cost(m, values.cell_cost))
     points = list(topology.points)
     dist = [[element(downclose([frozenset(g for g, u in zip(ground, opens)
                                           if a not in u or b in u)]))

@@ -1,3 +1,4 @@
+import functools
 import random
 from itertools import product
 
@@ -228,6 +229,26 @@ def test_symbol_modulus_check_matches_brute_force(roster, monkeypatch, spec, bud
         assert got == expected, (space.dist.tolist(), table.tolist(), modulus.table)
         outcomes.add(got is None)
     assert outcomes == {True, False}
+
+
+def test_first_failure_is_built_once_per_carrier_and_modulus(chain4, monkeypatch):
+    """Every modulus check and `enumerate_bodies` share one read-only table
+    per carrier and modulus; the same entries in another order are another
+    modulus order, so another table."""
+    monkeypatch.setattr(F, "_first_failure", functools.lru_cache(maxsize=16)(
+        F._first_failure.__wrapped__))
+    ident = F.identity_modulus(chain4)
+    vee = chain4.lattice.join.reshape(-1)
+    for _ in range(3):
+        assert F.modulus_witness(chain4, "vee", chain4.dsym, 2, chain4.dsym, vee,
+                                 F.identity_modulus(chain4)) is None
+    sem.enumerate_bodies(chain4, 2, ident)
+    assert F._first_failure.cache_info()[:2] == (3, 1)          # hits, builds
+    table = F.first_failure(chain4, ident)
+    assert not table.flags.writeable
+    backwards = F.Modulus(dict(reversed(ident.table.items())))
+    assert F.first_failure(chain4, backwards) is not table
+    assert F._first_failure.cache_info()[:2] == (4, 2)
 
 
 def test_modulus_totality_enforced(chain4):

@@ -4,6 +4,7 @@ budget, before it allocates. The budget is patched down, so no test runs
 anything near the real limit."""
 
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -38,6 +39,11 @@ def _refuses(monkeypatch, budget, message, call):
 
 def _never(*args, **kwargs):
     raise AssertionError("reached after the cost check")
+
+
+class _NeverTable:
+    def __getitem__(self, key):
+        _never()
 
 
 def test_validate_space_refuses_by_cost(chain4, monkeypatch):
@@ -140,13 +146,13 @@ def test_product_space_refuses_before_building_its_table(chain4, monkeypatch):
     monkeypatch.setattr(sp, "WORK_BUDGET", 64)
     assert sp.product_space(one, one).m == 4
     monkeypatch.setattr(sp, "validate_space", _never)
-    monkeypatch.setattr(chain4, "join", _never)
+    monkeypatch.setattr(chain4, "lattice", SimpleNamespace(join=_NeverTable()))
     _refuses(monkeypatch, 63, "triangle check on 4 points costs 64 cell operations "
              "(budget 63)", lambda: sp.product_space(one, one))
 
 
 def test_symbolic_space_is_refused_before_its_triangle_loop(monkeypatch):
-    """The symbolic free locale checks the triangle law in a Python loop,
+    """The symbolic free locale answers each triangle cell by Python calls,
     so its 3^3 triples are charged as loop iterations."""
     V = FreeLocale(("a", "b"))
     dist = [[V.bottom if x == y else V.top for y in range(3)] for x in range(3)]
@@ -158,18 +164,17 @@ def test_symbolic_space_is_refused_before_its_triangle_loop(monkeypatch):
 
 
 def test_induced_topology_refuses_before_its_scan(monkeypatch):
-    # 3 points, the 6 radii of the free locale on {a, b}: 9 x 6 ≺ tests,
-    # 3 x 6^2 disc comparisons, 2^3 masks x 3 x 7 and 4^3 open pairs
+    # 3 points and the one radius 0 of the free locale on {a, b}, where 0 ≺ 0:
+    # 9 ≺ tests, 3 disc comparisons, 2^3 masks x 3 x 2 and 4^3 open pairs
     V = FreeLocale(("a", "b"))
     space = sp.validate_space(V, "abc", [[V.bottom if x == y else V.top for y in range(3)]
                                           for x in range(3)])
-    monkeypatch.setattr(sp, "WORK_BUDGET", sp.loop_cost(394))
+    monkeypatch.setattr(sp, "WORK_BUDGET", sp.loop_cost(124))
     assert len(sp.induced_topology(space).opens) == 8
-    radii = V.positives()
-    monkeypatch.setattr(V, "positives", lambda: radii)
-    monkeypatch.setattr(V, "cwb", _never)
-    _refuses(monkeypatch, 25215, "induced topology on 3 points costs 25216 cell operations "
-             "(budget 25215)", lambda: sp.induced_topology(space))
+    monkeypatch.setattr(V, "positives", _never)
+    monkeypatch.setattr(V.lattice, "cwb", _NeverTable())
+    _refuses(monkeypatch, 7935, "induced topology on 3 points costs 7936 cell operations "
+             "(budget 7935)", lambda: sp.induced_topology(space))
 
 
 def test_topology_theorems_refuse_before_any_topology(bool2, monkeypatch):
@@ -221,7 +226,7 @@ def test_sixteen_point_induced_topology_is_refused_at_once(bool2):
     with pytest.raises(SizeLimit) as info:
         sp.induced_topology(space)
     assert time.perf_counter() - start < 1.0
-    assert str(info.value) == ("induced topology on 16 points costs 275079270400 cell "
+    assert str(info.value) == ("induced topology on 16 points costs 275012142080 cell "
                                "operations (budget %d)" % sp.WORK_BUDGET)
 
 

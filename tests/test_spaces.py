@@ -3,7 +3,9 @@ from itertools import combinations, product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from cqlogic import coquantale as cq
 from cqlogic import semantics as sem
 from cqlogic import spaces as sp
 from cqlogic.errors import (NotAPreorder, NotATopology, NotPositive,
@@ -12,7 +14,7 @@ from cqlogic.errors import (NotAPreorder, NotATopology, NotPositive,
 from cqlogic.formulas import Signature, identity_modulus
 from cqlogic.freelocale import FreeLocale
 
-from conftest import metric_closure, space_corpus
+from conftest import diamond_lattice, metric_closure, space_corpus
 
 
 # -- validation -----------------------------------------------------------------
@@ -183,6 +185,59 @@ def test_product_distance_is_pairwise_join(chain4):
             assert got == max(X.d(i1, i2), Y.d(j1, j2))
 
 
+def _random_space(V, m, rng, name="p"):
+    elements = list(V.carrier())
+    dist = [[V.bottom if x == y else rng.choice(elements) for y in range(m)] for x in range(m)]
+    return sp.validate_space(V, ["%s%d" % (name, i) for i in range(m)], metric_closure(V, dist))
+
+
+@pytest.mark.parametrize("spec", ["chain:4", "symbolic:2"])
+def test_joins_read_the_carrier_tables(roster, spec):
+    """Symmetrizations and products join through ``V.lattice.join``: int32
+    tables equal to the elementwise `join` on a table carrier, frozenset
+    intersections on the symbolic free locale."""
+    symbolic = spec == "symbolic:2"
+    V = FreeLocale(("a", "b")) if symbolic else roster[spec]
+    join = (lambda p, q: p & q) if symbolic else V.join
+    rng = random.Random(spec)
+    for _ in range(10):
+        X = _random_space(V, rng.randint(1, 4), rng)
+        Y = _random_space(V, rng.randint(1, 3), rng, "q")
+        S, P = sp.symmetric_space(X), sp.product_space(X, Y)
+        assert S.dist.dtype == P.dist.dtype == (object if symbolic else np.int32)
+        assert S.dist.tolist() == [[join(X.d(x, y), X.d(y, x)) for y in range(X.m)]
+                                   for x in range(X.m)]
+        assert P.dist.tolist() == [[join(X.d(i1, i2), Y.d(j1, j2))
+                                    for i2 in range(X.m) for j2 in range(Y.m)]
+                                   for i1 in range(X.m) for j1 in range(Y.m)]
+
+
+def test_failing_symbolic_table_stops_after_its_witness_block(monkeypatch):
+    """One (table, row) pair per block: the witness d(0,1) > d(0,2) + d(2,1)
+    lies in row 0, so only that block's m² sums are looked up; a valid table
+    looks up all m blocks."""
+    V = FreeLocale(("a", "b"))
+    m = 6
+    table = np.full((m, m), V.bottom, dtype=object)
+    table[0, 1] = V.top
+    monkeypatch.setattr(sp, "CELL_BUDGET", m * m * V.cell_cost)
+    cells, add = [], V.add
+
+    class Counting:
+        def __getitem__(self, pair):
+            out = add[pair]
+            cells.append(out.size)
+            return out
+
+    monkeypatch.setattr(V, "add", Counting())
+    assert sp._triangle_witness(V, table[None]).tolist() == [[0, 1, 2]]
+    assert cells == [m * m]
+    table[0, 1] = V.bottom
+    cells.clear()
+    assert sp._triangle_witness(V, table[None]).tolist() == [[-1, -1, -1]]
+    assert cells == [m * m] * m
+
+
 # -- discs ---------------------------------------------------------------------------
 
 
@@ -226,6 +281,44 @@ def test_sierpinski_topology(sierpinski):
     topo = sp.induced_topology(sierpinski)
     assert topo.opens == frozenset({frozenset(), frozenset({"q"}),
                                     frozenset({"p", "q"})})
+
+
+def _topology_carrier(spec):
+    if spec == "symbolic:2":
+        return FreeLocale(("a", "b"))
+    if spec == "diamond_join":                     # 0 ≺ 0 fails: positives {a, b, 1}
+        diamond = diamond_lattice()
+        return cq.validate_coquantale(diamond, diamond.join, name="diamond-join")
+    return cq.builtin(spec)
+
+
+TOPOLOGY_CARRIERS = {spec: _topology_carrier(spec)
+                     for spec in ("chain:4", "freelocale:2", "symbolic:2", "diamond_join")}
+
+
+@pytest.mark.parametrize("spec", sorted(TOPOLOGY_CARRIERS))
+@settings(max_examples=25)
+@given(m=st.integers(1, 4), rng=st.randoms(use_true_random=False))
+def test_induced_topology_is_the_definitional_scan(spec, m, rng):
+    """Every subset U such that each x in U has a disc B_ε(x) ⊆ U for some
+    positive ε, scanned over every subset and every positive radius. Over
+    diamond_join the positives are not meet-closed, so the family may miss
+    an intersection and is then refused as a topology."""
+    V = TOPOLOGY_CARRIERS[spec]
+    assert V.is_positive(V.bottom) == (spec != "diamond_join")    # both radius branches
+    X = _random_space(V, m, rng)
+    positives = V.positives()
+
+    def disc(x, eps):
+        return {y for y in range(m) if V.cwb(X.dist[x, y], eps)}
+
+    opens = {X.point_set(u) for k in range(m + 1) for u in map(set, combinations(range(m), k))
+             if all(any(disc(x, eps) <= u for eps in positives) for x in u)}
+    if all(u & w in opens for u in opens for w in opens):
+        assert sp.induced_topology(X).opens == opens
+    else:
+        with pytest.raises(NotATopology):
+            sp.induced_topology(X)
 
 
 def test_topology_validation_errors():
