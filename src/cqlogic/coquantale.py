@@ -45,6 +45,7 @@ class CoQuantale:
         self.safa_flag = bool(safa_flag)
         self.name = name or "coquantale"
         self._positives = tuple(lat.positives(lattice))   # {ε : 0 ≺ ε}, fixed per carrier
+        self._dividers = {}                               # n -> the table of `_dividers`
         for table in (self.add, self.tsub, self.dsym):
             table.setflags(write=False)
 
@@ -68,32 +69,11 @@ class CoQuantale:
     def contains(self, e):
         return isinstance(e, (int, np.integer)) and 0 <= e < self.lattice.n
 
-    def le(self, a, b):
-        return self.lattice.le(a, b)
-
-    def meet(self, a, b):
-        return self.lattice.meet2(a, b)
-
-    def join(self, a, b):
-        return self.lattice.join2(a, b)
-
     def meet_of(self, elems):
         return self.lattice.meet_of(elems)
 
     def join_of(self, elems):
         return self.lattice.join_of(elems)
-
-    def plus(self, a, b):
-        return int(self.add[a, b])
-
-    def sub(self, a, b):
-        return int(self.tsub[a, b])
-
-    def sym_dist(self, a, b):
-        return int(self.dsym[a, b])
-
-    def cwb(self, a, b):
-        return bool(self.lattice.cwb[a, b])
 
     def is_positive(self, e):
         return bool(self.lattice.cwb[self.lattice.bottom, e])
@@ -130,7 +110,13 @@ def validate_coquantale(lattice, add, name="") -> CoQuantale:
     on the meet-irreducibles (see _associative); when either fails,
     _check_axioms runs the exhaustive checks to report the first witness.
     """
+    from .spaces import check_cost, loop_cost     # spaces imports this module
     n = lattice.n
+    # an upper bound, charged first: ∸ through the join-irreducibles (7 passes
+    # over n³ cells and a loop over them), associativity on the
+    # meet-irreducibles (4), complete distributivity (1) and the exhaustive
+    # checks that run when either fails (6)
+    check_cost("validating a co-quantale on %d elements" % n, 18 * n ** 3 + loop_cost(n))
     add = np.asarray(add, dtype=np.int32)
     if add.shape != (n, n) or add.min() < 0 or add.max() >= n:
         raise BadIdentity("add table must be total on the carrier")
@@ -165,18 +151,16 @@ def _check_axioms(lattice, add):
     raising with the first failing triple in (a, b, c) order."""
     n = lattice.n
     names, meet = lattice.elements, lattice.meet
-    left = add[add, :]                                    # (a+b)+c
-    right = add[np.arange(n)[:, None, None], add[None]]   # a+(b+c)
-    bad = left != right
+    # (a+b)+c against a+(b+c); the first failure is found in place
+    bad = add[add, :] != add[np.arange(n)[:, None, None], add[None]]
     if bad.any():
-        a, b, c = map(int, np.argwhere(bad)[0])
+        a, b, c = map(int, np.unravel_index(bad.argmax(), bad.shape))
         raise NotAssociative("(%s+%s)+%s != %s+(%s+%s)"
                              % (names[a], names[b], names[c], names[a], names[b], names[c]))
-    dist_l = add[np.arange(n)[:, None, None], meet[None]]          # a + (b ∧ c)
-    dist_r = meet[add[:, :, None], add[:, None, :]]                # (a+b) ∧ (a+c)
-    bad = dist_l != dist_r
+    # a + (b ∧ c) against (a+b) ∧ (a+c)
+    bad = add[np.arange(n)[:, None, None], meet[None]] != meet[add[:, :, None], add[:, None, :]]
     if bad.any():
-        a, b, c = map(int, np.argwhere(bad)[0])
+        a, b, c = map(int, np.unravel_index(bad.argmax(), bad.shape))
         raise NotMeetDistributive("a+(b∧c) != (a+b)∧(a+c) at (%s, %s, %s)"
                                   % (names[a], names[b], names[c]))
     bad = add[:, lattice.top] != lattice.top
@@ -261,9 +245,15 @@ def check_residuation_laws(vq: CoQuantale, exhaustive_subset_limit=6,
     ``exhaustive_subset_limit`` elements, otherwise over ``sample_count``
     seeded random subsets (seed recorded in the report).
     """
+    from .spaces import check_cost, loop_cost     # spaces imports this module
+    n = vq.size
+    # the n³ tables of adjunction (1), (5) and (6) (10 passes) and of the
+    # exchange law (4), and per subset 4n loop iterations and 2n² cells
+    masks = 1 << n if n <= exhaustive_subset_limit else sample_count
+    check_cost("the residuation laws on %d elements" % n,
+               14 * n ** 3 + loop_cost(4 * n * masks) + 2 * n * n * masks)
     if seed is None:
         seed = int(os.environ.get("CQL_SEED", DEFAULT_SEED))
-    n = vq.size
     leq = vq.lattice.leq
     add, tsub = vq.add, vq.tsub
     names = vq.lattice.elements
@@ -274,7 +264,8 @@ def check_residuation_laws(vq: CoQuantale, exhaustive_subset_limit=6,
         if bool(np.asarray(ok_array).all()):
             results.append(LawResult(law, True, None, mode))
         else:
-            where = np.argwhere(~np.asarray(ok_array))[0]
+            bad = ~np.asarray(ok_array)
+            where = np.unravel_index(bad.argmax(), bad.shape)
             witness = "(" + ", ".join(names[int(i)] for i in where) + ")"
             results.append(LawResult(law, False, witness, mode))
 
@@ -287,39 +278,25 @@ def check_residuation_laws(vq: CoQuantale, exhaustive_subset_limit=6,
     record("adjunction-5", (a5a == a5b) & (a5a == a5b.transpose(0, 2, 1)))
     rhs6 = add[tsub[:, :, None], tsub[None, :, :]]
     record("adjunction-6", leq[np.broadcast_to(tsub[:, None, :], rhs6.shape), rhs6])
-    ok = np.ones((n, n, n), dtype=bool)
-    for a in range(n):
-        for b in range(n):
-            if leq[a, b]:
-                ok[a, b] = leq[tsub[:, b], tsub[:, a]] & leq[tsub[a], tsub[b]]
-    record("monotone-exchange", ok)
+    # [a, b, c]: a ≤ b implies c ∸ b ≤ c ∸ a and a ∸ c ≤ b ∸ c
+    record("monotone-exchange", ~leq[:, :, None] | (leq[tsub.T[None], tsub.T[:, None]]
+                                                    & leq[tsub[:, None], tsub[None]]))
 
     masks, mode = _subset_masks(n, exhaustive_subset_limit, sample_count, seed)
-    join_tab = vq.lattice.join
-    ok_join = True
-    ok_meet = True
-    witness_join = witness_meet = None
+    join_tab, rows = vq.lattice.join, np.stack((tsub, tsub.T), axis=1)   # rows[b]: b ∸ a, a ∸ b
+    witnesses = {"join-family": None, "meet-family": None}
     for mask in masks:
         members = [i for i in range(n) if mask >> i & 1]
-        jfold = vq.join_of(members)
-        mfold = vq.meet_of(members)
-        lhs_join = tsub[jfold]                      # (⋁ b_i) ∸ a per a
-        lhs_meet = tsub[:, mfold]                   # a ∸ (⋀ b_i) per a
-        rhs_join = np.full(n, vq.bottom, dtype=np.int32)
-        rhs_meet = np.full(n, vq.bottom, dtype=np.int32)
+        rhs = np.full((2, n), vq.bottom, dtype=np.int32)
         for b in members:
-            rhs_join = join_tab[rhs_join, tsub[b]]
-            rhs_meet = join_tab[rhs_meet, tsub[:, b]]
-        if ok_join and (lhs_join != rhs_join).any():
-            a = int(np.flatnonzero(lhs_join != rhs_join)[0])
-            witness_join = "(a=%s, S={%s})" % (names[a], ",".join(names[i] for i in members))
-            ok_join = False
-        if ok_meet and (lhs_meet != rhs_meet).any():
-            a = int(np.flatnonzero(lhs_meet != rhs_meet)[0])
-            witness_meet = "(a=%s, S={%s})" % (names[a], ",".join(names[i] for i in members))
-            ok_meet = False
-    results.append(LawResult("join-family", ok_join, witness_join, mode))
-    results.append(LawResult("meet-family", ok_meet, witness_meet, mode))
+            rhs = join_tab[rhs, rows[b]]
+        # (⋁ b_i) ∸ a and a ∸ (⋀ b_i) per a
+        lhs = tsub[vq.join_of(members)], tsub[:, vq.meet_of(members)]
+        for law, left, right in zip(witnesses, lhs, rhs):
+            if witnesses[law] is None and (left != right).any():
+                a = int(np.flatnonzero(left != right)[0])
+                witnesses[law] = "(a=%s, S={%s})" % (names[a], ",".join(names[i] for i in members))
+    results += [LawResult(law, w is None, w, mode) for law, w in witnesses.items()]
     return ResiduationReport(vq.name, seed, results)
 
 
@@ -357,7 +334,7 @@ def has_safa(vq: CoQuantale) -> bool:
     eventually constant, so one exists iff 0 ≺ 0; the witness is then the
     constant sequence at 0.
     """
-    return vq.cwb(vq.bottom, vq.bottom)
+    return bool(vq.lattice.cwb[vq.bottom, vq.bottom])
 
 
 # -- epsilon arguments -----------------------------------------------------------
@@ -376,18 +353,30 @@ def epsilon_n_divider(vq: CoQuantale, eps, n) -> int:
         raise NotPositive("%s is not in the positives filter" % vq.element_name(eps))
     if n < 1:
         raise ValueError("n must be positive")
-    good = []
-    for theta in vq.positives():
-        total = theta
-        for _ in range(n - 1):
-            total = vq.plus(total, theta)
-        if vq.cwb(total, eps):
-            good.append(theta)
-    if not good:
+    theta = int(_dividers(vq, n)[eps])
+    if theta < 0:
         raise NoWitness("no θ with %dθ ≺ %s; value axioms violated"
                         % (n, vq.element_name(eps)))
-    maximal = [d for d in good if not any(e != d and vq.le(d, e) for e in good)]
-    return min(maximal)
+    return theta
+
+
+def _dividers(vq, n):
+    """[ε]: the lowest-index maximal θ ∈ V⁺ with nθ ≺ ε, or -1 when there is
+    none. One read-only table per carrier and n, built by lookups: a good θ
+    is maximal when no other good θ lies above it."""
+    table = vq._dividers.get(n)
+    if table is None:
+        pos = np.array(vq.positives(), dtype=np.intp)
+        total = pos
+        for _ in range(n - 1):
+            total = vq.add[total, pos]                        # nθ per positive θ
+        good = vq.lattice.cwb[total]                          # [θ, ε]: nθ ≺ ε
+        above = vq.lattice.leq[np.ix_(pos, pos)] & ~np.eye(len(pos), dtype=bool)
+        maximal = good & (lat._path_counts(above, good) == 0)
+        table = np.where(maximal.any(axis=0), pos[maximal.argmax(axis=0)], -1)
+        table.setflags(write=False)
+        vq._dividers[n] = table
+    return table
 
 
 # -- builtin carriers ---------------------------------------------------------------

@@ -36,10 +36,11 @@ VAR_RE = re.compile(r"^x(\d+)$")
 
 
 class Modulus:
-    """An ε ↦ δ table, total on the positives filter."""
+    """An ε ↦ δ table, total on the positives filter, kept in increasing ε
+    (the order of `positives`), so equal moduli are one table."""
 
     def __init__(self, table):
-        self.table = dict(table)
+        self.table = dict(sorted(table.items()))
 
     def delta(self, eps):
         return self.table[eps]
@@ -71,21 +72,26 @@ def modulus_cost(vq, count, arity, modulus):
     return count * count * arity + vq.size ** 2 * len(modulus.table)
 
 
+@lru_cache(maxsize=16)
 def first_failure(vq, modulus):
     """[d, od]: the position of the first ε in the modulus's order with
     d ≤ Δ(ε) but od not ≤ ε, or ``len(modulus.table)`` when there is none.
-    Built once per carrier and modulus, in that order, and shared read-only."""
-    return _first_failure(vq, tuple(modulus.table.items()))
-
-
-@lru_cache(maxsize=16)
-def _first_failure(vq, pairs):
-    leq, order = vq.lattice.leq, [e for e, _ in pairs]
-    bad = leq[:, None, [delta for _, delta in pairs]] & ~leq[None, :, order]
+    Built once per carrier and modulus and shared read-only."""
+    leq, order = vq.lattice.leq, list(modulus.table)
+    bad = leq[:, None, list(modulus.table.values())] & ~leq[None, :, order]
     first = np.where(bad.any(axis=2), bad.argmax(axis=2), len(order))
     first = first.astype(np.min_scalar_type(len(order)))
     first.setflags(write=False)
     return first
+
+
+@lru_cache(maxsize=32)
+def _grids(n, arity):
+    """The coordinates of every ``arity``-tuple over n points, row-major:
+    [i, s] is the i-th coordinate of tuple s. Shared read-only."""
+    grids = np.indices((n,) * arity).reshape(arity, -1)
+    grids.setflags(write=False)
+    return grids
 
 
 def modulus_witness(vq, what, coord_dist, arity, out_dist, outputs, modulus):
@@ -98,7 +104,7 @@ def modulus_witness(vq, what, coord_dist, arity, out_dist, outputs, modulus):
     count = n ** arity
     spaces.check_cost("modulus check of %s" % what, modulus_cost(vq, count, arity, modulus))
     first = first_failure(vq, modulus)
-    grids = np.indices((n,) * arity).reshape(arity, -1)
+    grids = _grids(n, arity)
     rows = max(1, spaces.CELL_BUDGET // count)
     best, where = len(modulus.table), None                  # ε position, s·count + t
     for start in range(0, count, rows):
@@ -119,7 +125,9 @@ def identity_modulus(vq: CoQuantale) -> Modulus:
     return Modulus({e: e for e in vq.positives()})
 
 
+@lru_cache(maxsize=16)
 def halver_modulus(vq: CoQuantale) -> Modulus:
+    """The ε-halver on every positive, built once per carrier."""
     return Modulus({e: epsilon_halver(vq, e) for e in vq.positives()})
 
 

@@ -78,15 +78,16 @@ def _down_families(ground):
 
 class _Elementwise:
     """A binary operation read like a numpy table: ``op[a, b]`` applies it to
-    the broadcast object arrays a and b, once per distinct pair of operands;
-    a relation gives a bool array (``~`` on Python bools negates integers)."""
+    the broadcast object arrays a and b, once per distinct pair of operands,
+    and gives a scalar for two elements; a relation gives bools (``~`` on
+    Python bools negates integers)."""
 
     def __init__(self, op, dtype=object):
         self.op, self.dtype = op, dtype
 
     def __getitem__(self, pair):
         once = np.frompyfunc(lru_cache(maxsize=None)(self.op), 2, 1)
-        return np.asarray(once(*pair), dtype=self.dtype)
+        return np.asarray(once(*pair), dtype=self.dtype)[()]
 
 
 class FreeLocale:
@@ -105,7 +106,8 @@ class FreeLocale:
         self._psets, self._keys, self._subsets = _ground_data(self.ground)
         self.bottom = frozenset(self._psets)
         self.top = frozenset()
-        self.lattice = SimpleNamespace(leq=_Elementwise(self.le, bool), join=self.add,
+        self.lattice = SimpleNamespace(leq=_Elementwise(operator.ge, bool),   # p <= q iff p ⊇ q
+                                       join=self.add,
                                        cwb=_Elementwise(self.cwb, bool))
 
     @property
@@ -122,10 +124,6 @@ class FreeLocale:
     def contains(self, p):
         return isinstance(p, frozenset) and all(
             s in self._subsets and self._subsets[s] <= p for s in p)
-
-    le = staticmethod(operator.ge)              # p <= q iff p ⊇ q
-    meet = staticmethod(operator.or_)
-    join = plus = staticmethod(operator.and_)
 
     def meet_of(self, elems):
         return reduce(operator.or_, elems, self.top)

@@ -44,15 +44,6 @@ class FiniteLattice:
     def carrier(self):
         return range(self.n)
 
-    def le(self, x, y):
-        return bool(self.leq[x, y])
-
-    def meet2(self, x, y):
-        return int(self.meet[x, y])
-
-    def join2(self, x, y):
-        return int(self.join[x, y])
-
     def meet_of(self, elems):
         acc = self.top
         for e in elems:
@@ -78,6 +69,10 @@ def validate_lattice(order, names=None) -> FiniteLattice:
     if leq.ndim != 2 or leq.shape[0] != leq.shape[1] or leq.shape[0] == 0:
         raise NotAPartialOrder("order must be a nonempty square table")
     n = leq.shape[0]
+    from .spaces import check_cost     # spaces imports this module
+    # the n³ path counts of the transitivity check and of the ≺ table, and
+    # the meet and join tables, at most n²/2 intersections of n-bit rows each
+    check_cost("validating a lattice on %d elements" % n, 3 * n ** 3)
     if names is None:
         names = ["e%d" % i for i in range(n)]
     names = [str(x) for x in names]
@@ -199,9 +194,9 @@ def co_well_below_oracle(lat: FiniteLattice, x, y) -> bool:
     n = lat.n
     check_cost("the ≺ oracle on %d elements" % n, loop_cost((n + 2) << n))
     meets = _subset_meets(lat)
-    below_y = [lat.le(a, y) for a in range(n)]
+    below_y = lat.leq[:, y]
     for mask in range(1 << n):
-        if lat.le(meets[mask], x):
+        if lat.leq[meets[mask], x]:
             if not any(below_y[a] for a in range(n) if mask >> a & 1):
                 return False
     return True
@@ -212,7 +207,7 @@ def _subset_meets(lat):
     meets = [lat.top] * (1 << lat.n)
     for mask in range(1, 1 << lat.n):
         low = (mask & -mask).bit_length() - 1
-        meets[mask] = lat.meet2(meets[mask & (mask - 1)], low)
+        meets[mask] = lat.meet[meets[mask & (mask - 1)], low]
     return meets
 
 

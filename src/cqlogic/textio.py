@@ -26,7 +26,7 @@ from . import semantics as sem
 from . import spaces as sp
 from .errors import ParseError, UnknownElement
 from .formulas import Modulus, Signature, identity_modulus
-from .lattice import validate_lattice
+from .lattice import _path_counts, validate_lattice
 
 
 class Workspace:
@@ -93,16 +93,18 @@ class Workspace:
                 raise ParseError("unexpected %r in @lattice" % tokens[0], lineno)
         if not elements:
             raise ParseError("@lattice %s needs @elements" % name, header[1])
-        index = {e: i for i, e in enumerate(elements)}
         n = len(elements)
+        # square the reflexive relation until stable: ⌈log₂ n⌉ + 1 products at most
+        sp.check_cost("closing the order of @lattice %s on %d elements" % (name, n),
+                      n ** 3 * ((n - 1).bit_length() + 1))
+        index = {e: i for i, e in enumerate(elements)}
         order = np.eye(n, dtype=bool)
         for a, b, lineno in pairs:
             if a not in index or b not in index:
                 raise ParseError("unknown element in @leq %s %s" % (a, b), lineno)
             order[index[a], index[b]] = True
-        # square the reflexive relation until stable: ⌈log₂ n⌉ + 1 products at most
         while True:
-            closed = (order.astype(np.int32) @ order.astype(np.int32)) > 0
+            closed = _path_counts(order, order) > 0
             if (closed == order).all():
                 break
             order = closed
@@ -298,9 +300,8 @@ def _cells(points, table):
 
 
 def _modulus_text(vq, modulus):
-    pairs = sorted(modulus.table.items())
     return "@modulus " + " ".join("%s %s" % (vq.element_name(e), vq.element_name(d))
-                                  for e, d in pairs)
+                                  for e, d in modulus.table.items())
 
 
 def _split_blocks(text):

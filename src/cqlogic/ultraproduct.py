@@ -78,10 +78,10 @@ def d_ultralimit(vq: CoQuantale, seq, D: PrincipalUltrafilter) -> int:
     if len(seq) != D.index_count:
         raise NoLimit("sequence length does not match the index set")
     positives = vq.positives()
-    dsym = vq.dsym
+    dsym, leq = vq.dsym, vq.lattice.leq
     found = []
     for a in vq.carrier():
-        if all(D.contains([j for j in range(len(seq)) if vq.le(dsym[a, seq[j]], eps)])
+        if all(D.contains([j for j in range(len(seq)) if leq[dsym[a, seq[j]], eps]])
                for eps in positives):
             found.append(a)
     if not found:

@@ -107,9 +107,9 @@ def metric_closure(vq, dist):
         for x in range(m):
             for y in range(m):
                 for z in range(m):
-                    bound = vq.plus(dist[x][z], dist[z][y])
-                    if not vq.le(dist[x][y], bound):
-                        dist[x][y] = vq.meet(dist[x][y], bound)
+                    bound = vq.add[dist[x][z], dist[z][y]]
+                    if not vq.lattice.leq[dist[x][y], bound]:
+                        dist[x][y] = vq.meet_of([dist[x][y], bound])
                         changed = True
     return dist
 
@@ -172,6 +172,6 @@ def cauchy_verdicts(struct, sub):
         sigma = dict(zip(sub.window, point))
         fam = [sem.eval_formula(struct, sub.body, {**sigma, sub.var: x})
                for x in range(struct.m)]
-        sup_ok &= V.meet_of(V.join_of(V.sub(fl, fk) for fl in fam) for fk in fam) == V.bottom
-        inf_ok &= V.meet_of(V.join_of(V.sub(fk, fl) for fl in fam) for fk in fam) == V.bottom
+        sup_ok &= V.meet_of(V.join_of(V.tsub[fl, fk] for fl in fam) for fk in fam) == V.bottom
+        inf_ok &= V.meet_of(V.join_of(V.tsub[fk, fl] for fl in fam) for fk in fam) == V.bottom
     return sup_ok, inf_ok

@@ -87,10 +87,10 @@ def test_criterion_03_value_coquantale_laws():
                     theta = cq.epsilon_n_divider(vq, eps, n)
                     total = theta
                     for _ in range(n - 1):
-                        total = vq.plus(total, theta)
-                    assert vq.cwb(total, eps) and vq.is_positive(theta)
+                        total = vq.add[total, theta]
+                    assert vq.lattice.cwb[total, eps] and vq.is_positive(theta)
             for p in vq.carrier():
-                assert vq.meet_of(vq.plus(p, e) for e in positives) == p
+                assert vq.meet_of(vq.add[p, e] for e in positives) == p
 
 
 # ---------------------------------------------------------------- criterion 4
@@ -107,7 +107,7 @@ def test_criterion_04_structure_flags():
         assert bool2.dualizers == [bool2.top]
         for spec in BUILTINS:
             vq = cq.builtin(spec)
-            assert vq.safa_flag == vq.cwb(vq.bottom, vq.bottom), spec
+            assert vq.safa_flag == vq.lattice.cwb[vq.bottom, vq.bottom], spec
         assert bool2.safa_flag
         assert cq.builtin("chain:8").safa_flag
         assert cq.builtin("lukasiewicz:8").safa_flag
@@ -447,7 +447,7 @@ def test_criterion_12_d_limit_laws():
                             assert b <= lim
                         if any(all(s[j] <= b for j in A) for A in large):
                             assert lim <= b
-                        if lim <= b and vq.cwb(vq.bottom, vq.sub(b, lim)):
+                        if lim <= b and vq.lattice.cwb[vq.bottom, vq.tsub[b, lim]]:
                             assert D.contains([j for j in range(width)
                                                if s[j] <= b])
             # quantifier inequalities over every function family I x S -> V

@@ -23,7 +23,7 @@ def test_carrier_not_enumerable_beyond_cap():
     # symbolic operations still work
     p = downclose([frozenset("ab")])
     q = downclose([frozenset("c")])
-    assert fl.le(fl.meet(p, q), p)
+    assert fl.lattice.leq[fl.meet_of([p, q]), p]
     assert fl.is_positive(fl.bottom)
 
 
@@ -41,13 +41,14 @@ def test_symbolic_operations_match_materialized_tables():
             assert table.element_name(ip) == fl.element_name(p)
             for q in families:
                 iq = index[q]
-                assert fl.le(p, q) == table.le(ip, iq)
-                assert index[fl.meet(p, q)] == table.meet(ip, iq)
-                assert index[fl.join(p, q)] == table.join(ip, iq)
-                assert index[fl.plus(p, q)] == table.plus(ip, iq)
-                assert index[fl.sub(p, q)] == table.sub(ip, iq), (k, p, q)
-                assert index[fl.sym_dist(p, q)] == table.sym_dist(ip, iq)
-                assert fl.cwb(p, q) == table.cwb(ip, iq)
+                assert fl.lattice.leq[p, q] == table.lattice.leq[ip, iq]
+                assert index[fl.meet_of([p, q])] == table.lattice.meet[ip, iq]
+                assert index[fl.join_of([p, q])] == table.lattice.join[ip, iq]
+                assert index[fl.lattice.join[p, q]] == table.lattice.join[ip, iq]
+                assert index[fl.add[p, q]] == table.add[ip, iq]
+                assert index[fl.sub(p, q)] == table.tsub[ip, iq], (k, p, q)
+                assert index[fl.sym_dist(p, q)] == table.dsym[ip, iq]
+                assert fl.cwb(p, q) == fl.lattice.cwb[p, q] == table.lattice.cwb[ip, iq]
 
 
 def test_closed_forms_match_definitions():
@@ -71,12 +72,12 @@ def test_closed_forms_match_definitions():
 
 def test_bottom_and_top():
     fl = FreeLocale("ab")
-    assert fl.le(fl.bottom, fl.top)
-    assert fl.meet(fl.top, fl.bottom) == fl.bottom
-    assert fl.join(fl.top, fl.bottom) == fl.top
+    assert fl.lattice.leq[fl.bottom, fl.top]
+    assert fl.meet_of([fl.top, fl.bottom]) == fl.bottom
+    assert fl.lattice.join[fl.top, fl.bottom] == fl.top
     # the monoid identity is the bottom family
     for p in fl.carrier():
-        assert fl.plus(p, fl.bottom) == p
+        assert fl.add[p, fl.bottom] == p
 
 
 def test_every_element_is_positive():

@@ -17,16 +17,16 @@ def chain_lattice(n):
 def brute_glb(lattice, subset):
     """Independent oracle: scan all elements for the greatest lower bound."""
     lbs = [z for z in lattice.carrier()
-           if all(lattice.le(z, a) for a in subset)]
-    best = [z for z in lbs if all(lattice.le(w, z) for w in lbs)]
+           if all(lattice.leq[z, a] for a in subset)]
+    best = [z for z in lbs if all(lattice.leq[w, z] for w in lbs)]
     assert len(best) == 1
     return best[0]
 
 
 def brute_lub(lattice, subset):
     ubs = [z for z in lattice.carrier()
-           if all(lattice.le(a, z) for a in subset)]
-    best = [z for z in ubs if all(lattice.le(z, w) for w in ubs)]
+           if all(lattice.leq[a, z] for a in subset)]
+    best = [z for z in ubs if all(lattice.leq[z, w] for w in ubs)]
     assert len(best) == 1
     return best[0]
 
@@ -151,12 +151,12 @@ def test_bound_tables_match_definition_on_random_posets():
 def test_diamond_meet_join_match_brute_force():
     d = diamond_lattice()
     a, b = d.index("a"), d.index("b")
-    assert d.meet2(a, b) == d.index("0")
-    assert d.join2(a, b) == d.index("1")
+    assert d.meet[a, b] == d.index("0")
+    assert d.join[a, b] == d.index("1")
     for x in d.carrier():
         for y in d.carrier():
-            assert d.meet2(x, y) == brute_glb(d, [x, y])
-            assert d.join2(x, y) == brute_lub(d, [x, y])
+            assert d.meet[x, y] == brute_glb(d, [x, y])
+            assert d.join[x, y] == brute_lub(d, [x, y])
 
 
 def test_one_element_lattice_accepted():
@@ -218,11 +218,11 @@ def test_cwb_basic_lemma_triples():
         for x in lattice.carrier():
             for y in lattice.carrier():
                 if lattice.cwb[y, x]:
-                    assert lattice.le(y, x)
+                    assert lattice.leq[y, x]
                 for z in lattice.carrier():
-                    if lattice.le(z, y) and lattice.cwb[y, x]:
+                    if lattice.leq[z, y] and lattice.cwb[y, x]:
                         assert lattice.cwb[z, x]
-                    if lattice.cwb[y, x] and lattice.le(x, z):
+                    if lattice.cwb[y, x] and lattice.leq[x, z]:
                         assert lattice.cwb[y, z]
 
 
@@ -298,9 +298,9 @@ def test_irreducibles_match_definition():
     for lattice in small_corpus() + random_lattices(rng, 150):
         pairs = [(a, b) for a in lattice.carrier() for b in lattice.carrier()]
         join_irr = [j for j in lattice.carrier() if j != lattice.bottom and all(
-            j in (a, b) for a, b in pairs if lattice.join2(a, b) == j)]
+            j in (a, b) for a, b in pairs if lattice.join[a, b] == j)]
         meet_irr = [m for m in lattice.carrier() if m != lattice.top and all(
-            m in (a, b) for a, b in pairs if lattice.meet2(a, b) == m)]
+            m in (a, b) for a, b in pairs if lattice.meet[a, b] == m)]
         assert list(lat.join_irreducibles(lattice)) == join_irr
         assert list(lat.meet_irreducibles(lattice)) == meet_irr
 
@@ -313,5 +313,5 @@ def test_distributivity_predicates_match_folds():
         assert lat.is_completely_distributive(lattice) == cd
         pos = lat.positives(lattice)
         value = cd and bool(lattice.cwb[lattice.bottom, lattice.top]) and all(
-            lattice.cwb[lattice.bottom, lattice.meet2(d, e)] for d in pos for e in pos)
+            lattice.cwb[lattice.bottom, lattice.meet[d, e]] for d in pos for e in pos)
         assert lat.is_value_lattice(lattice) == value

@@ -9,10 +9,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from cqlogic import coquantale as cq
 from cqlogic import formulas as F
 from cqlogic import lattice as lat
 from cqlogic import semantics as sem
 from cqlogic import spaces as sp
+from cqlogic import textio
 from cqlogic import ultraproduct as up
 from cqlogic.errors import SizeLimit
 from cqlogic.freelocale import FreeLocale
@@ -190,8 +192,10 @@ def test_topology_theorems_refuse_before_any_topology(bool2, monkeypatch):
 
 def test_space_from_topology_refuses_before_its_distances(monkeypatch):
     # 2^2 distances, each the down-closure of at most 3 opens (3 + 2^3), then
-    # the 2^3 triangle cells over the materialized locale
+    # the 2^3 triangle cells over the materialized locale, which is validated
+    # (and charged) once per process, here before the budget is patched down
     sierpinski = sp.validate_topology("ab", [frozenset(), frozenset("b"), frozenset("ab")])
+    FreeLocale(["U0", "U1", "U2"]).materialize()
     monkeypatch.setattr(sp, "WORK_BUDGET", 2824)
     assert sp.space_from_topology(sierpinski).m == 2
     monkeypatch.setattr(sp, "downclose", _never)
@@ -295,3 +299,54 @@ def test_pool_bound_holds_the_pools_it_admits(roster):
             for depth, k in ((0, 2), (1, 1), (1, 2), (2, 1)):
                 assert len(sem.enumerate_formulas(sig, vq, depth, k, kit)) <= \
                     sem.pool_bound(sig, depth, k, kit)
+
+
+def _chain_order(n):
+    return np.fromfunction(lambda i, j: i <= j, (n, n), dtype=int)
+
+
+def test_lattice_loader_charges_its_closure(monkeypatch):
+    # 5 elements: 5^3 x (⌈log₂ 5⌉ + 1) for the squarings of the order
+    text = "@lattice L\n@elements a b c d e\n" + "".join(
+        "@leq %s %s\n" % pair for pair in zip("abcd", "bcde"))
+    monkeypatch.setattr(sp, "WORK_BUDGET", 500)
+    textio.Workspace().load_text(text)
+    monkeypatch.setattr(textio, "_path_counts", _never)
+    monkeypatch.setattr(textio, "validate_lattice", _never)
+    _refuses(monkeypatch, 499, "closing the order of @lattice L on 5 elements costs 500 "
+             "cell operations (budget 499)", lambda: textio.Workspace().load_text(text))
+
+
+def test_validate_lattice_refuses_by_cost(monkeypatch):
+    # 3 x 4^3: the transitivity and ≺ path counts and the bound tables
+    monkeypatch.setattr(sp, "WORK_BUDGET", 192)
+    assert lat.validate_lattice(_chain_order(4)).n == 4
+    monkeypatch.setattr(lat, "_path_counts", _never)
+    _refuses(monkeypatch, 191, "validating a lattice on 4 elements costs 192 cell "
+             "operations (budget 191)", lambda: lat.validate_lattice(_chain_order(4)))
+
+
+def test_validate_coquantale_refuses_by_cost(monkeypatch):
+    # 18 x 4^3 + a loop of 4 iterations, the exhaustive checks included
+    lattice = lat.validate_lattice(_chain_order(4))
+    add = np.minimum(np.add.outer(np.arange(4), np.arange(4)), 3)
+    monkeypatch.setattr(sp, "WORK_BUDGET", 1408)
+    assert cq.validate_coquantale(lattice, add).value_flag
+    monkeypatch.setattr(cq, "_tsub_table", _never)
+    _refuses(monkeypatch, 1407, "validating a co-quantale on 4 elements costs 1408 cell "
+             "operations (budget 1407)", lambda: cq.validate_coquantale(lattice, add))
+
+
+def test_residuation_laws_refuse_by_cost(chain4, monkeypatch):
+    # 14 x 5^3, and per each of the 32 subsets 4 x 5 loop iterations and 2 x 5^2
+    monkeypatch.setattr(sp, "WORK_BUDGET", 44310)
+    assert cq.check_residuation_laws(chain4).all_pass
+    never = SimpleNamespace(size=5, bottom=0, name="never", add=_NeverTable(),
+                            tsub=_NeverTable(),
+                            lattice=SimpleNamespace(leq=_NeverTable(), elements="abcde"))
+    _refuses(monkeypatch, 44309, "the residuation laws on 5 elements costs 44310 cell "
+             "operations (budget 44309)", lambda: cq.check_residuation_laws(never))
+    # sampled subsets are charged by their count
+    monkeypatch.setattr(sp, "WORK_BUDGET", 14 * 125 + sp.loop_cost(4 * 5 * 10) + 2 * 25 * 10)
+    assert cq.check_residuation_laws(chain4, exhaustive_subset_limit=4,
+                                     sample_count=10).all_pass

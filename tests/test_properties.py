@@ -56,7 +56,7 @@ def structures(draw, vq, sig, m, name):
     shift = draw(element)
     if symmetric:
         a = draw(point)
-        pvals = [vq.plus(dist[a][x], shift) for x in range(m)]
+        pvals = [vq.add[dist[a][x], shift] for x in range(m)]
     else:
         pvals = [shift] * m
     image = draw(st.one_of(st.just(list(range(m))), point.map(lambda b: [b] * m)))

@@ -44,7 +44,7 @@ def _first_triangle_failure(V, points, dist):
     """The TransitivityViolation text of a brute-force triple loop, or None."""
     m = len(points)
     for x, y, z in product(range(m), repeat=3):
-        if not V.le(dist[x][y], V.plus(dist[x][z], dist[z][y])):
+        if not V.lattice.leq[dist[x][y], V.add[dist[x][z], dist[z][y]]]:
             return ("d(%s,%s) > d(%s,%s) + d(%s,%s)"
                     % (points[x], points[y], points[x], points[z], points[z], points[y]))
     return None
@@ -194,11 +194,11 @@ def _random_space(V, m, rng, name="p"):
 @pytest.mark.parametrize("spec", ["chain:4", "symbolic:2"])
 def test_joins_read_the_carrier_tables(roster, spec):
     """Symmetrizations and products join through ``V.lattice.join``: int32
-    tables equal to the elementwise `join` on a table carrier, frozenset
+    tables equal to the pairwise `join_of` on a table carrier, frozenset
     intersections on the symbolic free locale."""
     symbolic = spec == "symbolic:2"
     V = FreeLocale(("a", "b")) if symbolic else roster[spec]
-    join = (lambda p, q: p & q) if symbolic else V.join
+    join = (lambda p, q: p & q) if symbolic else (lambda a, b: V.join_of([a, b]))
     rng = random.Random(spec)
     for _ in range(10):
         X = _random_space(V, rng.randint(1, 4), rng)
@@ -310,7 +310,7 @@ def test_induced_topology_is_the_definitional_scan(spec, m, rng):
     positives = V.positives()
 
     def disc(x, eps):
-        return {y for y in range(m) if V.cwb(X.dist[x, y], eps)}
+        return {y for y in range(m) if V.lattice.cwb[X.dist[x, y], eps]}
 
     opens = {X.point_set(u) for k in range(m + 1) for u in map(set, combinations(range(m), k))
              if all(any(disc(x, eps) <= u for eps in positives) for x in u)}
@@ -382,7 +382,7 @@ def test_diameter(chain4):
     assert sp.diameter(X, {"a", "b"}) == 1
     assert sp.diameter(X) == 3
     for small in combinations(X.points, 2):
-        assert chain4.le(sp.diameter(X, set(small)), sp.diameter(X))
+        assert chain4.lattice.leq[sp.diameter(X, set(small)), sp.diameter(X)]
 
 
 # -- theorem checks ---------------------------------------------------------------
@@ -435,7 +435,7 @@ def test_T0_cases(sierpinski, bool2):
     merged = sp.validate_space(bool2, ["x", "y"], [[0, 0], [0, 0]])
     assert not sp.is_T0(merged)
     dsym_space = sp.validate_space(bool2, ["0", "1"],
-                                   [[bool2.sym_dist(a, b) for b in (0, 1)]
+                                   [[bool2.dsym[a, b] for b in (0, 1)]
                                     for a in (0, 1)])
     assert sp.is_T0(dsym_space)
     assert sp.is_v_domain(dsym_space)

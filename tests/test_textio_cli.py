@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -81,7 +82,7 @@ def test_load_all_kinds(workspace):
 
 def test_leq_closure_applied(workspace):
     lat = workspace.lattices["L2"]
-    assert lat.le(0, 0) and lat.le(0, 1)
+    assert lat.leq[0, 0] and lat.leq[0, 1]
 
 
 def test_space_defaults(workspace):
@@ -276,6 +277,20 @@ def test_check_malformed_file(capsys, tmp_path):
     code, _, err = run_cli(capsys, "check", str(path))
     assert code == 2
     assert "line 3" in err
+
+
+def test_check_refuses_a_thousand_element_lattice_by_cost(capsys, tmp_path):
+    """The loader charges the closure of the order before it allocates it."""
+    names = ["e%d" % i for i in range(1000)]
+    path = tmp_path / "chain.cql"
+    path.write_text("@lattice L\n@elements %s\n" % " ".join(names) + "".join(
+        "@leq %s %s\n" % pair for pair in zip(names, names[1:])), encoding="utf-8")
+    start = time.perf_counter()
+    code, _, err = run_cli(capsys, "check", str(path))
+    assert time.perf_counter() - start < 2.0
+    assert code == 2
+    assert "closing the order of @lattice L on 1000 elements" in err
+    assert "cell operations" in err
 
 
 def test_eval_command(capsys, defs_file):

@@ -127,7 +127,7 @@ def test_limit_of_constant_distances(chain4):
     D = up.PrincipalUltrafilter(2, 0)
     for x in chain4.carrier():
         for y in chain4.carrier():
-            d = chain4.sym_dist(x, y)
+            d = chain4.dsym[x, y]
             assert up.d_ultralimit(chain4, [d, d], D) == d
 
 
@@ -152,10 +152,10 @@ def test_bounding_d_limits(chain4):
             for seq in product(chain4.carrier(), repeat=width):
                 lim = up.d_ultralimit(chain4, list(seq), D)
                 for b in chain4.carrier():
-                    if any(all(chain4.le(b, seq[j]) for j in A) for A in large):
-                        assert chain4.le(b, lim)
-                    if any(all(chain4.le(seq[j], b) for j in A) for A in large):
-                        assert chain4.le(lim, b)
+                    if any(all(chain4.lattice.leq[b, seq[j]] for j in A) for A in large):
+                        assert chain4.lattice.leq[b, lim]
+                    if any(all(chain4.lattice.leq[seq[j], b] for j in A) for A in large):
+                        assert chain4.lattice.leq[lim, b]
 
 
 def test_strong_bound_on_co_divisible_carrier(chain4):
@@ -165,10 +165,10 @@ def test_strong_bound_on_co_divisible_carrier(chain4):
             for seq in product(chain4.carrier(), repeat=width):
                 lim = up.d_ultralimit(chain4, list(seq), D)
                 for b in chain4.carrier():
-                    if chain4.le(lim, b) and chain4.cwb(chain4.bottom,
-                                                        chain4.sub(b, lim)):
+                    if chain4.lattice.leq[lim, b] and chain4.lattice.cwb[chain4.bottom,
+                                                        chain4.tsub[b, lim]]:
                         assert D.contains([j for j in range(width)
-                                           if chain4.le(seq[j], b)])
+                                           if chain4.lattice.leq[seq[j], b]])
 
 
 def test_quantifier_inequalities_small_slice(chain4):
@@ -180,8 +180,8 @@ def test_quantifier_inequalities_small_slice(chain4):
             join_lim = up.d_ultralimit(chain4, [int(max(fam[i])) for i in range(width)], D)
             pointwise = [up.d_ultralimit(chain4, [int(fam[i][x]) for i in range(width)], D)
                          for x in range(size)]
-            assert chain4.le(meet_lim, min(pointwise))
-            assert chain4.le(max(pointwise), join_lim)
+            assert chain4.lattice.leq[meet_lim, min(pointwise)]
+            assert chain4.lattice.leq[max(pointwise), join_lim]
 
 
 # -- product spaces ------------------------------------------------------------------
@@ -479,9 +479,9 @@ def test_hypothesis_always_holds_on_finite_carriers(chain4):
     for size in (1, 2, 3):
         for fam in product(chain4.carrier(), repeat=size):
             sup_side = chain4.meet_of(
-                chain4.join_of(chain4.sub(fl, fk) for fl in fam) for fk in fam)
+                chain4.join_of(chain4.tsub[fl, fk] for fl in fam) for fk in fam)
             inf_side = chain4.meet_of(
-                chain4.join_of(chain4.sub(fk, fl) for fl in fam) for fk in fam)
+                chain4.join_of(chain4.tsub[fk, fl] for fl in fam) for fk in fam)
             assert sup_side == chain4.bottom
             assert inf_side == chain4.bottom
 
