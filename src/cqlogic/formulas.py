@@ -21,6 +21,7 @@ exhaustively before a connective is accepted.
 from __future__ import annotations
 
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -199,27 +200,51 @@ def register_connective(vq: CoQuantale, name, table, claimed: Modulus) -> Connec
     return Connective(name, arity, table, claimed)
 
 
-def default_kit(vq: CoQuantale) -> dict:
-    """Join, meet, monoid addition, identity and b∸□ per dualizer.
+class _Kit(Mapping):
+    """The builtin connectives of one co-quantale by name. Each is registered,
+    its modulus verified, on first use and then kept, so a formula pays only
+    for the connectives it names; a connective whose check fails raises the
+    same ModulusViolated at every use."""
 
-    Built lazily per co-quantale and cached on the instance; the addition
-    connective needs the ε-halver so it only ships on value co-quantales.
+    def __init__(self, vq):
+        self.vq = vq
+        self._specs = {"id": (np.arange(vq.size, dtype=np.int32), identity_modulus),
+                       "vee": (vq.lattice.join, identity_modulus),
+                       "wedge": (vq.lattice.meet, identity_modulus)}
+        if vq.value_flag:
+            self._specs["oplus"] = (vq.add, halver_modulus)
+        for b in vq.dualizers:
+            self._specs["dual:%s" % vq.element_name(b)] = (vq.tsub[b], identity_modulus)
+        self._registered = {}
+
+    def __getitem__(self, name):
+        conn = self._registered.get(name)
+        if conn is None:
+            table, modulus = self._specs[name]
+            conn = self._registered[name] = register_connective(self.vq, name, table,
+                                                                modulus(self.vq))
+        return conn
+
+    def __contains__(self, name):
+        return name in self._specs
+
+    def __iter__(self):
+        return iter(self._specs)
+
+    def __len__(self):
+        return len(self._specs)
+
+
+def default_kit(vq: CoQuantale) -> Mapping:
+    """Join, meet, monoid addition, identity and b∸□ per dualizer, by name.
+
+    One kit per co-quantale, cached on the instance; each connective is
+    checked on first use (see `_Kit`). The addition connective needs the
+    ε-halver so it only ships on value co-quantales.
     """
-    cached = getattr(vq, "_default_kit", None)
-    if cached is not None:
-        return cached
-    ident = identity_modulus(vq)
-    n = vq.size
-    kit = {}
-    kit["id"] = register_connective(vq, "id", np.arange(n, dtype=np.int32), ident)
-    kit["vee"] = register_connective(vq, "vee", vq.lattice.join, ident)
-    kit["wedge"] = register_connective(vq, "wedge", vq.lattice.meet, ident)
-    if vq.value_flag:
-        kit["oplus"] = register_connective(vq, "oplus", vq.add, halver_modulus(vq))
-    for b in vq.dualizers:
-        name = "dual:%s" % vq.element_name(b)
-        kit[name] = register_connective(vq, name, vq.tsub[b], ident)
-    vq._default_kit = kit
+    kit = getattr(vq, "_default_kit", None)
+    if kit is None:
+        kit = vq._default_kit = _Kit(vq)
     return kit
 
 

@@ -12,9 +12,12 @@ tables - for ground sets of at most MATERIALIZE_MAX elements. All element
 operations work symbolically for any ground size the powerset fits.
 
 The powerset with its naming keys and subset closures, the enumerated
-carrier and the materialized co-quantale depend only on the ground tuple
-(and the co-quantale's name), so all are shared by every FreeLocale over the
-same ground set: each is built, and each validated, once per process.
+carrier with its family -> index map and the materialized co-quantale depend
+only on the ground tuple (and the co-quantale's name), so all are shared by
+every FreeLocale over the same ground set: each is built, and each
+validated, once per process. `FreeLocale.principal` reads the principal
+down-set ↓s of a subset s from those closures, so a family built once is
+one shared object with its hash already cached.
 
 A FreeLocale also answers the table lookups of a co-quantale (``add`` and
 ``lattice.leq``/``join``/``cwb``) elementwise over object arrays, charged as
@@ -39,6 +42,7 @@ SYMBOLIC_MAX = 8      # powerset of the ground set must stay enumerable
 
 _GROUNDS = {}         # ground tuple -> (powerset, naming keys, subset closures)
 _CARRIERS = {}        # ground tuple -> sorted tuple of families
+_CARRIER_INDEX = {}   # ground tuple -> {family: its index in the carrier}
 _MATERIALIZED = {}    # (ground tuple, name) -> validated CoQuantale
 
 
@@ -144,6 +148,11 @@ class FreeLocale:
         down-closed, so iff the union of the members of q is in p."""
         return frozenset().union(*q) in p
 
+    def principal(self, s):
+        """↓s, every subset of the subset s of the ground set, as the shared
+        family of the ground data."""
+        return self._subsets[frozenset(s)]
+
     def is_positive(self, p):
         return self.cwb(self.bottom, p)
 
@@ -158,6 +167,13 @@ class FreeLocale:
             families = _CARRIERS[self.ground] = tuple(
                 sorted(_down_families(self.ground), key=self._sort_key))
         return families
+
+    def carrier_index(self):
+        """{family: its index in `carrier`}, the element of `materialize`."""
+        index = _CARRIER_INDEX.get(self.ground)
+        if index is None:
+            index = _CARRIER_INDEX[self.ground] = {p: i for i, p in enumerate(self.carrier())}
+        return index
 
     def _sort_key(self, p):
         return (len(p), sorted(self._keys[s] for s in p))

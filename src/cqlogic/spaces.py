@@ -416,8 +416,8 @@ def space_from_topology(topology: Topology, materialize="auto") -> ContinuitySpa
     its own open-set family.
 
     d(a,b) is the family of all finite sets A of opens such that every
-    member of A containing a also contains b; that family is the down
-    closure of the single set {U : a ∈ U implies b ∈ U}. The universe is
+    member of A containing a also contains b; that family is the principal
+    down-set of the single set {U : a ∈ U implies b ∈ U}. The universe is
     materialized into validated tables when the ground set allows it,
     otherwise the symbolic free locale is used.
     """
@@ -429,14 +429,15 @@ def space_from_topology(topology: Topology, materialize="auto") -> ContinuitySpa
     values, element = locale, (lambda family: family)   # a family as an element of values
     if materialize:
         values = locale.materialize()
-        element = {fam: i for i, fam in enumerate(locale.carrier())}.__getitem__
+        element = locale.carrier_index().__getitem__
     m, k = len(topology.points), len(ground)
-    # each distance is the down-closure of one set of at most k opens
+    # each distance is the principal down-set of one set of at most k opens,
+    # looked up in the ground data but charged as building it (k + 2^k per
+    # cell): an upper bound that admits the inputs a built down-set would
     check_cost("the space of a topology on %d points with %d opens" % (m, k),
                loop_cost(m * m * (k + (1 << k))) + triangle_cost(m, values.cell_cost))
     points = list(topology.points)
-    dist = [[element(downclose([frozenset(g for g, u in zip(ground, opens)
-                                          if a not in u or b in u)]))
+    dist = [[element(locale.principal(g for g, u in zip(ground, opens) if a not in u or b in u))
              for b in points] for a in points]
     return validate_space(values, points, dist)
 

@@ -5,6 +5,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from cqlogic import coquantale as cq
 from cqlogic import formulas as F
 from cqlogic import semantics as sem
 from cqlogic import spaces as sp
@@ -105,6 +106,50 @@ def test_default_kit_members(chain4):
     # the addition connective carries the halver modulus
     assert kit["oplus"].modulus == F.halver_modulus(chain4)
     assert kit["vee"].modulus == F.identity_modulus(chain4)
+
+
+def _checked_connectives(monkeypatch):
+    """The names of the connectives whose moduli are checked from now on."""
+    checked = []
+    witness = F.modulus_witness
+
+    def counting(vq, what, *args):
+        checked.append(what.split()[-1])
+        return witness(vq, what, *args)
+
+    monkeypatch.setattr(F, "modulus_witness", counting)
+    return checked
+
+
+def test_kit_checks_only_the_connectives_a_formula_names(monkeypatch):
+    """On chain:41 a formula naming vee checks one of the five kit moduli,
+    once per carrier; the enumeration kit checks vee, wedge and the duals."""
+    vq = cq.builtin("chain:41")
+    checked = _checked_connectives(monkeypatch)
+    sig = F.Signature(predicates=[("P", 1, F.identity_modulus(vq))])
+    kit = F.default_kit(vq)
+    assert list(kit) == ["id", "vee", "wedge", "oplus", "dual:41"]
+    assert "vee" in kit and "nope" not in kit and checked == []
+    F.parse_formula("(conn vee (P x0) (val 2))", sig, vq)
+    F.parse_formula("(conn vee (val 1) (P x0))", sig, vq)
+    assert checked == ["vee"]
+    sem.enumeration_kit(vq)
+    assert checked == ["vee", "wedge", "dual:41"]
+
+
+def test_kit_connective_failing_its_check_fails_every_use(monkeypatch):
+    """Addition under the identity modulus (x + x moves twice as far as x)
+    is refused whenever a formula names it, and only then."""
+    vq = cq.builtin("chain:4")                  # a fresh carrier, with no kit yet
+    monkeypatch.setattr(F, "halver_modulus", F.identity_modulus)
+    sig = F.Signature(predicates=[("P", 1, F.identity_modulus(vq))])
+    messages = set()
+    for _ in range(2):
+        with pytest.raises(ModulusViolated) as info:
+            F.parse_formula("(conn oplus (P x0) (val 1))", sig, vq)
+        messages.add(str(info.value))
+    assert len(messages) == 1 and messages.pop().startswith("oplus: inputs ")
+    assert F.parse_formula("(conn wedge (P x0) (val 1))", sig, vq).connective.name == "wedge"
 
 
 def test_register_rejects_modulus_violation(chain4):

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from cqlogic import coquantale as cq
 from cqlogic import freelocale
@@ -100,6 +101,18 @@ def test_name_parse_round_trip():
     assert fl.parse_element("{0,a}") == fl.parse_element("{a}")
 
 
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_principal_is_the_down_closure(data):
+    """The shared ↓s against building it, on grounds of 0 to SYMBOLIC_MAX names."""
+    k = data.draw(st.integers(0, freelocale.SYMBOLIC_MAX))
+    fl = FreeLocale(["g%d" % i for i in range(k)])
+    chosen = data.draw(st.lists(st.booleans(), min_size=k, max_size=k))
+    s = frozenset(g for g, keep in zip(fl.ground, chosen) if keep)
+    assert fl.principal(s) == downclose([s])
+    assert fl.contains(fl.principal(s))
+
+
 def test_contains_rejects_non_families():
     fl = FreeLocale("ab")
     assert not fl.contains(frozenset([frozenset("a"), frozenset("ab")]))  # not down-closed
@@ -177,3 +190,43 @@ def test_flagg_round_trip_validates_once_per_ground_size(monkeypatch):
     # Dedekind(2), Dedekind(3), Dedekind(4) elements
     assert {k: sorted(v) for k, v in validated.items()} == \
         {"lattice": [6, 20, 168], "coquantale": [6, 20, 168]}
+
+
+@st.composite
+def topologies_on_four_points(draw):
+    """One to three nonempty proper subsets of four points, closed under ∪
+    and ∩ together with ∅ and the whole set, kept when at most SYMBOLIC_MAX
+    opens result."""
+    points = "abcd"
+    opens = {frozenset(), frozenset(points)}
+    opens |= {frozenset(p for i, p in enumerate(points) if mask >> i & 1)
+              for mask in draw(st.lists(st.integers(1, 14), min_size=1, max_size=3))}
+    while True:
+        closed = opens | {f(u, w) for u in opens for w in opens
+                          for f in (frozenset.union, frozenset.intersection)}
+        if closed == opens:
+            break
+        opens = closed
+    assume(len(opens) <= freelocale.SYMBOLIC_MAX)
+    return sp.validate_topology(list(points), opens)
+
+
+@settings(max_examples=40, deadline=None)
+@given(topo=topologies_on_four_points())
+def test_flagg_distances_on_four_points_match_their_definition(topo):
+    """Each symbolic distance is the down-closure of {U : a ∉ U or b ∈ U},
+    the induced topology is the source, and with at most four opens the
+    materialized distances have the symbolic names."""
+    opens = sp.sorted_opens(topo)
+    symbolic = sp.space_from_topology(topo, materialize=False)
+    ground = symbolic.V.ground
+    for i, a in enumerate(topo.points):
+        for j, b in enumerate(topo.points):
+            assert symbolic.dist[i, j] == downclose(
+                [{g for g, u in zip(ground, opens) if a not in u or b in u}])
+    assert sp.induced_topology(symbolic).opens == topo.opens
+    if len(opens) <= freelocale.MATERIALIZE_MAX:
+        table = sp.space_from_topology(topo, materialize=True)
+        assert sp.induced_topology(table).opens == topo.opens
+        assert [[table.V.element_name(e) for e in row] for row in table.dist] == \
+            [[symbolic.V.element_name(e) for e in row] for row in symbolic.dist]

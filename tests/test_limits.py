@@ -191,14 +191,15 @@ def test_topology_theorems_refuse_before_any_topology(bool2, monkeypatch):
 
 
 def test_space_from_topology_refuses_before_its_distances(monkeypatch):
-    # 2^2 distances, each the down-closure of at most 3 opens (3 + 2^3), then
-    # the 2^3 triangle cells over the materialized locale, which is validated
-    # (and charged) once per process, here before the budget is patched down
+    # 2^2 distances, each charged as building the down-closure of at most 3
+    # opens (3 + 2^3), though it is looked up, then the 2^3 triangle cells over
+    # the materialized locale, which is validated (and charged) once per
+    # process, here before the budget is patched down
     sierpinski = sp.validate_topology("ab", [frozenset(), frozenset("b"), frozenset("ab")])
     FreeLocale(["U0", "U1", "U2"]).materialize()
     monkeypatch.setattr(sp, "WORK_BUDGET", 2824)
     assert sp.space_from_topology(sierpinski).m == 2
-    monkeypatch.setattr(sp, "downclose", _never)
+    monkeypatch.setattr(FreeLocale, "principal", _never)
     _refuses(monkeypatch, 2823, "the space of a topology on 2 points with 3 opens costs 2824 "
              "cell operations (budget 2823)", lambda: sp.space_from_topology(sierpinski))
 

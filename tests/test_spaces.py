@@ -505,7 +505,7 @@ def test_flagg_rejects_large_point_sets(monkeypatch):
     assert sp.induced_topology(sp.space_from_topology(topo)).opens == topo.opens
     points = ["p%d" % i for i in range(500)]
     big = sp.validate_topology(points, [frozenset(), frozenset(points)])
-    monkeypatch.setattr(sp, "downclose", _never)
+    monkeypatch.setattr(FreeLocale, "principal", _never)
     with pytest.raises(SizeLimit, match="the space of a topology on 500 points with 2 opens "
                                         "costs 221000000 cell operations"):
         sp.space_from_topology(big)
