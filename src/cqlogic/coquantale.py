@@ -17,7 +17,8 @@ import numpy as np
 from . import lattice as lat
 from .errors import (BadIdentity, NotAssociative, NotCommutative,
                      NotMeetDistributive, NotPositive, NotValueCoquantale,
-                     NoWitness, SizeLimit, UnknownBuiltin, UnknownElement)
+                     NoWitness, SizeLimit, UnknownBuiltin, UnknownElement,
+                     VerificationFailed)
 
 DEFAULT_SEED = 20260810
 
@@ -31,7 +32,6 @@ class CoQuantale:
     """
 
     dtype = np.int32      # distance tables hold element indices
-    cell_cost = 1         # one table lookup per cell
 
     def __init__(self, lattice, add, tsub, dsym, value_flag,
                  co_divisible_flag, dualizers, safa_flag, name=""):
@@ -49,7 +49,7 @@ class CoQuantale:
         for table in (self.add, self.tsub, self.dsym):
             table.setflags(write=False)
 
-    # -- value universe surface (shared with the symbolic free locale) -----
+    # -- value universe surface (shared with the Flagg principal masks) ----
 
     @property
     def size(self):
@@ -65,9 +65,6 @@ class CoQuantale:
 
     def carrier(self):
         return self.lattice.carrier()
-
-    def contains(self, e):
-        return isinstance(e, (int, np.integer)) and 0 <= e < self.lattice.n
 
     def meet_of(self, elems):
         return self.lattice.meet_of(elems)
@@ -137,7 +134,8 @@ def validate_coquantale(lattice, add, name="") -> CoQuantale:
 
     dsym = lattice.join[tsub, tsub.T].astype(np.int32)
     # (V, d^s) is T0 by antisymmetry; D-ultralimit uniqueness relies on it
-    assert ((dsym == lattice.bottom) == np.eye(n, dtype=bool)).all()
+    if not ((dsym == lattice.bottom) == np.eye(n, dtype=bool)).all():
+        raise VerificationFailed("d^s is not T0: co-quantale axioms broken")
     value_flag = lat.is_value_lattice(lattice)
     cq = CoQuantale(lattice, add, tsub, dsym, value_flag, False, [], False, name)
     cq.co_divisible_flag = is_co_divisible(cq)
@@ -194,7 +192,8 @@ def _tsub_table(lattice, add):
         tsub[above] = joins.take(tsub[above] * n + row)
     tsub = tsub.astype(np.int32)
     attained = leq[np.arange(n)[:, None], add[tsub, np.arange(n)[None, :]]]
-    assert attained.all(), "tsub infimum not attained: co-quantale axioms broken"
+    if not attained.all():
+        raise VerificationFailed("tsub infimum not attained: co-quantale axioms broken")
     return tsub
 
 

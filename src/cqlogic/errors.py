@@ -79,6 +79,10 @@ class NotATopology(CqlError):
     pass
 
 
+class NoMeets(CqlError):
+    """The carrier has no meets: the principal down-sets of a free locale."""
+
+
 # -- formulas ----------------------------------------------------------------
 
 class FormulaSyntaxError(CqlError):

@@ -1,33 +1,32 @@
-"""Free locale over a finite ground set, with symbolic elements.
+"""Free locale over a finite ground set, and its principal down-sets as
+bitmasks.
 
-An element is a down-closed family of subsets of the ground set R, stored
-extensionally as a frozenset of frozensets. The lattice order is reverse
+An element of the free locale is a down-closed family of subsets of the
+ground set R, a frozenset of frozensets. The lattice order is reverse
 inclusion (p <= q iff p is a superset of q), so the full powerset family is
 the bottom and the empty family the top; the monoid addition is family
 intersection, which coincides with the lattice join.
 
-The carrier itself grows like the Dedekind numbers (2, 3, 6, 20, 168, ...),
-so it is only enumerated - and only then turned into ordinary co-quantale
-tables - for ground sets of at most MATERIALIZE_MAX elements. All element
-operations work symbolically for any ground size the powerset fits.
+The carrier grows like the Dedekind numbers (2, 3, 6, 20, 168, ...), so it
+is only enumerated - and only then turned into ordinary co-quantale tables -
+for ground sets of at most MATERIALIZE_MAX elements. The enumerated carrier
+and the materialized co-quantale depend only on the ground tuple (and the
+co-quantale's name), so both are shared by every FreeLocale over the same
+ground set: each is built, and each validated, once per process.
 
-The powerset with its naming keys and subset closures, the enumerated
-carrier with its family -> index map and the materialized co-quantale depend
-only on the ground tuple (and the co-quantale's name), so all are shared by
-every FreeLocale over the same ground set: each is built, and each
-validated, once per process. `FreeLocale.principal` reads the principal
-down-set ↓s of a subset s from those closures, so a family built once is
-one shared object with its hash already cached.
-
-A FreeLocale also answers the table lookups of a co-quantale (``add`` and
-``lattice.leq``/``join``/``cwb``) elementwise over object arrays, charged as
-one Python call per cell, so the space kernels read both universes one way.
+Every distance of the Flagg dictionary is a principal down-set ↓S, and the
+principal down-sets are closed under + and ∨: ↓S ∩ ↓T = ↓(S ∩ T). On them
+↓S ≤ ↓T iff S ⊇ T, and ≺ is ≤, since the union of the members of ↓T is T.
+`PrincipalDownsets` is that carrier, each element the k-bit mask of S in an
+int64 (k <= MASK_MAX): + and ∨ are bitwise AND, ≤ and ≺ are mask inclusion,
+the bottom ↓R is the full mask, every element is positive, and an element is
+named as the free locale names ↓S. A meet of principal down-sets is not
+principal, so it has no meets.
 """
 
 from __future__ import annotations
 
-import operator
-from functools import lru_cache, reduce
+from functools import reduce
 from itertools import combinations
 from types import SimpleNamespace
 
@@ -35,35 +34,15 @@ import numpy as np
 
 from . import lattice as lat
 from .coquantale import validate_coquantale
-from .errors import SizeLimit, UnknownElement
+from .errors import NoMeets, SizeLimit
 
 MATERIALIZE_MAX = 4   # Dedekind(4) = 168; Dedekind(5) = 7581 is already too big
-SYMBOLIC_MAX = 8      # powerset of the ground set must stay enumerable
+MASK_MAX = 63         # a principal down-set is a k-bit mask in an int64
 
-_GROUNDS = {}         # ground tuple -> (powerset, naming keys, subset closures)
 _CARRIERS = {}        # ground tuple -> sorted tuple of families
-_CARRIER_INDEX = {}   # ground tuple -> {family: its index in the carrier}
+_PRINCIPAL_INDEX = {}  # ground tuple -> [S]: the carrier index of ↓S
+_PRINCIPALS = {}      # ground tuple -> PrincipalDownsets
 _MATERIALIZED = {}    # (ground tuple, name) -> validated CoQuantale
-
-
-def _ground_data(ground):
-    """The powerset, its naming keys and every subset closure, once per
-    ground tuple."""
-    hit = _GROUNDS.get(ground)
-    if hit is None:
-        psets = [frozenset(c) for k in range(len(ground) + 1) for c in combinations(ground, k)]
-        keys = {s: (len(s), tuple(sorted(s))) for s in psets}   # naming order
-        subsets = {}      # s -> every subset of s, built up by size
-        for s in psets:
-            subsets[s] = frozenset([s]).union(*(subsets[s - {g}] for g in s))
-        hit = _GROUNDS[ground] = (psets, keys, subsets)
-    return hit
-
-
-def downclose(sets):
-    """The down-closure of a family of sets, as a frozenset of frozensets."""
-    return frozenset(frozenset(c) for s in map(frozenset, sets)
-                     for k in range(len(s) + 1) for c in combinations(s, k))
 
 
 def _down_families(ground):
@@ -80,103 +59,62 @@ def _down_families(ground):
             for low in smaller for high in smaller if high <= low]
 
 
-class _Elementwise:
-    """A binary operation read like a numpy table: ``op[a, b]`` applies it to
-    the broadcast object arrays a and b, once per distinct pair of operands,
-    and gives a scalar for two elements; a relation gives bools (``~`` on
-    Python bools negates integers)."""
+def _members(ground, mask):
+    """The names in the set S of ``ground`` given as a mask (bit i: name i)."""
+    return [g for i, g in enumerate(ground) if mask >> i & 1]
 
-    def __init__(self, op, dtype=object):
-        self.op, self.dtype = op, dtype
 
-    def __getitem__(self, pair):
-        once = np.frompyfunc(lru_cache(maxsize=None)(self.op), 2, 1)
-        return np.asarray(once(*pair), dtype=self.dtype)[()]
+def _family_name(members):
+    """The name of the down-closure of the pairwise incomparable sets
+    ``members``: each set's names joined by ``+`` (``0`` for the empty set),
+    smallest sets first."""
+    parts = sorted((len(s), sorted(s)) for s in members)
+    return "{%s}" % ",".join("+".join(names) if names else "0" for _, names in parts)
 
 
 class FreeLocale:
-    """Value universe over ground set R: down-closed families under ⊇."""
-
-    dtype = object                   # distance tables hold the families
-    add = _Elementwise(operator.and_)   # p + q = p ∨ q, the family intersection
+    """The free locale over ground set R: down-closed families under ⊇."""
 
     def __init__(self, ground):
         self.ground = tuple(str(g) for g in ground)
         if len(set(self.ground)) != len(self.ground):
             raise ValueError("ground names must be unique")
-        if len(self.ground) > SYMBOLIC_MAX:
-            raise SizeLimit("free locale ground set capped at %d" % SYMBOLIC_MAX)
         self.name = "freelocale(%s)" % ",".join(self.ground)
-        self._psets, self._keys, self._subsets = _ground_data(self.ground)
-        self.bottom = frozenset(self._psets)
-        self.top = frozenset()
-        self.lattice = SimpleNamespace(leq=_Elementwise(operator.ge, bool),   # p <= q iff p ⊇ q
-                                       join=self.add,
-                                       cwb=_Elementwise(self.cwb, bool))
-
-    @property
-    def cell_cost(self):
-        from .spaces import loop_cost     # a Python call per cell; spaces imports this module
-        return loop_cost(1)
-
-    # -- value universe surface ------------------------------------------
-
-    @property
-    def size(self):
-        return len(self.carrier()) if len(self.ground) <= MATERIALIZE_MAX else None
-
-    def contains(self, p):
-        return isinstance(p, frozenset) and all(
-            s in self._subsets and self._subsets[s] <= p for s in p)
-
-    def meet_of(self, elems):
-        return reduce(operator.or_, elems, self.top)
-
-    def join_of(self, elems):
-        return reduce(operator.and_, elems, self.bottom)
-
-    def sub(self, p, q):
-        """p ∸ q = the largest down-closed r with r ∧_family q inside p."""
-        return frozenset(s for s in self._psets
-                         if all(t not in q or t in p for t in self._subsets[s]))
-
-    def sym_dist(self, p, q):
-        return self.sub(p, q) & self.sub(q, p)
-
-    def cwb(self, p, q):
-        """p ≺ q iff some member of p contains every member of q; p is
-        down-closed, so iff the union of the members of q is in p."""
-        return frozenset().union(*q) in p
-
-    def principal(self, s):
-        """↓s, every subset of the subset s of the ground set, as the shared
-        family of the ground data."""
-        return self._subsets[frozenset(s)]
-
-    def is_positive(self, p):
-        return self.cwb(self.bottom, p)
-
-    def positives(self):
-        return [p for p in self.carrier() if self.is_positive(p)]
 
     def carrier(self):
         families = _CARRIERS.get(self.ground)
         if families is None:
             if len(self.ground) > MATERIALIZE_MAX:
                 raise SizeLimit("carrier of %s is not enumerable" % self.name)
-            families = _CARRIERS[self.ground] = tuple(
-                sorted(_down_families(self.ground), key=self._sort_key))
+            families = _CARRIERS[self.ground] = tuple(sorted(
+                _down_families(self.ground),
+                key=lambda p: (len(p), sorted((len(s), sorted(s)) for s in p))))
         return families
 
-    def carrier_index(self):
-        """{family: its index in `carrier`}, the element of `materialize`."""
-        index = _CARRIER_INDEX.get(self.ground)
+    def principal(self, s):
+        """↓s, every subset of the subset s of the ground set."""
+        s = sorted(s)
+        return frozenset(frozenset(c) for k in range(len(s) + 1) for c in combinations(s, k))
+
+    def principal_index(self):
+        """[S]: the index in `carrier` of ↓S, for the set S of ground
+        elements given as a mask (bit i for the i-th name): the elements of
+        `principals` as elements of `materialize`."""
+        index = _PRINCIPAL_INDEX.get(self.ground)
         if index is None:
-            index = _CARRIER_INDEX[self.ground] = {p: i for i, p in enumerate(self.carrier())}
+            position = {p: i for i, p in enumerate(self.carrier())}
+            index = np.array([position[self.principal(_members(self.ground, S))]
+                              for S in range(1 << len(self.ground))], dtype=np.int32)
+            index.setflags(write=False)
+            _PRINCIPAL_INDEX[self.ground] = index
         return index
 
-    def _sort_key(self, p):
-        return (len(p), sorted(self._keys[s] for s in p))
+    def principals(self):
+        """The principal down-sets as bitmasks, shared per ground set."""
+        carrier = _PRINCIPALS.get(self.ground)
+        if carrier is None:
+            carrier = _PRINCIPALS[self.ground] = PrincipalDownsets(self)
+        return carrier
 
     # -- naming ------------------------------------------------------------
 
@@ -189,28 +127,7 @@ class FreeLocale:
         return maximal
 
     def element_name(self, p):
-        parts = sorted(self._keys[s] for s in self.maximal_members(p))
-        return "{%s}" % ",".join("+".join(names) if names else "0"
-                                 for _, names in parts)
-
-    def parse_element(self, text):
-        text = text.strip()
-        if not (text.startswith("{") and text.endswith("}")):
-            raise UnknownElement("%r is not a family literal" % text)
-        body = text[1:-1]
-        gens = []
-        if body:
-            for token in body.split(","):
-                token = token.strip()
-                if token == "0":
-                    gens.append(frozenset())
-                    continue
-                names = token.split("+")
-                for nm in names:
-                    if nm not in self.ground:
-                        raise UnknownElement("%r is not a ground element" % nm)
-                gens.append(frozenset(names))
-        return downclose(gens)
+        return _family_name(self.maximal_members(p))
 
     # -- table form ---------------------------------------------------------
 
@@ -224,9 +141,11 @@ class FreeLocale:
         if cached is not None:
             return cached
         families = self.carrier()
-        pos = {s: i for i, s in enumerate(self._psets)}
-        masks = np.array([sum(1 << pos[s] for s in p) for p in families], dtype=np.int64)
-        index = np.full(1 << len(self._psets), -1, dtype=np.int32)
+        bit = {g: 1 << i for i, g in enumerate(self.ground)}
+        # a family as a mask over the subsets, the subset s at bit (s as a mask)
+        masks = np.array([sum(1 << sum(map(bit.get, s)) for s in p) for p in families],
+                         dtype=np.int64)
+        index = np.full(1 << (1 << len(self.ground)), -1, dtype=np.int32)
         index[masks] = np.arange(len(families), dtype=np.int32)
         # p <= q iff q ⊆ p; p + q is the family intersection p & q
         order = (masks[None, :] & ~masks[:, None]) == 0
@@ -237,3 +156,47 @@ class FreeLocale:
 
     def __repr__(self):
         return "FreeLocale(ground=%r)" % (self.ground,)
+
+
+class _Bitwise:
+    """A binary operation on masks read like a numpy table: ``op[a, b]``
+    applies it to the broadcast arrays (or scalars) a and b."""
+
+    def __init__(self, op):
+        self.op = op
+
+    def __getitem__(self, pair):
+        return self.op(*pair)
+
+
+class PrincipalDownsets:
+    """The principal down-sets ↓S of a free locale on k <= MASK_MAX names,
+    each the int64 mask of S; see the module docstring."""
+
+    dtype = np.int64
+
+    def __init__(self, locale):
+        k = len(locale.ground)
+        if k > MASK_MAX:
+            raise SizeLimit("the principal down-sets of %s need %d bits (at most %d)"
+                            % (locale.name, k, MASK_MAX))
+        self.ground = locale.ground
+        self.name = "principal(%s)" % ",".join(locale.ground)
+        self.size = 1 << k
+        self.bottom = self.size - 1
+        self.add = _Bitwise(np.bitwise_and)          # ↓S + ↓T = ↓(S ∩ T)
+        within = _Bitwise(lambda a, b: (b & ~a) == 0)   # S_b ⊆ S_a: a ≤ b and a ≺ b
+        self.lattice = SimpleNamespace(leq=within, join=self.add, cwb=within)
+
+    def is_positive(self, e):
+        return True
+
+    def join_of(self, elems):
+        return reduce(np.bitwise_and, elems, self.bottom)
+
+    def meet_of(self, elems):
+        raise NoMeets("%s has no meets: a meet of principal down-sets is not principal"
+                      % self.name)
+
+    def element_name(self, mask):
+        return _family_name([_members(self.ground, mask)])

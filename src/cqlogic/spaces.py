@@ -2,14 +2,15 @@
 (preorders over the two-element carrier, topological spaces over free
 locales).
 
-A space stores its value universe V (a table co-quantale or a symbolic free
-locale), an ordered point list and one read-only (m, m) distance table in
-V's array format ``V.dtype``: int32 element indices over a table
-co-quantale, frozensets over the symbolic free locale. Both answer the same
-table lookups (``V.add``, ``V.lattice.leq``/``join``/``cwb``), so every law
-has one kernel, charged at V's ``cell_cost`` per cell. `validate_space` is
-the only place a table is converted; every other function reads or gathers
-that array. Point sets returned by operations are frozensets of point names.
+A space stores its value universe V (a table co-quantale, or the principal
+down-sets of a free locale as bitmasks), an ordered point list and one
+read-only (m, m) distance table of integers in V's array format
+``V.dtype``: int32 element indices over a table co-quantale, int64 masks
+over the principal down-sets. Both answer the same table lookups (``V.add``,
+``V.lattice.leq``/``join``/``cwb``) by numpy, so every law has one kernel.
+`validate_space` is the only place a table is converted; every other
+function reads or gathers that array. Point sets returned by operations are
+frozensets of point names.
 
 Points x and x' are twins when d(x,·) = d(x',·) and d(·,x) = d(·,x'); a
 D-product of finitely many factors has many. Every distance depends only on
@@ -31,14 +32,15 @@ Other modules read both budgets here at call time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import chain, combinations, permutations
 
 import numpy as np
 
 from .coquantale import builtin
 from .errors import (NotAPreorder, NotATopology, NotPositive,
-                     ReflexivityViolation, SizeLimit, TransitivityViolation)
-from .freelocale import MATERIALIZE_MAX, FreeLocale, downclose
+                     ReflexivityViolation, SizeLimit, TransitivityViolation,
+                     VerificationFailed)
+from .freelocale import MATERIALIZE_MAX, FreeLocale
 
 # cells per block of a row-blocked kernel (up to 12 bytes each) and per
 # TableEvaluator memo (4 bytes each)
@@ -56,10 +58,10 @@ def check_cost(what, cost):
 def loop_cost(iterations):
     """Cell operations charged for ``iterations`` of a Python loop: 64 each.
     Measured on a 2-core host (Python 3.11.7): a cell of the 512-point
-    triangle check takes 14 ns, and a cell of the symbolic triangle check
-    or an iteration of the `induced_topology` mask scan, the
-    `validate_topology` pairs, the `enumerate_topologies` families and the ≺
-    oracle 0.34-2.0 µs (25-145 cells, geometric mean 75)."""
+    triangle check takes 11-14 ns, an iteration of the `induced_topology`
+    mask scan or of the `validate_topology` pairs 0.6-1.1 µs (48-85 cells),
+    and a charged iteration of the ≺ oracle, whose charge is an upper
+    bound, under 0.1 µs."""
     return 64 * iterations
 
 
@@ -93,31 +95,25 @@ def validate_space(values, points, dist) -> ContinuitySpace:
     """Check the table's shape and entries, reflexivity and the triangle law
     exhaustively. The triangle law is decided on the first point of each
     twin class, and its witness is the first failing (x, y, z) of the whole
-    table in row-major order. The space keeps its own read-only copy of the
-    table in the carrier's array format (``values.dtype``)."""
+    table in row-major order. V's elements are the integers 0 to
+    ``values.size`` - 1; the space keeps its own read-only copy of the table
+    in the carrier's array format (``values.dtype``)."""
     points = [str(p) for p in points]
     if not points or len(set(points)) != len(points):
         raise ReflexivityViolation("points must be a nonempty list of unique names")
     m = len(points)
-    check_cost("triangle check on %d points" % m, triangle_cost(m, values.cell_cost))
+    check_cost("triangle check on %d points" % m, triangle_cost(m))
     try:
         table = np.asarray(dist)
     except ValueError:                                  # ragged rows
         table = np.empty(0)
     if table.shape != (m, m):
         raise ReflexivityViolation("dist table must be %d x %d" % (m, m))
-    # V's integer elements form an index range (none in the free locale)
-    if table.dtype.kind not in "iu" or not all(map(values.contains, (table.min(), table.max()))):
-        table = np.array(dist, dtype=object)            # a copy of the entries as given
-        try:                                            # each distinct entry once, in order,
-            shared = {}                                 # and equal entries made one object
-            table.flat = [shared.setdefault((type(e), e), e) for e in table.flat]
-            entries = list(shared.values())
-        except TypeError:                               # an unhashable entry: check them all
-            entries = table.flat
-        bad = [e for e in entries if not values.contains(e)]
-        if bad:
-            raise ReflexivityViolation("dist entry %r is not a V element" % (bad[0],))
+    if table.dtype.kind not in "iu":
+        raise ReflexivityViolation("dist entries must be integers, not %s" % table.dtype)
+    bad = table[(table < 0) | (table >= values.size)]
+    if bad.size:
+        raise ReflexivityViolation("dist entry %d is not a V element" % bad[0])
     table = table.astype(values.dtype)
     for x in range(m):
         if table[x, x] != values.bottom:
@@ -141,20 +137,20 @@ def _twin_representatives(table):
     return list(first.values())
 
 
-def triangle_cost(m, charge=1):
-    """The m³ triples of the triangle check, at ``charge`` per cell."""
-    return charge * m ** 3
+def triangle_cost(m):
+    """The m³ triples of the triangle check."""
+    return m ** 3
 
 
 def _triangle_witness(values, tables):
     """Per table of an (N, m, m) stack, the first (x, y, z) in row-major order
     with d(x,y) > d(x,z) + d(z,y), or (-1, -1, -1). Consecutive (table, row x)
-    pairs run in blocks of at most CELL_BUDGET path cells at the carrier's
-    charge per cell, until every table has its witness."""
+    pairs run in blocks of at most CELL_BUDGET path cells, until every table
+    has its witness."""
     count, m = tables.shape[:2]
     flat = tables.reshape(-1, m)               # row r is d(x, ·) of table r // m, x = r % m
     out = np.full((count, 3), -1)
-    rows = max(1, CELL_BUDGET // (m * m * values.cell_cost))
+    rows = max(1, CELL_BUDGET // (m * m))
     for start in range(0, len(flat), rows):
         block = flat[start:start + rows]
         other = tables if count == 1 else tables[np.arange(start, start + len(block)) // m]
@@ -187,7 +183,7 @@ def product_space(left: ContinuitySpace, right: ContinuitySpace) -> ContinuitySp
     if left.V is not right.V:
         raise ValueError("product factors must share a value universe")
     m, join = left.m * right.m, left.V.lattice.join
-    check_cost("triangle check on %d points" % m, triangle_cost(m, left.V.cell_cost))
+    check_cost("triangle check on %d points" % m, triangle_cost(m))
     points = ["%s|%s" % (p, q) for p in left.points for q in right.points]
     i, j = np.divmod(np.arange(m), right.m)    # pair (i, j), row-major
     return validate_space(left.V, points, join[left.dist[np.ix_(i, i)], right.dist[np.ix_(j, j)]])
@@ -248,7 +244,8 @@ def induced_topology(space: ContinuitySpace) -> Topology:
     locale), membership of the disc B_0(x) suffices: ≺ is monotone in its
     right argument, so B_0(x) lies in every disc. Otherwise this is the
     definitional scan over the positives filter. Discs and candidate open
-    sets are bitmasks over the point indices.
+    sets are bitmasks over the point indices. Every disc must come out
+    open; a disc that does not raises VerificationFailed.
     """
     V, m, dist = space.V, space.m, space.dist
     radii = [V.bottom] if V.is_positive(V.bottom) else V.positives()
@@ -263,7 +260,8 @@ def induced_topology(space: ContinuitySpace) -> Topology:
              if all(any(d & ~mask == 0 for d in disc_sets[x]) for x in range(m) if mask >> x & 1)]
     topo = validate_topology(space.points, [
         space.point_set(x for x in range(m) if mask >> x & 1) for mask in opens])
-    assert set().union(*all_discs) <= set(opens), "disc is not open: theorem violated"
+    if not set().union(*all_discs) <= set(opens):
+        raise VerificationFailed("a disc of %r is not open: theorem violated" % space)
     return topo
 
 
@@ -278,7 +276,8 @@ def topology_cost(m, radii):
 
 
 def dist_to_set(space: ContinuitySpace, x, subset):
-    """d(x, A) = ⋀{d(x,a) : a ∈ A}; the empty meet is top."""
+    """d(x, A) = ⋀{d(x,a) : a ∈ A}; the empty meet is top. A carrier
+    without meets (the principal masks) raises NoMeets."""
     return space.V.meet_of(space.dist[space.index(x), space.index(a)] for a in subset)
 
 
@@ -329,8 +328,10 @@ def _entry(name, failures):
 
 def check_topology_theorems(space: ContinuitySpace) -> TheoremReport:
     """Instantiate the closure/duality/neighborhood/separation statements
-    exhaustively over all points, subsets and positive radii."""
+    exhaustively over all points, subsets and positive radii. Closures are
+    meets, so a carrier without meets is refused at once."""
     V = space.V
+    V.meet_of(())                      # the empty meet: NoMeets on the principal masks
     m = space.m
     positives = V.positives()
     check_cost("topology theorems on %d points" % m, theorem_cost(m, len(positives)))
@@ -417,55 +418,84 @@ def space_from_topology(topology: Topology, materialize="auto") -> ContinuitySpa
 
     d(a,b) is the family of all finite sets A of opens such that every
     member of A containing a also contains b; that family is the principal
-    down-set of the single set {U : a ∈ U implies b ∈ U}. The universe is
-    materialized into validated tables when the ground set allows it,
-    otherwise the symbolic free locale is used.
+    down-set of the single set {U : a ∈ U implies b ∈ U}, stored as its mask
+    over the k opens: the m²·k cells of the mask build are charged with the
+    triangle check. Up to MATERIALIZE_MAX opens the default materializes the
+    free locale into validated tables and reads each mask as its element
+    there; otherwise the space is over the principal down-sets themselves,
+    which refuse more than MASK_MAX opens.
     """
-    opens = sorted_opens(topology)
-    ground = ["U%d" % i for i in range(len(opens))]
-    locale = FreeLocale(ground)
-    if materialize == "auto":
-        materialize = len(ground) <= MATERIALIZE_MAX
-    values, element = locale, (lambda family: family)   # a family as an element of values
-    if materialize:
-        values = locale.materialize()
-        element = locale.carrier_index().__getitem__
-    m, k = len(topology.points), len(ground)
-    # each distance is the principal down-set of one set of at most k opens,
-    # looked up in the ground data but charged as building it (k + 2^k per
-    # cell): an upper bound that admits the inputs a built down-set would
+    points, k = list(topology.points), len(topology.opens)
+    m = len(points)
     check_cost("the space of a topology on %d points with %d opens" % (m, k),
-               loop_cost(m * m * (k + (1 << k))) + triangle_cost(m, values.cell_cost))
-    points = list(topology.points)
-    dist = [[element(locale.principal(g for g, u in zip(ground, opens) if a not in u or b in u))
-             for b in points] for a in points]
+               m * m * k + triangle_cost(m))
+    locale = FreeLocale(["U%d" % i for i in range(k)])
+    values = locale.principals()
+    # inside[i, x]: point x lies in U_i; bit i of d(a, b) is set when a ∉ U_i or b ∈ U_i
+    inside = np.array([[p in u for p in points] for u in sorted_opens(topology)], dtype=bool)
+    bits = (~inside[:, :, None] | inside[:, None, :]).astype(np.int64)
+    dist = (bits << np.arange(k, dtype=np.int64)[:, None, None]).sum(axis=0)
+    if materialize == "auto":
+        materialize = k <= MATERIALIZE_MAX
+    if materialize:
+        values, dist = locale.materialize(), locale.principal_index()[dist]
     return validate_space(values, points, dist)
 
 
-def enumerate_topologies(points):
-    """Every topology on the given finite point list, by exhaustive filter
-    over all 2^(2^m) families of subsets, each built from the 2^m subsets
-    (its pair test stops at the first failing pair). A count of families
-    past 2^(bits of WORK_BUDGET) is past the budget at any loop cost, so the
-    count is capped there before it is charged, and a capped cost is
-    reported as that lower bound."""
+def _preorder_rows(m, what):
+    """[P, a]: the mask of {b : a ≤ b} in each preorder on m points, in
+    increasing relation order. Relation r is reflexive and relates a to b
+    when bit a·(m-1) + j of r is set, b the j-th point other than a. The
+    2^(m²-m) relations run in blocks of at most CELL_BUDGET cells, tested
+    for transitivity pair by pair, only the survivors going on: at most m²
+    cells each. A count past 2^(bits of WORK_BUDGET) is over the budget at
+    any m, so it is capped there and the cost reported as that lower bound."""
+    check_cost(what, (1 << min(m * (m - 1), WORK_BUDGET.bit_length())) * m * m)
+    count, block = 1 << m * (m - 1), max(1, CELL_BUDGET // max(1, m * m))
+    point = np.arange(m, dtype=np.int64)
+    low = (1 << point) - 1                         # the points before a
+    found = []
+    for start in range(0, count, block):
+        r = np.arange(start, min(count, start + block), dtype=np.int64)
+        off = (r[:, None] >> point * (m - 1)) & ((1 << max(0, m - 1)) - 1)
+        rows = (off & low) | (1 << point) | ((off & ~low) << 1)      # [n, a]: ↑a
+        for a, b in permutations(range(m), 2):         # a ≤ b implies ↑b ⊆ ↑a
+            rows = rows[((rows[:, a] >> b) & 1 == 0) | ((rows[:, b] & ~rows[:, a]) == 0)]
+        found.append(rows)
+    return np.concatenate(found)
+
+
+def enumerate_preorders(points):
+    """Every preorder on the given finite point list, as a frozenset of
+    related pairs (the diagonal included)."""
     points = [str(p) for p in points]
-    subset_count = 1 << len(points)
-    families = 1 << min(subset_count, WORK_BUDGET.bit_length())
-    check_cost("enumerating topologies on %d points" % len(points),
-               loop_cost(families * subset_count))
-    subsets = [frozenset(c) for k in range(len(points) + 1)
-               for c in combinations(points, k)]
-    full = frozenset(points)
-    out = []
-    for mask in range(1 << len(subsets)):
-        fam = [subsets[i] for i in range(len(subsets)) if mask >> i & 1]
-        sel = frozenset(fam)
-        if frozenset() not in sel or full not in sel:
-            continue
-        if all(u & w in sel and u | w in sel for u in fam for w in fam):
-            out.append(Topology(tuple(points), sel))
-    return out
+    m = len(points)
+    rows = _preorder_rows(m, "enumerating preorders on %d points" % m)
+    return [frozenset((points[a], points[b]) for a in range(m) for b in range(m)
+                      if row[a] >> b & 1) for row in rows.tolist()]
+
+
+def enumerate_topologies(points):
+    """Every topology on the given finite point list: the up-set topology
+    of each preorder (Alexandrov; the specialization order takes it back),
+    in increasing order of its mask over the 2^m subsets in `combinations`
+    order. The preorders are charged by `_preorder_rows`, then the up-set
+    test of P preorders P·2^m·m cells, in blocks of at most CELL_BUDGET."""
+    points = [str(p) for p in points]
+    m = len(points)
+    what = "enumerating topologies on %d points" % m
+    rows = _preorder_rows(m, what)
+    check_cost(what, len(rows) * m << m)
+    subsets = [frozenset(c) for k in range(m + 1) for c in combinations(points, k)]
+    masks = np.array([sum(1 << points.index(p) for p in s) for s in subsets], dtype=np.int64)
+    member = (masks[:, None] >> np.arange(m)) & 1 == 1              # [s, x]: x ∈ s
+    block = max(1, CELL_BUDGET // max(1, len(subsets) * m))
+    # [P, s]: every member x of s has ↑x inside s
+    upset = np.concatenate([
+        ~(((rows[start:start + block, None, :] & ~masks[:, None]) != 0) & member).any(axis=2)
+        for start in range(0, len(rows), block)])
+    return [Topology(tuple(points), frozenset(subsets[i] for i in np.flatnonzero(row)))
+            for row in upset[np.lexsort(upset.T)]]
 
 
 # -- the preorder dictionary ----------------------------------------------------

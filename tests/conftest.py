@@ -10,6 +10,7 @@ from cqlogic import lattice as lat
 from cqlogic import semantics as sem
 from cqlogic import spaces as sp
 from cqlogic.formulas import Signature, identity_modulus
+from cqlogic.freelocale import PrincipalDownsets
 
 # One deterministic hypothesis profile: the same examples on every run, no
 # example database written into the checkout, no per-example deadline.
@@ -97,9 +98,15 @@ def sierpinski(bool2):
 # -- seeded corpora -----------------------------------------------------------
 
 
+def lower_bound(vq, a, b):
+    """The meet of a and b; the principal masks have no meets, and there
+    ↓(S_a ∪ S_b) is a lower bound."""
+    return a | b if isinstance(vq, PrincipalDownsets) else vq.meet_of([a, b])
+
+
 def metric_closure(vq, dist):
-    """Lower every entry of a nested-list table by meets with path sums
-    until the triangle law holds (terminates: entries only descend)."""
+    """Lower every entry of a nested-list table below its path sums until
+    the triangle law holds (terminates: entries only descend)."""
     m = len(dist)
     changed = True
     while changed:
@@ -109,7 +116,7 @@ def metric_closure(vq, dist):
                 for z in range(m):
                     bound = vq.add[dist[x][z], dist[z][y]]
                     if not vq.lattice.leq[dist[x][y], bound]:
-                        dist[x][y] = vq.meet_of([dist[x][y], bound])
+                        dist[x][y] = lower_bound(vq, dist[x][y], bound)
                         changed = True
     return dist
 

@@ -1,14 +1,23 @@
+from itertools import combinations
+
+import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from cqlogic import coquantale as cq
 from cqlogic import freelocale
 from cqlogic import lattice as lat
 from cqlogic import spaces as sp
-from cqlogic.errors import SizeLimit, UnknownElement
-from cqlogic.freelocale import FreeLocale, downclose
+from cqlogic.errors import SizeLimit
+from cqlogic.freelocale import FreeLocale
 
 DEDEKIND = {0: 2, 1: 3, 2: 6, 3: 20, 4: 168}
+
+
+def downclose(sets):
+    """The down-closure of a family of sets, built from its definition."""
+    return frozenset(frozenset(c) for s in map(frozenset, sets)
+                     for k in range(len(s) + 1) for c in combinations(s, k))
 
 
 def test_carrier_counts_match_dedekind_numbers():
@@ -21,35 +30,30 @@ def test_carrier_not_enumerable_beyond_cap():
     fl = FreeLocale("abcde")
     with pytest.raises(SizeLimit):
         fl.carrier()
-    # symbolic operations still work
-    p = downclose([frozenset("ab")])
-    q = downclose([frozenset("c")])
-    assert fl.lattice.leq[fl.meet_of([p, q]), p]
-    assert fl.is_positive(fl.bottom)
+    with pytest.raises(SizeLimit):
+        fl.materialize()
+    # its principal down-sets still work: ↓{a,b} lies below ↓{a}
+    V = fl.principals()
+    assert V.lattice.leq[0b00011, 0b00001] and not V.lattice.leq[0b00001, 0b00011]
+    assert V.is_positive(V.bottom)
 
 
-def test_symbolic_operations_match_materialized_tables():
-    """The closed forms (set ops, the ≺ characterization, the residual)
-    against the generic table machinery, exhaustively per ground size."""
-    for k in range(4):
-        fl = FreeLocale("abc"[:k])
-        table = fl.materialize()
-        families = fl.carrier()
-        index = {p: i for i, p in enumerate(families)}
-        for p in families:
-            assert fl.contains(p)
-            ip = index[p]
-            assert table.element_name(ip) == fl.element_name(p)
-            for q in families:
-                iq = index[q]
-                assert fl.lattice.leq[p, q] == table.lattice.leq[ip, iq]
-                assert index[fl.meet_of([p, q])] == table.lattice.meet[ip, iq]
-                assert index[fl.join_of([p, q])] == table.lattice.join[ip, iq]
-                assert index[fl.lattice.join[p, q]] == table.lattice.join[ip, iq]
-                assert index[fl.add[p, q]] == table.add[ip, iq]
-                assert index[fl.sub(p, q)] == table.tsub[ip, iq], (k, p, q)
-                assert index[fl.sym_dist(p, q)] == table.dsym[ip, iq]
-                assert fl.cwb(p, q) == fl.lattice.cwb[p, q] == table.lattice.cwb[ip, iq]
+@settings(max_examples=10)
+@given(k=st.integers(0, 4))
+def test_symbolic_operations_match_materialized_tables(k):
+    """The principal masks against the materialized tables, on every pair
+    of the 2^k masks: +, ∨, ≤ and ≺ (all bitwise) and the names."""
+    fl = FreeLocale("abcd"[:k])
+    V, table, index = fl.principals(), fl.materialize(), fl.principal_index()
+    masks = np.arange(V.size)
+    S, T = masks[:, None], masks[None, :]
+    iS, iT = index[S], index[T]
+    assert (index[V.add[S, T]] == table.add[iS, iT]).all()
+    assert (index[V.lattice.join[S, T]] == table.lattice.join[iS, iT]).all()
+    assert (V.lattice.leq[S, T] == table.lattice.leq[iS, iT]).all()
+    assert (V.lattice.cwb[S, T] == table.lattice.cwb[iS, iT]).all()
+    assert [V.element_name(S) for S in masks] == [table.element_name(i) for i in index]
+    assert index[V.bottom] == table.bottom
 
 
 def test_closed_forms_match_definitions():
@@ -57,67 +61,59 @@ def test_closed_forms_match_definitions():
     contains every member of q" and the names list the maximal members."""
     for k in range(4):
         fl = FreeLocale("abc"[:k])
-        psets = [frozenset(s) for s in fl._psets]
+        psets = [frozenset(c) for n in range(k + 1) for c in combinations(fl.ground, n)]
         families = []
         for mask in range(1 << len(psets)):
             family = frozenset(psets[i] for i in range(len(psets)) if mask >> i & 1)
             if all(t in family for s in family for t in downclose([s])):
                 families.append(family)
         assert set(fl.carrier()) == set(families)
+        table = fl.materialize()
+        index = {p: i for i, p in enumerate(fl.carrier())}
         for p in families:
             assert sorted(map(sorted, fl.maximal_members(p))) == sorted(
                 sorted(s) for s in p if not any(s < t for t in p))
             for q in families:
-                assert fl.cwb(p, q) == any(all(t <= s for t in q) for s in p)
+                assert table.lattice.cwb[index[p], index[q]] == \
+                    any(all(t <= s for t in q) for s in p)
 
 
 def test_bottom_and_top():
+    """The tables' bottom is the whole powerset and their top the empty
+    family; the bottom mask is ↓R, the identity of + and below every mask."""
     fl = FreeLocale("ab")
-    assert fl.lattice.leq[fl.bottom, fl.top]
-    assert fl.meet_of([fl.top, fl.bottom]) == fl.bottom
-    assert fl.lattice.join[fl.top, fl.bottom] == fl.top
-    # the monoid identity is the bottom family
-    for p in fl.carrier():
-        assert fl.add[p, fl.bottom] == p
+    table, families = fl.materialize(), fl.carrier()
+    assert families[table.bottom] == downclose(["ab"])
+    assert families[table.top] == frozenset()
+    V = fl.principals()
+    masks = np.arange(V.size)
+    assert fl.principal_index()[V.bottom] == table.bottom
+    assert (V.add[masks, V.bottom] == masks).all()
+    assert V.lattice.leq[V.bottom, masks].all()
 
 
 def test_every_element_is_positive():
     for k in range(4):
         fl = FreeLocale("abc"[:k])
-        assert all(fl.is_positive(p) for p in fl.carrier())
-
-
-def test_name_parse_round_trip():
-    for k in range(4):
-        fl = FreeLocale("abc"[:k])
-        for p in fl.carrier():
-            assert fl.parse_element(fl.element_name(p)) == p
-    fl = FreeLocale("ab")
-    with pytest.raises(UnknownElement):
-        fl.parse_element("{z}")
-    with pytest.raises(UnknownElement):
-        fl.parse_element("a")
-    # non-canonical literals normalize: a redundant empty-set generator
-    assert fl.parse_element("{0,a}") == fl.parse_element("{a}")
+        table = fl.materialize()
+        assert list(table.positives()) == list(table.carrier())
+        V = fl.principals()
+        assert all(V.is_positive(S) for S in range(V.size))
+        assert V.lattice.cwb[V.bottom, np.arange(V.size)].all()
 
 
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_principal_is_the_down_closure(data):
-    """The shared ↓s against building it, on grounds of 0 to SYMBOLIC_MAX names."""
-    k = data.draw(st.integers(0, freelocale.SYMBOLIC_MAX))
+    """↓s against building it, on grounds of 0 to 8 names; the mask of s is
+    named as the free locale names ↓s."""
+    k = data.draw(st.integers(0, 8))
     fl = FreeLocale(["g%d" % i for i in range(k)])
     chosen = data.draw(st.lists(st.booleans(), min_size=k, max_size=k))
     s = frozenset(g for g, keep in zip(fl.ground, chosen) if keep)
     assert fl.principal(s) == downclose([s])
-    assert fl.contains(fl.principal(s))
-
-
-def test_contains_rejects_non_families():
-    fl = FreeLocale("ab")
-    assert not fl.contains(frozenset([frozenset("a"), frozenset("ab")]))  # not down-closed
-    assert not fl.contains("junk")
-    assert fl.contains(downclose([frozenset("ab")]))
+    mask = sum(1 << i for i, keep in enumerate(chosen) if keep)
+    assert fl.principals().element_name(mask) == fl.element_name(downclose([s]))
 
 
 def test_dedekind4_tables_match_family_operations():
@@ -195,8 +191,7 @@ def test_flagg_round_trip_validates_once_per_ground_size(monkeypatch):
 @st.composite
 def topologies_on_four_points(draw):
     """One to three nonempty proper subsets of four points, closed under ∪
-    and ∩ together with ∅ and the whole set, kept when at most SYMBOLIC_MAX
-    opens result."""
+    and ∩ together with ∅ and the whole set."""
     points = "abcd"
     opens = {frozenset(), frozenset(points)}
     opens |= {frozenset(p for i, p in enumerate(points) if mask >> i & 1)
@@ -207,26 +202,43 @@ def topologies_on_four_points(draw):
         if closed == opens:
             break
         opens = closed
-    assume(len(opens) <= freelocale.SYMBOLIC_MAX)
     return sp.validate_topology(list(points), opens)
 
 
 @settings(max_examples=40, deadline=None)
 @given(topo=topologies_on_four_points())
 def test_flagg_distances_on_four_points_match_their_definition(topo):
-    """Each symbolic distance is the down-closure of {U : a ∉ U or b ∈ U},
-    the induced topology is the source, and with at most four opens the
+    """Each symbolic distance is the mask of {U : a ∉ U or b ∈ U}, the
+    induced topology is the source, and with at most four opens the
     materialized distances have the symbolic names."""
     opens = sp.sorted_opens(topo)
     symbolic = sp.space_from_topology(topo, materialize=False)
-    ground = symbolic.V.ground
     for i, a in enumerate(topo.points):
         for j, b in enumerate(topo.points):
-            assert symbolic.dist[i, j] == downclose(
-                [{g for g, u in zip(ground, opens) if a not in u or b in u}])
+            assert symbolic.dist[i, j] == sum(1 << n for n, u in enumerate(opens)
+                                              if a not in u or b in u)
     assert sp.induced_topology(symbolic).opens == topo.opens
     if len(opens) <= freelocale.MATERIALIZE_MAX:
         table = sp.space_from_topology(topo, materialize=True)
         assert sp.induced_topology(table).opens == topo.opens
         assert [[table.V.element_name(e) for e in row] for row in table.dist] == \
             [[symbolic.V.element_name(e) for e in row] for row in symbolic.dist]
+
+
+def test_flagg_names_with_five_to_eight_opens_are_the_definitional_ones():
+    """Every topology on four points with 5 to 8 opens: each distance is
+    named as the free locale names the down-closure of {U : a ∉ U or b ∈ U}."""
+    checked = 0
+    for topo in sp.enumerate_topologies("abcd"):
+        if not 5 <= len(topo.opens) <= 8:
+            continue
+        opens = sp.sorted_opens(topo)
+        space = sp.space_from_topology(topo)
+        fl = FreeLocale(space.V.ground)
+        assert space.V.dtype == np.int64
+        for i, a in enumerate(topo.points):
+            for j, b in enumerate(topo.points):
+                family = downclose([{g for g, u in zip(fl.ground, opens) if a not in u or b in u}])
+                assert space.V.element_name(space.dist[i, j]) == fl.element_name(family)
+        checked += 1
+    assert checked == 60 + 72 + 54 + 54

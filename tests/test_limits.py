@@ -153,27 +153,31 @@ def test_product_space_refuses_before_building_its_table(chain4, monkeypatch):
              "(budget 63)", lambda: sp.product_space(one, one))
 
 
+def _far_masks(V, m):
+    """m points over the principal masks V, each pair at ↓∅ (mask 0), above
+    every other mask."""
+    return [[V.bottom if x == y else 0 for y in range(m)] for x in range(m)]
+
+
 def test_symbolic_space_is_refused_before_its_triangle_loop(monkeypatch):
-    """The symbolic free locale answers each triangle cell by Python calls,
-    so its 3^3 triples are charged as loop iterations."""
-    V = FreeLocale(("a", "b"))
-    dist = [[V.bottom if x == y else V.top for y in range(3)] for x in range(3)]
-    monkeypatch.setattr(sp, "WORK_BUDGET", sp.loop_cost(27))
+    """The principal masks answer each triangle cell by one bitwise numpy
+    operation, so their 3^3 triples are charged as cells, as on a table."""
+    V = FreeLocale(("a", "b")).principals()
+    dist = _far_masks(V, 3)
+    monkeypatch.setattr(sp, "WORK_BUDGET", 27)
     assert sp.validate_space(V, "abc", dist).m == 3
     monkeypatch.setattr(sp, "_triangle_witness", _never)
-    _refuses(monkeypatch, 1727, "triangle check on 3 points costs 1728 cell operations "
-             "(budget 1727)", lambda: sp.validate_space(V, "abc", dist))
+    _refuses(monkeypatch, 26, "triangle check on 3 points costs 27 cell operations "
+             "(budget 26)", lambda: sp.validate_space(V, "abc", dist))
 
 
 def test_induced_topology_refuses_before_its_scan(monkeypatch):
-    # 3 points and the one radius 0 of the free locale on {a, b}, where 0 ≺ 0:
-    # 9 ≺ tests, 3 disc comparisons, 2^3 masks x 3 x 2 and 4^3 open pairs
-    V = FreeLocale(("a", "b"))
-    space = sp.validate_space(V, "abc", [[V.bottom if x == y else V.top for y in range(3)]
-                                          for x in range(3)])
+    # 3 points and the one radius 0 of the principal masks on {a, b}, where
+    # 0 ≺ 0: 9 ≺ tests, 3 disc comparisons, 2^3 masks x 3 x 2 and 4^3 open pairs
+    V = FreeLocale(("a", "b")).principals()
+    space = sp.validate_space(V, "abc", _far_masks(V, 3))
     monkeypatch.setattr(sp, "WORK_BUDGET", sp.loop_cost(124))
     assert len(sp.induced_topology(space).opens) == 8
-    monkeypatch.setattr(V, "positives", _never)
     monkeypatch.setattr(V.lattice, "cwb", _NeverTable())
     _refuses(monkeypatch, 7935, "induced topology on 3 points costs 7936 cell operations "
              "(budget 7935)", lambda: sp.induced_topology(space))
@@ -191,26 +195,29 @@ def test_topology_theorems_refuse_before_any_topology(bool2, monkeypatch):
 
 
 def test_space_from_topology_refuses_before_its_distances(monkeypatch):
-    # 2^2 distances, each charged as building the down-closure of at most 3
-    # opens (3 + 2^3), though it is looked up, then the 2^3 triangle cells over
-    # the materialized locale, which is validated (and charged) once per
-    # process, here before the budget is patched down
+    # the 2^2·3 cells of the masks of 2^2 distances over 3 opens, then the 2^3
+    # triangle cells over the materialized locale, which is validated (and
+    # charged) once per process, here before the budget is patched down
     sierpinski = sp.validate_topology("ab", [frozenset(), frozenset("b"), frozenset("ab")])
     FreeLocale(["U0", "U1", "U2"]).materialize()
-    monkeypatch.setattr(sp, "WORK_BUDGET", 2824)
+    monkeypatch.setattr(sp, "WORK_BUDGET", 20)
     assert sp.space_from_topology(sierpinski).m == 2
-    monkeypatch.setattr(FreeLocale, "principal", _never)
-    _refuses(monkeypatch, 2823, "the space of a topology on 2 points with 3 opens costs 2824 "
-             "cell operations (budget 2823)", lambda: sp.space_from_topology(sierpinski))
+    monkeypatch.setattr(sp, "sorted_opens", _never)
+    _refuses(monkeypatch, 19, "the space of a topology on 2 points with 3 opens costs 20 "
+             "cell operations (budget 19)", lambda: sp.space_from_topology(sierpinski))
 
 
 def test_enumerate_topologies_refuses_before_its_scan(monkeypatch):
-    # 2^4 families on 2 points, each built from the 4 subsets
-    monkeypatch.setattr(sp, "WORK_BUDGET", sp.loop_cost(64))
+    # the 2^2 reflexive relations on 2 points, 2^2 cells each, then the up-set
+    # test of the 4 preorders: 2^2 subsets x 2 points each
+    monkeypatch.setattr(sp, "WORK_BUDGET", 32)
     assert len(sp.enumerate_topologies("ab")) == 4
     monkeypatch.setattr(sp, "combinations", _never)
-    _refuses(monkeypatch, 4095, "enumerating topologies on 2 points costs 4096 cell "
-             "operations (budget 4095)", lambda: sp.enumerate_topologies("ab"))
+    _refuses(monkeypatch, 31, "enumerating topologies on 2 points costs 32 cell "
+             "operations (budget 31)", lambda: sp.enumerate_topologies("ab"))
+    monkeypatch.setattr(sp, "np", None)
+    _refuses(monkeypatch, 15, "enumerating topologies on 2 points costs 16 cell "
+             "operations (budget 15)", lambda: sp.enumerate_topologies("ab"))
 
 
 def test_cwb_oracle_refuses_before_its_subset_meets(bool2, monkeypatch):

@@ -8,11 +8,13 @@ from hypothesis import given, settings, strategies as st
 from cqlogic import coquantale as cq
 from cqlogic import semantics as sem
 from cqlogic import spaces as sp
-from cqlogic.errors import (NotAPreorder, NotATopology, NotPositive,
+from cqlogic.errors import (NoMeets, NotAPreorder, NotATopology, NotPositive,
                             ReflexivityViolation, SizeLimit,
-                            TransitivityViolation)
+                            TransitivityViolation, VerificationFailed)
 from cqlogic.formulas import Signature, identity_modulus
 from cqlogic.freelocale import FreeLocale
+
+SYMBOLIC = FreeLocale(("a", "b")).principals()     # the principal masks on two names
 
 from conftest import diamond_lattice, metric_closure, space_corpus
 
@@ -55,13 +57,13 @@ def _first_triangle_failure(V, points, dist):
 def test_triangle_check_matches_brute_force(roster, monkeypatch, spec, budget):
     """Seeded tables, half of them repaired to the triangle law and then
     perhaps raised at one entry; a small budget splits the rows into blocks."""
-    V = FreeLocale(("a", "b")) if spec == "symbolic:2" else roster[spec]
-    elements = list(V.carrier())
+    V = SYMBOLIC if spec == "symbolic:2" else roster[spec]
+    elements = list(range(V.size))
     monkeypatch.setattr(sp, "CELL_BUDGET", budget)
     rng = random.Random("%s/%d" % (spec, budget))
     outcomes = set()
-    for _ in range(60 if spec == "symbolic:2" else 160):
-        m = rng.randint(1, 6 if spec == "symbolic:2" else 8)
+    for _ in range(160):
+        m = rng.randint(1, 8)
         points = ["p%d" % i for i in range(m)]
         dist = [[V.bottom if x == y else rng.choice(elements) for y in range(m)]
                 for x in range(m)]
@@ -106,33 +108,20 @@ def test_triangle_witness_through_twin_copies(chain4, monkeypatch):
 
 @pytest.mark.parametrize("symbolic", [False, True], ids=["table", "symbolic"])
 def test_malformed_tables_raise_reflexivity_violation(roster, symbolic):
-    V = FreeLocale(("a", "b")) if symbolic else roster["freelocale:2"]
-    o, t = V.bottom, V.top
-    foreign = frozenset([frozenset("a")]) if symbolic else V.size   # not down-closed
+    V = SYMBOLIC if symbolic else roster["freelocale:2"]
+    o, t = V.bottom, 0                                  # 0: the top table index, the mask ↓∅
     for dist in ([[o, 1.0], [t, o]],                   # not an integer
                  [[o, "1"], [t, o]],                   # a string
-                 [[o, foreign], [t, o]],               # outside the carrier
+                 [[o, V.size], [t, o]],                # outside the carrier
                  [[o, -1], [t, o]],
                  [[o, t], [t]],                        # ragged rows
                  [[o, t], [t, o], [t, t]],             # three rows
                  [[o, t, t], [t, o, t]],
-                 [[t, t], [t, o]]):                    # d(p,p) is not the bottom
+                 [[t, t], [t, o]],                     # d(p,p) is not the bottom
+                 np.array([[0, 1.0], [1, 0]]),
+                 np.array([[o, t], [float(t), o]], dtype=object)):   # equal to t, not one
         with pytest.raises(ReflexivityViolation):
             sp.validate_space(V, ["p", "q"], dist)
-    if not symbolic:
-        for dist in (np.array([[0, 1.0], [1, 0]]), np.array([[0, V.size], [1, 0]]),
-                     np.array([[o, t], [float(t), o]], dtype=object)):   # equal to t, not one
-            with pytest.raises(ReflexivityViolation):
-                sp.validate_space(V, ["p", "q"], dist)
-
-
-def test_unhashable_symbolic_entry_is_not_an_element():
-    """Entries are checked once each, in row-major order; an unhashable one
-    is reported like any other foreign entry."""
-    V = FreeLocale(("a", "b"))
-    o, t = V.bottom, V.top
-    with pytest.raises(ReflexivityViolation, match=r"dist entry \{'a'\} is not a V element"):
-        sp.validate_space(V, ["p", "q", "r"], [[o, t, {"a"}], [t, o, "1"], [{"b"}, t, o]])
 
 
 def test_dist_is_one_read_only_array(chain4):
@@ -147,7 +136,7 @@ def test_dist_is_one_read_only_array(chain4):
     assert sem.validate_structure(X, sig, {"P": [0, 1]}).dist is X.dist
     topo = sp.validate_topology(["a", "b"], [frozenset(), frozenset("b"), frozenset("ab")])
     S = sp.space_from_topology(topo, materialize=False)
-    assert S.dist.dtype == object and S.dist.shape == (2, 2)
+    assert S.dist.dtype == np.int64 and S.dist.shape == (2, 2)
     assert not S.dist.flags.writeable
     assert not sp.dual_space(S).dist.flags.writeable
 
@@ -186,7 +175,7 @@ def test_product_distance_is_pairwise_join(chain4):
 
 
 def _random_space(V, m, rng, name="p"):
-    elements = list(V.carrier())
+    elements = list(range(V.size))
     dist = [[V.bottom if x == y else rng.choice(elements) for y in range(m)] for x in range(m)]
     return sp.validate_space(V, ["%s%d" % (name, i) for i in range(m)], metric_closure(V, dist))
 
@@ -194,17 +183,17 @@ def _random_space(V, m, rng, name="p"):
 @pytest.mark.parametrize("spec", ["chain:4", "symbolic:2"])
 def test_joins_read_the_carrier_tables(roster, spec):
     """Symmetrizations and products join through ``V.lattice.join``: int32
-    tables equal to the pairwise `join_of` on a table carrier, frozenset
-    intersections on the symbolic free locale."""
+    tables equal to the pairwise `join_of` on a table carrier, int64 mask
+    intersections on the principal masks."""
     symbolic = spec == "symbolic:2"
-    V = FreeLocale(("a", "b")) if symbolic else roster[spec]
+    V = SYMBOLIC if symbolic else roster[spec]
     join = (lambda p, q: p & q) if symbolic else (lambda a, b: V.join_of([a, b]))
     rng = random.Random(spec)
     for _ in range(10):
         X = _random_space(V, rng.randint(1, 4), rng)
         Y = _random_space(V, rng.randint(1, 3), rng, "q")
         S, P = sp.symmetric_space(X), sp.product_space(X, Y)
-        assert S.dist.dtype == P.dist.dtype == (object if symbolic else np.int32)
+        assert S.dist.dtype == P.dist.dtype == (np.int64 if symbolic else np.int32)
         assert S.dist.tolist() == [[join(X.d(x, y), X.d(y, x)) for y in range(X.m)]
                                    for x in range(X.m)]
         assert P.dist.tolist() == [[join(X.d(i1, i2), Y.d(j1, j2))
@@ -216,11 +205,11 @@ def test_failing_symbolic_table_stops_after_its_witness_block(monkeypatch):
     """One (table, row) pair per block: the witness d(0,1) > d(0,2) + d(2,1)
     lies in row 0, so only that block's m² sums are looked up; a valid table
     looks up all m blocks."""
-    V = FreeLocale(("a", "b"))
+    V = SYMBOLIC
     m = 6
-    table = np.full((m, m), V.bottom, dtype=object)
-    table[0, 1] = V.top
-    monkeypatch.setattr(sp, "CELL_BUDGET", m * m * V.cell_cost)
+    table = np.full((m, m), V.bottom, dtype=V.dtype)
+    table[0, 1] = 0                                   # ↓∅, above every other mask
+    monkeypatch.setattr(sp, "CELL_BUDGET", m * m)
     cells, add = [], V.add
 
     class Counting:
@@ -285,7 +274,7 @@ def test_sierpinski_topology(sierpinski):
 
 def _topology_carrier(spec):
     if spec == "symbolic:2":
-        return FreeLocale(("a", "b"))
+        return SYMBOLIC
     if spec == "diamond_join":                     # 0 ≺ 0 fails: positives {a, b, 1}
         diamond = diamond_lattice()
         return cq.validate_coquantale(diamond, diamond.join, name="diamond-join")
@@ -307,7 +296,7 @@ def test_induced_topology_is_the_definitional_scan(spec, m, rng):
     V = TOPOLOGY_CARRIERS[spec]
     assert V.is_positive(V.bottom) == (spec != "diamond_join")    # both radius branches
     X = _random_space(V, m, rng)
-    positives = V.positives()
+    positives = range(V.size) if spec == "symbolic:2" else V.positives()   # every mask is positive
 
     def disc(x, eps):
         return {y for y in range(m) if V.lattice.cwb[X.dist[x, y], eps]}
@@ -498,32 +487,84 @@ def _never(*args, **kwargs):
 
 
 def test_flagg_rejects_large_point_sets(monkeypatch):
-    """Four points and two opens fit the budget; 500 points cost 250,000
-    distances and a 500^3 triangle check, refused before any distance."""
+    """Four points and two opens fit the budget; 500 points cost the
+    500^2·2 cells of the mask build and a 500^3 triangle check, refused one
+    below that before any distance."""
     topo = sp.validate_topology(["a", "b", "c", "d"],
                                 [frozenset(), frozenset("abcd")])
     assert sp.induced_topology(sp.space_from_topology(topo)).opens == topo.opens
     points = ["p%d" % i for i in range(500)]
     big = sp.validate_topology(points, [frozenset(), frozenset(points)])
-    monkeypatch.setattr(FreeLocale, "principal", _never)
+    monkeypatch.setattr(sp, "sorted_opens", _never)
+    monkeypatch.setattr(sp, "WORK_BUDGET", 125499999)
     with pytest.raises(SizeLimit, match="the space of a topology on 500 points with 2 opens "
-                                        "costs 221000000 cell operations"):
+                                        "costs 125500000 cell operations"):
         sp.space_from_topology(big)
 
 
+def test_flagg_refuses_more_opens_than_mask_bits(monkeypatch):
+    """The discrete topology on six points has 64 opens, one more than an
+    int64 mask holds: refused before any distance."""
+    points = list("abcdef")
+    subsets = [frozenset(c) for k in range(7) for c in combinations(points, k)]
+    topo = sp.validate_topology(points, subsets)
+    monkeypatch.setattr(sp, "sorted_opens", _never)
+    for materialize in ("auto", False, True):
+        with pytest.raises(SizeLimit, match="need 64 bits"):
+            sp.space_from_topology(topo, materialize=materialize)
+
+
+def test_mask_spaces_have_no_meets(monkeypatch):
+    """d(x, A), closures and the topology theorems need meets, which the
+    principal masks lack: each is refused at once, naming the carrier.
+    Joins stay principal, so the diameter is there."""
+    topo = sp.validate_topology(["a", "b"], [frozenset(), frozenset("b"), frozenset("ab")])
+    X = sp.space_from_topology(topo, materialize=False)
+    assert X.V.element_name(sp.diameter(X)) == "{U0+U2}"      # d(b, a): b ∈ U1, a ∉ U1
+    monkeypatch.setattr(sp, "dual_space", _never)
+    monkeypatch.setattr(sp, "induced_topology", _never)
+    for check in (lambda: sp.dist_to_set(X, "a", {"b"}), lambda: sp.closure(X, {"b"}),
+                  lambda: sp.check_topology_theorems(X)):
+        with pytest.raises(NoMeets, match=r"principal\(U0,U1,U2\) has no meets"):
+            check()
+
+
+def test_disc_that_is_not_open_fails_verification(monkeypatch):
+    """A patched ≺ (d ≺ ε iff d ≠ ε) on the discrete space of two points
+    gives B(a) = {b} and B(b) = {a}: only ∅ and {a, b} pass the scan, so the
+    discs are not open."""
+    points = ["a", "b"]
+    topo = sp.validate_topology(points, [frozenset(), frozenset("a"), frozenset("b"),
+                                         frozenset("ab")])
+    X = sp.space_from_topology(topo, materialize=False)
+    assert sp.induced_topology(X).opens == topo.opens
+
+    class Unequal:
+        def __getitem__(self, pair):
+            return np.not_equal(*pair)
+
+    monkeypatch.setattr(X.V.lattice, "cwb", Unequal())
+    with pytest.raises(VerificationFailed, match="not open"):
+        sp.induced_topology(X)
+
+
 def test_enumerate_topologies_count():
-    assert len(sp.enumerate_topologies(["a"])) == 1
-    assert len(sp.enumerate_topologies(["a", "b"])) == 4
-    assert len(sp.enumerate_topologies(["a", "b", "c"])) == 29
+    """The topologies and the preorders on 0 to 5 points (OEIS A000798)."""
+    for m, count in enumerate([1, 1, 4, 29, 355, 6942]):
+        points = ["p%d" % i for i in range(m)]
+        assert len(sp.enumerate_topologies(points)) == count
+        assert len(sp.enumerate_preorders(points)) == count
 
 
-def test_enumerate_topologies_refuses_five_points_before_scanning(monkeypatch):
-    """2^32 families of 32 subsets; the count is charged capped at 2^28, the
-    bits of the budget, and is still over it."""
+def test_enumerate_topologies_refuses_six_points_before_scanning(monkeypatch):
+    """2^30 reflexive relations of 36 pairs each; the count is charged
+    capped at 2^28, the bits of the budget, and is still over it."""
     monkeypatch.setattr(sp, "combinations", _never)
-    with pytest.raises(SizeLimit, match="enumerating topologies on 5 points costs "
-                                        "549755813888 cell operations"):
-        sp.enumerate_topologies(["a", "b", "c", "d", "e"])
+    with pytest.raises(SizeLimit, match="enumerating topologies on 6 points costs "
+                                        "9663676416 cell operations"):
+        sp.enumerate_topologies(["a", "b", "c", "d", "e", "f"])
+    with pytest.raises(SizeLimit, match="enumerating preorders on 6 points"):
+        sp.enumerate_preorders(["a", "b", "c", "d", "e", "f"])
     with pytest.raises(SizeLimit, match="on 40 points"):
         sp.enumerate_topologies(["p%d" % i for i in range(40)])
 
