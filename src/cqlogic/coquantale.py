@@ -45,8 +45,9 @@ class CoQuantale:
         self.safa_flag = bool(safa_flag)
         self.name = name or "coquantale"
         self._positives = tuple(lat.positives(lattice))   # {ε : 0 ≺ ε}, fixed per carrier
+        self.position = np.cumsum(lattice.cwb[lattice.bottom]) - 1   # [ε]: index in positives
         self._dividers = {}                               # n -> the table of `_dividers`
-        for table in (self.add, self.tsub, self.dsym):
+        for table in (self.add, self.tsub, self.dsym, self.position):
             table.setflags(write=False)
 
     # -- value universe surface (shared with the Flagg principal masks) ----

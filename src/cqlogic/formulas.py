@@ -12,10 +12,10 @@ Grammar (s-expressions, '#'-free, whitespace separated):
     term    := var | constname | "(" funname term* ")"
     var     := "x" digits
 
-All moduli are tables from the positives filter to itself. Connective
-moduli are measured with the symmetric value distance on both sides and
-max-combined tuple distance on the inputs; the claim is verified
-exhaustively before a connective is accepted.
+A modulus is one read-only array: a positive δ per ε of `positives`, in
+that order. Connective moduli are measured with the symmetric value
+distance on both sides and max-combined tuple distance on the inputs; the
+claim is verified exhaustively before a connective is accepted.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from __future__ import annotations
 import re
 from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
@@ -37,32 +37,36 @@ VAR_RE = re.compile(r"^x(\d+)$")
 
 
 class Modulus:
-    """An ε ↦ δ table, total on the positives filter, kept in increasing ε
-    (the order of `positives`), so equal moduli are one table."""
+    """Δ: V⁺ → V⁺ as one read-only int32 array, δ per ε of `positives` in
+    that order; equal moduli have equal bytes, so they are one table."""
 
-    def __init__(self, table):
-        self.table = dict(sorted(table.items()))
-
-    def delta(self, eps):
-        return self.table[eps]
+    def __init__(self, delta):
+        delta = np.asarray(delta)
+        self.delta = delta.astype(np.int32)
+        if (self.delta != delta).any():
+            raise ModulusViolated("delta %s is not an element" % delta[self.delta != delta][0])
+        self.delta.setflags(write=False)
 
     def __eq__(self, other):
-        return isinstance(other, Modulus) and self.table == other.table
+        return isinstance(other, Modulus) and self.delta.tobytes() == other.delta.tobytes()
 
     def __hash__(self):
-        return hash(frozenset(self.table.items()))
+        return hash(self.delta.tobytes())
 
     def __repr__(self):
-        return "Modulus(%r)" % (self.table,)
+        return "Modulus(%r)" % (self.delta.tolist(),)
 
 
 def validate_modulus(vq: CoQuantale, modulus: Modulus) -> Modulus:
-    pos = vq.positives()
-    if set(modulus.table) != set(pos):
+    delta = modulus.delta
+    if delta.shape != (len(vq.positives()),):
         raise ModulusViolated("modulus must be total on the positives filter")
-    for eps, delta in modulus.table.items():
-        if not vq.is_positive(delta):
-            raise ModulusViolated("delta %s is not positive" % vq.element_name(delta))
+    odd = np.flatnonzero((delta < 0) | (delta >= vq.size))
+    if odd.size:
+        raise ModulusViolated("delta %d is not an element" % delta[odd[0]])
+    low = np.flatnonzero(~vq.lattice.cwb[vq.bottom, delta])
+    if low.size:
+        raise ModulusViolated("delta %s is not positive" % vq.element_name(delta[low[0]]))
     return modulus
 
 
@@ -70,18 +74,18 @@ def modulus_cost(vq, count, arity, modulus):
     """Cell operations of `modulus_witness` over ``count`` argument tuples of
     ``arity`` coordinates: ``arity`` gathers per (s, t) cell, plus the
     n²·|modulus| table of `first_failure`."""
-    return count * count * arity + vq.size ** 2 * len(modulus.table)
+    return count * count * arity + vq.size ** 2 * modulus.delta.size
 
 
 @lru_cache(maxsize=16)
 def first_failure(vq, modulus):
-    """[d, od]: the position of the first ε in the modulus's order with
-    d ≤ Δ(ε) but od not ≤ ε, or ``len(modulus.table)`` when there is none.
-    Built once per carrier and modulus and shared read-only."""
-    leq, order = vq.lattice.leq, list(modulus.table)
-    bad = leq[:, None, list(modulus.table.values())] & ~leq[None, :, order]
-    first = np.where(bad.any(axis=2), bad.argmax(axis=2), len(order))
-    first = first.astype(np.min_scalar_type(len(order)))
+    """[d, od]: the position in `positives` of the first ε with d ≤ Δ(ε) but
+    od not ≤ ε, or ``modulus.delta.size`` when there is none. Built once per
+    carrier and modulus and shared read-only."""
+    leq = vq.lattice.leq
+    bad = leq[:, None, modulus.delta] & ~leq[None, :, list(vq.positives())]
+    first = np.where(bad.any(axis=2), bad.argmax(axis=2), modulus.delta.size)
+    first = first.astype(np.min_scalar_type(modulus.delta.size))
     first.setflags(write=False)
     return first
 
@@ -96,8 +100,8 @@ def _grids(n, arity):
 
 
 def modulus_witness(vq, what, coord_dist, arity, out_dist, outputs, modulus):
-    """The first (ε, s, t), ε in the modulus's order and then tuples s, t in
-    row-major order, with d(s,t) ≤ Δ(ε) but out_dist[outputs[s], outputs[t]]
+    """The first (ε, s, t), ε in the order of `positives` and then tuples s, t
+    in row-major order, with d(s,t) ≤ Δ(ε) but out_dist[outputs[s], outputs[t]]
     not ≤ ε, or None; d is the join of ``coord_dist`` over the ``arity``
     coordinates. Rows s run in blocks of at most CELL_BUDGET (s, t) cells;
     each cell gathers its first failing ε from `first_failure`."""
@@ -107,7 +111,7 @@ def modulus_witness(vq, what, coord_dist, arity, out_dist, outputs, modulus):
     first = first_failure(vq, modulus)
     grids = _grids(n, arity)
     rows = max(1, spaces.CELL_BUDGET // count)
-    best, where = len(modulus.table), None                  # ε position, s·count + t
+    best, where = modulus.delta.size, None                  # ε position, s·count + t
     for start in range(0, count, rows):
         s = np.arange(start, min(start + rows, count))
         near = coord_dist[grids[0][s, None], grids[0]]
@@ -119,31 +123,28 @@ def modulus_witness(vq, what, coord_dist, arity, out_dist, outputs, modulus):
             best, where = int(fail[at]), start * count + at
             if best == 0:
                 break
-    return None if where is None else (list(modulus.table)[best],) + divmod(where, count)
+    return None if where is None else (vq.positives()[best],) + divmod(where, count)
 
 
 def identity_modulus(vq: CoQuantale) -> Modulus:
-    return Modulus({e: e for e in vq.positives()})
+    return Modulus(vq.positives())
 
 
 @lru_cache(maxsize=16)
 def halver_modulus(vq: CoQuantale) -> Modulus:
     """The ε-halver on every positive, built once per carrier."""
-    return Modulus({e: epsilon_halver(vq, e) for e in vq.positives()})
+    return Modulus([epsilon_halver(vq, e) for e in vq.positives()])
 
 
-def compose_moduli(inner: Modulus, outer: Modulus) -> Modulus:
-    """Modulus for g∘f from f's (inner) and g's (outer) moduli."""
-    return Modulus({e: inner.delta(outer.delta(e)) for e in outer.table})
+def compose_moduli(vq: CoQuantale, inner: Modulus, outer: Modulus) -> Modulus:
+    """Modulus for g∘f from f's (inner) and g's (outer) moduli, via `position`."""
+    return Modulus(inner.delta[vq.position[outer.delta]])
 
 
 def meet_moduli(vq: CoQuantale, moduli) -> Modulus:
     """Pointwise meet; stays positive because V⁺ is meet-closed."""
-    moduli = list(moduli)
-    out = {}
-    for eps in vq.positives():
-        out[eps] = vq.meet_of(m.delta(eps) for m in moduli) if moduli else eps
-    return Modulus(out)
+    deltas = [m.delta for m in moduli] or [vq.positives()]          # of none: the identity
+    return Modulus(reduce(lambda a, b: vq.lattice.meet[a, b], deltas))
 
 
 class Connective:
@@ -195,7 +196,8 @@ def register_connective(vq: CoQuantale, name, table, claimed: Modulus) -> Connec
                 for u in (s, t))
         raise ModulusViolated(
             "%s: inputs %s, %s within Δ(%s)=%s but outputs %s apart"
-            % (name, x, y, vq.element_name(eps), vq.element_name(claimed.delta(eps)),
+            % (name, x, y, vq.element_name(eps),
+               vq.element_name(claimed.delta[vq.position[eps]]),
                vq.element_name(int(vq.dsym[table.flat[s], table.flat[t]]))))
     return Connective(name, arity, table, claimed)
 
@@ -295,6 +297,14 @@ class Formula:
         if hit is None:
             hit = texts[vq] = print_formula(self, vq)
         return hit
+
+    def modulus(self, sig, vq):
+        """`_infer`, kept per carrier and signature."""
+        moduli = self.__dict__.setdefault("_moduli", {})
+        hit = moduli.get((vq, sig))             # held as a 1-tuple: None is a record too
+        if hit is None:
+            hit = moduli[vq, sig] = (_infer(self, sig, vq),)
+        return hit[0]
 
 
 @dataclass(frozen=True)
@@ -437,6 +447,9 @@ class Signature:
                 and self.predicates == other.predicates
                 and self.functions == other.functions
                 and self.constants == other.constants)
+
+    def __hash__(self):
+        return hash((frozenset(self.predicates.items()), frozenset(self.functions.items())))
 
     def __repr__(self):
         return ("Signature(preds=%r, funs=%r, consts=%r)"
@@ -600,22 +613,9 @@ def print_formula(phi, vq: CoQuantale = None):
 # -- modulus inference ----------------------------------------------------------
 
 
-def term_modulus(t, sig: Signature, vq: CoQuantale):
-    """Modulus for a term's interpretation, or None when the term cannot
-    move at all (it contains no variables)."""
-    match t:
-        case Var():
-            return identity_modulus(vq)
-        case Const():
-            return None
-        case App(func=f, args=args):
-            return _composed(vq, [term_modulus(a, sig, vq) for a in args], sig.functions[f][1])
-    raise TypeError("not a term: %r" % (t,))
-
-
 def _composed(vq, parts, outer):
     """The meet of ``outer`` after each part that can move, or None."""
-    live = [compose_moduli(p, outer) for p in parts if p is not None]
+    live = [compose_moduli(vq, p, outer) for p in parts if p is not None]
     return meet_moduli(vq, live) if live else None
 
 
@@ -629,20 +629,26 @@ def infer_modulus(phi, sig: Signature, vq: CoQuantale) -> Modulus:
     """
     if not vq.value_flag:
         raise NotValueCoquantale("modulus inference needs a value co-quantale")
-    result = _infer(phi, sig, vq)
+    result = phi.modulus(sig, vq)
     return result if result is not None else identity_modulus(vq)
 
 
 def _infer(phi, sig, vq):
+    """The modulus of a formula node or a term, or None when it contains no
+    variable and so cannot move at all."""
     match phi:
-        case DistAtom(left=l, right=r):
-            return _composed(vq, [term_modulus(t, sig, vq) for t in (l, r)], halver_modulus(vq))
-        case PredAtom(pred=p, args=args):
-            return _composed(vq, [term_modulus(a, sig, vq) for a in args], sig.predicates[p][1])
-        case Conn(connective=c, args=args):
-            return _composed(vq, [_infer(a, sig, vq) for a in args], c.modulus)
-        case Val():
+        case Var():
+            return identity_modulus(vq)
+        case Const() | Val():
             return None
+        case App(func=f, args=args):
+            return _composed(vq, [_infer(a, sig, vq) for a in args], sig.functions[f][1])
+        case DistAtom(left=l, right=r):
+            return _composed(vq, [_infer(t, sig, vq) for t in (l, r)], halver_modulus(vq))
+        case PredAtom(pred=p, args=args):
+            return _composed(vq, [_infer(a, sig, vq) for a in args], sig.predicates[p][1])
+        case Conn(connective=c, args=args):
+            return _composed(vq, [a.modulus(sig, vq) for a in args], c.modulus)
         case Sup(body=b) | Inf(body=b):
-            return _infer(b, sig, vq)
-    raise TypeError("not a formula: %r" % (phi,))
+            return b.modulus(sig, vq)
+    raise TypeError("not a formula or term: %r" % (phi,))

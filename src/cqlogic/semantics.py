@@ -175,7 +175,7 @@ def enumerate_bodies(vq: CoQuantale, m, modulus):
     for start in range(0, len(dist), rows):     # blocks of at most CELL_BUDGET cells
         block = dist[start:start + rows]
         jumps = fails[block[:, None], gaps]     # [s, p, x, y]: the first ε failed
-        admitted[start:start + rows] = (jumps == len(modulus.table)).all(axis=(2, 3))
+        admitted[start:start + rows] = (jumps == modulus.delta.size).all(axis=(2, 3))
         moved = block[:, perms[:, :, None], perms[:, None, :]].reshape(len(block), orders, -1)
         keys[start:start + rows] = moved[:, :, cells] @ digits[:len(cells)] * n ** m
     space, pred = np.nonzero(admitted)

@@ -12,7 +12,7 @@ All formats are UTF-8 with '#' comments. Directives:
   @structure NAME over COQUANTALE / @universe P Q ... / @dist P Q ELEM /
       @pred P ARITY [@modulus EPS DELTA ...] / @predval P POINTS... ELEM /
       @fun F ARITY [@modulus ...] / @funval F POINTS... POINT / @const C P
-      (an omitted @modulus means the identity table)
+      (each positive EPS once; an omitted @modulus means the identity table)
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 from . import coquantale as cq
 from . import semantics as sem
 from . import spaces as sp
-from .errors import ParseError, UnknownElement
+from .errors import ModulusViolated, ParseError, UnknownElement
 from .formulas import Modulus, Signature, identity_modulus
 from .lattice import _path_counts, validate_lattice
 
@@ -207,11 +207,14 @@ class Workspace:
                     if toks[3] != "@modulus" or (len(toks) - 4) % 2:
                         raise ParseError("inline modulus must be '@modulus EPS DELTA ...'", lno)
                     try:
-                        table = {vq.parse_element(toks[i]): vq.parse_element(toks[i + 1])
-                                 for i in range(4, len(toks), 2)}
+                        eps, delta = ([vq.parse_element(t) for t in toks[i::2]] for i in (4, 5))
                     except UnknownElement:
                         raise ParseError("unknown element in @modulus", lno)
-                    modulus = Modulus(table)
+                    if len(set(eps)) < len(eps):
+                        raise ParseError("@modulus lists an ε twice", lno)
+                    if sorted(eps) != list(vq.positives()):
+                        raise ModulusViolated("modulus must be total on the positives filter")
+                    modulus = Modulus(np.array(delta)[np.argsort(eps)])
                 (preds if kind == "@pred" else funs).append((toks[1], arity, modulus))
             elif kind in ("@predval", "@funval"):
                 store = predvals if kind == "@predval" else funvals
@@ -301,7 +304,7 @@ def _cells(points, table):
 
 def _modulus_text(vq, modulus):
     return "@modulus " + " ".join("%s %s" % (vq.element_name(e), vq.element_name(d))
-                                  for e, d in modulus.table.items())
+                                  for e, d in zip(vq.positives(), modulus.delta))
 
 
 def _split_blocks(text):

@@ -9,6 +9,7 @@ definitional operations (`eval_formula`, `d_ultralimit`, the single-pair
 suites.
 """
 
+import functools
 import itertools
 import random
 import time
@@ -221,6 +222,45 @@ def test_criterion_08_modulus_propagation():
                     vals = np.asarray(evaluator.table(phi, window), dtype=np.int32).reshape(-1)
                     assert F.modulus_witness(vq, "a formula", dsym_pts, len(window), vq.dsym,
                                              vals, modulus) is None, (spec, phi.text(vq))
+
+
+def test_criterion_08_inferred_moduli_against_the_corpus_tight_ones():
+    """How tight is the propagation? Over every body on 2 points (identity
+    modulus on P), the corpus-tight δ of a formula at ε is the largest δ
+    below the symmetric tuple distance of every pair whose values are not
+    within ε. An inferred δ above it would be unsound; the counts of
+    entries where the two are equal are pinned. Both carriers are chains,
+    ordered by index."""
+    with criterion(8, "modulus tightness", 60):
+        for spec, entries, tight_entries in (("bool2", 10204, 3162), ("chain:4", 25510, 3716)):
+            vq = cq.builtin(spec)
+            leq, pos = vq.lattice.leq, np.array(vq.positives())
+            assert (leq == np.triu(np.ones_like(leq))).all() and len(pos) == vq.size
+            ident = F.identity_modulus(vq)
+            sig = F.Signature(predicates=[("P", 1, ident)])
+            dist, P, _ = sem.enumerate_bodies(vq, 2, ident)
+            evaluator = sem.TableEvaluator(vq, 2, dist, {"P": P})
+            dsym_pts = vq.lattice.join[dist, dist.transpose(0, 2, 1)]
+            near = {}                           # k -> [b, s, t]: symmetric tuple distance
+            for k in (1, 2):
+                grids = np.indices((2,) * k).reshape(k, -1)
+                near[k] = functools.reduce(lambda a, b: vq.lattice.join[a, b], (
+                    dsym_pts[:, g[:, None], g] for g in grids))
+            counted = equal = 0
+            for phi in sem.enumerate_formulas(sig, vq, 2, 2):
+                if not phi.window:
+                    continue
+                vals = evaluator.members(phi, phi.window).reshape(len(dist), -1)
+                seen = np.zeros((vq.size, vq.size), dtype=int)      # [d, gap] of some pair
+                seen[near[len(phi.window)], vq.dsym[vals[:, :, None], vals[:, None, :]]] = 1
+                # [ε, δ]: some pair within δ has values not within ε
+                fails = (~leq[:, pos]).T.astype(int) @ seen.T @ leq[:, pos].astype(int) > 0
+                tight = np.where(fails, -1, pos).max(axis=1)
+                inferred = F.infer_modulus(phi, sig, vq).delta
+                assert (inferred <= tight).all(), (spec, phi.text(vq), inferred, tight)
+                counted += len(pos)
+                equal += int((inferred == tight).sum())
+            assert (counted, equal) == (entries, tight_entries), spec
 
 
 def _modulus_corpus(vq, sig, count, max_points, seed):

@@ -1,9 +1,11 @@
+import collections
 import functools
 import random
 from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cqlogic import coquantale as cq
 from cqlogic import formulas as F
@@ -175,7 +177,7 @@ def _first_modulus_failure(vq, coord_dist, arity, out_dist, outputs, modulus):
     """(ε, x, y, s, t) from a triple loop: ε outermost in the modulus's order,
     then the tuples x = s-th and y = t-th in row-major order; or None."""
     tuples = list(product(range(len(coord_dist)), repeat=arity))
-    for eps, delta in modulus.table.items():
+    for eps, delta in zip(vq.positives(), modulus.delta):
         for s, x in enumerate(tuples):
             for t, y in enumerate(tuples):
                 near = vq.join_of(int(coord_dist[a, b]) for a, b in zip(x, y))
@@ -186,7 +188,7 @@ def _first_modulus_failure(vq, coord_dist, arity, out_dist, outputs, modulus):
 
 
 def _random_modulus(vq, rng):
-    return F.Modulus({e: rng.choice(vq.positives()) for e in vq.positives()})
+    return F.Modulus([rng.choice(vq.positives()) for _ in vq.positives()])
 
 
 @pytest.mark.parametrize("budget", [sp.CELL_BUDGET, 20, 7])
@@ -217,14 +219,14 @@ def test_connective_modulus_check_matches_brute_force(roster, monkeypatch, spec,
             expected = ("%s: inputs %s, %s within Δ(%s)=%s but outputs %s apart"
                         % (name, tuple(map(vq.element_name, x)),
                            tuple(map(vq.element_name, y)), vq.element_name(eps),
-                           vq.element_name(modulus.delta(eps)),
+                           vq.element_name(modulus.delta[vq.positives().index(eps)]),
                            vq.element_name(int(vq.dsym[table[x], table[y]]))))
         try:
             F.register_connective(vq, name, table, modulus)
             got = None
         except ModulusViolated as exc:
             got = str(exc)
-        assert got == expected, (table.tolist(), modulus.table)
+        assert got == expected, (table.tolist(), modulus)
         outcomes.add(got is None)
     assert outcomes == {True, False}
 
@@ -271,15 +273,14 @@ def test_symbol_modulus_check_matches_brute_force(roster, monkeypatch, spec, bud
             got = None
         except ModulusViolated as exc:
             got = str(exc)
-        assert got == expected, (space.dist.tolist(), table.tolist(), modulus.table)
+        assert got == expected, (space.dist.tolist(), table.tolist(), modulus)
         outcomes.add(got is None)
     assert outcomes == {True, False}
 
 
 def test_first_failure_is_built_once_per_carrier_and_modulus(chain4, monkeypatch):
     """Every modulus check and `enumerate_bodies` share one read-only table
-    per carrier and modulus; a modulus has no order, so the same entries
-    listed in another order are the same modulus and the same table."""
+    per carrier and modulus; equal moduli built apart are the same table."""
     fresh = functools.lru_cache(maxsize=16)(F.first_failure.__wrapped__)
     monkeypatch.setattr(F, "first_failure", fresh)
     monkeypatch.setattr(sem, "first_failure", fresh)
@@ -292,14 +293,26 @@ def test_first_failure_is_built_once_per_carrier_and_modulus(chain4, monkeypatch
     assert fresh.cache_info()[:2] == (3, 1)                     # hits, builds
     table = F.first_failure(chain4, ident)
     assert not table.flags.writeable
-    backwards = F.Modulus(dict(reversed(ident.table.items())))
-    assert F.first_failure(chain4, backwards) is table
+    assert F.first_failure(chain4, F.Modulus(np.arange(5))) is table
     assert fresh.cache_info()[:2] == (5, 1)
 
 
 def test_modulus_totality_enforced(chain4):
     with pytest.raises(ModulusViolated):
-        F.validate_modulus(chain4, F.Modulus({0: 0}))
+        F.validate_modulus(chain4, F.Modulus([0]))
+
+
+@pytest.mark.parametrize("delta, message", [
+    ([0, 1, -1, 3, 4], "delta -1 is not an element"),
+    ([0, 1, 5, 3, 4], "delta 5 is not an element"),
+    ([0, 1, 2 ** 32 + 1, 3, 4], "delta 4294967297 is not an element"),
+    ([0, 1, 1.5, 3, 4], "delta 1.5 is not an element"),
+], ids=["negative", "past-top", "past-int32", "non-integer"])
+def test_modulus_outside_the_carrier_names_its_delta(chain4, delta, message):
+    """numpy would read δ = -1 as the top and refuse δ ≥ n with an IndexError."""
+    with pytest.raises(ModulusViolated) as err:
+        F.validate_modulus(chain4, F.Modulus(delta))
+    assert str(err.value) == message
 
 
 # -- inference ------------------------------------------------------------------------
@@ -357,7 +370,134 @@ def test_inferred_modulus_sound_on_sample_structure(sig, chain4):
             for ys in product(range(3), repeat=len(window)):
                 moved = symmetric_tuple_distance(chain4, struct.dist, xs, ys)
                 out = chain4.dsym[int(table[xs]), int(table[ys])]
-                for eps in chain4.positives():
-                    if chain4.lattice.leq[moved, modulus.delta(eps)]:
+                for eps, delta in zip(chain4.positives(), modulus.delta):
+                    if chain4.lattice.leq[moved, delta]:
                         assert chain4.lattice.leq[out, eps], (
                             F.print_formula(phi, chain4), xs, ys, eps)
+
+
+# -- the dict algebra: the slow twin of the array moduli ----------------------------
+
+
+def _dict_of(vq, modulus):
+    return dict(zip(vq.positives(), modulus.delta.tolist()))
+
+
+def _compose_dicts(inner, outer):
+    return {e: inner[outer[e]] for e in outer}
+
+
+def _meet_dicts(vq, moduli):
+    return {eps: vq.meet_of(m[eps] for m in moduli) if moduli else eps
+            for eps in vq.positives()}
+
+
+def _composed_dicts(vq, parts, outer):
+    live = [_compose_dicts(p, outer) for p in parts if p is not None]
+    return _meet_dicts(vq, live) if live else None
+
+
+def _term_dict(t, sig, vq):
+    match t:
+        case F.Var():
+            return {e: e for e in vq.positives()}
+        case F.Const():
+            return None
+        case F.App(func=f, args=args):
+            return _composed_dicts(vq, [_term_dict(a, sig, vq) for a in args],
+                                   _dict_of(vq, sig.functions[f][1]))
+
+
+def _infer_dict(phi, sig, vq):
+    """`infer_modulus` by the recursion over dict tables, without records."""
+    match phi:
+        case F.DistAtom(left=l, right=r):
+            return _composed_dicts(vq, [_term_dict(t, sig, vq) for t in (l, r)],
+                                   {e: cq.epsilon_halver(vq, e) for e in vq.positives()})
+        case F.PredAtom(pred=p, args=args):
+            return _composed_dicts(vq, [_term_dict(a, sig, vq) for a in args],
+                                   _dict_of(vq, sig.predicates[p][1]))
+        case F.Conn(connective=c, args=args):
+            return _composed_dicts(vq, [_infer_dict(a, sig, vq) for a in args],
+                                   _dict_of(vq, c.modulus))
+        case F.Val():
+            return None
+        case F.Sup(body=b) | F.Inf(body=b):
+            return _infer_dict(b, sig, vq)
+
+
+def _moduli(vq):
+    pos = vq.positives()
+    return st.lists(st.sampled_from(pos), min_size=len(pos), max_size=len(pos)).map(F.Modulus)
+
+
+def _formulas(vq):
+    terms = st.recursive(st.sampled_from([F.Var(0), F.Var(1), F.Const("c")]),
+                         lambda t: st.builds(lambda a: F.App("f", (a,)), t), max_leaves=3)
+    atoms = st.one_of(st.builds(F.DistAtom, terms, terms),
+                      st.builds(lambda a: F.PredAtom("P", (a,)), terms),
+                      st.builds(lambda a, b: F.PredAtom("Q", (a, b)), terms, terms),
+                      st.builds(F.Val, st.sampled_from(vq.carrier())))
+    kit = list(F.default_kit(vq).values())
+
+    def extend(phi):
+        return st.one_of(
+            st.builds(F.Sup, st.integers(0, 1), phi), st.builds(F.Inf, st.integers(0, 1), phi),
+            st.sampled_from(kit).flatmap(lambda c: st.tuples(*[phi] * c.arity).map(
+                lambda args: F.Conn(c, args))))
+
+    return st.recursive(atoms, extend, max_leaves=6)
+
+
+@pytest.mark.parametrize("spec", ["chain:4", "lukasiewicz:4", "freelocale:2"])
+@settings(max_examples=40)
+@given(data=st.data())
+def test_array_moduli_match_the_dict_algebra(roster, spec, data):
+    """Compose, meet and inference on the arrays against the same on ε ↦ δ
+    dicts; inference over a random signature P/1, Q/2, f/1, c."""
+    vq = roster[spec]
+    inner, outer = data.draw(_moduli(vq)), data.draw(_moduli(vq))
+    assert _dict_of(vq, F.compose_moduli(vq, inner, outer)) == \
+        _compose_dicts(_dict_of(vq, inner), _dict_of(vq, outer))
+    parts = data.draw(st.lists(_moduli(vq), max_size=3))
+    assert _dict_of(vq, F.meet_moduli(vq, parts)) == \
+        _meet_dicts(vq, [_dict_of(vq, m) for m in parts])
+    sig = F.Signature(predicates=[("P", 1, data.draw(_moduli(vq))),
+                                  ("Q", 2, data.draw(_moduli(vq)))],
+                      functions=[("f", 1, data.draw(_moduli(vq)))], constants=["c"])
+    phi = data.draw(_formulas(vq))
+    expected = _infer_dict(phi, sig, vq) or {e: e for e in vq.positives()}
+    assert _dict_of(vq, F.infer_modulus(phi, sig, vq)) == expected, phi.text(vq)
+
+
+def test_a_pool_infers_each_node_once_per_carrier_and_signature(roster, monkeypatch):
+    """Every pool node holds its inferred modulus per carrier and signature:
+    a second pass and an equal signature built apart infer nothing, another
+    signature and another carrier infer each node once more. The pool holds
+    every subformula of its formulas, so its nodes are all the nodes there
+    are."""
+    calls = collections.Counter()
+    infer = F._infer
+
+    def counted(phi, sig, vq):
+        if isinstance(phi, F.Formula):          # terms are not nodes
+            calls[id(phi), vq, sig] += 1
+        return infer(phi, sig, vq)
+
+    monkeypatch.setattr(F, "_infer", counted)
+    chain4, luk4 = roster["chain:4"], roster["lukasiewicz:4"]
+    sig = F.Signature(predicates=[("P", 1, F.identity_modulus(chain4))])
+    pool = sem.enumerate_formulas(sig, chain4, 2, 1)
+    moduli = [F.infer_modulus(phi, sig, chain4) for phi in pool]
+    assert len(calls) == sum(calls.values()) == len(pool)
+    again = F.Signature(predicates=[("P", 1, F.identity_modulus(chain4))])
+    assert [F.infer_modulus(phi, again, chain4) for phi in pool] == moduli
+    assert sum(calls.values()) == len(pool)
+    halved = F.Signature(predicates=[("P", 1, F.halver_modulus(chain4))])
+    assert [_dict_of(chain4, F.infer_modulus(phi, halved, chain4)) for phi in pool] == \
+        [_infer_dict(phi, halved, chain4) or _dict_of(chain4, F.identity_modulus(chain4))
+         for phi in pool] != [_dict_of(chain4, m) for m in moduli]
+    assert len(calls) == sum(calls.values()) == 2 * len(pool)
+    for phi in pool:
+        F.infer_modulus(phi, sig, luk4)
+    assert len(calls) == sum(calls.values()) == 3 * len(pool)

@@ -47,7 +47,7 @@ def test_empty_signature_is_valid(chain4):
 
 def test_constant_predicate_passes_any_modulus(chain4):
     space = sp.validate_space(chain4, ["a", "b"], [[0, 4], [4, 0]])
-    minimal = F.Modulus({e: 0 for e in chain4.positives()})
+    minimal = F.Modulus(np.zeros(len(chain4.positives()), dtype=int))
     sig = F.Signature(predicates=[("P", 1, minimal)])
     sem.validate_structure(space, sig, {"P": [3, 3]})
 

@@ -122,7 +122,7 @@ def _write_per_cell(struct, name=None):
             arity, modulus = symbols[sname]
             out.append("@%s %s %d @modulus %s" % (kind, sname, arity, " ".join(
                 "%s %s" % (vq.element_name(e), vq.element_name(d))
-                for e, d in sorted(modulus.table.items()))))
+                for e, d in zip(vq.positives(), modulus.delta))))
             for combo in np.ndindex(*tables[sname].shape):
                 args = " ".join(struct.points[i] for i in combo)
                 out.append("@%sval %s %s %s"
@@ -181,7 +181,10 @@ def test_covering_pairs_close_to_full_order():
      "unknown element 'seven'"),
     ("@structure M over C4\n@universe p q\n@predval P p 1\n@pred P 1 @modulus 1 1 2 2 3 seven\n",
      "unknown element in @modulus"),
-], ids=["dist", "predval", "modulus"])
+    # each ε at most once
+    ("@structure M over C4\n@universe p q\n@predval P p 1\n"
+     "@pred P 1 @modulus 0 0 1 1 2 2 3 3 4 4 4 0\n", "@modulus lists an ε twice"),
+], ids=["dist", "predval", "modulus", "modulus-twice"])
 def test_unknown_dist_element_reports_its_line(block, message):
     ws = Workspace()
     ws.load_text("@coquantale C4\n@builtin chain:4\n")
