@@ -4,7 +4,10 @@ structures, the quotient ultraproduct, the V-ultrapower equivalence, the
 
 D-limits are always computed by the definitional candidate scan (every
 positive radius must put the tail set into D); the principal shortcut is
-never assumed, so the Łoś checks stay genuine two-sided computations.
+never assumed, so the Łoś checks stay genuine two-sided computations. A
+D-product reads every D-limit it needs (its distances, its predicate
+tables and the right side of each Łoś report) through one `DLimits` table,
+so the scan runs once per distinct tuple of factor values per product.
 """
 
 from __future__ import annotations
@@ -96,6 +99,8 @@ def dlim_batch(vq: CoQuantale, seqs, D: PrincipalUltrafilter):
     """d_ultralimit over the rows of an (N, I) array, vectorized but still
     running the definitional per-ε membership test on every candidate. Rows
     are taken in blocks of at most CELL_BUDGET (candidate, row, j, ε) cells."""
+    if not vq.value_flag:
+        raise NotValueCoquantale("D-limits live in value co-quantales")
     seqs = np.asarray(seqs, dtype=np.int32)
     check_cost("%d D-limits over %d indices" % seqs.shape, dlim_cost(vq, *seqs.shape))
     rows = max(1, spaces.CELL_BUDGET // max(1, dlim_cost(vq, 1, seqs.shape[1])))
@@ -119,12 +124,55 @@ def dlim_cost(vq: CoQuantale, rows, width):
     return rows * vq.size * len(vq.positives()) * width
 
 
+class DLimits:
+    """The D-limits of one D-product, each distinct tuple of factor values
+    scanned once.
+
+    Over n elements and I factors, the tuple (v_0, ..., v_(I-1)) has the
+    mixed-radix code Σ v_i·n^(I-1-i), and ``table[code]`` is its D-limit, or
+    -1 while it has not been needed. A read sends only the unseen distinct
+    tuples to `dlim_batch`, so every entry is the definitional scan. The
+    table is kept when nᴵ ≤ `CELL_BUDGET`; past that, every read sends its
+    rows to `dlim_batch`."""
+
+    def __init__(self, vq: CoQuantale, D: PrincipalUltrafilter):
+        self.vq, self.D = vq, D
+        self.table = None
+        if vq.size ** D.index_count <= spaces.CELL_BUDGET:
+            # a code is below nᴵ ≤ CELL_BUDGET, so it fits in int32
+            self.radix = vq.size ** np.arange(D.index_count - 1, -1, -1, dtype=np.int32)
+            self.table = np.full(vq.size ** D.index_count, -1, dtype=np.int32)
+            self.table.setflags(write=False)
+
+    def __call__(self, tables, gather):
+        """[r]: the D-limit of the factor values tables[i].flat[gather[i, r]]."""
+        if self.table is None:
+            return dlim_batch(self.vq, _factor_values(tables, gather).T, self.D)
+        codes = np.zeros(gather.shape[1], dtype=np.int32)
+        for radix, table, flat in zip(self.radix, tables, gather):
+            codes += (table.reshape(-1) * radix).take(flat)
+        out = self.table.take(codes)
+        if out.min() < 0:
+            # the distinct unseen codes (np.unique would import numpy.ma, about
+            # 10 ms of every cql process that reads a D-limit)
+            missing = np.sort(codes[out < 0])
+            new = missing[np.append(True, missing[1:] != missing[:-1])]
+            # computed before the table is written, so a refused fill leaves no entry
+            limits = dlim_batch(self.vq, new[:, None] // self.radix % self.vq.size, self.D)
+            self.table.setflags(write=True)
+            self.table[new] = limits
+            self.table.setflags(write=False)
+            out = self.table.take(codes)
+        return out
+
+
 # -- D-products of spaces -----------------------------------------------------------
 
 
-def d_product_space(spaces, D: PrincipalUltrafilter):
+def d_product_space(spaces, D: PrincipalUltrafilter, limits=None):
     """Tuple point set with d_D((x_i), (y_i)) = lim_D of the factor
-    distances; validated as a continuity space afterwards."""
+    distances, read through ``limits`` (the product's `DLimits`, new if not
+    given); validated as a continuity space afterwards."""
     spaces = list(spaces)
     if len(spaces) != D.index_count:
         raise SizeLimit("need one factor per index")
@@ -136,11 +184,10 @@ def d_product_space(spaces, D: PrincipalUltrafilter):
     check_cost("a D-product of %d points" % total, _product_space_cost(vq, sizes))
     tuples = list(iproduct(*[range(s.m) for s in spaces]))
     names = ["|".join(s.points[i] for s, i in zip(spaces, combo)) for combo in tuples]
-    # [i, (x, y)], held until the space is validated: freed before that, it
-    # left about 2 MB more resident in `cql ultra` on 432 points
-    seqs = _factor_values([s.dist for s in spaces], sizes, 2)
-    limits = dlim_batch(vq, seqs.T, D)
-    space = validate_space(vq, names, limits.reshape(total, total))
+    if limits is None:
+        limits = DLimits(vq, D)
+    dist = limits([s.dist for s in spaces], factor_gather(sizes, 2))
+    space = validate_space(vq, names, dist.reshape(total, total))
     space.tuples = tuples
     return space
 
@@ -161,12 +208,11 @@ def factor_gather(sizes, w):
     return out
 
 
-def _factor_values(tables, sizes, w):
-    """[i, r]: factor i's w-axis table at the r-th w-tuple of product
-    points, gathered in place over `factor_gather`."""
-    values = factor_gather(sizes, w)
-    for row, table in zip(values, tables):
-        row[:] = table.reshape(-1)[row]
+def _factor_values(tables, gather):
+    """[i, r]: factor i's table at the flat index gather[i, r]."""
+    values = np.empty_like(gather)
+    for row, table, flat in zip(values, tables, gather):
+        row[:] = table.reshape(-1)[flat]
     return values
 
 
@@ -254,14 +300,17 @@ def ultrapower_V(vq: CoQuantale, D: PrincipalUltrafilter) -> UltrapowerResult:
 
 @dataclass
 class DProductStructure:
-    """A D-product and the gathers that every Łoś sweep on it shares:
-    `factor_gather` of the factor sizes, one per window width. The
-    evaluators and hypothesis verdicts are held by the product's structure
-    and by each factor."""
+    """A D-product and what every Łoś sweep on it shares: `factor_gather`
+    of the factor sizes, one per window width, and the product's `DLimits`,
+    which holds the D-limit of each distinct tuple of factor values once it
+    has been scanned (still by the definitional scan, once per tuple per
+    product). The evaluators and hypothesis verdicts are held by the
+    product's structure and by each factor."""
     structure: LStructure
     factors: list
     D: PrincipalUltrafilter
     tuples: list
+    limits: DLimits = field(repr=False, compare=False)
     _gathers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def gather(self, w):
@@ -292,21 +341,23 @@ def d_product_structure(factors, D: PrincipalUltrafilter) -> DProductStructure:
                _product_space_cost(vq, sizes) + structure_cost(vq, sig, total)
                + sum(dlim_cost(vq, total ** arity, len(sizes))
                      for arity, _ in sig.predicates.values()))
-    space = d_product_space([f.space for f in factors], D)
+    limits = DLimits(vq, D)
+    space = d_product_space([f.space for f in factors], D, limits)
     pred_tables = {}
     for pname, (arity, _) in sig.predicates.items():
-        values = _factor_values([f.pred_tables[pname] for f in factors], sizes, arity)
-        pred_tables[pname] = dlim_batch(vq, values.T, D).reshape((total,) * arity)
+        pred_tables[pname] = limits([f.pred_tables[pname] for f in factors],
+                                    factor_gather(sizes, arity)).reshape((total,) * arity)
     # the product point of a tuple of factor points, as in row-major order
     strides = np.array([math.prod(sizes[i + 1:]) for i in range(len(sizes))])
     fun_tables = {}
     for fname, (arity, _) in sig.functions.items():
-        images = _factor_values([f.fun_tables[fname] for f in factors], sizes, arity)
+        images = _factor_values([f.fun_tables[fname] for f in factors],
+                                factor_gather(sizes, arity))
         fun_tables[fname] = (strides @ images).astype(np.int32).reshape((total,) * arity)
     consts = {c: int(strides @ [f.const_points[c] for f in factors]) for c in sig.constants}
     structure = validate_structure(space, sig, pred_tables, fun_tables, consts,
                                    name="D-product")
-    return DProductStructure(structure, factors, D, space.tuples)
+    return DProductStructure(structure, factors, D, space.tuples, limits)
 
 
 # -- the Łoś verifier ----------------------------------------------------------------
@@ -386,45 +437,24 @@ def los_sweep(dp: DProductStructure, pool):
 
     Each piece of work is done once by what it depends on: the formula
     records by the nodes, the tables and hypothesis verdicts by the product's
-    structure and each factor, the factor gathers by ``dp``. The right
-    sides of consecutive formulas go to `dlim_batch` together, in calls of
-    at most `WORK_BUDGET`; a formula that alone is over it gets its own call,
-    which refuses it."""
-    cap = spaces.WORK_BUDGET // dlim_cost(dp.structure.V, 1, len(dp.factors))
-    reports, group, rows = [], [], 0
-    for phi in pool:
-        size = dp.structure.m ** len(phi.window)
-        if group and rows + size > cap:
-            reports += _los_reports(dp, group, rows)
-            group, rows = [], 0
-        group.append(phi)
-        rows += size
-    if group:
-        reports += _los_reports(dp, group, rows)
-    return reports
-
-
-def _los_reports(dp, group, rows):
-    """The reports of consecutive formulas whose assignments add up to
-    ``rows``, with one `dlim_batch` call."""
+    structure and each factor, the factor gathers and the D-limit of each
+    distinct tuple of factor values by ``dp``. A report's left side is the
+    product's node table and its right side one read of the factors' node
+    tables through ``dp.limits``: every D-limit is still the definitional
+    scan, run once per distinct tuple per product."""
     vq, product = dp.structure.V, dp.structure
-    left = np.empty(rows, dtype=np.int32)
-    values = np.empty((len(dp.factors), rows), dtype=np.int32)    # [factor, row]
-    bounds = [0]
-    for phi in group:
-        start, end = bounds[-1], bounds[-1] + product.m ** len(phi.window)
+    reports = []
+    for phi in pool:
         # a node's table has size-m axes exactly at its free variables, so
         # flattened it runs over the w-tuples of points in row-major order
-        left[start:end] = product.evaluator(phi.span)(phi).reshape(-1)
-        for row, f, gather in zip(values, dp.factors, dp.gather(len(phi.window))):
-            row[start:end] = f.evaluator(phi.span)(phi).reshape(-1)[gather]
-        bounds.append(end)
-    right = dlim_batch(vq, values.T, dp.D)
-    return [LosReport(phi.text(vq), left[start:end], right[start:end],
-                      [(f.name, sub.text(vq)) + f.hypothesis(sub)
-                       for sub in phi.quantified for f in dp.factors],
-                      product.points, len(phi.window))
-            for phi, start, end in zip(group, bounds, bounds[1:])]
+        left = product.evaluator(phi.span)(phi).reshape(-1)
+        right = dp.limits([f.evaluator(phi.span)(phi) for f in dp.factors],
+                          dp.gather(len(phi.window)))
+        reports.append(LosReport(phi.text(vq), left, right,
+                                 [(f.name, sub.text(vq)) + f.hypothesis(sub)
+                                  for sub in phi.quantified for f in dp.factors],
+                                 product.points, len(phi.window)))
+    return reports
 
 
 # -- compactness --------------------------------------------------------------------

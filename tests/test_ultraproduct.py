@@ -9,7 +9,8 @@ from cqlogic import semantics as sem
 from cqlogic import spaces as sp
 from cqlogic import ultraproduct as up
 from cqlogic.errors import (NotCoDivisible, NotFinitelySatisfiable,
-                            NotSymmetricFactors, SizeLimit)
+                            NotSymmetricFactors, NotValueCoquantale, SizeLimit)
+from cqlogic.textio import Workspace
 from conftest import cauchy_verdicts
 
 
@@ -410,14 +411,89 @@ def test_factor_gather_matches_the_per_tuple_definition(sizes, w):
             assert gather[i, r] == sum(p[i] * m ** (w - 1 - k) for k, p in enumerate(combo))
 
 
-def test_los_sweep_splits_its_d_limits_by_the_work_budget(chain4, sig, factors, monkeypatch):
-    """With the work budget patched down to the D-limits of the largest
-    single formula, the pool's right sides go to dlim_batch in many calls,
-    none refused, and the reports are the same; one row less refuses that
-    formula, as its own los_check call is refused."""
+def _needed_tuples(dp, pool):
+    """Every tuple of factor values whose D-limit building ``dp`` and
+    sweeping ``pool`` on it needs, read from the factors' tables and from
+    `eval_formula` on each factor."""
+    points = range(dp.structure.m)
+    needed = {tuple(f.dist[x[i], y[i]] for i, f in enumerate(dp.factors))
+              for x, y in product(dp.tuples, repeat=2)}
+    needed |= {tuple(f.pred_tables["P"][x[i]] for i, f in enumerate(dp.factors))
+               for x in dp.tuples}
+    for phi in pool:
+        values = [{a: sem.eval_formula(f, phi, dict(zip(phi.window, a)))
+                   for a in product(range(f.m), repeat=len(phi.window))} for f in dp.factors]
+        for assignment in product(points, repeat=len(phi.window)):
+            needed.add(tuple(v[tuple(dp.tuples[p][i] for p in assignment)]
+                             for i, v in enumerate(values)))
+    return needed
+
+
+def test_a_d_product_scans_each_distinct_tuple_once(chain4, sig, factors, monkeypatch):
+    """Building a product and sweeping a pool on it passes each distinct
+    tuple of factor values to dlim_batch once in all, and a second sweep
+    passes none; the reports equal those of fresh products. With the work
+    budget one below the cost of a fill, the fill is refused as dlim_batch
+    refuses it, and leaves no entry in the table."""
     pool = sem.enumerate_formulas(sig, chain4, 1, 2)
-    dp = up.d_product_structure([factors[0], factors[1], factors[0]],
-                                up.PrincipalUltrafilter(3, 2))
+    chosen, D = [factors[0], factors[1], factors[0]], up.PrincipalUltrafilter(3, 2)
+    rows = []
+
+    def counted(vq, seqs, D):
+        rows.extend(map(tuple, np.asarray(seqs).tolist()))
+        return dlim_batch(vq, seqs, D)
+
+    dlim_batch = up.dlim_batch
+    monkeypatch.setattr(up, "dlim_batch", counted)
+    dp = up.d_product_structure(chosen, D)
+    reports = up.los_sweep(dp, pool)
+    assert len(rows) == len(set(rows))
+    assert set(rows) == _needed_tuples(dp, pool)
+    assert (dp.limits.table >= 0).sum() == len(rows)
+    assert not dp.limits.table.flags.writeable
+    del rows[:]
+    again = up.los_sweep(dp, pool)
+    assert rows == []
+    for phi, got, second in zip(pool, reports, again):
+        _same_report(got, second, chain4)
+        _same_report(got, up.los_check(up.d_product_structure(chosen, D), phi), chain4)
+
+    # the formula whose report fills most of a fresh product's table:
+    # admitted at the cost of that fill, refused one below it
+    fills = []
+    for phi in pool:
+        fresh = up.d_product_structure(chosen, D)
+        del rows[:]
+        want = up.los_check(fresh, phi)
+        fills.append((len(rows), phi, want))
+    fill, phi, want = max(fills, key=lambda f: f[0])
+    assert fill == 11
+    fresh = up.d_product_structure(chosen, D)
+    before = fresh.limits.table.copy()
+    cost = up.dlim_cost(chain4, fill, 3)
+    monkeypatch.setattr(sp, "WORK_BUDGET", cost - 1)
+    with pytest.raises(SizeLimit) as info:
+        up.los_check(fresh, phi)
+    assert str(info.value) == ("%d D-limits over 3 indices costs %d cell operations "
+                               "(budget %d)" % (fill, cost, cost - 1))
+    assert np.array_equal(fresh.limits.table, before)
+    monkeypatch.setattr(sp, "WORK_BUDGET", cost)
+    _same_report(up.los_check(fresh, phi), want, chain4)
+
+
+def test_los_reports_on_the_row_path_match_the_table(chain4, sig, factors, monkeypatch):
+    """A product built with nᴵ > CELL_BUDGET keeps no table and sends every
+    read to dlim_batch row by row, one call per formula; its structure and
+    reports equal those of the product that keeps a table."""
+    pool = sem.enumerate_formulas(sig, chain4, 1, 2)
+    chosen, D = [factors[1], factors[0], factors[1]], up.PrincipalUltrafilter(3, 0)
+    kept = up.d_product_structure(chosen, D)
+    assert kept.limits.table is not None
+    monkeypatch.setattr(sp, "CELL_BUDGET", chain4.size ** 3 - 1)
+    rows = up.d_product_structure(chosen, D)
+    assert rows.limits.table is None
+    assert np.array_equal(rows.structure.dist, kept.structure.dist)
+    assert np.array_equal(rows.structure.pred_tables["P"], kept.structure.pred_tables["P"])
     calls = []
 
     def counted(vq, seqs, D):
@@ -426,22 +502,70 @@ def test_los_sweep_splits_its_d_limits_by_the_work_budget(chain4, sig, factors, 
 
     dlim_batch = up.dlim_batch
     monkeypatch.setattr(up, "dlim_batch", counted)
-    whole = up.los_sweep(dp, pool)
-    rows = [len(r.entries) for r in whole]
-    assert calls == [sum(rows)]
-    largest = max(rows)
-    monkeypatch.setattr(sp, "WORK_BUDGET", up.dlim_cost(chain4, largest, 3))
-    del calls[:]
-    chunked = up.los_sweep(dp, pool)
-    assert len(calls) > 1 and max(calls) == largest and sum(calls) == sum(rows)
-    for got, want in zip(chunked, whole):
+    swept = up.los_sweep(rows, pool)
+    assert calls == [rows.structure.m ** len(phi.window) for phi in pool]
+    for got, want in zip(swept, up.los_sweep(kept, pool)):
         _same_report(got, want, chain4)
-    monkeypatch.setattr(sp, "WORK_BUDGET", up.dlim_cost(chain4, largest, 3) - 1)
-    refused = "%d D-limits over 3 indices costs" % largest
-    with pytest.raises(SizeLimit, match=refused):
-        up.los_sweep(dp, pool)
-    with pytest.raises(SizeLimit, match=refused):
-        up.los_check(dp, next(phi for phi in pool if len(F.free_vars(phi)) == 2))
+
+
+@pytest.mark.parametrize("spec", ["bool2", "chain:4"])
+@pytest.mark.parametrize("row_path", [False, True])
+def test_d_limit_table_matches_the_definitional_scan(roster, monkeypatch, spec, row_path):
+    """Seeded tuples with repeats over I = 1..4 indices and every generator,
+    read through a `DLimits` in two batches: every result equals
+    d_ultralimit of its row, with the table kept (nᴵ ≤ CELL_BUDGET) and
+    without it; a kept table holds exactly the tuples read, each entry the
+    scan of its decoded tuple, and -1 elsewhere."""
+    vq = roster[spec]
+    rng = np.random.default_rng(18)
+    for width in range(1, 5):
+        if row_path:
+            monkeypatch.setattr(sp, "CELL_BUDGET", vq.size ** width - 1)
+        for gen in range(width):
+            D = up.PrincipalUltrafilter(width, gen)
+            limits = up.DLimits(vq, D)
+            assert (limits.table is None) == row_path
+            seqs = rng.integers(0, vq.size, size=(30, width)).astype(np.int32)
+            seqs = np.vstack([seqs, seqs[::3]])
+            for batch in (seqs[:20], seqs[20:]):
+                got = limits(list(batch.T), np.tile(np.arange(len(batch)), (width, 1)))
+                assert got.tolist() == [up.d_ultralimit(vq, row, D) for row in batch.tolist()]
+            if not row_path:
+                filled = np.flatnonzero(limits.table >= 0)
+                codes = {int(np.dot(row, vq.size ** np.arange(width - 1, -1, -1)))
+                         for row in seqs.tolist()}
+                assert set(filled.tolist()) == codes
+                for code in filled.tolist():
+                    digits = [code // vq.size ** (width - 1 - i) % vq.size for i in range(width)]
+                    assert limits.table[code] == up.d_ultralimit(vq, digits, D)
+
+
+def test_d_limits_over_a_non_value_carrier_are_refused(diamond_join):
+    """As d_ultralimit does, dlim_batch refuses a non-value co-quantale, and
+    with it every D-product of spaces and quotient over one; the diamond
+    D4 loaded from a file is refused the same way."""
+    s = sp.validate_space(diamond_join, ["p", "q"], [[0, 1], [1, 0]])
+    D = up.PrincipalUltrafilter(2, 0)
+    with pytest.raises(NotValueCoquantale):
+        up.d_ultralimit(diamond_join, [0, 1], D)
+    with pytest.raises(NotValueCoquantale):
+        up.dlim_batch(diamond_join, [[0, 1]], D)
+    with pytest.raises(NotValueCoquantale):
+        up.dlim_batch(diamond_join, np.empty((0, 2), dtype=np.int32), D)
+    for call in (up.d_product_space, up.quotient_ultraproduct):
+        with pytest.raises(NotValueCoquantale):
+            call([s, s], D)
+    with pytest.raises(NotValueCoquantale):
+        up.ultrapower_V(diamond_join, D)
+    ws = Workspace()
+    ws.load_text("@lattice L4\n@elements 0 a b 1\n@leq 0 a\n@leq 0 b\n@leq a 1\n"
+                 "@leq b 1\n\n@coquantale D4 over L4\n@add a a a\n@add b b b\n"
+                 "@add a b 1\n@add a 1 1\n@add b 1 1\n@add 1 1 1\n\n"
+                 "@space S over D4\n@points p q\n@dist p q a\n@dist q p a\n")
+    s4 = ws.spaces["S"]
+    assert not s4.V.value_flag
+    with pytest.raises(NotValueCoquantale):
+        up.d_product_space([s4, s4], D)
 
 
 def test_factors_hold_hypothesis_verdicts_and_evaluators(chain4, sig, factors, monkeypatch):
