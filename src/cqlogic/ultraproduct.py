@@ -5,9 +5,9 @@ structures, the quotient ultraproduct, the V-ultrapower equivalence, the
 D-limits are always computed by the definitional candidate scan (every
 positive radius must put the tail set into D); the principal shortcut is
 never assumed, so the Łoś checks stay genuine two-sided computations. A
-D-product reads every D-limit it needs (its distances, its predicate
-tables and the right side of each Łoś report) through one `DLimits` table,
-so the scan runs once per distinct tuple of factor values per product.
+D-product reads its factors' values through one gather over their tables
+laid end to end, and every D-limit (distances, predicates, Łoś right sides)
+through one `DLimits` table: one scan per distinct tuple per product.
 """
 
 from __future__ import annotations
@@ -20,9 +20,9 @@ import numpy as np
 
 from . import spaces
 from .coquantale import CoQuantale
-from .errors import (NoLimit, NotCoDivisible, NotFinitelySatisfiable, NotT0,
-                     NotSymmetricFactors, NotValueCoquantale, SizeLimit,
-                     SignatureMismatch, VerificationFailed)
+from .errors import (ArityMismatch, NoLimit, NotCoDivisible, NotFinitelySatisfiable,
+                     NotT0, NotSymmetricFactors, NotValueCoquantale, SignatureMismatch,
+                     VerificationFailed)
 from .formulas import Inf, Sup, print_formula
 # eval_table is imported for perfbench/spans.py, which rebinds it here by name
 from .semantics import (LStructure, eval_table, satisfies,  # noqa: F401
@@ -130,10 +130,11 @@ class DLimits:
 
     Over n elements and I factors, the tuple (v_0, ..., v_(I-1)) has the
     mixed-radix code Σ v_i·n^(I-1-i), and ``table[code]`` is its D-limit, or
-    -1 while it has not been needed. A read sends only the unseen distinct
-    tuples to `dlim_batch`, so every entry is the definitional scan. The
-    table is kept when nᴵ ≤ `CELL_BUDGET`; past that, every read sends its
-    rows to `dlim_batch`."""
+    -1 while it has not been needed. A read codes its (I, N) factor values
+    by one product with ``radix`` and sends only the unseen distinct tuples
+    to `dlim_batch`, so every entry is the definitional scan. The table is
+    kept when nᴵ ≤ `CELL_BUDGET`; past that, every read sends its rows to
+    `dlim_batch`."""
 
     def __init__(self, vq: CoQuantale, D: PrincipalUltrafilter):
         self.vq, self.D = vq, D
@@ -145,12 +146,11 @@ class DLimits:
             self.table.setflags(write=False)
 
     def __call__(self, tables, gather):
-        """[r]: the D-limit of the factor values tables[i].flat[gather[i, r]]."""
+        """[r]: the D-limit of the factor values `_factor_values(tables, gather)`."""
+        values = _factor_values(tables, gather)
         if self.table is None:
-            return dlim_batch(self.vq, _factor_values(tables, gather).T, self.D)
-        codes = np.zeros(gather.shape[1], dtype=np.int32)
-        for radix, table, flat in zip(self.radix, tables, gather):
-            codes += (table.reshape(-1) * radix).take(flat)
+            return dlim_batch(self.vq, values.T, self.D)
+        codes = self.radix @ values
         out = self.table.take(codes)
         if out.min() < 0:
             # the distinct unseen codes (np.unique would import numpy.ma, about
@@ -175,7 +175,8 @@ def d_product_space(spaces, D: PrincipalUltrafilter, limits=None):
     given); validated as a continuity space afterwards."""
     spaces = list(spaces)
     if len(spaces) != D.index_count:
-        raise SizeLimit("need one factor per index")
+        raise ArityMismatch("one factor per index: |I| = %d, %d given"
+                            % (D.index_count, len(spaces)))
     vq = spaces[0].V
     if any(s.V is not vq for s in spaces):
         raise SignatureMismatch("factors must share their value co-quantale")
@@ -193,27 +194,28 @@ def d_product_space(spaces, D: PrincipalUltrafilter, limits=None):
 
 
 def factor_gather(sizes, w):
-    """[i, r]: the flat index into factor i's table with w axes of the r-th
-    w-tuple of product points, both in row-major order. Point p's factor-i
-    coordinate is p // (sizes[i+1] ⋯ sizes[-1]) mod sizes[i], so no grid of
-    coordinates is built and any number of factors works."""
+    """[i, r]: the index, into the factors' w-axis tables laid end to end, of
+    factor i's entry at the r-th w-tuple of product points, both in row-major
+    order: offset_i = Σ_(j<i) sizes[j]ʷ plus the tuple's factor-i coordinates
+    as a base-sizes[i] numeral. Point p's factor-i coordinate is
+    p // (sizes[i+1] ⋯ sizes[-1]) mod sizes[i], so no grid of coordinates is
+    built and any number of factors works."""
     total = math.prod(sizes)
     out = np.empty((len(sizes), total ** w), dtype=np.int32)
+    offset = 0
     for i, (row, m) in enumerate(zip(out, sizes)):
         coord = np.arange(total, dtype=np.int32) // math.prod(sizes[i + 1:]) % m
         flat = np.zeros(1, dtype=np.int32)
         for _ in range(w):
             flat = np.add.outer(flat * m, coord).reshape(-1)
-        row[:] = flat
+        np.add(flat, offset, out=row)
+        offset += m ** w
     return out
 
 
 def _factor_values(tables, gather):
-    """[i, r]: factor i's table at the flat index gather[i, r]."""
-    values = np.empty_like(gather)
-    for row, table, flat in zip(values, tables, gather):
-        row[:] = table.reshape(-1)[flat]
-    return values
+    """[i, r]: the factor value at gather[i, r] of ``tables`` laid end to end."""
+    return np.concatenate(tables, axis=None).take(gather)
 
 
 def _product_space_cost(vq, sizes):
@@ -326,6 +328,9 @@ def d_product_structure(factors, D: PrincipalUltrafilter) -> DProductStructure:
     are re-verified on the product. The cost of every one of these checks is
     added up and refused over the work budget before the product is built."""
     factors = list(factors)
+    if len(factors) != D.index_count:
+        raise ArityMismatch("one factor per index: |I| = %d, %d given"
+                            % (D.index_count, len(factors)))
     vq = factors[0].V
     if not vq.co_divisible_flag:
         raise NotCoDivisible("the D-product interpretation needs a co-divisible carrier")
@@ -425,36 +430,28 @@ def los_hypothesis_check(struct: LStructure, phi):
 
 
 def los_check(dp: DProductStructure, phi) -> LosReport:
-    """The Łoś report of one formula; see `los_sweep`."""
-    return los_sweep(dp, [phi])[0]
+    """The Łoś report of φ: its value on the D-product against the
+    D-ultralimit of its factor values, over every assignment of its free
+    variables. Each piece of work is held by what it depends on: the formula
+    records by the nodes, the tables and hypothesis verdicts by the product's
+    structure and each factor, the factor gathers and the D-limits by ``dp``.
+    The left side is the product's node table; the right side is one gather
+    of the factors' node tables through ``dp.limits``."""
+    vq, product, width = dp.structure.V, dp.structure, len(phi.window)
+    # a node's table has size-m axes exactly at its free variables, so
+    # flattened it runs over the w-tuples of points in row-major order
+    left = product.evaluator(phi.span)(phi).reshape(-1)
+    right = dp.limits([f.evaluator(phi.span)(phi) for f in dp.factors], dp.gather(width))
+    hypothesis = []
+    for sub in phi.quantified:
+        text = sub.text(vq)
+        hypothesis.extend((f.name, text) + f.hypothesis(sub) for f in dp.factors)
+    return LosReport(phi.text(vq), left, right, hypothesis, product.points, width)
 
 
 def los_sweep(dp: DProductStructure, pool):
-    """Compare each formula of the pool on the D-product against the
-    D-ultralimit of its factor values, tuple by tuple, over every
-    assignment of its free variables: one `LosReport` per formula, in pool
-    order.
-
-    Each piece of work is done once by what it depends on: the formula
-    records by the nodes, the tables and hypothesis verdicts by the product's
-    structure and each factor, the factor gathers and the D-limit of each
-    distinct tuple of factor values by ``dp``. A report's left side is the
-    product's node table and its right side one read of the factors' node
-    tables through ``dp.limits``: every D-limit is still the definitional
-    scan, run once per distinct tuple per product."""
-    vq, product = dp.structure.V, dp.structure
-    reports = []
-    for phi in pool:
-        # a node's table has size-m axes exactly at its free variables, so
-        # flattened it runs over the w-tuples of points in row-major order
-        left = product.evaluator(phi.span)(phi).reshape(-1)
-        right = dp.limits([f.evaluator(phi.span)(phi) for f in dp.factors],
-                          dp.gather(len(phi.window)))
-        reports.append(LosReport(phi.text(vq), left, right,
-                                 [(f.name, sub.text(vq)) + f.hypothesis(sub)
-                                  for sub in phi.quantified for f in dp.factors],
-                                 product.points, len(phi.window)))
-    return reports
+    """`los_check` of each formula of the pool on ``dp``, in pool order."""
+    return [los_check(dp, phi) for phi in pool]
 
 
 # -- compactness --------------------------------------------------------------------

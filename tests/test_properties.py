@@ -1,7 +1,8 @@
 """Property tests: the three evaluators agree on random structures,
 printing then parsing a formula gives it back, a one-factor D-product is
 its factor, D-product distances and predicates are the pointwise
-D-ultralimits and its functions act componentwise, written
+D-ultralimits and its functions act componentwise, a D-limit read through
+the factor gather is the D-ultralimit of each row's tuple, written
 structures load back, and the triangle check on twin representatives gives
 the verdict of the full check.
 
@@ -170,6 +171,40 @@ def test_d_product_distances_are_pointwise_ultralimits(spec, data):
         assert image == tuple(int(f.fun_tables["f"][a]) for f, a in zip(factors, xs))
     assert dp.tuples[dp.structure.const_points["c"]] == tuple(
         f.const_points["c"] for f in factors)
+
+
+@pytest.mark.parametrize("spec", ["chain:4", "bool2"])
+@pytest.mark.parametrize("row_path", [False, True])
+@given(data=st.data())
+def test_d_limits_read_through_the_factor_gather_are_the_definitional_limits(
+        spec, row_path, data):
+    """Random w-axis tables on I = 1..4 factors of 1 to 3 points each, read
+    through `factor_gather` and `_factor_values` into a `DLimits`: entry r is
+    d_ultralimit of the factor values at the r-th w-tuple of product points,
+    the factor tuples in row-major order, with the table kept and without
+    it (CELL_BUDGET below nᴵ); a kept table holds exactly the codes read."""
+    vq = cq.builtin(spec)
+    count = data.draw(st.integers(1, 4))
+    sizes = data.draw(st.lists(st.integers(1, 3), min_size=count, max_size=count))
+    w = data.draw(st.integers(0, 2))
+    D = up.PrincipalUltrafilter(count, data.draw(st.integers(0, count - 1)))
+    tables = [np.array(data.draw(st.lists(st.integers(0, vq.size - 1),
+                                          min_size=m ** w, max_size=m ** w)),
+                       dtype=np.int32).reshape((m,) * w) for m in sizes]
+    seqs = [tuple(int(t[tuple(p[i] for p in combo)]) for i, t in enumerate(tables))
+            for combo in product(product(*map(range, sizes)), repeat=w)]
+    want = {seq: up.d_ultralimit(vq, seq, D) for seq in set(seqs)}
+    with pytest.MonkeyPatch.context() as patch:
+        if row_path:
+            patch.setattr(sp, "CELL_BUDGET", vq.size ** count - 1)
+        limits = up.DLimits(vq, D)
+        assert (limits.table is None) == row_path
+        got = limits(tables, up.factor_gather(sizes, w))
+    assert got.tolist() == [want[seq] for seq in seqs]
+    if not row_path:
+        radix = vq.size ** np.arange(count - 1, -1, -1)
+        assert set(np.flatnonzero(limits.table >= 0).tolist()) == {
+            int(radix @ seq) for seq in seqs}
 
 
 @pytest.mark.parametrize("spec", CARRIERS)

@@ -8,7 +8,7 @@ from cqlogic import formulas as F
 from cqlogic import semantics as sem
 from cqlogic import spaces as sp
 from cqlogic import ultraproduct as up
-from cqlogic.errors import (NotCoDivisible, NotFinitelySatisfiable,
+from cqlogic.errors import (ArityMismatch, NotCoDivisible, NotFinitelySatisfiable,
                             NotSymmetricFactors, NotValueCoquantale, SizeLimit)
 from cqlogic.textio import Workspace
 from conftest import cauchy_verdicts
@@ -221,6 +221,20 @@ def test_product_size_cap(chain4):
         up.d_product_space([big, big, big], D)
 
 
+def test_a_factor_count_off_the_index_set_is_an_arity_mismatch(sig, factors, monkeypatch):
+    """One factor per index, or ArityMismatch naming both counts, raised
+    before the product allocates anything (no D-limit table, no gather)."""
+    monkeypatch.setattr(up, "DLimits", None)
+    monkeypatch.setattr(up, "factor_gather", None)
+    D = up.PrincipalUltrafilter(2, 0)
+    with pytest.raises(ArityMismatch, match=r"^one factor per index: \|I\| = 2, 1 given$"):
+        up.d_product_space([factors[0].space], D)
+    with pytest.raises(ArityMismatch, match=r"^one factor per index: \|I\| = 2, 1 given$"):
+        up.d_product_structure([factors[0]], D)
+    with pytest.raises(ArityMismatch, match=r"^one factor per index: \|I\| = 3, 4 given$"):
+        up.d_product_structure(factors * 2, up.PrincipalUltrafilter(3, 1))
+
+
 # -- quotients -------------------------------------------------------------------------
 
 
@@ -401,14 +415,17 @@ def test_los_reports_on_one_product_match_fresh_products(chain4, sig, factors, w
 @pytest.mark.parametrize("w", [0, 1, 2, 3])
 def test_factor_gather_matches_the_per_tuple_definition(sizes, w):
     """Row r of the gather is the r-th w-tuple of product points, the points
-    being the factor tuples in row-major order; entry i is the factor-i
-    coordinates of those points read as a base-sizes[i] numeral."""
+    being the factor tuples in row-major order; entry i is the offset of
+    factor i's table among the factors' w-axis tables laid end to end, plus
+    the factor-i coordinates of those points read as a base-sizes[i] numeral."""
     gather = up.factor_gather(sizes, w)
     combos = list(product(product(*map(range, sizes)), repeat=w))
     assert gather.shape == (len(sizes), len(combos))
     for r, combo in enumerate(combos):
         for i, m in enumerate(sizes):
-            assert gather[i, r] == sum(p[i] * m ** (w - 1 - k) for k, p in enumerate(combo))
+            offset = sum(size ** w for size in sizes[:i])
+            assert gather[i, r] == offset + sum(p[i] * m ** (w - 1 - k)
+                                                for k, p in enumerate(combo))
 
 
 def _needed_tuples(dp, pool):
@@ -528,7 +545,9 @@ def test_d_limit_table_matches_the_definitional_scan(roster, monkeypatch, spec, 
             seqs = rng.integers(0, vq.size, size=(30, width)).astype(np.int32)
             seqs = np.vstack([seqs, seqs[::3]])
             for batch in (seqs[:20], seqs[20:]):
-                got = limits(list(batch.T), np.tile(np.arange(len(batch)), (width, 1)))
+                # factor i's table is column i, laid end to end after columns < i
+                gather = np.arange(len(batch)) + len(batch) * np.arange(width)[:, None]
+                got = limits(list(batch.T), gather)
                 assert got.tolist() == [up.d_ultralimit(vq, row, D) for row in batch.tolist()]
             if not row_path:
                 filled = np.flatnonzero(limits.table >= 0)
