@@ -178,8 +178,7 @@ def cmd_topology(args) -> int:
     if args.space not in ws.spaces:
         raise CqlError("unknown space %r" % args.space)
     space = ws.spaces[args.space]
-    topo = sp.induced_topology(space)
-    opens = sorted(topo.opens, key=lambda u: (len(u), sorted(u)))
+    opens = sp.sorted_opens(sp.induced_topology(space))
     print("opens: %d" % len(opens))
     for u in opens:
         print("  {%s}" % ",".join(sorted(u)))

@@ -10,7 +10,9 @@ over the principal down-sets. Both answer the same table lookups (``V.add``,
 ``V.lattice.leq``/``join``/``cwb``) by numpy, so every law has one kernel.
 `validate_space` is the only place a table is converted; every other
 function reads or gathers that array. Point sets returned by operations are
-frozensets of point names.
+frozensets of point names. A topology stores its opens as int masks over
+the point indices, and frozensets only as a view; enumeration and induced
+topologies share one up-set kernel and one closure check.
 
 Points x and x' are twins when d(x,·) = d(x',·) and d(·,x) = d(·,x'); a
 D-product of finitely many factors has many. Every distance depends only on
@@ -32,7 +34,8 @@ Other modules read both budgets here at call time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations, permutations
+from functools import cached_property, lru_cache
+from itertools import chain, compress, permutations
 
 import numpy as np
 
@@ -58,10 +61,11 @@ def check_cost(what, cost):
 def loop_cost(iterations):
     """Cell operations charged for ``iterations`` of a Python loop: 64 each.
     Measured on a 2-core host (Python 3.11.7): a cell of the 512-point
-    triangle check takes 11-14 ns, an iteration of the `induced_topology`
-    mask scan or of the `validate_topology` pairs 0.6-1.1 µs (48-85 cells),
-    and a charged iteration of the ≺ oracle, whose charge is an upper
-    bound, under 0.1 µs."""
+    triangle check takes 11-14 ns, and an iteration of a Python scan over
+    sets of points, the rate this charge was set from, 0.6-1.1 µs (48-85
+    cells). Iterations charged as an upper bound take less: one of the ≺
+    oracle under 0.1 µs, and a pair of opens in the numpy closure check of
+    `induced_topology` and `validate_topology` about 55 ns on 10 points."""
     return 64 * iterations
 
 
@@ -211,58 +215,150 @@ def closed_disc(space: ContinuitySpace, x, eps):
 
 @dataclass(frozen=True)
 class Topology:
+    """A finite topology: its points and its opens as int masks, bit x for
+    point x, in increasing order. ``opens`` is the same family as a
+    frozenset of frozensets of point names, built on first read."""
     points: tuple
-    opens: frozenset
+    masks: tuple
 
-    def __contains__(self, subset):
-        return frozenset(subset) in self.opens
+    @cached_property
+    def opens(self):
+        return frozenset(_point_set(self.points, u) for u in self.masks)
+
+
+def _point_set(points, mask):
+    return frozenset(p for x, p in enumerate(points) if mask >> x & 1)
+
+
+def _set_name(names):
+    return "{%s}" % ",".join(sorted(map(str, names)))
+
+
+def _mask_array(masks, m):
+    """Masks over m points as a numpy array: int64 below 63 points, Python
+    ints past that."""
+    return np.array(masks, dtype=np.int64 if m < 63 else object)
+
+
+def _by_size_then_names(masks, names):
+    """[i, x]: whether point x, named names[x], lies in the i-th of
+    ``masks`` (a `_mask_array`) in the canonical open order: by size, then
+    by the sorted names of the members. Over the names range(m) this is the
+    order of `itertools.combinations`.
+
+    Of two sets of one size, the one whose sorted names come first holds
+    the first name where they differ. So with the name of rank i weighing
+    2^m - 2^(m-1-i), the sum of its members' weights sorts a set by size
+    and then by names."""
+    m = len(names)
+    weight = [0] * m
+    for i, x in enumerate(sorted(range(m), key=names.__getitem__)):
+        weight[x] = (1 << m) - (1 << (m - 1 - i))
+    bits = (masks[:, None] >> np.arange(m)) & 1
+    # the sums stay below m·2^m: int64 below 57 points, Python ints past that
+    keys = bits @ np.array(weight, dtype=np.int64 if m < 57 else object)
+    return bits[keys.argsort()].astype(bool)
 
 
 def validate_topology(points, opens) -> Topology:
-    """Exhaustively check the finite topology axioms."""
+    """Exhaustively check the finite topology axioms: unique point names,
+    opens made of points, ∅ and the full set open, and the opens closed
+    under ∩ and ∪ (`_check_closed`). A refusal names the first offender in a
+    fixed order, its members sorted."""
     points = tuple(str(p) for p in points)
-    full = frozenset(points)
-    opens = frozenset(frozenset(u) for u in opens)
-    for u in opens:
-        if not u <= full:
-            raise NotATopology("open set %r is not a subset of the points" % (set(u),))
-    if frozenset() not in opens or full not in opens:
+    index = {p: x for x, p in enumerate(points)}
+    if len(index) != len(points):
+        raise NotATopology("points must be unique names")
+    opens = {frozenset(u) for u in opens}
+    outside = [u for u in opens if not u <= index.keys()]
+    if outside:
+        first = min(outside, key=lambda u: (len(u), sorted(map(str, u))))
+        raise NotATopology("open set %s is not a subset of the points" % _set_name(first))
+    masks = sorted({sum(1 << index[p] for p in u) for u in opens})
+    if not masks or masks[0] != 0 or masks[-1] != (1 << len(points)) - 1:
         raise NotATopology("must contain the empty set and the full set")
-    for u in opens:
-        for w in opens:
-            if u & w not in opens:
-                raise NotATopology("not closed under intersection: %r, %r" % (set(u), set(w)))
-            if u | w not in opens:
-                raise NotATopology("not closed under union: %r, %r" % (set(u), set(w)))
-    return Topology(points, opens)
+    _check_closed(points, _mask_array(masks, len(points)))
+    return Topology(points, tuple(masks))
+
+
+def _check_closed(points, opens):
+    """Raise NotATopology at the first pair of opens u < w in mask order
+    whose intersection (tested first) or union is not open. ``opens`` is an
+    increasing `_mask_array` that ends with the full set, so every result
+    has a place at or before it. Rows of the pair table go in blocks of at
+    most CELL_BUDGET cells. Both operations are symmetric and u ∩ u = u ∪ u
+    = u, so the first failing cell in row-major order lies above the
+    diagonal."""
+    def missing(found):
+        return opens[opens.searchsorted(found)] != found
+
+    k = len(opens)
+    rows = max(1, CELL_BUDGET // k)
+    for start in range(0, k, rows):
+        u = opens[start:start + rows, None]
+        meet = missing(u & opens)
+        bad = meet | missing(u | opens)
+        first = int(bad.argmax())
+        if bad.flat[first]:
+            i, j = divmod(first, k)
+            raise NotATopology("not closed under %s: %s, %s" % (
+                "intersection" if meet[i, j] else "union",
+                *(_set_name(_point_set(points, int(opens[x]))) for x in (start + i, j))))
+
+
+@lru_cache(maxsize=None)
+def _subset_tables(m):
+    """For the 2^m subset masks s: ~s as an (2^m, 1, 1) stack, and [s, x]:
+    whether point x lies outside s. Read-only, one pair per m."""
+    subsets = np.arange(1 << m, dtype=np.int64)
+    tables = ~subsets[:, None, None], (subsets[:, None] >> np.arange(m)) & 1 == 0
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
+def _upsets(discs, m):
+    """[P, s]: whether every point x in the subset with mask s has one of
+    its masks discs[P, x, :] inside s, for each family P of a (P, m, r)
+    stack. Families run in blocks of at most CELL_BUDGET cells, 2^m·m·r
+    each, and a family past that in blocks of subsets."""
+    count, _, radii = discs.shape
+    complements, outside = _subset_tables(m)
+    cols = min(1 << m, max(1, CELL_BUDGET // max(1, m * radii)))
+    rows = max(1, CELL_BUDGET // max(1, cols * m * radii))
+    out = np.empty((count, 1 << m), dtype=bool)
+    for start in range(0, count, rows):
+        for low in range(0, 1 << m, cols):
+            # [P, s, x, r]: the r-th mask of x lies inside s
+            inside = (discs[start:start + rows, None] & complements[low:low + cols]) == 0
+            out[start:start + rows, low:low + cols] = \
+                (inside.any(axis=3) | outside[low:low + cols]).all(axis=2)
+    return out
 
 
 def induced_topology(space: ContinuitySpace) -> Topology:
     """All subsets U such that every x in U has a positive disc inside U.
 
     When the bottom is positive (every builtin carrier and every free
-    locale), membership of the disc B_0(x) suffices: ≺ is monotone in its
-    right argument, so B_0(x) lies in every disc. Otherwise this is the
-    definitional scan over the positives filter. Discs and candidate open
-    sets are bitmasks over the point indices. Every disc must come out
-    open; a disc that does not raises VerificationFailed.
+    locale), the disc B_0(x) suffices: ≺ is monotone in its right argument,
+    so B_0(x) lies in every disc. Otherwise the discs of every radius in the
+    positives filter are tried. Discs and candidate open sets are bitmasks
+    over the point indices; the opens are the up-sets of `_upsets`, checked
+    for closure by `_check_closed`. Every disc must come out open; a disc
+    that does not raises VerificationFailed.
     """
     V, m, dist = space.V, space.m, space.dist
     radii = [V.bottom] if V.is_positive(V.bottom) else V.positives()
     check_cost("induced topology on %d points" % m, topology_cost(m, len(radii)))
     within = V.lattice.cwb[dist[:, :, None], np.array(radii, dtype=dist.dtype)]
     # within[x, y, ε]: d(x,y) ≺ ε; [x, ε] is the disc B_ε(x) as a bitmask over y
-    masks = (within.astype(np.int64) << np.arange(m)[:, None]).sum(axis=1)
-    all_discs = [set(row) for row in masks.tolist()]
-    disc_sets = [[s for s in discs if not any(t != s and t & ~s == 0 for t in discs)]
-                 for discs in all_discs]                  # the minimal discs
-    opens = [mask for mask in range(1 << m)
-             if all(any(d & ~mask == 0 for d in disc_sets[x]) for x in range(m) if mask >> x & 1)]
-    topo = validate_topology(space.points, [
-        space.point_set(x for x in range(m) if mask >> x & 1) for mask in opens])
-    if not set().union(*all_discs) <= set(opens):
+    discs = within.transpose(0, 2, 1) @ (1 << np.arange(m, dtype=np.int64))
+    upset = _upsets(discs[None], m)[0]
+    opens = np.flatnonzero(upset)
+    _check_closed(space.points, opens)
+    if not upset[discs].all():
         raise VerificationFailed("a disc of %r is not open: theorem violated" % space)
-    return topo
+    return Topology(tuple(space.points), tuple(opens.tolist()))
 
 
 def topology_cost(m, radii):
@@ -270,7 +366,9 @@ def topology_cost(m, radii):
     step charged as a Python loop: the m·m·radii ≺ table (numpy over a table
     co-quantale), the minimal discs among at most min(radii, 2^m) distinct
     ones per point, the scan of 2^m masks over each point's discs, and up to
-    4^m pairs of opens in `validate_topology`."""
+    4^m pairs of opens in the closure check. The charge is an upper bound,
+    kept so that the same inputs are admitted: its minimal-disc term matches
+    no code, and the scan and the pairs are numpy kernels."""
     discs = min(radii, 1 << m)
     return loop_cost(m * m * radii + m * discs * discs + (m * (discs + 1) << m) + 4 ** m)
 
@@ -408,8 +506,11 @@ def is_v_domain(space: ContinuitySpace) -> bool:
 
 
 def sorted_opens(topology: Topology):
-    """Canonical open order used for free-locale ground names U0, U1, ..."""
-    return sorted(topology.opens, key=lambda u: (len(u), sorted(u)))
+    """The opens as point sets in the canonical order of the free-locale
+    ground names U0, U1, ...: by size, then by sorted point names."""
+    points = topology.points
+    bits = _by_size_then_names(_mask_array(topology.masks, len(points)), points)
+    return [frozenset(compress(points, row)) for row in bits.tolist()]
 
 
 def space_from_topology(topology: Topology, materialize="auto") -> ContinuitySpace:
@@ -425,16 +526,17 @@ def space_from_topology(topology: Topology, materialize="auto") -> ContinuitySpa
     there; otherwise the space is over the principal down-sets themselves,
     which refuse more than MASK_MAX opens.
     """
-    points, k = list(topology.points), len(topology.opens)
+    points, k = list(topology.points), len(topology.masks)
     m = len(points)
     check_cost("the space of a topology on %d points with %d opens" % (m, k),
                m * m * k + triangle_cost(m))
     locale = FreeLocale(["U%d" % i for i in range(k)])
     values = locale.principals()
-    # inside[i, x]: point x lies in U_i; bit i of d(a, b) is set when a ∉ U_i or b ∈ U_i
-    inside = np.array([[p in u for p in points] for u in sorted_opens(topology)], dtype=bool)
-    bits = (~inside[:, :, None] | inside[:, None, :]).astype(np.int64)
-    dist = (bits << np.arange(k, dtype=np.int64)[:, None, None]).sum(axis=0)
+    # member[x]: the mask of the opens U_i that hold x; bit i of d(a, b) is
+    # set when a ∉ U_i or b ∈ U_i, that is, unless U_i holds a and not b
+    inside = _by_size_then_names(_mask_array(topology.masks, m), points)
+    member = (1 << np.arange(k, dtype=np.int64)) @ inside
+    dist = ((1 << k) - 1) ^ (member[:, None] & ~member)
     if materialize == "auto":
         materialize = k <= MATERIALIZE_MAX
     if materialize:
@@ -480,22 +582,17 @@ def enumerate_topologies(points):
     of each preorder (Alexandrov; the specialization order takes it back),
     in increasing order of its mask over the 2^m subsets in `combinations`
     order. The preorders are charged by `_preorder_rows`, then the up-set
-    test of P preorders P·2^m·m cells, in blocks of at most CELL_BUDGET."""
-    points = [str(p) for p in points]
+    test of P preorders P·2^m·m cells, in `_upsets`."""
+    points = tuple(str(p) for p in points)
     m = len(points)
     what = "enumerating topologies on %d points" % m
     rows = _preorder_rows(m, what)
     check_cost(what, len(rows) * m << m)
-    subsets = [frozenset(c) for k in range(m + 1) for c in combinations(points, k)]
-    masks = np.array([sum(1 << points.index(p) for p in s) for s in subsets], dtype=np.int64)
-    member = (masks[:, None] >> np.arange(m)) & 1 == 1              # [s, x]: x ∈ s
-    block = max(1, CELL_BUDGET // max(1, len(subsets) * m))
-    # [P, s]: every member x of s has ↑x inside s
-    upset = np.concatenate([
-        ~(((rows[start:start + block, None, :] & ~masks[:, None]) != 0) & member).any(axis=2)
-        for start in range(0, len(rows), block)])
-    return [Topology(tuple(points), frozenset(subsets[i] for i in np.flatnonzero(row)))
-            for row in upset[np.lexsort(upset.T)]]
+    upset = _upsets(rows[:, :, None], m)            # [P, s]: every x in s has ↑x inside s
+    # the 2^m masks in `combinations` order
+    order = _by_size_then_names(np.arange(1 << m), range(m)) @ (1 << np.arange(m))
+    return [Topology(points, tuple(np.flatnonzero(row).tolist()))
+            for row in upset[np.lexsort(upset[:, order].T)]]
 
 
 # -- the preorder dictionary ----------------------------------------------------

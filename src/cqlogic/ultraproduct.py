@@ -169,10 +169,10 @@ class DLimits:
 # -- D-products of spaces -----------------------------------------------------------
 
 
-def d_product_space(spaces, D: PrincipalUltrafilter, limits=None):
+def d_product_space(spaces, D: PrincipalUltrafilter):
     """Tuple point set with d_D((x_i), (y_i)) = lim_D of the factor
-    distances, read through ``limits`` (the product's `DLimits`, new if not
-    given); validated as a continuity space afterwards."""
+    distances, read through a new `DLimits`; validated as a continuity
+    space afterwards."""
     spaces = list(spaces)
     if len(spaces) != D.index_count:
         raise ArityMismatch("one factor per index: |I| = %d, %d given"
@@ -181,14 +181,17 @@ def d_product_space(spaces, D: PrincipalUltrafilter, limits=None):
     if any(s.V is not vq for s in spaces):
         raise SignatureMismatch("factors must share their value co-quantale")
     sizes = [s.m for s in spaces]
-    total = math.prod(sizes)
-    check_cost("a D-product of %d points" % total, _product_space_cost(vq, sizes))
+    check_cost("a D-product of %d points" % math.prod(sizes), _product_space_cost(vq, sizes))
+    return _product_space(spaces, DLimits(vq, D), _Gathers(sizes))
+
+
+def _product_space(spaces, limits, gathers):
+    """The D-product of checked factor spaces, its distances read through
+    ``limits`` and ``gathers[2]``."""
     tuples = list(iproduct(*[range(s.m) for s in spaces]))
     names = ["|".join(s.points[i] for s, i in zip(spaces, combo)) for combo in tuples]
-    if limits is None:
-        limits = DLimits(vq, D)
-    dist = limits([s.dist for s in spaces], factor_gather(sizes, 2))
-    space = validate_space(vq, names, dist.reshape(total, total))
+    dist = limits([s.dist for s in spaces], gathers[2])
+    space = validate_space(spaces[0].V, names, dist.reshape(len(tuples), len(tuples)))
     space.tuples = tuples
     return space
 
@@ -211,6 +214,19 @@ def factor_gather(sizes, w):
         np.add(flat, offset, out=row)
         offset += m ** w
     return out
+
+
+class _Gathers(dict):
+    """`factor_gather` of one product's factor sizes, built once per window
+    width w on first use."""
+
+    def __init__(self, sizes):
+        super().__init__()
+        self.sizes = sizes
+
+    def __missing__(self, w):
+        self[w] = factor_gather(self.sizes, w)
+        return self[w]
 
 
 def _factor_values(tables, gather):
@@ -303,7 +319,8 @@ def ultrapower_V(vq: CoQuantale, D: PrincipalUltrafilter) -> UltrapowerResult:
 @dataclass
 class DProductStructure:
     """A D-product and what every Łoś sweep on it shares: `factor_gather`
-    of the factor sizes, one per window width, and the product's `DLimits`,
+    of the factor sizes, one per window width and the same ones the
+    product's tables were read through, and the product's `DLimits`,
     which holds the D-limit of each distinct tuple of factor values once it
     has been scanned (still by the definitional scan, once per tuple per
     product). The evaluators and hypothesis verdicts are held by the
@@ -313,13 +330,10 @@ class DProductStructure:
     D: PrincipalUltrafilter
     tuples: list
     limits: DLimits = field(repr=False, compare=False)
-    _gathers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _gathers: _Gathers = field(repr=False, compare=False)
 
     def gather(self, w):
-        hit = self._gathers.get(w)
-        if hit is None:
-            hit = self._gathers[w] = factor_gather([f.m for f in self.factors], w)
-        return hit
+        return self._gathers[w]
 
 
 def d_product_structure(factors, D: PrincipalUltrafilter) -> DProductStructure:
@@ -346,23 +360,22 @@ def d_product_structure(factors, D: PrincipalUltrafilter) -> DProductStructure:
                _product_space_cost(vq, sizes) + structure_cost(vq, sig, total)
                + sum(dlim_cost(vq, total ** arity, len(sizes))
                      for arity, _ in sig.predicates.values()))
-    limits = DLimits(vq, D)
-    space = d_product_space([f.space for f in factors], D, limits)
+    limits, gathers = DLimits(vq, D), _Gathers(sizes)
+    space = _product_space([f.space for f in factors], limits, gathers)
     pred_tables = {}
     for pname, (arity, _) in sig.predicates.items():
         pred_tables[pname] = limits([f.pred_tables[pname] for f in factors],
-                                    factor_gather(sizes, arity)).reshape((total,) * arity)
+                                    gathers[arity]).reshape((total,) * arity)
     # the product point of a tuple of factor points, as in row-major order
     strides = np.array([math.prod(sizes[i + 1:]) for i in range(len(sizes))])
     fun_tables = {}
     for fname, (arity, _) in sig.functions.items():
-        images = _factor_values([f.fun_tables[fname] for f in factors],
-                                factor_gather(sizes, arity))
+        images = _factor_values([f.fun_tables[fname] for f in factors], gathers[arity])
         fun_tables[fname] = (strides @ images).astype(np.int32).reshape((total,) * arity)
     consts = {c: int(strides @ [f.const_points[c] for f in factors]) for c in sig.constants}
     structure = validate_structure(space, sig, pred_tables, fun_tables, consts,
                                    name="D-product")
-    return DProductStructure(structure, factors, D, space.tuples, limits)
+    return DProductStructure(structure, factors, D, space.tuples, limits, gathers)
 
 
 # -- the Łoś verifier ----------------------------------------------------------------

@@ -16,8 +16,10 @@ from cqlogic import semantics as sem
 from cqlogic import spaces as sp
 from cqlogic import textio
 from cqlogic import ultraproduct as up
-from cqlogic.errors import SizeLimit
+from cqlogic.errors import NotATopology, SizeLimit
 from cqlogic.freelocale import FreeLocale
+
+from conftest import space_corpus
 
 
 def _discrete(vq, m, name="p"):
@@ -202,7 +204,7 @@ def test_space_from_topology_refuses_before_its_distances(monkeypatch):
     FreeLocale(["U0", "U1", "U2"]).materialize()
     monkeypatch.setattr(sp, "WORK_BUDGET", 20)
     assert sp.space_from_topology(sierpinski).m == 2
-    monkeypatch.setattr(sp, "sorted_opens", _never)
+    monkeypatch.setattr(sp, "_by_size_then_names", _never)
     _refuses(monkeypatch, 19, "the space of a topology on 2 points with 3 opens costs 20 "
              "cell operations (budget 19)", lambda: sp.space_from_topology(sierpinski))
 
@@ -212,7 +214,7 @@ def test_enumerate_topologies_refuses_before_its_scan(monkeypatch):
     # test of the 4 preorders: 2^2 subsets x 2 points each
     monkeypatch.setattr(sp, "WORK_BUDGET", 32)
     assert len(sp.enumerate_topologies("ab")) == 4
-    monkeypatch.setattr(sp, "combinations", _never)
+    monkeypatch.setattr(sp, "_upsets", _never)
     _refuses(monkeypatch, 31, "enumerating topologies on 2 points costs 32 cell "
              "operations (budget 31)", lambda: sp.enumerate_topologies("ab"))
     monkeypatch.setattr(sp, "np", None)
@@ -267,6 +269,32 @@ def test_enumerate_bodies_in_small_blocks_gives_the_same_bodies(roster, monkeypa
         monkeypatch.setattr(sp, "CELL_BUDGET", budget)
         blocked = sem.enumerate_bodies(vq, m, ident)
         assert all(np.array_equal(a, b) and a.dtype == b.dtype for a, b in zip(blocked, whole))
+
+
+def _induced_or_refusal(space):
+    try:
+        return sp.induced_topology(space)
+    except NotATopology as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("budget", [1, 5, 40])
+def test_topology_kernels_in_small_blocks_give_the_same_topologies(bool2, diamond_join,
+                                                                   monkeypatch, budget):
+    """The up-set kernel over blocks of families and of subsets (diamond_join
+    has three radii), and the closure check over blocks of rows: one cell
+    per block, a few, and all at once give the same topologies and
+    refusals."""
+    spaces = space_corpus(diamond_join, 12, 4, seed=1) + space_corpus(bool2, 4, 4, seed=8)
+    whole = [_induced_or_refusal(X) for X in spaces]
+    assert any(isinstance(t, str) for t in whole) and any(isinstance(t, sp.Topology) for t in whole)
+    topologies = sp.enumerate_topologies("abcd")
+    monkeypatch.setattr(sp, "CELL_BUDGET", budget)
+    assert [_induced_or_refusal(X) for X in spaces] == whole
+    assert sp.enumerate_topologies("abcd") == topologies
+    assert all(sp.validate_topology(t.points, t.opens) == t for t in topologies)
+    with pytest.raises(NotATopology, match=r"^not closed under union: \{b\}, \{c\}$"):
+        sp.validate_topology("abcd", [set(), set("b"), set("c"), set("abcd")])
 
 
 def test_enumerate_formulas_refuses_before_building_a_formula(bool2, monkeypatch):

@@ -3,8 +3,9 @@ printing then parsing a formula gives it back, a one-factor D-product is
 its factor, D-product distances and predicates are the pointwise
 D-ultralimits and its functions act componentwise, a D-limit read through
 the factor gather is the D-ultralimit of each row's tuple, written
-structures load back, and the triangle check on twin representatives gives
-the verdict of the full check.
+structures load back, the triangle check on twin representatives gives
+the verdict of the full check, topologies on masks agree with their
+frozenset twins, and enumerated topologies are the preorders' up-sets.
 
 Structures are built valid by construction. A symmetric space takes the
 predicate P(x) = d(a, x) + e, which the identity modulus admits because
@@ -13,7 +14,7 @@ function f is the identity or a constant map, and c is any point.
 """
 
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from cqlogic import formulas as F
 from cqlogic import semantics as sem
 from cqlogic import spaces as sp
 from cqlogic import ultraproduct as up
-from cqlogic.errors import TransitivityViolation
+from cqlogic.errors import NotATopology, TransitivityViolation
 from cqlogic.freelocale import FreeLocale
 from cqlogic.textio import Workspace, write_structure
 
@@ -257,3 +258,82 @@ def test_twin_reduced_triangle_check_matches_the_full_kernel(spec, data):
     except TransitivityViolation as exc:
         got = str(exc)
     assert got == expected
+
+
+# -- topologies ---------------------------------------------------------------------
+
+
+def frozenset_topology(points, opens):
+    """The slow twin of `validate_topology`: the axioms on frozensets of
+    point names, every ordered pair of opens tested for ∩ and ∪."""
+    full = frozenset(str(p) for p in points)
+    opens = frozenset(frozenset(u) for u in opens)
+    if not all(u <= full for u in opens):
+        raise NotATopology("an open set is not a subset of the points")
+    if frozenset() not in opens or full not in opens:
+        raise NotATopology("must contain the empty set and the full set")
+    for u in opens:
+        for w in opens:
+            if u & w not in opens or u | w not in opens:
+                raise NotATopology("not closed under intersection or union")
+    return opens
+
+
+@st.composite
+def families(draw):
+    """Distinct point names in any order, and a family of subsets of them:
+    maybe with ∅, the full set or a name that is no point, and maybe closed
+    under ∪ and ∩."""
+    m = draw(st.integers(0, 5))
+    points = draw(st.permutations("abcdefgh"))[:m]
+    masks = set(draw(st.lists(st.integers(0, (1 << m) - 1), max_size=10)))
+    masks |= {0} if draw(st.booleans()) else set()
+    masks |= {(1 << m) - 1} if draw(st.booleans()) else set()
+    if draw(st.booleans()):
+        closed = None
+        while closed != masks:
+            closed, masks = masks, masks | {f(u, w) for u in masks for w in masks
+                                            for f in (int.__or__, int.__and__)}
+    opens = [{p for x, p in enumerate(points) if u >> x & 1} for u in masks]
+    if opens and draw(st.booleans()):
+        opens[draw(st.integers(0, len(opens) - 1))].add("z")
+    return points, opens
+
+
+@settings(max_examples=300)
+@given(family=families())
+def test_validate_topology_accepts_what_the_frozenset_twin_accepts(family):
+    """The same verdict as the twin on every family; an accepted topology
+    gives back its frozenset view, reads back from it as itself, and orders
+    its opens as the free-locale names always were: by size, then by
+    sorted names."""
+    points, opens = family
+    try:
+        want = frozenset_topology(points, opens)
+    except NotATopology:
+        with pytest.raises(NotATopology):
+            sp.validate_topology(points, opens)
+        return
+    topo = sp.validate_topology(points, opens)
+    assert topo.points == tuple(points) and topo.opens == want
+    assert sp.validate_topology(topo.points, topo.opens) == topo
+    assert sp.sorted_opens(topo) == sorted(want, key=lambda u: (len(u), sorted(u)))
+
+
+@pytest.mark.parametrize("m", range(6))
+def test_enumerated_topologies_are_the_up_sets_of_the_preorders_in_order(m):
+    """Each preorder's up-set topology, built from frozensets over the
+    subsets in `combinations` order, sorted by the mask whose bit i says
+    that the i-th subset is open: the same topologies in the same order.
+    The names are not in sorted order, so the order is the points' own."""
+    points = "dbeca"[:m]
+    subsets = [frozenset(c) for k in range(m + 1) for c in combinations(points, k)]
+    want = []
+    for relation in sp.enumerate_preorders(points):
+        up = {a: frozenset(b for c, b in relation if c == a) for a in points}
+        bits = [all(up[a] <= s for a in s) for s in subsets]
+        want.append((sum(1 << i for i, b in enumerate(bits) if b),
+                     frozenset(s for s, b in zip(subsets, bits) if b)))
+    got = sp.enumerate_topologies(points)
+    assert [t.points for t in got] == [tuple(points)] * len(want)
+    assert [t.opens for t in got] == [opens for _, opens in sorted(want, key=lambda p: p[0])]

@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 from itertools import combinations, product
 
 import numpy as np
@@ -310,13 +313,40 @@ def test_induced_topology_is_the_definitional_scan(spec, m, rng):
             sp.induced_topology(X)
 
 
+CHAIN_OF_PAIRS = [set(), set("ab"), set("bc"), set("cd"), set("abcd")]
+
+
 def test_topology_validation_errors():
-    with pytest.raises(NotATopology):
+    """A refusal names the first failing pair u < w in mask order,
+    intersection before union, or the smallest set that is not made of
+    points; members sorted."""
+    with pytest.raises(NotATopology, match="^must contain the empty set and the full set$"):
         sp.validate_topology(["a", "b"], [frozenset(), frozenset("a")])
-    with pytest.raises(NotATopology):
+    with pytest.raises(NotATopology, match=r"^not closed under intersection: \{a,b\}, \{b,c\}$"):
         sp.validate_topology(["a", "b", "c"],
                              [frozenset(), frozenset("abc"),
                               frozenset("ab"), frozenset("bc")])
+    with pytest.raises(NotATopology, match=r"^not closed under intersection: \{a,b\}, \{b,c\}$"):
+        sp.validate_topology("abcd", CHAIN_OF_PAIRS)
+    with pytest.raises(NotATopology, match=r"^not closed under union: \{b\}, \{c\}$"):
+        sp.validate_topology("abcd", [set(), set("b"), set("c"), set("abcd")])
+    with pytest.raises(NotATopology, match=r"^open set \{a,y\} is not a subset of the points$"):
+        sp.validate_topology("abcd", [set(), set("zab"), set("ya"), set("abcd")])
+    with pytest.raises(NotATopology, match="^points must be unique names$"):
+        sp.validate_topology("aab", [set(), set("ab")])
+
+
+def test_topology_refusals_do_not_depend_on_the_hash_seed():
+    """Set iteration order changes with PYTHONHASHSEED; the witness does not."""
+    src = os.path.dirname(os.path.dirname(sp.__file__))
+    script = ("from cqlogic import spaces as sp\n"
+              "try:\n    sp.validate_topology('abcd', %r)\n"
+              "except Exception as e:\n    print(e)\n" % CHAIN_OF_PAIRS)
+    for seed in ("1", "2"):
+        out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src},
+                             check=True, timeout=60).stdout
+        assert out == "not closed under intersection: {a,b}, {b,c}\n"
 
 
 # -- closure -----------------------------------------------------------------------
@@ -495,7 +525,7 @@ def test_flagg_rejects_large_point_sets(monkeypatch):
     assert sp.induced_topology(sp.space_from_topology(topo)).opens == topo.opens
     points = ["p%d" % i for i in range(500)]
     big = sp.validate_topology(points, [frozenset(), frozenset(points)])
-    monkeypatch.setattr(sp, "sorted_opens", _never)
+    monkeypatch.setattr(sp, "_by_size_then_names", _never)
     monkeypatch.setattr(sp, "WORK_BUDGET", 125499999)
     with pytest.raises(SizeLimit, match="the space of a topology on 500 points with 2 opens "
                                         "costs 125500000 cell operations"):
@@ -508,7 +538,7 @@ def test_flagg_refuses_more_opens_than_mask_bits(monkeypatch):
     points = list("abcdef")
     subsets = [frozenset(c) for k in range(7) for c in combinations(points, k)]
     topo = sp.validate_topology(points, subsets)
-    monkeypatch.setattr(sp, "sorted_opens", _never)
+    monkeypatch.setattr(sp, "_by_size_then_names", _never)
     for materialize in ("auto", False, True):
         with pytest.raises(SizeLimit, match="need 64 bits"):
             sp.space_from_topology(topo, materialize=materialize)
@@ -548,6 +578,31 @@ def test_disc_that_is_not_open_fails_verification(monkeypatch):
         sp.induced_topology(X)
 
 
+def test_the_mask_path_never_reads_the_opens_view(monkeypatch):
+    """Enumeration, the Flagg space and the induced topology work on masks
+    alone: with the frozenset view refused, every topology on five points
+    comes back as itself."""
+    monkeypatch.setattr(sp.Topology, "opens", property(_never))
+    topologies = sp.enumerate_topologies("abcde")
+    assert len(topologies) == 6942
+    for topo in topologies:
+        assert sp.induced_topology(sp.space_from_topology(topo, materialize=False)) == topo
+
+
+def test_topologies_past_62_points_keep_python_int_masks():
+    """Masks of 70 points do not fit int64: validation, the canonical order
+    and the Flagg distances run on Python ints."""
+    points = ["p%d" % i for i in range(70)]
+    topo = sp.validate_topology(points, [(), points[:1], points[:2], points])
+    assert topo.masks == (0, 1, 3, (1 << 70) - 1)
+    assert sp.sorted_opens(topo) == sorted(topo.opens, key=lambda u: (len(u), sorted(u)))
+    X = sp.space_from_topology(topo, materialize=False)
+    assert [X.V.element_name(X.dist[i, j]) for i, j in ((0, 1), (1, 0), (2, 69))] == \
+        ["{U0+U2+U3}", "{U0+U1+U2+U3}", "{U0+U1+U2+U3}"]
+    with pytest.raises(NotATopology, match=r"^not closed under union: \{p0\}, \{p1\}$"):
+        sp.validate_topology(points, [(), points[:1], points[1:2], points])
+
+
 def test_enumerate_topologies_count():
     """The topologies and the preorders on 0 to 5 points (OEIS A000798)."""
     for m, count in enumerate([1, 1, 4, 29, 355, 6942]):
@@ -559,7 +614,7 @@ def test_enumerate_topologies_count():
 def test_enumerate_topologies_refuses_six_points_before_scanning(monkeypatch):
     """2^30 reflexive relations of 36 pairs each; the count is charged
     capped at 2^28, the bits of the budget, and is still over it."""
-    monkeypatch.setattr(sp, "combinations", _never)
+    monkeypatch.setattr(sp, "_upsets", _never)
     with pytest.raises(SizeLimit, match="enumerating topologies on 6 points costs "
                                         "9663676416 cell operations"):
         sp.enumerate_topologies(["a", "b", "c", "d", "e", "f"])

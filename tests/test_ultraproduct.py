@@ -325,6 +325,29 @@ def test_product_with_functions_acts_componentwise(chain4):
                                     s2.fun_tables["f"][combo[1]])
 
 
+def test_a_product_builds_each_factor_gather_once(chain4, monkeypatch):
+    """A 3-factor product with a unary predicate and a unary function reads
+    its distances, predicate and function tables and the right sides of a
+    1- and a 2-variable Łoś report through one gather per window width."""
+    ident = F.identity_modulus(chain4)
+    sig = F.Signature(predicates=[("P", 1, ident)], functions=[("f", 1, ident)])
+    space = sp.validate_space(chain4, ["p", "q"], [[0, 1], [1, 0]])
+    s1 = sem.validate_structure(space, sig, {"P": [0, 1]}, {"f": [1, 0]}, name="s1")
+    s2 = sem.validate_structure(space, sig, {"P": [1, 1]}, {"f": [0, 0]}, name="s2")
+    built = []
+
+    def counting(sizes, w):
+        built.append(w)
+        return factor_gather(sizes, w)
+
+    factor_gather = up.factor_gather
+    monkeypatch.setattr(up, "factor_gather", counting)
+    dp = up.d_product_structure([s1, s2, s1], up.PrincipalUltrafilter(3, 1))
+    for text in ("(P (f x0))", "(d x0 x1)"):
+        assert up.los_check(dp, F.parse_formula(text, sig, chain4)).all_equal
+    assert sorted(built) == [1, 2]
+
+
 # -- the Łoś equality ---------------------------------------------------------------------
 
 
