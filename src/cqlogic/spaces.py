@@ -133,11 +133,14 @@ def validate_space(values, points, dist) -> ContinuitySpace:
 
 
 def _twin_representatives(table):
-    """The first index of each twin class, in increasing order: x and x' are
-    twins when their rows and their columns are equal."""
+    """The first index of each twin class of a nonempty table, in increasing
+    order: x and x' are twins when their rows and their columns are equal,
+    so x is keyed by the bytes of row x of [table | tableᵀ]."""
+    rows, cols = table.tobytes(), table.T.tobytes()
+    step = len(rows) // len(table)
     first = {}
-    for x, key in enumerate(zip(map(tuple, table.tolist()), map(tuple, table.T.tolist()))):
-        first.setdefault(key, x)
+    for at in range(0, len(rows), step):
+        first.setdefault(rows[at:at + step] + cols[at:at + step], at // step)
     return list(first.values())
 
 

@@ -268,7 +268,8 @@ def _load_tables(kind, symbols, rows, index, noun, header_line, parse, bad):
 def write_structure(struct, name=None) -> str:
     """Emit a structure in the same text format the loader accepts: a @dist
     line for each cell off the default table, a @predval and @funval line for
-    each cell of each table, in row-major order."""
+    each cell of each table, in row-major order. The text is joined from one
+    string per row of a table, not one per cell."""
     vq = struct.V
     names = [vq.element_name(e) for e in range(vq.size)]
     points = struct.points
@@ -279,27 +280,31 @@ def write_structure(struct, name=None) -> str:
     np.fill_diagonal(moved, struct.dist.diagonal() != vq.bottom)
     for p, row, mask in zip(points, struct.dist, moved):
         cols = np.flatnonzero(mask)
-        out.extend("@dist %s %s %s" % (p, points[j], names[e])
-                   for j, e in zip(cols.tolist(), row[cols].tolist()))
+        if cols.size:
+            prefix = "@dist %s " % p
+            out.append("\n".join([prefix + points[j] + " " + names[e]
+                                  for j, e in zip(cols.tolist(), row[cols].tolist())]))
     for pname in sorted(struct.sig.predicates):
         arity, modulus = struct.sig.predicates[pname]
         out.append("@pred %s %d %s" % (pname, arity, _modulus_text(vq, modulus)))
-        out.extend("@predval %s %s %s" % (pname, args, names[e])
-                   for args, e in _cells(points, struct.pred_tables[pname]))
+        out.extend(_rows("@predval " + pname, points, struct.pred_tables[pname], names))
     for fname in sorted(struct.sig.functions):
         arity, modulus = struct.sig.functions[fname]
         out.append("@fun %s %d %s" % (fname, arity, _modulus_text(vq, modulus)))
-        out.extend("@funval %s %s %s" % (fname, args, points[e])
-                   for args, e in _cells(points, struct.fun_tables[fname]))
+        out.extend(_rows("@funval " + fname, points, struct.fun_tables[fname], points))
     for cname in struct.sig.constants:
         out.append("@const %s %s" % (cname, points[struct.const_points[cname]]))
-    return "\n".join(out) + "\n"
+    out.append("")              # the final newline, with no copy of the joined text
+    return "\n".join(out)
 
 
-def _cells(points, table):
-    """(the point names of a cell's arguments, its entry) for every cell of a
-    table, in row-major order."""
-    return zip(map(" ".join, product(points, repeat=table.ndim)), table.ravel().tolist())
+def _rows(head, points, table, render):
+    """One string per row of ``table`` (its last axis) holding the line
+    `head args entry` of each of the row's cells, the entry named by
+    ``render``, in row-major order."""
+    for lead, row in zip(product(points, repeat=table.ndim - 1), table.reshape(-1, len(points))):
+        prefix = " ".join((head,) + lead) + " "
+        yield "\n".join([prefix + p + " " + render[e] for p, e in zip(points, row.tolist())])
 
 
 def _modulus_text(vq, modulus):

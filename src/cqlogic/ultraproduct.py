@@ -5,15 +5,17 @@ structures, the quotient ultraproduct, the V-ultrapower equivalence, the
 D-limits are always computed by the definitional candidate scan (every
 positive radius must put the tail set into D); the principal shortcut is
 never assumed, so the Łoś checks stay genuine two-sided computations. A
-D-product reads its factors' values through one gather over their tables
-laid end to end, and every D-limit (distances, predicates, Łoś right sides)
-through one `DLimits` table: one scan per distinct tuple per product.
+D-product reads every D-limit (distances, predicates, Łoś right sides)
+through one `DLimits` table, one scan per distinct tuple per product,
+indexed by its factors' tables broadcast against each other
+(`_factor_axes`), so no array of the factors' values is built.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations, product as iproduct
 
 import numpy as np
@@ -126,44 +128,69 @@ def dlim_cost(vq: CoQuantale, rows, width):
 
 class DLimits:
     """The D-limits of one D-product, each distinct tuple of factor values
-    scanned once.
-
-    Over n elements and I factors, the tuple (v_0, ..., v_(I-1)) has the
-    mixed-radix code Σ v_i·n^(I-1-i), and ``table[code]`` is its D-limit, or
-    -1 while it has not been needed. A read codes its (I, N) factor values
-    by one product with ``radix`` and sends only the unseen distinct tuples
-    to `dlim_batch`, so every entry is the definitional scan. The table is
-    kept when nᴵ ≤ `CELL_BUDGET`; past that, every read sends its rows to
-    `dlim_batch`."""
+    scanned once: over n elements and I factors, ``view`` (the flat ``table``
+    with shape (n,)*I) holds at [v_0, ..., v_(I-1)] the tuple's D-limit, or
+    -1 while it has not been needed. A read indexes ``view`` with the factor
+    values and sends only the unseen distinct tuples to `dlim_batch`, so
+    every entry is the definitional scan. The table is kept when
+    nᴵ ≤ `CELL_BUDGET`; past that, every read sends its rows to `dlim_batch`."""
 
     def __init__(self, vq: CoQuantale, D: PrincipalUltrafilter):
         self.vq, self.D = vq, D
-        self.table = None
+        self.table = self.view = None
         if vq.size ** D.index_count <= spaces.CELL_BUDGET:
-            # a code is below nᴵ ≤ CELL_BUDGET, so it fits in int32
-            self.radix = vq.size ** np.arange(D.index_count - 1, -1, -1, dtype=np.int32)
             self.table = np.full(vq.size ** D.index_count, -1, dtype=np.int32)
             self.table.setflags(write=False)
+            self.view = self.table.reshape((vq.size,) * D.index_count)
 
-    def __call__(self, tables, gather):
-        """[r]: the D-limit of the factor values `_factor_values(tables, gather)`."""
-        values = _factor_values(tables, gather)
+    def __call__(self, values):
+        """The D-limit of each tuple of the I factor-value arrays ``values``,
+        broadcast together (`_factor_axes`), in their broadcast shape."""
+        values = tuple(values)
         if self.table is None:
-            return dlim_batch(self.vq, values.T, self.D)
-        codes = self.radix @ values
-        out = self.table.take(codes)
+            rows = np.array(np.broadcast_arrays(*values))
+            return dlim_batch(self.vq, rows.reshape(len(values), -1).T,
+                              self.D).reshape(rows.shape[1:])
+        out = self.view[values]
         if out.min() < 0:
+            missing = np.ravel_multi_index(values, self.view.shape)[out < 0]
             # the distinct unseen codes (np.unique would import numpy.ma, about
             # 10 ms of every cql process that reads a D-limit)
-            missing = np.sort(codes[out < 0])
+            missing.sort()
             new = missing[np.append(True, missing[1:] != missing[:-1])]
             # computed before the table is written, so a refused fill leaves no entry
-            limits = dlim_batch(self.vq, new[:, None] // self.radix % self.vq.size, self.D)
+            limits = dlim_batch(self.vq, np.transpose(np.unravel_index(new, self.view.shape)),
+                                self.D)
             self.table.setflags(write=True)
             self.table[new] = limits
             self.table.setflags(write=False)
-            out = self.table.take(codes)
+            out = self.view[values]
         return out
+
+
+def _factor_axes(tables, sizes, w):
+    """Factor i's w-axis table reshaped to `_axis_shapes` (a view of a
+    contiguous table): broadcast together, the tables run over the w-tuples
+    of product points in row-major order."""
+    return [table.reshape(shape) for table, shape in zip(tables, _axis_shapes(tuple(sizes), w))]
+
+
+@lru_cache(maxsize=256)
+def _axis_shapes(sizes, w):
+    """Per factor, the shape with its j-th axis at position j·K + k when it is
+    the k-th of the K factors of more than one point, and size 1 elsewhere
+    (one axis when K·w = 0). A one-point factor adds no digit to the points'
+    mixed-radix numerals, so leaving it out keeps the row-major order and
+    any number of factors within numpy's axis limit."""
+    count = sum(m > 1 for m in sizes)
+    out, rank = [], 0
+    for m in sizes:
+        shape = [1] * (count * w)
+        if m > 1:
+            shape[rank::count] = [m] * w
+            rank += 1
+        out.append(tuple(shape) or (1,))
+    return tuple(out)
 
 
 # -- D-products of spaces -----------------------------------------------------------
@@ -182,56 +209,18 @@ def d_product_space(spaces, D: PrincipalUltrafilter):
         raise SignatureMismatch("factors must share their value co-quantale")
     sizes = [s.m for s in spaces]
     check_cost("a D-product of %d points" % math.prod(sizes), _product_space_cost(vq, sizes))
-    return _product_space(spaces, DLimits(vq, D), _Gathers(sizes))
+    return _product_space(spaces, DLimits(vq, D))
 
 
-def _product_space(spaces, limits, gathers):
+def _product_space(spaces, limits):
     """The D-product of checked factor spaces, its distances read through
-    ``limits`` and ``gathers[2]``."""
+    ``limits``."""
     tuples = list(iproduct(*[range(s.m) for s in spaces]))
     names = ["|".join(s.points[i] for s, i in zip(spaces, combo)) for combo in tuples]
-    dist = limits([s.dist for s in spaces], gathers[2])
+    dist = limits(_factor_axes([s.dist for s in spaces], [s.m for s in spaces], 2))
     space = validate_space(spaces[0].V, names, dist.reshape(len(tuples), len(tuples)))
     space.tuples = tuples
     return space
-
-
-def factor_gather(sizes, w):
-    """[i, r]: the index, into the factors' w-axis tables laid end to end, of
-    factor i's entry at the r-th w-tuple of product points, both in row-major
-    order: offset_i = Σ_(j<i) sizes[j]ʷ plus the tuple's factor-i coordinates
-    as a base-sizes[i] numeral. Point p's factor-i coordinate is
-    p // (sizes[i+1] ⋯ sizes[-1]) mod sizes[i], so no grid of coordinates is
-    built and any number of factors works."""
-    total = math.prod(sizes)
-    out = np.empty((len(sizes), total ** w), dtype=np.int32)
-    offset = 0
-    for i, (row, m) in enumerate(zip(out, sizes)):
-        coord = np.arange(total, dtype=np.int32) // math.prod(sizes[i + 1:]) % m
-        flat = np.zeros(1, dtype=np.int32)
-        for _ in range(w):
-            flat = np.add.outer(flat * m, coord).reshape(-1)
-        np.add(flat, offset, out=row)
-        offset += m ** w
-    return out
-
-
-class _Gathers(dict):
-    """`factor_gather` of one product's factor sizes, built once per window
-    width w on first use."""
-
-    def __init__(self, sizes):
-        super().__init__()
-        self.sizes = sizes
-
-    def __missing__(self, w):
-        self[w] = factor_gather(self.sizes, w)
-        return self[w]
-
-
-def _factor_values(tables, gather):
-    """[i, r]: the factor value at gather[i, r] of ``tables`` laid end to end."""
-    return np.concatenate(tables, axis=None).take(gather)
 
 
 def _product_space_cost(vq, sizes):
@@ -260,8 +249,7 @@ def quotient_ultraproduct(spaces, D: PrincipalUltrafilter):
         raise VerificationFailed("~ is not reflexive")
     if (related != related.T).any():
         raise VerificationFailed("~ is not symmetric")
-    composed = (related.astype(np.uint8) @ related.astype(np.uint8)) > 0
-    if (composed & ~related).any():
+    if not _is_transitive(related):
         raise VerificationFailed("~ is not transitive")
     classes = []
     theta = [-1] * count
@@ -280,6 +268,12 @@ def quotient_ultraproduct(spaces, D: PrincipalUltrafilter):
     quotient = validate_space(vq, names, dist[np.ix_(reps, reps)])
     quotient.classes = classes
     return quotient, theta
+
+
+def _is_transitive(related):
+    """Whether a bool relation contains its composite with itself; the bool
+    product counts no paths, so it cannot wrap as an integer product would."""
+    return not (related @ related & ~related).any()
 
 
 @dataclass
@@ -318,22 +312,18 @@ def ultrapower_V(vq: CoQuantale, D: PrincipalUltrafilter) -> UltrapowerResult:
 
 @dataclass
 class DProductStructure:
-    """A D-product and what every Łoś sweep on it shares: `factor_gather`
-    of the factor sizes, one per window width and the same ones the
-    product's tables were read through, and the product's `DLimits`,
-    which holds the D-limit of each distinct tuple of factor values once it
-    has been scanned (still by the definitional scan, once per tuple per
-    product). The evaluators and hypothesis verdicts are held by the
-    product's structure and by each factor."""
+    """A D-product and what every Łoś sweep on it shares: the product's
+    `DLimits`, which holds the D-limit of each distinct tuple of factor
+    values once it has been scanned (still by the definitional scan, once
+    per tuple per product), and that the product's tables were read through.
+    The evaluators and hypothesis verdicts are held by the product's
+    structure and by each factor; the product holds no copy of the factors'
+    values beside its own tables."""
     structure: LStructure
     factors: list
     D: PrincipalUltrafilter
     tuples: list
     limits: DLimits = field(repr=False, compare=False)
-    _gathers: _Gathers = field(repr=False, compare=False)
-
-    def gather(self, w):
-        return self._gathers[w]
 
 
 def d_product_structure(factors, D: PrincipalUltrafilter) -> DProductStructure:
@@ -360,22 +350,24 @@ def d_product_structure(factors, D: PrincipalUltrafilter) -> DProductStructure:
                _product_space_cost(vq, sizes) + structure_cost(vq, sig, total)
                + sum(dlim_cost(vq, total ** arity, len(sizes))
                      for arity, _ in sig.predicates.values()))
-    limits, gathers = DLimits(vq, D), _Gathers(sizes)
-    space = _product_space([f.space for f in factors], limits, gathers)
+    limits = DLimits(vq, D)
+    space = _product_space([f.space for f in factors], limits)
     pred_tables = {}
     for pname, (arity, _) in sig.predicates.items():
-        pred_tables[pname] = limits([f.pred_tables[pname] for f in factors],
-                                    gathers[arity]).reshape((total,) * arity)
+        values = _factor_axes([f.pred_tables[pname] for f in factors], sizes, arity)
+        pred_tables[pname] = limits(values).reshape((total,) * arity)
     # the product point of a tuple of factor points, as in row-major order
-    strides = np.array([math.prod(sizes[i + 1:]) for i in range(len(sizes))])
+    strides = [math.prod(sizes[i + 1:]) for i in range(len(sizes))]
     fun_tables = {}
     for fname, (arity, _) in sig.functions.items():
-        images = _factor_values([f.fun_tables[fname] for f in factors], gathers[arity])
-        fun_tables[fname] = (strides @ images).astype(np.int32).reshape((total,) * arity)
-    consts = {c: int(strides @ [f.const_points[c] for f in factors]) for c in sig.constants}
+        images = _factor_axes([f.fun_tables[fname] for f in factors], sizes, arity)
+        fun_tables[fname] = np.asarray(sum(stride * image for stride, image in zip(
+            strides, images)), dtype=np.int32).reshape((total,) * arity)
+    consts = {c: int(sum(stride * f.const_points[c] for stride, f in zip(strides, factors)))
+              for c in sig.constants}
     structure = validate_structure(space, sig, pred_tables, fun_tables, consts,
                                    name="D-product")
-    return DProductStructure(structure, factors, D, space.tuples, limits, gathers)
+    return DProductStructure(structure, factors, D, space.tuples, limits)
 
 
 # -- the Łoś verifier ----------------------------------------------------------------
@@ -396,7 +388,8 @@ class LosEntry:
 class LosReport:
     """One formula's Łoś values per assignment of its w free variables, the
     w-tuples of the product's points in row-major order; ``entries`` pairs
-    them with the points' names when asked, and equality compares them."""
+    them with the points' names when asked. Equality compares the formula,
+    the hypothesis records, the point names, the width and both arrays."""
     formula: str
     left: np.ndarray    # the product's value, per assignment
     right: np.ndarray   # the D-limit of the factors', per assignment
@@ -410,9 +403,11 @@ class LosReport:
                                                      self.left.tolist(), self.right.tolist())]
 
     def __eq__(self, other):
-        return isinstance(other, LosReport) and (
-            (self.formula, self.hypothesis, self.entries)
-            == (other.formula, other.hypothesis, other.entries))
+        return (isinstance(other, LosReport)
+                and (self.formula, self.hypothesis, self.points, self.width)
+                == (other.formula, other.hypothesis, other.points, other.width)
+                and np.array_equal(self.left, other.left)
+                and np.array_equal(self.right, other.right))
 
     @property
     def all_equal(self):
@@ -447,14 +442,15 @@ def los_check(dp: DProductStructure, phi) -> LosReport:
     D-ultralimit of its factor values, over every assignment of its free
     variables. Each piece of work is held by what it depends on: the formula
     records by the nodes, the tables and hypothesis verdicts by the product's
-    structure and each factor, the factor gathers and the D-limits by ``dp``.
-    The left side is the product's node table; the right side is one gather
-    of the factors' node tables through ``dp.limits``."""
+    structure and each factor, the D-limits by ``dp``. The left side is the
+    product's node table; the right side is one read of the factors' node
+    tables through ``dp.limits``."""
     vq, product, width = dp.structure.V, dp.structure, len(phi.window)
     # a node's table has size-m axes exactly at its free variables, so
     # flattened it runs over the w-tuples of points in row-major order
     left = product.evaluator(phi.span)(phi).reshape(-1)
-    right = dp.limits([f.evaluator(phi.span)(phi) for f in dp.factors], dp.gather(width))
+    right = dp.limits(_factor_axes([f.evaluator(phi.span)(phi) for f in dp.factors],
+                                   [f.m for f in dp.factors], width)).reshape(-1)
     hypothesis = []
     for sub in phi.quantified:
         text = sub.text(vq)

@@ -2,7 +2,8 @@
 printing then parsing a formula gives it back, a one-factor D-product is
 its factor, D-product distances and predicates are the pointwise
 D-ultralimits and its functions act componentwise, a D-limit read through
-the factor gather is the D-ultralimit of each row's tuple, written
+the factor gather (the factors' tables broadcast by `_factor_axes`) is the
+D-ultralimit of each w-tuple's factor values, written
 structures load back, the triangle check on twin representatives gives
 the verdict of the full check, topologies on masks agree with their
 frozenset twins, and enumerated topologies are the preorders' up-sets.
@@ -179,8 +180,8 @@ def test_d_product_distances_are_pointwise_ultralimits(spec, data):
 @given(data=st.data())
 def test_d_limits_read_through_the_factor_gather_are_the_definitional_limits(
         spec, row_path, data):
-    """Random w-axis tables on I = 1..4 factors of 1 to 3 points each, read
-    through `factor_gather` and `_factor_values` into a `DLimits`: entry r is
+    """Random w-axis tables on I = 1..4 factors of 1 to 3 points each,
+    broadcast by `_factor_axes` and read through a `DLimits`: entry r is
     d_ultralimit of the factor values at the r-th w-tuple of product points,
     the factor tuples in row-major order, with the table kept and without
     it (CELL_BUDGET below nᴵ); a kept table holds exactly the codes read."""
@@ -200,8 +201,8 @@ def test_d_limits_read_through_the_factor_gather_are_the_definitional_limits(
             patch.setattr(sp, "CELL_BUDGET", vq.size ** count - 1)
         limits = up.DLimits(vq, D)
         assert (limits.table is None) == row_path
-        got = limits(tables, up.factor_gather(sizes, w))
-    assert got.tolist() == [want[seq] for seq in seqs]
+        got = limits(up._factor_axes(tables, sizes, w))
+    assert got.reshape(-1).tolist() == [want[seq] for seq in seqs]
     if not row_path:
         radix = vq.size ** np.arange(count - 1, -1, -1)
         assert set(np.flatnonzero(limits.table >= 0).tolist()) == {

@@ -1,4 +1,6 @@
 import dataclasses
+import random
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -8,10 +10,11 @@ from cqlogic import formulas as F
 from cqlogic import semantics as sem
 from cqlogic import spaces as sp
 from cqlogic import ultraproduct as up
-from cqlogic.errors import (ArityMismatch, NotCoDivisible, NotFinitelySatisfiable,
-                            NotSymmetricFactors, NotValueCoquantale, SizeLimit)
-from cqlogic.textio import Workspace
-from conftest import cauchy_verdicts
+from cqlogic.errors import (ArityMismatch, ModulusViolated, NotCoDivisible,
+                            NotFinitelySatisfiable, NotSymmetricFactors, NotValueCoquantale,
+                            SizeLimit)
+from cqlogic.textio import Workspace, write_structure
+from conftest import cauchy_verdicts, repaired_space, unary_structure
 
 
 @pytest.fixture(scope="module")
@@ -223,9 +226,10 @@ def test_product_size_cap(chain4):
 
 def test_a_factor_count_off_the_index_set_is_an_arity_mismatch(sig, factors, monkeypatch):
     """One factor per index, or ArityMismatch naming both counts, raised
-    before the product allocates anything (no D-limit table, no gather)."""
+    before the product allocates anything (no D-limit table, no read of the
+    factors' tables)."""
     monkeypatch.setattr(up, "DLimits", None)
-    monkeypatch.setattr(up, "factor_gather", None)
+    monkeypatch.setattr(up, "_factor_axes", None)
     D = up.PrincipalUltrafilter(2, 0)
     with pytest.raises(ArityMismatch, match=r"^one factor per index: \|I\| = 2, 1 given$"):
         up.d_product_space([factors[0].space], D)
@@ -255,6 +259,18 @@ def test_quotient_classes_are_generator_fibers(chain4):
         for j, y in enumerate(tuples):
             assert (theta[i] == theta[j]) == (x[1] == y[1])
     assert quotient.m == 2
+
+
+def test_transitivity_is_decided_past_256_paths():
+    """0 ~ k and k ~ 257 for the 256 middle points k, but not 0 ~ 257: one
+    composite pair with exactly 256 paths, which a uint8 product counts as
+    none. A relation that contains its composite is transitive."""
+    related = np.eye(258, dtype=bool)
+    related[0, 1:257] = related[1:257, 257] = True
+    assert not up._is_transitive(related)
+    related[0, 257] = True
+    assert up._is_transitive(related)
+    assert up._is_transitive(np.eye(258, dtype=bool))
 
 
 def test_zero_distance_pair_merges(bool2):
@@ -325,27 +341,39 @@ def test_product_with_functions_acts_componentwise(chain4):
                                     s2.fun_tables["f"][combo[1]])
 
 
-def test_a_product_builds_each_factor_gather_once(chain4, monkeypatch):
-    """A 3-factor product with a unary predicate and a unary function reads
-    its distances, predicate and function tables and the right sides of a
-    1- and a 2-variable Łoś report through one gather per window width."""
+def test_a_product_reads_every_d_limit_through_its_one_table(chain4, monkeypatch):
+    """A 3-factor product with a unary predicate and a unary function builds
+    one `DLimits`, and reads its distances, its predicate table and the
+    right sides of a 1- and a 2-variable Łoś report through it. Each read
+    passes the factors' own tables, reshaped but not copied or gathered:
+    factor i's array holds its mᵢʷ cells, not one per w-tuple of product
+    points. The product keeps no array beside its structure and D-limits."""
     ident = F.identity_modulus(chain4)
     sig = F.Signature(predicates=[("P", 1, ident)], functions=[("f", 1, ident)])
     space = sp.validate_space(chain4, ["p", "q"], [[0, 1], [1, 0]])
     s1 = sem.validate_structure(space, sig, {"P": [0, 1]}, {"f": [1, 0]}, name="s1")
     s2 = sem.validate_structure(space, sig, {"P": [1, 1]}, {"f": [0, 0]}, name="s2")
-    built = []
+    built, reads = [], []
 
-    def counting(sizes, w):
-        built.append(w)
-        return factor_gather(sizes, w)
+    class Counting(up.DLimits):
+        def __init__(self, vq, D):
+            built.append(D.index_count)
+            super().__init__(vq, D)
 
-    factor_gather = up.factor_gather
-    monkeypatch.setattr(up, "factor_gather", counting)
+        def __call__(self, values):
+            values = list(values)
+            reads.append([v.size for v in values])
+            return super().__call__(values)
+
+    monkeypatch.setattr(up, "DLimits", Counting)
     dp = up.d_product_structure([s1, s2, s1], up.PrincipalUltrafilter(3, 1))
     for text in ("(P (f x0))", "(d x0 x1)"):
         assert up.los_check(dp, F.parse_formula(text, sig, chain4)).all_equal
-    assert sorted(built) == [1, 2]
+    assert built == [3] and isinstance(dp.limits, Counting)
+    # distances, P, then the right sides of the 1- and 2-variable reports
+    assert reads == [[4] * 3, [2] * 3, [2] * 3, [4] * 3]
+    assert [f.name for f in dataclasses.fields(dp)] == [
+        "structure", "factors", "D", "tuples", "limits"]
 
 
 # -- the Łoś equality ---------------------------------------------------------------------
@@ -402,7 +430,7 @@ def _same_report(got, want, vq):
 
 @pytest.mark.parametrize("width", [1, 2, 3])
 def test_los_reports_on_one_product_match_fresh_products(chain4, sig, factors, width):
-    """Every los_check on one product shares its factor gathers and the
+    """Every los_check on one product shares its D-limit table and the
     factors' evaluators and hypothesis verdicts; each report equals the one
     from a product built for it alone, and los_sweep over a pool gives the
     same reports as los_check formula by formula. A report's entries run
@@ -434,21 +462,61 @@ def test_los_reports_on_one_product_match_fresh_products(chain4, sig, factors, w
     assert twin != swept[-1]
 
 
+def test_los_reports_differing_in_one_value_or_one_point_name_are_unequal(
+        chain4, sig, factors):
+    """Reports compare by formula, hypothesis, points, width and both value
+    arrays: a copy is equal, and a copy with one left or right value, or one
+    point name, changed is not."""
+    dp = up.d_product_structure(factors, up.PrincipalUltrafilter(2, 1))
+    report = up.los_check(dp, F.parse_formula("(inf x1 (d x0 x1))", sig, chain4))
+    assert report.width == 1 and report.hypothesis
+
+    def copy(**changes):
+        fields = dict(left=report.left.copy(), right=report.right.copy(),
+                      points=list(report.points))
+        fields.update(changes)
+        return dataclasses.replace(report, **fields)
+
+    assert copy() == report
+    for side in ("left", "right"):
+        values = getattr(report, side).copy()
+        values[-1] = (values[-1] + 1) % chain4.size
+        assert copy(**{side: values}) != report
+    assert copy(points=report.points[:-1] + ["renamed"]) != report
+    assert copy(left=report.left[:-1], right=report.right[:-1]) != report
+    assert report != report.entries
+
+
 @pytest.mark.parametrize("sizes", [[2, 1, 3], [1], [3, 2]])
 @pytest.mark.parametrize("w", [0, 1, 2, 3])
-def test_factor_gather_matches_the_per_tuple_definition(sizes, w):
-    """Row r of the gather is the r-th w-tuple of product points, the points
-    being the factor tuples in row-major order; entry i is the offset of
-    factor i's table among the factors' w-axis tables laid end to end, plus
-    the factor-i coordinates of those points read as a base-sizes[i] numeral."""
-    gather = up.factor_gather(sizes, w)
+def test_factor_gather_matches_the_per_tuple_definition(chain4, monkeypatch, sizes, w):
+    """The factor gather, the factors' w-axis tables broadcast by
+    `_factor_axes`, holds at the r-th w-tuple of product points (the factor
+    tuples in row-major order) factor i's entry at those points' factor-i
+    coordinates. Read through a `DLimits`, with its table kept and on the
+    row path (CELL_BUDGET below nᴵ), entry r is d_ultralimit of that tuple
+    of factor values."""
+    rng = np.random.default_rng(21 + 4 * len(sizes) + w)
+    tables = [rng.integers(0, chain4.size, size=(m,) * w).astype(np.int32) for m in sizes]
     combos = list(product(product(*map(range, sizes)), repeat=w))
-    assert gather.shape == (len(sizes), len(combos))
-    for r, combo in enumerate(combos):
-        for i, m in enumerate(sizes):
-            offset = sum(size ** w for size in sizes[:i])
-            assert gather[i, r] == offset + sum(p[i] * m ** (w - 1 - k)
-                                                for k, p in enumerate(combo))
+    seqs = [[int(t[tuple(p[i] for p in combo)]) for i, t in enumerate(tables)]
+            for combo in combos]
+    values = up._factor_axes(tables, sizes, w)
+    assert [v.size for v in values] == [t.size for t in tables]
+    assert all(np.shares_memory(v, t) for v, t in zip(values, tables))
+    flat = [np.broadcast_to(v, np.broadcast_shapes(*(u.shape for u in values))).reshape(-1)
+            for v in values]
+    assert np.transpose(flat).tolist() == seqs
+    for gen in range(len(sizes)):
+        D = up.PrincipalUltrafilter(len(sizes), gen)
+        want = [up.d_ultralimit(chain4, seq, D) for seq in seqs]
+        for row_path in (False, True):
+            with monkeypatch.context() as patch:
+                if row_path:
+                    patch.setattr(sp, "CELL_BUDGET", chain4.size ** len(sizes) - 1)
+                limits = up.DLimits(chain4, D)
+                assert (limits.table is None) == row_path
+                assert limits(values).reshape(-1).tolist() == want
 
 
 def _needed_tuples(dp, pool):
@@ -568,9 +636,8 @@ def test_d_limit_table_matches_the_definitional_scan(roster, monkeypatch, spec, 
             seqs = rng.integers(0, vq.size, size=(30, width)).astype(np.int32)
             seqs = np.vstack([seqs, seqs[::3]])
             for batch in (seqs[:20], seqs[20:]):
-                # factor i's table is column i, laid end to end after columns < i
-                gather = np.arange(len(batch)) + len(batch) * np.arange(width)[:, None]
-                got = limits(list(batch.T), gather)
+                # factor i's values are column i, so the tuples are the rows
+                got = limits(batch.T)
                 assert got.tolist() == [up.d_ultralimit(vq, row, D) for row in batch.tolist()]
             if not row_path:
                 filled = np.flatnonzero(limits.table >= 0)
@@ -629,6 +696,78 @@ def test_factors_hold_hypothesis_verdicts_and_evaluators(chain4, sig, factors, m
     assert one.factors[0].evaluator(1) is two.factors[1].evaluator(1)
     assert one.factors[1].evaluator(1) is two.factors[0].evaluator(1) is two.factors[2].evaluator(1)
     assert one.structure.evaluator(1) is not two.structure.evaluator(1)
+
+
+# -- memory ----------------------------------------------------------------------------
+
+
+def _traced_peak(call):
+    """(call's result, the peak bytes tracemalloc saw while it ran above what
+    was allocated before), numpy's buffers included."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    before = tracemalloc.get_traced_memory()[0]
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def product_432(chain4):
+    """Five seeded `chain:4` factors on 4, 4, 3, 3 and 3 points, each with a
+    unary predicate P: their D-product has 432 points."""
+    rng = random.Random(21)
+    chosen = []
+    for m in (4, 4, 3, 3, 3):
+        while True:
+            space = repaired_space(chain4, ["p%d" % i for i in range(m)], rng)
+            try:
+                chosen.append(unary_structure(chain4, space.dist,
+                                              [rng.randrange(chain4.size) for _ in range(m)],
+                                              "F%d" % len(chosen)))
+                break
+            except ModulusViolated:
+                continue
+    assert [f.m for f in chosen] == [4, 4, 3, 3, 3]
+    return chosen
+
+
+def test_a_432_point_product_is_built_in_bounded_memory(product_432):
+    """Building the 432-point, 5-factor product peaks at 8 MB or less: its
+    distance table, predicate table and D-limit table, with no array of the
+    factors' values on the side. The product's tables equal the D-limits
+    of the factor values read tuple by tuple, on a seeded sample."""
+    D = up.PrincipalUltrafilter(5, 2)
+    dp, peak = _traced_peak(lambda: up.d_product_structure(product_432, D))
+    assert dp.structure.m == 432
+    assert peak <= 8 << 20, peak
+    rng = np.random.default_rng(21)
+    for x, y in rng.integers(0, 432, size=(50, 2)).tolist():
+        seq = [f.dist[a, b] for f, a, b in zip(product_432, dp.tuples[x], dp.tuples[y])]
+        assert dp.structure.dist[x, y] == up.d_ultralimit(dp.structure.V, seq, D)
+        seq = [f.pred_tables["P"][a] for f, a in zip(product_432, dp.tuples[x])]
+        assert dp.structure.pred_tables["P"][x] == up.d_ultralimit(dp.structure.V, seq, D)
+
+
+def test_writing_a_432_point_product_peaks_below_two_and_a_half_texts(product_432):
+    """`write_structure` of the 432-point product peaks at 2.5 times its
+    text's length or less, and the text loads back to the same tables."""
+    dp = up.d_product_structure(product_432, up.PrincipalUltrafilter(5, 0))
+    text, peak = _traced_peak(lambda: write_structure(dp.structure, name="product"))
+    assert len(text) > 1 << 20
+    assert peak <= 2.5 * len(text), (peak, len(text))
+    ws = Workspace()
+    ws.register("coquantales", dp.structure.V.name, dp.structure.V)
+    ws.load_text(text)
+    loaded = ws.structure("product")
+    assert loaded.points == dp.structure.points
+    assert np.array_equal(loaded.dist, dp.structure.dist)
+    assert np.array_equal(loaded.pred_tables["P"], dp.structure.pred_tables["P"])
 
 
 # -- the discrete Cauchy hypothesis ----------------------------------------------------
