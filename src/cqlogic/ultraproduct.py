@@ -5,17 +5,22 @@ structures, the quotient ultraproduct, the V-ultrapower equivalence, the
 D-limits are always computed by the definitional candidate scan (every
 positive radius must put the tail set into D); the principal shortcut is
 never assumed, so the Łoś checks stay genuine two-sided computations. A
-D-product reads every D-limit (distances, predicates, Łoś right sides)
-through one `DLimits` table, one scan per distinct tuple per product,
-indexed by its factors' tables broadcast against each other
-(`_factor_axes`), so no array of the factors' values is built.
+D-limit depends only on the carrier, D and the tuple, so a carrier holds
+one `DLimits` table per (index count, generator) (`shared_limits`), and
+every D-product on it reads every D-limit (distances, predicates, Łoś right
+sides) through the table of its key: each is scanned once per distinct
+tuple per (carrier, index count, generator). The tables a carrier holds
+have at most `spaces.CELL_BUDGET` cells in all: when a new table would pass
+that, the carrier's tables are dropped first, and a product that holds a
+dropped table keeps reading it. A table is read with the factors' tables
+broadcast against each other (`_factor_axes`), so no array of the factors'
+values is built.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import combinations, product as iproduct
 
 import numpy as np
@@ -104,6 +109,9 @@ def dlim_batch(vq: CoQuantale, seqs, D: PrincipalUltrafilter):
     if not vq.value_flag:
         raise NotValueCoquantale("D-limits live in value co-quantales")
     seqs = np.asarray(seqs, dtype=np.int32)
+    if seqs.ndim != 2 or seqs.shape[1] != D.index_count:
+        raise NoLimit("rows of shape %s do not match the index set: need (N, %d)"
+                      % (seqs.shape, D.index_count))
     check_cost("%d D-limits over %d indices" % seqs.shape, dlim_cost(vq, *seqs.shape))
     rows = max(1, spaces.CELL_BUDGET // max(1, dlim_cost(vq, 1, seqs.shape[1])))
     out = np.empty(len(seqs), dtype=np.int32)
@@ -127,21 +135,27 @@ def dlim_cost(vq: CoQuantale, rows, width):
 
 
 class DLimits:
-    """The D-limits of one D-product, each distinct tuple of factor values
-    scanned once: over n elements and I factors, ``view`` (the flat ``table``
-    with shape (n,)*I) holds at [v_0, ..., v_(I-1)] the tuple's D-limit, or
-    -1 while it has not been needed. A read indexes ``view`` with the factor
-    values and sends only the unseen distinct tuples to `dlim_batch`, so
-    every entry is the definitional scan. The table is kept when
-    nᴵ ≤ `CELL_BUDGET`; past that, every read sends its rows to `dlim_batch`."""
+    """The D-limits over a carrier of n elements and a D on I indices, each
+    distinct tuple of factor values scanned once: ``table`` holds at the
+    mixed-radix code Σ v_i·n^(I−1−i) of a tuple (v_0, ..., v_(I-1)), its
+    position in an array of ``shape`` (n,)*I, the tuple's D-limit, or -1
+    while it has not been needed, and ``unseen`` counts the -1 entries. A
+    read takes the codes of the factor values and sends only the unseen
+    distinct tuples to `dlim_batch`, so every entry is the definitional
+    scan; once every entry is filled, a read is the codes and one gather.
+    The table is kept when nᴵ ≤ `CELL_BUDGET` at construction; past that,
+    every read sends its rows to `dlim_batch`. The D-products on one carrier
+    share one table per (index count, generator) (`shared_limits`)."""
 
     def __init__(self, vq: CoQuantale, D: PrincipalUltrafilter):
         self.vq, self.D = vq, D
-        self.table = self.view = None
+        self.shape = (vq.size,) * D.index_count
+        self.table = None
+        self.unseen = 0
         if vq.size ** D.index_count <= spaces.CELL_BUDGET:
-            self.table = np.full(vq.size ** D.index_count, -1, dtype=np.int32)
+            self.unseen = vq.size ** D.index_count
+            self.table = np.full(self.unseen, -1, dtype=np.int32)
             self.table.setflags(write=False)
-            self.view = self.table.reshape((vq.size,) * D.index_count)
 
     def __call__(self, values):
         """The D-limit of each tuple of the I factor-value arrays ``values``,
@@ -151,31 +165,59 @@ class DLimits:
             rows = np.array(np.broadcast_arrays(*values))
             return dlim_batch(self.vq, rows.reshape(len(values), -1).T,
                               self.D).reshape(rows.shape[1:])
-        out = self.view[values]
-        if out.min() < 0:
-            missing = np.ravel_multi_index(values, self.view.shape)[out < 0]
+        # the codes in one broadcasting call, then one gather: indexing an
+        # (n,)*I view with the values took about 1.4x as long per read
+        # (3-factor products, 2-core host)
+        codes = np.ravel_multi_index(values, self.shape)
+        out = self.table.take(codes)
+        if self.unseen and out.min() < 0:
+            missing = codes[out < 0]
             # the distinct unseen codes (np.unique would import numpy.ma, about
             # 10 ms of every cql process that reads a D-limit)
             missing.sort()
             new = missing[np.append(True, missing[1:] != missing[:-1])]
             # computed before the table is written, so a refused fill leaves no entry
-            limits = dlim_batch(self.vq, np.transpose(np.unravel_index(new, self.view.shape)),
+            limits = dlim_batch(self.vq, np.transpose(np.unravel_index(new, self.shape)),
                                 self.D)
             self.table.setflags(write=True)
             self.table[new] = limits
             self.table.setflags(write=False)
-            out = self.view[values]
+            self.unseen -= len(new)
+            out = self.table.take(codes)
         return out
+
+
+def shared_limits(vq: CoQuantale, D: PrincipalUltrafilter) -> DLimits:
+    """The `DLimits` of the carrier and D's (index count, generator), held by
+    the carrier and shared by every D-product on it. The choice between a
+    table and the row path is made here, against the current
+    `CELL_BUDGET`: with nᴵ over it, a new row-path `DLimits`. The tables
+    held have at most `CELL_BUDGET` cells in all; when a new table would
+    pass that, every held table is dropped first (a product holding one
+    keeps reading it)."""
+    cells = vq.size ** D.index_count
+    if cells > spaces.CELL_BUDGET:
+        return DLimits(vq, D)
+    tables = getattr(vq, "_dlimits", None)
+    if tables is None:
+        tables = vq._dlimits = {}
+    key = (D.index_count, D.generator)
+    live = sum(t.table.size for t in tables.values())
+    if live + (0 if key in tables else cells) > spaces.CELL_BUDGET:
+        tables.clear()
+    hit = tables.get(key)
+    if hit is None:
+        hit = tables[key] = DLimits(vq, D)
+    return hit
 
 
 def _factor_axes(tables, sizes, w):
     """Factor i's w-axis table reshaped to `_axis_shapes` (a view of a
     contiguous table): broadcast together, the tables run over the w-tuples
     of product points in row-major order."""
-    return [table.reshape(shape) for table, shape in zip(tables, _axis_shapes(tuple(sizes), w))]
+    return [table.reshape(shape) for table, shape in zip(tables, _axis_shapes(sizes, w))]
 
 
-@lru_cache(maxsize=256)
 def _axis_shapes(sizes, w):
     """Per factor, the shape with its j-th axis at position j·K + k when it is
     the k-th of the K factors of more than one point, and size 1 elsewhere
@@ -198,8 +240,8 @@ def _axis_shapes(sizes, w):
 
 def d_product_space(spaces, D: PrincipalUltrafilter):
     """Tuple point set with d_D((x_i), (y_i)) = lim_D of the factor
-    distances, read through a new `DLimits`; validated as a continuity
-    space afterwards."""
+    distances, read through the carrier's `DLimits` for D (`shared_limits`);
+    validated as a continuity space afterwards."""
     spaces = list(spaces)
     if len(spaces) != D.index_count:
         raise ArityMismatch("one factor per index: |I| = %d, %d given"
@@ -209,7 +251,7 @@ def d_product_space(spaces, D: PrincipalUltrafilter):
         raise SignatureMismatch("factors must share their value co-quantale")
     sizes = [s.m for s in spaces]
     check_cost("a D-product of %d points" % math.prod(sizes), _product_space_cost(vq, sizes))
-    return _product_space(spaces, DLimits(vq, D))
+    return _product_space(spaces, shared_limits(vq, D))
 
 
 def _product_space(spaces, limits):
@@ -312,18 +354,37 @@ def ultrapower_V(vq: CoQuantale, D: PrincipalUltrafilter) -> UltrapowerResult:
 
 @dataclass
 class DProductStructure:
-    """A D-product and what every Łoś sweep on it shares: the product's
-    `DLimits`, which holds the D-limit of each distinct tuple of factor
-    values once it has been scanned (still by the definitional scan, once
-    per tuple per product), and that the product's tables were read through.
-    The evaluators and hypothesis verdicts are held by the product's
-    structure and by each factor; the product holds no copy of the factors'
-    values beside its own tables."""
+    """A D-product and what every Łoś sweep on it shares: the `DLimits` of
+    its carrier and D (`shared_limits`), which holds the D-limit of each
+    distinct tuple of factor values once it has been scanned (still by the
+    definitional scan, once per distinct tuple per (carrier, index count,
+    generator), unless the carrier's tables were dropped to stay within
+    `CELL_BUDGET`), and that the product's tables were read through; and its
+    read plan: the factor sizes and, per (span, width), each factor's
+    evaluator with the shape its w-axis table takes in the broadcast
+    (`_axis_shapes`). The evaluators' tables and the hypothesis verdicts are
+    held by the product's structure and by each factor; the product holds no
+    copy of the factors' values beside its own tables."""
     structure: LStructure
     factors: list
     D: PrincipalUltrafilter
     tuples: list
     limits: DLimits = field(repr=False, compare=False)
+
+    def __post_init__(self):
+        self.sizes = tuple(f.m for f in self.factors)
+        self._plans = {}
+
+    def factor_limits(self, phi):
+        """The D-limit of the factors' values of φ, per w-tuple of product
+        points in row-major order: one memo hit and one reshape per factor,
+        then one read of ``limits``."""
+        key = phi.span, len(phi.window)
+        plan = self._plans.get(key)
+        if plan is None:
+            plan = self._plans[key] = list(zip([f.evaluator(key[0]) for f in self.factors],
+                                               _axis_shapes(self.sizes, key[1])))
+        return self.limits(tuple(evaluate(phi).reshape(shape) for evaluate, shape in plan))
 
 
 def d_product_structure(factors, D: PrincipalUltrafilter) -> DProductStructure:
@@ -350,7 +411,7 @@ def d_product_structure(factors, D: PrincipalUltrafilter) -> DProductStructure:
                _product_space_cost(vq, sizes) + structure_cost(vq, sig, total)
                + sum(dlim_cost(vq, total ** arity, len(sizes))
                      for arity, _ in sig.predicates.values()))
-    limits = DLimits(vq, D)
+    limits = shared_limits(vq, D)
     space = _product_space([f.space for f in factors], limits)
     pred_tables = {}
     for pname, (arity, _) in sig.predicates.items():
@@ -442,20 +503,20 @@ def los_check(dp: DProductStructure, phi) -> LosReport:
     D-ultralimit of its factor values, over every assignment of its free
     variables. Each piece of work is held by what it depends on: the formula
     records by the nodes, the tables and hypothesis verdicts by the product's
-    structure and each factor, the D-limits by ``dp``. The left side is the
-    product's node table; the right side is one read of the factors' node
-    tables through ``dp.limits``."""
-    vq, product, width = dp.structure.V, dp.structure, len(phi.window)
+    structure and each factor, the D-limits by the carrier, the read plan by
+    ``dp``. The left side is the product's node table; the right side is one
+    read of the factors' node tables through ``dp.limits``
+    (`DProductStructure.factor_limits`)."""
+    vq, product = dp.structure.V, dp.structure
     # a node's table has size-m axes exactly at its free variables, so
     # flattened it runs over the w-tuples of points in row-major order
     left = product.evaluator(phi.span)(phi).reshape(-1)
-    right = dp.limits(_factor_axes([f.evaluator(phi.span)(phi) for f in dp.factors],
-                                   [f.m for f in dp.factors], width)).reshape(-1)
+    right = dp.factor_limits(phi).reshape(-1)
     hypothesis = []
     for sub in phi.quantified:
         text = sub.text(vq)
         hypothesis.extend((f.name, text) + f.hypothesis(sub) for f in dp.factors)
-    return LosReport(phi.text(vq), left, right, hypothesis, product.points, width)
+    return LosReport(phi.text(vq), left, right, hypothesis, product.points, len(phi.window))
 
 
 def los_sweep(dp: DProductStructure, pool):

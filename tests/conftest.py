@@ -182,3 +182,11 @@ def cauchy_verdicts(struct, sub):
         sup_ok &= V.meet_of(V.join_of(V.tsub[fl, fk] for fl in fam) for fk in fam) == V.bottom
         inf_ok &= V.meet_of(V.join_of(V.tsub[fk, fl] for fl in fam) for fk in fam) == V.bottom
     return sup_ok, inf_ok
+
+
+def empty_limit_tables(monkeypatch, vq):
+    """Start the D-limit tables that ``vq`` shares among its D-products
+    (`ultraproduct.shared_limits`) empty; the ones held before come back
+    when the test ends."""
+    monkeypatch.setattr(vq, "_dlimits", {}, raising=False)
+    return vq._dlimits

@@ -3,10 +3,12 @@ printing then parsing a formula gives it back, a one-factor D-product is
 its factor, D-product distances and predicates are the pointwise
 D-ultralimits and its functions act componentwise, a D-limit read through
 the factor gather (the factors' tables broadcast by `_factor_axes`) is the
-D-ultralimit of each w-tuple's factor values, written
-structures load back, the triangle check on twin representatives gives
-the verdict of the full check, topologies on masks agree with their
-frozenset twins, and enumerated topologies are the preorders' up-sets.
+D-ultralimit of each w-tuple's factor values, a D-limit table shared by
+products with different factors holds the D-ultralimit of every tuple it
+was read at, written structures load back, the triangle check on twin
+representatives gives the verdict of the full check, topologies on masks
+agree with their frozenset twins, and enumerated topologies are the
+preorders' up-sets.
 
 Structures are built valid by construction. A symmetric space takes the
 predicate P(x) = d(a, x) + e, which the identity modulus admits because
@@ -30,7 +32,7 @@ from cqlogic.errors import NotATopology, TransitivityViolation
 from cqlogic.freelocale import FreeLocale
 from cqlogic.textio import Workspace, write_structure
 
-from conftest import metric_closure
+from conftest import empty_limit_tables, metric_closure
 
 CARRIERS = ["chain:4", "lukasiewicz:4", "freelocale:2"]
 VARS = 3
@@ -207,6 +209,34 @@ def test_d_limits_read_through_the_factor_gather_are_the_definitional_limits(
         radix = vq.size ** np.arange(count - 1, -1, -1)
         assert set(np.flatnonzero(limits.table >= 0).tolist()) == {
             int(radix @ seq) for seq in seqs}
+
+
+@pytest.mark.parametrize("spec", CARRIERS)
+@settings(max_examples=30)
+@given(data=st.data())
+def test_a_shared_d_limit_table_is_the_definitional_limit_row_by_row(spec, data):
+    """Two or three D-products on one D, each with its own random factors
+    and a random formula checked on it, fill one shared `DLimits` table:
+    every product holds that table, its ``unseen`` counts its -1 entries,
+    and each filled entry is d_ultralimit of its decoded tuple."""
+    vq = cq.builtin(spec)
+    width = data.draw(st.integers(2, 3))
+    D = up.PrincipalUltrafilter(width, data.draw(st.integers(0, width - 1)))
+    with pytest.MonkeyPatch.context() as patch:
+        tables = empty_limit_tables(patch, vq)
+        products = []
+        for _ in range(data.draw(st.integers(2, 3))):
+            dp = up.d_product_structure(
+                [one_structure(data, vq, "F%d" % i) for i in range(width)], D)
+            assert up.los_check(dp, data.draw(formulas(vq))).all_equal
+            products.append(dp)
+    shared = tables[width, D.generator]
+    assert all(dp.limits is shared for dp in products)
+    filled = np.flatnonzero(shared.table >= 0)
+    assert shared.unseen == shared.table.size - len(filled)
+    for code in filled.tolist():
+        digits = [int(d) for d in np.unravel_index(code, shared.shape)]
+        assert shared.table[code] == up.d_ultralimit(vq, digits, D)
 
 
 @pytest.mark.parametrize("spec", CARRIERS)

@@ -10,11 +10,11 @@ from cqlogic import formulas as F
 from cqlogic import semantics as sem
 from cqlogic import spaces as sp
 from cqlogic import ultraproduct as up
-from cqlogic.errors import (ArityMismatch, ModulusViolated, NotCoDivisible,
+from cqlogic.errors import (ArityMismatch, ModulusViolated, NoLimit, NotCoDivisible,
                             NotFinitelySatisfiable, NotSymmetricFactors, NotValueCoquantale,
                             SizeLimit)
 from cqlogic.textio import Workspace, write_structure
-from conftest import cauchy_verdicts, repaired_space, unary_structure
+from conftest import cauchy_verdicts, empty_limit_tables, repaired_space, unary_structure
 
 
 @pytest.fixture(scope="module")
@@ -89,6 +89,23 @@ def test_dlim_batch_blocks_agree_with_one_block(chain4, monkeypatch, budget):
         with monkeypatch.context() as patch:
             patch.setattr(sp, "CELL_BUDGET", budget)   # 1 and 2 rows per block
             assert np.array_equal(up.dlim_batch(chain4, seqs, D), whole)
+
+
+@pytest.mark.parametrize("seqs", [[[0, 1, 2]], [], [0, 1], [[[0, 1]]]],
+                         ids=["wide-row", "empty-1d", "1d", "3d"])
+def test_dlim_batch_refuses_input_off_the_index_set(chain4, monkeypatch, seqs):
+    """dlim_batch takes an (N, I) array, I the index count of D: a row of
+    another width is refused with NoLimit, as d_ultralimit refuses the same
+    sequence, and so is an input of any other rank, before its cost is
+    charged (a zero work budget refuses nothing first). N = 0 is an empty
+    answer."""
+    D = up.PrincipalUltrafilter(2, 0)
+    monkeypatch.setattr(sp, "WORK_BUDGET", 0)
+    with pytest.raises(NoLimit, match="^sequence length does not match the index set$"):
+        up.d_ultralimit(chain4, [0, 1, 2], D)
+    with pytest.raises(NoLimit, match=r"do not match the index set: need \(N, 2\)$"):
+        up.dlim_batch(chain4, seqs, D)
+    assert up.dlim_batch(chain4, np.zeros((0, 2), dtype=np.int32), D).tolist() == []
 
 
 @pytest.mark.parametrize("gen", [0, 63, 65])
@@ -342,12 +359,13 @@ def test_product_with_functions_acts_componentwise(chain4):
 
 
 def test_a_product_reads_every_d_limit_through_its_one_table(chain4, monkeypatch):
-    """A 3-factor product with a unary predicate and a unary function builds
-    one `DLimits`, and reads its distances, its predicate table and the
-    right sides of a 1- and a 2-variable Łoś report through it. Each read
-    passes the factors' own tables, reshaped but not copied or gathered:
-    factor i's array holds its mᵢʷ cells, not one per w-tuple of product
-    points. The product keeps no array beside its structure and D-limits."""
+    """A 3-factor product with a unary predicate and a unary function, on a
+    carrier that holds no D-limit table yet, builds one `DLimits`, and reads
+    its distances, its predicate table and the right sides of a 1- and a
+    2-variable Łoś report through it. Each read passes the factors' own
+    tables, reshaped but not copied or gathered: factor i's array holds its
+    mᵢʷ cells, not one per w-tuple of product points. The product keeps no
+    array beside its structure and D-limits."""
     ident = F.identity_modulus(chain4)
     sig = F.Signature(predicates=[("P", 1, ident)], functions=[("f", 1, ident)])
     space = sp.validate_space(chain4, ["p", "q"], [[0, 1], [1, 0]])
@@ -366,6 +384,7 @@ def test_a_product_reads_every_d_limit_through_its_one_table(chain4, monkeypatch
             return super().__call__(values)
 
     monkeypatch.setattr(up, "DLimits", Counting)
+    empty_limit_tables(monkeypatch, chain4)
     dp = up.d_product_structure([s1, s2, s1], up.PrincipalUltrafilter(3, 1))
     for text in ("(P (f x0))", "(d x0 x1)"):
         assert up.los_check(dp, F.parse_formula(text, sig, chain4)).all_equal
@@ -538,11 +557,12 @@ def _needed_tuples(dp, pool):
 
 
 def test_a_d_product_scans_each_distinct_tuple_once(chain4, sig, factors, monkeypatch):
-    """Building a product and sweeping a pool on it passes each distinct
-    tuple of factor values to dlim_batch once in all, and a second sweep
-    passes none; the reports equal those of fresh products. With the work
-    budget one below the cost of a fill, the fill is refused as dlim_batch
-    refuses it, and leaves no entry in the table."""
+    """Building a product on a carrier that holds no D-limit table yet and
+    sweeping a pool on it passes each distinct tuple of factor values to
+    dlim_batch once in all, and a second sweep passes none; the reports
+    equal those of fresh products. With the work budget one below the cost
+    of a fill, the fill is refused as dlim_batch refuses it, and leaves no
+    entry in the table."""
     pool = sem.enumerate_formulas(sig, chain4, 1, 2)
     chosen, D = [factors[0], factors[1], factors[0]], up.PrincipalUltrafilter(3, 2)
     rows = []
@@ -553,6 +573,7 @@ def test_a_d_product_scans_each_distinct_tuple_once(chain4, sig, factors, monkey
 
     dlim_batch = up.dlim_batch
     monkeypatch.setattr(up, "dlim_batch", counted)
+    empty_limit_tables(monkeypatch, chain4)
     dp = up.d_product_structure(chosen, D)
     reports = up.los_sweep(dp, pool)
     assert len(rows) == len(set(rows))
@@ -570,12 +591,14 @@ def test_a_d_product_scans_each_distinct_tuple_once(chain4, sig, factors, monkey
     # admitted at the cost of that fill, refused one below it
     fills = []
     for phi in pool:
+        empty_limit_tables(monkeypatch, chain4)
         fresh = up.d_product_structure(chosen, D)
         del rows[:]
         want = up.los_check(fresh, phi)
         fills.append((len(rows), phi, want))
     fill, phi, want = max(fills, key=lambda f: f[0])
     assert fill == 11
+    empty_limit_tables(monkeypatch, chain4)
     fresh = up.d_product_structure(chosen, D)
     before = fresh.limits.table.copy()
     cost = up.dlim_cost(chain4, fill, 3)
@@ -614,6 +637,146 @@ def test_los_reports_on_the_row_path_match_the_table(chain4, sig, factors, monke
     assert calls == [rows.structure.m ** len(phi.window) for phi in pool]
     for got, want in zip(swept, up.los_sweep(kept, pool)):
         _same_report(got, want, chain4)
+
+
+def _seeded_corpus(vq, sizes, seed):
+    """Seeded structures with one unary predicate P under the identity
+    modulus, of the given sizes, named A, B, C, ..."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < len(sizes):
+        name, m = "ABCDEFGH"[len(out)], sizes[len(out)]
+        space = repaired_space(vq, ["%s%d" % (name, i) for i in range(m)], rng)
+        try:
+            out.append(unary_structure(vq, space.dist, [rng.randrange(vq.size) for _ in range(m)],
+                                       name, space.points))
+        except ModulusViolated:
+            continue
+    return out
+
+
+def _every_product(corpus, widths=(1, 2, 3)):
+    """Every (factor combination, generator) over the corpus, by width."""
+    return [(combo, gen) for w in widths for combo in product(corpus, repeat=w)
+            for gen in range(w)]
+
+
+def test_each_triple_is_scanned_at_most_once_across_products(chain4, monkeypatch):
+    """Every D-product of widths 1 to 3 over three seeded structures of 2, 3
+    and 2 points, each swept with a depth-2 pool, on a carrier that holds no
+    D-limit table yet: each (index count, generator, tuple of factor values)
+    reaches dlim_batch at most once across all the products, the rows are
+    exactly the triples the products need (read from the factors' tables and
+    `eval_formula` on each factor), and a second sweep of new products
+    sends none. Every report holds, and on a seeded sample each entry is
+    `eval_formula` on the product and `d_ultralimit` of its factors'."""
+    corpus = _seeded_corpus(chain4, (2, 3, 2), 22)
+    pool = sem.enumerate_formulas(corpus[0].sig, chain4, 2, 1)
+    values = {(id(s), phi): {a: sem.eval_formula(s, phi, dict(zip(phi.window, a)))
+                             for a in product(range(s.m), repeat=len(phi.window))}
+              for s in corpus for phi in pool}
+    needed = set()
+    for w in (1, 2, 3):
+        for combo in product(corpus, repeat=w):
+            tuples = list(product(*[range(f.m) for f in combo]))
+            found = {tuple(f.dist[x[i], y[i]] for i, f in enumerate(combo))
+                     for x, y in product(tuples, repeat=2)}
+            found |= {tuple(f.pred_tables["P"][x[i]] for i, f in enumerate(combo))
+                      for x in tuples}
+            for phi in pool:
+                for assignment in product(tuples, repeat=len(phi.window)):
+                    found.add(tuple(values[id(f), phi][tuple(p[i] for p in assignment)]
+                                    for i, f in enumerate(combo)))
+            needed |= {(w, gen) + t for gen in range(w) for t in found}
+    rows = []
+
+    def counted(vq, seqs, D):
+        rows.extend((D.index_count, D.generator) + tuple(r) for r in np.asarray(seqs).tolist())
+        return dlim_batch(vq, seqs, D)
+
+    dlim_batch = up.dlim_batch
+    monkeypatch.setattr(up, "dlim_batch", counted)
+    empty_limit_tables(monkeypatch, chain4)
+    swept = []
+    for combo, gen in _every_product(corpus):
+        dp = up.d_product_structure(combo, up.PrincipalUltrafilter(len(combo), gen))
+        swept.append((dp, up.los_sweep(dp, pool)))
+    assert len(rows) == len(set(rows))
+    assert set(rows) == needed
+    del rows[:]
+    for combo, gen in _every_product(corpus):
+        up.los_sweep(up.d_product_structure(combo, up.PrincipalUltrafilter(len(combo), gen)),
+                     pool)
+    assert rows == []
+    assert all(r.all_equal for _, reports in swept for r in reports)
+
+    rng = random.Random(22)
+    for dp, reports in rng.sample(swept, 12):
+        for phi, report in rng.sample(list(zip(pool, reports)), 8):
+            points = product(range(dp.structure.m), repeat=len(phi.window))
+            for r, assignment in enumerate(points):
+                sigma = dict(zip(phi.window, assignment))
+                assert report.left[r] == sem.eval_formula(dp.structure, phi, sigma)
+                seq = [sem.eval_formula(f, phi, {v: dp.tuples[p][i] for v, p in sigma.items()})
+                       for i, f in enumerate(dp.factors)]
+                assert report.right[r] == up.d_ultralimit(chain4, seq, dp.D)
+
+
+@pytest.mark.parametrize("budget", [30, 150])
+def test_shared_d_limit_tables_stay_within_the_cell_budget(chain4, monkeypatch, budget):
+    """With CELL_BUDGET patched down, the carrier's D-limit tables hold at
+    most that many cells after every product build and sweep; a key whose
+    table would pass it empties them first, and a product with nᴵ over it
+    takes the row path. Every report still holds."""
+    corpus = _seeded_corpus(chain4, (2, 3, 2), 22)
+    pool = sem.enumerate_formulas(corpus[0].sig, chain4, 1, 1)
+    monkeypatch.setattr(sp, "CELL_BUDGET", budget)
+    tables = empty_limit_tables(monkeypatch, chain4)
+    held = set()
+    for combo, gen in _every_product(corpus):
+        dp = up.d_product_structure(combo, up.PrincipalUltrafilter(len(combo), gen))
+        kept = chain4.size ** len(combo) <= budget
+        assert (dp.limits.table is not None) == kept
+        assert (tables.get((len(combo), gen)) is dp.limits) == kept
+        assert all(r.all_equal for r in up.los_sweep(dp, pool))
+        assert sum(t.table.size for t in tables.values()) <= budget
+        held.add(id(dp.limits))
+    # 30: the 2-index tables evict each other; 150: each 3-index table evicts
+    assert len(held) > len(tables)
+
+
+def test_an_evicted_key_is_rebuilt_with_the_same_entries(chain4, monkeypatch):
+    """A key whose table was dropped to make room for another is rebuilt
+    empty by the next product on it, and after the same sweep holds the same
+    entries. The product that holds the dropped table keeps reading it: a
+    second sweep on it scans nothing and gives the same reports."""
+    corpus = _seeded_corpus(chain4, (2, 3, 2), 22)
+    pool = sem.enumerate_formulas(corpus[0].sig, chain4, 2, 1)
+    monkeypatch.setattr(sp, "CELL_BUDGET", chain4.size ** 3)
+    tables = empty_limit_tables(monkeypatch, chain4)
+    first = up.d_product_structure(corpus[:2], up.PrincipalUltrafilter(2, 0))
+    reports = up.los_sweep(first, pool)
+    dropped = first.limits
+    entries = dropped.table.copy()
+    assert tables == {(2, 0): dropped} and dropped.unseen == (entries < 0).sum()
+    up.d_product_structure(corpus, up.PrincipalUltrafilter(3, 1))  # 25 + 125 cells
+    assert list(tables) == [(3, 1)]
+    calls = []
+
+    def counted(vq, seqs, D):
+        calls.append(len(seqs))
+        return dlim_batch(vq, seqs, D)
+
+    dlim_batch = up.dlim_batch
+    monkeypatch.setattr(up, "dlim_batch", counted)
+    for got, want in zip(up.los_sweep(first, pool), reports):
+        _same_report(got, want, chain4)
+    assert calls == []
+    again = up.d_product_structure(corpus[:2], up.PrincipalUltrafilter(2, 0))
+    assert again.limits is not dropped and list(tables) == [(2, 0)]
+    for got, want in zip(up.los_sweep(again, pool), reports):
+        _same_report(got, want, chain4)
+    assert calls and np.array_equal(again.limits.table, entries)
 
 
 @pytest.mark.parametrize("spec", ["bool2", "chain:4"])
