@@ -66,7 +66,10 @@ def main(argv=None) -> int:
 
     sub.add_parser("compactness-demo", help="scripted compactness construction")
 
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:           # --help (0) or a usage error (2)
+        return exc.code
     try:
         status = _dispatch(args)
         sys.stdout.flush()

@@ -568,8 +568,8 @@ class _Parser:
         raise UnknownSymbol("unknown formula head %r" % head)
 
 
-def parse_formula(text, sig: Signature, vq: CoQuantale, kit=None):
-    parser = _Parser(text, sig, vq, kit if kit is not None else default_kit(vq))
+def parse_formula(text, sig: Signature, vq: CoQuantale):
+    parser = _Parser(text, sig, vq, default_kit(vq))
     phi = parser.formula()
     parser.done()
     return phi

@@ -12,7 +12,8 @@ over the principal down-sets. Both answer the same table lookups (``V.add``,
 function reads or gathers that array. Point sets returned by operations are
 frozensets of point names. A topology stores its opens as int masks over
 the point indices, and frozensets only as a view; enumeration and induced
-topologies share one up-set kernel and one closure check.
+topologies share one up-set kernel and one closure check, each charged by
+the one cost function beside it.
 
 Points x and x' are twins when d(x,·) = d(x',·) and d(·,x) = d(·,x'); a
 D-product of finitely many factors has many. Every distance depends only on
@@ -20,16 +21,14 @@ the twin classes, so `validate_space` runs the triangle kernel on the table
 of the first point of each class. A failing triple's representatives fail
 too and are componentwise no larger, so the first failing triple of the
 whole table is made of representatives, and the witness is the same as the
-full check's. The triangle check is still charged m³ before any work, as an
-upper bound, so the same inputs are admitted and refused.
+full check's. The check is charged m³, its cost when no point has a twin.
 
 Size limits come from two budgets: `CELL_BUDGET` bounds the cells of one
 block of a row-blocked kernel and of one evaluator memo, `WORK_BUDGET` the
 cell operations of one call. Every kernel and every Python-loop scan
 computes its cost from its input sizes, a loop iteration counted at the
 fixed rate of `loop_cost`, and `check_cost` refuses it before it starts.
-Other modules read both budgets here at call time.
-"""
+Other modules read both budgets here at call time."""
 
 from __future__ import annotations
 
@@ -62,10 +61,7 @@ def loop_cost(iterations):
     """Cell operations charged for ``iterations`` of a Python loop: 64 each.
     Measured on a 2-core host (Python 3.11.7): a cell of the 512-point
     triangle check takes 11-14 ns, and an iteration of a Python scan over
-    sets of points, the rate this charge was set from, 0.6-1.1 µs (48-85
-    cells). Iterations charged as an upper bound take less: one of the ≺
-    oracle under 0.1 µs, and a pair of opens in the numpy closure check of
-    `induced_topology` and `validate_topology` about 55 ns on 10 points."""
+    sets of points 0.6-1.1 µs (48-85 cells)."""
     return 64 * iterations
 
 
@@ -267,12 +263,15 @@ def validate_topology(points, opens) -> Topology:
     """Exhaustively check the finite topology axioms: unique point names,
     opens made of points, ∅ and the full set open, and the opens closed
     under ∩ and ∪ (`_check_closed`). A refusal names the first offender in a
-    fixed order, its members sorted."""
+    fixed order, its members sorted. The distinct opens are charged an
+    iteration per open and per member for their masks, and `closed_cost`."""
     points = tuple(str(p) for p in points)
     index = {p: x for x, p in enumerate(points)}
     if len(index) != len(points):
         raise NotATopology("points must be unique names")
     opens = {frozenset(u) for u in opens}
+    check_cost("validating a topology on %d points with %d opens" % (len(points), len(opens)),
+               loop_cost(len(opens) + sum(map(len, opens))) + closed_cost(len(opens)))
     outside = [u for u in opens if not u <= index.keys()]
     if outside:
         first = min(outside, key=lambda u: (len(u), sorted(map(str, u))))
@@ -309,6 +308,13 @@ def _check_closed(points, opens):
                 *(_set_name(_point_set(points, int(opens[x]))) for x in (start + i, j))))
 
 
+def closed_cost(k):
+    """4 cell operations for each of the k² pairs of `_check_closed`. On a
+    2-core host the 16,777,216 of the 12-point discrete family took 0.8-1.0
+    s, 49-61 ns a pair: 4.4 cells of the 512-point triangle check each."""
+    return 4 * k * k
+
+
 @lru_cache(maxsize=None)
 def _subset_tables(m):
     """For the 2^m subset masks s: ~s as an (2^m, 1, 1) stack, and [s, x]:
@@ -339,6 +345,11 @@ def _upsets(discs, m):
     return out
 
 
+def upsets_cost(families, m, radii):
+    """The 2^m·m·radii cells of each of `_upsets`' families."""
+    return families * m * radii << m
+
+
 def induced_topology(space: ContinuitySpace) -> Topology:
     """All subsets U such that every x in U has a positive disc inside U.
 
@@ -348,8 +359,7 @@ def induced_topology(space: ContinuitySpace) -> Topology:
     positives filter are tried. Discs and candidate open sets are bitmasks
     over the point indices; the opens are the up-sets of `_upsets`, checked
     for closure by `_check_closed`. Every disc must come out open; a disc
-    that does not raises VerificationFailed.
-    """
+    that does not raises VerificationFailed."""
     V, m, dist = space.V, space.m, space.dist
     radii = [V.bottom] if V.is_positive(V.bottom) else V.positives()
     check_cost("induced topology on %d points" % m, topology_cost(m, len(radii)))
@@ -365,15 +375,10 @@ def induced_topology(space: ContinuitySpace) -> Topology:
 
 
 def topology_cost(m, radii):
-    """`induced_topology` on m points with ``radii`` positive radii, each
-    step charged as a Python loop: the m·m·radii ≺ table (numpy over a table
-    co-quantale), the minimal discs among at most min(radii, 2^m) distinct
-    ones per point, the scan of 2^m masks over each point's discs, and up to
-    4^m pairs of opens in the closure check. The charge is an upper bound,
-    kept so that the same inputs are admitted: its minimal-disc term matches
-    no code, and the scan and the pairs are numpy kernels."""
-    discs = min(radii, 1 << m)
-    return loop_cost(m * m * radii + m * discs * discs + (m * (discs + 1) << m) + 4 ** m)
+    """`induced_topology` on m points with ``radii`` positive radii: the
+    m·m·radii cells of the ≺ table, the up-set test of one family of discs
+    and the closure check of at most 2^m opens."""
+    return m * m * radii + upsets_cost(1, m, radii) + closed_cost(1 << m)
 
 
 def dist_to_set(space: ContinuitySpace, x, subset):
@@ -414,11 +419,8 @@ class TheoremReport:
         return all(e.passed for e in self.entries)
 
     def lines(self):
-        out = []
-        for e in self.entries:
-            out.append("  %-28s %s" % (e.name, "pass" if e.passed else "FAIL at %s" % e.witness))
-        out.extend("  note: %s" % n for n in self.notes)
-        return out
+        return (["  %-28s %s" % (e.name, "pass" if e.passed else "FAIL at %s" % e.witness)
+                 for e in self.entries] + ["  note: %s" % n for n in self.notes])
 
 
 def _entry(name, failures):
@@ -437,10 +439,7 @@ def check_topology_theorems(space: ContinuitySpace) -> TheoremReport:
     positives = V.positives()
     check_cost("topology theorems on %d points" % m, theorem_cost(m, len(positives)))
     dual = dual_space(space)
-    sym = symmetric_space(space)
-    tau = induced_topology(space)
-    tau_star = induced_topology(dual)
-    tau_sym = induced_topology(sym)
+    tau, tau_star, tau_sym = map(induced_topology, (space, dual, symmetric_space(space)))
     full = frozenset(space.points)
     subsets = [space.point_set(i for i in range(m) if mask >> i & 1) for mask in range(1 << m)]
 
@@ -585,12 +584,12 @@ def enumerate_topologies(points):
     of each preorder (Alexandrov; the specialization order takes it back),
     in increasing order of its mask over the 2^m subsets in `combinations`
     order. The preorders are charged by `_preorder_rows`, then the up-set
-    test of P preorders P·2^m·m cells, in `_upsets`."""
+    test of the P preorders by `upsets_cost`."""
     points = tuple(str(p) for p in points)
     m = len(points)
     what = "enumerating topologies on %d points" % m
     rows = _preorder_rows(m, what)
-    check_cost(what, len(rows) * m << m)
+    check_cost(what, upsets_cost(len(rows), m, 1))
     upset = _upsets(rows[:, :, None], m)            # [P, s]: every x in s has ↑x inside s
     # the 2^m masks in `combinations` order
     order = _by_size_then_names(np.arange(1 << m), range(m)) @ (1 << np.arange(m))
@@ -603,22 +602,23 @@ def enumerate_topologies(points):
 
 def preorder_dictionary(points, relation, values=None) -> ContinuitySpace:
     """Encode a reflexive transitive relation as a two-valued space:
-    d(x,y) = 0 iff (x,y) is related, else top."""
+    d(x,y) = 0 iff (x,y) is related, else top. On such a table the triangle
+    law is transitivity (0 + 0 = 0, a + top = top), decided by `validate_space`."""
     points = [str(p) for p in points]
     rel = {(str(a), str(b)) for a, b in relation}
-    for a, b in rel:
-        if a not in points or b not in points:
-            raise NotAPreorder("pair (%s, %s) mentions unknown points" % (a, b))
+    known = set(points)
+    unknown = sorted(pair for pair in rel if not known.issuperset(pair))
+    if unknown:
+        raise NotAPreorder("pair (%s, %s) mentions unknown points" % unknown[0])
     for p in points:
         if (p, p) not in rel:
             raise NotAPreorder("not reflexive at %s" % p)
-    for a, b in rel:
-        for c in points:
-            if (b, c) in rel and (a, c) not in rel:
-                raise NotAPreorder("not transitive at (%s, %s, %s)" % (a, b, c))
     V = values if values is not None else builtin("bool2")
     dist = [[V.bottom if (a, b) in rel else V.top for b in points] for a in points]
-    return validate_space(V, points, dist)
+    try:
+        return validate_space(V, points, dist)
+    except TransitivityViolation as exc:
+        raise NotAPreorder("not transitive: %s" % exc) from None
 
 
 def space_to_preorder(space: ContinuitySpace):

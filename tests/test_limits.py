@@ -144,6 +144,16 @@ def test_dlim_batch_charges_its_own_cost(chain4, monkeypatch):
              "(budget 199)", lambda: up.dlim_batch(chain4, seqs, D))
 
 
+def test_is_ultrafilter_refuses_before_any_subset(monkeypatch):
+    # 3 indices: 3·2^3 iterations to build the subsets, then 4^3 pairs
+    D = up.PrincipalUltrafilter(3, 1)
+    monkeypatch.setattr(sp, "WORK_BUDGET", sp.loop_cost(24 + 64))
+    assert up.is_ultrafilter(D, 3)
+    monkeypatch.setattr(D, "contains", _never)
+    _refuses(monkeypatch, 5631, "the ultrafilter axioms on 3 indices costs 5632 cell "
+             "operations (budget 5631)", lambda: up.is_ultrafilter(D, 3))
+
+
 def test_product_space_refuses_before_building_its_table(chain4, monkeypatch):
     # 2 x 2 points: the triangle check of 4 points, as validate_space charges it
     one = _discrete(chain4, 2)
@@ -175,25 +185,55 @@ def test_symbolic_space_is_refused_before_its_triangle_loop(monkeypatch):
 
 def test_induced_topology_refuses_before_its_scan(monkeypatch):
     # 3 points and the one radius 0 of the principal masks on {a, b}, where
-    # 0 ≺ 0: 9 ≺ tests, 3 disc comparisons, 2^3 masks x 3 x 2 and 4^3 open pairs
+    # 0 ≺ 0: 9 ≺ cells, the up-set test of 2^3 masks x 3 discs and 4 x 8^2
+    # pairs of opens
     V = FreeLocale(("a", "b")).principals()
     space = sp.validate_space(V, "abc", _far_masks(V, 3))
-    monkeypatch.setattr(sp, "WORK_BUDGET", sp.loop_cost(124))
+    monkeypatch.setattr(sp, "WORK_BUDGET", 9 + 24 + 256)
     assert len(sp.induced_topology(space).opens) == 8
     monkeypatch.setattr(V.lattice, "cwb", _NeverTable())
-    _refuses(monkeypatch, 7935, "induced topology on 3 points costs 7936 cell operations "
-             "(budget 7935)", lambda: sp.induced_topology(space))
+    _refuses(monkeypatch, 288, "induced topology on 3 points costs 289 cell operations "
+             "(budget 288)", lambda: sp.induced_topology(space))
+
+
+def test_eleven_point_induced_topology_fits_the_real_budget(bool2):
+    """The 2^11 opens of the discrete space: 121 + 22,528 + 4·2^22 cells."""
+    assert sp.topology_cost(11, 1) == 16799865 <= sp.WORK_BUDGET
+    assert len(sp.induced_topology(_discrete(bool2, 11)).masks) == 2048
 
 
 def test_topology_theorems_refuse_before_any_topology(bool2, monkeypatch):
-    # 2 points, the 2 radii of bool2: three induced topologies of 8 + 8 + 24
-    # + 16, then the six statements' 16 + 8 + 40 + 80 + 72 + 128 iterations
+    # 2 points, the 2 radii of bool2: three induced topologies of 8 + 16 + 64
+    # cells, then the six statements' 16 + 8 + 40 + 80 + 72 + 128 iterations
     space = _discrete(bool2, 2)
-    monkeypatch.setattr(sp, "WORK_BUDGET", sp.loop_cost(3 * 56 + 344))
+    monkeypatch.setattr(sp, "WORK_BUDGET", 3 * 88 + sp.loop_cost(344))
     assert sp.check_topology_theorems(space).all_pass
     monkeypatch.setattr(sp, "symmetric_space", _never)
-    _refuses(monkeypatch, 32767, "topology theorems on 2 points costs 32768 cell operations "
-             "(budget 32767)", lambda: sp.check_topology_theorems(space))
+    _refuses(monkeypatch, 22279, "topology theorems on 2 points costs 22280 cell operations "
+             "(budget 22279)", lambda: sp.check_topology_theorems(space))
+
+
+def test_validate_topology_refuses_before_its_pairs(monkeypatch):
+    # the Sierpinski space: 3 opens and 3 members to convert to masks, then
+    # 4 x 3^2 pairs of opens
+    sierpinski = ["a", "b"], [(), ("b",), ("a", "b")]
+    monkeypatch.setattr(sp, "WORK_BUDGET", sp.loop_cost(6) + 36)
+    assert sp.validate_topology(*sierpinski).masks == (0, 2, 3)
+    monkeypatch.setattr(sp, "_check_closed", _never)
+    _refuses(monkeypatch, 419, "validating a topology on 2 points with 3 opens costs 420 "
+             "cell operations (budget 419)", lambda: sp.validate_topology(*sierpinski))
+
+
+def test_thirteen_point_discrete_topology_is_refused_before_any_pair(monkeypatch):
+    """The 2^13 opens: 4·2^26 pairs, about 4 s of the closure check."""
+    points = ["p%d" % i for i in range(13)]
+    opens = [[p for x, p in enumerate(points) if mask >> x & 1] for mask in range(1 << 13)]
+    monkeypatch.setattr(sp, "_check_closed", _never)
+    start = time.perf_counter()
+    with pytest.raises(SizeLimit, match="^validating a topology on 13 points with 8192 opens "
+                                        "costs 272367616 cell operations"):
+        sp.validate_topology(points, opens)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_space_from_topology_refuses_before_its_distances(monkeypatch):
@@ -233,14 +273,14 @@ def test_cwb_oracle_refuses_before_its_subset_meets(bool2, monkeypatch):
 
 
 def test_sixteen_point_induced_topology_is_refused_at_once(bool2):
-    """Up to 4^16 pairs of opens, hours of scanning: refused before any of
-    it at the real budget."""
+    """Up to 4^16 pairs of opens, minutes of the closure check: refused
+    before any of it at the real budget."""
     space = _discrete(bool2, 16)
     start = time.perf_counter()
     with pytest.raises(SizeLimit) as info:
         sp.induced_topology(space)
     assert time.perf_counter() - start < 1.0
-    assert str(info.value) == ("induced topology on 16 points costs 275012142080 cell "
+    assert str(info.value) == ("induced topology on 16 points costs 17180918016 cell "
                                "operations (budget %d)" % sp.WORK_BUDGET)
 
 

@@ -337,16 +337,23 @@ def test_topology_validation_errors():
 
 
 def test_topology_refusals_do_not_depend_on_the_hash_seed():
-    """Set iteration order changes with PYTHONHASHSEED; the witness does not."""
+    """Set iteration order changes with PYTHONHASHSEED; the witness does not.
+    The preorder cases are a chain a → b → c → d without its composites
+    and two pairs with unknown points."""
     src = os.path.dirname(os.path.dirname(sp.__file__))
-    script = ("from cqlogic import spaces as sp\n"
-              "try:\n    sp.validate_topology('abcd', %r)\n"
-              "except Exception as e:\n    print(e)\n" % CHAIN_OF_PAIRS)
-    for seed in ("1", "2"):
+    chain = [(p, p) for p in "abcd"] + [("a", "b"), ("b", "c"), ("c", "d")]
+    calls = ["sp.validate_topology('abcd', %r)" % CHAIN_OF_PAIRS,
+             "sp.preorder_dictionary('abcd', %r)" % chain,
+             "sp.preorder_dictionary('ab', [('y', 'b'), ('a', 'x')])"]
+    script = "from cqlogic import spaces as sp\n" + "".join(
+        "try:\n    %s\nexcept Exception as e:\n    print(e)\n" % call for call in calls)
+    for seed in ("1", "4"):
         out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                              env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src},
                              check=True, timeout=60).stdout
-        assert out == "not closed under intersection: {a,b}, {b,c}\n"
+        assert out.splitlines() == ["not closed under intersection: {a,b}, {b,c}",
+                                    "not transitive: d(a,c) > d(a,b) + d(b,c)",
+                                    "pair (a, x) mentions unknown points"]
 
 
 # -- closure -----------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import os
 import subprocess
 import sys
@@ -5,6 +7,7 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cqlogic import cli
 from cqlogic import coquantale as cq
@@ -358,6 +361,57 @@ def test_principal_outside_the_factors_exits_2(capsys, defs_file, command, princ
                              "--principal", principal)
     assert code == 2 and out == ""
     assert err == "error: --principal %s is not a factor index (0..1)\n" % principal
+
+
+# argv: a subcommand (or none, or an unknown one), then units drawn mostly
+# from its own flags; a flag comes with its value, so --depth stays at most
+# 1 and --max-free-vars at most 2. "DEFS" is the defs file.
+_LOAD = ["--load", "DEFS"]
+_PAIR = [_LOAD, ["--sub", "M"], ["--sub", "N"], ["--sup", "N"], ["--sup", "Z"],
+         ["--max-free-vars", "2"], ["--max-free-vars", "-1"]]
+_PRODUCT = [_LOAD, ["--factors", "M", "N"], ["--factors", "N"], ["--principal", "0"],
+            ["--principal", "7"]]
+_UNITS = {
+    "check": [["--builtin", "bool2"], ["--builtin", "chain:0"], ["DEFS"], ["missing.cql"]],
+    "eval": [_LOAD, ["--structure", "M"], ["--structure", "Z"],
+             ["--formula", "(sup x0 (P x0))"], ["--formula", "(P x0)"], ["--formula", "(P x0"],
+             ["--assign", "x0=a"], ["--assign", "x0=zz"]],
+    "topology": [_LOAD, ["--space", "S"], ["--space", "Z"]],
+    "tv": _PAIR, "elem": _PAIR,
+    "ultra": _PRODUCT,
+    "los-check": _PRODUCT + [["--formula", "(P c)"]],
+    "compactness-demo": [], "nope": [], None: [_LOAD],
+}
+_ANYWHERE = [["--help"], ["M"], ["--depth", "0"], ["--depth", "1"], ["--depth", "-1"],
+             ["--depth", "x"], ["--max-free-vars", "x"], ["--records"]]
+_ARGV = st.sampled_from(list(_UNITS)).flatmap(lambda command: st.lists(
+    st.sampled_from(_UNITS[command] + _ANYWHERE), max_size=4).map(
+    lambda units: ([command] if command else []) + [token for unit in units for token in unit]))
+
+
+def _run_captured(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue().encode(), err.getvalue().encode()
+
+
+@pytest.fixture(scope="module")
+def cli_defs(tmp_path_factory):
+    path = tmp_path_factory.mktemp("cli") / "defs.cql"
+    path.write_text(DEFS, encoding="utf-8")
+    return str(path)
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=_ARGV)
+def test_cli_returns_its_exit_code_and_is_deterministic(cli_defs, argv):
+    """Any argv of at most 8 tokens returns 0, 1 or 2 (a usage error and
+    --help too), raises nothing, and writes the same bytes when run twice."""
+    argv = [cli_defs if token == "DEFS" else token for token in argv[:8]]
+    first = _run_captured(argv)
+    assert first[0] in (0, 1, 2)
+    assert _run_captured(argv) == first
 
 
 def test_topology_command(capsys, defs_file):
