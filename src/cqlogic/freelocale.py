@@ -17,8 +17,8 @@ ground set: each is built, and each validated, once per process.
 Every distance of the Flagg dictionary is a principal down-set ↓S, and the
 principal down-sets are closed under + and ∨: ↓S ∩ ↓T = ↓(S ∩ T). On them
 ↓S ≤ ↓T iff S ⊇ T, and ≺ is ≤, since the union of the members of ↓T is T.
-`PrincipalDownsets` is that carrier, each element the k-bit mask of S in an
-int64 (k <= MASK_MAX): + and ∨ are bitwise AND, ≤ and ≺ are mask inclusion,
+`PrincipalDownsets` is that carrier, each element the k-bit mask of S in a
+uint64 (k <= MASK_MAX): + and ∨ are bitwise AND, ≤ and ≺ are mask inclusion,
 the bottom ↓R is the full mask, every element is positive, and an element is
 named as the free locale names ↓S. A meet of principal down-sets is not
 principal, so it has no meets.
@@ -37,7 +37,7 @@ from .coquantale import validate_coquantale
 from .errors import NoMeets, SizeLimit
 
 MATERIALIZE_MAX = 4   # Dedekind(4) = 168; Dedekind(5) = 7581 is already too big
-MASK_MAX = 63         # a principal down-set is a k-bit mask in an int64
+MASK_MAX = 64         # a principal down-set is a k-bit mask in a uint64
 
 _CARRIERS = {}        # ground tuple -> sorted tuple of families
 _PRINCIPAL_INDEX = {}  # ground tuple -> [S]: the carrier index of ↓S
@@ -171,9 +171,9 @@ class _Bitwise:
 
 class PrincipalDownsets:
     """The principal down-sets ↓S of a free locale on k <= MASK_MAX names,
-    each the int64 mask of S; see the module docstring."""
+    each the uint64 mask of S; see the module docstring."""
 
-    dtype = np.int64
+    dtype = np.uint64
 
     def __init__(self, locale):
         k = len(locale.ground)

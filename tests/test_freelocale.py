@@ -235,7 +235,7 @@ def test_flagg_names_with_five_to_eight_opens_are_the_definitional_ones():
         opens = sp.sorted_opens(topo)
         space = sp.space_from_topology(topo)
         fl = FreeLocale(space.V.ground)
-        assert space.V.dtype == np.int64
+        assert space.V.dtype == np.uint64
         for i, a in enumerate(topo.points):
             for j, b in enumerate(topo.points):
                 family = downclose([{g for g, u in zip(fl.ground, opens) if a not in u or b in u}])

@@ -250,16 +250,21 @@ def test_space_from_topology_refuses_before_its_distances(monkeypatch):
 
 
 def test_enumerate_topologies_refuses_before_its_scan(monkeypatch):
-    # the 2^2 reflexive relations on 2 points, 2^2 cells each, then the up-set
-    # test of the 4 preorders: 2^2 subsets x 2 points each
+    # on 2 points the generator's two steps cost 0 + 1 and 2 + 4 (the
+    # up-sets of the parents and their (D, U) table), then the up-set test of
+    # the 4 preorders 4 x 2^2 subsets x 2 points: each refused before its call
     monkeypatch.setattr(sp, "WORK_BUDGET", 32)
     assert len(sp.enumerate_topologies("ab")) == 4
-    monkeypatch.setattr(sp, "_upsets", _never)
+    calls = []
+    upsets = sp._upsets
+    monkeypatch.setattr(sp, "_upsets", lambda *args: calls.append(args) or upsets(*args))
     _refuses(monkeypatch, 31, "enumerating topologies on 2 points costs 32 cell "
              "operations (budget 31)", lambda: sp.enumerate_topologies("ab"))
-    monkeypatch.setattr(sp, "np", None)
-    _refuses(monkeypatch, 15, "enumerating topologies on 2 points costs 16 cell "
-             "operations (budget 15)", lambda: sp.enumerate_topologies("ab"))
+    assert len(calls) == 2
+    calls.clear()
+    _refuses(monkeypatch, 5, "enumerating topologies on 2 points costs 6 cell "
+             "operations (budget 5)", lambda: sp.enumerate_topologies("ab"))
+    assert len(calls) == 1
 
 
 def test_cwb_oracle_refuses_before_its_subset_meets(bool2, monkeypatch):

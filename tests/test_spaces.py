@@ -2,7 +2,7 @@ import os
 import random
 import subprocess
 import sys
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import numpy as np
 import pytest
@@ -139,7 +139,7 @@ def test_dist_is_one_read_only_array(chain4):
     assert sem.validate_structure(X, sig, {"P": [0, 1]}).dist is X.dist
     topo = sp.validate_topology(["a", "b"], [frozenset(), frozenset("b"), frozenset("ab")])
     S = sp.space_from_topology(topo, materialize=False)
-    assert S.dist.dtype == np.int64 and S.dist.shape == (2, 2)
+    assert S.dist.dtype == np.uint64 and S.dist.shape == (2, 2)
     assert not S.dist.flags.writeable
     assert not sp.dual_space(S).dist.flags.writeable
 
@@ -186,7 +186,7 @@ def _random_space(V, m, rng, name="p"):
 @pytest.mark.parametrize("spec", ["chain:4", "symbolic:2"])
 def test_joins_read_the_carrier_tables(roster, spec):
     """Symmetrizations and products join through ``V.lattice.join``: int32
-    tables equal to the pairwise `join_of` on a table carrier, int64 mask
+    tables equal to the pairwise `join_of` on a table carrier, uint64 mask
     intersections on the principal masks."""
     symbolic = spec == "symbolic:2"
     V = SYMBOLIC if symbolic else roster[spec]
@@ -196,7 +196,7 @@ def test_joins_read_the_carrier_tables(roster, spec):
         X = _random_space(V, rng.randint(1, 4), rng)
         Y = _random_space(V, rng.randint(1, 3), rng, "q")
         S, P = sp.symmetric_space(X), sp.product_space(X, Y)
-        assert S.dist.dtype == P.dist.dtype == (np.int64 if symbolic else np.int32)
+        assert S.dist.dtype == P.dist.dtype == (np.uint64 if symbolic else np.int32)
         assert S.dist.tolist() == [[join(X.d(x, y), X.d(y, x)) for y in range(X.m)]
                                    for x in range(X.m)]
         assert P.dist.tolist() == [[join(X.d(i1, i2), Y.d(j1, j2))
@@ -540,14 +540,17 @@ def test_flagg_rejects_large_point_sets(monkeypatch):
 
 
 def test_flagg_refuses_more_opens_than_mask_bits(monkeypatch):
-    """The discrete topology on six points has 64 opens, one more than an
-    int64 mask holds: refused before any distance."""
-    points = list("abcdef")
-    subsets = [frozenset(c) for k in range(7) for c in combinations(points, k)]
-    topo = sp.validate_topology(points, subsets)
+    """Every subset of six points, and the seven-point set: 65 opens, one
+    more than a uint64 mask holds, refused before any distance. (The
+    discrete topology on six points fills the 64 bits; its round trip is in
+    the acceptance suite.)"""
+    points = list("abcdefg")
+    opens = [frozenset(c) for k in range(7) for c in combinations(points[:6], k)]
+    topo = sp.validate_topology(points, opens + [frozenset(points)])
+    assert len(topo.masks) == 65
     monkeypatch.setattr(sp, "_by_size_then_names", _never)
     for materialize in ("auto", False, True):
-        with pytest.raises(SizeLimit, match="need 64 bits"):
+        with pytest.raises(SizeLimit, match="need 65 bits"):
             sp.space_from_topology(topo, materialize=materialize)
 
 
@@ -618,17 +621,81 @@ def test_enumerate_topologies_count():
         assert len(sp.enumerate_preorders(points)) == count
 
 
-def test_enumerate_topologies_refuses_six_points_before_scanning(monkeypatch):
-    """2^30 reflexive relations of 36 pairs each; the count is charged
-    capped at 2^28, the bits of the budget, and is still over it."""
-    monkeypatch.setattr(sp, "_upsets", _never)
-    with pytest.raises(SizeLimit, match="enumerating topologies on 6 points costs "
-                                        "9663676416 cell operations"):
-        sp.enumerate_topologies(["a", "b", "c", "d", "e", "f"])
-    with pytest.raises(SizeLimit, match="enumerating preorders on 6 points"):
-        sp.enumerate_preorders(["a", "b", "c", "d", "e", "f"])
-    with pytest.raises(SizeLimit, match="on 40 points"):
-        sp.enumerate_topologies(["p%d" % i for i in range(40)])
+def _relation_filter_rows(m):
+    """The slow twin of `_preorder_rows`: [P, a], the mask of ↑a in each
+    transitive one of the 2^(m²-m) reflexive relations on m points, in
+    increasing relation order. Relation r relates a to b when bit
+    a·(m-1) + j of r is set, b the j-th point other than a. The relations
+    run in blocks of at most CELL_BUDGET cells, tested pair by pair."""
+    count, block = 1 << m * (m - 1), max(1, sp.CELL_BUDGET // max(1, m * m))
+    point = np.arange(m, dtype=np.int64)
+    low = (1 << point) - 1                         # the points before a
+    found = []
+    for start in range(0, count, block):
+        r = np.arange(start, min(count, start + block), dtype=np.int64)
+        off = (r[:, None] >> point * (m - 1)) & ((1 << max(0, m - 1)) - 1)
+        rows = (off & low) | (1 << point) | ((off & ~low) << 1)      # [n, a]: ↑a
+        for a, b in permutations(range(m), 2):         # a ≤ b implies ↑b ⊆ ↑a
+            rows = rows[((rows[:, a] >> b) & 1 == 0) | ((rows[:, b] & ~rows[:, a]) == 0)]
+        found.append(rows)
+    return np.concatenate(found)
+
+
+@pytest.mark.parametrize("m", range(6))
+def test_preorder_rows_are_the_transitive_relations(m):
+    """One-point extension gives each preorder on 0 to 5 points once: the
+    relation filter's rows, as a set."""
+    rows = sp._preorder_rows(m, "preorders").tolist()
+    assert len(set(map(tuple, rows))) == len(rows)
+    assert set(map(tuple, rows)) == set(map(tuple, _relation_filter_rows(m).tolist()))
+
+
+@pytest.mark.parametrize("m", range(6))
+def test_enumerated_topologies_are_those_of_the_filtered_relations(m):
+    """The up-set topologies of the filter's preorders, sorted by their
+    masks over the subsets in `combinations` order: the same list."""
+    points = tuple("p%d" % i for i in range(m))
+    upset = sp._upsets(_relation_filter_rows(m)[:, :, None], m)
+    order = [sum(1 << x for x in c) for k in range(m + 1) for c in combinations(range(m), k)]
+    want = [sp.Topology(points, tuple(np.flatnonzero(row).tolist()))
+            for row in upset[np.lexsort(upset[:, order].T)]]
+    assert sp.enumerate_topologies(points) == want
+
+
+def test_enumeration_refuses_duplicate_point_names(monkeypatch):
+    monkeypatch.setattr(sp, "_preorder_rows", _never)
+    with pytest.raises(NotATopology, match="^points must be unique names$"):
+        sp.enumerate_topologies(["a", "a"])
+    with pytest.raises(NotAPreorder, match="^points must be unique names$"):
+        sp.enumerate_preorders(["a", "b", "a"])
+
+
+def test_enumerate_topologies_refuses_seven_points_before_the_last_step(monkeypatch):
+    """The 209,527 preorders on six points extend by a seventh at
+    `upsets_cost`(209527, 6, 1) + 209527·4^6 cell operations: refused after
+    the six up-set tests of the steps before, on 7 points as on 40."""
+    calls = []
+    upsets = sp._upsets
+    monkeypatch.setattr(sp, "_upsets", lambda *args: calls.append(args) or upsets(*args))
+    for what, enumerate_, m in (("topologies", sp.enumerate_topologies, 7),
+                                ("preorders", sp.enumerate_preorders, 7),
+                                ("topologies", sp.enumerate_topologies, 40)):
+        calls.clear()
+        with pytest.raises(SizeLimit, match="^enumerating %s on %d points costs 938680960 "
+                                            "cell operations" % (what, m)):
+            enumerate_(["p%d" % i for i in range(m)])
+        assert len(calls) == 6
+
+
+def test_enumerate_preorders_charges_its_frozensets(monkeypatch):
+    """An iteration per pair of points of each preorder: 6,942 x 25 on five
+    points fit the budget, 209,527 x 36 on six do not, refused before any
+    frozenset is built."""
+    assert sp.loop_cost(6942 * 25) == 11107200 <= sp.WORK_BUDGET
+    monkeypatch.setattr(sp, "frozenset", _never, raising=False)
+    with pytest.raises(SizeLimit, match="^enumerating preorders on 6 points costs 482750208 "
+                                        "cell operations"):
+        sp.enumerate_preorders("abcdef")
 
 
 # -- preorder dictionary ----------------------------------------------------------
