@@ -13,7 +13,8 @@ function reads or gathers that array. Point sets returned by operations are
 frozensets of point names. A topology stores its opens as int masks over
 the point indices, and frozensets only as a view. One up-set kernel grows
 the preorders a point at a time and gives their topologies and the induced
-ones; validation and induced topologies share one closure check.
+ones; validation and induced topologies share one closure check, and each
+topology theorem is one bool table over the masks of τ, τ* and τ^s.
 
 Points x and x' are twins when d(x,·) = d(x',·) and d(·,x) = d(·,x'), as in
 a D-product of finitely many factors; `validate_space` runs the triangle
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import chain, compress
+from itertools import compress
 
 import numpy as np
 
@@ -41,6 +42,7 @@ from .errors import (NotAPreorder, NotATopology, NotPositive,
                      ReflexivityViolation, SizeLimit, TransitivityViolation,
                      VerificationFailed)
 from .freelocale import MATERIALIZE_MAX, FreeLocale
+from .lattice import _path_counts
 
 # cells per block of a row-blocked kernel (up to 12 bytes each) and per
 # TableEvaluator memo (4 bytes each)
@@ -220,11 +222,11 @@ class Topology:
 
     @cached_property
     def opens(self):
-        return frozenset(_point_set(self.points, u) for u in self.masks)
+        return frozenset(frozenset(_members(self.points, u)) for u in self.masks)
 
 
-def _point_set(points, mask):
-    return frozenset(p for x, p in enumerate(points) if mask >> x & 1)
+def _members(points, mask):
+    return sorted(p for x, p in enumerate(points) if mask >> x & 1)
 
 
 def _set_name(names):
@@ -299,7 +301,7 @@ def _check_closed(points, opens):
             i, j = divmod(first, k)
             raise NotATopology("not closed under %s: %s, %s" % (
                 "intersection" if meet[i, j] else "union",
-                *(_set_name(_point_set(points, int(opens[x]))) for x in (start + i, j))))
+                *(_set_name(_members(points, int(opens[x]))) for x in (start + i, j))))
 
 
 def closed_cost(k):
@@ -388,8 +390,7 @@ def closure(space: ContinuitySpace, subset):
 
 
 def diameter(space: ContinuitySpace, subset=None):
-    names = space.points if subset is None else list(subset)
-    idx = [space.index(p) for p in names]
+    idx = [space.index(p) for p in (space.points if subset is None else subset)]
     return space.V.join_of(space.dist[x, y] for x in idx for y in idx)
 
 
@@ -417,74 +418,72 @@ class TheoremReport:
                  for e in self.entries] + ["  note: %s" % n for n in self.notes])
 
 
-def _entry(name, failures):
-    """The statement's entry: passed when ``failures`` yields no witness."""
-    witness = next(failures, None)
-    return TheoremEntry(name, witness is None, witness)
+def _entry(name, bad, witness):
+    """Passed when the bool table ``bad`` has no True cell, else failed at
+    ``witness`` of the index of its first one in row-major order."""
+    first = np.argwhere(bad)[:1]
+    return TheoremEntry(name, not len(first), witness(*first[0]) if len(first) else None)
 
 
 def check_topology_theorems(space: ContinuitySpace) -> TheoremReport:
-    """Instantiate the closure/duality/neighborhood/separation statements
-    exhaustively over all points, subsets and positive radii. Closures are
-    meets, so a carrier without meets is refused at once."""
+    """Instantiate the closure/duality/neighborhood/separation statements over
+    all points, subsets and positive radii: each is one bool table over the
+    increasing masks of τ, τ* and τ^s, failed at its first True cell, members
+    sorted. Closures are meets, so a carrier without meets is refused at once."""
     V = space.V
     V.meet_of(())                      # the empty meet: NoMeets on the principal masks
-    m = space.m
-    positives = V.positives()
+    m, dist, points, positives = space.m, space.dist, space.points, V.positives()
     check_cost("topology theorems on %d points" % m, theorem_cost(m, len(positives)))
-    dual = dual_space(space)
-    tau, tau_star, tau_sym = map(induced_topology, (space, dual, symmetric_space(space)))
-    full = frozenset(space.points)
-    subsets = [space.point_set(i for i in range(m) if mask >> i & 1) for mask in range(1 << m)]
-
-    def neighborhood_failures(p):
-        discs = [closed_disc(space, p, eps) for eps in positives]
-        yield from ("(x=%s: closed disc is not a neighborhood)" % p for c in discs
-                    if not any(p in o and o <= c for o in tau.opens))
-        yield from ("(x=%s, U=%s)" % (p, sorted(o)) for o in tau.opens
-                    if p in o and not any(c <= o for c in discs))
-
-    # {V ∩ W} is a base of τ^s: every intersection is τ^s-open and every
-    # τ^s-open is the union of the intersections it contains. (The literal
-    # set equality fails on finite examples; the family of intersections is
-    # not closed under unions.)
-    meets = frozenset(u & w for u in tau.opens for w in tau_star.opens)
-    star_closed = frozenset(full - u for u in tau_star.opens)
+    tau, star, sym = (np.array(t.masks, dtype=np.int64) for t in map(
+        induced_topology, (space, dual_space(space), symmetric_space(space))))
+    full, bit, subsets = (1 << m) - 1, 1 << np.arange(m, dtype=np.int64), np.arange(1 << m)
+    inside, in_star = ((u >> np.arange(m)[:, None]) & 1 == 1 for u in (tau, star))  # x ∈ u
+    near = np.full((1 << m, m), V.top, dtype=dist.dtype)   # [A, y]: d(y, A)
+    for i in range(m):                 # the subsets whose last point is i
+        near[1 << i:2 << i] = V.lattice.meet[near[:1 << i], dist[:, i]]
+    below = V.lattice.leq[dist[:, :, None], np.array(positives, dtype=dist.dtype)]
+    # [x, ε]: the closed disc {y : d(x,y) ≤ ε} and the dual one {y : d(y,x) ≤ ε}
+    discs, duals = below.transpose(0, 2, 1) @ bit, below.transpose(1, 2, 0) @ bit
+    # {V ∩ W} is a base of τ^s: every V ∩ W is τ^s-open and every τ^s-open the union of
+    # those inside it (not τ^s itself: on finite examples it is not closed under ∪)
+    meets = np.unique(tau[:, None] & star)
+    joins = np.bitwise_or.reduce(np.where(meets & ~sym[:, None] == 0, meets, 0), axis=1)
+    # [u, w]: u ∩ w = ∅, that is u ⊆ full - w; [u, a]: u ⊆ c ⊆ a for some τ*-closed c
+    disjoint = tau[:, None] & star == 0
+    between = _path_counts(disjoint, star[:, None] | tau == full) > 0
+    r, n = len(positives), len(meets)
     entries = [
-        _entry("closed-characterization", (
-            "A=%s" % sorted(a) for a in subsets
-            if (full - a in tau.opens) != (closure(space, a) <= a))),
-        _entry("dual-discs-closed", (
-            "(x=%s, eps=%s)" % (p, V.element_name(eps)) for p in space.points for eps in positives
-            if full - closed_disc(dual, p, eps) not in tau.opens)),
-        _entry("fundamental-neighborhoods",
-               (w for p in space.points for w in neighborhood_failures(p))),
-        _entry("symmetric-decomposition", chain(
-            ("V∩W=%s not symmetric-open" % sorted(v) for v in meets if v not in tau_sym.opens),
-            ("U=%s is not a union of intersections" % sorted(u) for u in tau_sym.opens
-             if frozenset().union(*(v for v in meets if v <= u)) != u))),
-        _entry("pseudo-hausdorff", (
-            "(x=%s, y=%s)" % (x, y) for x in space.points for y in space.points
-            if x not in closure(space, {y}) and not any(
-                x in u and y in w and not u & w for u in tau.opens for w in tau_star.opens))),
-        _entry("regularity", (
-            "(x=%s, A=%s)" % (x, sorted(a)) for x in space.points for a in tau.opens
-            if x in a and not any(x in u and u <= c <= a for u in tau.opens for c in star_closed)))]
+        _entry("closed-characterization",
+               np.isin(full ^ subsets, tau) != ((near == V.bottom) @ bit == subsets),
+               lambda a: "A=%s" % _members(points, a)),
+        _entry("dual-discs-closed", ~np.isin(full ^ duals, tau),
+               lambda x, e: "(x=%s, eps=%s)" % (points[x], V.element_name(positives[e]))),
+        _entry("fundamental-neighborhoods", np.hstack((
+            ~(inside[:, None] & (tau & ~discs[:, :, None] == 0)).any(axis=2),
+            inside & ~(discs[:, :, None] & ~tau == 0).any(axis=1))),
+            lambda x, j: ("(x=%s: closed disc is not a neighborhood)" % points[x] if j < r
+                          else "(x=%s, U=%s)" % (points[x], _members(points, tau[j - r])))),
+        _entry("symmetric-decomposition", np.concatenate((~np.isin(meets, sym), joins != sym)),
+               lambda i: "V∩W=%s not symmetric-open" % _members(points, meets[i]) if i < n else
+               "U=%s is not a union of intersections" % _members(points, sym[i - n])),
+        _entry("pseudo-hausdorff", (dist != V.bottom) & (_path_counts(
+            _path_counts(inside, disjoint) > 0, in_star.T) == 0),
+            lambda x, y: "(x=%s, y=%s)" % (points[x], points[y])),
+        _entry("regularity", inside & (_path_counts(inside, between) == 0),
+               lambda x, a: "(x=%s, A=%s)" % (points[x], _members(points, tau[a])))]
     notes = (["positives filter contains 0; radius-0 discs are legal"]
              if V.is_positive(V.bottom) else [])
     return TheoremReport(entries, notes)
 
 
 def theorem_cost(m, radii):
-    """`check_topology_theorems` on m points with ``radii`` positive radii:
-    the three induced topologies, then the statements' loops over at most
-    2^m opens in each of τ, τ* and τ^s: d(x, A) for every A, each point's
-    discs against the opens, the pairs τ × τ* against τ^s, and the pairs
-    and triples of the pseudo-Hausdorff and regularity checks."""
+    """`check_topology_theorems` on m points with r = ``radii`` positive radii:
+    the three induced topologies, then the cells of the statements' tables
+    and products over at most O = 2^m opens in each of τ, τ* and τ^s; the
+    largest, O³, is regularity's u ⊆ c ⊆ a (README lists every term)."""
     opens = 1 << m
-    return 3 * topology_cost(m, radii) + loop_cost(
-        opens * m * m + m * radii * (2 * m + 2 * opens) + opens * opens * (1 + opens)
-        + m * m * (m + opens * opens) + m * opens ** 3)
+    return 3 * topology_cost(m, radii) + opens ** 3 + (4 + 2 * m) * opens ** 2 + (
+        (m * m + 4 * m + 3) * opens + m * m + radii * (3 * m * m + m + 2 * m * opens))
 
 
 def is_T0(space: ContinuitySpace) -> bool:
@@ -593,8 +592,9 @@ def enumerate_topologies(points):
     upset = _upsets(rows[:, :, None], m)            # [P, s]: every x in s has ↑x inside s
     # the 2^m masks in `combinations` order
     order = _by_size_then_names(np.arange(1 << m), range(m)) @ (1 << np.arange(m))
-    return [Topology(points, tuple(np.flatnonzero(row).tolist()))
-            for row in upset[np.lexsort(upset[:, order].T)]]
+    upset = upset[np.lexsort(upset[:, order].T)]
+    masks, ends = np.nonzero(upset)[1].tolist(), np.cumsum(upset.sum(axis=1)).tolist()
+    return [Topology(points, tuple(masks[start:end])) for start, end in zip([0] + ends, ends)]
 
 
 # -- the preorder dictionary ----------------------------------------------------

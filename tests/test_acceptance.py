@@ -161,7 +161,7 @@ def test_criterion_06_flagg_round_trip_on_four_and_five_points():
 
 
 def test_criterion_06_every_topology_on_six_points():
-    """All 209,527 topologies on 6 points, 1.6-1.9 s on a 2-core host, and
+    """All 209,527 topologies on 6 points, 1.2-1.5 s on a 2-core host, and
     the Flagg round trip over the principal masks on every 100th and on
     the discrete one, whose 64 opens fill a uint64 mask."""
     with criterion(6, "topologies on 6 pts", 10):

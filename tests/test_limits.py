@@ -203,14 +203,27 @@ def test_eleven_point_induced_topology_fits_the_real_budget(bool2):
 
 
 def test_topology_theorems_refuse_before_any_topology(bool2, monkeypatch):
-    # 2 points, the 2 radii of bool2: three induced topologies of 8 + 16 + 64
-    # cells, then the six statements' 16 + 8 + 40 + 80 + 72 + 128 iterations
+    # 2 points, the 2 radii of bool2, O = 4 opens: three induced topologies of
+    # 8 + 16 + 64 cells, then the statements' cells: O³ = 64 (u ⊆ c ⊆ a),
+    # (4 + 2·2)·O² = 128, (2² + 4·2 + 3)·O = 60, 2² = 4 and 2·(3·4 + 2 + 2·2·4) = 60
     space = _discrete(bool2, 2)
-    monkeypatch.setattr(sp, "WORK_BUDGET", 3 * 88 + sp.loop_cost(344))
+    monkeypatch.setattr(sp, "WORK_BUDGET", 3 * 88 + 64 + 128 + 60 + 4 + 60)
     assert sp.check_topology_theorems(space).all_pass
     monkeypatch.setattr(sp, "symmetric_space", _never)
-    _refuses(monkeypatch, 22279, "topology theorems on 2 points costs 22280 cell operations "
-             "(budget 22279)", lambda: sp.check_topology_theorems(space))
+    _refuses(monkeypatch, 579, "topology theorems on 2 points costs 580 cell operations "
+             "(budget 579)", lambda: sp.check_topology_theorems(space))
+
+
+def test_topology_theorems_admit_the_discrete_space_on_eight_points(bool2, monkeypatch):
+    """τ = τ* = τ^s holds all 2^8 subsets: 18,921,040 cells, 2^24 of them the
+    u ⊆ c ⊆ a product. Nine points cost 143,239,215, refused before any
+    topology."""
+    assert sp.theorem_cost(8, 2) == 18921040
+    assert sp.check_topology_theorems(_discrete(bool2, 8)).all_pass
+    monkeypatch.setattr(sp, "induced_topology", _never)
+    with pytest.raises(SizeLimit, match="^topology theorems on 9 points costs 143239215 "
+                                        "cell operations"):
+        sp.check_topology_theorems(_discrete(bool2, 9))
 
 
 def test_validate_topology_refuses_before_its_pairs(monkeypatch):

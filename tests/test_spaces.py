@@ -2,7 +2,7 @@ import os
 import random
 import subprocess
 import sys
-from itertools import combinations, permutations, product
+from itertools import chain, combinations, permutations, product
 
 import numpy as np
 import pytest
@@ -451,6 +451,194 @@ def test_meet_refinement_set_equality_has_counterexamples(chain4):
     tau_sym = sp.induced_topology(sp.symmetric_space(X))
     meets = frozenset(u & w for u in tau.opens for w in tau_star.opens)
     assert frozenset({"p0", "p2", "p3"}) in tau_sym.opens - meets
+
+
+def _frozenset_theorems(space):
+    """The slow twin of `check_topology_theorems`: every witness of each
+    statement, in order, by scans over the frozenset views of τ, τ* and
+    τ^s, `closure` and `closed_disc` (so in the iteration order of sets)."""
+    V = space.V
+    V.meet_of(())
+    m = space.m
+    positives = V.positives()
+    dual = sp.dual_space(space)
+    tau, tau_star, tau_sym = map(sp.induced_topology, (space, dual, sp.symmetric_space(space)))
+    full = frozenset(space.points)
+    subsets = [space.point_set(i for i in range(m) if mask >> i & 1) for mask in range(1 << m)]
+
+    def neighborhood_failures(p):
+        discs = [sp.closed_disc(space, p, eps) for eps in positives]
+        yield from ("(x=%s: closed disc is not a neighborhood)" % p for c in discs
+                    if not any(p in o and o <= c for o in tau.opens))
+        yield from ("(x=%s, U=%s)" % (p, sorted(o)) for o in tau.opens
+                    if p in o and not any(c <= o for c in discs))
+
+    meets = frozenset(u & w for u in tau.opens for w in tau_star.opens)
+    star_closed = frozenset(full - u for u in tau_star.opens)
+    statements = [
+        ("closed-characterization", (
+            "A=%s" % sorted(a) for a in subsets
+            if (full - a in tau.opens) != (sp.closure(space, a) <= a))),
+        ("dual-discs-closed", (
+            "(x=%s, eps=%s)" % (p, V.element_name(eps)) for p in space.points for eps in positives
+            if full - sp.closed_disc(dual, p, eps) not in tau.opens)),
+        ("fundamental-neighborhoods", (w for p in space.points for w in neighborhood_failures(p))),
+        ("symmetric-decomposition", chain(
+            ("V∩W=%s not symmetric-open" % sorted(v) for v in meets if v not in tau_sym.opens),
+            ("U=%s is not a union of intersections" % sorted(u) for u in tau_sym.opens
+             if frozenset().union(*(v for v in meets if v <= u)) != u))),
+        ("pseudo-hausdorff", (
+            "(x=%s, y=%s)" % (x, y) for x in space.points for y in space.points
+            if x not in sp.closure(space, {y}) and not any(
+                x in u and y in w and not u & w for u in tau.opens for w in tau_star.opens))),
+        ("regularity", (
+            "(x=%s, A=%s)" % (x, sorted(a)) for x in space.points for a in tau.opens
+            if x in a and not any(x in u and u <= c <= a for u in tau.opens for c in star_closed)))]
+    return [(name, list(witnesses)) for name, witnesses in statements]
+
+
+def _agrees_with_the_twin(space, monkeypatch):
+    """`check_topology_theorems` with the opens view, `closure`,
+    `closed_disc` and `frozenset` refused: each statement fails exactly when
+    the twin finds a witness, at one of the twin's witnesses."""
+    with monkeypatch.context() as patch:
+        patch.setattr(sp.Topology, "opens", property(_never))
+        for name in ("closure", "closed_disc", "frozenset"):
+            patch.setattr(sp, name, _never, raising=False)
+        report = sp.check_topology_theorems(space)
+    for entry, (name, witnesses) in zip(report.entries, _frozenset_theorems(space), strict=True):
+        assert (entry.name, entry.passed) == (name, not witnesses), (space.points, entry)
+        assert entry.passed or entry.witness in witnesses, (entry, witnesses)
+    return report
+
+
+def _replace_topology(monkeypatch, which, change):
+    """Each run of the theorems calls `induced_topology` for τ, τ* and τ^s
+    in that order; the ``which``-th (0, 1 or 2) gets its masks changed."""
+    induced, calls = sp.induced_topology, []
+
+    def replaced(space):
+        calls.append(space)
+        topo = induced(space)
+        return (sp.Topology(topo.points, tuple(change(topo.masks)))
+                if (len(calls) - 1) % 3 == which else topo)
+
+    monkeypatch.setattr(sp, "induced_topology", replaced)
+
+
+def test_theorems_on_masks_match_the_frozenset_twin(monkeypatch):
+    """480 seeded spaces of at most five points: every statement passes."""
+    for spec in ("bool2", "chain:3", "chain:4", "lukasiewicz:3"):
+        for seed in range(6):
+            for X in space_corpus(cq.builtin(spec), 20, 5, seed=seed):
+                assert _agrees_with_the_twin(X, monkeypatch).all_pass
+
+
+def test_theorems_match_the_twin_when_tau_star_loses_its_second_open(monkeypatch):
+    _replace_topology(monkeypatch, 1, lambda masks: masks[:1] + masks[2:])
+    failures = [e.name for seed in range(4)
+                for X in space_corpus(cq.builtin("chain:3"), 10, 4, seed=seed)
+                for e in _agrees_with_the_twin(X, monkeypatch).entries if not e.passed]
+    assert len(failures) == 49 and set(failures) == {
+        "symmetric-decomposition", "pseudo-hausdorff", "regularity"}
+
+
+DISCRETE2 = ("ab", [[0, 1], [1, 0]])
+SIERPINSKI = ("ab", [[0, 0], [1, 0]])
+DISCRETE3 = ("abc", [[0, 1, 1], [1, 0, 1], [1, 1, 0]])
+
+
+@pytest.mark.parametrize("space, which, masks, failures", [
+    (DISCRETE2, 0, [0, 1, 2], [("closed-characterization", "A=[]")]),
+    (DISCRETE2, 0, [1, 2, 3], [("closed-characterization", "A=['a', 'b']"),
+                               ("dual-discs-closed", "(x=a, eps=1)")]),
+    (DISCRETE3, 0, [0, 2, 3, 4, 5, 6, 7], [
+        ("closed-characterization", "A=['b', 'c']"),
+        ("fundamental-neighborhoods", "(x=a: closed disc is not a neighborhood)")]),
+    (SIERPINSKI, 0, [0, 1, 2, 3], [("closed-characterization", "A=['b']"),
+                                   ("fundamental-neighborhoods", "(x=a, U=['a'])"),
+                                   ("regularity", "(x=a, A=['a'])")]),
+    (DISCRETE2, 2, [0, 2, 3], [("symmetric-decomposition", "V∩W=['a'] not symmetric-open")]),
+    (SIERPINSKI, 1, [0, 1], [("symmetric-decomposition",
+                              "U=['b'] is not a union of intersections")]),
+    (DISCRETE2, 1, [0, 2, 3], [("pseudo-hausdorff", "(x=b, y=a)"),
+                               ("regularity", "(x=b, A=['b'])")]),
+    (SIERPINSKI, 1, [1, 3], [("regularity", "(x=a, A=['a', 'b'])")])])
+def test_each_statement_fails_at_its_first_witness(bool2, monkeypatch, space, which, masks,
+                                                   failures):
+    """A wrong τ (which = 0), τ* (1) or τ^s (2) on two- and three-point
+    bool2 spaces: the failing statements and their witnesses, the first in
+    mask order, as the twin's failures say."""
+    X = sp.validate_space(bool2, *space)
+    _replace_topology(monkeypatch, which, lambda _: masks)
+    report = _agrees_with_the_twin(X, monkeypatch)
+    assert [(e.name, e.witness) for e in report.entries if not e.passed] == failures
+
+
+def test_theorem_witnesses_do_not_depend_on_the_hash_seed():
+    """τ* without its second open on 40 seeded chain:3 spaces: the witnesses
+    of the spaces of two to four points, under two hash seeds."""
+    tests = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.dirname(os.path.dirname(sp.__file__))
+    script = """
+from conftest import space_corpus
+from cqlogic import coquantale as cq, spaces as sp
+induced, calls = sp.induced_topology, []
+
+def dropped(space):
+    calls.append(space)
+    topo = induced(space)
+    drop = len(calls) % 3 == 2
+    return sp.Topology(topo.points, topo.masks[:1] + topo.masks[2:]) if drop else topo
+
+sp.induced_topology = dropped
+for seed in range(4):
+    for X in space_corpus(cq.builtin("chain:3"), 10, 4, seed=seed):
+        for e in sp.check_topology_theorems(X).entries:
+            if X.m > 1 and not e.passed:
+                print(e.witness)
+"""
+    for seed in ("1", "2"):
+        out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONHASHSEED": seed,
+                                  "PYTHONPATH": os.pathsep.join((src, tests))},
+                             check=True, timeout=60).stdout
+        assert out.splitlines() == WITNESSES_WITHOUT_THE_SECOND_STAR_OPEN
+
+
+WITNESSES_WITHOUT_THE_SECOND_STAR_OPEN = [
+    "U=['p1'] is not a union of intersections",
+    "U=['p0'] is not a union of intersections",
+    "(x=p1, y=p0)",
+    "(x=p1, A=['p1', 'p2', 'p3'])",
+    "U=['p0'] is not a union of intersections",
+    "(x=p1, y=p0)",
+    "(x=p1, A=['p1'])",
+    "U=['p0'] is not a union of intersections",
+    "(x=p1, y=p0)",
+    "(x=p1, A=['p1'])",
+    "(x=p2, y=p1)",
+    "(x=p2, A=['p0', 'p2'])",
+    "(x=p1, y=p0)",
+    "(x=p1, A=['p1', 'p2', 'p3'])",
+    "(x=p1, y=p0)",
+    "(x=p1, A=['p1'])",
+    "(x=p1, y=p0)",
+    "(x=p1, A=['p1'])",
+    "(x=p1, y=p0)",
+    "(x=p1, A=['p1'])",
+    "(x=p1, y=p0)",
+    "(x=p1, A=['p1'])",
+    "U=['p0', 'p1'] is not a union of intersections",
+    "U=['p1'] is not a union of intersections",
+    "(x=p0, y=p1)",
+    "(x=p0, A=['p0'])",
+    "(x=p1, y=p0)",
+    "(x=p1, A=['p1'])",
+    "U=['p1'] is not a union of intersections",
+    "(x=p0, y=p1)",
+    "(x=p0, A=['p0'])",
+]
 
 
 # -- separation -------------------------------------------------------------------
