@@ -10,7 +10,7 @@ from __future__ import annotations
 import os
 import random
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -385,13 +385,16 @@ CHAIN_MAX = 64
 FREELOCALE_MAX = 3
 
 
+@lru_cache(maxsize=None)
 def builtin(spec: str) -> CoQuantale:
-    """Construct a named example co-quantale.
+    """The named example co-quantale, one shared carrier per spec.
 
     Accepted: ``bool2``, ``chain:n`` (1 <= n <= 64), ``lukasiewicz:n``
-    (1 <= n <= 64) and ``freelocale:k`` (0 <= k <= 3). Every builtin goes
-    through full validation. The default connective kit of every chain
-    fits the work budget (n <= 64; chain:64's takes about 2 s).
+    (1 <= n <= 64) and ``freelocale:k`` (0 <= k <= 3). Each spec goes
+    through full validation once per process; every later call returns the
+    same object, so structures built over one spec share their V. The
+    carrier is named by its spec. The default connective kit of every
+    chain fits the work budget (n <= 64; chain:64's takes about 2 s).
     """
     kind, _, arg = spec.partition(":")
     if kind == "bool2" and not arg:
@@ -421,7 +424,8 @@ def builtin(spec: str) -> CoQuantale:
         if k > FREELOCALE_MAX:
             raise SizeLimit("freelocale ground set capped at %d" % FREELOCALE_MAX)
         from .freelocale import FreeLocale
-        return FreeLocale(tuple("abc"[:k])).materialize(name=spec)
+        shared = FreeLocale(tuple("abc"[:k])).materialize()
+        return validate_coquantale(shared.lattice, shared.add, name=spec)
     raise UnknownBuiltin(spec)
 
 

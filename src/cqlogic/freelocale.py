@@ -10,9 +10,9 @@ intersection, which coincides with the lattice join.
 The carrier grows like the Dedekind numbers (2, 3, 6, 20, 168, ...), so it
 is only enumerated - and only then turned into ordinary co-quantale tables -
 for ground sets of at most MATERIALIZE_MAX elements. The enumerated carrier
-and the materialized co-quantale depend only on the ground tuple (and the
-co-quantale's name), so both are shared by every FreeLocale over the same
-ground set: each is built, and each validated, once per process.
+and the materialized co-quantale depend only on the ground tuple, so both
+are shared by every FreeLocale over the same ground set: each is built,
+and each validated, once per process.
 
 Every distance of the Flagg dictionary is a principal down-set ↓S, and the
 principal down-sets are closed under + and ∨: ↓S ∩ ↓T = ↓(S ∩ T). On them
@@ -42,7 +42,7 @@ MASK_MAX = 64         # a principal down-set is a k-bit mask in a uint64
 _CARRIERS = {}        # ground tuple -> sorted tuple of families
 _PRINCIPAL_INDEX = {}  # ground tuple -> [S]: the carrier index of ↓S
 _PRINCIPALS = {}      # ground tuple -> PrincipalDownsets
-_MATERIALIZED = {}    # (ground tuple, name) -> validated CoQuantale
+_MATERIALIZED = {}    # ground tuple -> validated CoQuantale
 
 
 def _down_families(ground):
@@ -131,13 +131,12 @@ class FreeLocale:
 
     # -- table form ---------------------------------------------------------
 
-    def materialize(self, name=None):
+    def materialize(self):
         """Enumerate the carrier and run it through full table validation.
 
-        The result is shared: one validated co-quantale per (ground, name).
+        The result is shared: one validated co-quantale per ground set.
         """
-        key = (self.ground, name or self.name)
-        cached = _MATERIALIZED.get(key)
+        cached = _MATERIALIZED.get(self.ground)
         if cached is not None:
             return cached
         families = self.carrier()
@@ -151,8 +150,8 @@ class FreeLocale:
         order = (masks[None, :] & ~masks[:, None]) == 0
         add = index[masks[:, None] & masks[None, :]]
         lattice = lat.validate_lattice(order, [self.element_name(p) for p in families])
-        _MATERIALIZED[key] = validate_coquantale(lattice, add, name=key[1])
-        return _MATERIALIZED[key]
+        _MATERIALIZED[self.ground] = validate_coquantale(lattice, add, name=self.name)
+        return _MATERIALIZED[self.ground]
 
     def __repr__(self):
         return "FreeLocale(ground=%r)" % (self.ground,)

@@ -600,10 +600,11 @@ def enumerate_topologies(points):
 # -- the preorder dictionary ----------------------------------------------------
 
 
-def preorder_dictionary(points, relation, values=None) -> ContinuitySpace:
-    """Encode a reflexive transitive relation as a two-valued space:
-    d(x,y) = 0 iff (x,y) is related, else top. On such a table the triangle
-    law is transitivity (0 + 0 = 0, a + top = top), decided by `validate_space`."""
+def preorder_dictionary(points, relation) -> ContinuitySpace:
+    """Encode a reflexive transitive relation as a space over the shared
+    ``bool2``: d(x,y) = 0 iff (x,y) is related, else top. On such a table the
+    triangle law is transitivity (0 + 0 = 0, a + top = top), decided by
+    `validate_space`."""
     points = [str(p) for p in points]
     rel = {(str(a), str(b)) for a, b in relation}
     known = set(points)
@@ -613,7 +614,7 @@ def preorder_dictionary(points, relation, values=None) -> ContinuitySpace:
     for p in points:
         if (p, p) not in rel:
             raise NotAPreorder("not reflexive at %s" % p)
-    V = values if values is not None else builtin("bool2")
+    V = builtin("bool2")
     dist = [[V.bottom if (a, b) in rel else V.top for b in points] for a in points]
     try:
         return validate_space(V, points, dist)

@@ -13,6 +13,11 @@ All formats are UTF-8 with '#' comments. Directives:
       @pred P ARITY [@modulus EPS DELTA ...] / @predval P POINTS... ELEM /
       @fun F ARITY [@modulus ...] / @funval F POINTS... POINT / @const C P
       (each positive EPS once; an omitted @modulus means the identity table)
+
+A COQUANTALE that no block declares may be a builtin spec (``chain:4``,
+``freelocale:2``, ...): the reader resolves it to the shared carrier of that
+spec, so a structure written over a builtin loads back on its own. A
+declared block of the same name takes precedence.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ import numpy as np
 from . import coquantale as cq
 from . import semantics as sem
 from . import spaces as sp
-from .errors import ModulusViolated, ParseError, UnknownElement
+from .errors import ModulusViolated, ParseError, UnknownBuiltin, UnknownElement
 from .formulas import Modulus, Signature, identity_modulus
 from .lattice import _path_counts, validate_lattice
 
@@ -45,9 +50,13 @@ class Workspace:
         table[name] = obj
 
     def coquantale(self, name):
-        if name not in self.coquantales:
+        """The declared co-quantale ``name``, else the builtin of that spec."""
+        if name in self.coquantales:
+            return self.coquantales[name]
+        try:
+            return cq.builtin(name)
+        except UnknownBuiltin:
             raise ParseError("unknown co-quantale %r" % name)
-        return self.coquantales[name]
 
     def structure(self, name):
         if name not in self.structures:

@@ -188,7 +188,7 @@ def test_criterion_07_preorder_dictionary():
             assert len(relations) == [1, 4, 29, 355, 6942][size - 1]
             spaces = set()
             for rel in relations:
-                space = sp.preorder_dictionary(points, rel, bool2)
+                space = sp.preorder_dictionary(points, rel)
                 assert sp.space_to_preorder(space) == set(rel)
                 spaces.add(space.dist.tobytes())
             assert len(spaces) == len(relations)
@@ -208,7 +208,7 @@ def test_criterion_07_preorder_dictionary():
                     continue
                 count += 1
                 rel = sp.space_to_preorder(space)
-                rebuilt = sp.preorder_dictionary(points, rel, bool2)
+                rebuilt = sp.preorder_dictionary(points, rel)
                 assert np.array_equal(rebuilt.dist, space.dist)
                 assert frozenset(rel) in relations
             assert count == len(relations)

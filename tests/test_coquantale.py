@@ -8,6 +8,8 @@ from cqlogic import lattice as lat
 from cqlogic.errors import (NotMeetDistributive, BadIdentity, NotPositive,
                             NotValueCoquantale, SizeLimit, UnknownBuiltin)
 
+from conftest import ROSTER_SPECS
+
 
 def brute_tsub(vq, a, b):
     """Independent oracle: fold the meet of {r : r + b >= a} directly."""
@@ -292,6 +294,14 @@ def test_builtin_errors():
         cq.builtin("chain:65")
     with pytest.raises(SizeLimit):
         cq.builtin("freelocale:4")
+
+
+def test_builtin_is_one_carrier_per_spec(roster):
+    """Every spec names one shared carrier, named by the spec (that the free
+    locale's own materialization keeps its name is in test_freelocale)."""
+    for spec in ROSTER_SPECS:
+        assert cq.builtin(spec) is cq.builtin(spec) is roster[spec]
+        assert roster[spec].name == spec
 
 
 def test_lukasiewicz_layout(roster):

@@ -123,10 +123,17 @@ def _checked_connectives(monkeypatch):
     return checked
 
 
+def _fresh_carrier(spec):
+    """A carrier with the tables of the builtin ``spec`` but no kit yet: the
+    builtin itself is shared, and its kit may already be checked."""
+    shared = cq.builtin(spec)
+    return cq.validate_coquantale(shared.lattice, shared.add, name=spec)
+
+
 def test_kit_checks_only_the_connectives_a_formula_names(monkeypatch):
     """On chain:41 a formula naming vee checks one of the five kit moduli,
     once per carrier; the enumeration kit checks vee, wedge and the duals."""
-    vq = cq.builtin("chain:41")
+    vq = _fresh_carrier("chain:41")
     checked = _checked_connectives(monkeypatch)
     sig = F.Signature(predicates=[("P", 1, F.identity_modulus(vq))])
     kit = F.default_kit(vq)
@@ -142,7 +149,7 @@ def test_kit_checks_only_the_connectives_a_formula_names(monkeypatch):
 def test_kit_connective_failing_its_check_fails_every_use(monkeypatch):
     """Addition under the identity modulus (x + x moves twice as far as x)
     is refused whenever a formula names it, and only then."""
-    vq = cq.builtin("chain:4")                  # a fresh carrier, with no kit yet
+    vq = _fresh_carrier("chain:4")
     monkeypatch.setattr(F, "halver_modulus", F.identity_modulus)
     sig = F.Signature(predicates=[("P", 1, F.identity_modulus(vq))])
     messages = set()

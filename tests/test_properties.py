@@ -245,7 +245,6 @@ def test_written_structure_loads_back_to_the_same_tables(spec, data):
     vq = cq.builtin(spec)
     struct = one_structure(data, vq)
     ws = Workspace()
-    ws.register("coquantales", vq.name, vq)   # the header names the carrier
     ws.load_text(write_structure(struct))
     loaded = ws.structure(struct.name)
     assert loaded.sig == struct.sig

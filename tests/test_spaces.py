@@ -415,7 +415,7 @@ def test_diameter(chain4):
 
 
 def test_theorems_hold_on_seeded_corpus(bool2, chain4):
-    chain3 = __import__("cqlogic.coquantale", fromlist=["builtin"]).builtin("chain:3")
+    chain3 = cq.builtin("chain:3")
     corpus = (space_corpus(bool2, 8, 4, seed=21)
               + space_corpus(chain3, 8, 4, seed=22))
     for X in corpus:
@@ -443,7 +443,7 @@ def test_meet_refinement_set_equality_has_counterexamples(chain4):
     """The literal reading of the decomposition (the symmetric opens ARE
     the pairwise intersections) is refuted by a concrete 4-point space:
     the intersections are not closed under unions."""
-    chain3 = __import__("cqlogic.coquantale", fromlist=["builtin"]).builtin("chain:3")
+    chain3 = cq.builtin("chain:3")
     X = sp.validate_space(chain3, ["p0", "p1", "p2", "p3"],
                           [[0, 1, 0, 1], [0, 0, 0, 1], [0, 1, 0, 1], [0, 0, 0, 0]])
     tau = sp.induced_topology(X)
@@ -927,3 +927,16 @@ def test_preorder_dictionary_is_bijective_on_three_points(bool2):
         assert sp.space_to_preorder(X) == rel
         relations.append(frozenset(rel))
     assert len(relations) == len(set(relations)) == 29  # preorders on 3 points
+
+
+def test_product_of_two_preorder_dictionaries_is_the_product_preorder():
+    """Every preorder dictionary is over the one shared bool2, so two of them
+    multiply, and the product's relation is the componentwise one."""
+    chain = {("a", "a"), ("b", "b"), ("a", "b")}
+    discrete = {("x", "x"), ("y", "y")}
+    X = sp.preorder_dictionary("ab", chain)
+    Y = sp.preorder_dictionary("xy", discrete)
+    assert X.V is Y.V is cq.builtin("bool2")
+    XY = sp.product_space(X, Y)
+    assert sp.space_to_preorder(XY) == {("%s|%s" % (p, q), "%s|%s" % (r, s))
+                                        for p, r in chain for q, s in discrete}

@@ -155,7 +155,6 @@ def test_write_structure_matches_the_per_cell_writer(spec):
     assert write_structure(struct, "L") == _write_per_cell(struct, "L")
     assert "@predval R b z %s\n" % vq.element_name(2) in text
     ws = Workspace()
-    ws.register("coquantales", vq.name, vq)
     ws.load_text(text)
     loaded = ws.structure("K")
     for kind in ("pred_tables", "fun_tables"):
@@ -433,14 +432,25 @@ def test_tv_and_elem_commands(capsys, defs_file):
     assert code == 0
 
 
-def test_ultra_emits_loadable_structure(capsys, defs_file, workspace):
+def test_ultra_emits_loadable_structure(capsys, defs_file, workspace, tmp_path):
+    """The product is written `over chain:4`, a spec no block declares: it
+    loads on its own, and beside the defs its V is the one of M and N."""
     code, out, _ = run_cli(capsys, "ultra", "--load", defs_file,
                            "--factors", "M", "N", "--principal", "0")
-    assert code == 0
+    assert code == 0 and out.startswith("@structure product over chain:4\n")
     ws = Workspace()
-    ws.coquantales["chain:4"] = workspace.coquantales["C4"]
     ws.load_text(out)
     assert ws.structures["product"].m == 6
+    assert ws.structures["product"].V is workspace.coquantales["C4"]
+    written = tmp_path / "out.cql"
+    written.write_text(out, encoding="utf-8")
+    code, out, err = run_cli(capsys, "eval", "--load", str(written),
+                             "--structure", "product", "--formula", "(sup x0 (P x0))")
+    assert (code, out, err) == (0, "2\n", "")
+    code, out, _ = run_cli(capsys, "los-check", "--load", defs_file, "--load", str(written),
+                           "--factors", "product", "M", "--principal", "0", "--depth", "1")
+    assert code == 0
+    assert out.splitlines()[-1] == "los-equalities: all hold"
 
 
 def test_los_check_command(capsys, defs_file):
@@ -449,6 +459,43 @@ def test_los_check_command(capsys, defs_file):
                            "--depth", "1")
     assert code == 0
     assert "all hold" in out
+
+
+def test_two_builtin_blocks_of_one_spec_share_their_carrier(capsys, tmp_path):
+    """Two `@builtin chain:4` blocks name one carrier, so structures over
+    either are factors of one D-product."""
+    text = DEFS.replace("@structure N over C4", "@coquantale D4\n@builtin chain:4\n\n"
+                        "@structure N over D4")
+    path = tmp_path / "two.cql"
+    path.write_text(text, encoding="utf-8")
+    ws = Workspace()
+    ws.load_path(str(path))
+    assert ws.coquantales["C4"] is ws.coquantales["D4"] is cq.builtin("chain:4")
+    code, out, err = run_cli(capsys, "los-check", "--load", str(path),
+                             "--factors", "M", "N", "--principal", "0", "--depth", "1")
+    assert code == 0 and err == ""
+    assert out.splitlines()[-1] == "los-equalities: all hold"
+
+
+def test_an_unknown_co_quantale_name_exits_2(capsys, tmp_path):
+    path = tmp_path / "nope.cql"
+    path.write_text("@structure M over nope\n@universe a\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "eval", "--load", str(path),
+                             "--structure", "M", "--formula", "(val 0)")
+    assert (code, out) == (2, "")
+    assert err == "error: unknown co-quantale 'nope'\n"
+
+
+def test_a_declared_block_named_like_a_spec_takes_precedence():
+    """`over chain:4` reads the declared two-element block of that name,
+    not the builtin five-element chain."""
+    ws = Workspace()
+    ws.load_text("@lattice L2\n@elements 0 1\n@leq 0 1\n\n"
+                 "@coquantale chain:4 over L2\n@add 1 1 1\n\n"
+                 "@space S over chain:4\n@points p q\n")
+    declared = ws.coquantales["chain:4"]
+    assert ws.coquantale("chain:4") is declared is not cq.builtin("chain:4")
+    assert ws.spaces["S"].V is declared and declared.size == 2
 
 
 def test_reader_closing_the_pipe_early_gets_no_traceback(defs_file):

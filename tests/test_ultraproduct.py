@@ -925,7 +925,6 @@ def test_writing_a_432_point_product_peaks_below_two_and_a_half_texts(product_43
     assert len(text) > 1 << 20
     assert peak <= 2.5 * len(text), (peak, len(text))
     ws = Workspace()
-    ws.register("coquantales", dp.structure.V.name, dp.structure.V)
     ws.load_text(text)
     loaded = ws.structure("product")
     assert loaded.points == dp.structure.points
