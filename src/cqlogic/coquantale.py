@@ -228,13 +228,6 @@ class ResiduationReport:
     def all_pass(self):
         return all(r.passed for r in self.results)
 
-    def lines(self):
-        out = ["residuation report for %s" % self.coquantale]
-        for r in self.results:
-            status = "pass" if r.passed else "FAIL at %s" % r.witness
-            out.append("  %-22s %s  [%s]" % (r.law, status, r.mode))
-        return out
-
 
 def check_residuation_laws(vq: CoQuantale, exhaustive_subset_limit=6,
                            sample_count=200, seed=None) -> ResiduationReport:
@@ -424,9 +417,9 @@ def builtin(spec: str) -> CoQuantale:
         if k > FREELOCALE_MAX:
             raise SizeLimit("freelocale ground set capped at %d" % FREELOCALE_MAX)
         from .freelocale import FreeLocale
-        shared = FreeLocale(tuple("abc"[:k])).materialize()
+        shared = FreeLocale("abc"[:k]).materialize()
         return validate_coquantale(shared.lattice, shared.add, name=spec)
-    raise UnknownBuiltin(spec)
+    raise UnknownBuiltin("unknown builtin %r" % spec)
 
 
 def _chain_like(n, names, name):

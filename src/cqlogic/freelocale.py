@@ -2,17 +2,20 @@
 bitmasks.
 
 An element of the free locale is a down-closed family of subsets of the
-ground set R, a frozenset of frozensets. The lattice order is reverse
-inclusion (p <= q iff p is a superset of q), so the full powerset family is
-the bottom and the empty family the top; the monoid addition is family
-intersection, which coincides with the lattice join.
+ground set R. A subset s of R is the mask of its names (bit i for the i-th
+name), and a family is one mask over the 2^k subsets, with bit s set when s
+is a member. The lattice order is reverse inclusion (p <= q iff p is a
+superset of q), so the full powerset family is the bottom and the empty
+family the top; the monoid addition is family intersection p & q, which
+coincides with the lattice join.
 
 The carrier grows like the Dedekind numbers (2, 3, 6, 20, 168, ...), so it
 is only enumerated - and only then turned into ordinary co-quantale tables -
-for ground sets of at most MATERIALIZE_MAX elements. The enumerated carrier
-and the materialized co-quantale depend only on the ground tuple, so both
-are shared by every FreeLocale over the same ground set: each is built,
-and each validated, once per process.
+for ground sets of at most MATERIALIZE_MAX elements. ``FreeLocale(ground)``
+returns the one FreeLocale of that ground tuple, kept in ``_SHARED``, and
+everything built from the ground alone (the family masks, the principal
+index, the materialized co-quantale and the principal down-sets) is cached
+on it: each is built, and each validated, once per process.
 
 Every distance of the Flagg dictionary is a principal down-set ↓S, and the
 principal down-sets are closed under + and ∨: ↓S ∩ ↓T = ↓(S ∩ T). On them
@@ -26,8 +29,7 @@ principal, so it has no meets.
 
 from __future__ import annotations
 
-from functools import reduce
-from itertools import combinations
+from functools import cached_property, reduce
 from types import SimpleNamespace
 
 import numpy as np
@@ -39,24 +41,7 @@ from .errors import NoMeets, SizeLimit
 MATERIALIZE_MAX = 4   # Dedekind(4) = 168; Dedekind(5) = 7581 is already too big
 MASK_MAX = 64         # a principal down-set is a k-bit mask in a uint64
 
-_CARRIERS = {}        # ground tuple -> sorted tuple of families
-_PRINCIPAL_INDEX = {}  # ground tuple -> [S]: the carrier index of ↓S
-_PRINCIPALS = {}      # ground tuple -> PrincipalDownsets
-_MATERIALIZED = {}    # ground tuple -> validated CoQuantale
-
-
-def _down_families(ground):
-    """Every down-closed family of subsets of ``ground``.
-
-    For the last element g, such a family is F0 ∪ {s ∪ {g} : s ∈ F1} for
-    down-closed families F1 ⊆ F0 over the other elements.
-    """
-    if not ground:
-        return [frozenset(), frozenset([frozenset()])]
-    last = frozenset(ground[-1:])
-    smaller = _down_families(ground[:-1])
-    return [low | frozenset(s | last for s in high)
-            for low in smaller for high in smaller if high <= low]
+_SHARED = {}          # ground tuple -> its FreeLocale
 
 
 def _members(ground, mask):
@@ -72,86 +57,95 @@ def _family_name(members):
     return "{%s}" % ",".join("+".join(names) if names else "0" for _, names in parts)
 
 
+def _maximal(family, k):
+    """The members s of the down-closed ``family`` that no other member
+    contains: by down-closure, those with no s ∪ {i} in the family."""
+    return [s for s in range(1 << k) if family >> s & 1
+            and not any(family >> (s | 1 << i) & 1 for i in range(k) if not s >> i & 1)]
+
+
 class FreeLocale:
-    """The free locale over ground set R: down-closed families under ⊇."""
+    """The free locale over ground set R: down-closed families under ⊇, one
+    shared object per ground tuple."""
 
-    def __init__(self, ground):
-        self.ground = tuple(str(g) for g in ground)
-        if len(set(self.ground)) != len(self.ground):
-            raise ValueError("ground names must be unique")
-        self.name = "freelocale(%s)" % ",".join(self.ground)
+    _table = _index = _principals = None
 
-    def carrier(self):
-        families = _CARRIERS.get(self.ground)
-        if families is None:
-            if len(self.ground) > MATERIALIZE_MAX:
-                raise SizeLimit("carrier of %s is not enumerable" % self.name)
-            families = _CARRIERS[self.ground] = tuple(sorted(
-                _down_families(self.ground),
-                key=lambda p: (len(p), sorted((len(s), sorted(s)) for s in p))))
-        return families
+    def __new__(cls, ground):
+        ground = tuple(str(g) for g in ground)
+        locale = _SHARED.get(ground)
+        if locale is None:
+            if len(set(ground)) != len(ground):
+                raise ValueError("ground names must be unique")
+            locale = _SHARED[ground] = super().__new__(cls)
+            locale.ground = ground
+            locale.name = "freelocale(%s)" % ",".join(ground)
+        return locale
 
-    def principal(self, s):
-        """↓s, every subset of the subset s of the ground set."""
-        s = sorted(s)
-        return frozenset(frozenset(c) for k in range(len(s) + 1) for c in combinations(s, k))
+    @cached_property
+    def families(self):
+        """Every down-closed family as a mask over the subsets, read-only, by
+        member count, then by the members' sizes and sorted names.
+
+        With the i-th name, such a family is F0 | F1 << 2^i for down-closed
+        families F1 ⊆ F0 over the names before it: F1 holds the members that
+        gain the i-th name.
+        """
+        k = len(self.ground)
+        if k > MATERIALIZE_MAX:
+            raise SizeLimit("carrier of %s is not enumerable" % self.name)
+        masks = np.array([0, 1], dtype=np.int64)          # no member, and ∅ alone
+        for i in range(k):
+            low, high = np.nonzero((masks[None, :] & ~masks[:, None]) == 0)
+            masks = masks[low] | masks[high] << (1 << i)
+        # a set ranks by its size and sorted names, a family by its member
+        # count and the ranks of its members
+        sets = sorted(range(1 << k), key=lambda s: (bin(s).count("1"),
+                                                    sorted(_members(self.ground, s))))
+        masks = np.array(sorted(masks.tolist(), key=lambda p: (
+            bin(p).count("1"), [r for r, s in enumerate(sets) if p >> s & 1])), dtype=np.int64)
+        masks.setflags(write=False)
+        return masks
+
+    @cached_property
+    def _position(self):
+        """[F]: the index in `families` of the family mask F, -1 off them."""
+        masks = self.families
+        position = np.full(1 << (1 << len(self.ground)), -1, dtype=np.int32)
+        position[masks] = np.arange(len(masks), dtype=np.int32)
+        return position
 
     def principal_index(self):
-        """[S]: the index in `carrier` of ↓S, for the set S of ground
+        """[S]: the index in `families` of ↓S, for the set S of ground
         elements given as a mask (bit i for the i-th name): the elements of
         `principals` as elements of `materialize`."""
-        index = _PRINCIPAL_INDEX.get(self.ground)
-        if index is None:
-            position = {p: i for i, p in enumerate(self.carrier())}
-            index = np.array([position[self.principal(_members(self.ground, S))]
-                              for S in range(1 << len(self.ground))], dtype=np.int32)
-            index.setflags(write=False)
-            _PRINCIPAL_INDEX[self.ground] = index
-        return index
+        if self._index is None:
+            sets = np.arange(1 << len(self.ground))
+            down = ((sets[None, :] & ~sets[:, None]) == 0) @ (1 << sets)   # [S]: ↓S
+            self._index = self._position[down]
+            self._index.setflags(write=False)
+        return self._index
 
     def principals(self):
         """The principal down-sets as bitmasks, shared per ground set."""
-        carrier = _PRINCIPALS.get(self.ground)
-        if carrier is None:
-            carrier = _PRINCIPALS[self.ground] = PrincipalDownsets(self)
-        return carrier
-
-    # -- naming ------------------------------------------------------------
-
-    def maximal_members(self, p):
-        """The members of p inside no other member, largest first."""
-        maximal = []
-        for s in sorted(p, key=len, reverse=True):
-            if not any(s < t for t in maximal):
-                maximal.append(s)
-        return maximal
-
-    def element_name(self, p):
-        return _family_name(self.maximal_members(p))
-
-    # -- table form ---------------------------------------------------------
+        if self._principals is None:
+            self._principals = PrincipalDownsets(self)
+        return self._principals
 
     def materialize(self):
-        """Enumerate the carrier and run it through full table validation.
+        """Run the carrier through full table validation.
 
         The result is shared: one validated co-quantale per ground set.
         """
-        cached = _MATERIALIZED.get(self.ground)
-        if cached is not None:
-            return cached
-        families = self.carrier()
-        bit = {g: 1 << i for i, g in enumerate(self.ground)}
-        # a family as a mask over the subsets, the subset s at bit (s as a mask)
-        masks = np.array([sum(1 << sum(map(bit.get, s)) for s in p) for p in families],
-                         dtype=np.int64)
-        index = np.full(1 << (1 << len(self.ground)), -1, dtype=np.int32)
-        index[masks] = np.arange(len(families), dtype=np.int32)
-        # p <= q iff q ⊆ p; p + q is the family intersection p & q
-        order = (masks[None, :] & ~masks[:, None]) == 0
-        add = index[masks[:, None] & masks[None, :]]
-        lattice = lat.validate_lattice(order, [self.element_name(p) for p in families])
-        _MATERIALIZED[self.ground] = validate_coquantale(lattice, add, name=self.name)
-        return _MATERIALIZED[self.ground]
+        if self._table is None:
+            masks, k = self.families, len(self.ground)
+            # p <= q iff q ⊆ p; p + q is the family intersection p & q
+            order = (masks[None, :] & ~masks[:, None]) == 0
+            add = self._position[masks[:, None] & masks[None, :]]
+            names = [_family_name([_members(self.ground, s) for s in _maximal(p, k)])
+                     for p in masks.tolist()]
+            lattice = lat.validate_lattice(order, names)
+            self._table = validate_coquantale(lattice, add, name=self.name)
+        return self._table
 
     def __repr__(self):
         return "FreeLocale(ground=%r)" % (self.ground,)

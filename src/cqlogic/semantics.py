@@ -453,17 +453,16 @@ def enumeration_kit(vq: CoQuantale):
     return [kit[k] for k in names]
 
 
-def enumerate_formulas(sig: Signature, vq: CoQuantale, depth, max_free_vars,
-                       kit=None):
+def enumerate_formulas(sig: Signature, vq: CoQuantale, depth, max_free_vars):
     """Deterministic duplicate-free list of all formulas of tree depth up
-    to ``depth`` over the kit connectives and both quantifiers, with
-    variables x0..x(k-1) and signature constants as the terms. Each
-    candidate built is charged as a loop iteration, up to `pool_bound`."""
+    to ``depth`` over the unary and binary connectives of `enumeration_kit`
+    and both quantifiers, with variables x0..x(k-1) and signature constants
+    as the terms. Each candidate built is charged as a loop iteration, up
+    to `pool_bound`."""
     if depth < 0 or max_free_vars < 0:
         raise CqlError("a formula pool needs depth >= 0 and max_free_vars >= 0, not %d and %d"
                        % (depth, max_free_vars))
-    if kit is None:
-        kit = enumeration_kit(vq)
+    kit = enumeration_kit(vq)
     check_cost("enumerating formulas to depth %d with max_free_vars=%d" % (depth, max_free_vars),
                loop_cost(pool_bound(sig, depth, max_free_vars, kit)))
     terms = [Var(i) for i in range(max_free_vars)]
@@ -490,12 +489,9 @@ def enumerate_formulas(sig: Signature, vq: CoQuantale, depth, max_free_vars,
             if conn.arity == 1:
                 for phi in snapshot:
                     push(Conn(conn, (phi,)))
-            elif conn.arity == 2:
+            else:
                 for a, b in combinations_with_replacement(snapshot, 2):
                     push(Conn(conn, (a, b)))
-            else:
-                for combo in iproduct(snapshot, repeat=conn.arity):
-                    push(Conn(conn, combo))
         for phi in snapshot:
             for x in phi.window:
                 push(Sup(x, phi))

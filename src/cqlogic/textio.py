@@ -29,7 +29,7 @@ import numpy as np
 from . import coquantale as cq
 from . import semantics as sem
 from . import spaces as sp
-from .errors import ModulusViolated, ParseError, UnknownBuiltin, UnknownElement
+from .errors import ParseError, SizeLimit, UnknownBuiltin, UnknownElement
 from .formulas import Modulus, Signature, identity_modulus
 from .lattice import _path_counts, validate_lattice
 
@@ -49,14 +49,12 @@ class Workspace:
             raise ParseError("duplicate %s name %r" % (kind[:-1], name))
         table[name] = obj
 
-    def coquantale(self, name):
-        """The declared co-quantale ``name``, else the builtin of that spec."""
+    def coquantale(self, name, line=None):
+        """The declared co-quantale ``name``, else the builtin of that spec;
+        a name that is neither is a ParseError on ``line``."""
         if name in self.coquantales:
             return self.coquantales[name]
-        try:
-            return cq.builtin(name)
-        except UnknownBuiltin:
-            raise ParseError("unknown co-quantale %r" % name)
+        return _builtin(name, line, "unknown co-quantale %r" % name)
 
     def structure(self, name):
         if name not in self.structures:
@@ -72,19 +70,9 @@ class Workspace:
         self.load_text(text)
 
     def load_text(self, text):
-        blocks = _split_blocks(text)
-        for header, lines in blocks:
-            kind = header[0][0]
-            if kind == "@lattice":
-                self._load_lattice(header, lines)
-            elif kind == "@coquantale":
-                self._load_coquantale(header, lines)
-            elif kind == "@space":
-                self._load_space(header, lines)
-            elif kind == "@structure":
-                self._load_structure(header, lines)
-            else:
-                raise ParseError("unknown block directive %r" % kind, header[1])
+        for header, lines in _split_blocks(text):
+            # a block opens only at @lattice, @coquantale, @space or @structure
+            getattr(self, "_load_" + header[0][0][1:])(header, lines)
 
     # -- block loaders ------------------------------------------------------
 
@@ -127,8 +115,9 @@ class Workspace:
             if len(builtin_line) != 1 or len(lines) != 1:
                 raise ParseError("@coquantale %s needs 'over LATTICE' or a single @builtin" % name,
                                  lineno)
-            spec = builtin_line[0][0][1]
-            self.register("coquantales", name, cq.builtin(spec))
+            toks, lno = builtin_line[0]
+            _expect(toks, 2, lno)
+            self.register("coquantales", name, _builtin(toks[1], lno))
             return
         if len(tokens) != 4 or tokens[2] != "over":
             raise ParseError("use '@coquantale NAME over LATTICE'", lineno)
@@ -162,7 +151,7 @@ class Workspace:
         tokens, lineno = header
         if len(tokens) != 4 or tokens[2] != "over":
             raise ParseError("use '%s NAME over COQUANTALE'" % tokens[0], lineno)
-        vq = self.coquantale(tokens[3])
+        vq = self.coquantale(tokens[3], lineno)
         points = None
         dist_lines = []
         rest = []
@@ -222,7 +211,7 @@ class Workspace:
                     if len(set(eps)) < len(eps):
                         raise ParseError("@modulus lists an ε twice", lno)
                     if sorted(eps) != list(vq.positives()):
-                        raise ModulusViolated("modulus must be total on the positives filter")
+                        raise ParseError("@modulus must list every positive ε", lno)
                     modulus = Modulus(np.array(delta)[np.argsort(eps)])
                 (preds if kind == "@pred" else funs).append((toks[1], arity, modulus))
             elif kind in ("@predval", "@funval"):
@@ -247,6 +236,17 @@ class Workspace:
         self.register("structures", name,
                       sem.validate_structure(space, sig, pred_tables, fun_tables,
                                              const_points, name=name))
+
+
+def _builtin(spec, line, unknown=None):
+    """The builtin carrier of ``spec``; an unknown spec (worded ``unknown``
+    if given) or one past its cap is a ParseError on ``line``."""
+    try:
+        return cq.builtin(spec)
+    except UnknownBuiltin as exc:
+        raise ParseError(unknown or str(exc), line)
+    except SizeLimit as exc:
+        raise ParseError(str(exc), line)
 
 
 def _load_tables(kind, symbols, rows, index, noun, header_line, parse, bad):

@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -20,18 +21,111 @@ def downclose(sets):
                      for k in range(len(s) + 1) for c in combinations(s, k))
 
 
+# -- the slow twin: the free locale as frozensets of frozensets -------------------
+
+
+def down_families(ground):
+    """Every down-closed family of subsets of ``ground``.
+
+    For the last element g, such a family is F0 ∪ {s ∪ {g} : s ∈ F1} for
+    down-closed families F1 ⊆ F0 over the other elements.
+    """
+    if not ground:
+        return [frozenset(), frozenset([frozenset()])]
+    last = frozenset(ground[-1:])
+    smaller = down_families(ground[:-1])
+    return [low | frozenset(s | last for s in high)
+            for low in smaller for high in smaller if high <= low]
+
+
+class FrozensetLocale:
+    """The free locale with each element a frozenset of frozensets, built
+    from the definitions: the twin that `FreeLocale` is checked against."""
+
+    def __init__(self, ground):
+        self.ground = tuple(str(g) for g in ground)
+
+    def carrier(self):
+        """The down-closed families by member count, then by the members'
+        sizes and sorted names."""
+        return sorted(down_families(self.ground),
+                      key=lambda p: (len(p), sorted((len(s), sorted(s)) for s in p)))
+
+    def principal(self, s):
+        """↓s, every subset of the subset s of the ground set."""
+        s = sorted(s)
+        return frozenset(frozenset(c) for k in range(len(s) + 1) for c in combinations(s, k))
+
+    def maximal_members(self, p):
+        """The members of p inside no other member, largest first."""
+        maximal = []
+        for s in sorted(p, key=len, reverse=True):
+            if not any(s < t for t in maximal):
+                maximal.append(s)
+        return maximal
+
+    def element_name(self, p):
+        parts = sorted((len(s), sorted(s)) for s in self.maximal_members(p))
+        return "{%s}" % ",".join("+".join(names) if names else "0" for _, names in parts)
+
+    def mask(self, p):
+        """The family p as a mask over the subsets, the subset s at bit (s as a mask)."""
+        bit = {g: 1 << i for i, g in enumerate(self.ground)}
+        return sum(1 << sum(map(bit.get, s)) for s in p)
+
+    def materialize(self):
+        families = self.carrier()
+        index = {p: i for i, p in enumerate(families)}
+        order = np.array([[q <= p for q in families] for p in families])
+        add = np.array([[index[p & q] for q in families] for p in families])
+        lattice = lat.validate_lattice(order, [self.element_name(p) for p in families])
+        return cq.validate_coquantale(lattice, add)
+
+
+@pytest.mark.parametrize("ground", [(), "a", "ab", "abc", "abcd", ("b", "a"),
+                                    ("d", "b", "a", "c"), ("x10", "x2", "x1")])
+def test_masks_match_the_frozenset_twin(ground):
+    """The same families in the same order, and the same names, order,
+    addition, dualizers and principal index, on sorted and unsorted grounds."""
+    fl, twin = FreeLocale(ground), FrozensetLocale(ground)
+    families = twin.carrier()
+    assert fl.families.tolist() == [twin.mask(p) for p in families]
+    table, expected = fl.materialize(), twin.materialize()
+    assert [table.element_name(e) for e in table.carrier()] == \
+        [expected.element_name(e) for e in expected.carrier()]
+    assert (table.lattice.leq == expected.lattice.leq).all()
+    assert (table.add == expected.add).all()
+    assert table.dualizers == expected.dualizers
+    index = {p: i for i, p in enumerate(families)}
+    assert fl.principal_index().tolist() == \
+        [index[twin.principal(g for i, g in enumerate(fl.ground) if S >> i & 1)]
+         for S in range(1 << len(fl.ground))]
+
+
 def test_carrier_counts_match_dedekind_numbers():
     for k, expected in DEDEKIND.items():
         fl = FreeLocale("abcd"[:k])
-        assert len(fl.carrier()) == expected, k
+        assert len(fl.families) == expected, k
 
 
-def test_carrier_not_enumerable_beyond_cap():
+def test_carrier_not_enumerable_beyond_cap(monkeypatch):
+    """On five names the enumeration, the tables and the principal index are
+    refused before the 2^32-entry position table, or any large array, exists."""
     fl = FreeLocale("abcde")
-    with pytest.raises(SizeLimit):
-        fl.carrier()
-    with pytest.raises(SizeLimit):
-        fl.materialize()
+
+    def refuse(shape, *args, **kwargs):
+        raise AssertionError("a table of %s entries was asked for" % (shape,))
+
+    monkeypatch.setattr(np, "full", refuse)
+    tracemalloc.start()
+    try:
+        for build in (lambda: fl.families, fl.materialize, fl.principal_index):
+            with pytest.raises(SizeLimit):
+                build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
     # its principal down-sets still work: ↓{a,b} lies below ↓{a}
     V = fl.principals()
     assert V.lattice.leq[0b00011, 0b00001] and not V.lattice.leq[0b00001, 0b00011]
@@ -60,7 +154,7 @@ def test_closed_forms_match_definitions():
     """The carrier is every down-closed family, ≺ is "some member of p
     contains every member of q" and the names list the maximal members."""
     for k in range(4):
-        fl = FreeLocale("abc"[:k])
+        fl = FrozensetLocale("abc"[:k])
         psets = [frozenset(c) for n in range(k + 1) for c in combinations(fl.ground, n)]
         families = []
         for mask in range(1 << len(psets)):
@@ -68,7 +162,7 @@ def test_closed_forms_match_definitions():
             if all(t in family for s in family for t in downclose([s])):
                 families.append(family)
         assert set(fl.carrier()) == set(families)
-        table = fl.materialize()
+        table = FreeLocale(fl.ground).materialize()
         index = {p: i for i, p in enumerate(fl.carrier())}
         for p in families:
             assert sorted(map(sorted, fl.maximal_members(p))) == sorted(
@@ -82,9 +176,10 @@ def test_bottom_and_top():
     """The tables' bottom is the whole powerset and their top the empty
     family; the bottom mask is ↓R, the identity of + and below every mask."""
     fl = FreeLocale("ab")
-    table, families = fl.materialize(), fl.carrier()
+    table, families = fl.materialize(), FrozensetLocale("ab").carrier()
     assert families[table.bottom] == downclose(["ab"])
     assert families[table.top] == frozenset()
+    assert fl.families[table.bottom] == 0b1111 and fl.families[table.top] == 0
     V = fl.principals()
     masks = np.arange(V.size)
     assert fl.principal_index()[V.bottom] == table.bottom
@@ -108,20 +203,20 @@ def test_principal_is_the_down_closure(data):
     """↓s against building it, on grounds of 0 to 8 names; the mask of s is
     named as the free locale names ↓s."""
     k = data.draw(st.integers(0, 8))
-    fl = FreeLocale(["g%d" % i for i in range(k)])
+    ground = ["g%d" % i for i in range(k)]
+    fl, twin = FreeLocale(ground), FrozensetLocale(ground)
     chosen = data.draw(st.lists(st.booleans(), min_size=k, max_size=k))
     s = frozenset(g for g, keep in zip(fl.ground, chosen) if keep)
-    assert fl.principal(s) == downclose([s])
+    assert twin.principal(s) == downclose([s])
     mask = sum(1 << i for i, keep in enumerate(chosen) if keep)
-    assert fl.principals().element_name(mask) == fl.element_name(downclose([s]))
+    assert fl.principals().element_name(mask) == twin.element_name(downclose([s]))
 
 
 def test_dedekind4_tables_match_family_operations():
     """At n = 168 the materialized order is reverse inclusion, the meet is
     family union and the join (and addition) is family intersection."""
-    fl = FreeLocale("abcd")
-    table = fl.materialize()
-    families = fl.carrier()
+    table = FreeLocale("abcd").materialize()
+    families = FrozensetLocale("abcd").carrier()
     assert table.size == DEDEKIND[4]
     index = {p: i for i, p in enumerate(families)}
     assert table.lattice.leq.tolist() == [[q <= p for q in families] for p in families]
@@ -138,7 +233,10 @@ def test_dedekind4_tables_match_family_operations():
 def test_materialize_shared_per_ground():
     table = FreeLocale("abc").materialize()
     assert FreeLocale("abc").materialize() is table
-    assert FreeLocale("abc").carrier() is FreeLocale("abc").carrier()
+    assert FreeLocale("abc") is FreeLocale(("a", "b", "c"))
+    assert FreeLocale("abc").families is FreeLocale("abc").families
+    assert FreeLocale("abc").principal_index() is FreeLocale("abc").principal_index()
+    assert FreeLocale("abc").principals() is FreeLocale("abc").principals()
     assert FreeLocale("ab").materialize() is not table
 
 
@@ -163,8 +261,7 @@ def test_shared_tables_are_read_only():
 def test_flagg_round_trip_validates_once_per_ground_size(monkeypatch):
     """Every topology on at most three points, in all three modes, costs one
     lattice and one co-quantale validation per ground size (2, 3, 4 opens)."""
-    monkeypatch.setattr(freelocale, "_CARRIERS", {})
-    monkeypatch.setattr(freelocale, "_MATERIALIZED", {})
+    monkeypatch.setattr(freelocale, "_SHARED", {})
     validated = {"lattice": [], "coquantale": []}
 
     def counting(kind, validate):
@@ -234,7 +331,7 @@ def test_flagg_names_with_five_to_eight_opens_are_the_definitional_ones():
             continue
         opens = sp.sorted_opens(topo)
         space = sp.space_from_topology(topo)
-        fl = FreeLocale(space.V.ground)
+        fl = FrozensetLocale(space.V.ground)
         assert space.V.dtype == np.uint64
         for i, a in enumerate(topo.points):
             for j, b in enumerate(topo.points):

@@ -391,7 +391,7 @@ def test_pool_bound_holds_the_pools_it_admits(roster):
         for constants in ([], ["c"]):
             sig = F.Signature(predicates=[("P", 1, F.identity_modulus(vq))], constants=constants)
             for depth, k in ((0, 2), (1, 1), (1, 2), (2, 1)):
-                assert len(sem.enumerate_formulas(sig, vq, depth, k, kit)) <= \
+                assert len(sem.enumerate_formulas(sig, vq, depth, k)) <= \
                     sem.pool_bound(sig, depth, k, kit)
 
 

@@ -328,6 +328,28 @@ def test_function_escape_breaks_substructure(chain4):
     assert not sem.is_substructure(small, big)
 
 
+@pytest.mark.parametrize("moved", ["predicate", "function", "constant"])
+def test_a_moved_value_breaks_substructure(chain4, moved):
+    """The restriction of a structure to {a, b}, but for one predicate
+    value, one function image or the constant, is not a substructure."""
+    ident = F.identity_modulus(chain4)
+    sig = F.Signature(predicates=[("P", 1, ident)], functions=[("f", 1, ident)],
+                      constants=["c"])
+    top = chain4.top
+
+    def build(points, preds, images, const):
+        space = sp.validate_space(chain4, points, [[0 if p == q else top for q in points]
+                                                   for p in points])
+        return sem.validate_structure(space, sig, {"P": preds}, {"f": images}, {"c": const})
+
+    big = build(["a", "b", "z"], [0, 1, 2], [1, 0, 2], "a")
+    assert sem.is_substructure(build(["a", "b"], [0, 1], [1, 0], "a"), big)
+    small = {"predicate": build(["a", "b"], [0, 2], [1, 0], "a"),
+             "function": build(["a", "b"], [0, 1], [0, 1], "a"),
+             "constant": build(["a", "b"], [0, 1], [1, 0], "b")}[moved]
+    assert not sem.is_substructure(small, big)
+
+
 def test_signature_mismatch(chain4, struct_m):
     other_sig = F.Signature(predicates=[("R", 1, F.identity_modulus(chain4))])
     space = sp.validate_space(chain4, ["a"], [[0]])

@@ -221,6 +221,51 @@ def test_table_lines_report_each_fault_on_its_line(lines, message):
     assert str(err.value) == message
 
 
+_L2 = "@lattice L\n@elements 0 1\n@leq 0 1\n"        # lines 1-3
+_C4 = "@coquantale C4\n@builtin chain:4\n"               # lines 1-2
+
+
+@pytest.mark.parametrize("text, message", [
+    ("@lattice\n", "line 1: @lattice needs a name"),
+    ("@lattice L\n@leq 0 1\n", "line 1: @lattice L needs @elements"),
+    ("@lattice L\n@elements 0 1\n@add 0 0 0\n", "line 3: unexpected '@add' in @lattice"),
+    ("@lattice L\n@elements 0 1\n@leq 0\n", "line 3: @leq expects 2 fields"),
+    ("@coquantale C\n", "line 1: @coquantale C needs 'over LATTICE' or a single @builtin"),
+    ("@coquantale C\n@builtin\n", "line 2: @builtin expects 1 fields"),
+    ("@coquantale C\n@builtin nope\n", "line 2: unknown builtin 'nope'"),
+    ("@coquantale C\n@builtin chain:x\n", "line 2: bad size in 'chain:x'"),
+    ("@coquantale C\n@builtin chain:99\n", "line 2: chain size capped at 64"),
+    ("@coquantale C under L\n", "line 1: use '@coquantale NAME over LATTICE'"),
+    ("@coquantale C over L\n", "line 1: unknown lattice 'L'"),
+    (_L2 + "@coquantale C over L\n@builtin bool2\n", "line 5: unexpected '@builtin' in @coquantale"),
+    (_L2 + "@coquantale C over L\n@add 1 1 2\n", "line 5: unknown element '2'"),
+    (_L2 + "@coquantale C over L\n@add 1 1 1\n@add 1 1 0\n",
+     "line 6: conflicting @add for 1 1"),
+    ("@space S\n@points p\n", "line 1: use '@space NAME over COQUANTALE'"),
+    ("@space S over nope\n@points p\n", "line 1: unknown co-quantale 'nope'"),
+    ("@space S over chain:99\n@points p\n", "line 1: chain size capped at 64"),
+    (_C4 + "@space S over C4\n@dist p q 1\n", "line 3: @space block needs @points"),
+    (_C4 + "@space S over C4\n@points p\n@dist p q 1\n", "line 5: unknown point in @dist p q"),
+    (_C4 + "@space S over C4\n@points p\n@pred P 1\n", "line 5: unexpected '@pred' in @space"),
+    (_C4 + "@structure M over C4\n@universe p\n@pred P\n",
+     "line 5: @pred needs NAME and ARITY"),
+    (_C4 + "@structure M over C4\n@universe p\n@fun f one\n", "line 5: bad arity 'one'"),
+    (_C4 + "@structure M over C4\n@universe p\n@pred P 1 @modulus 1\n",
+     "line 5: inline modulus must be '@modulus EPS DELTA ...'"),
+    (_C4 + "@structure M over C4\n@universe p\n@pred P 1 @modulus 1 1\n",
+     "line 5: @modulus must list every positive ε"),
+    (_C4 + "@structure M over C4\n@universe p\n@points p\n",
+     "line 5: unexpected '@points' in @structure"),
+    (_C4 + "@structure M over C4\n@universe p\n@const c z\n",
+     "line 5: unknown point 'z' in @const"),
+    (_C4 + "@structure M over C4\n@universe p\n@const c\n", "line 5: @const expects 2 fields"),
+])
+def test_malformed_defs_fail_on_their_line(text, message):
+    with pytest.raises(ParseError) as err:
+        Workspace().load_text(text)
+    assert str(err.value) == message
+
+
 def test_duplicate_names_rejected():
     ws = Workspace()
     with pytest.raises(ParseError, match="duplicate"):
@@ -278,6 +323,31 @@ def test_check_is_deterministic(capsys):
     assert out1 == out2
 
 
+def test_check_a_defs_file_reports_each_declared_co_quantale(capsys, defs_file):
+    """`cql check FILE` reports the co-quantales of FILE by name; the
+    `@builtin chain:4` block C4 gets the report of `--builtin chain:4`."""
+    code, out, err = run_cli(capsys, "check", defs_file, "--records")
+    assert (code, err) == (0, "")
+    sections = out.split("\n\n")
+    assert sections[2:] == [""]
+    assert [s.splitlines()[:2] for s in sections[:2]] == \
+        [["coquantale=B", "carrier-size=2"], ["coquantale=C4", "carrier-size=5"]]
+    _, builtin, _ = run_cli(capsys, "check", "--builtin", "chain:4", "--records")
+    assert sections[1].splitlines()[1:] == builtin.splitlines()[1:-1]
+
+
+@pytest.mark.parametrize("text, message", [
+    ("@coquantale C\n@builtin nope\n", "line 2: unknown builtin 'nope'"),
+    ("@coquantale C\n@builtin chain:99\n", "line 2: chain size capped at 64"),
+    ("@structure M over nope\n@universe a\n", "line 1: unknown co-quantale 'nope'"),
+], ids=["unknown-builtin", "builtin-past-its-cap", "unknown-over"])
+def test_check_reports_an_unresolved_co_quantale_on_its_line(capsys, tmp_path, text, message):
+    path = tmp_path / "defs.cql"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(capsys, "check", str(path))
+    assert (code, out, err) == (2, "", "error: %s\n" % message)
+
+
 def test_check_missing_file(capsys):
     code, _, err = run_cli(capsys, "check", "/definitely/not/there")
     assert code == 2
@@ -320,6 +390,12 @@ def test_eval_error_exit(capsys, defs_file):
     code, _, err = run_cli(capsys, "eval", "--load", defs_file,
                            "--structure", "M", "--formula", "(P x0")
     assert code == 2 and "error:" in err
+
+
+def test_eval_unknown_structure_exits_2(capsys, defs_file):
+    code, out, err = run_cli(capsys, "eval", "--load", defs_file, "--structure", "Z",
+                             "--formula", "(val 0)")
+    assert (code, out, err) == (2, "", "error: unknown structure 'Z'\n")
 
 
 def test_eval_unknown_point_exits_2(capsys, defs_file):
@@ -461,6 +537,12 @@ def test_los_check_command(capsys, defs_file):
     assert "all hold" in out
 
 
+def test_los_check_of_one_formula(capsys, defs_file):
+    code, out, err = run_cli(capsys, "los-check", "--load", defs_file, "--factors", "M", "N",
+                             "N", "--principal", "1", "--formula", "(sup x1 (d x0 x1))")
+    assert (code, out, err) == (0, "formulas: 1\nlos-equalities: all hold\n", "")
+
+
 def test_two_builtin_blocks_of_one_spec_share_their_carrier(capsys, tmp_path):
     """Two `@builtin chain:4` blocks name one carrier, so structures over
     either are factors of one D-product."""
@@ -483,7 +565,7 @@ def test_an_unknown_co_quantale_name_exits_2(capsys, tmp_path):
     code, out, err = run_cli(capsys, "eval", "--load", str(path),
                              "--structure", "M", "--formula", "(val 0)")
     assert (code, out) == (2, "")
-    assert err == "error: unknown co-quantale 'nope'\n"
+    assert err == "error: line 1: unknown co-quantale 'nope'\n"
 
 
 def test_a_declared_block_named_like_a_spec_takes_precedence():

@@ -2,6 +2,7 @@ import dataclasses
 import random
 import tracemalloc
 from itertools import product
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -43,6 +44,19 @@ def test_principal_ultrafilters_satisfy_axioms():
     for size in range(1, 5):
         for gen in range(size):
             assert up.is_ultrafilter(up.PrincipalUltrafilter(size, gen), size)
+
+
+@pytest.mark.parametrize("members", [
+    [(), (0, 1, 2)],                                # holds ∅
+    [(0,), (0, 1, 2)],                              # holds {0}, not {0, 1}
+    [(0, 1), (0, 2), (1, 2), (0, 1, 2)],            # {0, 1} ∩ {0, 2} = {0} is missing
+    [(0, 1, 2)],                                    # neither {0} nor {1, 2}
+], ids=["empty-set", "not-upward-closed", "not-meet-closed", "no-side-of-a-split"])
+def test_non_ultrafilters_are_refused(members):
+    """A family of subsets of three indices, known only by its `contains`,
+    that breaks one ultrafilter axiom."""
+    family = {frozenset(m) for m in members}
+    assert not up.is_ultrafilter(SimpleNamespace(contains=family.__contains__), 3)
 
 
 def test_generator_must_be_in_range():
