@@ -380,46 +380,45 @@ FREELOCALE_MAX = 3
 
 @lru_cache(maxsize=None)
 def builtin(spec: str) -> CoQuantale:
-    """The named example co-quantale, one shared carrier per spec.
+    """The named example co-quantale, one shared carrier per (kind, size).
 
     Accepted: ``bool2``, ``chain:n`` (1 <= n <= 64), ``lukasiewicz:n``
-    (1 <= n <= 64) and ``freelocale:k`` (0 <= k <= 3). Each spec goes
+    (1 <= n <= 64) and ``freelocale:k`` (0 <= k <= 3). Each carrier goes
     through full validation once per process; every later call returns the
-    same object, so structures built over one spec share their V. The
-    carrier is named by its spec. The default connective kit of every
-    chain fits the work budget (n <= 64; chain:64's takes about 2 s).
+    same object, also for another spelling of its size (``chain:04``), so
+    structures built over one carrier share their V. The carrier is named
+    by its canonical spec (``chain:4``). The default connective kit of
+    every chain fits the work budget (n <= 64; chain:64's takes about 2 s).
     """
     kind, _, arg = spec.partition(":")
     if kind == "bool2" and not arg:
         return _chain_like(1, ["0", "1"], "bool2")
-    if kind in ("chain", "lukasiewicz"):
-        try:
-            n = int(arg)
-        except ValueError:
-            raise UnknownBuiltin("bad size in %r" % spec)
-        if n < 1:
-            raise UnknownBuiltin("chain size must be positive")
-        if n > CHAIN_MAX:
-            raise SizeLimit("chain size capped at %d" % CHAIN_MAX)
-        if kind == "chain":
-            return _chain_like(n, [str(i) for i in range(n + 1)], spec)
-        # Lukasiewicz levels, stored with the order already reversed: index i
-        # is the grid point (n-i)/n, so the monoid identity (the real 1) sits
-        # at the lattice bottom and add(i, j) = min(n, i+j) on indices.
-        return _chain_like(n, ["%d/%d" % (n - i, n) for i in range(n + 1)], spec)
+    if kind not in ("chain", "lukasiewicz", "freelocale"):
+        raise UnknownBuiltin("unknown builtin %r" % spec)
+    try:
+        n = int(arg)
+    except ValueError:
+        raise UnknownBuiltin("bad size in %r" % spec)
+    if arg != str(n):
+        return builtin("%s:%d" % (kind, n))
     if kind == "freelocale":
-        try:
-            k = int(arg)
-        except ValueError:
-            raise UnknownBuiltin("bad size in %r" % spec)
-        if k < 0:
+        if n < 0:
             raise UnknownBuiltin("freelocale size must be >= 0")
-        if k > FREELOCALE_MAX:
+        if n > FREELOCALE_MAX:
             raise SizeLimit("freelocale ground set capped at %d" % FREELOCALE_MAX)
         from .freelocale import FreeLocale
-        shared = FreeLocale("abc"[:k]).materialize()
+        shared = FreeLocale("abc"[:n]).materialize()
         return validate_coquantale(shared.lattice, shared.add, name=spec)
-    raise UnknownBuiltin("unknown builtin %r" % spec)
+    if n < 1:
+        raise UnknownBuiltin("chain size must be positive")
+    if n > CHAIN_MAX:
+        raise SizeLimit("chain size capped at %d" % CHAIN_MAX)
+    if kind == "chain":
+        return _chain_like(n, [str(i) for i in range(n + 1)], spec)
+    # Lukasiewicz levels, stored with the order already reversed: index i
+    # is the grid point (n-i)/n, so the monoid identity (the real 1) sits
+    # at the lattice bottom and add(i, j) = min(n, i+j) on indices.
+    return _chain_like(n, ["%d/%d" % (n - i, n) for i in range(n + 1)], spec)
 
 
 def _chain_like(n, names, name):

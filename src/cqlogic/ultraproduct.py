@@ -15,6 +15,10 @@ that, the carrier's tables are dropped first, and a product that holds a
 dropped table keeps reading it. A table is read with the factors' tables
 broadcast against each other (`_factor_axes`), so no array of the factors'
 values is built.
+
+A set of indices is a bool array over I, and D answers membership only
+through `contains_sets`; `is_ultrafilter` asks it once, of the 2ᴵ subset
+masks, and checks the axioms as mask tables.
 """
 
 from __future__ import annotations
@@ -34,21 +38,18 @@ from .formulas import Inf, Sup, print_formula
 # eval_table is imported for perfbench/spans.py, which rebinds it here by name
 from .semantics import (LStructure, eval_table, satisfies,  # noqa: F401
                         structure_cost, theory, validate_structure)
-from .spaces import (ContinuitySpace, check_cost, is_symmetric, loop_cost, triangle_cost,
-                     validate_space)
+from .spaces import ContinuitySpace, check_cost, is_symmetric, triangle_cost, validate_space
 
 
 class PrincipalUltrafilter:
-    """The ultrafilter {A ⊆ I : j0 ∈ A} on a finite index set."""
+    """The ultrafilter {A ⊆ I : j0 ∈ A} on a finite index set; a set of
+    indices is a bool array over I (`contains_sets`)."""
 
     def __init__(self, index_count, generator):
         if not 0 <= generator < index_count:
             raise ValueError("generator outside the index set")
         self.index_count = int(index_count)
         self.generator = int(generator)
-
-    def contains(self, subset) -> bool:
-        return self.generator in set(subset)
 
     def contains_sets(self, sets):
         """Vectorized membership: ``sets`` is a bool array whose last axis
@@ -60,24 +61,25 @@ class PrincipalUltrafilter:
 
 
 def is_ultrafilter(D, index_count) -> bool:
-    """Exhaustive check of the ultrafilter axioms on a small index set:
-    charged the I·2^I iterations that build the subsets and the 4^I pairs
-    of subsets, I the index count."""
+    """Exhaustive check of the ultrafilter axioms over the 2ᴵ subset masks a
+    (bit i for index i): ∅ ∉ D, I ∈ D, exactly one of a and I ^ a in D, and
+    for every a ∈ D, a | b ∈ D for every b and a & b ∈ D for every b ∈ D,
+    the rows a of those two tables in blocks of at most CELL_BUDGET cells.
+    Charged I·2ᴵ (D's bool table of the masks) + 2ᴵ (the complements) +
+    2·4ᴵ (the pair tables)."""
     check_cost("the ultrafilter axioms on %d indices" % index_count,
-               loop_cost((1 << 2 * index_count) + (index_count << index_count)))
-    subsets = [frozenset(i for i in range(index_count) if mask >> i & 1)
-               for mask in range(1 << index_count)]
-    member = {s: D.contains(s) for s in subsets}
-    if member[frozenset()] or not member[frozenset(range(index_count))]:
+               (index_count + 1 << index_count) + (2 << 2 * index_count))
+    masks = np.arange(1 << index_count)
+    member = D.contains_sets(masks[:, None] >> np.arange(index_count) & 1 == 1)
+    # the complement I ^ a of mask a is 2ᴵ − 1 − a: the table read backwards
+    if member[0] or not member[-1] or (member == member[::-1]).any():
         return False
-    for a in subsets:
-        if member[a] != (not member[frozenset(range(index_count)) - a]):
+    inside = np.flatnonzero(member)
+    rows = max(1, spaces.CELL_BUDGET // len(masks))
+    for start in range(0, len(inside), rows):
+        a = inside[start:start + rows, None]
+        if not (member[a | masks].all() and member[a & inside].all()):
             return False
-        for b in subsets:
-            if member[a] and a <= b and not member[b]:
-                return False
-            if member[a] and member[b] and not member[a & b]:
-                return False
     return True
 
 
@@ -96,8 +98,8 @@ def d_ultralimit(vq: CoQuantale, seq, D: PrincipalUltrafilter) -> int:
     dsym, leq = vq.dsym, vq.lattice.leq
     found = []
     for a in vq.carrier():
-        if all(D.contains([j for j in range(len(seq)) if leq[dsym[a, seq[j]], eps]])
-               for eps in positives):
+        # the row of indices j with d^s(a, a_j) ≤ ε, one bool per index
+        if all(D.contains_sets(leq[dsym[a, seq], eps]) for eps in positives):
             found.append(a)
     if not found:
         raise NoLimit("no candidate satisfies the large-set condition")
@@ -281,7 +283,8 @@ def quotient_ultraproduct(spaces, D: PrincipalUltrafilter):
 
     Requires symmetric factors; the equivalence axioms and representative
     independence of the class distance are verified exhaustively. Returns
-    the quotient space and the canonical map (product tuple index → class
+    the quotient space, with ``classes`` the classes in the order of their
+    least points, and the canonical map (product tuple index → class
     index)."""
     spaces = list(spaces)
     for s in spaces:
@@ -298,23 +301,17 @@ def quotient_ultraproduct(spaces, D: PrincipalUltrafilter):
         raise VerificationFailed("~ is not symmetric")
     if not _is_transitive(related):
         raise VerificationFailed("~ is not transitive")
-    classes = []
-    theta = [-1] * count
-    for i in range(count):
-        if theta[i] >= 0:
-            continue
-        cls = [int(j) for j in np.flatnonzero(related[i])]
-        for j in cls:
-            theta[j] = len(classes)
-        classes.append(cls)
-    reps = [cls[0] for cls in classes]
-    rep_of = np.array(reps)[theta]
-    if (dist != dist[np.ix_(rep_of, rep_of)]).any():
+    # with ~ an equivalence, a point's first related point is the least of
+    # its class: the representatives are the points that are their own first
+    first = related.argmax(axis=1)
+    reps = np.flatnonzero(first == np.arange(count))
+    if (dist != dist[np.ix_(first, first)]).any():
         raise VerificationFailed("class distance depends on representatives")
+    classes = [np.flatnonzero(related[r]).tolist() for r in reps]
     names = ["[%s]" % product.points[r] for r in reps]
     quotient = validate_space(vq, names, dist[np.ix_(reps, reps)])
     quotient.classes = classes
-    return quotient, theta
+    return quotient, np.searchsorted(reps, first).tolist()
 
 
 def _is_transitive(related):
@@ -339,14 +336,16 @@ class UltrapowerResult:
 
 def ultrapower_V(vq: CoQuantale, D: PrincipalUltrafilter) -> UltrapowerResult:
     """Build the D-ultrapower of (V, d^s) and verify that the diagonal map
-    T and the limit map T' witness a distance-preserving bijection."""
+    T and the limit map T' witness a distance-preserving bijection. T reads
+    the class of each constant tuple at its mixed-radix code; T' takes the
+    D-limits of the classes' first tuples in one `dlim_batch` call."""
     base = validate_space(vq, [vq.element_name(e) for e in vq.carrier()], vq.dsym)
     quotient, theta = quotient_ultraproduct([base] * D.index_count, D)
-    tuples = list(iproduct(*[range(vq.size)] * D.index_count))
-    diagonal = {e: theta[tuples.index(tuple([e] * D.index_count))] for e in vq.carrier()}
-    limits = {}
-    for cls_index, cls in enumerate(quotient.classes):
-        limits[cls_index] = d_ultralimit(vq, list(tuples[cls[0]]), D)
+    # the product point (e, ..., e) has the mixed-radix code e·(1 + n + ... + nᴵ⁻¹)
+    unit = sum(vq.size ** i for i in range(D.index_count))
+    diagonal = {e: theta[e * unit] for e in vq.carrier()}
+    digits = np.unravel_index([cls[0] for cls in quotient.classes], (vq.size,) * D.index_count)
+    limits = dict(enumerate(dlim_batch(vq, np.transpose(digits), D).tolist()))
     bijective = sorted(diagonal.values()) == list(range(len(quotient.classes)))
     inverse_ok = all(limits[diagonal[e]] == e for e in vq.carrier())
     image = [diagonal[e] for e in vq.carrier()]
@@ -554,13 +553,13 @@ def compactness_build(conditions, candidates) -> CompactnessResult:
     subsets = []
     for k in range(len(conds) + 1):
         subsets.extend(combinations(range(len(conds)), k))
+    # each candidate's satisfied conditions, each evaluated once
+    holds = [{i for i, cond in enumerate(conds) if satisfies(cand, cond)}
+             for cand in candidates]
     chosen = []
     for subset in subsets:
-        pick = None
-        for cand in candidates:
-            if all(satisfies(cand, conds[i]) for i in subset):
-                pick = cand
-                break
+        pick = next((cand for cand, ok in zip(candidates, holds) if ok.issuperset(subset)),
+                    None)
         if pick is None:
             raise NotFinitelySatisfiable(
                 "no candidate models the subset %s" % (list(subset),))

@@ -130,6 +130,21 @@ def repaired_space(vq, points, rng):
     return sp.validate_space(vq, points, metric_closure(vq, dist))
 
 
+def classes_by_loop(related):
+    """The quotient's classes and canonical map by the per-point loop, the
+    slow twin of `quotient_ultraproduct`'s: each point not yet placed opens
+    the class of the points related to it."""
+    classes, theta = [], [-1] * len(related)
+    for i in range(len(related)):
+        if theta[i] >= 0:
+            continue
+        cls = [int(j) for j in np.flatnonzero(related[i])]
+        for j in cls:
+            theta[j] = len(classes)
+        classes.append(cls)
+    return classes, theta
+
+
 def space_corpus(vq, count, max_points, seed):
     rng = random.Random(seed)
     out = []

@@ -23,7 +23,8 @@ from cqlogic import lattice as lat
 from cqlogic import semantics as sem
 from cqlogic import spaces as sp
 from cqlogic import ultraproduct as up
-from conftest import cauchy_verdicts, diamond_lattice, space_corpus, unary_structure
+from conftest import (cauchy_verdicts, classes_by_loop, diamond_lattice, space_corpus,
+                      unary_structure)
 
 
 @contextmanager
@@ -473,14 +474,29 @@ def test_los_over_every_class_on_at_most_two_points():
 
 
 def test_criterion_11_ultrapower_equivalence():
+    """Each equivalence holds, and the quotient's classes and canonical map,
+    the diagonal and the class limits equal their slow twins: the class
+    loop, the constant tuples' positions in the list of all nᴵ tuples, and
+    `d_ultralimit` of each class's first tuple."""
     with criterion(11, "ultrapower equivalence", 10):
         for spec in ("bool2", "chain:4", "lukasiewicz:4"):
             vq = cq.builtin(spec)
+            base = sp.validate_space(vq, [vq.element_name(e) for e in vq.carrier()], vq.dsym)
             for width in (1, 2, 3):
+                tuples = list(itertools.product(range(vq.size), repeat=width))
                 for gen in range(width):
-                    result = up.ultrapower_V(vq, up.PrincipalUltrafilter(width, gen))
+                    D = up.PrincipalUltrafilter(width, gen)
+                    result = up.ultrapower_V(vq, D)
                     assert result.bijective and result.inverse_ok
                     assert result.preserves_distance
+                    quotient, theta = up.quotient_ultraproduct([base] * width, D)
+                    related = up.d_product_space([base] * width, D).dist == vq.bottom
+                    assert (quotient.classes, theta) == classes_by_loop(related)
+                    assert result.quotient.classes == quotient.classes
+                    assert result.diagonal == {e: theta[tuples.index((e,) * width)]
+                                               for e in vq.carrier()}
+                    assert result.limits == {k: up.d_ultralimit(vq, list(tuples[cls[0]]), D)
+                                             for k, cls in enumerate(quotient.classes)}
 
 
 # ---------------------------------------------------------------- criterion 12
@@ -500,7 +516,7 @@ def test_criterion_12_d_limit_laws():
                 lim_lut[gen] = lims
                 large = [frozenset(i for i in range(width) if mask >> i & 1)
                          for mask in range(1 << width)
-                         if D.contains([i for i in range(width) if mask >> i & 1])]
+                         if D.contains_sets([mask >> i & 1 == 1 for i in range(width)])]
                 for s, lim in zip(seq_list, lims):
                     lim = int(lim)
                     for b in range(n):
@@ -509,8 +525,7 @@ def test_criterion_12_d_limit_laws():
                         if any(all(s[j] <= b for j in A) for A in large):
                             assert lim <= b
                         if lim <= b and vq.lattice.cwb[vq.bottom, vq.tsub[b, lim]]:
-                            assert D.contains([j for j in range(width)
-                                               if s[j] <= b])
+                            assert D.contains_sets([s[j] <= b for j in range(width)])
             # quantifier inequalities over every function family I x S -> V
             weights = (n ** np.arange(width - 1, -1, -1)).astype(np.int64)
             for size in (1, 2, 3):

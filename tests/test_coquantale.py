@@ -304,6 +304,18 @@ def test_builtin_is_one_carrier_per_spec(roster):
         assert roster[spec].name == spec
 
 
+def test_every_spelling_of_a_builtin_is_one_carrier():
+    """A spec is read to its kind and size before the cache: every spelling
+    of one carrier returns one object, named by the canonical spec."""
+    for spellings, name in ((["chain:4", "chain:04", "chain:+4", "chain: 4"], "chain:4"),
+                            (["chain:40", "chain:4_0", "chain:040"], "chain:40"),
+                            (["lukasiewicz:3", "lukasiewicz:003"], "lukasiewicz:3"),
+                            (["freelocale:2", "freelocale:02"], "freelocale:2")):
+        carriers = {id(cq.builtin(spec)) for spec in spellings}
+        assert len(carriers) == 1
+        assert cq.builtin(spellings[-1]).name == name
+
+
 def test_lukasiewicz_layout(roster):
     luk1 = roster["lukasiewicz:1"]
     assert luk1.lattice.elements == ["1/1", "0/1"]

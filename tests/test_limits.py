@@ -145,13 +145,14 @@ def test_dlim_batch_charges_its_own_cost(chain4, monkeypatch):
 
 
 def test_is_ultrafilter_refuses_before_any_subset(monkeypatch):
-    # 3 indices: 3·2^3 iterations to build the subsets, then 4^3 pairs
+    # 3 indices: the 3·2^3 bits of the subset masks, their 2^3 complements,
+    # then the two pair tables of 4^3 cells
     D = up.PrincipalUltrafilter(3, 1)
-    monkeypatch.setattr(sp, "WORK_BUDGET", sp.loop_cost(24 + 64))
+    monkeypatch.setattr(sp, "WORK_BUDGET", 24 + 8 + 2 * 64)
     assert up.is_ultrafilter(D, 3)
-    monkeypatch.setattr(D, "contains", _never)
-    _refuses(monkeypatch, 5631, "the ultrafilter axioms on 3 indices costs 5632 cell "
-             "operations (budget 5631)", lambda: up.is_ultrafilter(D, 3))
+    monkeypatch.setattr(D, "contains_sets", _never)
+    _refuses(monkeypatch, 159, "the ultrafilter axioms on 3 indices costs 160 cell "
+             "operations (budget 159)", lambda: up.is_ultrafilter(D, 3))
 
 
 def test_product_space_refuses_before_building_its_table(chain4, monkeypatch):

@@ -543,16 +543,19 @@ def test_los_check_of_one_formula(capsys, defs_file):
     assert (code, out, err) == (0, "formulas: 1\nlos-equalities: all hold\n", "")
 
 
-def test_two_builtin_blocks_of_one_spec_share_their_carrier(capsys, tmp_path):
-    """Two `@builtin chain:4` blocks name one carrier, so structures over
+@pytest.mark.parametrize("spec", ["chain:4", "chain:04"])
+def test_two_builtin_blocks_of_one_spec_share_their_carrier(capsys, tmp_path, spec):
+    """`@builtin chain:4` and a second block of the same spec, or of another
+    spelling of it, name one carrier, named `chain:4`, so structures over
     either are factors of one D-product."""
-    text = DEFS.replace("@structure N over C4", "@coquantale D4\n@builtin chain:4\n\n"
-                        "@structure N over D4")
+    text = DEFS.replace("@structure N over C4", "@coquantale D4\n@builtin %s\n\n"
+                        "@structure N over D4" % spec)
     path = tmp_path / "two.cql"
     path.write_text(text, encoding="utf-8")
     ws = Workspace()
     ws.load_path(str(path))
     assert ws.coquantales["C4"] is ws.coquantales["D4"] is cq.builtin("chain:4")
+    assert ws.coquantales["D4"].name == "chain:4"
     code, out, err = run_cli(capsys, "los-check", "--load", str(path),
                              "--factors", "M", "N", "--principal", "0", "--depth", "1")
     assert code == 0 and err == ""

@@ -6,6 +6,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cqlogic import formulas as F
 from cqlogic import semantics as sem
@@ -13,9 +14,10 @@ from cqlogic import spaces as sp
 from cqlogic import ultraproduct as up
 from cqlogic.errors import (ArityMismatch, ModulusViolated, NoLimit, NotCoDivisible,
                             NotFinitelySatisfiable, NotSymmetricFactors, NotValueCoquantale,
-                            SizeLimit)
+                            SizeLimit, VerificationFailed)
 from cqlogic.textio import Workspace, write_structure
-from conftest import cauchy_verdicts, empty_limit_tables, repaired_space, unary_structure
+from conftest import (cauchy_verdicts, classes_by_loop, empty_limit_tables, metric_closure,
+                      repaired_space, unary_structure)
 
 
 @pytest.fixture(scope="module")
@@ -46,17 +48,85 @@ def test_principal_ultrafilters_satisfy_axioms():
             assert up.is_ultrafilter(up.PrincipalUltrafilter(size, gen), size)
 
 
+def family_of(masks, index_count):
+    """A family of subsets of the index set, given by its members' masks
+    (bit i for index i) and known only by its `contains_sets`."""
+    weights = 1 << np.arange(index_count)
+    return SimpleNamespace(contains_sets=lambda sets: np.isin(
+        np.asarray(sets, dtype=bool) @ weights, list(masks)))
+
+
+def is_ultrafilter_by_subsets(D, index_count) -> bool:
+    """The slow twin of `up.is_ultrafilter`: the axioms over the frozensets
+    of indices and their 4ᴵ pairs, D asked one bool row per subset."""
+    subsets = [frozenset(i for i in range(index_count) if mask >> i & 1)
+               for mask in range(1 << index_count)]
+    member = {s: bool(D.contains_sets([i in s for i in range(index_count)]))
+              for s in subsets}
+    if member[frozenset()] or not member[frozenset(range(index_count))]:
+        return False
+    for a in subsets:
+        if member[a] != (not member[frozenset(range(index_count)) - a]):
+            return False
+        for b in subsets:
+            if member[a] and a <= b and not member[b]:
+                return False
+            if member[a] and member[b] and not member[a & b]:
+                return False
+    return True
+
+
 @pytest.mark.parametrize("members", [
-    [(), (0, 1, 2)],                                # holds ∅
-    [(0,), (0, 1, 2)],                              # holds {0}, not {0, 1}
-    [(0, 1), (0, 2), (1, 2), (0, 1, 2)],            # {0, 1} ∩ {0, 2} = {0} is missing
-    [(0, 1, 2)],                                    # neither {0} nor {1, 2}
+    [0b000, 0b111],                                 # holds ∅
+    [0b001, 0b111],                                 # holds {0}, not {0, 1}
+    [0b011, 0b101, 0b110, 0b111],                   # {0, 1} ∩ {0, 2} = {0} is missing
+    [0b111],                                        # neither {0} nor {1, 2}
 ], ids=["empty-set", "not-upward-closed", "not-meet-closed", "no-side-of-a-split"])
 def test_non_ultrafilters_are_refused(members):
-    """A family of subsets of three indices, known only by its `contains`,
-    that breaks one ultrafilter axiom."""
-    family = {frozenset(m) for m in members}
-    assert not up.is_ultrafilter(SimpleNamespace(contains=family.__contains__), 3)
+    """A family of subsets of three indices, known only by its
+    `contains_sets`, that breaks one ultrafilter axiom."""
+    assert not up.is_ultrafilter(family_of(members, 3), 3)
+    assert not is_ultrafilter_by_subsets(family_of(members, 3), 3)
+
+
+def test_is_ultrafilter_against_the_frozenset_scan_on_every_family():
+    """Every family of subsets of 0 to 3 indices (2, 4, 16 and 256 of
+    them): the mask tables and the frozenset scan agree, and exactly the
+    principal families pass."""
+    for width in range(4):
+        principal = {sum(1 << m for m in range(1 << width) if m >> g & 1)
+                     for g in range(width)}
+        for bits in range(1 << (1 << width)):
+            D = family_of([m for m in range(1 << width) if bits >> m & 1], width)
+            verdict = up.is_ultrafilter(D, width)
+            assert verdict == is_ultrafilter_by_subsets(D, width)
+            assert verdict == (bits in principal)
+
+
+def _near_principal(generator, flipped):
+    """The principal family of ``generator`` on 4 indices as a 16-bit
+    family, with the subset of mask ``flipped`` toggled (none when 16)."""
+    bits = sum(1 << m for m in range(16) if m >> generator & 1)
+    return bits ^ (1 << flipped) & 0xFFFF
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 0xFFFF) | st.builds(_near_principal, st.integers(0, 3),
+                                          st.integers(0, 16)))
+def test_is_ultrafilter_against_the_frozenset_scan_on_four_indices(bits):
+    """Families over 4 indices, random or a principal one with at most one
+    subset flipped: the mask tables and the frozenset scan agree."""
+    D = family_of([m for m in range(16) if bits >> m & 1], 4)
+    assert up.is_ultrafilter(D, 4) == is_ultrafilter_by_subsets(D, 4)
+
+
+def test_is_ultrafilter_on_twelve_indices_in_bounded_memory():
+    """The largest index count the work budget admits: a principal D passes,
+    with tracemalloc's peak under 64 MiB; 13 indices are refused by cost."""
+    passed, peak = _traced_peak(lambda: up.is_ultrafilter(up.PrincipalUltrafilter(12, 5), 12))
+    assert passed and peak < 64 << 20
+    with pytest.raises(SizeLimit, match="cell operations"):
+        up.is_ultrafilter(up.PrincipalUltrafilter(13, 5), 13)
 
 
 def test_generator_must_be_in_range():
@@ -176,7 +246,7 @@ def all_principal(width):
 def subsets_in(D, width):
     return [frozenset(i for i in range(width) if mask >> i & 1)
             for mask in range(1 << width)
-            if D.contains([i for i in range(width) if mask >> i & 1])]
+            if D.contains_sets([mask >> i & 1 == 1 for i in range(width)])]
 
 
 def test_bounding_d_limits(chain4):
@@ -202,8 +272,8 @@ def test_strong_bound_on_co_divisible_carrier(chain4):
                 for b in chain4.carrier():
                     if chain4.lattice.leq[lim, b] and chain4.lattice.cwb[chain4.bottom,
                                                         chain4.tsub[b, lim]]:
-                        assert D.contains([j for j in range(width)
-                                           if chain4.lattice.leq[seq[j], b]])
+                        assert D.contains_sets([chain4.lattice.leq[seq[j], b]
+                                                for j in range(width)])
 
 
 def test_quantifier_inequalities_small_slice(chain4):
@@ -302,6 +372,52 @@ def test_transitivity_is_decided_past_256_paths():
     related[0, 257] = True
     assert up._is_transitive(related)
     assert up._is_transitive(np.eye(258, dtype=bool))
+
+
+@pytest.mark.parametrize("dist, message", [
+    ([[1, 0], [0, 0]], "~ is not reflexive"),
+    ([[0, 0], [1, 0]], "~ is not symmetric"),
+    ([[0, 0, 1], [0, 0, 0], [1, 0, 0]], "~ is not transitive"),
+    ([[0, 0, 1], [0, 0, 2], [1, 2, 0]], "class distance depends on representatives"),
+], ids=["reflexive", "symmetric", "transitive", "representatives"])
+def test_quotient_refuses_a_relation_that_is_no_congruence(chain4, monkeypatch, dist,
+                                                           message):
+    """A D-product table that no D-limit gives, handed over unvalidated: each
+    of the quotient's four checks refuses its own failure, and the three
+    equivalence checks run before the classes are read."""
+    product = sp.ContinuitySpace(chain4, ["p%d" % i for i in range(len(dist))],
+                                 np.array(dist, dtype=np.int32))
+    monkeypatch.setattr(up, "d_product_space", lambda spaces, D: product)
+    X = sp.validate_space(chain4, ["a"], [[0]])
+    with pytest.raises(VerificationFailed, match="^%s$" % message):
+        up.quotient_ultraproduct([X, X], up.PrincipalUltrafilter(2, 0))
+
+
+def _symmetric_space(vq, m, rng):
+    """A seeded symmetric space of m points, half its distances 0 before the
+    metric closure, so its products have classes of more than one point."""
+    dist = [[vq.bottom] * m for _ in range(m)]
+    for x in range(m):
+        for y in range(x):
+            dist[x][y] = dist[y][x] = rng.choice([vq.bottom, rng.randrange(vq.size)])
+    return sp.validate_space(vq, ["p%d" % i for i in range(m)], metric_closure(vq, dist))
+
+
+def test_quotient_classes_against_the_class_loop(bool2, chain4):
+    """A seeded corpus of D-products of symmetric factors, some with a class
+    that starts before another and ends after it: the first-related
+    representatives give the classes and canonical map of the per-point
+    loop, in the same order."""
+    rng = random.Random(28)
+    for vq in (bool2, chain4):
+        for _ in range(40):
+            factors = [_symmetric_space(vq, rng.randint(1, 4), rng)
+                       for _ in range(rng.randint(1, 3))]
+            for gen in range(len(factors)):
+                D = up.PrincipalUltrafilter(len(factors), gen)
+                quotient, theta = up.quotient_ultraproduct(factors, D)
+                product = up.d_product_space(factors, D)
+                assert (quotient.classes, theta) == classes_by_loop(product.dist == vq.bottom)
 
 
 def test_zero_distance_pair_merges(bool2):
@@ -999,6 +1115,32 @@ def test_compactness_needs_joint_model(chain4, sig):
     result = up.compactness_build([e1, e2], [only1, only2, both])
     assert sem.models_theory(result.model.structure, [e1, e2])
     assert result.factor_names[result.generator] == "both"
+
+
+def test_compactness_evaluates_each_condition_once_per_candidate(chain4, sig, monkeypatch):
+    """|candidates| x |conditions| calls of `satisfies` pick the factors,
+    then one per condition on the D-product; the picks are those of the
+    first candidate that models each subset."""
+    def build(name, pvals):
+        space = sp.validate_space(chain4, ["u", "v"], [[0, 2], [2, 0]])
+        return sem.validate_structure(space, sig, {"P": pvals},
+                                      const_points={"c": 0}, name=name)
+
+    candidates = [build("one", [0, 2]), build("two", [2, 2]), build("both", [0, 0])]
+    conds = [sem.Condition(F.parse_formula(text, sig, chain4))
+             for text in ("(P c)", "(sup x0 (P x0))")]
+    calls = []
+
+    def counted(struct, cond):
+        calls.append(struct)
+        return sem.satisfies(struct, cond)
+
+    monkeypatch.setattr(up, "satisfies", counted)
+    result = up.compactness_build(conds, candidates)
+    assert len(calls) == len(candidates) * len(conds) + len(conds)
+    assert all(s in candidates for s in calls[:len(candidates) * len(conds)])
+    assert result.subsets == [(), (0,), (1,), (0, 1)]
+    assert result.factor_names == ["one", "one", "both", "both"]
 
 
 def test_compactness_unsatisfiable_subset(chain4, sig, factors):
