@@ -186,6 +186,17 @@ def meet_irreducibles(lat: FiniteLattice):
 # -- operations ---------------------------------------------------------------
 
 
+def fold_table(op, table, axis):
+    """Fold a lattice join or meet table along one axis, keeping the axis
+    with size 1. Halves overlap by one cell on odd sizes, which
+    idempotence allows."""
+    lead = (slice(None),) * (axis % table.ndim)
+    while table.shape[axis] > 1:
+        half = (table.shape[axis] + 1) // 2
+        table = op[table[lead + (slice(None, half),)], table[lead + (slice(-half, None),)]]
+    return table
+
+
 def co_well_below_oracle(lat: FiniteLattice, x, y) -> bool:
     """The quantified definition over all 2^n subsets, kept as a permanent
     cross-check of the closed form.  Exponential: charged the 2^n subset

@@ -10,8 +10,8 @@ An evaluator keeps its memo for as long as it lives, so a caller that holds
 one across a pool (the elementarity and Tarski-Vaught sweeps) evaluates
 each shared node once. A validated structure's tables are read-only, so the
 structure holds its own evaluator per window size (`LStructure.evaluator`)
-and its Łoś hypothesis verdicts (`LStructure.hypothesis`): every D-product
-that has it as a factor, and every Łoś sweep on that product, shares them.
+and its Łoś hypothesis verdicts (`LStructure.hypothesis`, folds of tables no
+larger than the body's): its D-products and their Łoś sweeps share them.
 The memo holds at most `spaces.CELL_BUDGET` table cells: when storing a
 table would pass that, the memo is emptied first, and a table larger than
 the budget is not stored. A node that was dropped is evaluated again when
@@ -34,6 +34,7 @@ from .formulas import (App, Conn, Const, DistAtom, Inf, PredAtom, Signature, Sup
                        default_kit, first_failure, free_vars, modulus_cost, modulus_witness,
                        validate_modulus)
 from . import spaces
+from .lattice import fold_table
 from .spaces import ContinuitySpace, _triangle_witness, check_cost, loop_cost
 
 
@@ -337,27 +338,16 @@ class TableEvaluator:
         raise TypeError("not a formula: %r" % (phi,))
 
 
-def fold_table(op, table, axis):
-    """Fold a lattice join or meet table along one axis, keeping the axis
-    with size 1. Halves overlap by one cell on odd sizes, which
-    idempotence allows."""
-    lead = (slice(None),) * (axis % table.ndim)
-    while table.shape[axis] > 1:
-        half = (table.shape[axis] + 1) // 2
-        table = op[table[lead + (slice(None, half),)], table[lead + (slice(-half, None),)]]
-    return table
-
-
 def cauchy_sums_vanish(vq, family):
     """Whether each discrete-Cauchy sum of a value family vanishes, as
     (sup-side, inf-side), over every position of the leading axes; the last
-    axis of ``family`` runs over the quantified variable."""
-    # [..., l, k] = f_l ∸ f_k
-    diffs = vq.tsub[family[..., :, None], family[..., None, :]]
-    join, meet = vq.lattice.join, vq.lattice.meet
-    sup_side = fold_table(meet, fold_table(join, diffs, -2), -1)
-    inf_side = fold_table(meet, fold_table(join, diffs, -1), -2)
-    return bool((sup_side == vq.bottom).all()), bool((inf_side == vq.bottom).all())
+    axis of ``family`` runs over the quantified variable. As − ∸ a keeps
+    joins and a ∸ − sends meets to joins (`check_residuation_laws`), the sums
+    ⋀_k ⋁_l (f_l ∸ f_k) and ⋀_l ⋁_k (f_l ∸ f_k) are ⋀_k (⋁f ∸ f_k) and
+    ⋀_l (f_l ∸ ⋀f): two folds and two ∸ gathers the size of the family."""
+    join, meet, tsub = vq.lattice.join, vq.lattice.meet, vq.tsub
+    sides = tsub[fold_table(join, family, -1), family], tsub[family, fold_table(meet, family, -1)]
+    return tuple(bool((fold_table(meet, side, -1) == vq.bottom).all()) for side in sides)
 
 
 def eval_table(struct: LStructure, phi, window=None):
@@ -410,11 +400,8 @@ def logical_distance(phi1, phi2, struct: LStructure) -> int:
     evaluations (the single-structure clause only)."""
     if free_vars(phi1) != free_vars(phi2):
         raise FreeVariableMismatch("formulas must share their free variables")
-    window = phi1.window
-    t1 = eval_table(struct, phi1, window)
-    t2 = eval_table(struct, phi2, window)
-    sym = struct.V.dsym[t1, t2]
-    return struct.V.join_of(int(v) for v in np.asarray(sym).reshape(-1))
+    sym = struct.V.dsym[eval_table(struct, phi1), eval_table(struct, phi2)]
+    return int(fold_table(struct.V.lattice.join, np.reshape(sym, -1), 0)[0])
 
 
 # -- substructures ----------------------------------------------------------------

@@ -42,7 +42,7 @@ from .errors import (NotAPreorder, NotATopology, NotPositive,
                      ReflexivityViolation, SizeLimit, TransitivityViolation,
                      VerificationFailed)
 from .freelocale import MATERIALIZE_MAX, FreeLocale
-from .lattice import _path_counts
+from .lattice import _path_counts, fold_table
 
 # cells per block of a row-blocked kernel (up to 12 bytes each) and per
 # TableEvaluator memo (4 bytes each)
@@ -54,7 +54,9 @@ WORK_BUDGET = 1 << 27
 def check_cost(what, cost):
     """Refuse an operation of more than WORK_BUDGET cell operations."""
     if cost > WORK_BUDGET:
-        raise SizeLimit("%s costs %d cell operations (budget %d)" % (what, cost, WORK_BUDGET))
+        bits = int(cost).bit_length()       # past 2^8192, too long to print in full
+        raise SizeLimit("%s costs %s cell operations (budget %d)" % (
+            what, "%d" % cost if bits <= 8192 else "at least 2^%d" % (bits - 1), WORK_BUDGET))
 
 
 def loop_cost(iterations):
@@ -391,7 +393,8 @@ def closure(space: ContinuitySpace, subset):
 
 def diameter(space: ContinuitySpace, subset=None):
     idx = [space.index(p) for p in (space.points if subset is None else subset)]
-    return space.V.join_of(space.dist[x, y] for x in idx for y in idx)
+    table = space.dist[np.ix_(idx, idx)].reshape(-1)     # the empty join is the bottom
+    return int(fold_table(space.V.lattice.join, table, 0)[0]) if idx else space.V.bottom
 
 
 # -- theorem checks ---------------------------------------------------------------

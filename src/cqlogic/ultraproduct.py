@@ -18,7 +18,7 @@ values is built.
 
 A set of indices is a bool array over I, and D answers membership only
 through `contains_sets`; `is_ultrafilter` asks it once, of the 2ᴵ subset
-masks, and checks the axioms as mask tables.
+masks, and checks the axioms on that table and one table of meets.
 """
 
 from __future__ import annotations
@@ -63,24 +63,22 @@ class PrincipalUltrafilter:
 def is_ultrafilter(D, index_count) -> bool:
     """Exhaustive check of the ultrafilter axioms over the 2ᴵ subset masks a
     (bit i for index i): ∅ ∉ D, I ∈ D, exactly one of a and I ^ a in D, and
-    for every a ∈ D, a | b ∈ D for every b and a & b ∈ D for every b ∈ D,
-    the rows a of those two tables in blocks of at most CELL_BUDGET cells.
-    Charged I·2ᴵ (D's bool table of the masks) + 2ᴵ (the complements) +
-    2·4ᴵ (the pair tables)."""
+    a & b ∈ D for every a, b ∈ D, the rows a of that table in blocks of at
+    most CELL_BUDGET cells. These imply that D is closed upwards: a ∈ D,
+    a ⊆ b and b ∉ D would put I ^ b and so a & (I ^ b) = ∅ in D. Charged
+    I·2ᴵ (D's bool table of the masks) + 2ᴵ (the complements) + 4ᴵ (the
+    pair table)."""
     check_cost("the ultrafilter axioms on %d indices" % index_count,
-               (index_count + 1 << index_count) + (2 << 2 * index_count))
+               (index_count + 1 << index_count) + (1 << 2 * index_count))
     masks = np.arange(1 << index_count)
     member = D.contains_sets(masks[:, None] >> np.arange(index_count) & 1 == 1)
     # the complement I ^ a of mask a is 2ᴵ − 1 − a: the table read backwards
     if member[0] or not member[-1] or (member == member[::-1]).any():
         return False
     inside = np.flatnonzero(member)
-    rows = max(1, spaces.CELL_BUDGET // len(masks))
-    for start in range(0, len(inside), rows):
-        a = inside[start:start + rows, None]
-        if not (member[a | masks].all() and member[a & inside].all()):
-            return False
-    return True
+    rows = max(1, spaces.CELL_BUDGET // len(inside))
+    return all(member[inside[start:start + rows, None] & inside].all()
+               for start in range(0, len(inside), rows))
 
 
 # -- D-ultralimits ---------------------------------------------------------------
@@ -547,12 +545,13 @@ def compactness_build(conditions, candidates) -> CompactnessResult:
     """Mirror the compactness proof at finite scale: index the finite
     subsets of the theory, pick a model per subset, extend the
     finite-intersection family to the (principal) ultrafilter generated at
-    the full-theory index, build the D-product and verify it models T."""
+    the full-theory index, build the D-product and verify it models T. The
+    scan of the 2^|T| subsets against the candidates is charged first."""
     conds = theory(conditions)
     candidates = list(candidates)
-    subsets = []
-    for k in range(len(conds) + 1):
-        subsets.extend(combinations(range(len(conds)), k))
+    check_cost("compactness over %d conditions and %d candidates" % (len(conds), len(candidates)),
+               spaces.loop_cost(len(candidates) << len(conds)))
+    subsets = [c for k in range(len(conds) + 1) for c in combinations(range(len(conds)), k)]
     # each candidate's satisfied conditions, each evaluated once
     holds = [{i for i, cond in enumerate(conds) if satisfies(cand, cond)}
              for cand in candidates]

@@ -188,15 +188,21 @@ def cauchy_verdicts(struct, sub):
     formula ``sub``: at every assignment of its free variables, both
     discrete-Cauchy sums of its body's `eval_formula` values, folded with the
     scalar `join_of`, `meet_of` and `sub`, must be the bottom element."""
-    V = struct.V
     sup_ok = inf_ok = True
     for point in product(range(struct.m), repeat=len(sub.window)):
         sigma = dict(zip(sub.window, point))
-        fam = [sem.eval_formula(struct, sub.body, {**sigma, sub.var: x})
-               for x in range(struct.m)]
-        sup_ok &= V.meet_of(V.join_of(V.tsub[fl, fk] for fl in fam) for fk in fam) == V.bottom
-        inf_ok &= V.meet_of(V.join_of(V.tsub[fk, fl] for fl in fam) for fk in fam) == V.bottom
+        sup, inf = cauchy_family_verdicts(struct.V, [
+            sem.eval_formula(struct, sub.body, {**sigma, sub.var: x}) for x in range(struct.m)])
+        sup_ok &= sup
+        inf_ok &= inf
     return sup_ok, inf_ok
+
+
+def cauchy_family_verdicts(V, fam):
+    """Whether ⋀_k ⋁_l (f_l ∸ f_k) and ⋀_k ⋁_l (f_k ∸ f_l) of one value
+    family are the bottom, by the scalar `join_of`, `meet_of` and ∸."""
+    return (V.meet_of(V.join_of(V.tsub[fl, fk] for fl in fam) for fk in fam) == V.bottom,
+            V.meet_of(V.join_of(V.tsub[fk, fl] for fl in fam) for fk in fam) == V.bottom)
 
 
 def empty_limit_tables(monkeypatch, vq):

@@ -146,13 +146,53 @@ def test_dlim_batch_charges_its_own_cost(chain4, monkeypatch):
 
 def test_is_ultrafilter_refuses_before_any_subset(monkeypatch):
     # 3 indices: the 3·2^3 bits of the subset masks, their 2^3 complements,
-    # then the two pair tables of 4^3 cells
+    # then the meet table of 4^3 cells
     D = up.PrincipalUltrafilter(3, 1)
-    monkeypatch.setattr(sp, "WORK_BUDGET", 24 + 8 + 2 * 64)
+    monkeypatch.setattr(sp, "WORK_BUDGET", 24 + 8 + 64)
     assert up.is_ultrafilter(D, 3)
     monkeypatch.setattr(D, "contains_sets", _never)
-    _refuses(monkeypatch, 159, "the ultrafilter axioms on 3 indices costs 160 cell "
-             "operations (budget 159)", lambda: up.is_ultrafilter(D, 3))
+    _refuses(monkeypatch, 95, "the ultrafilter axioms on 3 indices costs 96 cell "
+             "operations (budget 95)", lambda: up.is_ultrafilter(D, 3))
+
+
+def test_compactness_refuses_its_subset_scan_before_listing_a_subset(chain4, monkeypatch):
+    # 2 conditions and 2 candidates: the 2^2 subsets scanned against each
+    # candidate, 8 loop iterations of 64 cells
+    sig = F.Signature(predicates=[("P", 1, F.identity_modulus(chain4))])
+    conds = [sem.Condition(F.parse_formula(text, sig, chain4))
+             for text in ("(sup x0 (P x0))", "(inf x0 (P x0))")]
+    candidates = [_structure(chain4, 1, "a"), _structure(chain4, 2, "b")]
+    monkeypatch.setattr(up, "combinations", _never)
+    _refuses(monkeypatch, 511, "compactness over 2 conditions and 2 candidates costs 512 cell "
+             "operations (budget 511)", lambda: up.compactness_build(conds, candidates))
+
+
+def _thirteen_conditions(chain4):
+    """13 conditions (sup x0 (Pi x0)) and one 2-point candidate that
+    satisfies them all: a D-product of 2^13 factors."""
+    sig = F.Signature(predicates=[("P%d" % i, 1, F.identity_modulus(chain4))
+                                  for i in range(13)])
+    space = _discrete(chain4, 2)
+    candidate = sem.validate_structure(space, sig, {p: np.zeros(2, dtype=np.int32)
+                                                    for p in sig.predicates}, name="c")
+    conds = [sem.Condition(F.parse_formula("(sup x0 (P%d x0))" % i, sig, chain4))
+             for i in range(13)]
+    return conds, [candidate]
+
+
+@pytest.mark.parametrize("what, call", [
+    (r"the ultrafilter axioms on 8000 indices costs at least 2\^16000",
+     lambda chain4: up.is_ultrafilter(up.PrincipalUltrafilter(8000, 0), 8000)),
+    (r"enumerating bodies on 80 points over chain:4 costs at least 2\^\d+",
+     lambda chain4: sem.enumerate_bodies(chain4, 80, F.identity_modulus(chain4))),
+    (r"a D-product structure on \d+ points costs at least 2\^\d+",
+     lambda chain4: up.compactness_build(*_thirteen_conditions(chain4))),
+], ids=["ultrafilter-8000", "bodies-80", "compactness-13"])
+def test_costs_too_long_to_print_are_refused_by_their_bit_length(chain4, what, call):
+    """A cost of more than 4,300 decimal digits, which Python will not print
+    with %d, is refused as a SizeLimit naming its bit length and the budget."""
+    with pytest.raises(SizeLimit, match=r"^%s cell operations \(budget 134217728\)$" % what):
+        call(chain4)
 
 
 def test_product_space_refuses_before_building_its_table(chain4, monkeypatch):

@@ -207,6 +207,22 @@ def test_logical_distance_cases(struct_m, sig1, chain4):
         sem.logical_distance(p_of_x, v0, struct_m)
 
 
+def test_logical_distance_is_the_join_over_every_assignment(struct_m, struct_n, sig1, chain4):
+    """The folded table equals the scalar `join_of` of the symmetric distance
+    of the two `eval_formula` values over every assignment, for each pool
+    formula against the next one with the same free variables."""
+    pool = sem.enumerate_formulas(sig1, chain4, 1, 2)
+    for struct in (struct_m, struct_n):
+        for phi, psi in zip(pool, pool[1:]):
+            if F.free_vars(phi) != F.free_vars(psi):
+                continue
+            window = phi.window
+            assert sem.logical_distance(phi, psi, struct) == chain4.join_of(
+                chain4.dsym[sem.eval_formula(struct, phi, dict(zip(window, pts))),
+                            sem.eval_formula(struct, psi, dict(zip(window, pts)))]
+                for pts in product(range(struct.m), repeat=len(window)))
+
+
 def test_logically_equivalent_formulas_have_zero_distance(struct_m, struct_n,
                                                           sig1, chain4):
     pairs = [

@@ -411,6 +411,19 @@ def test_diameter(chain4):
         assert chain4.lattice.leq[sp.diameter(X, set(small)), sp.diameter(X)]
 
 
+def test_diameter_is_the_join_of_every_distance(roster):
+    """The folded diameter equals the scalar `join_of` over every pair of
+    points, on seeded spaces over each roster carrier, for every subset of
+    the first four points and for the whole space."""
+    for vq in roster.values():
+        for X in space_corpus(vq, 4, 6, seed=29):
+            for mask in range(1 << min(X.m, 4)):
+                idx = [i for i in range(X.m) if mask >> i & 1]
+                assert sp.diameter(X, [X.points[i] for i in idx]) == vq.join_of(
+                    X.dist[x, y] for x in idx for y in idx)
+            assert sp.diameter(X) == vq.join_of(X.dist.reshape(-1))
+
+
 # -- theorem checks ---------------------------------------------------------------
 
 
@@ -799,6 +812,39 @@ def test_topologies_past_62_points_keep_python_int_masks():
         ["{U0+U2+U3}", "{U0+U1+U2+U3}", "{U0+U1+U2+U3}"]
     with pytest.raises(NotATopology, match=r"^not closed under union: \{p0\}, \{p1\}$"):
         sp.validate_topology(points, [(), points[:1], points[1:2], points])
+
+
+def _random_topology(m, rng):
+    """A seeded topology on m points named in shuffled order (string order
+    is not index order): the up-sets of a random order on b <= 6 blocks of
+    near-equal size, each up-set the union of its blocks, so at most 64
+    opens, many of them of one size."""
+    names = ["p%d" % i for i in rng.sample(range(m), m)]
+    b = rng.randint(1, 6)
+    blocks = [names[i::b] for i in range(b)]
+    above = [{j for j in range(i + 1, b) if rng.random() < 0.3} for i in range(b)]
+    opens = [[p for i in range(b) if mask >> i & 1 for p in blocks[i]]
+             for mask in range(1 << b)
+             if all(mask >> j & 1 for i in range(b) if mask >> i & 1 for j in above[i])]
+    return names, opens
+
+
+@pytest.mark.parametrize("m", [56, 57, 60, 63, 64, 100])
+def test_masks_past_int64_agree_with_a_python_sort(m):
+    """Around the points where masks (63) and the canonical-order weights
+    (57) leave int64: validation, `sorted_opens` and the Flagg distances
+    equal a Python sort of the frozensets and the distances read from it,
+    over seeded topologies (`_random_topology`)."""
+    rng = random.Random(m)
+    for _ in range(5):
+        names, opens = _random_topology(m, rng)
+        topo = sp.validate_topology(names, opens)
+        twin = sorted({frozenset(u) for u in opens}, key=lambda u: (len(u), sorted(u)))
+        assert sp.sorted_opens(topo) == twin
+        X = sp.space_from_topology(topo, materialize=False)
+        held = [sum(1 << i for i, u in enumerate(twin) if p in u) for p in names]
+        full = (1 << len(twin)) - 1
+        assert X.dist.tolist() == [[full ^ (a & ~b) for b in held] for a in held]
 
 
 def test_enumerate_topologies_count():

@@ -16,7 +16,9 @@ from cqlogic.errors import (ArityMismatch, ModulusViolated, NoLimit, NotCoDivisi
                             NotFinitelySatisfiable, NotSymmetricFactors, NotValueCoquantale,
                             SizeLimit, VerificationFailed)
 from cqlogic.textio import Workspace, write_structure
-from conftest import (cauchy_verdicts, classes_by_loop, empty_limit_tables, metric_closure,
+from cqlogic.lattice import fold_table
+from conftest import (cauchy_family_verdicts, cauchy_verdicts, classes_by_loop,
+                      empty_limit_tables, join_chain3, jump_chain, metric_closure,
                       repaired_space, unary_structure)
 
 
@@ -92,7 +94,8 @@ def test_non_ultrafilters_are_refused(members):
 def test_is_ultrafilter_against_the_frozenset_scan_on_every_family():
     """Every family of subsets of 0 to 3 indices (2, 4, 16 and 256 of
     them): the mask tables and the frozenset scan agree, and exactly the
-    principal families pass."""
+    principal families pass. The scan tests upward closure, which the mask
+    tables leave to the other axioms."""
     for width in range(4):
         principal = {sum(1 << m for m in range(1 << width) if m >> g & 1)
                      for g in range(width)}
@@ -120,13 +123,16 @@ def test_is_ultrafilter_against_the_frozenset_scan_on_four_indices(bits):
     assert up.is_ultrafilter(D, 4) == is_ultrafilter_by_subsets(D, 4)
 
 
-def test_is_ultrafilter_on_twelve_indices_in_bounded_memory():
+def test_is_ultrafilter_on_thirteen_indices_in_bounded_memory(monkeypatch):
     """The largest index count the work budget admits: a principal D passes,
-    with tracemalloc's peak under 64 MiB; 13 indices are refused by cost."""
-    passed, peak = _traced_peak(lambda: up.is_ultrafilter(up.PrincipalUltrafilter(12, 5), 12))
+    with tracemalloc's peak under 64 MiB; 14 indices are refused by cost
+    before D is asked about any subset."""
+    passed, peak = _traced_peak(lambda: up.is_ultrafilter(up.PrincipalUltrafilter(13, 5), 13))
     assert passed and peak < 64 << 20
-    with pytest.raises(SizeLimit, match="cell operations"):
-        up.is_ultrafilter(up.PrincipalUltrafilter(13, 5), 13)
+    D = up.PrincipalUltrafilter(14, 5)
+    monkeypatch.setattr(D, "contains_sets", None)
+    with pytest.raises(SizeLimit, match="on 14 indices costs 268681216 cell operations"):
+        up.is_ultrafilter(D, 14)
 
 
 def test_generator_must_be_in_range():
@@ -1081,6 +1087,50 @@ def test_hypothesis_always_holds_on_finite_carriers(chain4):
                 chain4.join_of(chain4.tsub[fk, fl] for fl in fam) for fk in fam)
             assert sup_side == chain4.bottom
             assert inf_side == chain4.bottom
+
+
+def cauchy_sums_by_pairs(vq, family):
+    """The slow twin of `sem.cauchy_sums_vanish`: both sums from the
+    (..., m, m) table of every f_l ∸ f_k."""
+    diffs = vq.tsub[family[..., :, None], family[..., None, :]]
+    join, meet = vq.lattice.join, vq.lattice.meet
+    sup_side = fold_table(meet, fold_table(join, diffs, -2), -1)
+    inf_side = fold_table(meet, fold_table(join, diffs, -1), -2)
+    return bool((sup_side == vq.bottom).all()), bool((inf_side == vq.bottom).all())
+
+
+def test_cauchy_sums_vanish_against_the_pair_table_and_the_scalar_folds(roster, diamond_join):
+    """Seeded families on 1 to 5 points with 0 to 2 leading axes over every
+    roster carrier, the jump chain, the join chain and the diamond-join: the
+    two folds give the pair table's verdicts and, at each leading position,
+    the scalar folds of `cauchy_verdicts`; all four outcomes occur."""
+    rng = np.random.default_rng(29)
+    outcomes = set()
+    for vq in [*roster.values(), jump_chain(), join_chain3(), diamond_join]:
+        for m in range(1, 6):
+            for lead in range(3):
+                for _ in range(20):
+                    shape = tuple(rng.integers(1, 4, size=lead).tolist()) + (m,)
+                    family = rng.integers(0, vq.size, size=shape).astype(np.int32)
+                    verdict = sem.cauchy_sums_vanish(vq, family)
+                    assert verdict == cauchy_sums_by_pairs(vq, family), (vq.name, family)
+                    folds = [cauchy_family_verdicts(vq, fam) for fam in
+                             family.reshape(-1, m).tolist()]
+                    assert verdict == tuple(map(all, zip(*folds))), (vq.name, family)
+                    outcomes.add(verdict)
+    assert len(outcomes) == 4
+
+
+def test_a_144_point_hypothesis_in_bounded_memory(product_432):
+    """The one-variable hypothesis on the 144-point product of the first
+    four factors, its body's table held, peaks under 4 MiB: no table is
+    larger than the family, where the pair table had 144³ cells."""
+    dp = up.d_product_structure(product_432[:4], up.PrincipalUltrafilter(4, 1))
+    phi = F.parse_formula("(sup x1 (d x0 x1))", dp.structure.sig, dp.structure.V)
+    dp.structure.evaluator(phi.span)(phi.body)
+    verdict, peak = _traced_peak(lambda: up.los_hypothesis_check(dp.structure, phi))
+    assert dp.structure.m == 144 and verdict == (True, True)
+    assert peak < 4 << 20, peak
 
 
 def test_hypothesis_requires_quantifier(chain4, sig, factors):
