@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import os
 import random
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -19,6 +18,7 @@ from .errors import (BadIdentity, NotAssociative, NotCommutative,
                      NotMeetDistributive, NotPositive, NotValueCoquantale,
                      NoWitness, SizeLimit, UnknownBuiltin, UnknownElement,
                      VerificationFailed)
+from .records import Record
 
 DEFAULT_SEED = 20260810
 
@@ -210,19 +210,16 @@ def _associative(lattice, add):
 # -- residuation law suite ------------------------------------------------
 
 
-@dataclass
-class LawResult:
-    law: str
-    passed: bool
-    witness: str | None
-    mode: str
+class LawResult(Record):
+    __match_args__ = ("law", "passed", "witness", "mode")
+    def __init__(self, law, passed, witness, mode):
+        self.law, self.passed, self.witness, self.mode = law, passed, witness, mode
 
 
-@dataclass
-class ResiduationReport:
-    coquantale: str
-    seed: int
-    results: list
+class ResiduationReport(Record):
+    __match_args__ = ("coquantale", "seed", "results")
+    def __init__(self, coquantale, seed, results):
+        self.coquantale, self.seed, self.results = coquantale, seed, results
 
     @property
     def all_pass(self):

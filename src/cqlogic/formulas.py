@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import re
 from collections.abc import Mapping
-from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 
 import numpy as np
@@ -31,6 +30,7 @@ from .coquantale import CoQuantale, epsilon_halver
 from .errors import (ArityMismatch, FormulaSyntaxError, ModulusViolated,
                      NotValueCoquantale, UnknownSymbol)
 from . import spaces
+from .records import Frozen, set_field
 
 RESERVED = {"d", "conn", "val", "sup", "inf"}
 VAR_RE = re.compile(r"^x(\d+)$")
@@ -147,27 +147,21 @@ def meet_moduli(vq: CoQuantale, moduli) -> Modulus:
     return Modulus(reduce(lambda a, b: vq.lattice.meet[a, b], deltas))
 
 
-class Connective:
+class Connective(Frozen):
     """A uniformly continuous map V^n -> V with a verified modulus.
 
     Equality and hashing go by (name, arity) so formulas stay hashable;
     names are expected to be unique within a kit.
     """
-
+    __match_args__ = ("name", "arity")
     def __init__(self, name, arity, table, modulus):
-        self.name = name
-        self.arity = arity
-        self.table = table
-        self.modulus = modulus
+        set_field(self, "name", name)
+        set_field(self, "arity", arity)
+        set_field(self, "table", table)
+        set_field(self, "modulus", modulus)
 
     def apply(self, args):
         return int(self.table[tuple(args)])
-
-    def __eq__(self, other):
-        return isinstance(other, Connective) and (self.name, self.arity) == (other.name, other.arity)
-
-    def __hash__(self):
-        return hash((self.name, self.arity))
 
     def __repr__(self):
         return "Connective(%s/%d)" % (self.name, self.arity)
@@ -253,23 +247,26 @@ def default_kit(vq: CoQuantale) -> Mapping:
 # -- terms and formulas -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Var:
-    index: int
+class Var(Frozen):
+    __match_args__ = ("index",)
+    def __init__(self, index):
+        set_field(self, "index", index)
 
 
-@dataclass(frozen=True)
-class Const:
-    name: str
+class Const(Frozen):
+    __match_args__ = ("name",)
+    def __init__(self, name):
+        set_field(self, "name", name)
 
 
-@dataclass(frozen=True)
-class App:
-    func: str
-    args: tuple
+class App(Frozen):
+    __match_args__ = ("func", "args")
+    def __init__(self, func, args):
+        set_field(self, "func", func)
+        set_field(self, "args", args)
 
 
-class Formula:
+class Formula(Frozen):
     """Base of the formula nodes. A node holds records of itself, each
     computed on first use: a pool's nodes are the same objects for every
     structure and product it is checked on, so each record is computed once
@@ -307,39 +304,45 @@ class Formula:
         return hit[0]
 
 
-@dataclass(frozen=True)
 class DistAtom(Formula):
-    left: object
-    right: object
+    __match_args__ = ("left", "right")
+    def __init__(self, left, right):
+        set_field(self, "left", left)
+        set_field(self, "right", right)
 
 
-@dataclass(frozen=True)
 class PredAtom(Formula):
-    pred: str
-    args: tuple
+    __match_args__ = ("pred", "args")
+    def __init__(self, pred, args):
+        set_field(self, "pred", pred)
+        set_field(self, "args", args)
 
 
-@dataclass(frozen=True)
 class Conn(Formula):
-    connective: Connective
-    args: tuple
+    __match_args__ = ("connective", "args")
+    def __init__(self, connective, args):
+        set_field(self, "connective", connective)
+        set_field(self, "args", args)
 
 
-@dataclass(frozen=True)
 class Val(Formula):
-    element: int
+    __match_args__ = ("element",)
+    def __init__(self, element):
+        set_field(self, "element", element)
 
 
-@dataclass(frozen=True)
 class Sup(Formula):
-    var: int
-    body: object
+    __match_args__ = ("var", "body")
+    def __init__(self, var, body):
+        set_field(self, "var", var)
+        set_field(self, "body", body)
 
 
-@dataclass(frozen=True)
 class Inf(Formula):
-    var: int
-    body: object
+    __match_args__ = ("var", "body")
+    def __init__(self, var, body):
+        set_field(self, "var", var)
+        set_field(self, "body", body)
 
 
 def term_free_vars(t):

@@ -21,7 +21,6 @@ next asked for, so the budget changes the cost, never a table.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations_with_replacement, permutations, product as iproduct
 
 import numpy as np
@@ -35,6 +34,7 @@ from .formulas import (App, Conn, Const, DistAtom, Inf, PredAtom, Signature, Sup
                        validate_modulus)
 from . import spaces
 from .lattice import fold_table
+from .records import Frozen, Record, set_field
 from .spaces import ContinuitySpace, _triangle_witness, check_cost, loop_cost
 
 
@@ -364,10 +364,11 @@ def eval_table(struct: LStructure, phi, window=None):
 # -- conditions and theories ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Condition:
+class Condition(Frozen):
     """The formal statement 'formula = 0'."""
-    formula: object
+    __match_args__ = ("formula",)
+    def __init__(self, formula):
+        set_field(self, "formula", formula)
 
 
 def theory(conditions):
@@ -506,12 +507,10 @@ def pool_bound(sig: Signature, depth, max_free_vars, kit):
 # -- elementarity and the Tarski-Vaught test ------------------------------------
 
 
-@dataclass
-class Verdict:
-    passed: bool
-    depth: int
-    checked: int
-    witness: dict | None
+class Verdict(Record):
+    __match_args__ = ("passed", "depth", "checked", "witness")
+    def __init__(self, passed, depth, checked, witness):
+        self.passed, self.depth, self.checked, self.witness = passed, depth, checked, witness
 
     def describe(self):
         if self.passed:

@@ -31,7 +31,6 @@ Other modules read both budgets here at call time."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import compress
 
@@ -41,8 +40,8 @@ from .coquantale import builtin
 from .errors import (NotAPreorder, NotATopology, NotPositive,
                      ReflexivityViolation, SizeLimit, TransitivityViolation,
                      VerificationFailed)
-from .freelocale import MATERIALIZE_MAX, FreeLocale
 from .lattice import _path_counts, fold_table
+from .records import Frozen, Record, set_field
 
 # cells per block of a row-blocked kernel (up to 12 bytes each) and per
 # TableEvaluator memo (4 bytes each)
@@ -51,12 +50,17 @@ CELL_BUDGET = 1 << 21
 WORK_BUDGET = 1 << 27
 
 
+def count_text(count):
+    """A count for a `check_cost` text: past 8,192 bits, "at least 2^k"."""
+    bits = int(count).bit_length()
+    return "%d" % count if bits <= 8192 else "at least 2^%d" % (bits - 1)
+
+
 def check_cost(what, cost):
     """Refuse an operation of more than WORK_BUDGET cell operations."""
     if cost > WORK_BUDGET:
-        bits = int(cost).bit_length()       # past 2^8192, too long to print in full
-        raise SizeLimit("%s costs %s cell operations (budget %d)" % (
-            what, "%d" % cost if bits <= 8192 else "at least 2^%d" % (bits - 1), WORK_BUDGET))
+        raise SizeLimit("%s costs %s cell operations (budget %d)"
+                        % (what, count_text(cost), WORK_BUDGET))
 
 
 def loop_cost(iterations):
@@ -214,13 +218,14 @@ def closed_disc(space: ContinuitySpace, x, eps):
     return space.point_set(np.flatnonzero(space.V.lattice.leq[space.dist[space.index(x)], eps]))
 
 
-@dataclass(frozen=True)
-class Topology:
+class Topology(Frozen):
     """A finite topology: its points and its opens as int masks, bit x for
     point x, in increasing order. ``opens`` is the same family as a
     frozenset of frozensets of point names, built on first read."""
-    points: tuple
-    masks: tuple
+    __match_args__ = ("points", "masks")
+    def __init__(self, points, masks):
+        set_field(self, "points", points)
+        set_field(self, "masks", masks)
 
     @cached_property
     def opens(self):
@@ -400,17 +405,16 @@ def diameter(space: ContinuitySpace, subset=None):
 # -- theorem checks ---------------------------------------------------------------
 
 
-@dataclass
-class TheoremEntry:
-    name: str
-    passed: bool
-    witness: str | None
+class TheoremEntry(Record):
+    __match_args__ = ("name", "passed", "witness")
+    def __init__(self, name, passed, witness):
+        self.name, self.passed, self.witness = name, passed, witness
 
 
-@dataclass
-class TheoremReport:
-    entries: list
-    notes: list
+class TheoremReport(Record):
+    __match_args__ = ("entries", "notes")
+    def __init__(self, entries, notes):
+        self.entries, self.notes = entries, notes
 
     @property
     def all_pass(self):
@@ -528,6 +532,7 @@ def space_from_topology(topology: Topology, materialize="auto") -> ContinuitySpa
     m = len(points)
     check_cost("the space of a topology on %d points with %d opens" % (m, k),
                m * m * k + triangle_cost(m))
+    from .freelocale import MATERIALIZE_MAX, FreeLocale
     locale = FreeLocale(["U%d" % i for i in range(k)])
     values = locale.principals()
     # member[x]: the mask of the opens U_i that hold x; bit i of d(a, b) is

@@ -38,7 +38,8 @@ from .formulas import Inf, Sup, print_formula
 # eval_table is imported for perfbench/spans.py, which rebinds it here by name
 from .semantics import (LStructure, eval_table, satisfies,  # noqa: F401
                         structure_cost, theory, validate_structure)
-from .spaces import ContinuitySpace, check_cost, is_symmetric, triangle_cost, validate_space
+from .spaces import (ContinuitySpace, check_cost, count_text, is_symmetric, triangle_cost,
+                     validate_space)
 
 
 class PrincipalUltrafilter:
@@ -75,7 +76,7 @@ def is_ultrafilter(D, index_count) -> bool:
     # the complement I ^ a of mask a is 2ᴵ − 1 − a: the table read backwards
     if member[0] or not member[-1] or (member == member[::-1]).any():
         return False
-    inside = np.flatnonzero(member)
+    inside = np.flatnonzero(member).astype(np.min_scalar_type((1 << index_count) - 1))
     rows = max(1, spaces.CELL_BUDGET // len(inside))
     return all(member[inside[start:start + rows, None] & inside].all()
                for start in range(0, len(inside), rows))
@@ -117,7 +118,8 @@ def dlim_batch(vq: CoQuantale, seqs, D: PrincipalUltrafilter):
     if seqs.ndim != 2 or seqs.shape[1] != D.index_count:
         raise NoLimit("rows of shape %s do not match the index set: need (N, %d)"
                       % (seqs.shape, D.index_count))
-    check_cost("%d D-limits over %d indices" % seqs.shape, dlim_cost(vq, *seqs.shape))
+    check_cost("%s D-limits over %d indices" % (count_text(len(seqs)), seqs.shape[1]),
+               dlim_cost(vq, *seqs.shape))
     rows = max(1, spaces.CELL_BUDGET // max(1, dlim_cost(vq, 1, seqs.shape[1])))
     out = np.empty(len(seqs), dtype=np.int32)
     for start in range(0, len(seqs), rows):
@@ -255,7 +257,8 @@ def d_product_space(spaces, D: PrincipalUltrafilter):
     if any(s.V is not vq for s in spaces):
         raise SignatureMismatch("factors must share their value co-quantale")
     sizes = [s.m for s in spaces]
-    check_cost("a D-product of %d points" % math.prod(sizes), _product_space_cost(vq, sizes))
+    check_cost("a D-product of %s points" % count_text(math.prod(sizes)),
+               _product_space_cost(vq, sizes))
     return _product_space(spaces, shared_limits(vq, D))
 
 
@@ -409,7 +412,7 @@ def d_product_structure(factors, D: PrincipalUltrafilter) -> DProductStructure:
             raise SignatureMismatch("factors must share their signature")
     sizes = [f.m for f in factors]
     total = math.prod(sizes)
-    check_cost("a D-product structure on %d points" % total,
+    check_cost("a D-product structure on %s points" % count_text(total),
                _product_space_cost(vq, sizes) + structure_cost(vq, sig, total)
                + sum(dlim_cost(vq, total ** arity, len(sizes))
                      for arity, _ in sig.predicates.values()))

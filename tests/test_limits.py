@@ -167,16 +167,16 @@ def test_compactness_refuses_its_subset_scan_before_listing_a_subset(chain4, mon
              "operations (budget 511)", lambda: up.compactness_build(conds, candidates))
 
 
-def _thirteen_conditions(chain4):
-    """13 conditions (sup x0 (Pi x0)) and one 2-point candidate that
-    satisfies them all: a D-product of 2^13 factors."""
+def _conditions(chain4, count):
+    """``count`` conditions (sup x0 (Pi x0)) and one 2-point candidate that
+    satisfies them all: a D-product of 2^count factors."""
     sig = F.Signature(predicates=[("P%d" % i, 1, F.identity_modulus(chain4))
-                                  for i in range(13)])
+                                  for i in range(count)])
     space = _discrete(chain4, 2)
     candidate = sem.validate_structure(space, sig, {p: np.zeros(2, dtype=np.int32)
                                                     for p in sig.predicates}, name="c")
     conds = [sem.Condition(F.parse_formula("(sup x0 (P%d x0))" % i, sig, chain4))
-             for i in range(13)]
+             for i in range(count)]
     return conds, [candidate]
 
 
@@ -185,14 +185,19 @@ def _thirteen_conditions(chain4):
      lambda chain4: up.is_ultrafilter(up.PrincipalUltrafilter(8000, 0), 8000)),
     (r"enumerating bodies on 80 points over chain:4 costs at least 2\^\d+",
      lambda chain4: sem.enumerate_bodies(chain4, 80, F.identity_modulus(chain4))),
-    (r"a D-product structure on \d+ points costs at least 2\^\d+",
-     lambda chain4: up.compactness_build(*_thirteen_conditions(chain4))),
-], ids=["ultrafilter-8000", "bodies-80", "compactness-13"])
+    (r"a D-product structure on at least 2\^8192 points costs at least 2\^\d+",
+     lambda chain4: up.compactness_build(*_conditions(chain4, 13))),
+    (r"a D-product structure on at least 2\^32768 points costs at least 2\^\d+",
+     lambda chain4: up.compactness_build(*_conditions(chain4, 15))),
+], ids=["ultrafilter-8000", "bodies-80", "compactness-13", "compactness-15"])
 def test_costs_too_long_to_print_are_refused_by_their_bit_length(chain4, what, call):
     """A cost of more than 4,300 decimal digits, which Python will not print
-    with %d, is refused as a SizeLimit naming its bit length and the budget."""
-    with pytest.raises(SizeLimit, match=r"^%s cell operations \(budget 134217728\)$" % what):
+    with %d, is refused as a SizeLimit naming its bit length and the budget;
+    a point count in the text (2^8192 and 2^32768 D-product points) is
+    printed the same way, so the message stays short."""
+    with pytest.raises(SizeLimit, match=r"^%s cell operations \(budget 134217728\)$" % what) as exc:
         call(chain4)
+    assert len(str(exc.value)) < 300
 
 
 def test_product_space_refuses_before_building_its_table(chain4, monkeypatch):

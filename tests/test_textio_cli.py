@@ -583,6 +583,54 @@ def test_a_declared_block_named_like_a_spec_takes_precedence():
     assert ws.spaces["S"].V is declared and declared.size == 2
 
 
+FREELOCALE2_CHECK = """\
+coquantale:              freelocale:2
+carrier-size:            6
+value-lattice:           yes
+co-divisible:            yes
+co-girard:               no
+dualizers:               -
+safa:                    yes
+safa-witness:            u_n={a+b}
+dsym-T0:                 yes
+dsym-v-domain:           yes
+positives-contain-0:     yes
+residuation-seed:        20260810
+law.adjunction-1:        pass [exhaustive]
+law.adjunction-2:        pass [exhaustive]
+law.adjunction-3:        pass [exhaustive]
+law.adjunction-4:        pass [exhaustive]
+law.adjunction-5:        pass [exhaustive]
+law.adjunction-6:        pass [exhaustive]
+law.monotone-exchange:   pass [exhaustive]
+law.join-family:         pass [exhaustive]
+law.meet-family:         pass [exhaustive]
+
+"""
+
+
+def test_cql_starts_without_dataclasses_the_free_locale_or_ultraproducts(defs_file):
+    """In a fresh interpreter, `import cqlogic.cli` leaves `dataclasses`,
+    `cqlogic.freelocale` and `cqlogic.ultraproduct` unloaded: the two
+    modules load on first use. A request that loads the free locale and a
+    `chain:4` eval print what they printed when the free locale loaded at
+    import, byte for byte."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    probe = ("import sys, cqlogic.cli; print([m for m in ('dataclasses', 'cqlogic.freelocale',"
+             " 'cqlogic.ultraproduct') if m in sys.modules])")
+    loaded = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                            timeout=60, check=True)
+    assert loaded.stdout == b"[]\n"
+    for argv, expected in (
+            (["check", "--builtin", "freelocale:2"], FREELOCALE2_CHECK),
+            (["eval", "--load", defs_file, "--structure", "N", "--formula",
+              "(sup x0 (conn vee (P x0) (d x0 c)))"], "2\n")):
+        proc = subprocess.run([sys.executable, "-m", "cqlogic.cli", *argv], env=env,
+                              capture_output=True, timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, expected.encode(), b"")
+
+
 def test_reader_closing_the_pipe_early_gets_no_traceback(defs_file):
     """A reader that stops after the first line, as `| head -n 1` does. The
     81-point product's text is larger than a pipe buffer, so with the

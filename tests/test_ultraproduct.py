@@ -125,10 +125,10 @@ def test_is_ultrafilter_against_the_frozenset_scan_on_four_indices(bits):
 
 def test_is_ultrafilter_on_thirteen_indices_in_bounded_memory(monkeypatch):
     """The largest index count the work budget admits: a principal D passes,
-    with tracemalloc's peak under 64 MiB; 14 indices are refused by cost
-    before D is asked about any subset."""
+    with tracemalloc's peak under 16 MiB (the masks of D are 16-bit); 14
+    indices are refused by cost before D is asked about any subset."""
     passed, peak = _traced_peak(lambda: up.is_ultrafilter(up.PrincipalUltrafilter(13, 5), 13))
-    assert passed and peak < 64 << 20
+    assert passed and peak < 16 << 20
     D = up.PrincipalUltrafilter(14, 5)
     monkeypatch.setattr(D, "contains_sets", None)
     with pytest.raises(SizeLimit, match="on 14 indices costs 268681216 cell operations"):
