@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import re
 from collections.abc import Mapping
-from functools import cached_property, lru_cache, reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -151,17 +151,30 @@ class Connective(Frozen):
     """A uniformly continuous map V^n -> V with a verified modulus.
 
     Equality and hashing go by (name, arity) so formulas stay hashable;
-    names are expected to be unique within a kit.
+    names are expected to be unique within a kit. The connective keeps its
+    operation on Birkhoff masks (`masked`) once it has been asked for.
     """
     __match_args__ = ("name", "arity")
+    _records = Frozen._records + ("_masked",)
+
     def __init__(self, name, arity, table, modulus):
         set_field(self, "name", name)
         set_field(self, "arity", arity)
         set_field(self, "table", table)
         set_field(self, "modulus", modulus)
+        self._unkept()
 
     def apply(self, args):
         return int(self.table[tuple(args)])
+
+    def masked(self, code):
+        """The connective on mask arrays of the `lattice.Birkhoff` encoding
+        ``code`` (`Birkhoff.lift` of its table), kept with its encoding."""
+        kept = self._masked
+        if kept is None or kept[0] is not code:
+            kept = (code, code.lift(self.table))
+            set_field(self, "_masked", kept)
+        return kept[1]
 
     def __repr__(self):
         return "Connective(%s/%d)" % (self.name, self.arity)
@@ -270,26 +283,46 @@ class Formula(Frozen):
     """Base of the formula nodes. A node holds records of itself, each
     computed on first use: a pool's nodes are the same objects for every
     structure and product it is checked on, so each record is computed once
-    per node, not once per check."""
+    per node, not once per check. The records are written with `set_field`
+    beside the node's fields, as `Frozen` keeps its key: an instance
+    ``__dict__`` (which ``cached_property`` would make) takes every field
+    load of the node off CPython's specialized path."""
 
-    @cached_property
+    _records = Frozen._records + ("_window", "_span", "_quantified", "_texts", "_moduli")
+
+    @property
     def window(self):
         """The free variables in increasing order."""
-        return tuple(sorted(free_vars(self)))
+        kept = self._window
+        if kept is None:
+            kept = tuple(sorted(free_vars(self)))
+            set_field(self, "_window", kept)
+        return kept
 
-    @cached_property
+    @property
     def span(self):
         """`var_span`: one more than the largest variable index."""
-        return var_span(self)
+        kept = self._span
+        if kept is None:
+            kept = var_span(self)
+            set_field(self, "_span", kept)
+        return kept
 
-    @cached_property
+    @property
     def quantified(self):
         """`quantified_subformulas`: the sup and inf nodes, outermost first."""
-        return tuple(quantified_subformulas(self))
+        kept = self._quantified
+        if kept is None:
+            kept = tuple(quantified_subformulas(self))
+            set_field(self, "_quantified", kept)
+        return kept
 
     def text(self, vq):
         """`print_formula` over the carrier vq, kept per carrier."""
-        texts = self.__dict__.setdefault("_texts", {})
+        texts = self._texts
+        if texts is None:
+            texts = {}
+            set_field(self, "_texts", texts)
         hit = texts.get(vq)
         if hit is None:
             hit = texts[vq] = print_formula(self, vq)
@@ -297,7 +330,10 @@ class Formula(Frozen):
 
     def modulus(self, sig, vq):
         """`_infer`, kept per carrier and signature."""
-        moduli = self.__dict__.setdefault("_moduli", {})
+        moduli = self._moduli
+        if moduli is None:
+            moduli = {}
+            set_field(self, "_moduli", moduli)
         hit = moduli.get((vq, sig))             # held as a 1-tuple: None is a record too
         if hit is None:
             hit = moduli[vq, sig] = (_infer(self, sig, vq),)
@@ -309,6 +345,7 @@ class DistAtom(Formula):
     def __init__(self, left, right):
         set_field(self, "left", left)
         set_field(self, "right", right)
+        self._unkept()
 
 
 class PredAtom(Formula):
@@ -316,6 +353,7 @@ class PredAtom(Formula):
     def __init__(self, pred, args):
         set_field(self, "pred", pred)
         set_field(self, "args", args)
+        self._unkept()
 
 
 class Conn(Formula):
@@ -323,12 +361,14 @@ class Conn(Formula):
     def __init__(self, connective, args):
         set_field(self, "connective", connective)
         set_field(self, "args", args)
+        self._unkept()
 
 
 class Val(Formula):
     __match_args__ = ("element",)
     def __init__(self, element):
         set_field(self, "element", element)
+        self._unkept()
 
 
 class Sup(Formula):
@@ -336,6 +376,7 @@ class Sup(Formula):
     def __init__(self, var, body):
         set_field(self, "var", var)
         set_field(self, "body", body)
+        self._unkept()
 
 
 class Inf(Formula):
@@ -343,6 +384,7 @@ class Inf(Formula):
     def __init__(self, var, body):
         set_field(self, "var", var)
         set_field(self, "body", body)
+        self._unkept()
 
 
 def term_free_vars(t):

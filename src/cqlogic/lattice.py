@@ -17,8 +17,11 @@ class FiniteLattice:
 
     Fields: ``elements`` (names), ``leq`` (n x n bool), ``bottom``/``top``
     (indices), ``meet``/``join`` (n x n element tables) and ``cwb`` caching
-    the co-well-below relation x ≺ y.
+    the co-well-below relation x ≺ y; ``_birkhoff`` keeps its `Birkhoff`
+    encoding once `birkhoff` has made it.
     """
+
+    _birkhoff = None
 
     def __init__(self, elements, leq, bottom, top, meet, join, cwb):
         self.elements = list(elements)
@@ -181,6 +184,77 @@ def meet_irreducibles(lat: FiniteLattice):
     them (top is not one); every element is the meet of those above it."""
     strictly_above = lat.leq & ~np.eye(lat.n, dtype=bool)
     return np.flatnonzero(_set_meets(lat.leq, strictly_above) != np.arange(lat.n))
+
+
+# Up to 2^16 masks, a decode is one lookup in a table of 2^J int32 entries
+# (256 KiB at J = 16, doubling with each bit past it). On a 2-core host it
+# beat np.searchsorted over the sorted masks at every J from 4 to 16: 0.55
+# against 1.5 us on 27 masks, 4.3-4.9 against 22-86 us on 4,096.
+DECODE_TABLE_BITS = 16
+
+
+class Birkhoff:
+    """Birkhoff's representation of a finite distributive lattice (*Rings of
+    sets*, 1937): each element as the mask of the join-irreducibles below
+    it, bit j for the j-th of `join_irreducibles`. Joins are ``|``, meets
+    ``&`` and the bottom is 0.
+
+    ``enc[e]`` is the mask of element e, in the narrowest unsigned dtype of
+    J bits for J join-irreducibles (uint8 up to 8 bits, ..., uint64 up to
+    64) and as Python ints in an object array past 64, so every size is
+    exact. ``decode`` maps an array of masks back to element indices: one
+    lookup in a table of the 2^J masks up to DECODE_TABLE_BITS,
+    `np.searchsorted` over the sorted masks past that."""
+
+    def __init__(self, lat: FiniteLattice):
+        rows = lat.leq[join_irreducibles(lat)].T              # [e, j]: j-th irreducible ≤ e
+        bits = rows.shape[1]
+        if bits > 64:
+            enc = np.array([sum(1 << j for j in np.flatnonzero(row).tolist()) for row in rows],
+                           dtype=object)
+        else:
+            dtype = np.dtype("u%d" % (1 << max(0, (bits - 1).bit_length() - 3)))
+            enc = (rows * (np.ones(bits, dtype) << np.arange(bits, dtype=dtype))).sum(
+                axis=1, dtype=dtype)
+        # the masks are always an injective meet map; joins are unions exactly
+        # when every join-irreducible is join-prime, that is, when L is distributive
+        bad = enc[lat.join] != (enc[:, None] | enc)
+        if bad.any():
+            a, b = np.argwhere(bad)[0]
+            raise NotALattice("not distributive: a join-irreducible is below %s ∨ %s and below "
+                              "neither" % (lat.name(a), lat.name(b)))
+        enc.setflags(write=False)
+        self.bits, self.enc = bits, enc
+        # decode(masks): the element index (int32) of each mask of an array
+        if bits <= DECODE_TABLE_BITS:
+            table = np.full(1 << bits, -1, dtype=np.int32)
+            table[enc] = np.arange(lat.n)
+            self.decode = table.take
+        else:
+            order = np.argsort(enc).astype(np.int32)
+            ordered = enc[order]
+            self.decode = lambda masks: order.take(np.searchsorted(ordered, masks))
+        self._join, self._meet = lat.join, lat.meet
+
+    def lift(self, table):
+        """The operation on mask arrays of an element table of shape (n,)*r:
+        ``|`` for the join table, ``&`` for the meet table, and otherwise a
+        decode of each argument, a gather and an encode."""
+        if np.array_equal(table, self._join):
+            return np.bitwise_or
+        if np.array_equal(table, self._meet):
+            return np.bitwise_and
+        masked, decode = self.enc[table], self.decode
+        return lambda *masks: masked[tuple(map(decode, masks))]   # noqa: E731
+
+
+def birkhoff(lat: FiniteLattice) -> Birkhoff:
+    """The `Birkhoff` encoding of a distributive lattice, made once per
+    lattice; raises NotALattice when the lattice is not distributive."""
+    code = lat._birkhoff
+    if code is None:
+        code = lat._birkhoff = Birkhoff(lat)
+    return code
 
 
 # -- operations ---------------------------------------------------------------

@@ -31,7 +31,22 @@ def _nested(value):
 class Frozen(Record):
     """A Record set once, its key and hash kept on first use. The key holds
     the key of each Frozen record in its fields or in a tuple field of
-    records, so two trees of records compare and hash as nested tuples, in C."""
+    records, so two trees of records compare and hash as nested tuples, in C.
+
+    ``_records`` names what a class keeps beside its fields; a subclass
+    that adds its own extends the tuple, and its ``__init__`` calls
+    `_unkept` after writing the fields."""
+
+    _records = ("_kept", "_hash")
+
+    def _unkept(self):
+        """Write each record unset. CPython 3.11 stops adding names to a
+        class's shared attribute keys once about 30 of its instances exist,
+        and a name that no longer fits gives the instance a ``__dict__``,
+        which takes every field load off the specialized path; written by
+        the first instances, every name fits."""
+        for name in self._records:
+            set_field(self, name, None)
 
     def __setattr__(self, name, value=None):
         raise AttributeError("cannot assign to field %r" % name)

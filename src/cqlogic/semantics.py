@@ -4,7 +4,10 @@ formula enumeration and the Tarski-Vaught machinery.
 `eval_formula` is the definitional single-assignment evaluator. Every sweep
 uses `TableEvaluator`, which evaluates each formula node once over all
 assignments of x0..x(k-1) and a stack of structures; `eval_table` is its
-single-structure view. The unit suite cross-checks the two.
+single-structure view. The unit suite cross-checks the two, and the int32
+evaluator that `TableEvaluator` replaced is kept in the tests as its twin.
+`TableEvaluator` computes on Birkhoff masks, so it needs a distributive
+lattice; every value lattice is one.
 
 An evaluator keeps its memo for as long as it lives, so a caller that holds
 one across a pool (the elementarity and Tarski-Vaught sweeps) evaluates
@@ -33,7 +36,7 @@ from .formulas import (App, Conn, Const, DistAtom, Inf, PredAtom, Signature, Sup
                        default_kit, first_failure, free_vars, modulus_cost, modulus_witness,
                        validate_modulus)
 from . import spaces
-from .lattice import fold_table
+from .lattice import birkhoff, fold_table
 from .records import Frozen, Record, set_field
 from .spaces import ContinuitySpace, _triangle_witness, check_cost, loop_cost
 
@@ -229,30 +232,51 @@ class TableEvaluator:
     """Memoized tables of formulas over a batch of structures that share a
     value co-quantale, a signature and a universe size m.
 
-    Every table has a leading batch axis and one axis per variable
-    x0..x(k-1). An axis has size m where its variable is free and size 1
-    where it is not; a quantifier folds its own axis down to size 1. So a
-    node's table does not depend on the formula around it, and each node is
-    evaluated once per evaluator. A single structure is a batch of one
+    A node's table has one axis per variable x0..x(k-1) and a batch axis.
+    An axis has size m where its variable is free and size 1 where it is
+    not; a quantifier folds its own axis down to size 1. So a node's table
+    does not depend on the formula around it, and each node is evaluated
+    once per evaluator. A single structure is a batch of one
     (``TableEvaluator.of``).
+
+    The tables hold Birkhoff masks (`lattice.Birkhoff`): the atoms gather
+    from mask copies of the distance and predicate tables, ∨ and ∧ are
+    ``|`` and ``&``, a sup or an inf is one ``reduce`` of ``|`` or ``&``
+    over its axis, and any other connective decodes, gathers from its table
+    and encodes (`Connective.masked`). Inside, the batch axis is the last one,
+    so that on a big batch of small structures every operation runs long
+    inner loops: on 4096 structures of 3 points, a broadcast ``|`` of two
+    one-variable tables took 130 µs and a ``reduce`` over a point axis
+    190-270 µs with the batch axis first, against 2.6 µs and 2.3 µs with it
+    last (2-core host). Values leave decoded to element indices, with the
+    batch axis first: `__call__`, `members` and `table`. A memo entry is
+    (node, masks, element indices or None), and both tables count against
+    the budget.
     """
 
     def __init__(self, V, k, dist, preds, funs=None, consts=None):
+        """``dist`` (batch, m, m), ``preds`` and ``funs`` (batch, m, ...)
+        and ``consts`` (batch,) hold each member's tables and points."""
         self.V = V
+        self.code = birkhoff(V.lattice)
         self.k = k
-        self.dist = dist
         self.batch, self.m = dist.shape[:2]
         # no node's table is larger than the window's
         check_cost("a window of %d variables over %d x %d points" % (k, self.batch, self.m),
                    self.batch * self.m ** k)
-        self.preds = preds
-        self.funs = funs or {}
-        self.consts = consts or {}
+        enc = self.code.enc
+        self.dist = enc[np.moveaxis(dist, 0, -1)]
+        self.preds = {p: enc[np.moveaxis(table, 0, -1)] for p, table in preds.items()}
+        self.funs = {f: np.moveaxis(table, 0, -1) for f, table in (funs or {}).items()}
+        self.consts = {c: np.asarray(points).reshape((1,) * k + (-1,))
+                       for c, points in (consts or {}).items()}
         self.memo = {}
         self.cells = 0          # cells held by the memo's tables
-        self.bidx = np.arange(self.batch).reshape((-1,) + (1,) * k)
+        self.bidx = np.arange(self.batch)
         self.grids = [np.arange(self.m, dtype=np.int32).reshape(
-            (1,) * (1 + i) + (-1,) + (1,) * (k - 1 - i)) for i in range(k)]
+            (1,) * i + (-1,) + (1,) * (k - i)) for i in range(k)]
+        # [w]: the axis order that puts the batch axis of w + 1 axes first
+        self.batch_first = [(w,) + tuple(range(w)) for w in range(k + 1)]
 
     @classmethod
     def of(cls, structs, k):
@@ -269,24 +293,66 @@ class TableEvaluator:
                     for p in first.pred_tables},
                    {f: stack([s.fun_tables[f] for s in structs])
                     for f in first.fun_tables},
-                   {c: np.array([s.const_points[c] for s in structs]).reshape(
-                       (-1,) + (1,) * k) for c in first.const_points})
+                   {c: np.array([s.const_points[c] for s in structs])
+                    for c in first.const_points})
 
     def __call__(self, phi):
+        """φ's table of element indices, batch axis first."""
+        return self.codes(phi).transpose(self.batch_first[self.k])
+
+    def codes(self, phi):
+        """φ's table of element indices, batch axis last."""
         # keyed by identity: pools share subformula objects, and the entry
         # keeps its node alive so the id is not reused
         hit = self.memo.get(id(phi))
+        if hit is None:
+            masks = self._node(phi)
+            masks.setflags(write=False)
+        elif hit[2] is None:
+            masks = hit[1]
+        else:
+            return hit[2]
+        codes = self.code.decode(masks)
+        codes.setflags(write=False)
+        self._store(phi, masks, codes)
+        return codes
+
+    @staticmethod
+    def codes_each(evaluators, phi):
+        """`codes` of φ from each evaluator, a decoded memo entry read in
+        place: a D-product reads one per factor for every formula it checks
+        (`DProductStructure.factor_limits`), and one `codes` call per factor
+        made the ``los`` benchmark's sweep about 6% slower."""
+        key, out = id(phi), []
+        for evaluator in evaluators:
+            hit = evaluator.memo.get(key)
+            out.append(hit[2] if hit is not None and hit[2] is not None
+                       else evaluator.codes(phi))
+        return out
+
+    def masks(self, phi):
+        """φ's table of Birkhoff masks, batch axis last."""
+        hit = self.memo.get(id(phi))
         if hit is not None:
             return hit[1]
-        table = self._node(phi)
-        table.setflags(write=False)
-        if self.cells + table.size > spaces.CELL_BUDGET:
+        masks = self._node(phi)
+        masks.setflags(write=False)
+        self._store(phi, masks, None)
+        return masks
+
+    def _store(self, phi, masks, codes):
+        """Hold φ's tables, emptying the memo first when they would pass
+        the budget; tables larger than the budget are not held."""
+        old = self.memo.pop(id(phi), None)
+        if old is not None:             # only an entry of masks alone is replaced
+            self.cells -= old[1].size
+        size = masks.size + (0 if codes is None else codes.size)
+        if self.cells + size > spaces.CELL_BUDGET:
             self.memo.clear()
             self.cells = 0
-        if table.size <= spaces.CELL_BUDGET:
-            self.memo[id(phi)] = (phi, table)
-            self.cells += table.size
-        return table
+        if size <= spaces.CELL_BUDGET:
+            self.memo[id(phi)] = (phi, masks, codes)
+            self.cells += size
 
     def table(self, phi, window, b=0):
         """φ on batch member b with one axis of size m per window variable,
@@ -301,40 +367,49 @@ class TableEvaluator:
     def members(self, phi, window):
         """φ on every batch member, with one axis of size m per variable of
         the increasing ``window``, which holds every free variable."""
-        out = self(phi)[(slice(None),) + tuple(slice(None) if v in window else 0
-                                               for v in range(self.k))]
-        shape = (self.batch,) + (self.m,) * len(window)
+        return self.spread(self.codes(phi), window).transpose(self.batch_first[len(window)])
+
+    def spread(self, table, window):
+        """A node's table (batch axis last) with one axis of size m per
+        variable of the increasing ``window``, which holds every free
+        variable of the node, and then the batch axis."""
+        out = table[tuple(slice(None) if v in window else 0 for v in range(self.k))]
+        shape = (self.m,) * len(window) + (self.batch,)
         return out if out.shape == shape else np.broadcast_to(out, shape)
 
     def _axis(self, i):
         if not 0 <= i < self.k:
             raise UnboundVariable("x%d is not in the evaluation window" % i)
-        return 1 + i
+        return i
 
     def _term(self, t):
         match t:
             case Var(index=i):
-                return self.grids[self._axis(i) - 1]
+                return self.grids[self._axis(i)]
             case Const(name=name):
                 return self.consts[name]
             case App(func=f, args=args):
-                return self.funs[f][(self.bidx,) + tuple(self._term(a) for a in args)]
+                return self.funs[f][tuple(self._term(a) for a in args) + (self.bidx,)]
         raise TypeError("not a term: %r" % (t,))
 
     def _node(self, phi):
+        if phi.__class__ is Conn:       # most nodes of a pool, so looked at first
+            memo, args = self.memo, []
+            for a in phi.args:          # memo hits read in place
+                hit = memo.get(id(a))
+                args.append(self.masks(a) if hit is None else hit[1])
+            return phi.connective.masked(self.code)(*args)
         match phi:
             case DistAtom(left=l, right=r):
-                return self.dist[self.bidx, self._term(l), self._term(r)]
+                return self.dist[self._term(l), self._term(r), self.bidx]
             case PredAtom(pred=p, args=args):
-                return self.preds[p][(self.bidx,) + tuple(self._term(a) for a in args)]
-            case Conn(connective=c, args=args):
-                return c.table[tuple(self(a) for a in args)]
+                return self.preds[p][tuple(self._term(a) for a in args) + (self.bidx,)]
             case Val(element=e):
-                return np.full((1,) * (1 + self.k), e, dtype=np.int32)
+                return np.full((1,) * (self.k + 1), self.code.enc[e], dtype=self.code.enc.dtype)
             case Sup(var=x, body=b):
-                return fold_table(self.V.lattice.join, self(b), self._axis(x))
+                return np.bitwise_or.reduce(self.masks(b), axis=self._axis(x), keepdims=True)
             case Inf(var=x, body=b):
-                return fold_table(self.V.lattice.meet, self(b), self._axis(x))
+                return np.bitwise_and.reduce(self.masks(b), axis=self._axis(x), keepdims=True)
         raise TypeError("not a formula: %r" % (phi,))
 
 
@@ -532,26 +607,28 @@ def _compare_tables(outer, blocks, pool, depth, labels, cases):
     lives = [np.ones(inner.batch, dtype=bool) for inner, _, _ in blocks]
     verdicts = [[None] * inner.batch for inner, _, _ in blocks]
     cells = [0] * len(blocks)       # per block, the cells compared on each open member
-    name = outer.V.element_name
+    name, decode = outer.V.element_name, outer.code.decode
     for phi, node, window, entries in ((phi, *case) for phi in pool for case in cases(phi)):
         open_blocks = [j for j, live in enumerate(lives) if live.any()]
         if not open_blocks:
             break
-        full = outer.members(node, window)
+        # Birkhoff masks are one per element, so masks compare as values do;
+        # the tables are (cell, member), cells in row-major order
+        full = outer.spread(outer.masks(node), window)
         for j in open_blocks:
             inner, lift, points = blocks[j]
-            mine = inner.members(node, window).reshape(inner.batch, -1)
-            theirs = full[(slice(None),) + np.ix_(*[lift] * len(window))].reshape(
-                inner.batch, -1)
+            mine = inner.spread(inner.masks(node), window).reshape(-1, inner.batch)
+            theirs = full[np.ix_(*[lift] * len(window))].reshape(-1, inner.batch)
             differ = mine != theirs
-            cells[j] += differ.shape[1]
-            fresh = np.flatnonzero(lives[j] & differ.any(axis=1))
+            cells[j] += len(differ)
+            fresh = np.flatnonzero(lives[j] & differ.any(axis=0))
             if not fresh.size:
                 continue
-            first = differ[fresh].argmax(axis=1)
+            first = differ[:, fresh].argmax(axis=0)
             m, w = inner.m, len(window)
             for b, cell, x, y in zip(fresh.tolist(), first.tolist(),
-                                     mine[fresh, first].tolist(), theirs[fresh, first].tolist()):
+                                     decode(mine[first, fresh]).tolist(),
+                                     decode(theirs[first, fresh]).tolist()):
                 verdicts[j][b] = Verdict(False, depth, cells[j], {
                     "formula": phi.text(outer.V), **entries,
                     **{"x%d" % v: points[cell // m ** (w - 1 - i) % m]

@@ -44,7 +44,8 @@ from .lattice import _path_counts, fold_table
 from .records import Frozen, Record, set_field
 
 # cells per block of a row-blocked kernel (up to 12 bytes each) and per
-# TableEvaluator memo (4 bytes each)
+# TableEvaluator memo (a mask of 1 to 8 bytes, or a pointer to a Python int
+# past 64 join-irreducibles; an element index of 4 bytes)
 CELL_BUDGET = 1 << 21
 # cell operations one call may spend (a 512-point triangle check)
 WORK_BUDGET = 1 << 27
@@ -226,6 +227,9 @@ class Topology(Frozen):
     def __init__(self, points, masks):
         set_field(self, "points", points)
         set_field(self, "masks", masks)
+
+    def _key(self):
+        return (Topology, self.points, self.masks)
 
     @cached_property
     def opens(self):
@@ -515,6 +519,9 @@ def sorted_opens(topology: Topology):
     return [frozenset(compress(points, row)) for row in bits.tolist()]
 
 
+_freelocale = None      # cqlogic.freelocale, imported on first use: cql need not load it
+
+
 def space_from_topology(topology: Topology, materialize="auto") -> ContinuitySpace:
     """Represent a topology as a continuity space over the free locale on
     its own open-set family.
@@ -532,8 +539,10 @@ def space_from_topology(topology: Topology, materialize="auto") -> ContinuitySpa
     m = len(points)
     check_cost("the space of a topology on %d points with %d opens" % (m, k),
                m * m * k + triangle_cost(m))
-    from .freelocale import MATERIALIZE_MAX, FreeLocale
-    locale = FreeLocale(["U%d" % i for i in range(k)])
+    global _freelocale
+    if _freelocale is None:
+        from . import freelocale as _freelocale
+    locale = _freelocale.FreeLocale(["U%d" % i for i in range(k)])
     values = locale.principals()
     # member[x]: the mask of the opens U_i that hold x; bit i of d(a, b) is
     # set when a ∉ U_i or b ∈ U_i, that is, unless U_i holds a and not b
@@ -541,7 +550,7 @@ def space_from_topology(topology: Topology, materialize="auto") -> ContinuitySpa
     member = (1 << np.arange(k, dtype=np.uint64)) @ inside
     dist = ((1 << k) - 1) ^ (member[:, None] & ~member)
     if materialize == "auto":
-        materialize = k <= MATERIALIZE_MAX
+        materialize = k <= _freelocale.MATERIALIZE_MAX
     if materialize:
         values, dist = locale.materialize(), locale.principal_index()[dist]
     return validate_space(values, points, dist)

@@ -36,7 +36,7 @@ from .errors import (ArityMismatch, NoLimit, NotCoDivisible, NotFinitelySatisfia
                      VerificationFailed)
 from .formulas import Inf, Sup, print_formula
 # eval_table is imported for perfbench/spans.py, which rebinds it here by name
-from .semantics import (LStructure, eval_table, satisfies,  # noqa: F401
+from .semantics import (LStructure, TableEvaluator, eval_table, satisfies,  # noqa: F401
                         structure_cost, theory, validate_structure)
 from .spaces import (ContinuitySpace, check_cost, count_text, is_symmetric, triangle_cost,
                      validate_space)
@@ -383,13 +383,17 @@ class DProductStructure:
     def factor_limits(self, phi):
         """The D-limit of the factors' values of φ, per w-tuple of product
         points in row-major order: one memo hit and one reshape per factor,
-        then one read of ``limits``."""
+        then one read of ``limits``. A factor's evaluator is a batch of one,
+        so its decoded table (`TableEvaluator.codes`) runs over the w-tuples
+        of its points in row-major order."""
         key = phi.span, len(phi.window)
         plan = self._plans.get(key)
         if plan is None:
-            plan = self._plans[key] = list(zip([f.evaluator(key[0]) for f in self.factors],
-                                               _axis_shapes(self.sizes, key[1])))
-        return self.limits(tuple(evaluate(phi).reshape(shape) for evaluate, shape in plan))
+            plan = self._plans[key] = ([f.evaluator(key[0]) for f in self.factors],
+                                       _axis_shapes(self.sizes, key[1]))
+        evaluators, shapes = plan
+        return self.limits(map(np.ndarray.reshape,
+                               TableEvaluator.codes_each(evaluators, phi), shapes))
 
 
 def d_product_structure(factors, D: PrincipalUltrafilter) -> DProductStructure:
@@ -513,9 +517,10 @@ def los_check(dp: DProductStructure, phi) -> LosReport:
     read of the factors' node tables through ``dp.limits``
     (`DProductStructure.factor_limits`)."""
     vq, product = dp.structure.V, dp.structure
-    # a node's table has size-m axes exactly at its free variables, so
-    # flattened it runs over the w-tuples of points in row-major order
-    left = product.evaluator(phi.span)(phi).reshape(-1)
+    # a node's table has size-m axes exactly at its free variables and then
+    # the batch axis of one, so flattened it runs over the w-tuples of
+    # points in row-major order
+    left = product.evaluator(phi.span).codes(phi).reshape(-1)
     right = dp.factor_limits(phi).reshape(-1)
     hypothesis = []
     for sub in phi.quantified:

@@ -545,15 +545,19 @@ def test_memo_budget_changes_no_table_or_verdict(monkeypatch, struct_n, sig1, ch
     want_tables, want_verdicts = tables(), verdicts()
     assert {passed for passed, _, _ in want_verdicts} == {True, False}
     held = []
-    original = sem.TableEvaluator.__call__
 
-    def call(self, phi):
-        out = original(self, phi)
-        held.append(sum(table.size for _, table in self.memo.values()))
-        return out
+    def counted(original):
+        def call(self, phi):
+            out = original(self, phi)
+            # an entry is (node, masks, element indices or None)
+            held.append(sum(masks.size + (0 if codes is None else codes.size)
+                            for _, masks, codes in self.memo.values()))
+            return out
+        return call
 
     monkeypatch.setattr(sp, "CELL_BUDGET", budget)
-    monkeypatch.setattr(sem.TableEvaluator, "__call__", call)
+    for name in ("codes", "masks"):     # every memo store goes through one of these
+        monkeypatch.setattr(sem.TableEvaluator, name, counted(getattr(sem.TableEvaluator, name)))
     got_tables = tables()
     assert all(np.array_equal(a, b) for a, b in zip(got_tables, want_tables))
     assert verdicts() == want_verdicts
