@@ -286,9 +286,12 @@ class Formula(Frozen):
     per node, not once per check. The records are written with `set_field`
     beside the node's fields, as `Frozen` keeps its key: an instance
     ``__dict__`` (which ``cached_property`` would make) takes every field
-    load of the node off CPython's specialized path."""
+    load of the node off CPython's specialized path. A node built by
+    `semantics.enumerate_formulas` also records (pool, row), its pool and
+    its place in it, as ``_pool``."""
 
-    _records = Frozen._records + ("_window", "_span", "_quantified", "_texts", "_moduli")
+    _records = Frozen._records + ("_window", "_span", "_quantified", "_texts", "_moduli",
+                                  "_pool")
 
     @property
     def window(self):

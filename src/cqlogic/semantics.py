@@ -19,6 +19,10 @@ The memo holds at most `spaces.CELL_BUDGET` table cells: when storing a
 table would pass that, the memo is emptied first, and a table larger than
 the budget is not stored. A node that was dropped is evaluated again when
 next asked for, so the budget changes the cost, never a table.
+
+An `enumerate_formulas` pool (`FormulaPool`) is evaluated as a unit: the
+first miss for one of its nodes runs the whole pool as one stacked program
+(`TableEvaluator.pool_run`), and the node's table is a view of its row.
 """
 
 from __future__ import annotations
@@ -69,6 +73,14 @@ class LStructure:
             hit = self._evaluators[k] = TableEvaluator.of([self], k)
         return hit
 
+    def evaluator_of(self, phi):
+        """The evaluator of φ's pool's span when the pool may run stacked
+        here (`FormulaPool.admitted`), else that of φ's own span."""
+        pooled = phi._pool
+        if pooled is not None and pooled[0].admitted(self.m, 1):
+            return self.evaluator(pooled[0].span)
+        return self.evaluator(phi.span)
+
     def hypothesis(self, sub):
         """(sup_ok, inf_ok): whether both discrete-Cauchy sums of the body of
         the quantified formula ``sub`` vanish here (`cauchy_sums_vanish`),
@@ -76,7 +88,7 @@ class LStructure:
         reused."""
         hit = self._hypotheses.get(id(sub))
         if hit is None:
-            family = self.evaluator(sub.span).table(sub.body, sub.window + (sub.var,))
+            family = self.evaluator_of(sub).table(sub.body, sub.window + (sub.var,))
             hit = self._hypotheses[id(sub)] = (sub, cauchy_sums_vanish(self.V, family))
         return hit[1]
 
@@ -250,8 +262,9 @@ class TableEvaluator:
     190-270 µs with the batch axis first, against 2.6 µs and 2.3 µs with it
     last (2-core host). Values leave decoded to element indices, with the
     batch axis first: `__call__`, `members` and `table`. A memo entry is
-    (node, masks, element indices or None), and both tables count against
-    the budget.
+    (node, masks, element indices or None), or (pool, stacked masks,
+    stacked element indices) for a pool's run (`pool_run`), and both tables
+    count against the budget.
     """
 
     def __init__(self, V, k, dist, preds, funs=None, consts=None):
@@ -306,6 +319,9 @@ class TableEvaluator:
         # keeps its node alive so the id is not reused
         hit = self.memo.get(id(phi))
         if hit is None:
+            row = self._row(phi, 2)
+            if row is not None:
+                return row
             masks = self._node(phi)
             masks.setflags(write=False)
         elif hit[2] is None:
@@ -317,33 +333,62 @@ class TableEvaluator:
         self._store(phi, masks, codes)
         return codes
 
-    @staticmethod
-    def codes_each(evaluators, phi):
-        """`codes` of φ from each evaluator, a decoded memo entry read in
-        place: a D-product reads one per factor for every formula it checks
-        (`DProductStructure.factor_limits`), and one `codes` call per factor
-        made the ``los`` benchmark's sweep about 6% slower."""
-        key, out = id(phi), []
-        for evaluator in evaluators:
-            hit = evaluator.memo.get(key)
-            out.append(hit[2] if hit is not None and hit[2] is not None
-                       else evaluator.codes(phi))
-        return out
-
     def masks(self, phi):
         """φ's table of Birkhoff masks, batch axis last."""
         hit = self.memo.get(id(phi))
         if hit is not None:
             return hit[1]
+        row = self._row(phi, 1)
+        if row is not None:
+            return row
         masks = self._node(phi)
         masks.setflags(write=False)
         self._store(phi, masks, None)
         return masks
 
-    def _store(self, phi, masks, codes):
-        """Hold φ's tables, emptying the memo first when they would pass
-        the budget; tables larger than the budget are not held."""
-        old = self.memo.pop(id(phi), None)
+    def _row(self, phi, side):
+        """φ's row of its pool's stacked run, masks (side 1) or element
+        indices (side 2), cut to φ's own table shape; None when φ is in no
+        pool or its pool is refused a stacked run here."""
+        pooled = phi._pool
+        if pooled is None:
+            return None
+        pool, row = pooled
+        run = self.pool_run(pool)
+        return None if run is None else run[side][pool.cuts[row]]
+
+    def pool_run(self, pool):
+        """The memo entry (pool, masks, element indices) of the pool's
+        stacked run, or None when k is below the pool's span or the pool is
+        not `FormulaPool.admitted`. A row per node, in pool order, has a
+        size-m axis per variable of the span and then the batch axis; the
+        atoms are evaluated alone, each step of the program is one gather
+        and one operation, and one decode covers the pool."""
+        hit = self.memo.get(id(pool))
+        if hit is not None or self.k < pool.span or not pool.admitted(self.m, self.batch):
+            return hit
+        atoms, steps = pool.program()
+        masks = np.empty((len(pool.nodes),) + (self.m,) * pool.span
+                         + (1,) * (self.k - pool.span) + (self.batch,), dtype=self.code.enc.dtype)
+        for row in atoms:
+            masks[row] = self._node(pool.nodes[row])
+        for kind, what, out, args in steps:
+            if kind is Conn:
+                masks[out] = what.masked(self.code)(*[masks[a] for a in args])
+            else:
+                fold = np.bitwise_or if kind is Sup else np.bitwise_and
+                masks[out] = fold.reduce(masks[args[0]], axis=1 + what, keepdims=True)
+        masks.setflags(write=False)
+        codes = self.code.decode(masks)
+        codes.setflags(write=False)
+        self._store(pool, masks, codes)
+        return self.memo[id(pool)]
+
+    def _store(self, key, masks, codes):
+        """Hold the tables of a node or a pool run, emptying the memo first
+        when they would pass the budget; tables larger than the budget are
+        not held."""
+        old = self.memo.pop(id(key), None)
         if old is not None:             # only an entry of masks alone is replaced
             self.cells -= old[1].size
         size = masks.size + (0 if codes is None else codes.size)
@@ -351,16 +396,18 @@ class TableEvaluator:
             self.memo.clear()
             self.cells = 0
         if size <= spaces.CELL_BUDGET:
-            self.memo[id(phi)] = (phi, masks, codes)
+            self.memo[id(key)] = (key, masks, codes)
             self.cells += size
 
     def table(self, phi, window, b=0):
         """φ on batch member b with one axis of size m per window variable,
-        in window order; every free variable must be in the window."""
-        if len(set(window)) < self.k:
-            missing = free_vars(phi) - set(window)
-            if missing:
-                raise UnboundVariable("x%d is not in the evaluation window" % min(missing))
+        in window order; the window holds variables of x0..x(k-1) only and
+        every free variable of φ."""
+        for v in window:
+            self._axis(v)
+        missing = set(phi.window).difference(window)
+        if missing:
+            raise UnboundVariable("x%d is not in the evaluation window" % min(missing))
         kept = sorted(window)
         return self.members(phi, kept)[b].transpose([kept.index(v) for v in window])
 
@@ -516,12 +563,74 @@ def enumeration_kit(vq: CoQuantale):
     return [kit[k] for k in names]
 
 
+class FormulaPool:
+    """The nodes of one `enumerate_formulas` pool, each child before its
+    parents; every node records (pool, row) as its ``_pool``. A node's
+    table is its row of the stacked run cut to its own shape (``cuts``:
+    size 1 on each axis whose variable is not free)."""
+
+    def __init__(self, nodes):
+        self.nodes = tuple(nodes)
+        # a quantifier binds only a variable free in its body, so the atoms
+        # hold every variable of the pool
+        self.span = max([phi.span for phi in self.nodes
+                         if phi.__class__ not in (Conn, Sup, Inf)], default=0)
+        self.cuts = self._program = None
+        for row, phi in enumerate(self.nodes):
+            set_field(phi, "_pool", (self, row))
+
+    def admitted(self, m, batch):
+        """Whether the stacked masks and element indices over m points and
+        the batch take at most half of `CELL_BUDGET` cells; the other half
+        keeps node tables from evicting the run over and over."""
+        return 2 * len(self.nodes) * m ** self.span * batch <= spaces.CELL_BUDGET // 2
+
+    def program(self):
+        """(atom rows, steps), compiled with ``cuts`` on first use: one step
+        per level and operation, in level order, as (Conn, connective, out
+        rows, argument rows per place) or (Sup or Inf, variable, out rows,
+        (body rows,)). An atom's level is 0, any other node's one more than
+        its deepest argument's."""
+        if self._program is None:
+            rows = {id(phi): row for row, phi in enumerate(self.nodes)}
+            levels, free, atoms, groups = [], [], [], {}
+            for row, phi in enumerate(self.nodes):
+                kind = phi.__class__
+                if kind is Conn:
+                    what, args = phi.connective, [rows[id(a)] for a in phi.args]
+                    free.append(0)
+                    for a in args:
+                        free[row] |= free[a]
+                elif kind is Sup or kind is Inf:
+                    what, args = phi.var, [rows[id(phi.body)]]
+                    free.append(free[args[0]] & ~(1 << what))
+                else:
+                    levels.append(0)
+                    free.append(sum(1 << v for v in phi.window))
+                    atoms.append(row)
+                    continue
+                levels.append(1 + max(levels[a] for a in args))
+                out, places = groups.setdefault((levels[row], kind, id(what)),
+                                                (what, [], [[] for _ in args]))[1:]
+                out.append(row)
+                for place, a in zip(places, args):
+                    place.append(a)
+            self.cuts = [(row,) + tuple(slice(None) if bits >> v & 1 else slice(1)
+                                        for v in range(self.span))
+                         for row, bits in enumerate(free)]
+            steps = [(kind, what, np.array(out), tuple(map(np.array, places)))
+                     for (_, kind, _), (what, out, places) in sorted(
+                         groups.items(), key=lambda item: item[0][0])]
+            self._program = atoms, steps
+        return self._program
+
+
 def enumerate_formulas(sig: Signature, vq: CoQuantale, depth, max_free_vars):
     """Deterministic duplicate-free list of all formulas of tree depth up
     to ``depth`` over the unary and binary connectives of `enumeration_kit`
     and both quantifiers, with variables x0..x(k-1) and signature constants
-    as the terms. Each candidate built is charged as a loop iteration, up
-    to `pool_bound`."""
+    as the terms; its nodes form one `FormulaPool`. Each candidate built is
+    charged as a loop iteration, up to `pool_bound`."""
     if depth < 0 or max_free_vars < 0:
         raise CqlError("a formula pool needs depth >= 0 and max_free_vars >= 0, not %d and %d"
                        % (depth, max_free_vars))
@@ -559,6 +668,7 @@ def enumerate_formulas(sig: Signature, vq: CoQuantale, depth, max_free_vars):
             for x in phi.window:
                 push(Sup(x, phi))
                 push(Inf(x, phi))
+    FormulaPool(pool)
     return pool
 
 

@@ -14,7 +14,9 @@ have at most `spaces.CELL_BUDGET` cells in all: when a new table would pass
 that, the carrier's tables are dropped first, and a product that holds a
 dropped table keeps reading it. A table is read with the factors' tables
 broadcast against each other (`_factor_axes`), so no array of the factors'
-values is built.
+values is built; the Łoś right sides of a formula pool are read from one
+code table of the pool per product (`DProductStructure.pool_limits`), one
+row per formula.
 
 A set of indices is a bool array over I, and D answers membership only
 through `contains_sets`; `is_ultrafilter` asks it once, of the 2ᴵ subset
@@ -36,7 +38,7 @@ from .errors import (ArityMismatch, NoLimit, NotCoDivisible, NotFinitelySatisfia
                      VerificationFailed)
 from .formulas import Inf, Sup, print_formula
 # eval_table is imported for perfbench/spans.py, which rebinds it here by name
-from .semantics import (LStructure, TableEvaluator, eval_table, satisfies,  # noqa: F401
+from .semantics import (LStructure, eval_table, satisfies,  # noqa: F401
                         structure_cost, theory, validate_structure)
 from .spaces import (ContinuitySpace, check_cost, count_text, is_symmetric, triangle_cost,
                      validate_space)
@@ -175,7 +177,11 @@ class DLimits:
         # the codes in one broadcasting call, then one gather: indexing an
         # (n,)*I view with the values took about 1.4x as long per read
         # (3-factor products, 2-core host)
-        codes = np.ravel_multi_index(values, self.shape)
+        return self.read(np.ravel_multi_index(values, self.shape))
+
+    def read(self, codes):
+        """The D-limit at each mixed-radix code of ``codes``, in its shape;
+        only a table-keeping `DLimits` reads codes."""
         out = self.table.take(codes)
         if self.unseen and out.min() < 0:
             missing = codes[out < 0]
@@ -364,12 +370,13 @@ class DProductStructure:
     distinct tuple of factor values once it has been scanned (still by the
     definitional scan, once per distinct tuple per (carrier, index count,
     generator), unless the carrier's tables were dropped to stay within
-    `CELL_BUDGET`), and that the product's tables were read through; and its
+    `CELL_BUDGET`), and that the product's tables were read through; its
     read plan: the factor sizes and, per (span, width), each factor's
     evaluator with the shape its w-axis table takes in the broadcast
-    (`_axis_shapes`). The evaluators' tables and the hypothesis verdicts are
-    held by the product's structure and by each factor; the product holds no
-    copy of the factors' values beside its own tables."""
+    (`_axis_shapes`); and, for the last formula pool read, the mixed-radix
+    codes of every row of the pool and their D-limits (`pool_limits`). The
+    evaluators' tables and the hypothesis verdicts are held by the product's
+    structure and by each factor."""
     structure: LStructure
     factors: list
     D: PrincipalUltrafilter
@@ -379,21 +386,57 @@ class DProductStructure:
     def __post_init__(self):
         self.sizes = tuple(f.m for f in self.factors)
         self._plans = {}
+        self._pooled = None
 
     def factor_limits(self, phi):
         """The D-limit of the factors' values of φ, per w-tuple of product
-        points in row-major order: one memo hit and one reshape per factor,
-        then one read of ``limits``. A factor's evaluator is a batch of one,
-        so its decoded table (`TableEvaluator.codes`) runs over the w-tuples
-        of its points in row-major order."""
+        points in row-major order, size-1 axes left in: a pooled φ's row of
+        `pool_limits`, or else one `TableEvaluator.codes` and one reshape
+        per factor, by the plan, then one read of ``limits`` (a factor's
+        evaluator is a batch of one, so its table runs over the w-tuples of
+        its points in row-major order)."""
+        pooled = phi._pool
+        if pooled is not None:
+            held = self.pool_limits(pooled[0])
+            if held is not None:
+                codes, limits, complete = held
+                pool, row = pooled
+                cut = pool.cuts[row]
+                return limits[cut] if complete[row] else self.limits.read(codes[cut])
         key = phi.span, len(phi.window)
         plan = self._plans.get(key)
         if plan is None:
             plan = self._plans[key] = ([f.evaluator(key[0]) for f in self.factors],
                                        _axis_shapes(self.sizes, key[1]))
         evaluators, shapes = plan
-        return self.limits(map(np.ndarray.reshape,
-                               TableEvaluator.codes_each(evaluators, phi), shapes))
+        return self.limits([e.codes(phi).reshape(shape) for e, shape in zip(evaluators, shapes)])
+
+    def pool_limits(self, pool):
+        """(codes, limits, complete) of the pool's rows, held for the last
+        pool asked: the mixed-radix codes of the factors' values, (rows,) +
+        (points,)*span, by one `np.ravel_multi_index` of the factors'
+        stacked runs (`TableEvaluator.pool_run`) broadcast by
+        `_axis_shapes`; the table read at them; and per row whether that
+        read found every D-limit (a row that did not is read through
+        `DLimits.read` when asked, so it fills as a lone formula does).
+        None when ``limits`` keeps no table, the codes would pass
+        `CELL_BUDGET` or a factor refuses the run."""
+        held = self._pooled
+        if held is None or held[0] is not pool:
+            points, table = self.structure.m, self.limits.table
+            held = self._pooled = (pool, None)
+            if table is not None and len(pool.nodes) * points ** pool.span <= spaces.CELL_BUDGET:
+                runs = [f.evaluator(pool.span).pool_run(pool) for f in self.factors]
+                if None not in runs:
+                    shapes = _axis_shapes(self.sizes, pool.span)
+                    codes = np.ravel_multi_index(
+                        [run[2].reshape((-1,) + shape) for run, shape in zip(runs, shapes)],
+                        self.limits.shape).reshape((-1,) + (points,) * pool.span)
+                    limits = table.take(codes)
+                    limits.setflags(write=False)
+                    complete = (limits.reshape(len(limits), -1) >= 0).all(axis=1).tolist()
+                    held = self._pooled = (pool, (codes, limits, complete))
+        return held[1]
 
 
 def d_product_structure(factors, D: PrincipalUltrafilter) -> DProductStructure:
@@ -512,15 +555,16 @@ def los_check(dp: DProductStructure, phi) -> LosReport:
     D-ultralimit of its factor values, over every assignment of its free
     variables. Each piece of work is held by what it depends on: the formula
     records by the nodes, the tables and hypothesis verdicts by the product's
-    structure and each factor, the D-limits by the carrier, the read plan by
-    ``dp``. The left side is the product's node table; the right side is one
-    read of the factors' node tables through ``dp.limits``
-    (`DProductStructure.factor_limits`)."""
+    structure and each factor, the D-limits by the carrier, the read plan and
+    the pool's codes by ``dp``. The left side is the product's node table, a
+    row of its pool's stacked run when φ is pooled
+    (`LStructure.evaluator_of`); the right side is one read of the factors'
+    node tables through ``dp.limits`` (`DProductStructure.factor_limits`)."""
     vq, product = dp.structure.V, dp.structure
     # a node's table has size-m axes exactly at its free variables and then
     # the batch axis of one, so flattened it runs over the w-tuples of
     # points in row-major order
-    left = product.evaluator(phi.span).codes(phi).reshape(-1)
+    left = product.evaluator_of(phi).codes(phi).reshape(-1)
     right = dp.factor_limits(phi).reshape(-1)
     hypothesis = []
     for sub in phi.quantified:

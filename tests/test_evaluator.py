@@ -2,12 +2,14 @@
 (`int32_twin.Int32Evaluator`) and the definitional `eval_formula`, on every
 builtin carrier, the file-defined D4 over L4, a 71-element chain (past 64
 join-irreducibles, so its masks are Python ints) and a seeded sample of
-`enumerate_bodies` classes; and the encoding's round trip and lattice laws."""
+`enumerate_bodies` classes; the encoding's round trip and lattice laws; and
+a formula pool's stacked run against the run one node at a time."""
 
 import functools
 import random
 from itertools import product
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from cqlogic import coquantale as cq
 from cqlogic import formulas as F
 from cqlogic import lattice as lat
 from cqlogic import semantics as sem
+from cqlogic import spaces as sp
 from cqlogic.textio import Workspace
 from int32_twin import Int32Evaluator
 
@@ -197,3 +200,98 @@ def test_masks_agree_on_a_seeded_sample_of_body_classes():
         combo = [rng.randrange(3) for _ in phi.window]
         assert (mine.table(phi, phi.window, b)[tuple(combo)]
                 == sem.eval_formula(struct, phi, dict(zip(phi.window, combo))))
+
+
+# -- a pool's stacked run against the run one node at a time --------------------------
+
+
+def stacked_cells(pool, evaluator):
+    """The cells of the pool's stacked masks and element indices."""
+    return 2 * len(pool.nodes) * evaluator.m ** pool.span * evaluator.batch
+
+
+@pytest.mark.parametrize("name", ["bool2", "chain:3", "chain:4", "freelocale:2", "D4"])
+@settings(max_examples=12)
+@given(depth=st.integers(0, 2), variables=st.integers(0, 2), wider=st.booleans(),
+       data=st.data())
+def test_a_stacked_pool_run_equals_the_run_one_node_at_a_time(name, depth, variables, wider,
+                                                               data):
+    """On random structures (a batch of one or more), every node of a pool
+    of depth at most 2 over at most 2 variables (and the constant c when
+    there is none, so the pool is not empty) has the same masks and
+    element indices, shape included, from the pool's stacked run as from
+    an evaluator whose CELL_BUDGET refuses that run, and its table equals
+    `eval_formula` on sampled assignments. The window may be one wider
+    than the pool's span."""
+    vq = carrier(name)
+    m, batch = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    values, points = st.integers(0, vq.size - 1), st.integers(0, m - 1)
+    dist = np.array(data.draw(st.lists(values, min_size=batch * m * m, max_size=batch * m * m)),
+                    dtype=np.int32).reshape(batch, m, m)
+    P = np.array(data.draw(st.lists(values, min_size=batch * m, max_size=batch * m)),
+                 dtype=np.int32).reshape(batch, m)
+    consts = np.array(data.draw(st.lists(points, min_size=batch, max_size=batch)))
+    sig = F.Signature(predicates=[("P", 1, F.identity_modulus(vq))],
+                      constants=[] if variables else ["c"])
+    formulas = sem.enumerate_formulas(sig, vq, depth, variables)
+    pool = formulas[0]._pool[0]
+    assert list(pool.nodes) == formulas
+    assert all(phi._pool == (pool, row) for row, phi in enumerate(formulas))
+    k = pool.span + wider
+
+    def evaluator():
+        return sem.TableEvaluator(vq, k, dist, {"P": P}, consts={"c": consts})
+
+    stacked = evaluator()
+    assert pool.admitted(m, batch)
+    with mock.patch.object(sp, "CELL_BUDGET", 2 * stacked_cells(pool, stacked) - 1):
+        alone = evaluator()
+        tables = [(alone.masks(phi), alone.codes(phi)) for phi in formulas]
+        assert id(pool) not in alone.memo
+    for phi, (masks, codes) in zip(formulas, tables):
+        got = stacked.masks(phi), stacked.codes(phi)
+        assert id(pool) in stacked.memo
+        for mine, theirs in zip(got, (masks, codes)):
+            assert mine.shape == theirs.shape and np.array_equal(mine, theirs), phi
+    structs = [sem.LStructure(SimpleNamespace(V=vq, m=m, dist=dist[b], points=list(range(m))),
+                              sig, {"P": P[b]}, {}, {"c": int(consts[b])})
+               for b in range(batch)]
+    for _ in range(10):
+        phi, b = data.draw(st.sampled_from(formulas)), data.draw(st.integers(0, batch - 1))
+        combo = tuple(data.draw(points) for _ in phi.window)
+        assert (stacked.table(phi, phi.window, b)[combo]
+                == sem.eval_formula(structs[b], phi, dict(zip(phi.window, combo))))
+
+
+def test_an_over_budget_pool_is_evaluated_one_node_at_a_time_with_equal_tables(monkeypatch):
+    """The depth-2 two-variable chain:3 pool on 10 seeded classes of bodies
+    on 3 points: within half of CELL_BUDGET the evaluator runs the pool
+    once, evaluating only its atoms one node at a time, and holds the run
+    as one memo entry; with the budget one cell short of that it evaluates
+    every node alone and holds no run, and every table is the same."""
+    vq = cq.builtin("chain:3")
+    modulus = F.identity_modulus(vq)
+    dist, P, first = sem.enumerate_bodies(vq, 3, modulus)
+    sample = sorted(random.Random(8).sample(first.tolist(), 10))
+    formulas = sem.enumerate_formulas(F.Signature(predicates=[("P", 1, modulus)]), vq, 2, 2)
+    pool = formulas[0]._pool[0]
+    atoms = pool.program()[0]
+    assert [formulas[row] for row in atoms] == formulas[:6]
+    nodes = []
+    node = sem.TableEvaluator._node
+    monkeypatch.setattr(sem.TableEvaluator, "_node",
+                        lambda self, phi: nodes.append(phi) or node(self, phi))
+
+    def run():
+        evaluator = sem.TableEvaluator(vq, 2, dist[sample], {"P": P[sample]})
+        del nodes[:]
+        return evaluator, [evaluator.members(phi, phi.window) for phi in formulas]
+
+    stacked, want = run()
+    assert nodes == formulas[:6]
+    assert list(stacked.memo) == [id(pool)]
+    assert stacked.cells == stacked_cells(pool, stacked) <= sp.CELL_BUDGET // 2
+    monkeypatch.setattr(sp, "CELL_BUDGET", 2 * stacked_cells(pool, stacked) - 1)
+    alone, got = run()
+    assert id(pool) not in alone.memo and len(nodes) == len(formulas)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))

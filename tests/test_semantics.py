@@ -85,6 +85,25 @@ def test_unbound_variable_raises(struct_m, sig1, chain4):
         sem.eval_formula(struct_m, phi, {})
 
 
+def test_a_window_past_the_evaluator_or_missing_a_free_variable_is_refused(
+        struct_n, sig1, chain4):
+    """On an evaluator over x0 and x1, the window (x0, x2) names a variable
+    the evaluator has no axis for and leaves the free x1 out, though it has
+    as many variables as the evaluator: `table` raises, as `eval_table`
+    (which widens its window to x2) does, where it used to pin x1 to the
+    first point and repeat the table along x2. A window of k variables that
+    misses a free one is refused too, and a covering window still reads."""
+    phi = F.parse_formula("(d x0 x1)", sig1, chain4)
+    evaluator = sem.TableEvaluator.of([struct_n], 2)
+    for window in ((0, 2), (0, 0), (-1, 0)):
+        with pytest.raises(UnboundVariable):
+            evaluator.table(phi, window)
+    with pytest.raises(UnboundVariable):
+        sem.eval_table(struct_n, phi, (0, 2))
+    assert np.array_equal(evaluator.table(phi, (1, 0)), struct_n.dist.T)
+    assert np.array_equal(sem.eval_table(struct_n, phi, (0, 1)), struct_n.dist)
+
+
 def test_eval_table_matches_eval_formula(struct_n, sig1, chain4):
     pool = sem.enumerate_formulas(sig1, chain4, 2, 2)
     for phi in pool[:600]:

@@ -1197,3 +1197,84 @@ def test_compactness_unsatisfiable_subset(chain4, sig, factors):
     impossible = sem.Condition(F.parse_formula("(val 4)", sig, chain4))
     with pytest.raises(NotFinitelySatisfiable):
         up.compactness_build([impossible], factors)
+
+
+def _rebuilt(phi, sig, vq):
+    """φ parsed again from its text: equal, but in no pool."""
+    out = F.parse_formula(F.print_formula(phi, vq), sig, vq)
+    assert out == phi and out._pool is None
+    return out
+
+
+def test_the_benchmark_sized_pool_runs_stacked_on_a_27_point_product(chain4, monkeypatch):
+    """The `los` benchmark's pool (depth 2, one variable: 246 formulas) on a
+    product of three 3-point factors: the product's evaluator and each
+    factor's evaluate only the pool's two atoms one node at a time and hold
+    the pool's run as their one memo entry, the right sides are read from
+    one code table of the pool, and every report equals that of the same
+    formula rebuilt outside the pool."""
+    corpus = _seeded_corpus(chain4, (3, 3, 3), 32)
+    sig = corpus[0].sig
+    pool = sem.enumerate_formulas(sig, chain4, 2, 1)
+    assert len(pool) == 246
+    nodes = {}
+    node = sem.TableEvaluator._node
+    monkeypatch.setattr(sem.TableEvaluator, "_node", lambda self, phi: nodes.setdefault(
+        id(self), []).append(phi) or node(self, phi))
+    dp = up.d_product_structure(corpus, up.PrincipalUltrafilter(3, 1))
+    assert dp.structure.m == 27
+    reports = up.los_sweep(dp, pool)
+    evaluators = [s.evaluator(1) for s in [dp.structure] + corpus]
+    assert sorted(nodes) == sorted(map(id, evaluators))
+    assert all(got == pool[:2] for got in nodes.values())
+    assert all(list(e.memo) == [id(pool[0]._pool[0])] for e in evaluators)
+    assert dp.pool_limits(pool[0]._pool[0]) is not None
+    for phi, report in zip(pool, reports):
+        _same_report(report, up.los_check(dp, _rebuilt(phi, sig, chain4)), chain4)
+
+
+def test_los_reports_of_pooled_formulas_equal_those_rebuilt_outside_the_pool(chain4,
+                                                                            monkeypatch):
+    """On a seeded sample of products of widths 1 to 3 over four seeded
+    structures of 1 to 3 points, with pools of depth 2 over one variable
+    and of depth 1 over two variables and a constant (whose nodes of span 1
+    are read from the evaluator of the pool's span 2), every report of a
+    pooled formula equals that of the formula rebuilt outside the pool, and
+    that of the pooled formula read one node at a time under a CELL_BUDGET
+    below every pool's stacked run. Each sweep builds its structures anew,
+    so no evaluator is shared between them."""
+    sig_c = F.Signature(predicates=[("P", 1, F.identity_modulus(chain4))], constants=["c"])
+    products = random.Random(41).sample(_every_product(range(4)), 8)
+
+    def sweep(formulas, sig):
+        corpus = _seeded_corpus(chain4, (1, 2, 3, 3), 41)
+        if sig is sig_c:
+            corpus = [sem.validate_structure(s.space, sig, s.pred_tables,
+                                             const_points={"c": 0}, name=s.name)
+                      for s in corpus]
+        out = []
+        for combo, gen in products:
+            dp = up.d_product_structure([corpus[i] for i in combo],
+                                        up.PrincipalUltrafilter(len(combo), gen))
+            reports = [up.los_check(dp, phi) for phi in formulas]
+            # the pools whose stacked run an evaluator of the sweep holds
+            held = {key for s in [dp.structure] + corpus for e in s._evaluators.values()
+                    for key, _, _ in e.memo.values() if isinstance(key, sem.FormulaPool)}
+            out.append((reports, held))
+        return out
+
+    sig_p = _seeded_corpus(chain4, (1,), 41)[0].sig
+    for sig, pool in ((sig_p, sem.enumerate_formulas(sig_p, chain4, 2, 1)),
+                      (sig_c, sem.enumerate_formulas(sig_c, chain4, 1, 2))):
+        assert pool[0]._pool[0].span == 1 + (sig is sig_c)
+        stacked = sweep(pool, sig)
+        assert all(held == {pool[0]._pool[0]} for _, held in stacked)
+        rebuilt = sweep([_rebuilt(phi, sig, chain4) for phi in pool], sig)
+        with monkeypatch.context() as patch:
+            patch.setattr(sp, "CELL_BUDGET", 4 * len(pool) - 1)
+            alone = sweep(pool, sig)
+        assert all(held == set() for _, held in rebuilt + alone)
+        for (got, _), *wants in zip(stacked, rebuilt, alone):
+            for want, _ in wants:
+                for a, b in zip(got, want):
+                    _same_report(a, b, chain4)
