@@ -567,7 +567,10 @@ class FormulaPool:
     """The nodes of one `enumerate_formulas` pool, each child before its
     parents; every node records (pool, row) as its ``_pool``. A node's
     table is its row of the stacked run cut to its own shape (``cuts``:
-    size 1 on each axis whose variable is not free)."""
+    size 1 on each axis whose variable is not free); ``groups`` holds, per
+    set of free variables, (rows, index): the rows with that set, in pool
+    order, and the index that gathers their cut tables from a stacked run
+    at once."""
 
     def __init__(self, nodes):
         self.nodes = tuple(nodes)
@@ -575,7 +578,7 @@ class FormulaPool:
         # hold every variable of the pool
         self.span = max([phi.span for phi in self.nodes
                          if phi.__class__ not in (Conn, Sup, Inf)], default=0)
-        self.cuts = self._program = None
+        self.cuts = self.groups = self._program = None
         for row, phi in enumerate(self.nodes):
             set_field(phi, "_pool", (self, row))
 
@@ -586,11 +589,11 @@ class FormulaPool:
         return 2 * len(self.nodes) * m ** self.span * batch <= spaces.CELL_BUDGET // 2
 
     def program(self):
-        """(atom rows, steps), compiled with ``cuts`` on first use: one step
-        per level and operation, in level order, as (Conn, connective, out
-        rows, argument rows per place) or (Sup or Inf, variable, out rows,
-        (body rows,)). An atom's level is 0, any other node's one more than
-        its deepest argument's."""
+        """(atom rows, steps), compiled with ``cuts`` and ``groups`` on
+        first use: one step per level and operation, in level order, as
+        (Conn, connective, out rows, argument rows per place) or (Sup or
+        Inf, variable, out rows, (body rows,)). An atom's level is 0, any
+        other node's one more than its deepest argument's."""
         if self._program is None:
             rows = {id(phi): row for row, phi in enumerate(self.nodes)}
             levels, free, atoms, groups = [], [], [], {}
@@ -618,6 +621,11 @@ class FormulaPool:
             self.cuts = [(row,) + tuple(slice(None) if bits >> v & 1 else slice(1)
                                         for v in range(self.span))
                          for row, bits in enumerate(free)]
+            by_free = {}
+            for row, bits in enumerate(free):
+                by_free.setdefault(bits, []).append(row)
+            self.groups = [(rows, (np.array(rows),) + self.cuts[rows[0]][1:])
+                           for rows in by_free.values()]
             steps = [(kind, what, np.array(out), tuple(map(np.array, places)))
                      for (_, kind, _), (what, out, places) in sorted(
                          groups.items(), key=lambda item: item[0][0])]

@@ -14,9 +14,8 @@ have at most `spaces.CELL_BUDGET` cells in all: when a new table would pass
 that, the carrier's tables are dropped first, and a product that holds a
 dropped table keeps reading it. A table is read with the factors' tables
 broadcast against each other (`_factor_axes`), so no array of the factors'
-values is built; the Łoś right sides of a formula pool are read from one
-code table of the pool per product (`DProductStructure.pool_limits`), one
-row per formula.
+values is built; the Łoś reports of a formula pool are read from one
+`LosTable` of the pool per product, one row per formula.
 
 A set of indices is a bool array over I, and D answers membership only
 through `contains_sets`; `is_ultrafilter` asks it once, of the 2ᴵ subset
@@ -26,7 +25,6 @@ masks, and checks the axioms on that table and one table of meets.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from itertools import combinations, product as iproduct
 
 import numpy as np
@@ -37,11 +35,11 @@ from .errors import (ArityMismatch, NoLimit, NotCoDivisible, NotFinitelySatisfia
                      NotT0, NotSymmetricFactors, NotValueCoquantale, SignatureMismatch,
                      VerificationFailed)
 from .formulas import Inf, Sup, print_formula
+from .records import Record
 # eval_table is imported for perfbench/spans.py, which rebinds it here by name
 from .semantics import (LStructure, eval_table, satisfies,  # noqa: F401
                         structure_cost, theory, validate_structure)
-from .spaces import (ContinuitySpace, check_cost, count_text, is_symmetric, triangle_cost,
-                     validate_space)
+from .spaces import check_cost, count_text, is_symmetric, triangle_cost, validate_space
 
 
 class PrincipalUltrafilter:
@@ -327,14 +325,13 @@ def _is_transitive(related):
     return not (related @ related & ~related).any()
 
 
-@dataclass
-class UltrapowerResult:
-    quotient: ContinuitySpace
-    diagonal: dict
-    limits: dict
-    bijective: bool
-    inverse_ok: bool
-    preserves_distance: bool
+class UltrapowerResult(Record):
+    __match_args__ = ("quotient", "diagonal", "limits", "bijective", "inverse_ok",
+                      "preserves_distance")
+    def __init__(self, quotient, diagonal, limits, bijective, inverse_ok, preserves_distance):
+        self.quotient, self.diagonal, self.limits = quotient, diagonal, limits
+        self.bijective, self.inverse_ok = bijective, inverse_ok
+        self.preserves_distance = preserves_distance
 
     @property
     def equivalent(self):
@@ -363,8 +360,7 @@ def ultrapower_V(vq: CoQuantale, D: PrincipalUltrafilter) -> UltrapowerResult:
 # -- D-products of structures ----------------------------------------------------------
 
 
-@dataclass
-class DProductStructure:
+class DProductStructure(Record):
     """A D-product and what every Łoś sweep on it shares: the `DLimits` of
     its carrier and D (`shared_limits`), which holds the D-limit of each
     distinct tuple of factor values once it has been scanned (still by the
@@ -373,36 +369,25 @@ class DProductStructure:
     `CELL_BUDGET`), and that the product's tables were read through; its
     read plan: the factor sizes and, per (span, width), each factor's
     evaluator with the shape its w-axis table takes in the broadcast
-    (`_axis_shapes`); and, for the last formula pool read, the mixed-radix
-    codes of every row of the pool and their D-limits (`pool_limits`). The
-    evaluators' tables and the hypothesis verdicts are held by the product's
-    structure and by each factor."""
-    structure: LStructure
-    factors: list
-    D: PrincipalUltrafilter
-    tuples: list
-    limits: DLimits = field(repr=False, compare=False)
-
-    def __post_init__(self):
-        self.sizes = tuple(f.m for f in self.factors)
+    (`_axis_shapes`); and the `LosTable` of the last formula pool asked
+    (`los_table`). The evaluators' tables and the hypothesis verdicts are
+    held by the product's structure and by each factor. ``limits`` is left
+    out of equality and repr."""
+    __match_args__ = ("structure", "factors", "D", "tuples")
+    def __init__(self, structure, factors, D, tuples, limits):
+        self.structure, self.factors, self.D, self.tuples = structure, factors, D, tuples
+        self.limits = limits
+        self.sizes = tuple(f.m for f in factors)
         self._plans = {}
-        self._pooled = None
+        self._los = None
 
     def factor_limits(self, phi):
         """The D-limit of the factors' values of φ, per w-tuple of product
-        points in row-major order, size-1 axes left in: a pooled φ's row of
-        `pool_limits`, or else one `TableEvaluator.codes` and one reshape
-        per factor, by the plan, then one read of ``limits`` (a factor's
-        evaluator is a batch of one, so its table runs over the w-tuples of
-        its points in row-major order)."""
-        pooled = phi._pool
-        if pooled is not None:
-            held = self.pool_limits(pooled[0])
-            if held is not None:
-                codes, limits, complete = held
-                pool, row = pooled
-                cut = pool.cuts[row]
-                return limits[cut] if complete[row] else self.limits.read(codes[cut])
+        points in row-major order, size-1 axes left in: one
+        `TableEvaluator.codes` and one reshape per factor, by the plan, then
+        one read of ``limits`` (a factor's evaluator is a batch of one, so
+        its table runs over the w-tuples of its points in row-major
+        order)."""
         key = phi.span, len(phi.window)
         plan = self._plans.get(key)
         if plan is None:
@@ -411,32 +396,77 @@ class DProductStructure:
         evaluators, shapes = plan
         return self.limits([e.codes(phi).reshape(shape) for e, shape in zip(evaluators, shapes)])
 
-    def pool_limits(self, pool):
-        """(codes, limits, complete) of the pool's rows, held for the last
-        pool asked: the mixed-radix codes of the factors' values, (rows,) +
-        (points,)*span, by one `np.ravel_multi_index` of the factors'
-        stacked runs (`TableEvaluator.pool_run`) broadcast by
-        `_axis_shapes`; the table read at them; and per row whether that
-        read found every D-limit (a row that did not is read through
-        `DLimits.read` when asked, so it fills as a lone formula does).
-        None when ``limits`` keeps no table, the codes would pass
-        `CELL_BUDGET` or a factor refuses the run."""
-        held = self._pooled
-        if held is None or held[0] is not pool:
-            points, table = self.structure.m, self.limits.table
-            held = self._pooled = (pool, None)
-            if table is not None and len(pool.nodes) * points ** pool.span <= spaces.CELL_BUDGET:
-                runs = [f.evaluator(pool.span).pool_run(pool) for f in self.factors]
-                if None not in runs:
-                    shapes = _axis_shapes(self.sizes, pool.span)
-                    codes = np.ravel_multi_index(
-                        [run[2].reshape((-1,) + shape) for run, shape in zip(runs, shapes)],
-                        self.limits.shape).reshape((-1,) + (points,) * pool.span)
-                    limits = table.take(codes)
-                    limits.setflags(write=False)
-                    complete = (limits.reshape(len(limits), -1) >= 0).all(axis=1).tolist()
-                    held = self._pooled = (pool, (codes, limits, complete))
-        return held[1]
+    def los_table(self, pool):
+        """The `LosTable` of the pool on this product, held for the last
+        pool asked."""
+        held = self._los
+        if held is None or held.pool is not pool:
+            held = self._los = LosTable(self, pool)
+        return held
+
+
+class LosTable:
+    """The Łoś sides of a formula pool on a D-product, one row per node in
+    pool order, each flattened over the w-tuples of product points of the
+    node's free variables in row-major order: ``left`` the product's
+    values, a row of its evaluator's stacked run (`TableEvaluator.pool_run`);
+    ``right`` the factors' D-limits, read at ``codes``, the mixed-radix
+    codes of the factors' values, (rows,) + (points,)*span by one
+    `np.ravel_multi_index` of the factors' stacked runs broadcast by
+    `_axis_shapes`; and ``records``, per quantified node, its hypothesis
+    records over the factors, made on first use. Each side is one gather
+    per group of rows that share their free variables (`FormulaPool.groups`).
+
+    A right row is None while its read at construction found a D-limit
+    unseen; `fill` reads it through `DLimits.read`, so it fills as a lone
+    formula does, and holds it. A side is None when it is refused: ``left``
+    when the pool may not run stacked on the product
+    (`FormulaPool.admitted`), ``right`` when the product's `DLimits` keeps
+    no table, the codes would pass `CELL_BUDGET` or a factor refuses the
+    run; `los_check` then reads that side one node at a time."""
+
+    def __init__(self, dp, pool):
+        self.pool = pool
+        self.records = [None] * len(pool.nodes)
+        self.left = self.right = self.codes = None
+        points, table = dp.structure.m, dp.limits.table
+        run = dp.structure.evaluator(pool.span).pool_run(pool)
+        if run is not None:
+            self.left = _pool_rows(pool, run[2])
+        if table is None or len(pool.nodes) * points ** pool.span > spaces.CELL_BUDGET:
+            return
+        runs = [f.evaluator(pool.span).pool_run(pool) for f in dp.factors]
+        if None in runs:
+            return
+        shapes = _axis_shapes(dp.sizes, pool.span)
+        self.codes = np.ravel_multi_index(
+            [run[2].reshape((-1,) + shape) for run, shape in zip(runs, shapes)],
+            dp.limits.shape).reshape((-1,) + (points,) * pool.span)
+        limits = table.take(self.codes)
+        complete = (limits.reshape(len(limits), -1) >= 0).all(axis=1).tolist()
+        self.right = [row if ok else None
+                      for row, ok in zip(_pool_rows(pool, limits), complete)]
+
+    def fill(self, row, limits):
+        """Row ``row`` of the right side, read through ``limits`` and
+        held."""
+        out = limits.read(self.codes[self.pool.cuts[row]].reshape(-1))
+        out.setflags(write=False)
+        self.right[row] = out
+        return out
+
+
+def _pool_rows(pool, table):
+    """Each node's row of a stacked ``table`` (rows first), cut to the
+    node's free variables and flattened, in pool order: one gather per
+    group of `FormulaPool.groups`."""
+    out = [None] * len(pool.nodes)
+    for rows, index in pool.groups:
+        block = table[index].reshape(len(rows), -1)
+        block.setflags(write=False)
+        for row, values in zip(rows, block):
+            out[row] = values
+    return out
 
 
 def d_product_structure(factors, D: PrincipalUltrafilter) -> DProductStructure:
@@ -486,29 +516,34 @@ def d_product_structure(factors, D: PrincipalUltrafilter) -> DProductStructure:
 # -- the Łoś verifier ----------------------------------------------------------------
 
 
-@dataclass
-class LosEntry:
-    assignment: tuple
-    left: int
-    right: int
+class LosEntry(Record):
+    __match_args__ = ("assignment", "left", "right")
+    def __init__(self, assignment, left, right):
+        self.assignment, self.left, self.right = assignment, left, right
 
     @property
     def equal(self):
         return self.left == self.right
 
 
-@dataclass(eq=False)
-class LosReport:
+class LosReport(Record):
     """One formula's Łoś values per assignment of its w free variables, the
     w-tuples of the product's points in row-major order; ``entries`` pairs
     them with the points' names when asked. Equality compares the formula,
-    the hypothesis records, the point names, the width and both arrays."""
-    formula: str
-    left: np.ndarray    # the product's value, per assignment
-    right: np.ndarray   # the D-limit of the factors', per assignment
-    hypothesis: list    # (factor name, subformula, sup_ok, inf_ok)
-    points: list = field(repr=False)    # the product's point names
-    width: int
+    the hypothesis records, the point names, the width and both arrays;
+    the repr leaves the point names out."""
+    __match_args__ = ("formula", "left", "right", "hypothesis", "points", "width")
+    def __init__(self, formula, left, right, hypothesis, points, width):
+        self.formula = formula
+        self.left = left                # the product's value, per assignment
+        self.right = right              # the D-limit of the factors', per assignment
+        self.hypothesis = hypothesis    # (factor name, subformula, sup_ok, inf_ok)
+        self.points = points            # the product's point names
+        self.width = width
+
+    def __repr__(self):
+        return "LosReport(%s)" % ", ".join("%s=%r" % (name, getattr(self, name))
+                                           for name in self.__match_args__ if name != "points")
 
     @property
     def entries(self):
@@ -556,37 +591,65 @@ def los_check(dp: DProductStructure, phi) -> LosReport:
     variables. Each piece of work is held by what it depends on: the formula
     records by the nodes, the tables and hypothesis verdicts by the product's
     structure and each factor, the D-limits by the carrier, the read plan and
-    the pool's codes by ``dp``. The left side is the product's node table, a
-    row of its pool's stacked run when φ is pooled
-    (`LStructure.evaluator_of`); the right side is one read of the factors'
-    node tables through ``dp.limits`` (`DProductStructure.factor_limits`)."""
+    the pool's `LosTable` by ``dp``. A pooled φ reads its row of each side
+    and the records of its quantified nodes from the table; a side the
+    table refused, and any φ outside a pool, is read one node at a time:
+    the product's node table and one read of the factors' node tables
+    through ``dp.limits`` (`DProductStructure.factor_limits`)."""
     vq, product = dp.structure.V, dp.structure
+    pooled = phi._pool
+    table = None if pooled is None else dp.los_table(pooled[0])
     # a node's table has size-m axes exactly at its free variables and then
     # the batch axis of one, so flattened it runs over the w-tuples of
     # points in row-major order
-    left = product.evaluator_of(phi).codes(phi).reshape(-1)
-    right = dp.factor_limits(phi).reshape(-1)
+    if table is None or table.left is None:
+        left = product.evaluator(phi.span).codes(phi).reshape(-1)
+    else:
+        left = table.left[pooled[1]]
+    if table is None or table.right is None:
+        right = dp.factor_limits(phi).reshape(-1)
+    else:
+        right = table.right[pooled[1]]
+        if right is None:
+            right = table.fill(pooled[1], dp.limits)
     hypothesis = []
     for sub in phi.quantified:
-        text = sub.text(vq)
-        hypothesis.extend((f.name, text) + f.hypothesis(sub) for f in dp.factors)
+        if table is None:
+            hypothesis += _records(dp, sub)
+        else:
+            records = table.records[sub._pool[1]]
+            if records is None:
+                records = table.records[sub._pool[1]] = _records(dp, sub)
+            hypothesis += records
     return LosReport(phi.text(vq), left, right, hypothesis, product.points, len(phi.window))
 
 
+def _records(dp, sub):
+    """The hypothesis records (factor name, text, sup_ok, inf_ok) of the
+    quantified node ``sub`` over the factors, in factor order."""
+    text = sub.text(dp.structure.V)
+    return [(f.name, text) + f.hypothesis(sub) for f in dp.factors]
+
+
 def los_sweep(dp: DProductStructure, pool):
-    """`los_check` of each formula of the pool on ``dp``, in pool order."""
+    """`los_check` of each formula of the pool on ``dp``, in pool order. The
+    reports' cells, the pool size times T^span on T product points, are
+    charged first."""
+    pool = list(pool)
+    span = max([phi.span for phi in pool], default=0)
+    check_cost("a Łoś sweep of %d formulas of span %d on %d points" % (len(pool), span,
+                                                                        dp.structure.m),
+               len(pool) * dp.structure.m ** span)
     return [los_check(dp, phi) for phi in pool]
 
 
 # -- compactness --------------------------------------------------------------------
 
 
-@dataclass
-class CompactnessResult:
-    model: DProductStructure
-    subsets: list
-    chosen: list
-    generator: int
+class CompactnessResult(Record):
+    __match_args__ = ("model", "subsets", "chosen", "generator")
+    def __init__(self, model, subsets, chosen, generator):
+        self.model, self.subsets, self.chosen, self.generator = model, subsets, chosen, generator
 
     @property
     def factor_names(self):

@@ -463,9 +463,12 @@ def test_los_over_every_class_on_at_most_two_points():
     """Łoś on every class of chain:4 bodies on 1 and 2 points, as a
     one-factor product and beside one fixed 2-point body under both
     generators, over the depth-2 pool, each product's sweep one stacked run
-    of the pool; on a 2-core host it takes 1.0-1.1 s on its own (2.1-2.3 s
-    when every formula was evaluated one node at a time), under the 1.5 s
-    target, and about 1.0 s inside the full suite."""
+    of the pool with its reports read as rows of the product's `LosTable`.
+    On a loaded 2-core host it took 1.2-1.7 s on its own, against 1.7-2.4 s
+    when each report repeated its per-formula lookups (ten runs each,
+    alternating); with the host less loaded, those lookups took 1.0-1.1 s
+    and evaluating every formula one node at a time 2.1-2.3 s, against the
+    1.5 s target."""
     vq = cq.builtin("chain:4")
     modulus = F.identity_modulus(vq)
     pool = sem.enumerate_formulas(F.Signature(predicates=[("P", 1, modulus)]), vq, 2, 1)

@@ -144,6 +144,21 @@ def test_dlim_batch_charges_its_own_cost(chain4, monkeypatch):
              "(budget 199)", lambda: up.dlim_batch(chain4, seqs, D))
 
 
+def test_los_sweep_charges_its_reports_before_the_first_formula(chain4, monkeypatch):
+    # the 70 formulas of depth 1 over two variables, of span 2, on the
+    # 2 x 3 = 6 product points: 70 · 6^2 cells
+    dp = up.d_product_structure([_structure(chain4, 2, "a"), _structure(chain4, 3, "b")],
+                                up.PrincipalUltrafilter(2, 1))
+    pool = sem.enumerate_formulas(dp.structure.sig, chain4, 1, 2)
+    assert len(pool) == 70 and max(phi.span for phi in pool) == 2
+    monkeypatch.setattr(sp, "WORK_BUDGET", 70 * 36)
+    assert all(r.all_equal for r in up.los_sweep(dp, pool))
+    assert up.los_sweep(dp, []) == []
+    monkeypatch.setattr(up, "los_check", _never)
+    _refuses(monkeypatch, 70 * 36 - 1, "a Łoś sweep of 70 formulas of span 2 on 6 points "
+             "costs 2520 cell operations (budget 2519)", lambda: up.los_sweep(dp, pool))
+
+
 def test_is_ultrafilter_refuses_before_any_subset(monkeypatch):
     # 3 indices: the 3·2^3 bits of the subset masks, their 2^3 complements,
     # then the meet table of 4^3 cells

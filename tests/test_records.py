@@ -7,7 +7,9 @@ frozen records hash equal, and mutable ones are unhashable. Frozen records
 refuse assignment; mutable ones take it and compare by their new fields."""
 
 import dataclasses
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+
+import numpy as np
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +18,7 @@ from cqlogic import coquantale as cq
 from cqlogic import formulas as F
 from cqlogic import semantics as sem
 from cqlogic import spaces as sp
+from cqlogic import ultraproduct as up
 from cqlogic.records import Frozen
 
 from test_properties import CARRIERS, formulas, signature
@@ -122,12 +125,66 @@ class ResiduationReport:
     results: list
 
 
+@dataclass
+class UltrapowerResult:
+    quotient: sp.ContinuitySpace
+    diagonal: dict
+    limits: dict
+    bijective: bool
+    inverse_ok: bool
+    preserves_distance: bool
+
+
+@dataclass
+class DProductStructure:
+    structure: sem.LStructure
+    factors: list
+    D: up.PrincipalUltrafilter
+    tuples: list
+    limits: up.DLimits = field(repr=False, compare=False)
+
+
+@dataclass
+class LosEntry:
+    assignment: tuple
+    left: int
+    right: int
+
+
+@dataclass(eq=False)
+class LosReport:
+    formula: str
+    left: np.ndarray
+    right: np.ndarray
+    hypothesis: list
+    points: list = field(repr=False)
+    width: int
+
+    def __eq__(self, other):
+        return (isinstance(other, LosReport)
+                and (self.formula, self.hypothesis, self.points, self.width)
+                == (other.formula, other.hypothesis, other.points, other.width)
+                and np.array_equal(self.left, other.left)
+                and np.array_equal(self.right, other.right))
+
+
+@dataclass
+class CompactnessResult:
+    model: DProductStructure
+    subsets: list
+    chosen: list
+    generator: int
+
+
 TWINS = {cls.__name__: cls for cls in (Var, Const, App, DistAtom, PredAtom, Conn, Val, Sup, Inf,
                                        Condition, Verdict, Topology, TheoremEntry,
-                                       TheoremReport, LawResult, ResiduationReport)}
+                                       TheoremReport, LawResult, ResiduationReport,
+                                       UltrapowerResult, LosEntry, LosReport,
+                                       CompactnessResult)}
 RECORDS = (F.Var, F.Const, F.App, F.DistAtom, F.PredAtom, F.Conn, F.Val, F.Sup, F.Inf,
            sem.Condition, sem.Verdict, sp.Topology, sp.TheoremEntry, sp.TheoremReport,
-           cq.LawResult, cq.ResiduationReport)
+           cq.LawResult, cq.ResiduationReport, up.UltrapowerResult, up.LosEntry,
+           up.LosReport, up.CompactnessResult)
 
 
 def twin(value):
@@ -151,8 +208,13 @@ def positional(record):
             return (a, b)
         case sp.TheoremEntry(a, b, c) | cq.ResiduationReport(a, b, c):
             return (a, b, c)
-        case sem.Verdict(a, b, c, d) | cq.LawResult(a, b, c, d):
+        case up.LosEntry(a, b, c):
+            return (a, b, c)
+        case (sem.Verdict(a, b, c, d) | cq.LawResult(a, b, c, d)
+              | up.CompactnessResult(a, b, c, d)):
             return (a, b, c, d)
+        case up.UltrapowerResult(a, b, c, d, e, f) | up.LosReport(a, b, c, d, e, f):
+            return (a, b, c, d, e, f)
 
 
 def check_record(record):
@@ -234,6 +296,38 @@ def test_other_records_match_their_dataclass_twins():
         check_record(a)
         for b in records:
             check_pair(a, b)
+
+
+def test_ultraproduct_records_match_their_dataclass_twins():
+    """The ultrapower result, Łoś reports and entries and a compactness
+    result against their twins, as the other records; a report's repr
+    leaves out its points. A D-product's repr and equality leave out its
+    `DLimits`, as its twin's did, and its match arguments are the compared
+    fields."""
+    vq = cq.builtin("chain:4")
+    sig = F.Signature(predicates=[("P", 1, F.identity_modulus(vq))])
+    space = sp.validate_space(vq, ["p", "q"], [[0, 2], [2, 0]])
+    factors = [sem.validate_structure(space, sig, {"P": values}, name=name)
+               for name, values in (("a", [0, 2]), ("b", [1, 1]))]
+    dp = up.d_product_structure(factors, up.PrincipalUltrafilter(2, 1))
+    reports = [up.los_check(dp, F.parse_formula(text, sig, vq))
+               for text in ("(P x0)", "(d x0 x1)", "(inf x1 (d x0 x1))", "(sup x0 (P x0))")]
+    compact = up.compactness_build([sem.Condition(F.parse_formula("(val 0)", sig, vq))],
+                                   factors)
+    records = [up.ultrapower_V(vq, up.PrincipalUltrafilter(2, 0)), *reports,
+               *reports[2].entries[:3], compact,
+               up.CompactnessResult(compact.model, compact.subsets, factors, 0)]
+    for a in records:
+        check_record(a)
+        for b in records:
+            check_pair(a, b)
+    assert "points" not in repr(reports[0])
+    again = up.DProductStructure(dp.structure, dp.factors, dp.D, dp.tuples, None)
+    other = DProductStructure(dp.structure, dp.factors, dp.D, dp.tuples, dp.limits)
+    assert up.DProductStructure.__match_args__ == ("structure", "factors", "D", "tuples")
+    assert again == dp and repr(again) == repr(dp) == repr(other)
+    assert up.DProductStructure(dp.structure, dp.factors[::-1], dp.D, dp.tuples,
+                                dp.limits) != dp
 
 
 def test_connectives_compare_by_name_and_arity():

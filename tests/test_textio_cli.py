@@ -612,16 +612,19 @@ law.meet-family:         pass [exhaustive]
 def test_cql_starts_without_dataclasses_the_free_locale_or_ultraproducts(defs_file):
     """In a fresh interpreter, `import cqlogic.cli` leaves `dataclasses`,
     `cqlogic.freelocale` and `cqlogic.ultraproduct` unloaded: the two
-    modules load on first use. A request that loads the free locale and a
+    modules load on first use. Importing `cqlogic.ultraproduct` after it,
+    as `ultra`, `los-check` and `compactness-demo` do, still leaves
+    `dataclasses` unloaded. A request that loads the free locale and a
     `chain:4` eval print what they printed when the free locale loaded at
     import, byte for byte."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = {**os.environ, "PYTHONPATH": src}
     probe = ("import sys, cqlogic.cli; print([m for m in ('dataclasses', 'cqlogic.freelocale',"
-             " 'cqlogic.ultraproduct') if m in sys.modules])")
+             " 'cqlogic.ultraproduct') if m in sys.modules]); import cqlogic.ultraproduct;"
+             " print('dataclasses' in sys.modules)")
     loaded = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                             timeout=60, check=True)
-    assert loaded.stdout == b"[]\n"
+    assert loaded.stdout == b"[]\nFalse\n"
     for argv, expected in (
             (["check", "--builtin", "freelocale:2"], FREELOCALE2_CHECK),
             (["eval", "--load", defs_file, "--structure", "N", "--formula",

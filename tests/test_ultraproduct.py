@@ -1,8 +1,8 @@
-import dataclasses
 import random
 import tracemalloc
 from itertools import product
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -527,8 +527,8 @@ def test_a_product_reads_every_d_limit_through_its_one_table(chain4, monkeypatch
     assert built == [3] and isinstance(dp.limits, Counting)
     # distances, P, then the right sides of the 1- and 2-variable reports
     assert reads == [[4] * 3, [2] * 3, [2] * 3, [4] * 3]
-    assert [f.name for f in dataclasses.fields(dp)] == [
-        "structure", "factors", "D", "tuples", "limits"]
+    assert up.DProductStructure.__match_args__ == ("structure", "factors", "D", "tuples")
+    assert not any(isinstance(value, np.ndarray) for value in vars(dp).values())
 
 
 # -- the Łoś equality ---------------------------------------------------------------------
@@ -574,6 +574,12 @@ def test_los_with_quantifiers_and_hypothesis_records(chain4, sig, factors):
             assert sup_ok and inf_ok
 
 
+def _replaced(report, **changes):
+    """A new `LosReport` with the fields of ``report`` and ``changes``."""
+    fields = {name: getattr(report, name) for name in report.__match_args__}
+    return up.LosReport(**{**fields, **changes})
+
+
 def _same_report(got, want, vq):
     assert got == want
     assert got.lines(vq) == want.lines(vq)
@@ -611,7 +617,7 @@ def test_los_reports_on_one_product_match_fresh_products(chain4, sig, factors, w
             product(shared.structure.points, repeat=len(phi.window)))
         assert [(e.left, e.right) for e in entries] == list(
             zip(report.left.tolist(), report.right.tolist()))
-    twin = dataclasses.replace(swept[-1], right=swept[-1].right.copy())
+    twin = _replaced(swept[-1], right=swept[-1].right.copy())
     assert twin == swept[-1]
     twin.right[-1] = (twin.right[-1] + 1) % chain4.size
     assert twin != swept[-1]
@@ -630,7 +636,7 @@ def test_los_reports_differing_in_one_value_or_one_point_name_are_unequal(
         fields = dict(left=report.left.copy(), right=report.right.copy(),
                       points=list(report.points))
         fields.update(changes)
-        return dataclasses.replace(report, **fields)
+        return _replaced(report, **fields)
 
     assert copy() == report
     for side in ("left", "right"):
@@ -1210,9 +1216,9 @@ def test_the_benchmark_sized_pool_runs_stacked_on_a_27_point_product(chain4, mon
     """The `los` benchmark's pool (depth 2, one variable: 246 formulas) on a
     product of three 3-point factors: the product's evaluator and each
     factor's evaluate only the pool's two atoms one node at a time and hold
-    the pool's run as their one memo entry, the right sides are read from
-    one code table of the pool, and every report equals that of the same
-    formula rebuilt outside the pool."""
+    the pool's run as their one memo entry, both sides of every report are
+    rows of the product's `LosTable` of the pool, and every report equals
+    that of the same formula rebuilt outside the pool."""
     corpus = _seeded_corpus(chain4, (3, 3, 3), 32)
     sig = corpus[0].sig
     pool = sem.enumerate_formulas(sig, chain4, 2, 1)
@@ -1228,7 +1234,9 @@ def test_the_benchmark_sized_pool_runs_stacked_on_a_27_point_product(chain4, mon
     assert sorted(nodes) == sorted(map(id, evaluators))
     assert all(got == pool[:2] for got in nodes.values())
     assert all(list(e.memo) == [id(pool[0]._pool[0])] for e in evaluators)
-    assert dp.pool_limits(pool[0]._pool[0]) is not None
+    table = dp.los_table(pool[0]._pool[0])
+    assert all(report.left is table.left[row] and report.right is table.right[row]
+               for row, report in enumerate(reports))
     for phi, report in zip(pool, reports):
         _same_report(report, up.los_check(dp, _rebuilt(phi, sig, chain4)), chain4)
 
@@ -1278,3 +1286,149 @@ def test_los_reports_of_pooled_formulas_equal_those_rebuilt_outside_the_pool(cha
             for want, _ in wants:
                 for a, b in zip(got, want):
                     _same_report(a, b, chain4)
+
+
+def test_a_partly_filled_table_reads_as_one_node_at_a_time(chain4, monkeypatch):
+    """Two products on one (carrier, index count, generator) with
+    different factors: the first one's sweep of a depth-1 pool fills part
+    of the shared D-limit table, so the second one's `LosTable` of the
+    depth-2 pool finds the D-limits of some rows complete and of others
+    not. Its reports equal those read one node at a time under a
+    CELL_BUDGET that refuses every pool run and the codes but keeps the
+    D-limit table, and its sweep sends the same rows to dlim_batch, in the
+    same order, as the sweep one node at a time, which fills per formula."""
+    corpus = _seeded_corpus(chain4, (2, 3, 2), 22)
+    small, pool = (sem.enumerate_formulas(corpus[0].sig, chain4, depth, 1) for depth in (1, 2))
+    D = up.PrincipalUltrafilter(2, 1)
+    dlim_batch = up.dlim_batch
+
+    def sweep():
+        """The second product's `LosTable` before its sweep, its reports and
+        the rows its sweep sends to dlim_batch."""
+        rows = []
+
+        def counted(vq, seqs, D):
+            rows.append(np.asarray(seqs).tolist())
+            return dlim_batch(vq, seqs, D)
+
+        empty_limit_tables(monkeypatch, chain4)
+        up.los_sweep(up.d_product_structure(corpus[:2], D), small)
+        dp = up.d_product_structure(corpus[1:], D)
+        table = dp.los_table(pool[0]._pool[0])
+        right = None if table.right is None else list(table.right)
+        with monkeypatch.context() as patch:
+            patch.setattr(up, "dlim_batch", counted)
+            reports = up.los_sweep(dp, pool)
+        return table, right, reports, rows
+
+    table, right, reports, rows = sweep()
+    assert table.left is not None and right is not None
+    pending = [row for row, values in enumerate(right) if values is None]
+    assert 0 < len(pending) < len(pool)
+    assert all(reports[row].right is table.right[row] for row in range(len(pool)))
+    assert rows
+    with monkeypatch.context() as patch:
+        # a 6-point product: above the 5^2 D-limit table, below the 246·6 codes
+        patch.setattr(sp, "CELL_BUDGET", 4 * len(pool) - 1)
+        alone, _, want, alone_rows = sweep()
+    assert alone.left is None and alone.right is None
+    assert rows == alone_rows
+    for got, wanted in zip(reports, want):
+        _same_report(got, wanted, chain4)
+
+
+def _unpooled(pool):
+    """The pool's formulas rebuilt node by node: equal, in no pool, and
+    sharing their rebuilt subformulas as the pool's formulas share theirs,
+    so that an evaluator evaluates each rebuilt node once."""
+    made = {}
+
+    def rebuild(value):
+        if type(value) is tuple:
+            return tuple(map(rebuild, value))
+        if not isinstance(value, F.Formula):
+            return value
+        hit = made.get(id(value))
+        if hit is None:
+            hit = made[id(value)] = type(value)(*[rebuild(getattr(value, name))
+                                                  for name in value.__match_args__])
+        return hit
+
+    out = [rebuild(phi) for phi in pool]
+    assert out == pool and all(phi._pool is None for phi in out)
+    return out
+
+
+def _drawn_structure(data, vq, m, sig, name):
+    """A drawn structure on m points: a drawn distance table closed to a
+    space, a drawn P (made constant when it breaks P's modulus) and the
+    point of each constant."""
+    values = st.integers(0, vq.size - 1)
+    dist = [[vq.bottom if x == y else data.draw(values) for y in range(m)] for x in range(m)]
+    space = sp.validate_space(vq, ["%s%d" % (name, i) for i in range(m)],
+                              metric_closure(vq, dist))
+    consts = {c: data.draw(st.integers(0, m - 1)) for c in sig.constants}
+    P = [data.draw(values) for _ in range(m)]
+    try:
+        return sem.validate_structure(space, sig, {"P": P}, const_points=consts, name=name)
+    except ModulusViolated:
+        return sem.validate_structure(space, sig, {"P": [P[0]] * m}, const_points=consts,
+                                      name=name)
+
+
+@pytest.mark.parametrize("name", ["bool2", "chain:3", "chain:4"])
+@settings(max_examples=5, deadline=None)
+@given(depth=st.integers(0, 2), variables=st.integers(0, 2), data=st.data())
+def test_drawn_pooled_los_reports_equal_those_rebuilt_and_read_one_node_at_a_time(
+        roster, name, depth, variables, data):
+    """On a drawn product of width 1 to 3 and any generator over a drawn
+    corpus of 1 to 3 structures on 1 to 3 points, with a pool of depth at
+    most 2 over at most 2 variables (and the constant c when there is
+    none), every report read from the product's `LosTable` equals that of
+    the formula rebuilt outside the pool and that of the pooled formula
+    read one node at a time under a CELL_BUDGET below every pool's stacked
+    run: ``==`` compares every field, hypothesis order included, and
+    `_same_report` also the lines and entries of up to 20 drawn rows (on
+    all 5,238 reports of a 27-point product they took about 50 s). A side
+    is a row of the table exactly when its gate admits it. Each sweep builds its structures anew on an
+    empty set of D-limit tables, so no evaluator or D-limit is shared
+    between them."""
+    vq = roster[name]
+    sig = F.Signature(predicates=[("P", 1, F.identity_modulus(vq))],
+                      constants=[] if variables else ["c"])
+    corpus = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    combo = data.draw(st.lists(st.integers(0, len(corpus) - 1), min_size=1, max_size=3))
+    gen = data.draw(st.integers(0, len(combo) - 1))
+    drawn = [_drawn_structure(data, vq, m, sig, "ABC"[i]) for i, m in enumerate(corpus)]
+    pool = sem.enumerate_formulas(sig, vq, depth, variables)
+
+    def sweep(formulas):
+        structs = [sem.validate_structure(s.space, sig, s.pred_tables,
+                                          const_points=s.const_points, name=s.name)
+                   for s in drawn]
+        with mock.patch.object(vq, "_dlimits", {}, create=True):
+            dp = up.d_product_structure([structs[i] for i in combo],
+                                        up.PrincipalUltrafilter(len(combo), gen))
+            return dp, up.los_sweep(dp, formulas)
+
+    dp, stacked = sweep(pool)
+    table = dp.los_table(pool[0]._pool[0])
+    T, span = dp.structure.m, pool[0]._pool[0].span
+    assert (table.left is not None) == pool[0]._pool[0].admitted(T, 1)
+    assert (table.right is not None) == (
+        len(pool) * T ** span <= sp.CELL_BUDGET
+        and all(pool[0]._pool[0].admitted(f.m, 1) for f in dp.factors))
+    for row, report in enumerate(stacked):
+        assert table.left is None or report.left is table.left[row]
+        assert table.right is None or report.right is table.right[row]
+    _, rebuilt = sweep(_unpooled(pool))
+    with mock.patch.object(sp, "CELL_BUDGET", 4 * len(pool) - 1):
+        alone_dp, alone = sweep(pool)
+        alone_table = alone_dp.los_table(pool[0]._pool[0])
+        assert alone_table.left is None and alone_table.right is None
+    for got, *wants in zip(stacked, rebuilt, alone):
+        assert all(got == want for want in wants), got.formula
+    rows = data.draw(st.lists(st.integers(0, len(pool) - 1), max_size=20, unique=True))
+    for row in rows:
+        for want in (rebuilt[row], alone[row]):
+            _same_report(stacked[row], want, vq)
