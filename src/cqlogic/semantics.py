@@ -570,7 +570,7 @@ class FormulaPool:
     size 1 on each axis whose variable is not free); ``groups`` holds, per
     set of free variables, (rows, index): the rows with that set, in pool
     order, and the index that gathers their cut tables from a stacked run
-    at once."""
+    at once; `layout` holds what a Łoś report of each row prints."""
 
     def __init__(self, nodes):
         self.nodes = tuple(nodes)
@@ -579,6 +579,7 @@ class FormulaPool:
         self.span = max([phi.span for phi in self.nodes
                          if phi.__class__ not in (Conn, Sup, Inf)], default=0)
         self.cuts = self.groups = self._program = None
+        self._layouts = {}
         for row, phi in enumerate(self.nodes):
             set_field(phi, "_pool", (self, row))
 
@@ -631,6 +632,18 @@ class FormulaPool:
                          groups.items(), key=lambda item: item[0][0])]
             self._program = atoms, steps
         return self._program
+
+    def layout(self, vq):
+        """Compiled once per carrier vq: per row, the node's text, its width
+        and the rows of its quantified nodes (`Formula.quantified`); and the
+        rows of the pool's sup and inf nodes."""
+        hit = self._layouts.get(vq)
+        if hit is None:
+            quantified = [tuple(sub._pool[1] for sub in phi.quantified) for phi in self.nodes]
+            hit = self._layouts[vq] = (
+                [phi.text(vq) for phi in self.nodes], [len(phi.window) for phi in self.nodes],
+                quantified, [row for row, subs in enumerate(quantified) if row in subs])
+        return hit
 
 
 def enumerate_formulas(sig: Signature, vq: CoQuantale, depth, max_free_vars):

@@ -14,8 +14,8 @@ have at most `spaces.CELL_BUDGET` cells in all: when a new table would pass
 that, the carrier's tables are dropped first, and a product that holds a
 dropped table keeps reading it. A table is read with the factors' tables
 broadcast against each other (`_factor_axes`), so no array of the factors'
-values is built; the Łoś reports of a formula pool are read from one
-`LosTable` of the pool per product, one row per formula.
+values is built; the Łoś reports of a formula pool are built by one
+`LosTable` of the pool per product, in one pass.
 
 A set of indices is a bool array over I, and D answers membership only
 through `contains_sets`; `is_ultrafilter` asks it once, of the 2ᴵ subset
@@ -406,67 +406,67 @@ class DProductStructure(Record):
 
 
 class LosTable:
-    """The Łoś sides of a formula pool on a D-product, one row per node in
-    pool order, each flattened over the w-tuples of product points of the
-    node's free variables in row-major order: ``left`` the product's
-    values, a row of its evaluator's stacked run (`TableEvaluator.pool_run`);
-    ``right`` the factors' D-limits, read at ``codes``, the mixed-radix
-    codes of the factors' values, (rows,) + (points,)*span by one
-    `np.ravel_multi_index` of the factors' stacked runs broadcast by
-    `_axis_shapes`; and ``records``, per quantified node, its hypothesis
-    records over the factors, made on first use. Each side is one gather
-    per group of rows that share their free variables (`FormulaPool.groups`).
-
-    A right row is None while its read at construction found a D-limit
-    unseen; `fill` reads it through `DLimits.read`, so it fills as a lone
-    formula does, and holds it. A side is None when it is refused: ``left``
-    when the pool may not run stacked on the product
-    (`FormulaPool.admitted`), ``right`` when the product's `DLimits` keeps
-    no table, the codes would pass `CELL_BUDGET` or a factor refuses the
-    run; `los_check` then reads that side one node at a time."""
+    """The Łoś reports of a formula pool on a D-product, built in one pass
+    when both of its gates admit the pool: the product's stacked run
+    (`TableEvaluator.pool_run`, `FormulaPool.admitted`), and ``codes``, the
+    mixed-radix codes of the factors' values, (rows,) + (points,)*span by
+    one `np.ravel_multi_index` of the factors' stacked runs broadcast by
+    `_axis_shapes`, within `CELL_BUDGET` and read through a `DLimits` that
+    keeps a table. ``records`` holds the hypothesis records of each
+    quantified row, made once. ``reports`` holds the report of each row
+    whose D-limits are all seen, each side a row view of one gather per
+    group of rows that share their free variables (`FormulaPool.groups`);
+    `fill` builds any other row's report at its own `los_check`, reading
+    its D-limits through `DLimits.read` as a lone formula does. With a gate
+    refused, ``reports`` is None and `los_check` reads one node at a time.
+    The table holds no reference to the product, which holds the table, so
+    a product is freed by reference counting; `fill` is handed it."""
 
     def __init__(self, dp, pool):
         self.pool = pool
-        self.records = [None] * len(pool.nodes)
-        self.left = self.right = self.codes = None
+        self.reports = None
         points, table = dp.structure.m, dp.limits.table
         run = dp.structure.evaluator(pool.span).pool_run(pool)
-        if run is not None:
-            self.left = _pool_rows(pool, run[2])
-        if table is None or len(pool.nodes) * points ** pool.span > spaces.CELL_BUDGET:
+        if (run is None or table is None
+                or len(pool.nodes) * points ** pool.span > spaces.CELL_BUDGET):
             return
         runs = [f.evaluator(pool.span).pool_run(pool) for f in dp.factors]
         if None in runs:
             return
         shapes = _axis_shapes(dp.sizes, pool.span)
         self.codes = np.ravel_multi_index(
-            [run[2].reshape((-1,) + shape) for run, shape in zip(runs, shapes)],
+            [factor[2].reshape((-1,) + shape) for factor, shape in zip(runs, shapes)],
             dp.limits.shape).reshape((-1,) + (points,) * pool.span)
         limits = table.take(self.codes)
         complete = (limits.reshape(len(limits), -1) >= 0).all(axis=1).tolist()
-        self.right = [row if ok else None
-                      for row, ok in zip(_pool_rows(pool, limits), complete)]
+        texts, widths, quantified, subs = pool.layout(dp.structure.V)
+        self.quantified = quantified
+        self.records = {row: _records(dp, pool.nodes[row]) for row in subs}
+        self.reports = reports = [None] * len(pool.nodes)
+        names = dp.structure.points
+        for rows, index in pool.groups:
+            left, right = (side[index].reshape(len(rows), -1) for side in (run[2], limits))
+            left.setflags(write=False)
+            right.setflags(write=False)
+            for row, values, limit in zip(rows, left, right):
+                if complete[row]:
+                    reports[row] = LosReport(texts[row], values, limit, self.hypothesis(row)
+                                             if quantified[row] else [], names, widths[row])
 
-    def fill(self, row, limits):
-        """Row ``row`` of the right side, read through ``limits`` and
+    def hypothesis(self, row):
+        """The hypothesis records of row ``row``'s quantified nodes."""
+        return [record for sub in self.quantified[row] for record in self.records[sub]]
+
+    def fill(self, dp, row):
+        """Row ``row``'s report, its D-limits read through ``dp.limits``;
         held."""
-        out = limits.read(self.codes[self.pool.cuts[row]].reshape(-1))
-        out.setflags(write=False)
-        self.right[row] = out
-        return out
-
-
-def _pool_rows(pool, table):
-    """Each node's row of a stacked ``table`` (rows first), cut to the
-    node's free variables and flattened, in pool order: one gather per
-    group of `FormulaPool.groups`."""
-    out = [None] * len(pool.nodes)
-    for rows, index in pool.groups:
-        block = table[index].reshape(len(rows), -1)
-        block.setflags(write=False)
-        for row, values in zip(rows, block):
-            out[row] = values
-    return out
+        phi, product = self.pool.nodes[row], dp.structure
+        right = dp.limits.read(self.codes[self.pool.cuts[row]].reshape(-1))
+        right.setflags(write=False)
+        left = product.evaluator_of(phi).codes(phi).reshape(-1)
+        self.reports[row] = LosReport(phi.text(product.V), left, right, self.hypothesis(row),
+                                      product.points, len(phi.window))
+        return self.reports[row]
 
 
 def d_product_structure(factors, D: PrincipalUltrafilter) -> DProductStructure:
@@ -591,36 +591,24 @@ def los_check(dp: DProductStructure, phi) -> LosReport:
     variables. Each piece of work is held by what it depends on: the formula
     records by the nodes, the tables and hypothesis verdicts by the product's
     structure and each factor, the D-limits by the carrier, the read plan and
-    the pool's `LosTable` by ``dp``. A pooled φ reads its row of each side
-    and the records of its quantified nodes from the table; a side the
-    table refused, and any φ outside a pool, is read one node at a time:
-    the product's node table and one read of the factors' node tables
-    through ``dp.limits`` (`DProductStructure.factor_limits`)."""
-    vq, product = dp.structure.V, dp.structure
+    the pool's `LosTable` by ``dp``. A pooled φ gets its report from the
+    table; when the table refused the pool, and for any φ outside a pool, it
+    is read one node at a time: the product's node table (a row of the
+    stacked run when the pool runs there) and one read of the factors' node
+    tables through ``dp.limits`` (`DProductStructure.factor_limits`)."""
     pooled = phi._pool
-    table = None if pooled is None else dp.los_table(pooled[0])
+    if pooled is not None:
+        table = dp.los_table(pooled[0])
+        if table.reports is not None:
+            report = table.reports[pooled[1]]
+            return report if report is not None else table.fill(dp, pooled[1])
+    vq, product = dp.structure.V, dp.structure
     # a node's table has size-m axes exactly at its free variables and then
     # the batch axis of one, so flattened it runs over the w-tuples of
     # points in row-major order
-    if table is None or table.left is None:
-        left = product.evaluator(phi.span).codes(phi).reshape(-1)
-    else:
-        left = table.left[pooled[1]]
-    if table is None or table.right is None:
-        right = dp.factor_limits(phi).reshape(-1)
-    else:
-        right = table.right[pooled[1]]
-        if right is None:
-            right = table.fill(pooled[1], dp.limits)
-    hypothesis = []
-    for sub in phi.quantified:
-        if table is None:
-            hypothesis += _records(dp, sub)
-        else:
-            records = table.records[sub._pool[1]]
-            if records is None:
-                records = table.records[sub._pool[1]] = _records(dp, sub)
-            hypothesis += records
+    left = product.evaluator_of(phi).codes(phi).reshape(-1)
+    right = dp.factor_limits(phi).reshape(-1)
+    hypothesis = [record for sub in phi.quantified for record in _records(dp, sub)]
     return LosReport(phi.text(vq), left, right, hypothesis, product.points, len(phi.window))
 
 

@@ -1,5 +1,7 @@
+import gc
 import random
 import tracemalloc
+import weakref
 from itertools import product
 from types import SimpleNamespace
 from unittest import mock
@@ -1216,9 +1218,9 @@ def test_the_benchmark_sized_pool_runs_stacked_on_a_27_point_product(chain4, mon
     """The `los` benchmark's pool (depth 2, one variable: 246 formulas) on a
     product of three 3-point factors: the product's evaluator and each
     factor's evaluate only the pool's two atoms one node at a time and hold
-    the pool's run as their one memo entry, both sides of every report are
-    rows of the product's `LosTable` of the pool, and every report equals
-    that of the same formula rebuilt outside the pool."""
+    the pool's run as their one memo entry, every report is the one the
+    product's `LosTable` of the pool holds, and every report equals that of
+    the same formula rebuilt outside the pool."""
     corpus = _seeded_corpus(chain4, (3, 3, 3), 32)
     sig = corpus[0].sig
     pool = sem.enumerate_formulas(sig, chain4, 2, 1)
@@ -1235,10 +1237,94 @@ def test_the_benchmark_sized_pool_runs_stacked_on_a_27_point_product(chain4, mon
     assert all(got == pool[:2] for got in nodes.values())
     assert all(list(e.memo) == [id(pool[0]._pool[0])] for e in evaluators)
     table = dp.los_table(pool[0]._pool[0])
-    assert all(report.left is table.left[row] and report.right is table.right[row]
-               for row, report in enumerate(reports))
+    assert all(report is table.reports[row] for row, report in enumerate(reports))
     for phi, report in zip(pool, reports):
         _same_report(report, up.los_check(dp, _rebuilt(phi, sig, chain4)), chain4)
+
+
+def test_a_sweep_builds_each_report_and_each_hypothesis_record_once(chain4, monkeypatch):
+    """The `los` benchmark's pool swept on a 27-point product on a carrier
+    that holds no D-limit table yet, so that the `LosTable` holds the
+    reports of some rows and builds the others at their own `los_check`:
+    the sweep builds exactly one `LosReport` per row, makes the hypothesis
+    records of each quantified row once, and a formula checked a second
+    time gets the identical report."""
+    corpus = _seeded_corpus(chain4, (3, 3, 3), 32)
+    pool = sem.enumerate_formulas(corpus[0].sig, chain4, 2, 1)
+    built, made = [], []
+    init, records = up.LosReport.__init__, up._records
+    monkeypatch.setattr(up.LosReport, "__init__", lambda self, formula, *rest: (
+        built.append(formula) or init(self, formula, *rest)))
+    monkeypatch.setattr(up, "_records", lambda dp, sub: made.append(sub) or records(dp, sub))
+    empty_limit_tables(monkeypatch, chain4)
+    dp = up.d_product_structure(corpus, up.PrincipalUltrafilter(3, 1))
+    assert dp.structure.m == 27
+    held = dp.los_table(pool[0]._pool[0]).reports
+    assert 0 < held.count(None) < len(pool)
+    reports = up.los_sweep(dp, pool)
+    quantified = [phi for phi in pool if isinstance(phi, (F.Sup, F.Inf))]
+    assert sorted(built) == sorted(phi.text(chain4) for phi in pool)
+    assert made == quantified
+    assert all(up.los_check(dp, phi) is report for phi, report in zip(pool, reports))
+    assert len(built) == len(pool) and len(made) == len(quantified) == 20
+
+
+def test_a_d_product_is_freed_by_reference_counting_after_its_sweep(chain4):
+    """A D-product and the `LosTable` it holds make no reference cycle:
+    with the cyclic collector off, a swept product is gone as soon as its
+    last reference is."""
+    corpus = _seeded_corpus(chain4, (2, 3, 2), 22)
+    pool = sem.enumerate_formulas(corpus[0].sig, chain4, 2, 1)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        dp = up.d_product_structure(corpus, up.PrincipalUltrafilter(3, 1))
+        reports = up.los_sweep(dp, pool)
+        assert dp.los_table(pool[0]._pool[0]).reports == reports
+        product = weakref.ref(dp)
+        del dp
+        assert product() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@pytest.mark.parametrize("gate", ["admitted", "run", "limits", "codes"])
+def test_each_gate_outcome_of_a_los_table_gives_the_reports_rebuilt_outside_the_pool(
+        chain4, monkeypatch, gate):
+    """The `LosTable` of the depth-2, one-variable pool on a 12-point
+    product, at each outcome of its gates: both admitted, so it holds every
+    report; the product's run refused under a CELL_BUDGET below its cells,
+    the D-limit table kept; the product built under a CELL_BUDGET below
+    nᴵ, so it keeps no D-limit table; and the codes past CELL_BUDGET. A run
+    admitted has at least four times the codes' cells, so the last is met
+    only when the runs were held before the budget fell. Every report equals that of
+    the same formula rebuilt outside the pool, on a product of its own."""
+    corpus = _seeded_corpus(chain4, (2, 3, 2), 22)
+    pool = sem.enumerate_formulas(corpus[0].sig, chain4, 2, 1)
+    stacked, D = pool[0]._pool[0], up.PrincipalUltrafilter(3, 1)
+    empty_limit_tables(monkeypatch, chain4)
+    with monkeypatch.context() as patch:
+        if gate == "limits":
+            patch.setattr(sp, "CELL_BUDGET", chain4.size ** 3 - 1)
+        dp = up.d_product_structure(corpus, D)
+    assert (dp.limits.table is None) == (gate == "limits")
+    codes = len(pool) * dp.structure.m
+    if gate == "codes":
+        evaluators = [s.evaluator(1) for s in [dp.structure] + corpus]
+        assert None not in [e.pool_run(stacked) for e in evaluators]
+    with monkeypatch.context() as patch:
+        if gate in ("run", "codes"):
+            patch.setattr(sp, "CELL_BUDGET", 4 * codes - 1 if gate == "run" else codes - 1)
+        assert stacked.admitted(dp.structure.m, 1) == (gate in ("admitted", "limits"))
+        if gate == "codes":
+            assert None not in [e.pool_run(stacked) for e in evaluators]
+        reports = up.los_sweep(dp, pool)
+    table = dp.los_table(stacked)
+    assert (table.reports is not None) == (gate == "admitted")
+    assert table.reports is None or all(
+        report is table.reports[row] for row, report in enumerate(reports))
+    assert reports == up.los_sweep(up.d_product_structure(corpus, D), _unpooled(pool))
 
 
 def test_los_reports_of_pooled_formulas_equal_those_rebuilt_outside_the_pool(chain4,
@@ -1293,18 +1379,21 @@ def test_a_partly_filled_table_reads_as_one_node_at_a_time(chain4, monkeypatch):
     different factors: the first one's sweep of a depth-1 pool fills part
     of the shared D-limit table, so the second one's `LosTable` of the
     depth-2 pool finds the D-limits of some rows complete and of others
-    not. Its reports equal those read one node at a time under a
-    CELL_BUDGET that refuses every pool run and the codes but keeps the
-    D-limit table, and its sweep sends the same rows to dlim_batch, in the
-    same order, as the sweep one node at a time, which fills per formula."""
+    not: it holds the reports of the complete rows and builds the others
+    at their own `los_check`. Its reports equal those read one node at a
+    time under a CELL_BUDGET that refuses every pool run and the codes but
+    keeps the D-limit table, and its sweep sends the same rows to
+    dlim_batch, in the same order, as the sweep one node at a time, which
+    fills per formula."""
     corpus = _seeded_corpus(chain4, (2, 3, 2), 22)
     small, pool = (sem.enumerate_formulas(corpus[0].sig, chain4, depth, 1) for depth in (1, 2))
     D = up.PrincipalUltrafilter(2, 1)
     dlim_batch = up.dlim_batch
 
     def sweep():
-        """The second product's `LosTable` before its sweep, its reports and
-        the rows its sweep sends to dlim_batch."""
+        """The second product's `LosTable`, the rows whose reports it
+        lacked before its sweep, its reports and the rows its sweep sends
+        to dlim_batch."""
         rows = []
 
         def counted(vq, seqs, D):
@@ -1315,23 +1404,23 @@ def test_a_partly_filled_table_reads_as_one_node_at_a_time(chain4, monkeypatch):
         up.los_sweep(up.d_product_structure(corpus[:2], D), small)
         dp = up.d_product_structure(corpus[1:], D)
         table = dp.los_table(pool[0]._pool[0])
-        right = None if table.right is None else list(table.right)
+        pending = None if table.reports is None else [
+            row for row, report in enumerate(table.reports) if report is None]
         with monkeypatch.context() as patch:
             patch.setattr(up, "dlim_batch", counted)
             reports = up.los_sweep(dp, pool)
-        return table, right, reports, rows
+        return table, pending, reports, rows
 
-    table, right, reports, rows = sweep()
-    assert table.left is not None and right is not None
-    pending = [row for row, values in enumerate(right) if values is None]
+    table, pending, reports, rows = sweep()
+    assert table.reports is not None
     assert 0 < len(pending) < len(pool)
-    assert all(reports[row].right is table.right[row] for row in range(len(pool)))
+    assert all(reports[row] is table.reports[row] for row in range(len(pool)))
     assert rows
     with monkeypatch.context() as patch:
         # a 6-point product: above the 5^2 D-limit table, below the 246·6 codes
         patch.setattr(sp, "CELL_BUDGET", 4 * len(pool) - 1)
         alone, _, want, alone_rows = sweep()
-    assert alone.left is None and alone.right is None
+    assert alone.reports is None
     assert rows == alone_rows
     for got, wanted in zip(reports, want):
         _same_report(got, wanted, chain4)
@@ -1389,8 +1478,9 @@ def test_drawn_pooled_los_reports_equal_those_rebuilt_and_read_one_node_at_a_tim
     read one node at a time under a CELL_BUDGET below every pool's stacked
     run: ``==`` compares every field, hypothesis order included, and
     `_same_report` also the lines and entries of up to 20 drawn rows (on
-    all 5,238 reports of a 27-point product they took about 50 s). A side
-    is a row of the table exactly when its gate admits it. Each sweep builds its structures anew on an
+    all 5,238 reports of a 27-point product they took about 50 s). Every
+    report is one the table holds exactly when both of its gates admit the
+    pool. Each sweep builds its structures anew on an
     empty set of D-limit tables, so no evaluator or D-limit is shared
     between them."""
     vq = roster[name]
@@ -1414,18 +1504,16 @@ def test_drawn_pooled_los_reports_equal_those_rebuilt_and_read_one_node_at_a_tim
     dp, stacked = sweep(pool)
     table = dp.los_table(pool[0]._pool[0])
     T, span = dp.structure.m, pool[0]._pool[0].span
-    assert (table.left is not None) == pool[0]._pool[0].admitted(T, 1)
-    assert (table.right is not None) == (
-        len(pool) * T ** span <= sp.CELL_BUDGET
+    assert (table.reports is not None) == (
+        pool[0]._pool[0].admitted(T, 1) and len(pool) * T ** span <= sp.CELL_BUDGET
         and all(pool[0]._pool[0].admitted(f.m, 1) for f in dp.factors))
     for row, report in enumerate(stacked):
-        assert table.left is None or report.left is table.left[row]
-        assert table.right is None or report.right is table.right[row]
+        assert table.reports is None or report is table.reports[row]
     _, rebuilt = sweep(_unpooled(pool))
     with mock.patch.object(sp, "CELL_BUDGET", 4 * len(pool) - 1):
         alone_dp, alone = sweep(pool)
         alone_table = alone_dp.los_table(pool[0]._pool[0])
-        assert alone_table.left is None and alone_table.right is None
+        assert alone_table.reports is None
     for got, *wants in zip(stacked, rebuilt, alone):
         assert all(got == want for want in wants), got.formula
     rows = data.draw(st.lists(st.integers(0, len(pool) - 1), max_size=20, unique=True))
