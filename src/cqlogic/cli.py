@@ -60,8 +60,9 @@ def main(argv=None) -> int:
     _add_load(p_los)
     p_los.add_argument("--factors", nargs="+", required=True)
     p_los.add_argument("--principal", type=int, required=True)
-    p_los.add_argument("--formula")
-    p_los.add_argument("--depth", type=int)
+    target = p_los.add_mutually_exclusive_group(required=True)
+    target.add_argument("--formula")
+    target.add_argument("--depth", type=int)
     p_los.add_argument("--max-free-vars", type=int, default=1)
 
     sub.add_parser("compactness-demo", help="scripted compactness construction")
@@ -233,12 +234,10 @@ def cmd_los_check(args) -> int:
     from . import ultraproduct as up
     dp = _d_product(args)
     sig, vq = dp.factors[0].sig, dp.factors[0].V
-    if args.formula:
+    if args.depth is None:
         pool = [parse_formula(args.formula, sig, vq)]
-    elif args.depth is not None:
-        pool = sem.enumerate_formulas(sig, vq, args.depth, args.max_free_vars)
     else:
-        raise CqlError("give --formula or --depth")
+        pool = sem.enumerate_formulas(sig, vq, args.depth, args.max_free_vars)
     print("formulas: %d" % len(pool))
     bad = 0
     for phi in pool:

@@ -14,8 +14,9 @@ have at most `spaces.CELL_BUDGET` cells in all: when a new table would pass
 that, the carrier's tables are dropped first, and a product that holds a
 dropped table keeps reading it. A table is read with the factors' tables
 broadcast against each other (`_factor_axes`), so no array of the factors'
-values is built; the Łoś reports of a formula pool are built by one
-`LosTable` of the pool per product, in one pass.
+values is built. A Łoś report is built in one of two places: the one pass
+of a product's `LosTable` over a formula pool it admits, or `_report`, one
+node at a time, for every other report.
 
 A set of indices is a bool array over I, and D answers membership only
 through `contains_sets`; `is_ultrafilter` asks it once, of the 2ᴵ subset
@@ -366,10 +367,8 @@ class DProductStructure(Record):
     distinct tuple of factor values once it has been scanned (still by the
     definitional scan, once per distinct tuple per (carrier, index count,
     generator), unless the carrier's tables were dropped to stay within
-    `CELL_BUDGET`), and that the product's tables were read through; its
-    read plan: the factor sizes and, per (span, width), each factor's
-    evaluator with the shape its w-axis table takes in the broadcast
-    (`_axis_shapes`); and the `LosTable` of the last formula pool asked
+    `CELL_BUDGET`), and that the product's tables were read through; the
+    factor sizes; and the `LosTable` of the last formula pool asked
     (`los_table`). The evaluators' tables and the hypothesis verdicts are
     held by the product's structure and by each factor. ``limits`` is left
     out of equality and repr."""
@@ -378,23 +377,19 @@ class DProductStructure(Record):
         self.structure, self.factors, self.D, self.tuples = structure, factors, D, tuples
         self.limits = limits
         self.sizes = tuple(f.m for f in factors)
-        self._plans = {}
         self._los = None
 
     def factor_limits(self, phi):
         """The D-limit of the factors' values of φ, per w-tuple of product
-        points in row-major order, size-1 axes left in: one
-        `TableEvaluator.codes` and one reshape per factor, by the plan, then
-        one read of ``limits`` (a factor's evaluator is a batch of one, so
-        its table runs over the w-tuples of its points in row-major
+        points in row-major order, size-1 axes left in: per factor, φ's
+        table from `LStructure.evaluator_of` (a row of the factor's stacked
+        run when φ's pool runs there) reshaped to its `_axis_shapes` shape,
+        then one read of ``limits`` (a factor's evaluator is a batch of one,
+        so its table runs over the w-tuples of its points in row-major
         order)."""
-        key = phi.span, len(phi.window)
-        plan = self._plans.get(key)
-        if plan is None:
-            plan = self._plans[key] = ([f.evaluator(key[0]) for f in self.factors],
-                                       _axis_shapes(self.sizes, key[1]))
-        evaluators, shapes = plan
-        return self.limits([e.codes(phi).reshape(shape) for e, shape in zip(evaluators, shapes)])
+        shapes = _axis_shapes(self.sizes, len(phi.window))
+        return self.limits([f.evaluator_of(phi).codes(phi).reshape(shape)
+                            for f, shape in zip(self.factors, shapes)])
 
     def los_table(self, pool):
         """The `LosTable` of the pool on this product, held for the last
@@ -406,44 +401,40 @@ class DProductStructure(Record):
 
 
 class LosTable:
-    """The Łoś reports of a formula pool on a D-product, built in one pass
-    when both of its gates admit the pool: the product's stacked run
-    (`TableEvaluator.pool_run`, `FormulaPool.admitted`), and ``codes``, the
-    mixed-radix codes of the factors' values, (rows,) + (points,)*span by
-    one `np.ravel_multi_index` of the factors' stacked runs broadcast by
-    `_axis_shapes`, within `CELL_BUDGET` and read through a `DLimits` that
-    keeps a table. ``records`` holds the hypothesis records of each
-    quantified row, made once. ``reports`` holds the report of each row
-    whose D-limits are all seen, each side a row view of one gather per
-    group of rows that share their free variables (`FormulaPool.groups`);
-    `fill` builds any other row's report at its own `los_check`, reading
-    its D-limits through `DLimits.read` as a lone formula does. With a gate
-    refused, ``reports`` is None and `los_check` reads one node at a time.
-    The table holds no reference to the product, which holds the table, so
-    a product is freed by reference counting; `fill` is handed it."""
+    """The Łoś reports of a formula pool on a D-product. ``records`` holds
+    the hypothesis records of each quantified row, made once. The pool is
+    admitted by one rule, decided from the current `CELL_BUDGET` before any
+    run is asked for: it runs stacked on the product
+    (`FormulaPool.admitted`), and so on every factor, which has no more
+    points, and the carrier keeps a D-limit table. Admitted, ``reports``
+    holds the report of each row whose D-limits are all seen, built in one
+    pass: the codes of the factors' stacked runs broadcast by
+    `_axis_shapes`, one `take` of the D-limit table, and each side a row
+    view of one gather per group of rows that share their free variables
+    (`FormulaPool.groups`); `los_check` builds and holds any other row's
+    report. Refused, ``reports`` is None, and `los_check` builds each
+    report at its call without holding it, so a pool past the budget is
+    read one report at a time. The table holds no reference to the
+    product, which holds the table, so a product is freed by reference
+    counting."""
 
     def __init__(self, dp, pool):
         self.pool = pool
+        texts, widths, self.quantified, subs = pool.layout(dp.structure.V)
+        self.records = {row: _records(dp, pool.nodes[row]) for row in subs}
         self.reports = None
         points, table = dp.structure.m, dp.limits.table
-        run = dp.structure.evaluator(pool.span).pool_run(pool)
-        if (run is None or table is None
-                or len(pool.nodes) * points ** pool.span > spaces.CELL_BUDGET):
+        if not pool.admitted(points, 1) or table is None:
             return
-        runs = [f.evaluator(pool.span).pool_run(pool) for f in dp.factors]
-        if None in runs:
-            return
+        run, *runs = [s.evaluator(pool.span).pool_run(pool)
+                      for s in [dp.structure, *dp.factors]]
         shapes = _axis_shapes(dp.sizes, pool.span)
-        self.codes = np.ravel_multi_index(
+        limits = table.take(np.ravel_multi_index(
             [factor[2].reshape((-1,) + shape) for factor, shape in zip(runs, shapes)],
-            dp.limits.shape).reshape((-1,) + (points,) * pool.span)
-        limits = table.take(self.codes)
+            dp.limits.shape)).reshape((-1,) + (points,) * pool.span)
         complete = (limits.reshape(len(limits), -1) >= 0).all(axis=1).tolist()
-        texts, widths, quantified, subs = pool.layout(dp.structure.V)
-        self.quantified = quantified
-        self.records = {row: _records(dp, pool.nodes[row]) for row in subs}
         self.reports = reports = [None] * len(pool.nodes)
-        names = dp.structure.points
+        names, quantified = dp.structure.points, self.quantified
         for rows, index in pool.groups:
             left, right = (side[index].reshape(len(rows), -1) for side in (run[2], limits))
             left.setflags(write=False)
@@ -456,17 +447,6 @@ class LosTable:
     def hypothesis(self, row):
         """The hypothesis records of row ``row``'s quantified nodes."""
         return [record for sub in self.quantified[row] for record in self.records[sub]]
-
-    def fill(self, dp, row):
-        """Row ``row``'s report, its D-limits read through ``dp.limits``;
-        held."""
-        phi, product = self.pool.nodes[row], dp.structure
-        right = dp.limits.read(self.codes[self.pool.cuts[row]].reshape(-1))
-        right.setflags(write=False)
-        left = product.evaluator_of(phi).codes(phi).reshape(-1)
-        self.reports[row] = LosReport(phi.text(product.V), left, right, self.hypothesis(row),
-                                      product.points, len(phi.window))
-        return self.reports[row]
 
 
 def d_product_structure(factors, D: PrincipalUltrafilter) -> DProductStructure:
@@ -590,26 +570,38 @@ def los_check(dp: DProductStructure, phi) -> LosReport:
     D-ultralimit of its factor values, over every assignment of its free
     variables. Each piece of work is held by what it depends on: the formula
     records by the nodes, the tables and hypothesis verdicts by the product's
-    structure and each factor, the D-limits by the carrier, the read plan and
-    the pool's `LosTable` by ``dp``. A pooled φ gets its report from the
-    table; when the table refused the pool, and for any φ outside a pool, it
-    is read one node at a time: the product's node table (a row of the
-    stacked run when the pool runs there) and one read of the factors' node
-    tables through ``dp.limits`` (`DProductStructure.factor_limits`)."""
+    structure and each factor, the D-limits by the carrier, the pool's
+    `LosTable` by ``dp``. A pooled φ gets its report from the table when
+    the table holds it; any other report is built by `_report`, with the
+    table's hypothesis records for a pooled φ, and held by the table when
+    it admitted the pool."""
     pooled = phi._pool
-    if pooled is not None:
-        table = dp.los_table(pooled[0])
-        if table.reports is not None:
-            report = table.reports[pooled[1]]
-            return report if report is not None else table.fill(dp, pooled[1])
-    vq, product = dp.structure.V, dp.structure
-    # a node's table has size-m axes exactly at its free variables and then
-    # the batch axis of one, so flattened it runs over the w-tuples of
-    # points in row-major order
+    if pooled is None:
+        return _report(dp, phi, [record for sub in phi.quantified for record in _records(dp, sub)])
+    table = dp.los_table(pooled[0])
+    reports = table.reports
+    if reports is None:
+        return _report(dp, phi, table.hypothesis(pooled[1]))
+    report = reports[pooled[1]]
+    if report is None:
+        report = reports[pooled[1]] = _report(dp, phi, table.hypothesis(pooled[1]))
+    return report
+
+
+def _report(dp, phi, hypothesis):
+    """φ's `LosReport`, read one node at a time: the product's node table
+    (a row of the stacked run when φ's pool runs there) and one read of the
+    factors' node tables through ``dp.limits`` (`factor_limits`), both
+    flattened and read-only. A node's table has size-m axes exactly at its
+    free variables and then the batch axis of one, so flattened it runs
+    over the w-tuples of points in row-major order."""
+    product = dp.structure
     left = product.evaluator_of(phi).codes(phi).reshape(-1)
     right = dp.factor_limits(phi).reshape(-1)
-    hypothesis = [record for sub in phi.quantified for record in _records(dp, sub)]
-    return LosReport(phi.text(vq), left, right, hypothesis, product.points, len(phi.window))
+    left.setflags(write=False)
+    right.setflags(write=False)
+    return LosReport(phi.text(product.V), left, right, hypothesis, product.points,
+                     len(phi.window))
 
 
 def _records(dp, sub):

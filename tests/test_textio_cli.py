@@ -543,6 +543,17 @@ def test_los_check_of_one_formula(capsys, defs_file):
     assert (code, out, err) == (0, "formulas: 1\nlos-equalities: all hold\n", "")
 
 
+@pytest.mark.parametrize("target", [["--formula", "(P x0)", "--depth", "1"], []],
+                         ids=["both", "neither"])
+def test_los_check_takes_exactly_one_of_formula_and_depth(capsys, defs_file, target):
+    """--formula and --depth are a required pair of exclusive flags: both,
+    or neither, is a usage error, with nothing checked."""
+    code, out, err = run_cli(capsys, "los-check", "--load", defs_file, "--factors", "M", "N",
+                             "--principal", "0", *target)
+    assert code == 2 and out == ""
+    assert ("not allowed with argument" if target else "is required") in err
+
+
 @pytest.mark.parametrize("spec", ["chain:4", "chain:04"])
 def test_two_builtin_blocks_of_one_spec_share_their_carrier(capsys, tmp_path, spec):
     """`@builtin chain:4` and a second block of the same spec, or of another

@@ -1242,14 +1242,21 @@ def test_the_benchmark_sized_pool_runs_stacked_on_a_27_point_product(chain4, mon
         _same_report(report, up.los_check(dp, _rebuilt(phi, sig, chain4)), chain4)
 
 
-def test_a_sweep_builds_each_report_and_each_hypothesis_record_once(chain4, monkeypatch):
-    """The `los` benchmark's pool swept on a 27-point product on a carrier
-    that holds no D-limit table yet, so that the `LosTable` holds the
-    reports of some rows and builds the others at their own `los_check`:
-    the sweep builds exactly one `LosReport` per row, makes the hypothesis
-    records of each quantified row once, and a formula checked a second
-    time gets the identical report."""
-    corpus = _seeded_corpus(chain4, (3, 3, 3), 32)
+@pytest.mark.parametrize("sizes, budget", [((3, 3, 3), None), ((2, 3), 4 * 246 - 1)],
+                         ids=["filled", "refused"])
+def test_a_sweep_builds_each_report_and_each_hypothesis_record_once(chain4, monkeypatch,
+                                                                     sizes, budget):
+    """The `los` benchmark's pool swept on a product on a carrier that holds
+    no D-limit table yet. ``filled``: 27 points, so that the `LosTable`
+    holds the reports of some rows and builds the others at their own
+    `los_check`. ``refused``: 6 points under a CELL_BUDGET below the pool's
+    stacked run and above the 5² D-limit table, so that the table refuses
+    the pool. Either way the sweep builds exactly one `LosReport` per row
+    and makes the hypothesis records of each quantified row once. A
+    formula checked a second time gets the identical report from a table
+    that admitted the pool, and from one that refused it an equal report
+    built anew, with no record made again."""
+    corpus = _seeded_corpus(chain4, sizes, 32)
     pool = sem.enumerate_formulas(corpus[0].sig, chain4, 2, 1)
     built, made = [], []
     init, records = up.LosReport.__init__, up._records
@@ -1257,16 +1264,54 @@ def test_a_sweep_builds_each_report_and_each_hypothesis_record_once(chain4, monk
         built.append(formula) or init(self, formula, *rest)))
     monkeypatch.setattr(up, "_records", lambda dp, sub: made.append(sub) or records(dp, sub))
     empty_limit_tables(monkeypatch, chain4)
-    dp = up.d_product_structure(corpus, up.PrincipalUltrafilter(3, 1))
-    assert dp.structure.m == 27
+    if budget is not None:
+        monkeypatch.setattr(sp, "CELL_BUDGET", budget)
+    dp = up.d_product_structure(corpus, up.PrincipalUltrafilter(len(sizes), 1))
+    assert dp.structure.m == np.prod(sizes) and dp.limits.table is not None
     held = dp.los_table(pool[0]._pool[0]).reports
-    assert 0 < held.count(None) < len(pool)
+    if budget is None:
+        assert 0 < held.count(None) < len(pool)
+    else:
+        assert held is None
     reports = up.los_sweep(dp, pool)
     quantified = [phi for phi in pool if isinstance(phi, (F.Sup, F.Inf))]
     assert sorted(built) == sorted(phi.text(chain4) for phi in pool)
     assert made == quantified
-    assert all(up.los_check(dp, phi) is report for phi, report in zip(pool, reports))
-    assert len(built) == len(pool) and len(made) == len(quantified) == 20
+    again = [up.los_check(dp, phi) for phi in pool]
+    assert made == quantified and len(made) == 20
+    if held is None:
+        assert again == reports and len(built) == 2 * len(pool)
+    else:
+        assert all(got is report for got, report in zip(again, reports))
+        assert len(built) == len(pool)
+
+
+def test_every_los_report_is_read_only(chain4, monkeypatch):
+    """Both arrays of every Łoś report are read-only: a lone formula's, a
+    pooled row's held from its table's one pass, a pooled row's built after
+    that pass at its own `los_check`, and a refused pool's."""
+    corpus = _seeded_corpus(chain4, (3, 3, 3), 32)
+    sig = corpus[0].sig
+    pool = sem.enumerate_formulas(sig, chain4, 2, 1)
+    empty_limit_tables(monkeypatch, chain4)
+    dp = up.d_product_structure(corpus, up.PrincipalUltrafilter(3, 1))
+    held = list(dp.los_table(pool[0]._pool[0]).reports)
+    reports = up.los_sweep(dp, pool)
+    lone = [up.los_check(dp, _rebuilt(phi, sig, chain4))
+            for phi in pool[:2] + [phi for phi in pool if isinstance(phi, F.Sup)][:1]]
+    with monkeypatch.context() as patch:
+        patch.setattr(sp, "CELL_BUDGET", 4 * len(pool) - 1)
+        small = up.d_product_structure(corpus[:2], up.PrincipalUltrafilter(2, 1))
+        refused = up.los_sweep(small, pool)
+        assert small.los_table(pool[0]._pool[0]).reports is None
+    kinds = {"lone": lone, "refused": refused,
+             "held": [r for r, first in zip(reports, held) if first is not None],
+             "late": [r for r, first in zip(reports, held) if first is None]}
+    for kind, group in kinds.items():
+        assert group, kind
+        for report in group:
+            assert not (report.left.flags.writeable or report.right.flags.writeable), (
+                kind, report.formula)
 
 
 def test_a_d_product_is_freed_by_reference_counting_after_its_sweep(chain4):
@@ -1289,17 +1334,18 @@ def test_a_d_product_is_freed_by_reference_counting_after_its_sweep(chain4):
             gc.enable()
 
 
-@pytest.mark.parametrize("gate", ["admitted", "run", "limits", "codes"])
+@pytest.mark.parametrize("gate", ["admitted", "run", "limits", "held"])
 def test_each_gate_outcome_of_a_los_table_gives_the_reports_rebuilt_outside_the_pool(
         chain4, monkeypatch, gate):
     """The `LosTable` of the depth-2, one-variable pool on a 12-point
-    product, at each outcome of its gates: both admitted, so it holds every
+    product, at each outcome of its one rule: admitted, so it holds every
     report; the product's run refused under a CELL_BUDGET below its cells,
     the D-limit table kept; the product built under a CELL_BUDGET below
-    nᴵ, so it keeps no D-limit table; and the codes past CELL_BUDGET. A run
-    admitted has at least four times the codes' cells, so the last is met
-    only when the runs were held before the budget fell. Every report equals that of
-    the same formula rebuilt outside the pool, on a product of its own."""
+    nᴵ, so it keeps no D-limit table; and every evaluator holding the
+    pool's run from before CELL_BUDGET fell below the pool's formulas
+    times the points: refused too, as admission is decided from the
+    current budget before any run is asked for. Every report equals that
+    of the same formula rebuilt outside the pool, on a product of its own."""
     corpus = _seeded_corpus(chain4, (2, 3, 2), 22)
     pool = sem.enumerate_formulas(corpus[0].sig, chain4, 2, 1)
     stacked, D = pool[0]._pool[0], up.PrincipalUltrafilter(3, 1)
@@ -1309,15 +1355,15 @@ def test_each_gate_outcome_of_a_los_table_gives_the_reports_rebuilt_outside_the_
             patch.setattr(sp, "CELL_BUDGET", chain4.size ** 3 - 1)
         dp = up.d_product_structure(corpus, D)
     assert (dp.limits.table is None) == (gate == "limits")
-    codes = len(pool) * dp.structure.m
-    if gate == "codes":
+    cells = len(pool) * dp.structure.m
+    if gate == "held":
         evaluators = [s.evaluator(1) for s in [dp.structure] + corpus]
         assert None not in [e.pool_run(stacked) for e in evaluators]
     with monkeypatch.context() as patch:
-        if gate in ("run", "codes"):
-            patch.setattr(sp, "CELL_BUDGET", 4 * codes - 1 if gate == "run" else codes - 1)
+        if gate in ("run", "held"):
+            patch.setattr(sp, "CELL_BUDGET", 4 * cells - 1 if gate == "run" else cells - 1)
         assert stacked.admitted(dp.structure.m, 1) == (gate in ("admitted", "limits"))
-        if gate == "codes":
+        if gate == "held":
             assert None not in [e.pool_run(stacked) for e in evaluators]
         reports = up.los_sweep(dp, pool)
     table = dp.los_table(stacked)
@@ -1381,8 +1427,8 @@ def test_a_partly_filled_table_reads_as_one_node_at_a_time(chain4, monkeypatch):
     depth-2 pool finds the D-limits of some rows complete and of others
     not: it holds the reports of the complete rows and builds the others
     at their own `los_check`. Its reports equal those read one node at a
-    time under a CELL_BUDGET that refuses every pool run and the codes but
-    keeps the D-limit table, and its sweep sends the same rows to
+    time under a CELL_BUDGET that refuses every pool run but keeps the
+    D-limit table, and its sweep sends the same rows to
     dlim_batch, in the same order, as the sweep one node at a time, which
     fills per formula."""
     corpus = _seeded_corpus(chain4, (2, 3, 2), 22)
@@ -1417,7 +1463,7 @@ def test_a_partly_filled_table_reads_as_one_node_at_a_time(chain4, monkeypatch):
     assert all(reports[row] is table.reports[row] for row in range(len(pool)))
     assert rows
     with monkeypatch.context() as patch:
-        # a 6-point product: above the 5^2 D-limit table, below the 246·6 codes
+        # a 6-point product: above the 5^2 D-limit table, below the pool's run
         patch.setattr(sp, "CELL_BUDGET", 4 * len(pool) - 1)
         alone, _, want, alone_rows = sweep()
     assert alone.reports is None
@@ -1479,8 +1525,9 @@ def test_drawn_pooled_los_reports_equal_those_rebuilt_and_read_one_node_at_a_tim
     run: ``==`` compares every field, hypothesis order included, and
     `_same_report` also the lines and entries of up to 20 drawn rows (on
     all 5,238 reports of a 27-point product they took about 50 s). Every
-    report is one the table holds exactly when both of its gates admit the
-    pool. Each sweep builds its structures anew on an
+    report is one the table holds exactly when the table admits the pool:
+    the pool runs stacked on the product and the carrier keeps a D-limit
+    table. Each sweep builds its structures anew on an
     empty set of D-limit tables, so no evaluator or D-limit is shared
     between them."""
     vq = roster[name]
@@ -1503,10 +1550,9 @@ def test_drawn_pooled_los_reports_equal_those_rebuilt_and_read_one_node_at_a_tim
 
     dp, stacked = sweep(pool)
     table = dp.los_table(pool[0]._pool[0])
-    T, span = dp.structure.m, pool[0]._pool[0].span
+    T = dp.structure.m
     assert (table.reports is not None) == (
-        pool[0]._pool[0].admitted(T, 1) and len(pool) * T ** span <= sp.CELL_BUDGET
-        and all(pool[0]._pool[0].admitted(f.m, 1) for f in dp.factors))
+        pool[0]._pool[0].admitted(T, 1) and dp.limits.table is not None)
     for row, report in enumerate(stacked):
         assert table.reports is None or report is table.reports[row]
     _, rebuilt = sweep(_unpooled(pool))
