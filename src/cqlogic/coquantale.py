@@ -115,9 +115,10 @@ def validate_coquantale(lattice, add, name="") -> CoQuantale:
     # meet-irreducibles (4), complete distributivity (1) and the exhaustive
     # checks that run when either fails (6)
     check_cost("validating a co-quantale on %d elements" % n, 18 * n ** 3 + loop_cost(n))
-    add = np.asarray(add, dtype=np.int32)
+    add = lat.integer_array(add, BadIdentity, "add table")
     if add.shape != (n, n) or add.min() < 0 or add.max() >= n:
         raise BadIdentity("add table must be total on the carrier")
+    add = add.astype(np.int32, copy=False)
     names = lattice.elements
 
     bad = add != add.T

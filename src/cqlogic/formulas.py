@@ -30,6 +30,7 @@ from .coquantale import CoQuantale, epsilon_halver
 from .errors import (ArityMismatch, FormulaSyntaxError, ModulusViolated,
                      NotValueCoquantale, UnknownSymbol)
 from . import spaces
+from .lattice import integer_array
 from .records import Frozen, set_field
 
 RESERVED = {"d", "conn", "val", "sup", "inf"}
@@ -187,13 +188,14 @@ def register_connective(vq: CoQuantale, name, table, claimed: Modulus) -> Connec
     max-combined symmetric distance of x and y is ≤ Δ(ε) then the symmetric
     distance of the outputs is ≤ ε.
     """
-    table = np.asarray(table, dtype=np.int32)
+    table = integer_array(table, ModulusViolated, "connective %s table" % name)
     arity = table.ndim
     if arity < 1:
         raise ArityMismatch("connectives must have arity >= 1")
     n = vq.size
     if table.shape != (n,) * arity or table.min() < 0 or table.max() >= n:
         raise ModulusViolated("connective table must be total on V^%d" % arity)
+    table = table.astype(np.int32, copy=False)
     validate_modulus(vq, claimed)
     witness = modulus_witness(vq, "connective %s" % name, vq.dsym, arity, vq.dsym,
                               table.reshape(-1), claimed)

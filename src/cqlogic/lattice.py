@@ -260,6 +260,15 @@ def birkhoff(lat: FiniteLattice) -> Birkhoff:
 # -- operations ---------------------------------------------------------------
 
 
+def integer_array(values, error, what):
+    """``values`` as an array, refused with ``error`` unless it holds
+    integers, so that no float or bool entry is truncated to one."""
+    table = np.asarray(values)
+    if table.dtype.kind not in "iu":
+        raise error("%s: integers expected, not %s" % (what, table.dtype))
+    return table
+
+
 def fold_table(op, table, axis):
     """Fold a lattice join or meet table along one axis, keeping the axis
     with size 1. Halves overlap by one cell on odd sizes, which

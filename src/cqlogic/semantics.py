@@ -15,14 +15,16 @@ each shared node once. A validated structure's tables are read-only, so the
 structure holds its own evaluator per window size (`LStructure.evaluator`)
 and its Łoś hypothesis verdicts (`LStructure.hypothesis`, folds of tables no
 larger than the body's): its D-products and their Łoś sweeps share them.
-The memo holds at most `spaces.CELL_BUDGET` table cells: when storing a
-table would pass that, the memo is emptied first, and a table larger than
-the budget is not stored. A node that was dropped is evaluated again when
-next asked for, so the budget changes the cost, never a table.
+A memo entry is one table of Birkhoff masks, and element indices are
+decoded where a value leaves, never held. The memo holds at most
+`spaces.CELL_BUDGET` mask cells: when storing a table would pass that, the
+memo is emptied first, and a table larger than the budget is not stored. A
+node that was dropped is evaluated again when next asked for, so the budget
+changes the cost, never a table.
 
 An `enumerate_formulas` pool (`FormulaPool`) is evaluated as a unit: the
 first miss for one of its nodes runs the whole pool as one stacked program
-(`TableEvaluator.pool_run`), and the node's table is a view of its row.
+(`TableEvaluator.pool_run`), and the node's masks are a view of its row.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from .formulas import (App, Conn, Const, DistAtom, Inf, PredAtom, Signature, Sup
                        default_kit, first_failure, free_vars, modulus_cost, modulus_witness,
                        validate_modulus)
 from . import spaces
-from .lattice import birkhoff, fold_table
+from .lattice import birkhoff, fold_table, integer_array
 from .records import Frozen, Record, set_field
 from .spaces import ContinuitySpace, _triangle_witness, check_cost, loop_cost
 
@@ -126,17 +128,17 @@ def validate_structure(space: ContinuitySpace, sig: Signature, pred_tables,
             (sig.predicates, pred_tables, norm_preds, vq.size, "be total on M^%d"),
             (sig.functions, fun_tables, norm_funs, m, "map M^%d into M")):
         for sname, (arity, modulus) in symbols.items():
-            table = np.asarray(given[sname], dtype=np.int32)
+            table = integer_array(given[sname], MissingInterpretation, "%s table" % sname)
             if table.shape != (m,) * arity or table.min() < 0 or table.max() >= bound:
                 raise MissingInterpretation("%s table must %s" % (sname, claim % arity))
             validate_modulus(vq, modulus)
-            norm[sname] = table
+            norm[sname] = table.astype(np.int32, copy=False)
     consts = {}
     for cname in sig.constants:
         point = const_points[cname]
         if isinstance(point, str):
             point = space.index(point)
-        if not 0 <= point < m:
+        if not 0 <= integer_array(point, MissingInterpretation, "constant %s" % cname) < m:
             raise MissingInterpretation("constant %s maps outside the universe" % cname)
         consts[cname] = int(point)
 
@@ -260,11 +262,10 @@ class TableEvaluator:
     inner loops: on 4096 structures of 3 points, a broadcast ``|`` of two
     one-variable tables took 130 µs and a ``reduce`` over a point axis
     190-270 µs with the batch axis first, against 2.6 µs and 2.3 µs with it
-    last (2-core host). Values leave decoded to element indices, with the
-    batch axis first: `__call__`, `members` and `table`. A memo entry is
-    (node, masks, element indices or None), or (pool, stacked masks,
-    stacked element indices) for a pool's run (`pool_run`), and both tables
-    count against the budget.
+    last (2-core host). Values leave as element indices, decoded at each
+    call: `codes` with the batch axis last, `members` and `table` with
+    it first. A memo entry is (node, masks), or (pool, stacked masks) for a
+    pool's run (`pool_run`); no evaluator holds element indices.
     """
 
     def __init__(self, V, k, dist, preds, funs=None, consts=None):
@@ -284,7 +285,7 @@ class TableEvaluator:
         self.consts = {c: np.asarray(points).reshape((1,) * k + (-1,))
                        for c, points in (consts or {}).items()}
         self.memo = {}
-        self.cells = 0          # cells held by the memo's tables
+        self.cells = 0          # mask cells held by the memo
         self.bidx = np.arange(self.batch)
         self.grids = [np.arange(self.m, dtype=np.int32).reshape(
             (1,) * i + (-1,) + (1,) * (k - i)) for i in range(k)]
@@ -309,64 +310,43 @@ class TableEvaluator:
                    {c: np.array([s.const_points[c] for s in structs])
                     for c in first.const_points})
 
-    def __call__(self, phi):
-        """φ's table of element indices, batch axis first."""
-        return self.codes(phi).transpose(self.batch_first[self.k])
-
     def codes(self, phi):
-        """φ's table of element indices, batch axis last."""
-        # keyed by identity: pools share subformula objects, and the entry
-        # keeps its node alive so the id is not reused
-        hit = self.memo.get(id(phi))
-        if hit is None:
-            row = self._row(phi, 2)
-            if row is not None:
-                return row
-            masks = self._node(phi)
-            masks.setflags(write=False)
-        elif hit[2] is None:
-            masks = hit[1]
-        else:
-            return hit[2]
-        codes = self.code.decode(masks)
+        """φ's table of element indices, batch axis last, decoded from its
+        masks at each call and not held."""
+        codes = self.code.decode(self.masks(phi))
         codes.setflags(write=False)
-        self._store(phi, masks, codes)
         return codes
 
     def masks(self, phi):
-        """φ's table of Birkhoff masks, batch axis last."""
+        """φ's table of Birkhoff masks, batch axis last: its row of its
+        pool's stacked run, cut to its own shape, when the pool runs here
+        (`pool_run`), else its own memo entry."""
+        # keyed by identity: pools share subformula objects, and the entry
+        # keeps its node alive so the id is not reused
         hit = self.memo.get(id(phi))
         if hit is not None:
             return hit[1]
-        row = self._row(phi, 1)
-        if row is not None:
-            return row
+        pooled = phi._pool
+        if pooled is not None:
+            run = self.pool_run(pooled[0])
+            if run is not None:
+                return run[pooled[0].cuts[pooled[1]]]
         masks = self._node(phi)
         masks.setflags(write=False)
-        self._store(phi, masks, None)
+        self._store(phi, masks)
         return masks
 
-    def _row(self, phi, side):
-        """φ's row of its pool's stacked run, masks (side 1) or element
-        indices (side 2), cut to φ's own table shape; None when φ is in no
-        pool or its pool is refused a stacked run here."""
-        pooled = phi._pool
-        if pooled is None:
-            return None
-        pool, row = pooled
-        run = self.pool_run(pool)
-        return None if run is None else run[side][pool.cuts[row]]
-
     def pool_run(self, pool):
-        """The memo entry (pool, masks, element indices) of the pool's
-        stacked run, or None when k is below the pool's span or the pool is
-        not `FormulaPool.admitted`. A row per node, in pool order, has a
-        size-m axis per variable of the span and then the batch axis; the
-        atoms are evaluated alone, each step of the program is one gather
-        and one operation, and one decode covers the pool."""
+        """The pool's stacked masks, held as its memo entry, or None when k
+        is below the pool's span or the pool is not `FormulaPool.admitted`.
+        A row per node, in pool order, has a size-m axis per variable of the
+        span and then the batch axis; the atoms are evaluated alone, and
+        each step of the program is one gather and one operation."""
         hit = self.memo.get(id(pool))
-        if hit is not None or self.k < pool.span or not pool.admitted(self.m, self.batch):
-            return hit
+        if hit is not None:
+            return hit[1]
+        if self.k < pool.span or not pool.admitted(self.m, self.batch):
+            return None
         atoms, steps = pool.program()
         masks = np.empty((len(pool.nodes),) + (self.m,) * pool.span
                          + (1,) * (self.k - pool.span) + (self.batch,), dtype=self.code.enc.dtype)
@@ -379,35 +359,32 @@ class TableEvaluator:
                 fold = np.bitwise_or if kind is Sup else np.bitwise_and
                 masks[out] = fold.reduce(masks[args[0]], axis=1 + what, keepdims=True)
         masks.setflags(write=False)
-        codes = self.code.decode(masks)
-        codes.setflags(write=False)
-        self._store(pool, masks, codes)
-        return self.memo[id(pool)]
+        self._store(pool, masks)
+        return masks
 
-    def _store(self, key, masks, codes):
-        """Hold the tables of a node or a pool run, emptying the memo first
-        when they would pass the budget; tables larger than the budget are
-        not held."""
-        old = self.memo.pop(id(key), None)
-        if old is not None:             # only an entry of masks alone is replaced
-            self.cells -= old[1].size
-        size = masks.size + (0 if codes is None else codes.size)
-        if self.cells + size > spaces.CELL_BUDGET:
+    def _store(self, key, masks):
+        """Hold the masks of a node or a pool run as the entry (key, masks),
+        emptying the memo first when they would pass the budget; masks
+        larger than the budget are not held."""
+        if self.cells + masks.size > spaces.CELL_BUDGET:
             self.memo.clear()
             self.cells = 0
-        if size <= spaces.CELL_BUDGET:
-            self.memo[id(key)] = (key, masks, codes)
-            self.cells += size
+        if masks.size <= spaces.CELL_BUDGET:
+            self.memo[id(key)] = (key, masks)
+            self.cells += masks.size
 
     def table(self, phi, window, b=0):
         """φ on batch member b with one axis of size m per window variable,
-        in window order; the window holds variables of x0..x(k-1) only and
-        every free variable of φ."""
+        in window order; the window holds variables of x0..x(k-1) only, each
+        once, and every free variable of φ."""
         for v in window:
             self._axis(v)
         missing = set(phi.window).difference(window)
         if missing:
             raise UnboundVariable("x%d is not in the evaluation window" % min(missing))
+        for i, v in enumerate(window):
+            if v in window[:i]:
+                raise CqlError("x%d is repeated in the evaluation window" % v)
         kept = sorted(window)
         return self.members(phi, kept)[b].transpose([kept.index(v) for v in window])
 
@@ -584,9 +561,11 @@ class FormulaPool:
             set_field(phi, "_pool", (self, row))
 
     def admitted(self, m, batch):
-        """Whether the stacked masks and element indices over m points and
-        the batch take at most half of `CELL_BUDGET` cells; the other half
-        keeps node tables from evicting the run over and over."""
+        """Whether twice the stacked masks over m points and the batch take
+        at most half of `CELL_BUDGET` cells: the held masks, plus the element
+        indices that a Łoś pass decodes from them (`ultraproduct.LosTable`).
+        The other half keeps node tables from evicting the run over and
+        over."""
         return 2 * len(self.nodes) * m ** self.span * batch <= spaces.CELL_BUDGET // 2
 
     def program(self):

@@ -39,13 +39,13 @@ import numpy as np
 from .coquantale import builtin
 from .errors import (NotAPreorder, NotATopology, NotPositive,
                      ReflexivityViolation, SizeLimit, TransitivityViolation,
-                     VerificationFailed)
-from .lattice import _path_counts, fold_table
+                     UnknownElement, VerificationFailed)
+from .lattice import _path_counts, fold_table, integer_array
 from .records import Frozen, Record, set_field
 
 # cells per block of a row-blocked kernel (up to 12 bytes each) and per
-# TableEvaluator memo (a mask of 1 to 8 bytes, or a pointer to a Python int
-# past 64 join-irreducibles; an element index of 4 bytes)
+# TableEvaluator memo, which holds Birkhoff masks only (1 to 8 bytes, or a
+# pointer to a Python int past 64 join-irreducibles)
 CELL_BUDGET = 1 << 21
 # cell operations one call may spend (a 512-point triangle check)
 WORK_BUDGET = 1 << 27
@@ -86,7 +86,10 @@ class ContinuitySpace:
         return len(self.points)
 
     def index(self, point):
-        return self._index[point]
+        try:
+            return self._index[point]
+        except KeyError:
+            raise UnknownElement("%r is not a point of this space" % (point,)) from None
 
     def d(self, x, y):
         return self.dist[x, y]
@@ -116,8 +119,7 @@ def validate_space(values, points, dist) -> ContinuitySpace:
         table = np.empty(0)
     if table.shape != (m, m):
         raise ReflexivityViolation("dist table must be %d x %d" % (m, m))
-    if table.dtype.kind not in "iu":
-        raise ReflexivityViolation("dist entries must be integers, not %s" % table.dtype)
+    integer_array(table, ReflexivityViolation, "dist entries")
     bad = table[(table < 0) | (table >= values.size)]
     if bad.size:
         raise ReflexivityViolation("dist entry %d is not a V element" % bad[0])

@@ -408,15 +408,15 @@ class LosTable:
     (`FormulaPool.admitted`), and so on every factor, which has no more
     points, and the carrier keeps a D-limit table. Admitted, ``reports``
     holds the report of each row whose D-limits are all seen, built in one
-    pass: the codes of the factors' stacked runs broadcast by
-    `_axis_shapes`, one `take` of the D-limit table, and each side a row
-    view of one gather per group of rows that share their free variables
-    (`FormulaPool.groups`); `los_check` builds and holds any other row's
-    report. Refused, ``reports`` is None, and `los_check` builds each
-    report at its call without holding it, so a pool past the budget is
-    read one report at a time. The table holds no reference to the
-    product, which holds the table, so a product is freed by reference
-    counting."""
+    pass that decodes the product's stacked run and each factor's once:
+    the factors' codes broadcast by `_axis_shapes`, one `take` of the
+    D-limit table, and each side a row view of one gather per group of rows
+    that share their free variables (`FormulaPool.groups`); `los_check`
+    builds and holds any other row's report. Refused, ``reports`` is None,
+    and `los_check` builds each report at its call without holding it, so
+    a pool past the budget is read one report at a time. The table holds
+    no reference to the product, which holds the table, so a product is
+    freed by reference counting."""
 
     def __init__(self, dp, pool):
         self.pool = pool
@@ -426,17 +426,17 @@ class LosTable:
         points, table = dp.structure.m, dp.limits.table
         if not pool.admitted(points, 1) or table is None:
             return
-        run, *runs = [s.evaluator(pool.span).pool_run(pool)
-                      for s in [dp.structure, *dp.factors]]
+        run, *runs = [e.code.decode(e.pool_run(pool)) for e in
+                      (s.evaluator(pool.span) for s in [dp.structure, *dp.factors])]
         shapes = _axis_shapes(dp.sizes, pool.span)
         limits = table.take(np.ravel_multi_index(
-            [factor[2].reshape((-1,) + shape) for factor, shape in zip(runs, shapes)],
+            [factor.reshape((-1,) + shape) for factor, shape in zip(runs, shapes)],
             dp.limits.shape)).reshape((-1,) + (points,) * pool.span)
         complete = (limits.reshape(len(limits), -1) >= 0).all(axis=1).tolist()
         self.reports = reports = [None] * len(pool.nodes)
         names, quantified = dp.structure.points, self.quantified
         for rows, index in pool.groups:
-            left, right = (side[index].reshape(len(rows), -1) for side in (run[2], limits))
+            left, right = (side[index].reshape(len(rows), -1) for side in (run, limits))
             left.setflags(write=False)
             right.setflags(write=False)
             for row, values, limit in zip(rows, left, right):

@@ -206,8 +206,9 @@ def test_masks_agree_on_a_seeded_sample_of_body_classes():
 
 
 def stacked_cells(pool, evaluator):
-    """The cells of the pool's stacked masks and element indices."""
-    return 2 * len(pool.nodes) * evaluator.m ** pool.span * evaluator.batch
+    """The cells of the pool's stacked masks; `FormulaPool.admitted` asks
+    for twice that within half of CELL_BUDGET."""
+    return len(pool.nodes) * evaluator.m ** pool.span * evaluator.batch
 
 
 @pytest.mark.parametrize("name", ["bool2", "chain:3", "chain:4", "freelocale:2", "D4"])
@@ -244,7 +245,7 @@ def test_a_stacked_pool_run_equals_the_run_one_node_at_a_time(name, depth, varia
 
     stacked = evaluator()
     assert pool.admitted(m, batch)
-    with mock.patch.object(sp, "CELL_BUDGET", 2 * stacked_cells(pool, stacked) - 1):
+    with mock.patch.object(sp, "CELL_BUDGET", 4 * stacked_cells(pool, stacked) - 1):
         alone = evaluator()
         tables = [(alone.masks(phi), alone.codes(phi)) for phi in formulas]
         assert id(pool) not in alone.memo
@@ -265,10 +266,11 @@ def test_a_stacked_pool_run_equals_the_run_one_node_at_a_time(name, depth, varia
 
 def test_an_over_budget_pool_is_evaluated_one_node_at_a_time_with_equal_tables(monkeypatch):
     """The depth-2 two-variable chain:3 pool on 10 seeded classes of bodies
-    on 3 points: within half of CELL_BUDGET the evaluator runs the pool
-    once, evaluating only its atoms one node at a time, and holds the run
-    as one memo entry; with the budget one cell short of that it evaluates
-    every node alone and holds no run, and every table is the same."""
+    on 3 points: when twice its stacked masks are within half of
+    CELL_BUDGET, the evaluator runs the pool once, evaluating only its
+    atoms one node at a time, and holds the run's masks as its one memo
+    entry; with the budget one cell short of that it evaluates every node
+    alone and holds no run, and every table is the same."""
     vq = cq.builtin("chain:3")
     modulus = F.identity_modulus(vq)
     dist, P, first = sem.enumerate_bodies(vq, 3, modulus)
@@ -290,8 +292,41 @@ def test_an_over_budget_pool_is_evaluated_one_node_at_a_time_with_equal_tables(m
     stacked, want = run()
     assert nodes == formulas[:6]
     assert list(stacked.memo) == [id(pool)]
-    assert stacked.cells == stacked_cells(pool, stacked) <= sp.CELL_BUDGET // 2
-    monkeypatch.setattr(sp, "CELL_BUDGET", 2 * stacked_cells(pool, stacked) - 1)
+    [(key, masks)] = stacked.memo.values()
+    assert key is pool and masks.dtype == stacked.code.enc.dtype
+    assert stacked.cells == masks.size == stacked_cells(pool, stacked) <= sp.CELL_BUDGET // 4
+    monkeypatch.setattr(sp, "CELL_BUDGET", 4 * stacked_cells(pool, stacked) - 1)
     alone, got = run()
     assert id(pool) not in alone.memo and len(nodes) == len(formulas)
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+@pytest.mark.parametrize("run", ["stacked", "refused", "lone"])
+def test_every_memo_entry_is_one_table_of_masks(run):
+    """After a pool's stacked run, a run the budget refuses and a formula
+    in no pool, each asked for its element indices before its masks: every
+    memo entry is (key, masks) in the encoding's dtype, ``cells`` is the
+    sum of the entries' sizes, and a node's element indices are its masks
+    decoded, read-only and not held."""
+    vq = cq.builtin("chain:4")
+    structs = random_structures(random.Random(run), vq, 2, 3)
+    sig = F.Signature(predicates=[("P", 1, F.identity_modulus(vq))])
+    formulas = sem.enumerate_formulas(sig, vq, 1, 2)
+    pool = formulas[0]._pool[0]
+    if run == "lone":
+        formulas = [F.parse_formula("(sup x1 (conn wedge (P x0) (inf x0 (d x0 x1))))", sig, vq)]
+    evaluator = sem.TableEvaluator.of(structs, 2)
+    budget = 4 * stacked_cells(pool, evaluator) - 1 if run == "refused" else sp.CELL_BUDGET
+    with mock.patch.object(sp, "CELL_BUDGET", budget):
+        codes = [evaluator.codes(phi) for phi in formulas]
+    assert (id(pool) in evaluator.memo) == (run == "stacked")
+    entries = list(evaluator.memo.values())
+    assert entries and all(len(entry) == 2 for entry in entries)
+    assert all(masks.dtype == evaluator.code.enc.dtype for _, masks in entries)
+    assert evaluator.cells == sum(masks.size for _, masks in entries)
+    for phi, got in zip(formulas, codes):
+        again = evaluator.codes(phi)
+        assert not (got.flags.writeable or again.flags.writeable)
+        assert np.array_equal(got, evaluator.code.decode(evaluator.masks(phi)))
+        assert np.array_equal(got, again)
+    assert list(evaluator.memo.values()) == entries

@@ -4,13 +4,14 @@ from itertools import permutations, product
 import numpy as np
 import pytest
 
+from cqlogic import coquantale as cq
 from cqlogic import formulas as F
 from cqlogic import semantics as sem
 from cqlogic import spaces as sp
-from cqlogic.errors import (ArityMismatch, FreeVariableMismatch,
+from cqlogic.errors import (ArityMismatch, CqlError, FreeVariableMismatch,
                             ModulusViolated, NotCoGirard, NotSubstructure,
                             SignatureMismatch, TransitivityViolation,
-                            UnboundVariable)
+                            UnboundVariable, UnknownElement)
 
 
 @pytest.fixture(scope="module")
@@ -65,6 +66,46 @@ def test_missing_interpretation(chain4, sig1):
         sem.validate_structure(space, sig1, {}, const_points={"c": "a"})
 
 
+@pytest.mark.parametrize("where", ["dist", "add", "join", "predicate", "constant"])
+def test_a_non_integer_entry_is_refused_not_truncated(chain4, sig1, struct_n, where):
+    """Every validator refuses a table or point that is not of an integer
+    dtype by one shared check, where an add entry of 1.9, a join entry of
+    1.2, P = [0.5, 2, 1] and the constant point 1.5 used to be truncated to
+    the valid 1, 1, [0, 2, 1] and 1 and accepted."""
+    space, preds, consts = struct_n.space, {"P": [0, 2, 1]}, {"c": "a"}
+    table = (chain4.lattice.join if where == "join" else chain4.add).astype(float)
+    table[0, 1] = table[1, 0] = 1.9 if where == "add" else 1.2
+    if where == "predicate":
+        preds = {"P": [0.5, 2, 1]}
+    elif where == "constant":
+        consts = {"c": 1.5}
+    with pytest.raises(CqlError, match="integers expected"):
+        if where == "dist":
+            sp.validate_space(chain4, space.points, space.dist.astype(float))
+        elif where == "add":
+            cq.validate_coquantale(chain4.lattice, table)
+        elif where == "join":
+            F.register_connective(chain4, "join", table, F.identity_modulus(chain4))
+        else:
+            sem.validate_structure(space, sig1, preds, const_points=consts)
+    assert sem.validate_structure(space, sig1, {"P": [0, 2, 1]}, const_points={"c": 1}).m == 3
+
+
+def test_an_unknown_point_name_is_refused_by_name(chain4, sig1, struct_n):
+    """A point name the space does not have raises `UnknownElement`
+    naming it, not a bare KeyError, wherever a point is given by name."""
+    space = struct_n.space
+    cond = sem.Condition(F.parse_formula("(P x0)", sig1, chain4))
+    for call in (lambda: sem.validate_structure(space, sig1, {"P": [0, 2, 1]},
+                                                const_points={"c": "zz"}),
+                 lambda: sem.satisfies(struct_n, cond, ["zz"]),
+                 lambda: sp.disc(space, "zz", 1), lambda: sp.closed_disc(space, "zz", 1),
+                 lambda: sp.dist_to_set(space, "a", ["zz"]),
+                 lambda: sp.diameter(space, ["a", "zz"])):
+        with pytest.raises(UnknownElement, match="'zz'"):
+            call()
+
+
 # -- evaluation -------------------------------------------------------------------
 
 
@@ -92,7 +133,8 @@ def test_a_window_past_the_evaluator_or_missing_a_free_variable_is_refused(
     as many variables as the evaluator: `table` raises, as `eval_table`
     (which widens its window to x2) does, where it used to pin x1 to the
     first point and repeat the table along x2. A window of k variables that
-    misses a free one is refused too, and a covering window still reads."""
+    misses a free one is refused too, as is one that names a variable
+    twice, and a covering window still reads."""
     phi = F.parse_formula("(d x0 x1)", sig1, chain4)
     evaluator = sem.TableEvaluator.of([struct_n], 2)
     for window in ((0, 2), (0, 0), (-1, 0)):
@@ -100,6 +142,9 @@ def test_a_window_past_the_evaluator_or_missing_a_free_variable_is_refused(
             evaluator.table(phi, window)
     with pytest.raises(UnboundVariable):
         sem.eval_table(struct_n, phi, (0, 2))
+    for window in ((0, 0, 1), (1, 0, 1)):
+        with pytest.raises(CqlError, match="x%d is repeated" % window[0]):
+            sem.eval_table(struct_n, phi, window)
     assert np.array_equal(evaluator.table(phi, (1, 0)), struct_n.dist.T)
     assert np.array_equal(sem.eval_table(struct_n, phi, (0, 1)), struct_n.dist)
 
@@ -568,15 +613,14 @@ def test_memo_budget_changes_no_table_or_verdict(monkeypatch, struct_n, sig1, ch
     def counted(original):
         def call(self, phi):
             out = original(self, phi)
-            # an entry is (node, masks, element indices or None)
-            held.append(sum(masks.size + (0 if codes is None else codes.size)
-                            for _, masks, codes in self.memo.values()))
+            # an entry is (node or pool, masks)
+            held.append(sum(masks.size for _, masks in self.memo.values()))
             return out
         return call
 
     monkeypatch.setattr(sp, "CELL_BUDGET", budget)
-    for name in ("codes", "masks"):     # every memo store goes through one of these
-        monkeypatch.setattr(sem.TableEvaluator, name, counted(getattr(sem.TableEvaluator, name)))
+    # every memo store goes through masks
+    monkeypatch.setattr(sem.TableEvaluator, "masks", counted(sem.TableEvaluator.masks))
     got_tables = tables()
     assert all(np.array_equal(a, b) for a, b in zip(got_tables, want_tables))
     assert verdicts() == want_verdicts

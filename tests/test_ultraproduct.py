@@ -1135,7 +1135,7 @@ def test_a_144_point_hypothesis_in_bounded_memory(product_432):
     larger than the family, where the pair table had 144³ cells."""
     dp = up.d_product_structure(product_432[:4], up.PrincipalUltrafilter(4, 1))
     phi = F.parse_formula("(sup x1 (d x0 x1))", dp.structure.sig, dp.structure.V)
-    dp.structure.evaluator(phi.span)(phi.body)
+    dp.structure.evaluator(phi.span).masks(phi.body)
     verdict, peak = _traced_peak(lambda: up.los_hypothesis_check(dp.structure, phi))
     assert dp.structure.m == 144 and verdict == (True, True)
     assert peak < 4 << 20, peak
@@ -1358,13 +1358,13 @@ def test_each_gate_outcome_of_a_los_table_gives_the_reports_rebuilt_outside_the_
     cells = len(pool) * dp.structure.m
     if gate == "held":
         evaluators = [s.evaluator(1) for s in [dp.structure] + corpus]
-        assert None not in [e.pool_run(stacked) for e in evaluators]
+        assert all(e.pool_run(stacked) is not None for e in evaluators)
     with monkeypatch.context() as patch:
         if gate in ("run", "held"):
             patch.setattr(sp, "CELL_BUDGET", 4 * cells - 1 if gate == "run" else cells - 1)
         assert stacked.admitted(dp.structure.m, 1) == (gate in ("admitted", "limits"))
         if gate == "held":
-            assert None not in [e.pool_run(stacked) for e in evaluators]
+            assert all(e.pool_run(stacked) is not None for e in evaluators)
         reports = up.los_sweep(dp, pool)
     table = dp.los_table(stacked)
     assert (table.reports is not None) == (gate == "admitted")
@@ -1399,7 +1399,7 @@ def test_los_reports_of_pooled_formulas_equal_those_rebuilt_outside_the_pool(cha
             reports = [up.los_check(dp, phi) for phi in formulas]
             # the pools whose stacked run an evaluator of the sweep holds
             held = {key for s in [dp.structure] + corpus for e in s._evaluators.values()
-                    for key, _, _ in e.memo.values() if isinstance(key, sem.FormulaPool)}
+                    for key, _ in e.memo.values() if isinstance(key, sem.FormulaPool)}
             out.append((reports, held))
         return out
 
